@@ -3,8 +3,9 @@
 The acceptance bar for the tracing subsystem: with tracing *disabled*
 (the default), ``CompiledModel.run`` must stay within 3% of the
 pre-instrumentation execution path — a closure that builds the run
-state and walks ``_execute_plan`` directly, with no tracer guard at
-all.  And tracing must never touch arithmetic: runs with the tracer
+state and walks the plan in its own literal bare loop, with no tracer
+argument and no guard at all (so the source tree's walk cannot drift
+with it).  And tracing must never touch arithmetic: runs with the tracer
 installed are bitwise identical to untraced runs and to
 ``runtime.reference_forward``.
 """
@@ -19,7 +20,7 @@ from repro import nn
 from repro.experiments.common import format_table
 from repro.obs import trace
 from repro.runtime import EngineCache, compile_model, reference_forward
-from repro.runtime.compiled import _RunState
+from repro.runtime.compiled import INPUT, _RunState
 
 IN_FEATURES = 128
 BATCH = 8
@@ -44,13 +45,24 @@ def build_batch():
 
 def _baseline_runner(compiled):
     """The pre-instrumentation hot path: no tracer guard, no branch."""
-    execute = compiled._execute_plan
+    nodes = compiled._nodes
+    consumers = compiled._consumers
+    output = len(nodes) - 1
     encoding = compiled.config.encoding
     rng = compiled._rng
 
     def run(x):
         state = _RunState(rng=rng, encoding=encoding)
-        return execute(np.asarray(x, dtype=np.float64), state), state.stats
+        values = {INPUT: np.asarray(x, dtype=np.float64)}
+        remaining = dict(consumers)
+        for i, node in enumerate(nodes):
+            args = tuple(values[j] for j in node.inputs)
+            values[i] = node.op.apply(*args, state)
+            for j in node.inputs:
+                remaining[j] -= 1
+                if remaining[j] == 0:
+                    del values[j]
+        return values[output], state.stats
 
     return run
 

@@ -22,8 +22,9 @@ package brings that reliability machinery *online*:
   the artifact store when one is attached, replay the displaced
   micro-batches — with the recovery recorded and traced.
 * :func:`run_chaos_stream` / :class:`ChaosStreamResult` — the
-  chaos-instrumented twin of the pipelined stream executor, returning
-  availability, recovery records and a deterministic trace digest.
+  attempt → failover → replay coordinator over the runtime's one shard
+  pipeline, returning availability, recovery records and a
+  deterministic trace digest.
 
 Determinism contract (docs/chaos.md): zero-magnitude schedules are
 bitwise identical to clean runs, and the same ``(seed, schedule)``

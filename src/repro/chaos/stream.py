@@ -1,9 +1,9 @@
-"""Chaos-instrumented pipelined stream execution with shard failover.
+"""Failover coordination for chaos-instrumented pipelined streams.
 
-:func:`run_chaos_stream` is the fault-tolerant twin of
-:meth:`repro.runtime.ShardedModel.run_stream`: the same
-worker-per-shard pipeline over bounded queues, with three additions
-driven by a :class:`~repro.chaos.inject.ChaosController`:
+:func:`run_chaos_stream` is the attempt → failover → replay coordinator
+over the shared shard pipeline of :class:`repro.runtime.ShardedModel`
+(the one ``run_stream`` drives too), handed a
+:class:`~repro.chaos.inject.ChaosController` as its fault source:
 
 * **Degraded-mode execution** — before a shard executes a micro-batch
   it asks the controller for the open degradation window; engines then
@@ -35,20 +35,17 @@ times are measured and reported but excluded from the trace digest.
 from __future__ import annotations
 
 import hashlib
-import queue
-import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.chaos.inject import ChaosController
 from repro.chaos.schedule import FaultEvent, FaultSchedule
-from repro.cim.macro import MacroStats
 from repro.obs import trace
-from repro.runtime.compiled import _USE_DEFAULT, _RunState
-from repro.runtime.sharded import ShardedModel, StreamResult, shard, stream_rng
+from repro.runtime.compiled import _USE_DEFAULT
+from repro.runtime.sharded import ShardedModel, StreamResult, _StreamItem, shard
 
 
 @dataclass(frozen=True)
@@ -146,218 +143,64 @@ class ChaosStreamResult(StreamResult):
         }
 
 
-class _ChaosItem:
-    __slots__ = ("index", "x", "state", "start_node", "compute_ns", "link_ns")
+def recover(
+    current: Any, controller: ChaosController, n_after: int
+) -> Tuple[Optional[ShardedModel], bool, float, float]:
+    """The one failover ladder: bring ``current`` back on ``n_after`` shards.
 
-    def __init__(
-        self, index: int, x: np.ndarray, state: _RunState, n_shards: int
-    ):
-        self.index = index
-        self.x = x
-        self.state = state
-        self.start_node = 0  # plan node execution resumes at (0 = from input)
-        self.compute_ns = np.zeros(n_shards)
-        self.link_ns = np.zeros(max(n_shards - 1, 0))
+    Warm first — when the controller carries ``store`` +
+    ``artifact_key_fn`` and the stored artifact is a
+    :class:`ShardedModel` of exactly ``n_after`` shards, it is loaded
+    into the dead deployment's own engine cache.  Any
+    :class:`~repro.runtime.snapshot.SnapshotError` (absent key, corrupt
+    or stale artifact) or a wrong-topology artifact falls through to
+    the cold path: re-plan the surviving count over the in-memory
+    engines.  No shard left, or a monolithic deployment, is
+    unrecoverable.
 
-
-class _AttemptOutcome:
-    """What one pipelined attempt produced."""
-
-    __slots__ = ("completed", "displaced", "deaths")
-
-    def __init__(self):
-        self.completed: List[_ChaosItem] = []
-        #: dead shard -> items displaced there (in arrival = index order).
-        self.displaced: Dict[int, List[_ChaosItem]] = {}
-        #: (event, shard, fired index) in deterministic (index, shard) order.
-        self.deaths: List[Tuple[FaultEvent, int, int]] = []
-
-
-def _stage_start_node(sharded: ShardedModel, s: int) -> int:
-    """First plan node stage ``s`` executes (next node after the
-    previous stage for an empty stage)."""
-    indices = sharded._stages[s]
-    if indices:
-        return indices[0]
-    return sharded._stages[s - 1][-1] + 1 if s else 0
-
-
-def _run_attempt(
-    sharded: ShardedModel,
-    items: Sequence[_ChaosItem],
-    controller: ChaosController,
-    tracer,
-    queue_depth: int,
-) -> _AttemptOutcome:
-    """One pipelined pass; stops feeding dead shards, never loses items.
-
-    A shard whose death fires diverts the triggering micro-batch and
-    every later arrival to the displaced list and keeps draining its
-    inbox (so upstream shards never block on a full queue into a dead
-    stage), forwarding only the end-of-stream sentinel.  Micro-batches
-    already past the dead shard finish normally.
+    Returns ``(model, warm, replan_s, restore_s)``: the recovered model
+    (``None`` when unrecoverable), whether it came from the store, and
+    the wall-clock seconds of the cold re-plan and of the restore
+    attempt (both non-zero when a restore fell through).
     """
-    n_shards = sharded.n_shards
-    last = n_shards - 1
-    queues: List["queue.Queue"] = [
-        queue.Queue(maxsize=queue_depth) for _ in range(n_shards + 1)
-    ]
-    errors: List[BaseException] = []
-    outcome = _AttemptOutcome()
-    outcome_lock = threading.Lock()
+    if n_after < 1 or not isinstance(current, ShardedModel):
+        return None, False, 0.0, 0.0
+    recovered: Optional[ShardedModel] = None
+    replan_s = restore_s = 0.0
+    if controller.store is not None and controller.artifact_key_fn is not None:
+        from repro.runtime import snapshot
 
-    def worker(s: int) -> None:
-        inbox, outbox = queues[s], queues[s + 1]
-        dead: Optional[List[_ChaosItem]] = None
-        cum_chip = 0.0
-        while True:
-            item = inbox.get()
-            if item is None:
-                outbox.put(None)
-                return
-            if errors:
-                continue  # drain the pipe; the attempt already failed
-            if dead is not None:
-                item.start_node = max(
-                    item.start_node, _stage_start_node(sharded, s)
-                )
-                dead.append(item)
-                continue
-            try:
-                stage = sharded._stages[s]
-                resumes_past_stage = bool(stage) and item.start_node > stage[-1]
-                if not resumes_past_stage:
-                    event = controller.check_shard_death(
-                        shard=s, index=item.index, chip_ns=cum_chip
-                    )
-                    if event is not None:
-                        with outcome_lock:
-                            dead = outcome.displaced.setdefault(s, [])
-                            outcome.deaths.append((event, s, item.index))
-                        if tracer is not None:
-                            with tracer.span(
-                                f"fault:{event.kind}",
-                                "chaos",
-                                shard=s,
-                                microbatch=item.index,
-                            ):
-                                pass
-                        item.start_node = max(
-                            item.start_node, _stage_start_node(sharded, s)
-                        )
-                        dead.append(item)
-                        continue
-                executed = False
-                if not resumes_past_stage:
-                    degrade = controller.degradation_at(
-                        item.index, chip_ns=cum_chip, shard=s
-                    )
-                    item.state.degrade = degrade
-                    before = item.state.stats.latency_ns
-                    if tracer is None:
-                        item.x = _execute_stage(sharded, s, item)
-                    else:
-                        with tracer.span(
-                            f"shard{s}:mb{item.index}",
-                            "shard",
-                            shard=s,
-                            microbatch=item.index,
-                            degraded=degrade is not None,
-                        ) as sp:
-                            item.x = _execute_stage(sharded, s, item)
-                            sp.set(
-                                "chip_ns",
-                                item.state.stats.latency_ns - before,
-                            )
-                    item.state.degrade = None
-                    delta = item.state.stats.latency_ns - before
-                    cum_chip += delta
-                    item.compute_ns[s] += delta
-                    executed = True
-                if executed and s < last:
-                    transfer = sharded._transfer_stats(item.x)
-                    latency_f, energy_f = controller.link_factors(
-                        s, item.index, cum_chip
-                    )
-                    if latency_f != 1.0 or energy_f != 1.0:
-                        transfer = replace(
-                            transfer,
-                            link_energy_fj=transfer.link_energy_fj * energy_f,
-                            link_latency_ns=transfer.link_latency_ns
-                            * latency_f,
-                        )
-                    item.state.stats = item.state.stats + transfer
-                    item.link_ns[s] += transfer.link_latency_ns
-                    if tracer is not None:
-                        with tracer.span(
-                            f"link{s}:mb{item.index}",
-                            "link",
-                            shard=s,
-                            microbatch=item.index,
-                            chip_ns=transfer.link_latency_ns,
-                            link_bits=transfer.link_bits,
-                        ):
-                            pass
-            except BaseException as error:  # noqa: BLE001 - re-raised by caller
-                errors.append(error)
-                continue
-            outbox.put(item)
-
-    threads = [
-        threading.Thread(
-            target=worker, args=(s,), name=f"chaos-shard-{s}", daemon=True
+        t0 = time.perf_counter()
+        try:
+            restored = snapshot.load(
+                controller.store,
+                controller.artifact_key_fn(n_after),
+                cache=current.compiled.cache,
+            )
+            if isinstance(restored, ShardedModel) and restored.n_shards == n_after:
+                recovered = restored
+        except snapshot.SnapshotError:
+            pass  # cold re-plan below
+        restore_s = time.perf_counter() - t0
+    warm = recovered is not None
+    if not warm:
+        t0 = time.perf_counter()
+        recovered = shard(
+            current.compiled,
+            n_after,
+            link=current.link,
+            input_shape=controller.input_shape,
         )
-        for s in range(n_shards)
-    ]
-    for thread in threads:
-        thread.start()
-
-    def collect() -> None:
-        while True:
-            item = queues[n_shards].get()
-            if item is None:
-                return
-            outcome.completed.append(item)
-
-    collector = threading.Thread(
-        target=collect, name="chaos-collect", daemon=True
-    )
-    collector.start()
-    try:
-        for item in items:
-            queues[0].put(item)
-        queues[0].put(None)
-    finally:
-        # The sentinel propagates through every worker (dead ones still
-        # forward it), so these joins cannot orphan a shard thread.
-        collector.join()
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    outcome.deaths.sort(key=lambda d: (d[2], d[1]))
-    return outcome
-
-
-def _execute_stage(sharded: ShardedModel, s: int, item: _ChaosItem) -> np.ndarray:
-    """Run stage ``s`` on the item, honouring its replay resume point.
-
-    A replayed item whose resume node falls inside this stage binds its
-    carried tensor to node ``start_node - 1`` (``_run_stage_from``);
-    stages entirely past the resume point run normally — by then the
-    item's tensor is an ordinary inter-stage value again.
-    """
-    stage = sharded._stages[s]
-    if item.start_node > 0 and stage and item.start_node >= stage[0]:
-        return sharded._run_stage_from(s, item.x, item.state, item.start_node)
-    return sharded._run_stage(s, item.x, item.state)
+        replan_s = time.perf_counter() - t0
+    return recovered, warm, replan_s, restore_s
 
 
 def _failover(
     current: ShardedModel,
     controller: ChaosController,
-    outcome: _AttemptOutcome,
-) -> Tuple[Optional[ShardedModel], RecoveryRecord, List[_ChaosItem]]:
+    displaced_at: Dict[int, List[_StreamItem]],
+    deaths: Sequence[Tuple[FaultEvent, int, int]],
+) -> Tuple[Optional[ShardedModel], RecoveryRecord, List[_StreamItem]]:
     """Re-plan around the dead shard(s) and stage the replay.
 
     Returns ``(recovered model or None, recovery record, items to
@@ -365,52 +208,24 @@ def _failover(
     left); every displaced micro-batch is then dropped.
     """
     t_start = time.perf_counter()
-    dead_shards = tuple(sorted(outcome.displaced))
-    events = tuple(event for event, _, _ in outcome.deaths)
+    dead_shards = tuple(sorted(displaced_at))
+    events = tuple(event for event, _, _ in deaths)
     n_before = current.n_shards
     n_after = n_before - len(dead_shards)
 
-    displaced: List[_ChaosItem] = []
-    for s in dead_shards:
-        displaced.extend(outcome.displaced[s])
-    displaced.sort(key=lambda item: item.index)
-
+    displaced = sorted(
+        (item for s in dead_shards for item in displaced_at[s]),
+        key=lambda item: item.index,
+    )
+    recovered, warm, replan_s, restore_s = recover(current, controller, n_after)
     # Each death event abandons its first `drop` displaced micro-batches
-    # (simulating in-flight state lost with the chiplet's buffers).
-    n_drop = min(sum(e.drop for e in events), len(displaced))
+    # (simulating in-flight state lost with the chiplet's buffers); an
+    # unrecoverable fleet abandons them all.
+    n_drop = len(displaced)
+    if recovered is not None:
+        n_drop = min(sum(e.drop for e in events), n_drop)
     dropped = displaced[:n_drop]
     replay = displaced[n_drop:]
-
-    recovered: Optional[ShardedModel] = None
-    warm = False
-    replan_s = 0.0
-    restore_s = 0.0
-    if n_after >= 1:
-        if controller.store is not None and controller.artifact_key_fn is not None:
-            from repro.runtime import snapshot
-
-            t0 = time.perf_counter()
-            try:
-                key = controller.artifact_key_fn(n_after)
-                restored = snapshot.load(controller.store, key)
-                if isinstance(restored, ShardedModel) and restored.n_shards == n_after:
-                    recovered = restored
-                    warm = True
-            except snapshot.SnapshotError:
-                recovered = None  # cold re-plan below
-            restore_s = time.perf_counter() - t0
-        if recovered is None:
-            t0 = time.perf_counter()
-            recovered = shard(
-                current.compiled,
-                n_after,
-                link=current.link,
-                input_shape=controller.input_shape,
-            )
-            replan_s = time.perf_counter() - t0
-    else:
-        dropped = displaced
-        replay = []
 
     record = RecoveryRecord(
         events=events,
@@ -448,46 +263,31 @@ def run_chaos_stream(
     ``run_stream`` — the differential witness every chaos test builds
     on.
     """
-    if queue_depth < 1:
-        raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
-    if rngs is not None and len(rngs) != len(batches):
-        raise ValueError(f"{len(rngs)} rngs for {len(batches)} micro-batches")
-    n_initial = model.n_shards
-    resolved_encoding = (
-        model.compiled.config.encoding if encoding is _USE_DEFAULT else encoding
-    )
-    items: List[_ChaosItem] = []
-    for i, batch in enumerate(batches):
-        rng = rngs[i] if rngs is not None else stream_rng(seed, i)
-        items.append(
-            _ChaosItem(
-                i,
-                np.asarray(batch, dtype=np.float64),
-                _RunState(rng=rng, encoding=resolved_encoding),
-                n_initial,
-            )
-        )
-
+    items = model._stream_items(batches, seed, rngs, encoding, queue_depth)
     tracer = trace.current()
     started = time.perf_counter()
     current = model
-    pending: List[_ChaosItem] = items
-    delivered: Dict[int, _ChaosItem] = {}
+    pending: List[_StreamItem] = items
+    delivered: Dict[int, _StreamItem] = {}
     dropped: List[int] = []
     recoveries: List[RecoveryRecord] = []
 
     while pending:
-        outcome = _run_attempt(current, pending, controller, tracer, queue_depth)
-        for item in outcome.completed:
+        completed, displaced_at, deaths = current._pipeline(
+            pending, queue_depth, tracer, controller
+        )
+        for item in completed:
             if item.index in delivered:
                 raise RuntimeError(
                     f"micro-batch {item.index} delivered twice — "
                     "exactly-once accounting broken"
                 )
             delivered[item.index] = item
-        if not outcome.deaths:
+        if not deaths:
             break
-        recovered, record, replay = _failover(current, controller, outcome)
+        recovered, record, replay = _failover(
+            current, controller, displaced_at, deaths
+        )
         recoveries.append(record)
         controller.recoveries.append(record)
         dropped.extend(record.dropped)
@@ -509,32 +309,15 @@ def run_chaos_stream(
         current = recovered
         pending = replay
 
-    wall_s = time.perf_counter() - started
-    done = sorted(delivered.values(), key=lambda item: item.index)
-    total = MacroStats()
-    per_batch: List[MacroStats] = []
-    for item in done:
-        per_batch.append(item.state.stats)
-        total = total + item.state.stats
-        if session is not None:
-            samples = item.x.shape[0] if item.x.ndim else 1
-            session.record(item.state.stats, samples=samples)
-    return ChaosStreamResult(
-        outputs=[item.x for item in done],
-        per_batch=per_batch,
-        stats=total,
-        compute_ns=np.stack([item.compute_ns for item in done])
-        if done
-        else np.zeros((0, n_initial)),
-        link_ns=np.stack([item.link_ns for item in done])
-        if done
-        else np.zeros((0, max(n_initial - 1, 0))),
-        wall_s=wall_s,
-        n_shards=n_initial,
+    return ChaosStreamResult._from_items(
+        delivered.values(),
+        model.n_shards,
+        time.perf_counter() - started,
+        session,
         schedule=controller.schedule,
         fired=controller.fired_records(),
         recoveries=recoveries,
-        delivered_indexes=tuple(item.index for item in done),
+        delivered_indexes=tuple(sorted(delivered)),
         dropped_indexes=tuple(sorted(dropped)),
         n_requested=len(items),
     )

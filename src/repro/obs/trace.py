@@ -209,8 +209,10 @@ class Tracer:
 #: paths read this through :func:`current` exactly once per region.
 _TRACER: Optional[Tracer] = None
 
-#: Reusable no-op context manager for cold-path ``maybe_span`` guards.
-_NULL_SPAN = contextlib.nullcontext(None)
+#: Reusable no-op context manager standing in for a span when tracing
+#: is off: ``with NULL_SPAN if tracer is None else tracer.span(...) as sp``
+#: binds ``sp`` to ``None``.
+NULL_SPAN = contextlib.nullcontext(None)
 
 
 def current() -> Optional[Tracer]:
@@ -265,5 +267,5 @@ def maybe_span(name: str, category: str = "", **attrs: Any):
     """
     tracer = _TRACER
     if tracer is None:
-        return _NULL_SPAN
+        return NULL_SPAN
     return tracer.span(name, category, **attrs)

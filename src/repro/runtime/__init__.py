@@ -50,6 +50,8 @@ from repro.runtime.backends import (
     AUTO_BACKEND,
     DEFAULT_BACKEND,
     KernelBackend,
+    MacroBitSerialKernel,
+    TiledBitSerialKernel,
     TuneReport,
     available_backends,
     get_backend,
@@ -57,7 +59,6 @@ from repro.runtime.backends import (
     tune_kernel,
 )
 from repro.runtime.errors import CompileError, UnsupportedModuleError
-from repro.runtime.kernels import MacroBitSerialKernel, TiledBitSerialKernel
 from repro.runtime.engine import (
     ProgrammedConv,
     ProgrammedLinear,

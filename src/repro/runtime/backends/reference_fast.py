@@ -1,9 +1,7 @@
 """The ``reference-fast`` backend: fused bit-serial kernels.
 
-This module is the long-standing optimized kernel implementation,
-re-homed from ``repro.runtime.kernels`` as the default
-:class:`~repro.runtime.backends.base.KernelBackend` (that module now
-re-exports these names for compatibility).
+This module is the long-standing optimized kernel implementation and
+the default :class:`~repro.runtime.backends.base.KernelBackend`.
 
 :meth:`repro.cim.macro.CimMacro.matmul` is the *reference* arithmetic:
 it materializes the full ``(input_bit, weight_bit, column, vector)``

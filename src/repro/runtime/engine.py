@@ -42,7 +42,7 @@ from repro.runtime.cache import (
     resolve_cache,
     weight_fingerprint,
 )
-from repro.runtime.kernels import TiledBitSerialKernel
+from repro.runtime.backends.reference_fast import TiledBitSerialKernel
 
 
 class ProgrammedLinear:

@@ -46,6 +46,7 @@ makespan comparison ``benchmarks/test_bench_shard.py`` pins.
 
 from __future__ import annotations
 
+import itertools
 import queue
 import threading
 import time
@@ -88,10 +89,6 @@ def _node_slots(node: _PlanNode) -> List[Any]:
     if isinstance(op, _GroupedConvStep):
         return list(op.slots)
     return []
-
-
-#: Back-compat alias (pre-DAG name).
-_step_slots = _node_slots
 
 
 def _legal_cuts(nodes: Sequence[_PlanNode], output_index: int) -> List[bool]:
@@ -374,14 +371,54 @@ class StreamResult:
     def link_energy_fj(self) -> float:
         return self.stats.link_energy_fj
 
+    @classmethod
+    def _from_items(
+        cls,
+        items: Sequence["_StreamItem"],
+        n_shards: int,
+        wall_s: float,
+        session: Optional[ExecutionSession],
+        **extra: Any,
+    ) -> "StreamResult":
+        """Assemble the result over the delivered ``items`` (sorted by
+        index here), recording each into ``session``; ``extra`` feeds
+        the fields a subclass adds."""
+        done = sorted(items, key=lambda item: item.index)
+        if session is not None:
+            for item in done:
+                samples = item.x.shape[0] if item.x.ndim else 1
+                session.record(item.state.stats, samples=samples)
+        return cls(
+            outputs=[item.x for item in done],
+            per_batch=[item.state.stats for item in done],
+            stats=sum((item.state.stats for item in done), MacroStats()),
+            compute_ns=np.array([item.compute_ns for item in done]).reshape(
+                len(done), n_shards
+            ),
+            link_ns=np.array([item.link_ns for item in done]).reshape(
+                len(done), max(n_shards - 1, 0)
+            ),
+            wall_s=wall_s,
+            n_shards=n_shards,
+            **extra,
+        )
+
 
 class _StreamItem:
-    __slots__ = ("index", "x", "state", "compute_ns", "link_ns")
+    """One micro-batch in flight: its tensor, run state and accounting.
+
+    ``start_node`` is the plan node execution resumes at — 0 (from the
+    model input) except for a micro-batch a failover displaced, which
+    carries the node it had reached.
+    """
+
+    __slots__ = ("index", "x", "state", "start_node", "compute_ns", "link_ns")
 
     def __init__(self, index: int, x: np.ndarray, state: _RunState, n_shards: int):
         self.index = index
         self.x = x
         self.state = state
+        self.start_node = 0
         self.compute_ns = np.zeros(n_shards)
         self.link_ns = np.zeros(max(n_shards - 1, 0))
 
@@ -404,72 +441,29 @@ class ShardedModel:
         self.compiled = compiled
         self.plan = plan
         self.link = link if link is not None else SIMBA_LINK
-        self._stages: List[Tuple[int, ...]] = [
-            tuple(segment.step_indices) for segment in plan.segments
-        ]
-        # Every stage boundary must be a single-edge frontier: the one
+        # The segments must tile the plan in order, which makes stage
+        # ``s`` the contiguous node range ``_bounds[s] = (lo, hi)``; and
+        # every stage boundary must be a single-edge frontier: the one
         # value crossing it is the previous stage's last node.  Guard
-        # it for externally supplied (or restored) plans.
+        # both for externally supplied (or restored) plans.
         nodes = compiled._nodes
-        flat = [i for stage in self._stages for i in stage]
+        flat = [i for segment in plan.segments for i in segment.step_indices]
         if flat != list(range(len(nodes))):
             raise ValueError(
                 "shard plan must cover the plan nodes exactly once, in order"
             )
+        ends = list(
+            itertools.accumulate(len(seg.step_indices) for seg in plan.segments)
+        )
+        self._bounds: List[Tuple[int, int]] = list(zip([0] + ends[:-1], ends))
         legal = _legal_cuts(nodes, compiled._output_index)
-        for stage in self._stages[:-1]:
-            if stage and not legal[stage[-1]]:
+        for lo, hi in self._bounds[:-1]:
+            if hi > lo and not legal[hi - 1]:
                 raise ValueError(
-                    f"illegal shard boundary after node {stage[-1]} "
-                    f"({nodes[stage[-1]].name!r}): more than one live value "
+                    f"illegal shard boundary after node {hi - 1} "
+                    f"({nodes[hi - 1].name!r}): more than one live value "
                     f"crosses it (a fan-out diamond cannot be cut)"
                 )
-
-    def _run_stage(self, s: int, x: np.ndarray, state: _RunState) -> np.ndarray:
-        """Execute stage ``s`` on the inbound tensor ``x``.
-
-        The inbound value is bound to the producer it represents — the
-        previous stage's last node (the single crossing edge), or the
-        model input for stage 0 — so in-stage nodes resolve their DAG
-        edges exactly as the unsharded plan would.
-        """
-        indices = self._stages[s]
-        if not indices:
-            return x
-        nodes = self.compiled._nodes
-        inbound = indices[0] - 1 if s else INPUT
-        values: Dict[int, np.ndarray] = {inbound: x}
-        for i in indices:
-            node = nodes[i]
-            args = tuple(values[j] for j in node.inputs)
-            values[i] = node.op.apply(*args, state)
-        return values[indices[-1]]
-
-    def _run_stage_from(
-        self, s: int, x: np.ndarray, state: _RunState, start_node: int
-    ) -> np.ndarray:
-        """Execute the suffix of stage ``s`` starting at ``start_node``.
-
-        The failover replay path: a micro-batch displaced at an old
-        shard boundary resumes mid-stage in the recovered topology.
-        ``x`` is the value of node ``start_node - 1`` (or the model
-        input when ``start_node`` is 0) — legal as the only binding
-        because the displacement point was a single-edge frontier of
-        the *original* topology, so no other value is live across it.
-        Bitwise identical to running the full plan from scratch for the
-        nodes it executes (same step objects, same RNG stream).
-        """
-        indices = tuple(i for i in self._stages[s] if i >= start_node)
-        if not indices:
-            return x
-        nodes = self.compiled._nodes
-        inbound = indices[0] - 1 if indices[0] > 0 else INPUT
-        values: Dict[int, np.ndarray] = {inbound: x}
-        for i in indices:
-            node = nodes[i]
-            args = tuple(values[j] for j in node.inputs)
-            values[i] = node.op.apply(*args, state)
-        return values[indices[-1]]
 
     # -- delegation (duck-compatible with CompiledModel) ---------------
     @property
@@ -502,18 +496,22 @@ class ShardedModel:
         return self.compiled.profile(input_shape)
 
     # -- link accounting -----------------------------------------------
-    def _transfer_stats(self, x: np.ndarray) -> MacroStats:
+    def _transfer_stats(
+        self, x: np.ndarray, latency_factor: float = 1.0, energy_factor: float = 1.0
+    ) -> MacroStats:
         """Stats of one activation tensor crossing one shard boundary.
 
         Quantized activations cross the serial link, so the payload is
         ``activation_bits`` per element (the same convention the
-        analytical chiplet assembly uses), not host-float width.
+        analytical chiplet assembly uses), not host-float width.  The
+        factors scale a degraded link's latency and energy; a healthy
+        link's ``1.0`` is exact, so it cannot move a bit.
         """
         bits = float(x.size) * self.compiled.config.activation_bits
         return MacroStats(
             link_bits=bits,
-            link_energy_fj=self.link.transfer_energy_pj(bits) * 1e3,
-            link_latency_ns=self.link.transfer_time_ns(bits),
+            link_energy_fj=self.link.transfer_energy_pj(bits) * 1e3 * energy_factor,
+            link_latency_ns=self.link.transfer_time_ns(bits) * latency_factor,
         )
 
     # -- serial execution ----------------------------------------------
@@ -535,26 +533,18 @@ class ShardedModel:
         runtime's live degradation paths, as in
         :meth:`CompiledModel.run`.
         """
-        state = _RunState(
-            rng=rng if rng is not None else self.compiled._rng,
-            encoding=(
-                self.compiled.config.encoding
-                if encoding is _USE_DEFAULT
-                else encoding
-            ),
-            degrade=degrade,
-        )
+        state = self.compiled._new_state(rng, encoding, degrade)
         x = np.asarray(batch, dtype=np.float64)
         n_samples = x.shape[0] if x.ndim else 1
-        last = len(self._stages) - 1
+        last = len(self._bounds) - 1
         tracer = trace.current()  # resolved once; None is the hot path
-        for s in range(len(self._stages)):
-            if tracer is None:
-                x = self._run_stage(s, x, state)
-            else:
-                with tracer.span(f"stage-{s}", "shard", shard=s) as sp:
-                    before = state.stats.latency_ns
-                    x = self._run_stage(s, x, state)
+        for s, (lo, hi) in enumerate(self._bounds):
+            with trace.NULL_SPAN if tracer is None else tracer.span(
+                f"stage-{s}", "shard", shard=s
+            ) as sp:
+                before = state.stats.latency_ns
+                x = self.compiled._walk(lo, hi, x, state)
+                if sp is not None:
                     sp.set("chip_ns", state.stats.latency_ns - before)
             if s < last:
                 transfer = self._transfer_stats(x)
@@ -599,11 +589,12 @@ class ShardedModel:
         steps see whole batches, exactly as unsharded (the numerics
         contract in docs/numerics.md).
 
-        ``chaos`` (a :class:`repro.chaos.ChaosController`) switches to
-        the chaos-instrumented executor: fault injection, shard
-        failover and degraded-mode execution per the controller's
-        schedule, returning a :class:`repro.chaos.ChaosStreamResult`.
-        The clean path below is untouched when ``chaos`` is ``None``.
+        ``chaos`` (a :class:`repro.chaos.ChaosController`) hands the
+        stream to :func:`repro.chaos.run_chaos_stream`, which drives
+        this same pipeline with the controller as its fault source —
+        degraded-mode execution, shard death, failover and replay per
+        the controller's schedule — and returns a
+        :class:`repro.chaos.ChaosStreamResult`.
         """
         if chaos is not None:
             from repro.chaos.stream import run_chaos_stream
@@ -618,39 +609,90 @@ class ShardedModel:
                 session=session,
                 queue_depth=queue_depth,
             )
+        items = self._stream_items(batches, seed, rngs, encoding, queue_depth)
+        started = time.perf_counter()
+        completed, _, _ = self._pipeline(items, queue_depth, trace.current())
+        wall_s = time.perf_counter() - started
+        return StreamResult._from_items(completed, self.n_shards, wall_s, session)
+
+    def _stream_items(
+        self,
+        batches: Sequence[np.ndarray],
+        seed: int,
+        rngs: Optional[Sequence[np.random.Generator]],
+        encoding: Any,
+        queue_depth: int,
+    ) -> List[_StreamItem]:
+        """Validate a stream request and stage one item per micro-batch,
+        each owning its RNG (``rngs[i]``, else :func:`stream_rng`)."""
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
         if rngs is not None and len(rngs) != len(batches):
             raise ValueError(
                 f"{len(rngs)} rngs for {len(batches)} micro-batches"
             )
-        n_shards = len(self._stages)
-        resolved_encoding = (
-            self.compiled.config.encoding if encoding is _USE_DEFAULT else encoding
-        )
-        items: List[_StreamItem] = []
-        for i, batch in enumerate(batches):
-            rng = rngs[i] if rngs is not None else stream_rng(seed, i)
-            items.append(
-                _StreamItem(
-                    i,
-                    np.asarray(batch, dtype=np.float64),
-                    _RunState(rng=rng, encoding=resolved_encoding),
-                    n_shards,
-                )
+        return [
+            _StreamItem(
+                i,
+                np.asarray(batch, dtype=np.float64),
+                self.compiled._new_state(
+                    rngs[i] if rngs is not None else stream_rng(seed, i), encoding
+                ),
+                self.n_shards,
             )
+            for i, batch in enumerate(batches)
+        ]
 
+    def _pipeline(
+        self,
+        items: Sequence[_StreamItem],
+        queue_depth: int,
+        tracer: Optional["trace.Tracer"],
+        faults: Any = None,
+    ) -> Tuple[
+        List[_StreamItem], Dict[int, List[_StreamItem]], List[Tuple[Any, int, int]]
+    ]:
+        """The one shard pipeline: a pipelined pass of ``items`` over one
+        worker thread per shard and bounded inter-shard queues.
+
+        ``tracer`` is resolved once by the caller, before the workers
+        start: every shard thread traces into the same tracer (or
+        none), never a mid-stream mix.  Each item executes the part of
+        every stage at or past its ``start_node``.
+
+        ``faults`` is the optional fault source — ``None`` for a clean
+        stream, else an object answering ``check_shard_death``,
+        ``degradation_at`` and ``link_factors`` (the
+        :class:`repro.chaos.ChaosController`).  A shard whose death
+        fires diverts the triggering micro-batch and every later
+        arrival to its displaced list and keeps draining its inbox (so
+        upstream shards never block on a full queue into a dead stage),
+        forwarding only the end-of-stream sentinel; micro-batches
+        already past the dead shard finish normally, and no item is
+        ever lost.
+
+        Returns ``(completed, displaced, deaths)``: the items that left
+        the last shard (in arrival order), dead shard -> items displaced
+        there (in arrival = index order, ``start_node`` advanced to
+        where each must resume), and ``(event, shard, fired index)`` in
+        deterministic (index, shard) order.
+        """
+        n_shards = self.n_shards
+        last = n_shards - 1
         queues: List["queue.Queue"] = [
             queue.Queue(maxsize=queue_depth) for _ in range(n_shards + 1)
         ]
         errors: List[BaseException] = []
-        last = n_shards - 1
-        # Resolved once, before the workers start: every shard thread
-        # traces into the same tracer (or none), never a mid-stream mix.
-        tracer = trace.current()
+        completed: List[_StreamItem] = []
+        displaced: Dict[int, List[_StreamItem]] = {}
+        deaths: List[Tuple[Any, int, int]] = []
+        deaths_lock = threading.Lock()
 
         def worker(s: int) -> None:
             inbox, outbox = queues[s], queues[s + 1]
+            lo, hi = self._bounds[s]
+            dead: Optional[List[_StreamItem]] = None
+            cum_chip = 0.0
             while True:
                 item = inbox.get()
                 if item is None:
@@ -659,95 +701,105 @@ class ShardedModel:
                 if errors:
                     continue  # drain the pipe; the stream already failed
                 try:
-                    before = item.state.stats.latency_ns
-                    if tracer is None:
-                        item.x = self._run_stage(s, item.x, item.state)
-                    else:
+                    # A replayed item that resumes past this stage rides
+                    # through untouched: no death check, no link charge.
+                    skip = lo < hi <= item.start_node
+                    if faults is not None and dead is None and not skip:
+                        event = faults.check_shard_death(
+                            shard=s, index=item.index, chip_ns=cum_chip
+                        )
+                        if event is not None:
+                            with deaths_lock:
+                                dead = displaced.setdefault(s, [])
+                                deaths.append((event, s, item.index))
+                            if tracer is not None:
+                                with tracer.span(
+                                    f"fault:{event.kind}",
+                                    "chaos",
+                                    shard=s,
+                                    microbatch=item.index,
+                                ):
+                                    pass
+                    if dead is not None:
+                        item.start_node = max(item.start_node, lo)
+                        dead.append(item)
+                        continue
+                    if not skip:
+                        degrade = None
+                        if faults is not None:
+                            degrade = faults.degradation_at(item.index, cum_chip, s)
+                        item.state.degrade = degrade
+                        before = item.state.stats.latency_ns
                         # One span per (shard, micro-batch) occupancy,
                         # recorded on this shard's worker thread — the
                         # per-shard tracks of the exported trace.
-                        with tracer.span(
+                        with trace.NULL_SPAN if tracer is None else tracer.span(
                             f"shard{s}:mb{item.index}",
                             "shard",
                             shard=s,
                             microbatch=item.index,
+                            degraded=degrade is not None,
                         ) as sp:
-                            item.x = self._run_stage(s, item.x, item.state)
-                            sp.set(
-                                "chip_ns",
-                                item.state.stats.latency_ns - before,
+                            item.x = self.compiled._walk(
+                                max(lo, item.start_node), hi, item.x, item.state
                             )
-                    item.compute_ns[s] = item.state.stats.latency_ns - before
-                    if s < last:
-                        transfer = self._transfer_stats(item.x)
-                        item.state.stats = item.state.stats + transfer
-                        item.link_ns[s] = transfer.link_latency_ns
-                        if tracer is not None:
-                            with tracer.span(
-                                f"link{s}:mb{item.index}",
-                                "link",
-                                shard=s,
-                                microbatch=item.index,
-                                chip_ns=transfer.link_latency_ns,
-                                link_bits=transfer.link_bits,
-                            ):
-                                pass
+                            delta = item.state.stats.latency_ns - before
+                            if sp is not None:
+                                sp.set("chip_ns", delta)
+                        item.state.degrade = None
+                        cum_chip += delta
+                        item.compute_ns[s] += delta
+                        if s < last:
+                            factors = (1.0, 1.0)  # (latency, energy)
+                            if faults is not None:
+                                factors = faults.link_factors(s, item.index, cum_chip)
+                            transfer = self._transfer_stats(item.x, *factors)
+                            item.state.stats = item.state.stats + transfer
+                            item.link_ns[s] += transfer.link_latency_ns
+                            if tracer is not None:
+                                with tracer.span(
+                                    f"link{s}:mb{item.index}",
+                                    "link",
+                                    shard=s,
+                                    microbatch=item.index,
+                                    chip_ns=transfer.link_latency_ns,
+                                    link_bits=transfer.link_bits,
+                                ):
+                                    pass
                 except BaseException as error:  # noqa: BLE001 - re-raised below
                     errors.append(error)
                     continue
                 outbox.put(item)
-
-        threads = [
-            threading.Thread(target=worker, args=(s,), name=f"shard-{s}", daemon=True)
-            for s in range(n_shards)
-        ]
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-
-        done: List[_StreamItem] = []
 
         def collect() -> None:
             while True:
                 item = queues[n_shards].get()
                 if item is None:
                     return
-                done.append(item)
+                completed.append(item)
 
-        collector = threading.Thread(target=collect, name="shard-collect", daemon=True)
-        collector.start()
-        for item in items:
-            queues[0].put(item)
-        queues[0].put(None)
-        collector.join()
+        threads = [
+            threading.Thread(target=worker, args=(s,), name=f"shard-{s}", daemon=True)
+            for s in range(n_shards)
+        ]
+        threads.append(
+            threading.Thread(target=collect, name="shard-collect", daemon=True)
+        )
         for thread in threads:
-            thread.join()
-        wall_s = time.perf_counter() - started
+            thread.start()
+        try:
+            for item in items:
+                queues[0].put(item)
+        finally:
+            # The sentinel propagates through every worker (dead ones
+            # still forward it), so these joins cannot orphan a thread.
+            queues[0].put(None)
+            for thread in threads:
+                thread.join()
         if errors:
             raise errors[0]
-
-        done.sort(key=lambda item: item.index)
-        total = MacroStats()
-        per_batch: List[MacroStats] = []
-        for item in done:
-            per_batch.append(item.state.stats)
-            total = total + item.state.stats
-            if session is not None:
-                samples = item.x.shape[0] if item.x.ndim else 1
-                session.record(item.state.stats, samples=samples)
-        return StreamResult(
-            outputs=[item.x for item in done],
-            per_batch=per_batch,
-            stats=total,
-            compute_ns=np.stack([item.compute_ns for item in done])
-            if done
-            else np.zeros((0, n_shards)),
-            link_ns=np.stack([item.link_ns for item in done])
-            if done
-            else np.zeros((0, max(n_shards - 1, 0))),
-            wall_s=wall_s,
-            n_shards=n_shards,
-        )
+        deaths.sort(key=lambda death: (death[2], death[1]))
+        return completed, displaced, deaths
 
 
 def shard(

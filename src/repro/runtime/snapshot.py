@@ -82,7 +82,7 @@ from repro.runtime.engine import (
     linear_engine_key,
 )
 from repro.runtime.backends import DEFAULT_BACKEND, get_backend
-from repro.runtime.kernels import TiledBitSerialKernel, _TileGroup
+from repro.runtime.backends.reference_fast import TiledBitSerialKernel, _TileGroup
 from repro.runtime.sharded import ShardedModel, ShardPlan, ShardSegment
 from repro.runtime.sharded import shard as _shard
 
@@ -1456,7 +1456,7 @@ def _load_impl(
         )
         plan = ShardPlan(n_shards=shard_meta["n_shards"], segments=segments)
         link = _link_from_meta(shard_meta["link"])
-        n_steps = len(compiled._steps)
+        n_steps = len(compiled._nodes)
         covered = sorted(i for seg in segments for i in seg.step_indices)
         if covered != list(range(n_steps)):
             raise SnapshotCorruptError(

@@ -34,7 +34,7 @@ import numpy as np
 from repro.cim.macro import MacroStats
 from repro.obs import trace
 from repro.obs.log import get_logger
-from repro.runtime import ExecutionSession
+from repro.runtime import ExecutionSession, ShardedModel
 from repro.serve.metrics import ServerMetrics, MetricsSnapshot, fraction_of_stats
 from repro.serve.registry import ModelRegistry
 from repro.serve.requests import (
@@ -494,9 +494,7 @@ class InferenceServer:
         """
         import dataclasses
 
-        from repro.chaos.stream import RecoveryRecord
-        from repro.runtime import ShardedModel, snapshot
-        from repro.runtime import shard as shard_compiled
+        from repro.chaos.stream import RecoveryRecord, recover
 
         chaos = self.chaos
         self.metrics.observe_fault(event.kind)
@@ -508,42 +506,14 @@ class InferenceServer:
             self._fail_batch(batch, f"model {model!r} was evicted before execution")
             return
         current = entry.compiled
-        sharded = isinstance(current, ShardedModel)
-        n_before = current.n_shards if sharded else 1
-        n_after = n_before - 1
+        n_before = current.n_shards if isinstance(current, ShardedModel) else 1
         dead = (
             event.shard
             if event.shard is not None and event.shard < n_before
             else n_before - 1
         )
-        recovered = None
-        warm = False
-        replan_s = 0.0
-        restore_s = 0.0
-        if sharded and n_after >= 1:
-            if chaos.store is not None and chaos.artifact_key_fn is not None:
-                t0 = time.perf_counter()
-                try:
-                    key = chaos.artifact_key_fn(n_after)
-                    restored = snapshot.load(chaos.store, key)
-                    if (
-                        isinstance(restored, ShardedModel)
-                        and restored.n_shards == n_after
-                    ):
-                        recovered = restored
-                        warm = True
-                except snapshot.SnapshotError:
-                    recovered = None  # cold re-plan below
-                restore_s = time.perf_counter() - t0
-            if recovered is None:
-                t0 = time.perf_counter()
-                recovered = shard_compiled(
-                    current.compiled,
-                    n_after,
-                    link=current.link,
-                    input_shape=chaos.input_shape,
-                )
-                replan_s = time.perf_counter() - t0
+        recovered, warm, replan_s, restore_s = recover(current, chaos, n_before - 1)
+        if recovered is not None:
             self.registry.swap_compiled(model, recovered)
 
         displaced = tuple(request.request_id for request in batch)

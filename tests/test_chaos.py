@@ -46,19 +46,26 @@ from repro.chaos import (
     SHARD_DEATH,
     generate_schedule,
 )
+from repro.chaos import stream as chaos_stream
 from repro.chaos.schedule import ScheduleError
 from repro.models import mobilenet, resnet8
 from repro.runtime import (
     ArtifactStore,
     EngineCache,
     RuntimeConfig,
+    ShardedModel,
+    SnapshotCorruptError,
+    SnapshotKeyError,
     artifact_key,
     compile_model,
     fold_batchnorm,
+    get_default_cache,
     save,
+    set_default_cache,
     shard,
     stream_rng,
 )
+from repro.runtime import snapshot as rt_snapshot
 from repro.serve import (
     BatchPolicy,
     InferenceServer,
@@ -559,6 +566,145 @@ class TestDegradationWindows:
 
 
 # ----------------------------------------------------------------------
+# The failover ladder (shared by the stream and the server)
+# ----------------------------------------------------------------------
+def ladder_key_fn(n_shards):
+    return artifact_key(
+        conv_model(), RuntimeConfig(), shards=n_shards, input_shape=INPUT_SHAPE
+    )
+
+
+def _store_warm(store, compiled):
+    save(shard(compiled, 1, input_shape=INPUT_SHAPE), store, key=ladder_key_fn(1))
+
+
+def _store_truncated(store, compiled):
+    _store_warm(store, compiled)
+    path = store.model_path(ladder_key_fn(1))
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _store_wrong_topology(store, compiled):
+    # The key promises one shard; the artifact under it carries two.
+    save(shard(compiled, 2, input_shape=INPUT_SHAPE), store, key=ladder_key_fn(1))
+
+
+#: case -> (store preparation, what snapshot.load does, warm?)
+LADDER_CASES = {
+    "warm-hit": (_store_warm, ShardedModel, True),
+    "key-absent": (lambda store, compiled: None, SnapshotKeyError, False),
+    "truncated": (_store_truncated, SnapshotCorruptError, False),
+    "wrong-shard-count": (_store_wrong_topology, ShardedModel, False),
+}
+
+
+class TestFailoverLadder:
+    @pytest.fixture()
+    def spies(self, monkeypatch):
+        """Record what each rung did: the type ``snapshot.load`` returned
+        or raised, and the shard count of every cold re-plan."""
+        calls = {"load": [], "shard": []}
+        real_load, real_shard = rt_snapshot.load, chaos_stream.shard
+
+        def load(*args, **kwargs):
+            try:
+                restored = real_load(*args, **kwargs)
+            except Exception as error:
+                calls["load"].append(type(error))
+                raise
+            calls["load"].append(type(restored))
+            return restored
+
+        def shard_(*args, **kwargs):
+            calls["shard"].append(args[1])
+            return real_shard(*args, **kwargs)
+
+        monkeypatch.setattr(rt_snapshot, "load", load)
+        monkeypatch.setattr(chaos_stream, "shard", shard_)
+        return calls
+
+    @pytest.mark.parametrize("case", sorted(LADDER_CASES))
+    def test_ladder(self, case, tmp_path, spies):
+        prepare, load_outcome, expect_warm = LADDER_CASES[case]
+        compiled = compiled_model("conv")
+        store = ArtifactStore(tmp_path / "store")
+        prepare(store, compiled)
+        controller = ChaosController(
+            FaultSchedule(seed=0, events=()),
+            store=store,
+            artifact_key_fn=ladder_key_fn,
+            input_shape=INPUT_SHAPE,
+        )
+        current = shard(compiled, 2, input_shape=INPUT_SHAPE)
+        model, warm, replan_s, restore_s = chaos_stream.recover(
+            current, controller, 1
+        )
+        assert warm is expect_warm
+        assert model.n_shards == 1
+        assert spies["load"] == [load_outcome]
+        assert restore_s > 0.0  # the restore rung was attempted and timed
+        if expect_warm:
+            assert spies["shard"] == [] and replan_s == 0.0
+        else:
+            assert spies["shard"] == [1] and replan_s > 0.0
+            assert model.compiled is compiled  # re-cut over the live engines
+        x = batches_for(0, n=1)[0]
+        expected, _ = compiled.run(x, rng=stream_rng(0, 0))
+        assert np.array_equal(model.run(x, rng=stream_rng(0, 0))[0], expected)
+
+    def test_no_store_goes_straight_to_cold(self, spies):
+        current = shard(compiled_model("conv"), 2, input_shape=INPUT_SHAPE)
+        controller = ChaosController(FaultSchedule(seed=0, events=()))
+        model, warm, replan_s, restore_s = chaos_stream.recover(
+            current, controller, 1
+        )
+        assert (model.n_shards, warm, restore_s) == (1, False, 0.0)
+        assert spies == {"load": [], "shard": [1]} and replan_s > 0.0
+
+    def test_unrecoverable_returns_none(self, tmp_path, spies):
+        compiled = compiled_model("conv")
+        store = ArtifactStore(tmp_path / "store")
+        _store_warm(store, compiled)
+        controller = ChaosController(
+            FaultSchedule(seed=0, events=()),
+            store=store,
+            artifact_key_fn=ladder_key_fn,
+        )
+        sharded = shard(compiled, 1, input_shape=INPUT_SHAPE)
+        # No shard left, and a monolithic deployment: neither rung runs.
+        assert chaos_stream.recover(sharded, controller, 0) == (None, False, 0.0, 0.0)
+        assert chaos_stream.recover(compiled, controller, 1) == (None, False, 0.0, 0.0)
+        assert spies == {"load": [], "shard": []}
+
+    def test_warm_failover_restores_into_the_private_cache(self, tmp_path):
+        """A deployment compiled against a private engine cache must not
+        leak its warm-restored engines into the process-wide default."""
+        compiled = compiled_model("conv")
+        assert compiled.cache is not get_default_cache()
+        store = ArtifactStore(tmp_path / "store")
+        _store_warm(store, compiled)
+        controller = ChaosController(
+            FaultSchedule(
+                seed=4, events=(FaultEvent(kind=SHARD_DEATH, shard=0, at_index=1),)
+            ),
+            store=store,
+            artifact_key_fn=ladder_key_fn,
+            input_shape=INPUT_SHAPE,
+        )
+        previous = set_default_cache(EngineCache())
+        try:
+            before = (len(get_default_cache()), get_default_cache().keys())
+            result = shard(compiled, 2, input_shape=INPUT_SHAPE).run_stream(
+                batches_for(4), seed=4, chaos=controller
+            )
+            after = (len(get_default_cache()), get_default_cache().keys())
+        finally:
+            set_default_cache(previous)
+        assert result.recoveries[0].warm_restored
+        assert after == before
+
+
+# ----------------------------------------------------------------------
 # Serve integration
 # ----------------------------------------------------------------------
 def serve_batches(n=6, seed=21):
@@ -610,6 +756,44 @@ class TestServeChaos:
         assert snapshot.recovery_dropped == 0
         # Every admitted request completed despite the failover.
         assert snapshot.completed == len(oracle)
+
+    def test_server_warm_restore_from_artifact_store(self, tmp_path):
+        """The server-side twin of the stream's warm-restore test: a
+        pre-populated store makes the hot-swap a warm restore."""
+        model = conv_model()
+        compiled = compiled_model("conv")
+        oracle = [
+            compiled.run(x, rng=np.random.default_rng(0))[0]
+            for x in serve_batches()
+        ]
+        store = ArtifactStore(tmp_path / "store")
+        _store_warm(store, compiled)
+        registry = ModelRegistry(cache=EngineCache())
+        registry.register("m", model, shards=2, shard_input_shape=INPUT_SHAPE)
+        controller = ChaosController(
+            FaultSchedule(
+                seed=0, events=(FaultEvent(kind=SHARD_DEATH, shard=1, at_index=2),)
+            ),
+            store=store,
+            artifact_key_fn=ladder_key_fn,
+            input_shape=INPUT_SHAPE,
+        )
+        server = InferenceServer(
+            registry,
+            BatchPolicy(max_batch_size=1, max_wait_s=0.0),
+            n_workers=1,
+            chaos=controller,
+        )
+        with server:
+            results = await_results(
+                [server.submit("m", x) for x in serve_batches()]
+            )
+        for i, result in enumerate(results):
+            assert result.status is RequestStatus.COMPLETED
+            assert np.array_equal(result.output, oracle[i])
+        assert server.recoveries[0].warm_restored
+        assert server.recoveries[0].n_shards_after == 1
+        assert registry.entry("m").n_shards == 1
 
     def test_server_zero_magnitude_identity(self):
         model = conv_model()

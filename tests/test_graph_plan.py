@@ -17,7 +17,11 @@ The load-bearing guarantees:
   noise-free integer corner, and the compiled per-group engines equal
   the reference bit for bit while sharing the engine cache;
 * **DAG-aware sharding** — residual diamonds are atomic (single-edge
-  frontier cuts only), and an illegal boundary is rejected.
+  frontier cuts only), and an illegal boundary is rejected;
+* **range-walk composition** — the one plan walk, split at *every*
+  legal cut (generated from the plan, not hand-listed), composes to the
+  reference outputs and ``MacroStats`` bit for bit, including a
+  failover replay that resumes strictly inside a shard stage.
 """
 
 import numpy as np
@@ -36,6 +40,7 @@ from repro.models.mobilenet import mobilenet
 from repro.models.resnet import BasicBlock, resnet18, resnet8
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
+from repro.rebranch.convert import convert_to_rebranch
 from repro.runtime import (
     ArtifactStore,
     CompileError,
@@ -51,7 +56,8 @@ from repro.runtime import (
     shard,
     stream_rng,
 )
-from repro.runtime.sharded import ShardedModel
+from repro.runtime.compiled import _RunState
+from repro.runtime.sharded import ShardedModel, _legal_cuts, _StreamItem
 
 HW = 8  # input images are (3, HW, HW); zoo models are width-reduced
 
@@ -350,6 +356,100 @@ class TestGroupedConv:
         expected, _ = reference_forward(model, x)
         assert not np.array_equal(before, after)
         assert np.array_equal(after, expected)
+
+
+# ----------------------------------------------------------------------
+# Range-walk composition: the one plan walk, cut anywhere legal
+# ----------------------------------------------------------------------
+def rebranch_converted_model(seed=0):
+    """A pretrained-style conv stack converted to ReBranch diamonds."""
+    rng = np.random.default_rng(seed)
+    model = nn.Sequential(
+        nn.Conv2d(3, 8, 3, padding=1, rng=rng),
+        nn.ReLU(),
+        nn.Conv2d(8, 8, 3, padding=1, rng=rng),
+        nn.ReLU(),
+        nn.MaxPool2d(2),
+        nn.Conv2d(8, 8, 3, padding=1, rng=rng),
+        nn.ReLU(),
+        nn.Flatten(),
+        nn.Linear(8 * (HW // 2) ** 2, 4, rng=rng),
+    )
+    assert convert_to_rebranch(model, d=2, u=2, skip_last=False, rng=rng) == 3
+    return model
+
+
+RANGE_WALK_MODELS = {
+    "resnet8": lambda: zoo_model("resnet8"),
+    "mobilenet": lambda: zoo_model("mobilenet"),
+    "rebranch": rebranch_converted_model,
+}
+
+
+class TestRangeWalk:
+    @staticmethod
+    def _setup(name, noisy):
+        model = RANGE_WALK_MODELS[name]()
+        config = noisy_runtime_config() if noisy else RuntimeConfig()
+        compiled = compile_model(model, config, cache=EngineCache())
+        x = zoo_input()
+        expected = reference_forward(
+            model,
+            x,
+            rom_config=config.resolved_rom(),
+            sram_config=config.resolved_sram(),
+            rng=np.random.default_rng(9),
+        )
+        nodes = compiled._nodes
+        legal = _legal_cuts(nodes, compiled._output_index)
+        cuts = [k for k in range(1, len(nodes)) if legal[k - 1]]
+        return compiled, x, expected, cuts
+
+    @staticmethod
+    def _state(compiled):
+        return _RunState(
+            rng=np.random.default_rng(9), encoding=compiled.config.encoding
+        )
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+    @pytest.mark.parametrize("name", sorted(RANGE_WALK_MODELS))
+    def test_every_legal_cut_composes_to_reference(self, name, noisy):
+        """[0, k) then [k, n) on one run state == the reference walker,
+        for every k the plan allows — the RNG draw order is the
+        contract, so the noisy leg must match too."""
+        compiled, x, (expected, expected_stats), cuts = self._setup(name, noisy)
+        n = len(compiled._nodes)
+        assert cuts
+        # Diamonds close boundaries: exactly the plans with a fan-in
+        # have some illegal cut.
+        has_fan_in = any(node.op.kind == "add" for node in compiled._nodes)
+        assert (len(cuts) < n - 1) == has_fan_in
+        for k in cuts:
+            state = self._state(compiled)
+            mid = compiled._walk(0, k, x, state)
+            out = compiled._walk(k, n, mid, state)
+            assert np.array_equal(out, expected), f"cut at {k}"
+            assert state.stats == expected_stats, f"cut at {k}"
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+    def test_replay_resumes_strictly_inside_a_stage(self, noisy):
+        """A displaced micro-batch re-enters a 2-shard pipeline at a
+        node strictly inside stage 1: stage 0 is skipped (no link
+        charge), stage 1 runs only its suffix."""
+        compiled, x, (expected, expected_stats), cuts = self._setup(
+            "resnet8", noisy
+        )
+        sharded = shard(compiled, 2, input_shape=(1, 3, HW, HW))
+        lo, hi = sharded._bounds[1]
+        k = next(k for k in cuts if lo < k < hi)
+        state = self._state(compiled)
+        item = _StreamItem(0, compiled._walk(0, k, x, state), state, 2)
+        item.start_node = k
+        (done,), displaced, deaths = sharded._pipeline([item], 2, None)
+        assert not displaced and not deaths
+        assert np.array_equal(done.x, expected)
+        assert done.state.stats == expected_stats
+        assert done.compute_ns[0] == 0.0 and done.compute_ns[1] > 0.0
 
 
 # ----------------------------------------------------------------------

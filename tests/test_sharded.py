@@ -175,7 +175,7 @@ class TestShardPlan:
         compiled = compile_model(conv_model())
         plan = plan_shards(compiled, 3)
         covered = [i for seg in plan.segments for i in seg.step_indices]
-        assert covered == list(range(len(compiled._steps)))
+        assert covered == list(range(len(compiled._nodes)))
         assert all(seg.layer_ids for seg in plan.segments)
 
     def test_mac_balance_uses_profile(self):
@@ -244,8 +244,8 @@ class TestLinkAccounting:
         # measure the tensors crossing the two cuts.
         expected_bits = 0.0
         y = x
-        for s in range(sharded.n_shards):
-            y = sharded._run_stage(s, y, _fresh_state(compiled))
+        for s, (lo, hi) in enumerate(sharded._bounds):
+            y = compiled._walk(lo, hi, y, _fresh_state(compiled))
             if s < sharded.n_shards - 1:
                 expected_bits += y.size * compiled.config.activation_bits
         assert stats.link_bits == expected_bits
