@@ -50,7 +50,6 @@ from repro.runtime.backends import (
     AUTO_BACKEND,
     DEFAULT_BACKEND,
     KernelBackend,
-    MacroBitSerialKernel,
     TiledBitSerialKernel,
     TuneReport,
     available_backends,
@@ -138,7 +137,6 @@ __all__ = [
     "get_backend",
     "register_backend",
     "tune_kernel",
-    "MacroBitSerialKernel",
     "TiledBitSerialKernel",
     "ProgrammedConv",
     "ProgrammedLinear",

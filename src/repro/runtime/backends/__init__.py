@@ -18,7 +18,6 @@ from repro.runtime.backends.base import (
     register_backend,
 )
 from repro.runtime.backends.reference_fast import (
-    MacroBitSerialKernel,
     TiledBitSerialKernel,
 )
 from repro.runtime.backends.popcount import PopcountBitSerialKernel
@@ -32,7 +31,6 @@ __all__ = [
     "AUTO_BACKEND",
     "DEFAULT_BACKEND",
     "KernelBackend",
-    "MacroBitSerialKernel",
     "PopcountBitSerialKernel",
     "TiledBitSerialKernel",
     "TuneReport",

@@ -36,6 +36,9 @@ from repro.runtime.backends.base import register_backend
 from repro.runtime.backends.reference_fast import (
     TiledBitSerialKernel,
     _recombine_einsum,
+    _serial_codes,
+    _serial_planes,
+    _tile_operand,
 )
 
 #: ``np.bitwise_count`` landed in numpy 2.0; without it this backend
@@ -116,7 +119,12 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
         for group in self._groups:
             rows = group.row_stop - group.row_start
             bits = group.planes32.astype(np.uint8).T  # (rows, wb*cols)
-            self._packed_planes.append(_pack_rows_words(bits, rows))
+            # (W, wb*cols): one contiguous row of plane words per
+            # 64-row word, so the count ufuncs' inner loop runs over
+            # the long stacked axis even for a one-vector call.
+            self._packed_planes.append(
+                np.ascontiguousarray(_pack_rows_words(bits, rows).T)
+            )
             self._stats_plans.append(_GroupStatsPlan(group, config))
         # Cross-group einsum fusion applies when every row block carries
         # the same uniform column tiling (the row-major tile grid's
@@ -143,43 +151,19 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
     def matmul(self, x: np.ndarray) -> Tuple[np.ndarray, MacroStats]:
         engine = self.engine
         config = engine.config
-        x = np.asarray(x)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[:, None]
-        if x.shape[0] != engine.shape[0]:
-            raise ValueError(
-                f"input rows {x.shape[0]} do not match weight rows "
-                f"{engine.shape[0]}"
-            )
-        low, high = config.input_range()
-        if x.min() < low or x.max() > high:
-            raise ValueError(
-                f"input codes outside [{low}, {high}] for "
-                f"{config.input_bits}-bit serial input"
-            )
-
+        unsigned, in_weights, squeeze = _serial_codes(engine, x)
         ib = config.input_bits
         wb = config.weight_bits
-        rows_total = x.shape[0]
-        n = x.shape[1]
+        rows_total, n = unsigned.shape
 
-        codes = np.asarray(x, dtype=np.int64)
-        unsigned = codes & ((1 << ib) - 1)  # two's-complement reinterpretation
-        # Input bit planes as 0/1 bytes in the reference (j, vector)
-        # column order — the packed words then contract to the count
-        # matrix in the reference's C-contiguous (k·c, j·n) layout.
-        bits8 = np.empty((rows_total, ib, n), dtype=np.uint8)
-        for j in range(ib):
-            bits8[:, j, :] = (unsigned >> j) & 1
-        flat = bits8.reshape(rows_total, ib * n)
+        # Input bit planes as 0/1 bytes in the shared (vector, j) column
+        # order — the packed words then contract to the count matrix in
+        # the same C-contiguous (k·c, n·j) layout the float32 GEMM emits.
+        flat = _serial_planes(unsigned, ib, np.uint8).reshape(rows_total, n * ib)
         # Per-row ON-bit totals: exact integers in any summation order,
         # so the popcount over codes equals the reference's float64
         # plane reduction bitwise.
         ones_per_code = np.bitwise_count(unsigned)
-        in_weights = np.array([float(1 << j) for j in range(ib)])
-        if config.signed_inputs:
-            in_weights[ib - 1] = -float(1 << (ib - 1))
 
         out = np.zeros((engine.shape[1], n))
         quantized_groups = []
@@ -199,21 +183,16 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
             rows_used = group.row_stop - group.row_start
             xp = _pack_rows_words(
                 flat[group.row_start : group.row_stop], rows_used
-            )  # (ib*n, W)
-            # popcount(w & x) per word: exact ON-cell counts, C-order
-            # (wb*cols, ib*n) exactly like the float32 GEMM's result.
-            counts = np.bitwise_count(planes[:, 0, None] & xp[None, :, 0])
+            )  # (n*ib, W)
+            # popcount(w & x) per word: exact ON-cell counts, held as
+            # (n*ib, wb*cols) — the float32 GEMM's result transposed;
+            # the gather's index conversion restores its C order.
+            counts = np.bitwise_count(xp[:, 0, None] & planes[0])
             if rows_used > 255:
                 counts = counts.astype(np.int64)
-            for w in range(1, planes.shape[1]):
-                counts += np.bitwise_count(planes[:, w, None] & xp[None, :, w])
-            if group.lut_is_identity:
-                quantized = counts.astype(np.float64)
-            else:
-                # Same LUT, same integer indices as the reference gather
-                # — intp indexing skips numpy's buffered index cast.
-                quantized = group.lut[counts.astype(np.intp)]
-            quantized_groups.append(quantized)
+            for w in range(1, planes.shape[0]):
+                counts += np.bitwise_count(xp[:, w, None] & planes[w])
+            quantized_groups.append(group.quantize(counts.T))
             row_sums = ones_per_code[group.row_start : group.row_stop].sum(
                 axis=1, dtype=np.float64
             )
@@ -285,17 +264,19 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
         mode = self._fuse_all_cache.get(key)
         if mode == "per-group":
             return None
-        q_all = np.empty((g_count,) + quantized_groups[0].shape)
+        # Each group's (t, k, c) stacking lands in the wide tile's
+        # (k, g·t, c) order in one copy.
+        q_full = np.empty((wb, g_count * t_count, cols, n * ib))
         for g, quantized in enumerate(quantized_groups):
-            q_all[g] = quantized
-        q_full = np.ascontiguousarray(
-            q_all.reshape(g_count * t_count, wb, cols, ib, n).transpose(
-                1, 0, 2, 3, 4
-            )
-        ).reshape(wb, g_count * t_count * cols, ib, n).transpose(2, 0, 1, 3)
+            q_full[:, g * t_count : (g + 1) * t_count] = quantized.reshape(
+                t_count, wb, cols, n * ib
+            ).transpose(1, 0, 2, 3)
         plane_weights = groups[0].tiles[0].macro._plane_weights
         flat = _recombine_einsum(
-            self._path_cache, in_weights, plane_weights, q_full
+            self._path_cache,
+            in_weights,
+            plane_weights,
+            _tile_operand(q_full, wb, g_count * t_count * cols, n, ib),
         )
         view = flat.reshape(g_count, t_count * cols, n)
         if mode is None:

@@ -11,7 +11,7 @@ bound — for a deployed network the ADC chain alone dominates inference
 wall-clock.
 
 The kernels here compute the *bitwise-identical* result, restructured
-around three observations:
+around four observations:
 
 1. ON-cell counts are exact small integers (at most the activated row
    count), so the count contraction can run as a float32 GEMM with zero
@@ -23,20 +23,37 @@ around three observations:
    applies both in one contiguous gather, replacing the dominant
    divide/round/clip/scale passes.
 3. The final recombination einsum's floating-point reduction order
-   depends on the operand's memory layout and extents (numpy switches
-   between a single-shot elementwise loop and BLAS contraction chains
-   by problem size), so the fast path may not substitute a reordered
-   reduction.  Instead the count GEMM is oriented to emit its result
-   directly in the layout the reference chain produces (C-order
-   ``(weight_bit, column, input_bit, vector)``), and the recombination
-   executes the reference einsum on that layout — every output bit
-   matches the reference by construction, with no transpose copy.  Per
-   operand shape, a one-time self-check additionally proves whether the
-   einsum front-end can be bypassed (direct ``c_einsum``, or replaying
-   the captured contraction list through numpy's own ``bmm_einsum``)
-   while reproducing the ``optimize=True`` bits exactly; shapes that
-   fail the check keep the plain einsum call.  The front-end parse
-   otherwise dominates per-tile serving-sized calls.
+   depends on the operand's extents (numpy switches between a
+   single-shot elementwise loop and BLAS contraction chains by problem
+   size), so the fast path may not substitute a reordered reduction.
+   What it may choose is the *memory* order of the operand: each
+   pairwise contraction first brings its operand to a C-contiguous
+   ``(kept, contracted)`` matrix and hands that to ``matmul``, so any
+   layout that yields the same matrix yields the same bits.  The
+   activation bit planes are therefore built **input-bit innermost** —
+   ``(row, vector, input_bit)`` — which only permutes the columns of
+   the exact-integer count GEMM, and makes each tile's quantized slice
+   memory-ordered ``(weight_bit, column, vector, input_bit)``: the
+   first contraction (over the input bit) reshapes to
+   ``(weight_bit·column·vector, input_bit)`` as a *view*, where the
+   reference chain's ``(weight_bit, column, input_bit, vector)`` order
+   costs a full copy to reach the same matrix.  Per operand shape, a
+   one-time self-check additionally proves whether the einsum front-end
+   can be bypassed (replaying the captured contraction list through
+   numpy's own ``bmm_einsum``) while reproducing the ``optimize=True``
+   bits exactly; shapes that fail the check keep the plain einsum call.
+   The front-end parse otherwise dominates per-tile serving-sized calls.
+4. The count GEMM and the gather are exact per element — integer
+   counts whatever the summation order, one table lookup each — so a
+   wide batch runs GEMM -> gather over **blocks of the vector axis**
+   sized to keep one row block's float32 counts, gather indices and
+   float64 results cache-resident (:data:`_BLOCK_BYTES`), writing each
+   block into a per-call ``(weight_bit·column, vector·input_bit)``
+   float64 slab instead of streaming three whole-batch tensors through
+   memory.  Recombination is *not* blocked: a BLAS ``matmul`` may round
+   a row differently depending on how many rows share the call (tail
+   kernels, thread partitions), so each tile's einsum always receives
+   the whole batch — the call the reference makes, row for row.
 
 Two further exact shortcuts: the total ON-cell count needed for energy
 accounting factorizes over rows (both factors are exact integers), and
@@ -56,7 +73,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.cim.macro import CimMacro, MacroConfig, MacroStats, macro_pass_stats
+from repro.cim.macro import MacroConfig, MacroStats, macro_pass_stats
 from repro.cim.mvm import CimTiledMatmul
 from repro.runtime.backends.base import KernelBackend, register_backend
 
@@ -64,126 +81,6 @@ try:  # numpy >= 2.3 executes pairwise einsum contractions through this
     from numpy._core.einsumfunc import bmm_einsum as _bmm_einsum
 except Exception:  # pragma: no cover - older numpy
     _bmm_einsum = None
-
-
-class MacroBitSerialKernel:
-    """Exact fast bit-serial matmul for one programmed :class:`CimMacro`.
-
-    Program-time artifacts (the float32 weight-plane matrix and the
-    bit-line + ADC lookup table) are built once; every call then runs
-    bit-plane extraction -> GEMM -> gather -> recombine.
-
-    This is the single-macro form of the pipeline, kept as an
-    independently testable validation surface against
-    :meth:`CimMacro.matmul`; the production engines execute through
-    :class:`TiledBitSerialKernel`, which fuses the same stages across a
-    whole :class:`~repro.cim.mvm.CimTiledMatmul`.
-    """
-
-    def __init__(self, macro: CimMacro):
-        config = macro.config
-        if not self.supported(config):
-            raise ValueError(
-                "fast bit-serial kernel requires a noise-free bit line; "
-                "use the reference CimMacro.matmul path instead"
-            )
-        self.macro = macro
-        planes = macro._weight_planes  # (wb, rows, cols), 0/1 float64
-        wb, rows, cols = planes.shape
-        # (wb * cols, rows) float32 GEMM operand: counts stay exact.
-        self._planes32 = np.ascontiguousarray(
-            planes.transpose(0, 2, 1).reshape(wb * cols, rows), dtype=np.float32
-        )
-        # Per-row ON-cell totals: the factorized count sum for stats.
-        self._plane_row_sums = planes.sum(axis=(0, 2))  # (rows,), exact ints
-        # Bit-line observation + ADC quantization composed over every
-        # reachable integer count, with the exact reference arithmetic.
-        domain = np.arange(macro.rows_used + 1, dtype=np.float64)
-        observed = config.bitline.observe(domain, None)
-        self._lut = config.adc.quantize_counts(observed, float(macro.rows_used))
-        self._lut_is_identity = bool(np.array_equal(self._lut, domain))
-        self._idx_dtype = np.uint8 if macro.rows_used <= 255 else np.int64
-        self._path_cache: dict = {}
-
-    @staticmethod
-    def supported(config: MacroConfig) -> bool:
-        """True when the fast path is bit-exact for this configuration."""
-        return (
-            config.bitline is not None
-            and config.bitline.noise_sigma_counts == 0
-        )
-
-    def matmul(self, x: np.ndarray) -> Tuple[np.ndarray, MacroStats]:
-        """Bitwise-identical replacement for :meth:`CimMacro.matmul`.
-
-        ``x`` is an integer code matrix of shape ``(rows_used, n)``.
-        """
-        macro = self.macro
-        config = macro.config
-        x = np.asarray(x)
-        if x.shape[0] != macro.rows_used:
-            raise ValueError(
-                f"input has {x.shape[0]} rows, macro is programmed with "
-                f"{macro.rows_used}"
-            )
-        low, high = config.input_range()
-        if x.min() < low or x.max() > high:
-            raise ValueError(
-                f"input codes outside [{low}, {high}] for "
-                f"{config.input_bits}-bit serial input"
-            )
-
-        ib = config.input_bits
-        wb = config.weight_bits
-        rows, cols = macro.rows_used, macro.cols_used
-        n = x.shape[1]
-
-        # Input bit planes as the float32 (rows, ib * n) GEMM operand;
-        # plane values are 0/1 so float32 is exact.
-        codes = np.asarray(x, dtype=np.int64)
-        unsigned = codes & ((1 << ib) - 1)  # two's-complement reinterpretation
-        planes32 = np.empty((rows, ib, n), dtype=np.float32)
-        row_activations = 0
-        for j in range(ib):
-            plane = (unsigned >> j) & 1
-            row_activations += int(plane.sum())
-            planes32[:, j, :] = plane
-        in_weights = np.array([float(1 << j) for j in range(ib)])
-        if config.signed_inputs:
-            in_weights[ib - 1] = -float(1 << (ib - 1))
-
-        # counts, C-contiguous (wb * cols, ib * n) — the reference
-        # chain's memory layout for (k, c, j, n); exact integers ≤ rows.
-        counts = np.matmul(self._planes32, planes32.reshape(rows, ib * n))
-        # The count total factorizes over rows; every factor and partial
-        # sum is an exact integer, so this equals counts.sum() bitwise.
-        counts_total = float(
-            np.dot(planes32.sum(axis=(1, 2), dtype=np.float64), self._plane_row_sums)
-        )
-        # Composed bit-line + ADC transfer.  Indices are exact integers
-        # in [0, rows_used]; skip the gather when the transfer is the
-        # identity on that domain.
-        if self._lut_is_identity:
-            quantized = counts.astype(np.float64)
-        else:
-            quantized = self._lut[counts.astype(self._idx_dtype)]
-        # View in the logical (j, k, c, n) index order — the memory
-        # layout matches the reference chain's, so this is the identical
-        # einsum call and reduction order, bit for bit.
-        quantized = quantized.reshape(wb, cols, ib, n).transpose(2, 0, 1, 3)
-        result = _recombine_einsum(
-            self._path_cache, in_weights, macro._plane_weights, quantized
-        )
-
-        stats = macro_pass_stats(
-            config,
-            macro.rows_used,
-            macro.cols_used,
-            n_vectors=n,
-            row_activations=row_activations,
-            counts_total=counts_total,
-        )
-        return result, stats
 
 
 def _recombine_einsum(
@@ -275,15 +172,88 @@ def _replay_steps(steps, in_weights, plane_weights, quantized):
     return operands[-1]
 
 
+#: Byte budget for the float64 quantized slab of one block of input
+#: vectors, ``stacked weight-plane rows x vectors x input_bits``.  With
+#: the float32 counts and the gather indices beside it the block's
+#: working set is ~2.5x this — sized to stay within a few MiB of
+#: last-level-private cache (4-8 MiB is the measured plateau on the
+#: resnet8 conv shapes; 1 MiB and 16 MiB are each ~15% slower).
+_BLOCK_BYTES = 4 << 20
+
+
+def _block_vectors(stacked_rows: int, ib: int) -> int:
+    """Input vectors per GEMM -> gather block of a row block whose tiles
+    stack ``stacked_rows`` weight-plane rows: as many as keep the
+    block's float64 quantized slab within :data:`_BLOCK_BYTES`."""
+    return max(1, _BLOCK_BYTES // (stacked_rows * ib * 8))
+
+
+def _serial_codes(
+    engine: CimTiledMatmul, x: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """Validate one integer-code batch for ``engine``.
+
+    Returns the ``(rows, n)`` two's-complement reinterpretation of the
+    codes as unsigned ``input_bits``-wide integers, the per-input-bit
+    recombination weights, and whether ``x`` was a single vector.
+    """
+    config = engine.config
+    x = np.asarray(x)
+    squeeze = x.ndim == 1
+    if squeeze:
+        x = x[:, None]
+    if x.shape[0] != engine.shape[0]:
+        raise ValueError(
+            f"input rows {x.shape[0]} do not match weight rows "
+            f"{engine.shape[0]}"
+        )
+    # Reference path: each tile's macro validates its input slice;
+    # the slices tile the same rows, so validating once is the same
+    # check with the same error.
+    low, high = config.input_range()
+    if x.min() < low or x.max() > high:
+        raise ValueError(
+            f"input codes outside [{low}, {high}] for "
+            f"{config.input_bits}-bit serial input"
+        )
+    ib = config.input_bits
+    unsigned = np.asarray(x, dtype=np.int64) & ((1 << ib) - 1)
+    in_weights = np.array([float(1 << j) for j in range(ib)])
+    if config.signed_inputs:
+        in_weights[ib - 1] = -float(1 << (ib - 1))
+    return unsigned, in_weights, squeeze
+
+
+def _serial_planes(unsigned: np.ndarray, ib: int, dtype) -> np.ndarray:
+    """0/1 input bit planes ``(rows, n, ib)`` — input bit innermost.
+
+    Flattened to ``(rows, n * ib)`` this is the count contraction's
+    right operand; a block of vectors is a column slice of it.
+    """
+    # Shift in the narrowest unsigned type that holds a code: the
+    # temporaries are 1 byte per element for 8-bit activations.
+    narrow = unsigned.astype(np.min_scalar_type((1 << ib) - 1), order="C")
+    planes = np.empty(unsigned.shape + (ib,), dtype=dtype)
+    for j in range(ib):
+        planes[:, :, j] = (narrow >> j) & 1
+    return planes
+
+
+def _tile_operand(quantized: np.ndarray, wb: int, cols: int, n: int, ib: int):
+    """One tile's C-contiguous ``(wb * cols, n * ib)`` quantized slice
+    viewed in the recombination einsum's logical ``(j, k, c, n)`` order."""
+    return quantized.reshape(wb, cols, n, ib).transpose(3, 0, 1, 2)
+
+
 class _TileGroup:
     """Tiles sharing one row block, executed through one fused GEMM.
 
     Column tiles of the same rows consume the same input bit planes, so
     their float32 weight-plane matrices are stacked into one operand:
     one GEMM and one ADC gather cover the whole block, and each tile's
-    quantized slice is a contiguous view in exactly the per-tile
-    reference layout — the per-tile einsum calls (and therefore every
-    output bit) are unchanged.
+    quantized slice is a contiguous view holding exactly the values of
+    the per-tile reference operand — the per-tile einsum calls (and
+    therefore every output bit) are unchanged.
     """
 
     def __init__(self, row_start: int, row_stop: int, tiles: List):
@@ -305,14 +275,26 @@ class _TileGroup:
         self.offsets = np.cumsum(
             [0] + [wb * tile.macro.cols_used for tile in tiles]
         )
+        # Bit-line observation + ADC quantization composed over every
+        # reachable integer count, with the exact reference arithmetic.
         domain = np.arange(rows + 1, dtype=np.float64)
         observed = config.bitline.observe(domain, None)
         self.lut = config.adc.quantize_counts(observed, float(rows))
         self.lut_is_identity = bool(np.array_equal(self.lut, domain))
-        self.idx_dtype = np.uint8 if rows <= 255 else np.int64
         self.plane_row_sums = [
             tile.macro._weight_planes.sum(axis=(0, 2)) for tile in tiles
         ]
+
+    def quantize(self, counts: np.ndarray) -> np.ndarray:
+        """The composed bit-line + ADC transfer of exact integer counts
+        (any numeric dtype, any memory order) as C-contiguous float64:
+        one gather, skipped when the transfer is the identity on
+        ``[0, rows_used]``."""
+        if self.lut_is_identity:
+            return counts.astype(np.float64, order="C")
+        # Indices are in range by construction, so "clip" never clips;
+        # it selects numpy's unchecked, unbuffered gather loop.
+        return np.take(self.lut, counts.astype(np.intp, order="C"), mode="clip")
 
 
 @register_backend
@@ -322,7 +304,7 @@ class TiledBitSerialKernel(KernelBackend):
     Mirrors :meth:`CimTiledMatmul.matmul` exactly — per-tile partial
     sums accumulate in tile order, latency is the slowest tile — while
     fusing the bit-plane extraction (once per call), GEMM and ADC
-    gather (once per row block) across tiles.
+    gather (once per row block and block of vectors) across tiles.
     """
 
     backend_name = "reference-fast"
@@ -373,72 +355,63 @@ class TiledBitSerialKernel(KernelBackend):
 
     @staticmethod
     def supported(config: MacroConfig) -> bool:
-        return MacroBitSerialKernel.supported(config)
+        """True when the fast path is bit-exact for this configuration."""
+        return (
+            config.bitline is not None
+            and config.bitline.noise_sigma_counts == 0
+        )
 
     def matmul(self, x: np.ndarray) -> Tuple[np.ndarray, MacroStats]:
         engine = self.engine
         config = engine.config
-        x = np.asarray(x)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[:, None]
-        if x.shape[0] != engine.shape[0]:
-            raise ValueError(
-                f"input rows {x.shape[0]} do not match weight rows "
-                f"{engine.shape[0]}"
-            )
-        # Reference path: each tile's macro validates its input slice;
-        # the slices tile the same rows, so validating once is the same
-        # check with the same error.
-        low, high = config.input_range()
-        if x.min() < low or x.max() > high:
-            raise ValueError(
-                f"input codes outside [{low}, {high}] for "
-                f"{config.input_bits}-bit serial input"
-            )
-
+        unsigned, in_weights, squeeze = _serial_codes(engine, x)
         ib = config.input_bits
         wb = config.weight_bits
-        rows_total = x.shape[0]
-        n = x.shape[1]
+        rows_total, n = unsigned.shape
 
-        # Input bit planes for the whole engine, once per call.
-        codes = np.asarray(x, dtype=np.int64)
-        unsigned = codes & ((1 << ib) - 1)  # two's-complement reinterpretation
-        planes32 = np.empty((rows_total, ib, n), dtype=np.float32)
-        for j in range(ib):
-            planes32[:, j, :] = (unsigned >> j) & 1
-        in_weights = np.array([float(1 << j) for j in range(ib)])
-        if config.signed_inputs:
-            in_weights[ib - 1] = -float(1 << (ib - 1))
+        # Input bit planes for the whole engine, once per call.  Every
+        # buffer below is allocated per call: programmed kernels are
+        # shared across threads.
+        flat = _serial_planes(unsigned, ib, np.float32).reshape(rows_total, n * ib)
+        # Per-row plane totals: exact integers, whole-call.
+        row_sums_all = flat.sum(axis=1, dtype=np.float64)
 
         out = np.zeros((engine.shape[1], n))
         # Scalar accumulators: same per-field addition order as the
         # reference's sequential MacroStats.__add__ chain.
         acc = _StatsAccumulator()
         for group in self._groups:
-            block = planes32[group.row_start : group.row_stop]
-            rows_used = group.row_stop - group.row_start
-            # One GEMM and one gather for every column tile of the block.
-            counts = np.matmul(
-                group.planes32, block.reshape(rows_used, ib * n)
-            )  # C-contiguous (sum of wb*cols, ib*n): stacked (k, c, j, n)
-            if group.lut_is_identity:
-                quantized = counts.astype(np.float64)
+            block = flat[group.row_start : group.row_stop]
+            # One GEMM and one gather for every column tile of the row
+            # block: C-contiguous (sum of wb*cols, n*ib), i.e. stacked
+            # (k, c, n, j).  Counts are exact integers and the gather is
+            # elementwise, so a wide batch runs both over cache-sized
+            # blocks of vectors and keeps only the float64 slab.
+            stacked = group.planes32.shape[0]
+            step = _block_vectors(stacked, ib)
+            if n <= step:
+                quantized = group.quantize(np.matmul(group.planes32, block))
             else:
-                quantized = group.lut[counts.astype(group.idx_dtype)]
-            # Per-row plane totals: exact integers, shared by the block.
-            row_sums = block.sum(axis=(1, 2), dtype=np.float64)
-            row_activations = int(row_sums.sum())
+                quantized = np.empty((stacked, n * ib))
+                for c0 in range(0, n * ib, step * ib):
+                    c1 = c0 + step * ib
+                    quantized[:, c0:c1] = group.quantize(
+                        np.matmul(group.planes32, block[:, c0:c1])
+                    )
+            # Recombination always sees the whole batch: the reference's
+            # own call per tile, row for row.
             partials = self._recombine_group(
                 group, quantized, in_weights, wb, ib, n
             )
+            for tile, partial in zip(group.tiles, partials):
+                out[tile.col_start : tile.col_stop] += partial
+            row_sums = row_sums_all[group.row_start : group.row_stop]
+            row_activations = int(row_sums.sum())
             for index, tile in enumerate(group.tiles):
                 macro = tile.macro
                 counts_total = float(
                     np.dot(row_sums, group.plane_row_sums[index])
                 )
-                out[tile.col_start : tile.col_stop] += partials[index]
                 acc.add(
                     macro_pass_stats(
                         macro.config,
@@ -453,23 +426,22 @@ class TiledBitSerialKernel(KernelBackend):
         return (out[:, 0] if squeeze else out), total
 
     def _recombine_per_tile(self, group, quantized, in_weights, wb, ib, n):
-        """The reference recombination: one einsum call per column tile.
-
-        Each tile's slice of the block's quantized matrix is C-contiguous
-        in the exact per-tile reference layout, viewed as (j, k, c, n).
-        """
-        partials = []
-        for index, tile in enumerate(group.tiles):
-            cols = tile.macro.cols_used
-            q_tile = quantized[
-                group.offsets[index] : group.offsets[index + 1]
-            ].reshape(wb, cols, ib, n).transpose(2, 0, 1, 3)
-            partials.append(
-                _recombine_einsum(
-                    self._path_cache, in_weights, tile.macro._plane_weights, q_tile
-                )
+        """The reference recombination: one einsum call per column tile."""
+        return [
+            _recombine_einsum(
+                self._path_cache,
+                in_weights,
+                tile.macro._plane_weights,
+                _tile_operand(
+                    quantized[group.offsets[index] : group.offsets[index + 1]],
+                    wb,
+                    tile.macro.cols_used,
+                    n,
+                    ib,
+                ),
             )
-        return partials
+            for index, tile in enumerate(group.tiles)
+        ]
 
     def _recombine_group(self, group, quantized, in_weights, wb, ib, n):
         """Recombine every column tile of a row block, fused when proven.
@@ -523,10 +495,13 @@ class TiledBitSerialKernel(KernelBackend):
         """
         t = len(tiles)
         q_fused = np.ascontiguousarray(
-            quantized.reshape(t, wb, cols, ib, n).transpose(1, 0, 2, 3, 4)
-        ).reshape(wb, t * cols, ib, n).transpose(2, 0, 1, 3)
+            quantized.reshape(t, wb, cols, n * ib).transpose(1, 0, 2, 3)
+        )
         result = _recombine_einsum(
-            self._path_cache, in_weights, tiles[0].macro._plane_weights, q_fused
+            self._path_cache,
+            in_weights,
+            tiles[0].macro._plane_weights,
+            _tile_operand(q_fused, wb, t * cols, n, ib),
         )
         return [result[i * cols : (i + 1) * cols] for i in range(t)]
 

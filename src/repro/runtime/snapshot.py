@@ -736,7 +736,6 @@ def _restore_kernel(
         observed = config.bitline.observe(domain, None)
         group.lut = config.adc.quantize_counts(observed, float(rows))
         group.lut_is_identity = bool(np.array_equal(group.lut, domain))
-        group.idx_dtype = np.uint8 if rows <= 255 else np.int64
         # Per-row ON-cell totals: exact integers whichever order they are
         # summed in, so this popcount over the codes equals the
         # programmed float64 plane reduction bitwise.

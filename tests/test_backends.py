@@ -203,6 +203,33 @@ class TestAutotuner:
         finally:
             _REGISTRY.pop("test-corrupt", None)
 
+    # Every engine resnet8 programs: convs probe at ProgrammedConv's
+    # default 64 vectors, the classifier at 1.
+    @pytest.mark.parametrize(
+        "rows,cols,probe_n,signed",
+        [
+            (27, 64, 64, True),  # stem: sees the signed input image
+            (576, 64, 64, False),
+            (576, 128, 64, False),
+            (1152, 128, 64, False),
+            (64, 128, 64, False),  # 1x1 shortcut
+            (1152, 256, 64, False),
+            (2304, 256, 64, False),
+            (128, 256, 64, False),
+            (256, 100, 1, False),  # classifier
+        ],
+    )
+    def test_popcount_never_vetoed_on_resnet8_probe_shapes(
+        self, rows, cols, probe_n, signed
+    ):
+        """popcount shares the reference kernel's operand layout; a veto
+        here would be a layout mismatch hiding as a "speed decision"."""
+        weight = np.random.default_rng(rows + cols).normal(size=(cols, rows))
+        engine = ProgrammedLinear(weight, signed_inputs=signed).engine
+        _, report = tune_kernel(engine, probe_n=probe_n, repeats=1)
+        assert report.vetoed == ()
+        assert "popcount" in report.timings_ms
+
     def test_probe_n_validated(self):
         engine = ProgrammedLinear(RNG.normal(size=(8, 16))).engine
         with pytest.raises(ValueError, match="probe_n"):

@@ -308,3 +308,50 @@ class TestFaultScheduleProperties:
             seed, n_batches=n_batches, n_shards=n_shards, n_events=n_events
         )
         assert again == schedule
+
+
+# -- vector-axis blocking of the fast kernel ----------------------------
+
+from unittest import mock
+
+from repro.cim import CimTiledMatmul
+from repro.runtime.backends import TiledBitSerialKernel, reference_fast
+
+
+@st.composite
+def blocked_kernel_cases(draw):
+    """A tiled engine, a batch and a block budget small enough that the
+    batch spans several blocks: ragged row blocks and column tiles, both
+    input signednesses, identity and non-identity ADC transfer."""
+    rows = draw(st.integers(1, 300))
+    cols = draw(st.integers(1, 70))
+    signed = draw(st.booleans())
+    adc_bits = draw(st.sampled_from((4, 5, 8)))
+    seed = draw(st.integers(0, 2**16))
+    # Vectors per block for the first (tallest) row block, then n
+    # around its multiples.
+    step = draw(st.sampled_from((5, 16, 33)))
+    n = draw(st.integers(0, 4)) * step + draw(st.integers(-2, 19))
+    return rows, cols, signed, adc_bits, seed, step, max(n, 1)
+
+
+class TestVectorBlockProperties:
+    @given(blocked_kernel_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_blocked_kernel_matches_tiled_reference(self, case):
+        rows, cols, signed, adc_bits, seed, step, n = case
+        rng = np.random.default_rng(seed)
+        config = MacroConfig(signed_inputs=signed, adc=AdcSpec(bits=adc_bits))
+        engine = CimTiledMatmul(rng.integers(-128, 128, size=(rows, cols)), config)
+        kernel = TiledBitSerialKernel(engine)
+        stacked = kernel._groups[0].planes32.shape[0]
+        budget = stacked * config.input_bits * 8 * step
+        low, high = config.input_range()
+        x = rng.integers(low, high + 1, size=(rows, n))
+        ref, ref_stats = engine.matmul(x)
+        with mock.patch.object(reference_fast, "_BLOCK_BYTES", budget):
+            assert reference_fast._block_vectors(stacked, config.input_bits) == step
+            for _ in range(2):  # both sides of the first-call einsum veto
+                out, stats = kernel.matmul(x)
+                assert out.tobytes() == ref.tobytes()
+                assert stats == ref_stats

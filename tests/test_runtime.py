@@ -33,13 +33,14 @@ from repro.runtime import (
     EngineCache,
     EngineKey,
     ExecutionSession,
-    MacroBitSerialKernel,
     RuntimeConfig,
     TiledBitSerialKernel,
     compile_model,
     linear_engine,
     reference_forward,
 )
+
+from repro.runtime.backends import reference_fast
 
 RNG = np.random.default_rng(7)
 
@@ -112,6 +113,14 @@ class TestEngineCache:
 # ----------------------------------------------------------------------
 # Fast kernels: bitwise against the reference macro arithmetic
 # ----------------------------------------------------------------------
+def _one_tile_kernel(weights, config):
+    """The production kernel over an engine that is exactly one macro,
+    so :meth:`CimMacro.matmul` is its oracle."""
+    engine = CimTiledMatmul(weights, config)
+    assert len(engine.tiles) == 1
+    return TiledBitSerialKernel(engine)
+
+
 class TestKernels:
     @pytest.mark.parametrize("signed", [False, True])
     @pytest.mark.parametrize("adc_bits", [5, 8])
@@ -119,7 +128,7 @@ class TestKernels:
         config = MacroConfig(signed_inputs=signed, adc=AdcSpec(bits=adc_bits))
         weights = RNG.integers(-128, 128, size=(40, 12))
         macro = CimMacro(config, weights)
-        kernel = MacroBitSerialKernel(macro)
+        kernel = _one_tile_kernel(weights, config)
         low, high = (-128, 128) if signed else (0, 256)
         for n in (1, 5, 33):
             x = RNG.integers(low, high, size=(40, n))
@@ -146,7 +155,7 @@ class TestKernels:
         config = MacroConfig(signed_inputs=False)
         weights = RNG.integers(-128, 128, size=(64, 32))
         macro = CimMacro(config, weights)
-        kernel = MacroBitSerialKernel(macro)
+        kernel = _one_tile_kernel(weights, config)
         zeros = np.zeros((64, 5), dtype=np.int64)
         kernel.matmul(zeros)  # primes the per-shape dispatch cache
         x = RNG.integers(0, 256, size=(64, 5))
@@ -166,16 +175,114 @@ class TestKernels:
 
     def test_kernel_rejects_noisy_bitline(self):
         config = MacroConfig(bitline=BitlineModel(noise_sigma_counts=1.0))
-        macro = CimMacro(config, np.zeros((8, 4), dtype=int))
-        assert not MacroBitSerialKernel.supported(config)
+        assert not TiledBitSerialKernel.supported(config)
         with pytest.raises(ValueError, match="noise-free"):
-            MacroBitSerialKernel(macro)
+            _one_tile_kernel(np.zeros((8, 4), dtype=int), config)
 
     def test_kernel_validates_input_range(self):
-        macro = CimMacro(MacroConfig(), np.zeros((8, 4), dtype=int))
-        kernel = MacroBitSerialKernel(macro)
+        kernel = _one_tile_kernel(np.zeros((8, 4), dtype=int), MacroConfig())
         with pytest.raises(ValueError, match="input codes outside"):
             kernel.matmul(np.full((8, 2), 300))
+
+
+# ----------------------------------------------------------------------
+# Vector-axis blocking: every block boundary against the true oracle
+# ----------------------------------------------------------------------
+def _blocked_engine(signed, adc_bits):
+    """Two row blocks (128 + 72 rows) x two column tiles (32 + a ragged
+    8): the smallest grid with a multi-tile stacked slab, a shorter last
+    row block (its own LUT) and a ragged last column tile."""
+    config = MacroConfig(signed_inputs=signed, adc=AdcSpec(bits=adc_bits))
+    weights = np.random.default_rng(21).integers(-128, 128, size=(200, 40))
+    engine = CimTiledMatmul(weights, config)
+    assert len(engine.tiles) == 4
+    return engine
+
+
+def _block_of(kernel):
+    group = kernel._groups[0]
+    return reference_fast._block_vectors(
+        group.planes32.shape[0], kernel.engine.config.input_bits
+    )
+
+
+class TestVectorBlocks:
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("adc_bits", [5, 8])  # non-identity / identity LUT
+    def test_block_boundaries_bitwise_vs_tiled_reference(self, signed, adc_bits):
+        engine = _blocked_engine(signed, adc_bits)
+        kernel = TiledBitSerialKernel(engine)
+        assert [g.lut_is_identity for g in kernel._groups] == [adc_bits == 8] * 2
+        block = _block_of(kernel)
+        low, high = (-128, 128) if signed else (0, 256)
+        rng = np.random.default_rng(adc_bits + signed)
+        for n in (1, block - 1, block, block + 1, 2 * block + 3, 3 * block + 5):
+            x = rng.integers(low, high, size=(200, n))
+            ref, ref_stats = engine.matmul(x)
+            for _ in range(2):  # both sides of the first-call einsum veto
+                out, stats = kernel.matmul(x)
+                assert out.tobytes() == ref.tobytes()
+                assert stats == ref_stats
+
+    def test_wide_batch_is_gathered_in_blocks(self, monkeypatch):
+        """GEMM -> gather runs per block of ``_block_vectors`` vectors;
+        a batch that fits one block is gathered whole."""
+        engine = _blocked_engine(False, 5)
+        kernel = TiledBitSerialKernel(engine)
+        block = _block_of(kernel)
+        gathers = []
+        real = reference_fast._TileGroup.quantize
+        monkeypatch.setattr(
+            reference_fast._TileGroup,
+            "quantize",
+            lambda group, counts: gathers.append(counts.shape[1]) or real(group, counts),
+        )
+        ib = engine.config.input_bits
+        kernel.matmul(np.zeros((200, 2 * block + 3), dtype=np.int64))
+        assert gathers == [block * ib, block * ib, 3 * ib] * 2
+        del gathers[:]
+        kernel.matmul(np.zeros((200, block), dtype=np.int64))
+        assert gathers == [block * ib] * 2
+
+    def test_one_kernel_two_threads_different_batches(self):
+        """Programmed kernels are shared through EngineCache and the
+        server's workers: concurrent calls must not share scratch."""
+        import sys
+        import threading
+
+        engine = _blocked_engine(False, 5)
+        kernel = TiledBitSerialKernel(engine)
+        rng = np.random.default_rng(4)
+        batches = [
+            rng.integers(0, 256, size=(200, n))
+            for n in (2 * _block_of(kernel) + 3, 5)
+        ]
+        serial = [kernel.matmul(x) for x in batches]
+        results = [[] for _ in batches]
+
+        def work(slot):
+            for _ in range(4):
+                results[slot].append(kernel.matmul(batches[slot]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(slot,))
+                for slot in range(len(batches))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for slot, (out, stats) in enumerate(serial):
+            assert len(results[slot]) == 4
+            for got, got_stats in results[slot]:
+                assert got.tobytes() == out.tobytes()
+                assert got_stats == stats
 
 
 # ----------------------------------------------------------------------
