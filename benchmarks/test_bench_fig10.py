@@ -12,8 +12,8 @@ from repro.experiments.common import format_table
 
 
 @pytest.fixture(scope="module")
-def result():
-    return fig10.run(fig10.fast_config())
+def result(fast_result):
+    return fast_result(fig10)
 
 
 def test_bench_fig10_runs(benchmark):

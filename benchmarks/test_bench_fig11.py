@@ -12,8 +12,8 @@ from repro.experiments.common import format_table
 
 
 @pytest.fixture(scope="module")
-def result():
-    return fig11.run(fig11.fast_config())
+def result(fast_result):
+    return fast_result(fig11)
 
 
 def test_bench_fig11_runs(benchmark):

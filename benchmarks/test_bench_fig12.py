@@ -12,8 +12,8 @@ from repro.experiments.common import format_table
 
 
 @pytest.fixture(scope="module")
-def result():
-    return fig12.run(fig12.fast_config())
+def result(fast_result):
+    return fast_result(fig12)
 
 
 def test_bench_fig12_runs(benchmark):

@@ -12,8 +12,8 @@ from repro.experiments.common import format_table
 
 
 @pytest.fixture(scope="module")
-def result():
-    return fig6b.run(fig6b.fast_config())
+def result(fast_result):
+    return fast_result(fig6b)
 
 
 def test_bench_fig6b_runs(benchmark):

@@ -41,7 +41,7 @@ from repro.chaos.schedule import (
     FaultSchedule,
     generate_schedule,
 )
-from repro.chaos.inject import ChaosController, Degradation, degraded_execution
+from repro.chaos.inject import ChaosController, Degradation
 from repro.chaos.stream import (
     ChaosStreamResult,
     RecoveryRecord,
@@ -59,7 +59,6 @@ __all__ = [
     "generate_schedule",
     "ChaosController",
     "Degradation",
-    "degraded_execution",
     "ChaosStreamResult",
     "RecoveryRecord",
     "run_chaos_stream",

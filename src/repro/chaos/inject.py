@@ -2,17 +2,17 @@
 
 Two halves:
 
-* :class:`Degradation` + :func:`degraded_execution` — route a run's
-  engines through the **existing** analog paths with temporarily
-  degraded circuit parameters: the bit-line comparator noise of
-  :meth:`repro.cim.bitline.BitlineModel.observe` and the count-domain
-  ADC offset/gain error model shared with
-  :func:`repro.cim.variation.perturbed_matmul` (via
-  :func:`repro.cim.variation.apply_adc_errors`).  Degraded execution
-  always takes the reference macro path — the exact LUT kernel is a
-  noise-free fast path by construction — which is bitwise identical to
-  the kernel when no degradation is active, so zero-magnitude faults
-  cannot change a single output bit.
+* :class:`Degradation` — the analog degradation of **one run**:
+  :meth:`Degradation.apply` makes a degraded *copy* of an engine's run
+  configuration (the bit-line comparator noise of
+  :meth:`repro.cim.bitline.BitlineModel.observe` raised in quadrature,
+  the ADC wrapped in the count-domain offset/gain error model of
+  :func:`repro.cim.variation.apply_adc_errors`), and
+  :meth:`repro.runtime.engine.ProgrammedLinear.execute` runs the
+  **existing** reference macro path over a per-call view of its tiles
+  bound to that copy.  The exact LUT kernel is noise-free by
+  construction; the macro path is bitwise identical to it when nothing
+  is degraded, so zero-magnitude faults cannot change an output bit.
 * :class:`ChaosController` — owns a normalized
   :class:`~repro.chaos.schedule.FaultSchedule` and answers the hot-path
   questions (*is this shard dead yet? what degradation window is open
@@ -20,19 +20,17 @@ Two halves:
   per micro-batch with no RNG of its own: all noise draws come from the
   micro-batch's ``stream_rng``, so firing and effects replay exactly.
 
-Thread-safety: engines are shared across shard workers through the
-engine cache, and a degraded execution temporarily mutates the engine's
-``run_config`` (the one object every tile's macro references).  All
-degraded executions therefore serialize on a module-global lock; clean
-executions never touch it.  Degraded windows are rare by construction
-(faults), so the serialization does not gate steady-state throughput.
+Thread-safety: engines are shared across shard workers, servers and
+models through the engine cache, and a degraded execution never
+modifies one — the degraded parameters live on a configuration copy
+only the degraded call's tile views reference.  Clean and degraded
+runs of the same engine may therefore overlap freely, with no lock.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -47,11 +45,6 @@ from repro.chaos.schedule import (
     FaultSchedule,
 )
 from repro.cim.variation import apply_adc_errors
-from repro.quant.quantizer import QuantSpec, quantize
-
-#: Serializes every degraded execution: the degraded parameters live on
-#: the engine's shared ``run_config`` for the duration of one matmul.
-_DEGRADE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -76,18 +69,23 @@ class Degradation:
             and self.adc_gain == 1.0
         )
 
-    def wrap(self, engine: Any) -> Any:
-        """The seam :class:`repro.runtime.compiled._RunState` calls.
-
-        Returns ``engine`` untouched for a no-op degradation (the clean
-        kernel path, bitwise identical to an undegraded run); otherwise
-        a proxy that executes through the degraded macro path.
-        """
-        if self.is_noop:
-            return engine
-        if hasattr(engine, "execute_patches"):
-            return _DegradedConv(engine, self)
-        return _DegradedLinear(engine, self)
+    def apply(self, run_config: Any) -> Any:
+        """A degraded copy of ``run_config`` (which is left untouched):
+        the ADC becomes a :class:`_DriftedAdc` and the bit-line noise
+        sigma is raised in quadrature."""
+        bitline = run_config.bitline
+        if self.noise_sigma_counts > 0.0:
+            bitline = replace(
+                bitline,
+                noise_sigma_counts=float(
+                    np.hypot(bitline.noise_sigma_counts, self.noise_sigma_counts)
+                ),
+            )
+        return replace(
+            run_config,
+            adc=_DriftedAdc(run_config.adc, self.adc_offset, self.adc_gain),
+            bitline=bitline,
+        )
 
 
 class _DriftedAdc:
@@ -116,99 +114,6 @@ class _DriftedAdc:
             max_counts=float(max_counts),
         )
         return self._adc.quantize_counts(counts, max_counts)
-
-
-@contextmanager
-def degraded_execution(run_config: Any, degradation: Degradation):
-    """Temporarily degrade an engine's shared run configuration.
-
-    Swaps the config's ADC for a :class:`_DriftedAdc` and raises the
-    bit-line noise sigma (in quadrature) for the duration of one
-    execution, under the global degrade lock — every tile macro of the
-    engine references this one config object, so the swap reaches all
-    of them, and the lock keeps concurrent clean runs on other threads
-    from ever observing the degraded parameters mid-matmul.
-    """
-    from dataclasses import replace
-
-    with _DEGRADE_LOCK:
-        saved_adc = run_config.adc
-        saved_bitline = run_config.bitline
-        run_config.adc = _DriftedAdc(
-            saved_adc, degradation.adc_offset, degradation.adc_gain
-        )
-        if degradation.noise_sigma_counts > 0.0:
-            run_config.bitline = replace(
-                saved_bitline,
-                noise_sigma_counts=float(
-                    np.hypot(
-                        saved_bitline.noise_sigma_counts,
-                        degradation.noise_sigma_counts,
-                    )
-                ),
-            )
-        try:
-            yield
-        finally:
-            run_config.adc = saved_adc
-            run_config.bitline = saved_bitline
-
-
-class _DegradedLinear:
-    """``ProgrammedLinear.execute`` routed through the degraded macro path.
-
-    Replicates the engine's execute pipeline (activation quantization,
-    scale recombination) bit for bit, but always runs the tiled macro
-    reference — never the exact kernel — inside a
-    :func:`degraded_execution` window, so the bit-line observation and
-    ADC conversion see the degraded circuit.
-    """
-
-    __slots__ = ("_engine", "_degradation")
-
-    def __init__(self, engine: Any, degradation: Degradation):
-        self._engine = engine
-        self._degradation = degradation
-
-    def execute(self, x, rng=None, encoding=None):
-        engine = self._engine
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != engine.in_features:
-            raise ValueError(
-                f"expected input (N, {engine.in_features}), got {x.shape}"
-            )
-        if not engine.signed_inputs and x.size and bool((x < 0).any()):
-            raise ValueError(
-                "engine is programmed for unsigned activations but the "
-                "input carries negative values; program a signed-input "
-                "engine for this layer"
-            )
-        act_spec = QuantSpec(bits=engine.activation_bits, signed=engine.signed_inputs)
-        x_codes, x_scale = quantize(x, act_spec)
-        rng = rng if rng is not None else np.random.default_rng()
-        with degraded_execution(engine.run_config, self._degradation):
-            y_codes, stats = engine.engine.matmul(
-                x_codes.T, encoding=encoding, rng=rng
-            )
-        scale = float(x_scale) * engine.w_scale.reshape(-1, 1)
-        return (y_codes * scale).T, stats
-
-
-class _DegradedConv:
-    """``ProgrammedConv.execute_patches`` over a degraded linear core."""
-
-    __slots__ = ("_engine", "_linear")
-
-    def __init__(self, engine: Any, degradation: Degradation):
-        self._engine = engine
-        self._linear = _DegradedLinear(engine.linear, degradation)
-
-    def execute_patches(self, patches, n_samples, out_hw, rng=None, encoding=None):
-        out_h, out_w = out_hw
-        flat, stats = self._linear.execute(patches, rng=rng, encoding=encoding)
-        oc = self._engine.out_channels
-        out = flat.reshape(n_samples, out_h * out_w, oc).transpose(0, 2, 1)
-        return out.reshape(n_samples, oc, out_h, out_w), stats
 
 
 class ChaosController:

@@ -60,13 +60,6 @@ from repro.cim.mvm import (
     reference_cim_linear,
     reference_cim_conv2d,
 )
-from repro.cim.deploy import (
-    CimDeployedModel,
-    DeployedLayerInfo,
-    DeploymentReport,
-    deploy_model,
-    fold_batchnorm,
-)
 
 __all__ = [
     "CellSpec",
@@ -111,9 +104,4 @@ __all__ = [
     "cim_conv2d",
     "reference_cim_linear",
     "reference_cim_conv2d",
-    "CimDeployedModel",
-    "DeployedLayerInfo",
-    "DeploymentReport",
-    "deploy_model",
-    "fold_batchnorm",
 ]

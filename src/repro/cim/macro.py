@@ -13,6 +13,8 @@ optional swing saturation.
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -166,21 +168,32 @@ def macro_pass_stats(
     )
 
 
-def _bit_planes(codes: np.ndarray, bits: int, signed: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """Decompose integer codes into bit planes and their signed weights.
+@functools.lru_cache(maxsize=None)
+def plane_weights(bits: int, signed: bool) -> np.ndarray:
+    """Recombination weight of each bit plane of a ``bits``-wide code
+    (one shared read-only array per encoding).
 
     Two's-complement encoding: plane ``k`` carries weight ``2**k`` except
     the MSB of a signed code, which carries ``-2**(bits-1)``.
+    """
+    weights = np.array([float(1 << k) for k in range(bits)])
+    if signed:
+        weights[bits - 1] = -float(1 << (bits - 1))
+    weights.flags.writeable = False
+    return weights
+
+
+def _bit_planes(codes: np.ndarray, bits: int, signed: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Decompose integer codes into bit planes and their signed weights.
+
     Returns ``(planes, weights)`` with ``planes`` of shape
-    ``(bits,) + codes.shape`` and values in {0, 1}.
+    ``(bits,) + codes.shape`` and values in {0, 1}, and ``weights`` the
+    :func:`plane_weights` of the encoding.
     """
     codes = np.asarray(codes, dtype=np.int64)
     unsigned = codes & ((1 << bits) - 1)  # two's-complement reinterpretation
     planes = np.stack([(unsigned >> k) & 1 for k in range(bits)]).astype(np.float64)
-    weights = np.array([float(1 << k) for k in range(bits)])
-    if signed:
-        weights[bits - 1] = -float(1 << (bits - 1))
-    return planes, weights
+    return planes, plane_weights(bits, signed)
 
 
 class CimMacro:
@@ -208,6 +221,30 @@ class CimMacro:
         self._store(weights)
         self._programmed = True
 
+    @classmethod
+    def from_state(
+        cls, config: MacroConfig, weights: np.ndarray, rng: np.random.Generator
+    ) -> "CimMacro":
+        """A programmed macro over *trusted* int64 codes (a snapshot
+        restore): no shape or range scan, and the bit planes stay
+        underived until the reference path first reads them."""
+        macro = cls.__new__(cls)
+        macro.config = config
+        macro._rng = rng
+        macro._place(weights)
+        macro._programmed = True
+        return macro
+
+    def with_config(self, config: MacroConfig) -> "CimMacro":
+        """A view of this macro sensing through ``config``'s circuit:
+        same codes and bit planes (materialized once, on this macro),
+        different bit-line / ADC parameters.  ``config`` must keep the
+        geometry and bit widths."""
+        view = copy.copy(self)
+        view.config = config
+        view._planes = self._weight_planes
+        return view
+
     def _store(self, weights: np.ndarray) -> None:
         weights = np.asarray(weights)
         if weights.ndim != 2:
@@ -224,36 +261,35 @@ class CimMacro:
                 f"weight codes outside [{low}, {high}] for "
                 f"{self.config.weight_bits}-bit storage"
             )
-        self.rows_used = rows
-        self.cols_used = cols
-        self.weights = weights.astype(np.int64)
-        planes, plane_weights = _bit_planes(
+        self._place(weights.astype(np.int64))
+        self._planes, _ = _bit_planes(
             weights, self.config.weight_bits, self.config.signed_weights
+        )  # (wb, rows, cols)
+
+    def _place(self, weights: np.ndarray) -> None:
+        """Adopt validated int64 codes; bit planes are left to derive."""
+        self.rows_used, self.cols_used = weights.shape
+        self.weights = weights
+        self._plane_weights = plane_weights(
+            self.config.weight_bits, self.config.signed_weights
         )
-        self._weight_planes = planes  # (wb, rows, cols)
-        self._plane_weights = plane_weights
+        self._planes: Optional[np.ndarray] = None
 
     @property
     def _weight_planes(self) -> np.ndarray:
         """The programmed weight bit planes, ``(wb, rows, cols)`` in {0, 1}.
 
-        Computed eagerly by :meth:`_store`; a macro restored from a
-        snapshot (``repro.runtime.snapshot``) arrives without them and
-        derives them from ``self.weights`` on first access — the exact
-        :func:`_bit_planes` computation, so the lazily derived planes
-        are bitwise identical to the eagerly stored ones.
+        Computed eagerly by :meth:`_store`; a macro built by
+        :meth:`from_state` arrives without them and derives them from
+        ``self.weights`` on first access — the exact :func:`_bit_planes`
+        computation, so the lazily derived planes are bitwise identical
+        to the eagerly stored ones.
         """
-        planes = self.__dict__.get("_weight_planes_cached")
-        if planes is None:
-            planes, _ = _bit_planes(
+        if self._planes is None:
+            self._planes, _ = _bit_planes(
                 self.weights, self.config.weight_bits, self.config.signed_weights
             )
-            self.__dict__["_weight_planes_cached"] = planes
-        return planes
-
-    @_weight_planes.setter
-    def _weight_planes(self, planes: np.ndarray) -> None:
-        self.__dict__["_weight_planes_cached"] = planes
+        return self._planes
 
     def program(self, weights: np.ndarray) -> None:
         """Rewrite the array — only legal for volatile (SRAM) cells."""

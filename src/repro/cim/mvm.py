@@ -16,7 +16,8 @@ mapping ("storing the weights of different layers to the same sub-array
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -76,9 +77,26 @@ class CimTiledMatmul:
         weights = np.asarray(weights)
         if weights.ndim != 2:
             raise ValueError(f"weights must be 2-D, got {weights.shape}")
-        self.shape = weights.shape
-        rng = rng if rng is not None else np.random.default_rng()
+        self._lay_out(weights, rng, CimMacro)
 
+    @classmethod
+    def from_state(cls, weights: np.ndarray, config: MacroConfig) -> "CimTiledMatmul":
+        """The tiled engine over *trusted* ``(R, C)`` int64 codes (a
+        snapshot restore): the same tile grid, its macros built by
+        :meth:`CimMacro.from_state` — nothing validated or derived."""
+        engine = cls.__new__(cls)
+        engine.config = config
+        engine._lay_out(weights, None, CimMacro.from_state)
+        return engine
+
+    def _lay_out(self, weights: np.ndarray, rng, make_macro) -> None:
+        """Place ``weights`` on the row-major subarray tile grid."""
+        self.weights = weights
+        self.shape = weights.shape
+        # One construction-time generator shared by every tile; the
+        # runtime always passes an execution rng, so it is only the
+        # fallback for direct macro use.
+        rng = rng if rng is not None else np.random.default_rng()
         rows, cols = weights.shape
         tile_r = self.config.rows
         tile_c = self.config.logical_columns
@@ -87,8 +105,20 @@ class CimTiledMatmul:
             r1 = min(r0 + tile_r, rows)
             for c0 in range(0, cols, tile_c):
                 c1 = min(c0 + tile_c, cols)
-                macro = CimMacro(self.config, weights[r0:r1, c0:c1], rng=rng)
+                macro = make_macro(self.config, weights[r0:r1, c0:c1], rng)
                 self.tiles.append(_Tile(macro, r0, r1, c0, c1))
+
+    def with_config(self, config: MacroConfig) -> "CimTiledMatmul":
+        """A per-call view of this engine sensing through ``config``:
+        every tile rebound to a :meth:`CimMacro.with_config` view, so a
+        run that needs other circuit parameters (a chaos degradation
+        window) never touches the shared engine."""
+        view = copy.copy(self)
+        view.config = config
+        view.tiles = [
+            replace(tile, macro=tile.macro.with_config(config)) for tile in self.tiles
+        ]
+        return view
 
     @property
     def n_subarrays(self) -> int:

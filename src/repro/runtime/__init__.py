@@ -30,10 +30,10 @@ software:
   faster than a cold compile (``repro.runtime.snapshot``); the same
   store backs the engine cache's disk second tier.
 
-The consuming layers sit on top: ``repro.cim.deploy`` wraps
-:class:`CompiledModel`, the functional ``repro.cim.cim_linear`` /
-``cim_conv2d`` compile-and-run through the shared cache, and
-``repro.arch`` / ``repro.models`` accept compiled models directly.
+The consuming layers sit on top: the functional
+``repro.cim.cim_linear`` / ``cim_conv2d`` compile-and-run through the
+shared cache, and ``repro.arch`` / ``repro.models`` accept compiled
+models directly.
 """
 
 from repro.runtime.cache import (

@@ -69,11 +69,11 @@ encodings) falls back to the reference implementation at the call site.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cim.macro import MacroConfig, MacroStats, macro_pass_stats
+from repro.cim.macro import MacroConfig, MacroStats, macro_pass_stats, plane_weights
 from repro.cim.mvm import CimTiledMatmul
 from repro.runtime.backends.base import KernelBackend, register_backend
 
@@ -218,10 +218,7 @@ def _serial_codes(
         )
     ib = config.input_bits
     unsigned = np.asarray(x, dtype=np.int64) & ((1 << ib) - 1)
-    in_weights = np.array([float(1 << j) for j in range(ib)])
-    if config.signed_inputs:
-        in_weights[ib - 1] = -float(1 << (ib - 1))
-    return unsigned, in_weights, squeeze
+    return unsigned, plane_weights(ib, config.signed_inputs), squeeze
 
 
 def _serial_planes(unsigned: np.ndarray, ib: int, dtype) -> np.ndarray:
@@ -245,6 +242,22 @@ def _tile_operand(quantized: np.ndarray, wb: int, cols: int, n: int, ib: int):
     return quantized.reshape(wb, cols, n, ib).transpose(3, 0, 1, 2)
 
 
+_POPCOUNT_8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
+
+
+def _stored_bits(codes: np.ndarray, weight_bits: int) -> np.ndarray:
+    """Per-element count of stored '1' bits, two's-complement
+    reinterpreted over ``weight_bits`` exactly like the macro's bit
+    planes — i.e. the planes summed over the weight-bit axis."""
+    unsigned = np.asarray(codes, dtype=np.int64) & ((1 << weight_bits) - 1)
+    if hasattr(np, "bitwise_count"):  # numpy >= 2.0
+        return np.bitwise_count(unsigned)
+    counts = _POPCOUNT_8[unsigned & 0xFF]
+    for shift in range(8, weight_bits, 8):
+        counts = counts + _POPCOUNT_8[(unsigned >> shift) & 0xFF]
+    return counts
+
+
 class _TileGroup:
     """Tiles sharing one row block, executed through one fused GEMM.
 
@@ -254,36 +267,70 @@ class _TileGroup:
     quantized slice is a contiguous view holding exactly the values of
     the per-tile reference operand — the per-tile einsum calls (and
     therefore every output bit) are unchanged.
+
+    ``stored_bits`` is the row block's slice of the engine's
+    :func:`_stored_bits` matrix.  ``packed`` is the *trusted* persisted
+    form of the stacked planes (:meth:`packed`, what ``.rcma`` artifacts
+    store): given it, nothing is derived and the macros' own bit planes
+    are never materialized.
     """
 
-    def __init__(self, row_start: int, row_stop: int, tiles: List):
+    def __init__(
+        self,
+        row_start: int,
+        row_stop: int,
+        tiles: List,
+        stored_bits: np.ndarray,
+        packed: Optional[np.ndarray] = None,
+    ):
         self.row_start = row_start
         self.row_stop = row_stop
         self.tiles = tiles
-        macro0 = tiles[0].macro
-        config = macro0.config
-        rows = macro0.rows_used
+        config = tiles[0].macro.config
+        rows = row_stop - row_start
         wb = config.weight_bits
-        self.planes32 = np.concatenate(
-            [
-                tile.macro._weight_planes.transpose(0, 2, 1).reshape(
-                    wb * tile.macro.cols_used, rows
-                )
-                for tile in tiles
-            ]
-        ).astype(np.float32)
         self.offsets = np.cumsum(
             [0] + [wb * tile.macro.cols_used for tile in tiles]
         )
+        stacked = int(self.offsets[-1])
+        if packed is None:
+            planes = np.concatenate(
+                [
+                    tile.macro._weight_planes.transpose(0, 2, 1).reshape(
+                        wb * tile.macro.cols_used, rows
+                    )
+                    for tile in tiles
+                ]
+            )
+        else:
+            if packed.size * 8 < stacked * rows:
+                raise ValueError(
+                    f"row block [{row_start}, {row_stop}) holds "
+                    f"{packed.size * 8} plane bits, expected {stacked * rows}"
+                )
+            planes = np.unpackbits(packed, count=stacked * rows).reshape(
+                stacked, rows
+            )
+        self.planes32 = planes.astype(np.float32)
         # Bit-line observation + ADC quantization composed over every
         # reachable integer count, with the exact reference arithmetic.
         domain = np.arange(rows + 1, dtype=np.float64)
         observed = config.bitline.observe(domain, None)
         self.lut = config.adc.quantize_counts(observed, float(rows))
         self.lut_is_identity = bool(np.array_equal(self.lut, domain))
+        # Per-row ON-cell totals: exact integers whichever order they
+        # are summed in, so the popcount over the codes equals the
+        # float64 reduction of the bit planes bitwise.
         self.plane_row_sums = [
-            tile.macro._weight_planes.sum(axis=(0, 2)) for tile in tiles
+            stored_bits[:, tile.col_start : tile.col_stop].sum(
+                axis=1, dtype=np.float64
+            )
+            for tile in tiles
         ]
+
+    def packed(self) -> np.ndarray:
+        """The stacked 0/1 plane matrix, bit-packed (exact)."""
+        return np.packbits(self.planes32.astype(np.uint8))
 
     def quantize(self, counts: np.ndarray) -> np.ndarray:
         """The composed bit-line + ADC transfer of exact integer counts
@@ -309,28 +356,50 @@ class TiledBitSerialKernel(KernelBackend):
 
     backend_name = "reference-fast"
 
-    def __init__(self, engine: CimTiledMatmul):
-        config = engine.config
-        if not self.supported(config):
+    def __init__(
+        self,
+        engine: CimTiledMatmul,
+        packed_planes: Optional[Sequence[np.ndarray]] = None,
+    ):
+        """Program the kernel for ``engine``, or — given its persisted
+        :meth:`packed_planes` — restore it from that trusted state."""
+        if not self.supported(engine.config):
             raise ValueError(
                 "fast bit-serial kernel requires a noise-free bit line; "
                 "use the reference CimTiledMatmul.matmul path instead"
             )
-        self.engine = engine
-        groups: dict = {}
+        blocks: dict = {}
         for tile in engine.tiles:
-            groups.setdefault((tile.row_start, tile.row_stop), []).append(tile)
-        self._groups: List[_TileGroup] = [
-            _TileGroup(r0, r1, tiles) for (r0, r1), tiles in groups.items()
-        ]
+            blocks.setdefault((tile.row_start, tile.row_stop), []).append(tile)
+        if packed_planes is None:
+            packed_planes = [None] * len(blocks)
+        elif len(packed_planes) != len(blocks):
+            raise ValueError(
+                f"{len(packed_planes)} packed plane groups for a tile grid "
+                f"of {len(blocks)} row blocks"
+            )
+        bits = _stored_bits(engine.weights, engine.config.weight_bits)
+        self._bind(
+            engine,
+            [
+                _TileGroup(r0, r1, tiles, bits[r0:r1], packed)
+                for ((r0, r1), tiles), packed in zip(blocks.items(), packed_planes)
+            ],
+        )
+
+    def _bind(self, engine: CimTiledMatmul, groups: List[_TileGroup]) -> None:
+        self.engine = engine
+        self._groups = groups
+        # Per-instance, keyed by operand shape and group identity (both
+        # survive group sharing).
         self._path_cache: dict = {}
         self._fused_cache: dict = {}
         self._post_init()
 
     def _post_init(self) -> None:
         """Subclass hook: derive extra program-time layout from the
-        shared :class:`_TileGroup` list (called by both the constructor
-        and :meth:`adopt`)."""
+        shared :class:`_TileGroup` list (called for every construction,
+        :meth:`adopt` included)."""
 
     @classmethod
     def adopt(cls, kernel: "TiledBitSerialKernel") -> "TiledBitSerialKernel":
@@ -339,19 +408,18 @@ class TiledBitSerialKernel(KernelBackend):
         The :class:`_TileGroup` program-time artifacts (plane matrices,
         LUTs, row sums) are read-only and backend-independent, so the
         autotuner and the snapshot restore path share them across
-        candidate backends instead of rebuilding per candidate.  Path
-        and fusion caches are per-instance (they key by operand shape
-        and group identity, both of which survive sharing).
+        candidate backends instead of rebuilding per candidate.
         """
         if type(kernel) is cls:
             return kernel
         adopted = cls.__new__(cls)
-        adopted.engine = kernel.engine
-        adopted._groups = kernel._groups
-        adopted._path_cache = {}
-        adopted._fused_cache = {}
-        adopted._post_init()
+        adopted._bind(kernel.engine, kernel._groups)
         return adopted
+
+    def packed_planes(self) -> List[np.ndarray]:
+        """The kernel's persisted state: one bit-packed plane matrix
+        per row block."""
+        return [group.packed() for group in self._groups]
 
     @staticmethod
     def supported(config: MacroConfig) -> bool:

@@ -58,11 +58,10 @@ from repro.rebranch.branch import ReBranchConv2d
 from repro.runtime.cache import EngineCache, resolve_cache, weight_fingerprint
 from repro.runtime.engine import (
     conv_engine,
-    conv_engine_key,
     conv_patches,
+    engine_cache_key,
     grouped_conv_execute,
     linear_engine,
-    linear_engine_key,
 )
 from repro.runtime.errors import CompileError, UnsupportedModuleError
 from repro.runtime.programming import (
@@ -159,10 +158,10 @@ class _RunState:
     """Per-run execution context threaded through the plan.
 
     ``degrade`` is the chaos runtime's seam: when set (duck-typed, see
-    :class:`repro.chaos.Degradation`), every engine-bearing step routes
-    its engine through ``degrade.wrap`` before executing, so live
-    drift/noise faults reach the analog paths without the clean hot
-    loop paying more than one ``None`` check per engine node.
+    :class:`repro.chaos.Degradation`), every engine-bearing step passes
+    it down as its engine call's ``degrade=``, so live drift/noise
+    faults reach the analog paths as state of *this run* — the engines,
+    shared through the cache with concurrent runs, are never modified.
     """
 
     __slots__ = ("rng", "encoding", "stats", "degrade")
@@ -337,30 +336,12 @@ class _EngineSlot:
         cache — ``"programmed"`` / ``"disk"`` / ``"snapshot"`` — or
         ``"evicted"`` when the LRU dropped it (the slot's own strong
         reference keeps the engine alive regardless)."""
-        config = self.config_fn()
-        if self.kind == "conv":
-            key = conv_engine_key(
-                self.weight_fn(),
-                self.stride,
-                self.padding,
-                config,
-                self.activation_bits,
-                self.predicted_signed,
-                layer_id=self.layer_id,
-                fingerprint=self.fingerprint,
-                backend=self.backend,
+        engine = self._engines.get((self.predicted_signed, id(self.config_fn())))
+        tier = None
+        if engine is not None:
+            tier = self.cache.tier_of(
+                engine_cache_key(engine, self.layer_id, self.fingerprint)
             )
-        else:
-            key = linear_engine_key(
-                self.weight_fn(),
-                config,
-                self.activation_bits,
-                self.predicted_signed,
-                layer_id=self.layer_id,
-                fingerprint=self.fingerprint,
-                backend=self.backend,
-            )
-        tier = self.cache.tier_of(key)
         return tier if tier is not None else "evicted"
 
     def refresh(self) -> bool:
@@ -395,11 +376,13 @@ class _ConvStep:
             self.slot.padding,
         )
         signed = bool((patches < 0).any())
-        engine = self.slot.engine_for(signed)
-        if state.degrade is not None:
-            engine = state.degrade.wrap(engine)
-        out, stats = engine.execute_patches(
-            patches, x.shape[0], out_hw, rng=state.rng, encoding=encoding
+        out, stats = self.slot.engine_for(signed).execute_patches(
+            patches,
+            x.shape[0],
+            out_hw,
+            rng=state.rng,
+            encoding=encoding,
+            degrade=state.degrade,
         )
         state.stats = state.stats + stats
         if self.module.bias is not None:
@@ -431,22 +414,16 @@ class _GroupedConvStep:
         oc = self.module.out_channels
         icg = self.module.in_channels // self.module.groups
         kh, kw = self.module.kernel_size
-        if state.degrade is None:
-            engine_for = lambda g, signed: self.slots[g].engine_for(signed)
-        else:
-            degrade = state.degrade
-            engine_for = lambda g, signed: degrade.wrap(
-                self.slots[g].engine_for(signed)
-            )
         out, stats = grouped_conv_execute(
             x,
             (oc, icg, kh, kw),
             self.module.groups,
             self.slots[0].stride,
             self.slots[0].padding,
-            engine_for,
+            lambda g, signed: self.slots[g].engine_for(signed),
             rng=state.rng,
             encoding=encoding,
+            degrade=state.degrade,
         )
         state.stats = state.stats + stats
         if self.module.bias is not None:
@@ -464,11 +441,10 @@ class _LinearStep:
 
     def apply(self, x: np.ndarray, state: _RunState) -> np.ndarray:
         signed = bool((x < 0).any())
-        engine = self.slot.engine_for(signed)
-        if state.degrade is not None:
-            engine = state.degrade.wrap(engine)
         encoding = None if signed else state.encoding
-        out, stats = engine.execute(x, rng=state.rng, encoding=encoding)
+        out, stats = self.slot.engine_for(signed).execute(
+            x, rng=state.rng, encoding=encoding, degrade=state.degrade
+        )
         state.stats = state.stats + stats
         if self.module.bias is not None:
             out = out + self.module.bias.data
@@ -855,8 +831,8 @@ class CompiledModel:
         ``encoding`` overrides the compiled default word-line encoding
         for this run (``None`` forces bit-serial); layers whose input
         carries negative values fall back to bit-serial either way.
-        ``degrade`` (a :class:`repro.chaos.Degradation`) routes every
-        engine through the live fault-injection paths for this run.
+        ``degrade`` (a :class:`repro.chaos.Degradation`) is this run's
+        analog degradation, passed to every engine call.
 
         Concurrent sessions over one compiled model should pass their
         own ``rng`` per run when the bit line is noisy — the compiled

@@ -19,7 +19,7 @@ models through an :class:`~repro.runtime.cache.EngineCache`.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,14 +78,69 @@ class ProgrammedLinear:
         weight = np.asarray(weight, dtype=np.float64)
         if weight.ndim != 2:
             raise ValueError(f"weight must be 2-D (out, in), got {weight.shape}")
+        w_spec = QuantSpec(bits=config.weight_bits, signed=True, per_channel_axis=0)
+        self._adopt(config, activation_bits, signed_inputs, *quantize(weight, w_spec))
+        self.engine = CimTiledMatmul(self.w_codes.T, self.run_config)
+        self.backend_request = backend
+        if backend == AUTO_BACKEND:
+            if TiledBitSerialKernel.supported(self.run_config):
+                self._kernel, self.tune_report = tune_kernel(
+                    self.engine, probe_n=int(tune_probe_n)
+                )
+                self.tuned = True
+        else:
+            cls = get_backend(DEFAULT_BACKEND if backend is None else backend)
+            if cls.supported(self.run_config):
+                self._kernel = cls(self.engine)
+
+    @classmethod
+    def from_state(
+        cls,
+        config: MacroConfig,
+        activation_bits: int,
+        signed_inputs: bool,
+        w_codes: np.ndarray,
+        w_scale: np.ndarray,
+        packed_planes: Sequence[np.ndarray] = (),
+        *,
+        backend_request: Optional[str] = None,
+        backend: Optional[str] = None,
+        tuned: bool = False,
+    ) -> "ProgrammedLinear":
+        """The engine over *trusted* programmed state (a snapshot
+        restore): int64 ``(out, in)`` codes and per-channel scales are
+        adopted as they are, and ``packed_planes`` (the kernel's
+        :meth:`~TiledBitSerialKernel.packed_planes`) rebuild the fast
+        kernel without deriving a bit plane.  ``backend`` / ``tuned``
+        re-adopt a recorded winner without re-benchmarking; one this
+        process cannot build degrades to the default kernel (execution
+        is bitwise identical either way).
+        """
+        linear = cls.__new__(cls)
+        linear._adopt(config, activation_bits, signed_inputs, w_codes, w_scale)
+        linear.engine = CimTiledMatmul.from_state(w_codes.T, linear.run_config)
+        linear.backend_request = backend_request
+        if TiledBitSerialKernel.supported(linear.run_config):
+            # No planes (never the writer's behaviour) still restores
+            # correctly, just colder.
+            kernel = TiledBitSerialKernel(linear.engine, packed_planes or None)
+            try:
+                winner = get_backend(backend or DEFAULT_BACKEND)
+            except KeyError:
+                winner = TiledBitSerialKernel
+            if winner.supported(linear.run_config):
+                kernel = winner.adopt(kernel)
+            linear._kernel = kernel
+            linear.tuned = bool(tuned) and type(kernel).backend_name == backend
+        return linear
+
+    def _adopt(self, config, activation_bits, signed_inputs, w_codes, w_scale) -> None:
+        """Bind programmed state and derive the run configuration."""
         self.config = config
         self.activation_bits = int(activation_bits)
         self.signed_inputs = bool(signed_inputs)
-        self.out_features, self.in_features = weight.shape
-
-        w_spec = QuantSpec(bits=config.weight_bits, signed=True, per_channel_axis=0)
-        self.w_codes, self.w_scale = quantize(weight, w_spec)
-
+        self.out_features, self.in_features = w_codes.shape
+        self.w_codes, self.w_scale = w_codes, w_scale
         # Snapshot the bit-line model — the only mutable piece of the
         # config (CellSpec and AdcSpec are frozen) — so later in-place
         # mutation of the caller's bit line cannot desynchronize the
@@ -98,53 +153,46 @@ class ProgrammedLinear:
             signed_inputs=self.signed_inputs,
             bitline=bitline,
         )
-        self.engine = CimTiledMatmul(self.w_codes.T, self.run_config)
         #: What the caller asked for (``None`` / ``"auto"`` / a name) —
         #: part of the engine's cache identity, and distinct from the
-        #: resolved ``kernel_backend`` below.
-        self.backend_request: Optional[str] = backend
-        #: Name of the kernel backend executing this engine (``None``
-        #: when the configuration forces the reference macro path).
-        self.kernel_backend: Optional[str] = None
+        #: resolved :attr:`kernel_backend`.
+        self.backend_request: Optional[str] = None
+        self._kernel = None
         #: True when the backend was chosen by the compile-time
         #: autotuner rather than pinned by the caller.
         self.tuned: bool = False
-        #: The autotuner's :class:`TuneReport` when ``tuned`` is True.
+        #: The autotuner's :class:`TuneReport` when it ran in this process.
         self.tune_report: Optional[TuneReport] = None
-        self._kernel = None
-        if backend == AUTO_BACKEND:
-            if TiledBitSerialKernel.supported(self.run_config):
-                self._kernel, self.tune_report = tune_kernel(
-                    self.engine, probe_n=int(tune_probe_n)
-                )
-                self.kernel_backend = self.tune_report.winner
-                self.tuned = True
-        else:
-            cls = (
-                TiledBitSerialKernel
-                if backend is None
-                else get_backend(backend)
-            )
-            if cls.supported(self.run_config):
-                self._kernel = cls(self.engine)
-                self.kernel_backend = (
-                    DEFAULT_BACKEND if backend is None else backend
-                )
 
     @property
     def n_subarrays(self) -> int:
         return self.engine.n_subarrays
+
+    @property
+    def kernel_backend(self) -> Optional[str]:
+        """Name of the kernel backend executing this engine (``None``
+        when the configuration forces the reference macro path)."""
+        return None if self._kernel is None else type(self._kernel).backend_name
 
     def execute(
         self,
         x: np.ndarray,
         rng: Optional[np.random.Generator] = None,
         encoding: Optional[ActivationEncoding] = None,
+        *,
+        degrade: Any = None,
     ) -> Tuple[np.ndarray, MacroStats]:
         """Run a float batch ``(N, in_features)`` through the tiles.
 
         Bitwise identical to the seed per-call functional path for the
         same inputs, configuration and RNG.
+
+        ``degrade`` (duck-typed: :class:`repro.chaos.Degradation`) is
+        this call's analog degradation.  Unless it ``is_noop``, the call
+        takes the reference macro path (the exact LUT kernel is
+        noise-free by construction) over a per-call view of the tiles
+        bound to ``degrade.apply(run_config)`` — a *copy*; the engine,
+        shared with concurrent runs through the cache, is never touched.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_features:
@@ -159,13 +207,15 @@ class ProgrammedLinear:
             )
         act_spec = QuantSpec(bits=self.activation_bits, signed=self.signed_inputs)
         x_codes, x_scale = quantize(x, act_spec)
-        if encoding is None and self._kernel is not None:
+        degraded = degrade is not None and not degrade.is_noop
+        if self._kernel is not None and encoding is None and not degraded:
             y_codes, stats = self._kernel.matmul(x_codes.T)
         else:
             rng = rng if rng is not None else np.random.default_rng()
-            y_codes, stats = self.engine.matmul(
-                x_codes.T, encoding=encoding, rng=rng
-            )
+            tiled = self.engine
+            if degraded:
+                tiled = tiled.with_config(degrade.apply(self.run_config))
+            y_codes, stats = tiled.matmul(x_codes.T, encoding=encoding, rng=rng)
         scale = float(x_scale) * self.w_scale.reshape(-1, 1)
         return (y_codes * scale).T, stats
 
@@ -208,21 +258,38 @@ class ProgrammedConv:
         weight = np.asarray(weight, dtype=np.float64)
         if weight.ndim != 4:
             raise ValueError(f"weight must be 4-D (O, C, kh, kw), got {weight.shape}")
-        self.out_channels, self.in_channels, self.kh, self.kw = weight.shape
-        self.stride = int(stride)
-        self.padding = int(padding)
         # Convolutions execute im2col patch batches — hundreds to
         # thousands of vectors per call — so the tuning probe defaults
         # wide; a batch-1 probe would crown a kernel tuned for the
         # wrong regime.
-        self.linear = ProgrammedLinear(
-            weight.reshape(self.out_channels, -1),
+        linear = ProgrammedLinear(
+            weight.reshape(weight.shape[0], -1),
             config,
             activation_bits,
             signed_inputs,
             backend=backend,
             tune_probe_n=tune_probe_n,
         )
+        self._bind(linear, weight.shape, stride, padding)
+
+    @classmethod
+    def from_state(
+        cls,
+        linear: ProgrammedLinear,
+        weight_shape: Tuple[int, int, int, int],
+        stride: int,
+        padding: int,
+    ) -> "ProgrammedConv":
+        """The convolution over an already-programmed im2col engine."""
+        conv = cls.__new__(cls)
+        conv._bind(linear, weight_shape, stride, padding)
+        return conv
+
+    def _bind(self, linear, weight_shape, stride, padding) -> None:
+        self.out_channels, self.in_channels, self.kh, self.kw = weight_shape
+        self.stride = int(stride)
+        self.padding = int(padding)
+        self.linear = linear
 
     @property
     def n_subarrays(self) -> int:
@@ -253,6 +320,8 @@ class ProgrammedConv:
         x: np.ndarray,
         rng: Optional[np.random.Generator] = None,
         encoding: Optional[ActivationEncoding] = None,
+        *,
+        degrade: Any = None,
     ) -> Tuple[np.ndarray, MacroStats]:
         """Run a float batch ``(N, C, H, W)`` through the tiles."""
         x = np.asarray(x, dtype=np.float64)
@@ -260,7 +329,7 @@ class ProgrammedConv:
             x, self.weight_shape, self.stride, self.padding
         )
         return self.execute_patches(
-            patches, x.shape[0], out_hw, rng=rng, encoding=encoding
+            patches, x.shape[0], out_hw, rng=rng, encoding=encoding, degrade=degrade
         )
 
     def execute_patches(
@@ -270,10 +339,14 @@ class ProgrammedConv:
         out_hw: Tuple[int, int],
         rng: Optional[np.random.Generator] = None,
         encoding: Optional[ActivationEncoding] = None,
+        *,
+        degrade: Any = None,
     ) -> Tuple[np.ndarray, MacroStats]:
         """Run precomputed :func:`conv_patches` through the tiles."""
         out_h, out_w = out_hw
-        flat, stats = self.linear.execute(patches, rng=rng, encoding=encoding)
+        flat, stats = self.linear.execute(
+            patches, rng=rng, encoding=encoding, degrade=degrade
+        )
         out = flat.reshape(n_samples, out_h * out_w, self.out_channels).transpose(
             0, 2, 1
         )
@@ -289,6 +362,8 @@ def grouped_conv_execute(
     engine_for,
     rng: Optional[np.random.Generator] = None,
     encoding: Optional[ActivationEncoding] = None,
+    *,
+    degrade: Any = None,
 ) -> Tuple[np.ndarray, MacroStats]:
     """Exact grouped-convolution lowering over per-group conv engines.
 
@@ -318,7 +393,7 @@ def grouped_conv_execute(
         signed = bool(patches.size and (patches < 0).any())
         engine = engine_for(g, signed)
         out, stats = engine.execute_patches(
-            patches, x.shape[0], out_hw, rng=rng, encoding=encoding
+            patches, x.shape[0], out_hw, rng=rng, encoding=encoding, degrade=degrade
         )
         total = total + stats
         outs.append(out)
@@ -384,6 +459,25 @@ def conv_engine_key(
         )
         + _backend_key_suffix(backend),
     )
+
+
+def engine_cache_key(engine, layer_id: str, fingerprint: str) -> EngineKey:
+    """The cache key a programmed engine lives under, from its own state."""
+    linear = engine.linear if isinstance(engine, ProgrammedConv) else engine
+    # The backend *request* (None / "auto" / a pinned name) is the cache
+    # identity, not the resolved winner — a runtime asking for "auto"
+    # must hit the snapshot-seeded entry that was compiled with "auto".
+    identity = (
+        linear.config,
+        linear.activation_bits,
+        linear.signed_inputs,
+        layer_id,
+        fingerprint,
+        linear.backend_request,
+    )
+    if linear is engine:
+        return linear_engine_key(None, *identity)
+    return conv_engine_key(None, engine.stride, engine.padding, *identity)
 
 
 def linear_engine(

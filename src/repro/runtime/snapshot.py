@@ -10,7 +10,8 @@ identical** to the freshly compiled one — including under bit-line
 noise, because the restored engines hold the exact programmed state
 (same tiles, same order, same RNG draw sequence).
 
-Artifact contents (one ``.npz`` container per artifact):
+Artifact contents (one ``.rcma`` container per artifact — a JSON
+header plus an mmap-able array section, see :class:`ArtifactStore`):
 
 * the deployable module tree (architecture spec + float64 parameters +
   ``requires_grad`` flags — placement-relevant, so preserved exactly);
@@ -45,14 +46,25 @@ faster than cold compilation.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import os
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 import numpy as np
 
@@ -60,29 +72,23 @@ from repro import nn
 from repro.arch.chiplet import ChipletLinkSpec
 from repro.obs import trace
 from repro.obs.log import get_logger
-from repro.cim.adc import AdcSpec
-from repro.cim.bitline import BitlineModel
-from repro.cim.cells import CellSpec
 from repro.cim.encoding import (
     ActivationEncoding,
     BitSerialEncoding,
     PulseWidthEncoding,
     UnaryPulseEncoding,
 )
-from repro.cim.macro import CimMacro, MacroConfig
-from repro.cim.mvm import CimTiledMatmul, _Tile
+from repro.cim.macro import MacroConfig
 from repro.rebranch.branch import ReBranchConv2d
-from repro.runtime.cache import EngineCache, EngineKey, resolve_cache
+from repro.runtime.cache import (
+    EngineCache,
+    EngineKey,
+    resolve_cache,
+    weight_fingerprint,
+)
 from repro.runtime.compiled import CompiledModel, RuntimeConfig
 from repro.runtime.compiled import compile as _compile
-from repro.runtime.engine import (
-    ProgrammedConv,
-    ProgrammedLinear,
-    conv_engine_key,
-    linear_engine_key,
-)
-from repro.runtime.backends import DEFAULT_BACKEND, get_backend
-from repro.runtime.backends.reference_fast import TiledBitSerialKernel, _TileGroup
+from repro.runtime.engine import ProgrammedConv, ProgrammedLinear, engine_cache_key
 from repro.runtime.sharded import ShardedModel, ShardPlan, ShardSegment
 from repro.runtime.sharded import shard as _shard
 
@@ -134,84 +140,62 @@ class SnapshotStaleError(SnapshotError):
 
 
 # ----------------------------------------------------------------------
-# Configuration (de)serialization — exact float round-trip through JSON
+# Configuration (de)serialization, derived from the dataclasses' field
+# declarations (docs/snapshots.md) — exact float round-trip through JSON
 # (json uses float.__repr__, the shortest round-tripping representation)
 # ----------------------------------------------------------------------
-def _cell_to_meta(cell: CellSpec) -> Dict[str, Any]:
-    return {
-        "name": cell.name,
-        "transistors": int(cell.transistors),
-        "area_um2": float(cell.area_um2),
-        "volatile": bool(cell.volatile),
-        "computes": bool(cell.computes),
-        "read_energy_fj": float(cell.read_energy_fj),
-        "standby_leakage_pw": float(cell.standby_leakage_pw),
-    }
+def to_meta(obj: Any) -> Dict[str, Any]:
+    """The JSON form of a stored dataclass instance: every
+    ``dataclasses.fields`` name, in declaration order, each value
+    coerced by the field's declared type."""
+    return {name: encode(getattr(obj, name)) for name, encode, _ in _codec(type(obj))}
 
 
-def _cell_from_meta(meta: Dict[str, Any]) -> CellSpec:
-    return CellSpec(**meta)
+def from_meta(cls: type, meta: Dict[str, Any]) -> Any:
+    """Inverse of :func:`to_meta`; a key the meta lacks (an artifact
+    written before the field existed) takes the field's default."""
+    return cls(
+        **{name: decode(meta[name]) for name, _, decode in _codec(cls) if name in meta}
+    )
 
 
-def _adc_to_meta(adc: AdcSpec) -> Dict[str, Any]:
-    return {
-        "bits": int(adc.bits),
-        "energy_fj": float(adc.energy_fj),
-        "conversion_time_ns": float(adc.conversion_time_ns),
-        "area_um2": float(adc.area_um2),
-    }
+@functools.lru_cache(maxsize=None)
+def _codec(cls: type) -> Tuple[Tuple[str, Callable, Callable], ...]:
+    hints = get_type_hints(cls)
+    return tuple(
+        (field.name,) + _coders(hints[field.name]) for field in dataclasses.fields(cls)
+    )
 
 
-def _bitline_to_meta(bitline: Optional[BitlineModel]) -> Optional[Dict[str, Any]]:
-    if bitline is None:
-        return None
-    return {
-        "max_rows": int(bitline.max_rows),
-        "v_precharge": float(bitline.v_precharge),
-        "noise_sigma_counts": float(bitline.noise_sigma_counts),
-        "saturation": None if bitline.saturation is None else float(bitline.saturation),
-    }
+def _coders(tp: Any) -> Tuple[Callable, Callable]:
+    """``(encode, decode)`` for one declared field type: a JSON scalar,
+    a nested dataclass, ``Optional[X]`` or ``Tuple[X, ...]`` of those."""
+    if tp in (int, float, bool, str):
+        return tp, tp
+    if tp is ActivationEncoding:
+        return _encoding_to_meta, _encoding_from_meta
+    if dataclasses.is_dataclass(tp):
+        return to_meta, functools.partial(from_meta, tp)
+    args = [arg for arg in get_args(tp) if arg not in (type(None), Ellipsis)]
+    if len(args) != 1:
+        raise TypeError(f"no artifact codec for a field declared {tp!r}")
+    encode, decode = _coders(args[0])
+    if get_origin(tp) is tuple:
+        return (
+            lambda value: [encode(item) for item in value],
+            lambda meta: tuple(decode(item) for item in meta),
+        )
+    return (
+        lambda value: None if value is None else encode(value),
+        lambda meta: None if meta is None else decode(meta),
+    )
 
 
-def _bitline_from_meta(meta: Optional[Dict[str, Any]]) -> Optional[BitlineModel]:
-    return None if meta is None else BitlineModel(**meta)
-
-
-def _macro_config_to_meta(config: MacroConfig) -> Dict[str, Any]:
-    return {
-        "rows": int(config.rows),
-        "phys_columns": int(config.phys_columns),
-        "n_adcs": int(config.n_adcs),
-        "adc": _adc_to_meta(config.adc),
-        "cell": _cell_to_meta(config.cell),
-        "weight_bits": int(config.weight_bits),
-        "input_bits": int(config.input_bits),
-        "signed_weights": bool(config.signed_weights),
-        "signed_inputs": bool(config.signed_inputs),
-        "cycle_time_ns": float(config.cycle_time_ns),
-        "wl_energy_fj": float(config.wl_energy_fj),
-        "peripheral_energy_fj_per_cycle": float(
-            config.peripheral_energy_fj_per_cycle
-        ),
-        "bitline": _bitline_to_meta(config.bitline),
-    }
-
-
-def _macro_config_from_meta(meta: Dict[str, Any]) -> MacroConfig:
-    fields = dict(meta)
-    fields["adc"] = AdcSpec(**fields["adc"])
-    fields["cell"] = _cell_from_meta(fields["cell"])
-    fields["bitline"] = _bitline_from_meta(fields["bitline"])
-    return MacroConfig(**fields)
-
-
-def _encoding_to_meta(encoding: Optional[ActivationEncoding]) -> Optional[Dict[str, Any]]:
+def _encoding_to_meta(encoding: ActivationEncoding) -> Dict[str, Any]:
     # Exact class matches only: a behaviour-overriding *subclass* of a
     # built-in encoding must not serialize (and content-address) as its
     # base class — a warm start would silently restore the wrong
     # arithmetic.
-    if encoding is None:
-        return None
     if type(encoding) is PulseWidthEncoding:
         return {
             "type": "pulse-width",
@@ -227,9 +211,7 @@ def _encoding_to_meta(encoding: Optional[ActivationEncoding]) -> Optional[Dict[s
     )
 
 
-def _encoding_from_meta(meta: Optional[Dict[str, Any]]) -> Optional[ActivationEncoding]:
-    if meta is None:
-        return None
+def _encoding_from_meta(meta: Dict[str, Any]) -> ActivationEncoding:
     kind = meta["type"]
     if kind == "pulse-width":
         return PulseWidthEncoding(jitter_sigma_slots=meta["jitter_sigma_slots"])
@@ -238,56 +220,6 @@ def _encoding_from_meta(meta: Optional[Dict[str, Any]]) -> Optional[ActivationEn
     if kind == "bit-serial":
         return BitSerialEncoding()
     raise SnapshotVersionError(f"unknown activation encoding kind {kind!r}")
-
-
-def _runtime_config_to_meta(config: RuntimeConfig) -> Dict[str, Any]:
-    return {
-        "rom_config": (
-            None if config.rom_config is None else _macro_config_to_meta(config.rom_config)
-        ),
-        "sram_config": (
-            None
-            if config.sram_config is None
-            else _macro_config_to_meta(config.sram_config)
-        ),
-        "activation_bits": int(config.activation_bits),
-        "encoding": _encoding_to_meta(config.encoding),
-        "fold_bn": bool(config.fold_bn),
-        "assume_signed_input": bool(config.assume_signed_input),
-        "backend": config.backend,
-        "tune_probe_n": int(config.tune_probe_n),
-    }
-
-
-def _runtime_config_from_meta(meta: Dict[str, Any]) -> RuntimeConfig:
-    return RuntimeConfig(
-        rom_config=(
-            None if meta["rom_config"] is None else _macro_config_from_meta(meta["rom_config"])
-        ),
-        sram_config=(
-            None
-            if meta["sram_config"] is None
-            else _macro_config_from_meta(meta["sram_config"])
-        ),
-        activation_bits=meta["activation_bits"],
-        encoding=_encoding_from_meta(meta["encoding"]),
-        fold_bn=meta["fold_bn"],
-        assume_signed_input=meta["assume_signed_input"],
-        backend=meta.get("backend"),
-        tune_probe_n=int(meta.get("tune_probe_n", 1)),
-    )
-
-
-def _link_to_meta(link: ChipletLinkSpec) -> Dict[str, Any]:
-    return {
-        "energy_pj_per_bit": float(link.energy_pj_per_bit),
-        "bandwidth_gbps_per_pin": float(link.bandwidth_gbps_per_pin),
-        "pins_per_link": int(link.pins_per_link),
-    }
-
-
-def _link_from_meta(meta: Dict[str, Any]) -> ChipletLinkSpec:
-    return ChipletLinkSpec(**meta)
 
 
 # ----------------------------------------------------------------------
@@ -588,65 +520,24 @@ def _codes_dtype(weight_bits: int):
     return np.int32
 
 
-def _plane_weights_for(bits: int, signed: bool) -> np.ndarray:
-    weights = np.array([float(1 << k) for k in range(bits)])
-    if signed:
-        weights[bits - 1] = -float(1 << (bits - 1))
-    return weights
-
-
-_POPCOUNT_8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
-
-
-def _stored_bits_matrix(codes: np.ndarray, weight_bits: int) -> np.ndarray:
-    """Per-element count of stored '1' bits, two's-complement
-    reinterpreted over ``weight_bits`` exactly like ``_bit_planes``.
-
-    Summing a tile's slice of this matrix over its columns reproduces
-    the programmed ``weight_planes.sum(axis=(0, 2))`` row totals.
-    """
-    unsigned = codes & ((1 << weight_bits) - 1)
-    if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-        return np.bitwise_count(unsigned)
-    counts = _POPCOUNT_8[unsigned & 0xFF]
-    for shift in range(8, weight_bits, 8):
-        counts = counts + _POPCOUNT_8[(unsigned >> shift) & 0xFF]
-    return counts
-
-
-def _tile_grid(shape: Tuple[int, int], config: MacroConfig) -> List[Tuple[int, int, int, int]]:
-    """The deterministic tile bounds :class:`CimTiledMatmul` lays out."""
-    rows, cols = shape
-    bounds = []
-    for r0 in range(0, rows, config.rows):
-        r1 = min(r0 + config.rows, rows)
-        for c0 in range(0, cols, config.logical_columns):
-            c1 = min(c0 + config.logical_columns, cols)
-            bounds.append((r0, r1, c0, c1))
-    return bounds
-
-
-def _linear_of(engine) -> ProgrammedLinear:
-    return engine.linear if isinstance(engine, ProgrammedConv) else engine
-
-
 def serialize_engine(engine, tag: str, arrays: Dict[str, np.ndarray]) -> Dict[str, Any]:
     """Capture one programmed engine's state into ``arrays`` + meta.
 
     Stores the quantized weight codes, per-channel scales, programming
     config, and — when the fast noise-free kernel is programmed — each
-    tile group's float32 weight planes bit-packed (64x smaller than the
-    float64 planes; exact, since plane values are 0/1).
+    tile group's weight planes bit-packed (exact, since plane values
+    are 0/1).
     """
-    linear = _linear_of(engine)
+    is_conv = isinstance(engine, ProgrammedConv)
+    linear = engine.linear if is_conv else engine
     meta: Dict[str, Any] = {
         "tag": tag,
-        "kind": "conv" if isinstance(engine, ProgrammedConv) else "linear",
+        "kind": "conv" if is_conv else "linear",
         "signed_inputs": bool(linear.signed_inputs),
         "activation_bits": int(linear.activation_bits),
-        "config": _macro_config_to_meta(linear.config),
+        "config": to_meta(linear.config),
     }
-    if isinstance(engine, ProgrammedConv):
+    if is_conv:
         meta["stride"] = int(engine.stride)
         meta["padding"] = int(engine.padding)
         meta["weight_shape"] = list(engine.weight_shape)
@@ -654,217 +545,53 @@ def serialize_engine(engine, tag: str, arrays: Dict[str, np.ndarray]) -> Dict[st
         _codes_dtype(linear.config.weight_bits)
     )
     arrays[f"{tag}_scale"] = np.asarray(linear.w_scale, dtype=np.float64)
-    kernel = linear._kernel
-    meta["kernel_groups"] = 0 if kernel is None else len(kernel._groups)
+    planes = [] if linear._kernel is None else linear._kernel.packed_planes()
+    meta["kernel_groups"] = len(planes)
     # Kernel-backend provenance (format v3): the resolved winner, the
     # caller's request (part of the engine's cache identity), and
     # whether the winner came from the autotuner — a warm start rebuilds
     # the tuned kernel from these without re-benchmarking anything.
-    meta["backend"] = None if kernel is None else type(kernel).backend_name
-    meta["backend_request"] = getattr(linear, "backend_request", None)
-    meta["tuned"] = bool(getattr(linear, "tuned", False))
-    if kernel is not None:
-        for g, group in enumerate(kernel._groups):
-            arrays[f"{tag}_g{g}"] = np.packbits(group.planes32.astype(np.uint8))
+    meta["backend"] = linear.kernel_backend
+    meta["backend_request"] = linear.backend_request
+    meta["tuned"] = bool(linear.tuned)
+    for g, packed in enumerate(planes):
+        arrays[f"{tag}_g{g}"] = packed
     return meta
 
 
-def _restore_tiled(codes_t: np.ndarray, run_config: MacroConfig) -> CimTiledMatmul:
-    """Rebuild the tiled engine from integer codes without re-deriving
-    bit planes (restored macros compute them lazily on first reference
-    use — e.g. under bit-line noise — and bitwise identically)."""
-    engine = CimTiledMatmul.__new__(CimTiledMatmul)
-    engine.config = run_config
-    engine.shape = codes_t.shape
-    tiles: List[_Tile] = []
-    plane_weights = _plane_weights_for(run_config.weight_bits, run_config.signed_weights)
-    # One construction-time generator shared by every tile, exactly like
-    # CimTiledMatmul.__init__; the runtime always passes an execution
-    # rng, so this is only a fallback for direct macro use.
-    rng = np.random.default_rng()
-    for r0, r1, c0, c1 in _tile_grid(codes_t.shape, run_config):
-        macro = CimMacro.__new__(CimMacro)
-        macro.config = run_config
-        macro._rng = rng
-        macro._programmed = True
-        macro.rows_used = r1 - r0
-        macro.cols_used = c1 - c0
-        macro.weights = codes_t[r0:r1, c0:c1]
-        macro._plane_weights = plane_weights
-        tiles.append(_Tile(macro, r0, r1, c0, c1))
-    engine.tiles = tiles
-    return engine
-
-
-def _restore_kernel(
-    engine: CimTiledMatmul, tag: str, n_groups: int, arrays, bits_t: np.ndarray
-) -> TiledBitSerialKernel:
-    """Rebuild the fused kernel from bit-packed planes (no recompute).
-
-    ``bits_t`` is the per-element stored-bit count matrix in the
-    engine's ``(rows, cols)`` orientation, computed once per engine.
-    """
-    config = engine.config
-    wb = config.weight_bits
-    grouped: Dict[Tuple[int, int], List[_Tile]] = {}
-    for tile in engine.tiles:
-        grouped.setdefault((tile.row_start, tile.row_stop), []).append(tile)
-    if len(grouped) != n_groups:
-        raise SnapshotCorruptError(
-            f"artifact records {n_groups} kernel groups but the tile grid "
-            f"produces {len(grouped)}"
-        )
-    groups: List[_TileGroup] = []
-    for g, ((row_start, row_stop), tiles) in enumerate(grouped.items()):
-        rows = row_stop - row_start
-        widths = [wb * tile.macro.cols_used for tile in tiles]
-        total = sum(widths)
-        packed = arrays[f"{tag}_g{g}"]
-        if packed.size * 8 < total * rows:
-            raise SnapshotCorruptError(
-                f"kernel group {g} of {tag!r} holds {packed.size * 8} plane "
-                f"bits, expected {total * rows}"
-            )
-        planes = np.unpackbits(packed, count=total * rows)
-        group = _TileGroup.__new__(_TileGroup)
-        group.row_start = row_start
-        group.row_stop = row_stop
-        group.tiles = tiles
-        group.planes32 = planes.reshape(total, rows).astype(np.float32)
-        group.offsets = np.cumsum([0] + widths)
-        domain = np.arange(rows + 1, dtype=np.float64)
-        observed = config.bitline.observe(domain, None)
-        group.lut = config.adc.quantize_counts(observed, float(rows))
-        group.lut_is_identity = bool(np.array_equal(group.lut, domain))
-        # Per-row ON-cell totals: exact integers whichever order they are
-        # summed in, so this popcount over the codes equals the
-        # programmed float64 plane reduction bitwise.
-        group.plane_row_sums = [
-            bits_t[tile.row_start : tile.row_stop, tile.col_start : tile.col_stop].sum(
-                axis=1, dtype=np.float64
-            )
-            for tile in tiles
-        ]
-        groups.append(group)
-    kernel = TiledBitSerialKernel.__new__(TiledBitSerialKernel)
-    kernel.engine = engine
-    kernel._groups = groups
-    kernel._path_cache = {}
-    kernel._fused_cache = {}
-    return kernel
-
-
 def restore_engine(meta: Dict[str, Any], arrays):
-    """Inverse of :func:`serialize_engine` — a bitwise-equal engine."""
-    config = _macro_config_from_meta(meta["config"])
-    activation_bits = meta["activation_bits"]
-    signed_inputs = meta["signed_inputs"]
-    codes = np.asarray(arrays[f"{meta['tag']}_codes"], dtype=np.int64)
-
-    linear = ProgrammedLinear.__new__(ProgrammedLinear)
-    linear.config = config
-    linear.activation_bits = int(activation_bits)
-    linear.signed_inputs = bool(signed_inputs)
-    linear.out_features, linear.in_features = codes.shape
-    linear.w_codes = codes
-    # Force a copy off the container mapping: engines must be fully
-    # materialized (the codes copy above and the unpacked planes already
-    # are), so a live engine never keeps pages of the artifact file
-    # mapped — overwriting an engine artifact cannot crash a server
-    # that restored from it.
-    linear.w_scale = np.array(arrays[f"{meta['tag']}_scale"], dtype=np.float64)
-    # The exact run-config derivation ProgrammedLinear.__init__ performs.
-    bitline = replace(config.bitline) if config.bitline is not None else None
-    linear.run_config = replace(
-        config,
-        input_bits=linear.activation_bits,
-        signed_weights=True,
-        signed_inputs=linear.signed_inputs,
-        bitline=bitline,
-    )
-    linear.engine = _restore_tiled(codes.T, linear.run_config)
+    """Inverse of :func:`serialize_engine` — a bitwise-equal engine,
+    built by the engines' own trusted state constructors."""
+    tag = meta["tag"]
     n_groups = meta["kernel_groups"]
-    supported = TiledBitSerialKernel.supported(linear.run_config)
-    if n_groups and not supported:
+    try:
+        linear = ProgrammedLinear.from_state(
+            from_meta(MacroConfig, meta["config"]),
+            meta["activation_bits"],
+            meta["signed_inputs"],
+            # Copied off the container mapping (as unpacked planes are):
+            # a live engine keeps no page of the artifact file mapped, so
+            # overwriting an artifact cannot crash a server restored from it.
+            np.asarray(arrays[f"{tag}_codes"], dtype=np.int64),
+            np.array(arrays[f"{tag}_scale"], dtype=np.float64),
+            [arrays[f"{tag}_g{g}"] for g in range(n_groups)],
+            backend_request=meta.get("backend_request"),
+            backend=meta.get("backend"),
+            tuned=meta.get("tuned", False),
+        )
+    except ValueError as error:  # kernel-group count, plane-bit count
+        raise SnapshotCorruptError(
+            f"artifact engine {tag!r} is inconsistent: {error}"
+        ) from error
+    if n_groups and linear.kernel_backend is None:
         raise SnapshotCorruptError(
             "artifact stores fused-kernel planes for a configuration the "
             "fast kernel does not support"
         )
-    linear._kernel = (
-        _restore_kernel(
-            linear.engine,
-            meta["tag"],
-            n_groups,
-            arrays,
-            _stored_bits_matrix(codes, linear.run_config.weight_bits).T,
-        )
-        if n_groups
-        else None
-    )
-    if supported and not n_groups:
-        # A noise-free engine saved without kernel planes (never the
-        # writer's behaviour) still restores correctly, just colder.
-        linear._kernel = TiledBitSerialKernel(linear.engine)
-
-    # Re-adopt the recorded backend winner (format v3).  The restored
-    # reference kernel's tile groups are shared, so adoption only
-    # re-derives the winner's own layout (e.g. packed popcount words) —
-    # never a re-benchmark.  A winner this process cannot build (say,
-    # popcount without np.bitwise_count) degrades to the reference
-    # kernel; serving stays bitwise identical either way.
-    backend = meta.get("backend") or DEFAULT_BACKEND
-    tuned = bool(meta.get("tuned", False))
-    if linear._kernel is not None and backend != DEFAULT_BACKEND:
-        try:
-            cls = get_backend(backend)
-        except KeyError:
-            cls = None
-        if cls is not None and cls.supported(linear.run_config):
-            linear._kernel = cls.adopt(linear._kernel)
-        else:
-            backend, tuned = DEFAULT_BACKEND, False
-    linear.backend_request = meta.get("backend_request")
-    linear.kernel_backend = backend if linear._kernel is not None else None
-    linear.tuned = tuned if linear._kernel is not None else False
-    linear.tune_report = None
-
     if meta["kind"] == "linear":
         return linear
-    conv = ProgrammedConv.__new__(ProgrammedConv)
-    shape = tuple(meta["weight_shape"])
-    conv.out_channels, conv.in_channels, conv.kh, conv.kw = shape
-    conv.stride = int(meta["stride"])
-    conv.padding = int(meta["padding"])
-    conv.linear = linear
-    return conv
-
-
-def _engine_cache_key(meta: Dict[str, Any], layer_id: str, fingerprint: str) -> EngineKey:
-    config = _macro_config_from_meta(meta["config"])
-    # The *request* (None / "auto" / a pinned name) is the cache
-    # identity, not the resolved winner — a runtime asking for "auto"
-    # must hit the snapshot-seeded entry that was compiled with "auto".
-    backend = meta.get("backend_request")
-    if meta["kind"] == "conv":
-        return conv_engine_key(
-            None,
-            meta["stride"],
-            meta["padding"],
-            config,
-            meta["activation_bits"],
-            meta["signed_inputs"],
-            layer_id,
-            fingerprint,
-            backend=backend,
-        )
-    return linear_engine_key(
-        None,
-        config,
-        meta["activation_bits"],
-        meta["signed_inputs"],
-        layer_id,
-        fingerprint,
-        backend=backend,
+    return ProgrammedConv.from_state(
+        linear, tuple(meta["weight_shape"]), meta["stride"], meta["padding"]
     )
 
 
@@ -933,10 +660,10 @@ def artifact_key(
     digest = hashlib.sha256()
     digest.update(f"{FORMAT}:{VERSION}".encode())
     _hash_spec(digest, spec, writer.arrays)
-    digest.update(json.dumps(_runtime_config_to_meta(config), sort_keys=True).encode())
+    digest.update(json.dumps(to_meta(config), sort_keys=True).encode())
     shard_meta = {
         "shards": None if shards is None else int(shards),
-        "link": None if link is None else _link_to_meta(link),
+        "link": None if link is None else to_meta(link),
         "input_shape": None if input_shape is None else list(input_shape),
     }
     digest.update(json.dumps(shard_meta, sort_keys=True).encode())
@@ -1237,8 +964,6 @@ def save(
     spec = writer.spec(base.model)
     arrays = writer.arrays
 
-    from repro.runtime.cache import weight_fingerprint
-
     engines_meta: List[Dict[str, Any]] = []
     fingerprints: Dict[str, str] = {}
     for slot in base._slots:
@@ -1261,7 +986,7 @@ def save(
     meta: Dict[str, Any] = {
         "payload": "model",
         "created_at": float(created_at) if created_at is not None else time.time(),
-        "runtime_config": _runtime_config_to_meta(base.config),
+        "runtime_config": to_meta(base.config),
         "module_tree": spec,
         "fingerprints": fingerprints,
         "engines": engines_meta,
@@ -1272,24 +997,11 @@ def save(
         # silently execute a different graph than the one saved.
         "plan": base.plan_spec(),
     }
-    if sharded is not None:
-        meta["shards"] = {
-            "n_shards": sharded.plan.n_shards,
-            "link": _link_to_meta(sharded.link),
-            "segments": [
-                {
-                    "index": seg.index,
-                    "step_indices": list(seg.step_indices),
-                    "layer_ids": list(seg.layer_ids),
-                    "weight_bits": float(seg.weight_bits),
-                    "macs": float(seg.macs),
-                    "cost": float(seg.cost),
-                }
-                for seg in sharded.plan.segments
-            ],
-        }
-    else:
-        meta["shards"] = None
+    meta["shards"] = None if sharded is None else {
+        "n_shards": sharded.plan.n_shards,
+        "link": to_meta(sharded.link),
+        "segments": [to_meta(segment) for segment in sharded.plan.segments],
+    }
 
     if key is None:
         key = artifact_key(
@@ -1362,7 +1074,7 @@ def _load_impl(
         raise SnapshotCorruptError(f"artifact {key!r} is not a model artifact")
     try:
         model = _restore_module(meta["module_tree"], arrays)
-        config = _runtime_config_from_meta(meta["runtime_config"])
+        config = from_meta(RuntimeConfig, meta["runtime_config"])
         engines = [
             (entry, restore_engine(entry, arrays)) for entry in meta["engines"]
         ]
@@ -1390,7 +1102,7 @@ def _load_impl(
                 f"artifact {key!r} holds an engine for unknown layer "
                 f"{layer_id!r}"
             )
-        engine_key = _engine_cache_key(entry, layer_id, fingerprint)
+        engine_key = engine_cache_key(engine, layer_id, fingerprint)
         staging.put(engine_key, engine)
         staged.append((engine_key, engine))
         seeded[id(engine)] = layer_id
@@ -1443,18 +1155,10 @@ def _load_impl(
         return compiled
     try:
         segments = tuple(
-            ShardSegment(
-                index=seg["index"],
-                step_indices=tuple(seg["step_indices"]),
-                layer_ids=tuple(seg["layer_ids"]),
-                weight_bits=seg["weight_bits"],
-                macs=seg["macs"],
-                cost=seg["cost"],
-            )
-            for seg in shard_meta["segments"]
+            from_meta(ShardSegment, segment) for segment in shard_meta["segments"]
         )
         plan = ShardPlan(n_shards=shard_meta["n_shards"], segments=segments)
-        link = _link_from_meta(shard_meta["link"])
+        link = from_meta(ChipletLinkSpec, shard_meta["link"])
         n_steps = len(compiled._nodes)
         covered = sorted(i for seg in segments for i in seg.step_indices)
         if covered != list(range(n_steps)):

@@ -40,14 +40,17 @@ from repro.chaos import (
     ADC_DRIFT,
     BITLINE_NOISE,
     ChaosController,
+    Degradation,
     FaultEvent,
     FaultSchedule,
     LINK_DEGRADE,
     SHARD_DEATH,
     generate_schedule,
 )
+from repro.chaos import inject as chaos_inject
 from repro.chaos import stream as chaos_stream
 from repro.chaos.schedule import ScheduleError
+from repro.cim import BitlineModel, MacroConfig
 from repro.models import mobilenet, resnet8
 from repro.runtime import (
     ArtifactStore,
@@ -563,6 +566,103 @@ class TestDegradationWindows:
         _, second = self.run_pair(schedule)
         for got, want in zip(first.outputs, second.outputs):
             assert np.array_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# Degradation is per-run state: the shared-config race
+# ----------------------------------------------------------------------
+class TestDegradeIsPerRunState:
+    """A degraded run never leaks its drifted circuit into a concurrent
+    clean run of the same cached engine.  (Degradation used to be
+    swapped onto the engine's shared ``run_config`` under a lock clean
+    runs never took, so a clean run on the reference path read it.)"""
+
+    DEGRADE = Degradation(noise_sigma_counts=0.75, adc_offset=6.0, adc_gain=1.1)
+
+    @pytest.fixture()
+    def rig(self):
+        noisy = MacroConfig(bitline=BitlineModel(noise_sigma_counts=0.5))
+        model = nn.Sequential(nn.Linear(24, 6, rng=np.random.default_rng(0)))
+        compiled = compile_model(
+            model,
+            RuntimeConfig(rom_config=noisy, sram_config=noisy),
+            cache=EngineCache(),
+        )
+        (engine,) = compiled.programmed_engines().values()
+        assert engine._kernel is None  # noisy bit line: reference macro path
+        # Signed inputs, so runs execute the predicted (signed) engine.
+        x = np.random.default_rng(1).normal(size=(3, 24))
+        return compiled, engine, x
+
+    @staticmethod
+    def clean(engine, x):
+        return engine.execute(x, rng=np.random.default_rng(7))
+
+    def degraded(self, compiled, x):
+        return compiled.run(x, rng=np.random.default_rng(7), degrade=self.DEGRADE)
+
+    def test_clean_execute_inside_a_degraded_window_is_its_baseline(
+        self, rig, monkeypatch
+    ):
+        compiled, engine, x = rig
+        baseline_out, baseline_stats = self.clean(engine, x)
+        adc, bitline = engine.run_config.adc, engine.run_config.bitline
+        real = chaos_inject.apply_adc_errors
+        inside = []
+
+        def spy(counts, **kwargs):
+            if not inside:  # the degraded matmul's first ADC conversion
+                inside.append((engine.run_config.adc, engine.run_config.bitline))
+                inside.append(self.clean(engine, x))
+            return real(counts, **kwargs)
+
+        monkeypatch.setattr(chaos_inject, "apply_adc_errors", spy)
+        degraded_out, _ = self.degraded(compiled, x)
+        during, (out, stats) = inside
+        assert not np.array_equal(degraded_out, baseline_out)
+        assert out.tobytes() == baseline_out.tobytes()
+        assert stats == baseline_stats
+        for seen in (during, (engine.run_config.adc, engine.run_config.bitline)):
+            assert seen[0] is adc and seen[1] is bitline
+
+    def test_concurrent_clean_thread_is_its_baseline(self, rig, monkeypatch):
+        compiled, engine, x = rig
+        baseline_out, baseline_stats = self.clean(engine, x)
+        real = chaos_inject.apply_adc_errors
+        mid_matmul, clean_done = threading.Event(), threading.Event()
+        results = {}
+
+        def spy(counts, **kwargs):
+            if not mid_matmul.is_set():
+                mid_matmul.set()
+                # Hold the degraded matmul open until the clean run ends.
+                assert clean_done.wait(DEADLINE)
+            return real(counts, **kwargs)
+
+        def clean_worker():
+            assert mid_matmul.wait(DEADLINE)
+            try:
+                results["clean"] = self.clean(engine, x)
+            finally:
+                clean_done.set()
+
+        def degraded_worker():
+            results["degraded"] = self.degraded(compiled, x)
+
+        monkeypatch.setattr(chaos_inject, "apply_adc_errors", spy)
+        threads = [
+            threading.Thread(target=degraded_worker, daemon=True),
+            threading.Thread(target=clean_worker, daemon=True),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(DEADLINE)
+            assert not thread.is_alive()
+        out, stats = results["clean"]
+        assert out.tobytes() == baseline_out.tobytes()
+        assert stats == baseline_stats
+        assert not np.array_equal(results["degraded"][0], baseline_out)
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.cim import CimDeployedModel, MacroConfig, PulseWidthEncoding
+from repro.cim import MacroConfig, PulseWidthEncoding
 from repro.experiments import cim_accuracy
+from repro.runtime import RuntimeConfig, compile_model
 
 
 def tiny_chain(num_classes=4, seed=0):
@@ -20,38 +21,33 @@ def tiny_chain(num_classes=4, seed=0):
 
 
 class TestEncodingDeployment:
+    PULSE = RuntimeConfig(encoding=PulseWidthEncoding())
+
     def test_deployed_model_accepts_encoding(self):
-        model = tiny_chain()
         x = np.random.default_rng(0).random((2, 3, 16, 16))
-        deployed = CimDeployedModel(
-            model, rng=np.random.default_rng(1), encoding=PulseWidthEncoding()
+        compiled = compile_model(
+            tiny_chain(), self.PULSE, rng=np.random.default_rng(1)
         )
-        out = deployed(x)
+        out, _ = compiled.run(x)
         assert out.shape == (2, 4)
 
     def test_signed_input_falls_back_to_bit_serial(self):
         """Images with negative values must not crash pulse encodings."""
-        model = tiny_chain()
         x = np.random.default_rng(0).normal(size=(2, 3, 16, 16))
-        deployed = CimDeployedModel(
-            model, rng=np.random.default_rng(1), encoding=PulseWidthEncoding()
+        compiled = compile_model(
+            tiny_chain(), self.PULSE, rng=np.random.default_rng(1)
         )
-        out = deployed(x)  # would raise without the fallback
+        out, _ = compiled.run(x)  # would raise without the fallback
         assert np.isfinite(out).all()
 
     def test_pulse_width_cheaper_per_mac(self):
         model = tiny_chain()
         x = np.random.default_rng(0).random((2, 3, 16, 16))
-        serial = CimDeployedModel(model, rng=np.random.default_rng(1))
-        serial(x)
-        pulse = CimDeployedModel(
-            model, rng=np.random.default_rng(1), encoding=PulseWidthEncoding()
-        )
-        pulse(x)
-        assert (
-            pulse.last_stats.energy_per_mac_fj
-            < serial.last_stats.energy_per_mac_fj
-        )
+        _, serial = compile_model(model, rng=np.random.default_rng(1)).run(x)
+        _, pulse = compile_model(
+            model, self.PULSE, rng=np.random.default_rng(1)
+        ).run(x)
+        assert pulse.energy_per_mac_fj < serial.energy_per_mac_fj
 
 
 class TestExperiment:

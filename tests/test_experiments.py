@@ -80,8 +80,8 @@ class TestFig14:
 @pytest.mark.slow
 class TestFig10Fast:
     @pytest.fixture(scope="class")
-    def result(self):
-        return fig10.run(fig10.fast_config())
+    def result(self, fast_result):
+        return fast_result(fig10)
 
     def test_source_pretrain_learned(self, result):
         assert result.source_accuracy["vgg8"] > 0.7
@@ -108,8 +108,8 @@ class TestFig10Fast:
 
 @pytest.mark.slow
 class TestFig6bFast:
-    def test_transferability_decays_when_all_frozen(self):
-        result = fig6b.run(fig6b.fast_config())
+    def test_transferability_decays_when_all_frozen(self, fast_result):
+        result = fast_result(fig6b)
         accs = result.accuracies()
         # Freezing everything (classifier-only) must hurt vs training all.
         assert accs[-1] < accs[0] + 1e-9
@@ -119,8 +119,8 @@ class TestFig6bFast:
 @pytest.mark.slow
 class TestFig11Fast:
     @pytest.fixture(scope="class")
-    def result(self):
-        return fig11.run(fig11.fast_config())
+    def result(self, fast_result):
+        return fast_result(fig11)
 
     def test_area_decreases_with_compression(self, result):
         points = {p.du: p.normalized_area for p in result.ratio_points}
@@ -143,8 +143,8 @@ class TestFig11Fast:
 @pytest.mark.slow
 class TestFig12Fast:
     @pytest.fixture(scope="class")
-    def result(self):
-        return fig12.run(fig12.fast_config())
+    def result(self, fast_result):
+        return fast_result(fig12)
 
     def test_area_orderings(self, result):
         areas = result.area_by_method()

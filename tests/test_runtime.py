@@ -18,7 +18,6 @@ from repro import nn
 from repro.cim import (
     AdcSpec,
     BitlineModel,
-    CimDeployedModel,
     CimMacro,
     CimTiledMatmul,
     MacroConfig,
@@ -459,11 +458,12 @@ class TestCompiledModel:
     def test_deployed_wrapper_matches_reference(self):
         model = tiny_chain()
         x = tiny_input()
-        deployed = CimDeployedModel(model, cache=EngineCache())
-        out = deployed(x)
+        compiled = compile_model(model, RuntimeConfig(), cache=EngineCache())
+        assert compiled.ensure_fresh() == 0
+        out, stats = compiled.run(x)
         out_r, stats_r = reference_forward(model, x)
         assert np.array_equal(out, out_r)
-        assert deployed.last_stats == stats_r
+        assert stats == stats_r
 
     def test_compile_programs_each_layer_once(self):
         cache = EngineCache()
@@ -507,10 +507,10 @@ class TestCompiledModel:
             nn.Linear(4 * 8 * 8, 3, rng=np.random.default_rng(1)),
         )
         x = tiny_input()
-        deployed = CimDeployedModel(model, cache=EngineCache())
-        before = deployed(x)
+        compiled = compile_model(model, RuntimeConfig(), cache=EngineCache())
+        before, _ = compiled.run(x)
         model._modules["1"].negative_slope = 0.5
-        after = deployed(x)
+        after, _ = compiled.run(x)
         expected, _ = reference_forward(model, x)
         assert not np.array_equal(before, after)
         assert np.array_equal(after, expected)
@@ -621,16 +621,15 @@ class TestCompiledModel:
 
     def test_freezing_a_layer_moves_it_to_rom(self):
         """The seed path re-decided ROM vs SRAM from requires_grad on
-        every forward; the compiled wrapper must track it live."""
+        every forward; ``ensure_fresh`` must track it live."""
         model = tiny_chain()
         x = tiny_input()
-        deployed = CimDeployedModel(model, cache=EngineCache())
-        deployed(x)
-        sram_stats = deployed.last_stats
+        compiled = compile_model(model, RuntimeConfig(), cache=EngineCache())
+        _, sram_stats = compiled.run(x)
         for parameter in model.parameters():
             parameter.requires_grad = False
-        deployed(x)
-        rom_stats = deployed.last_stats
+        compiled.ensure_fresh()
+        _, rom_stats = compiled.run(x)
         expected, expected_stats = reference_forward(model, x)
         assert rom_stats == expected_stats
         # ROM cells discharge less energy than SRAM-CiM cells.
@@ -639,11 +638,12 @@ class TestCompiledModel:
     def test_ensure_fresh_tracks_inplace_weight_updates(self):
         model = tiny_chain()
         x = tiny_input()
-        deployed = CimDeployedModel(model, cache=EngineCache())
-        before = deployed(x)
+        compiled = compile_model(model, RuntimeConfig(), cache=EngineCache())
+        before, _ = compiled.run(x)
         # On-chip training updates SRAM weights in place.
         model._modules["4"].weight.data += 0.5
-        after = deployed(x)
+        assert compiled.ensure_fresh() == 1
+        after, _ = compiled.run(x)
         expected, _ = reference_forward(model, x)
         assert not np.array_equal(before, after)
         assert np.array_equal(after, expected)

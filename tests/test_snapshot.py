@@ -17,6 +17,9 @@ The load-bearing guarantees:
   recompiling instead of crashing.
 """
 
+import dataclasses
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -26,9 +29,10 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.cim import BitlineModel, MacroConfig
-from repro.cim.cells import ROM_1T, SRAM_CIM_6T
-from repro.cim.encoding import UnaryPulseEncoding
+from repro.arch.chiplet import ChipletLinkSpec
+from repro.cim import AdcSpec, BitlineModel, MacroConfig
+from repro.cim.cells import ROM_1T, SRAM_CIM_6T, CellSpec
+from repro.cim.encoding import PulseWidthEncoding, UnaryPulseEncoding
 from repro.rebranch.branch import ReBranchConv2d
 from repro.runtime import (
     ArtifactStore,
@@ -45,8 +49,10 @@ from repro.runtime import (
     load,
     save,
     set_default_cache,
+    shard,
 )
 from repro.runtime import snapshot as snapshot_mod
+from repro.runtime.sharded import ShardSegment
 from repro.serve import BatchPolicy, InferenceServer, ModelRegistry
 
 HW = 8  # input images are (3, HW, HW)
@@ -324,6 +330,127 @@ class TestArtifactKey:
             nn.ReLU(),
         )
         assert artifact_key(model, RuntimeConfig(fold_bn=True))
+
+
+# ----------------------------------------------------------------------
+# The format, pinned across commits
+# ----------------------------------------------------------------------
+def golden_model():
+    """Literal weights (no RNG): the same bytes on every commit."""
+    model = nn.Sequential(
+        nn.Conv2d(2, 3, 3, padding=1),
+        nn.ReLU(),
+        nn.Flatten(),
+        nn.Linear(3 * 4 * 4, 4),
+    )
+    for parameter in model.parameters():
+        ramp = np.arange(parameter.data.size, dtype=np.float64)
+        parameter.data[...] = ((ramp % 11) - 5.0).reshape(parameter.data.shape) / 16.0
+    return model
+
+
+#: shard count -> (artifact_key, sha256 of the ``.rcma`` file saved with
+#: ``created_at=0.0``), computed on commit 6e58c20 (format VERSION 3).
+#: A change here is a format change: bump ``VERSION`` deliberately.
+GOLDEN = {
+    None: (
+        "541adbcb5a7e5d99ace8afd0e742de2c690ff6571d58b7599df83eb5d6e6113d",
+        "4460209deb17388526312dad5f6a2b60c06bd3bd2d3f0be2bf257181e7b7b17b",
+    ),
+    2: (
+        "01c3a8bb8cb1a1259f5460e53855b2925594f22c9670408172be0189e0b2e977",
+        "85417408ef5b8fe314f0bdee46e813fcbac860036c457a8bb9ce5d39be29cd48",
+    ),
+}
+
+
+class TestGoldenFormat:
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_artifact_bytes_and_key_are_pinned(self, store, n_shards):
+        assert snapshot_mod.VERSION == 3
+        compiled = compile_model(golden_model(), RuntimeConfig(), cache=EngineCache())
+        target = compiled if n_shards is None else shard(compiled, n_shards)
+        key = save(target, store, created_at=0.0)
+        link = None if n_shards is None else target.link
+        assert key == artifact_key(golden_model(), shards=n_shards, link=link)
+        digest = hashlib.sha256(store.model_path(key).read_bytes()).hexdigest()
+        assert (key, digest) == GOLDEN[n_shards]
+
+
+def stored_dataclasses():
+    """One non-default instance of every dataclass the header stores."""
+    config = MacroConfig(
+        rows=64,
+        phys_columns=96,
+        n_adcs=np.int64(8),
+        adc=AdcSpec(bits=6, energy_fj=3),
+        cell=SRAM_CIM_6T,
+        weight_bits=4,
+        signed_inputs=True,
+        cycle_time_ns=np.float64(1.5),
+        bitline=BitlineModel(max_rows=64, noise_sigma_counts=0.25, saturation=0.9),
+    )
+    return [
+        SRAM_CIM_6T,
+        config.adc,
+        config.bitline,
+        config,
+        RuntimeConfig(
+            rom_config=config,
+            activation_bits=6,
+            encoding=PulseWidthEncoding(jitter_sigma_slots=0.5),
+            fold_bn=True,
+            assume_signed_input=False,
+            backend="popcount",
+            tune_probe_n=4,
+        ),
+        ChipletLinkSpec(energy_pj_per_bit=2.0, pins_per_link=16),
+        ShardSegment(
+            index=1,
+            step_indices=(3, 4, 5),
+            layer_ids=("3", "5"),
+            weight_bits=4096.0,
+            macs=1.5e6,
+            cost=1.5e6,
+        ),
+    ]
+
+
+class TestDerivedCodecs:
+    """The header codecs are derived from ``dataclasses.fields``."""
+
+    @pytest.mark.parametrize(
+        "value", stored_dataclasses(), ids=lambda value: type(value).__name__
+    )
+    def test_round_trip_covers_every_field(self, value):
+        meta = snapshot_mod.to_meta(value)
+        names = [field.name for field in dataclasses.fields(value)]
+        assert list(meta) == names
+        # The meta is plain JSON, and survives it exactly.
+        wire = json.loads(json.dumps(meta))
+        assert wire == meta
+        assert snapshot_mod.from_meta(type(value), wire) == value
+
+    @pytest.mark.parametrize(
+        "value",
+        [v for v in stored_dataclasses() if not isinstance(v, (CellSpec, ShardSegment))],
+        ids=lambda value: type(value).__name__,
+    )
+    def test_missing_key_takes_the_field_default(self, value):
+        # ... exactly as if the constructor had not been passed it.
+        cls = type(value)
+        meta = snapshot_mod.to_meta(value)
+        kwargs = {f.name: getattr(value, f.name) for f in dataclasses.fields(cls)}
+        for dropped in kwargs:
+            partial = {k: v for k, v in meta.items() if k != dropped}
+            expected = cls(**{k: v for k, v in kwargs.items() if k != dropped})
+            assert snapshot_mod.from_meta(cls, partial) == expected
+
+    def test_required_field_missing_is_an_error(self):
+        meta = snapshot_mod.to_meta(SRAM_CIM_6T)
+        del meta["area_um2"]
+        with pytest.raises(TypeError):
+            snapshot_mod.from_meta(CellSpec, meta)
 
 
 # ----------------------------------------------------------------------
