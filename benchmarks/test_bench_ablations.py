@@ -10,7 +10,7 @@ import pytest
 
 from repro.arch import technology as tech
 from repro.experiments import ablations
-from repro.experiments.common import format_table
+from repro.experiments.common import format_metrics, format_table
 
 
 def test_bench_adc_resolution_sweep(benchmark):
@@ -42,7 +42,7 @@ def test_bench_bitline_noise_sweep(benchmark):
 def test_bench_packing_ablation(benchmark):
     report = benchmark(ablations.packing_ablation)
     print()
-    print(format_table(sorted(report.items()), ["metric", "value"]))
+    print(format_metrics(sorted(report.items())))
     assert report["subarray_saving"] > 1.0
     assert report["packed_array_utilization"] > report["naive_array_utilization"]
 

@@ -4,18 +4,13 @@ The acceptance bar for the pluggable-backend layer: on serving-size
 batches (requests one sample at a time), the autotuned kernels must be
 at least **1.5x** faster than the default ``reference-fast`` kernels on
 the workload's large engines, with every output bitwise identical.
-The measured multiples are printed and also written to
-``BENCH_backends.json`` (serving samples/s per backend and the
-per-engine probe timings) for CI artifact upload.
+The measured multiples (serving samples/s per backend and the
+per-engine probe timings) are printed by the report test.
 """
-
-import json
-import os
 
 import pytest
 
 from repro.experiments import backend_study
-from repro.experiments.common import format_table
 
 #: Engine-level serving speedup the tuned winner must reach on the
 #: flagship (largest) engine of the full-budget MLP.
@@ -42,23 +37,8 @@ def test_bench_backends_runs(benchmark):
 def test_bench_backends_report(benchmark, result):
     benchmark(lambda: None)
     print()
-    print(
-        f"compile: default {result.compile_default_ms:.1f} ms, "
-        f"tuned {result.compile_tuned_ms:.1f} ms (includes probes)"
-    )
-    print(
-        format_table(
-            result.rows(),
-            ["layer", "winner", "ref_ms", "winner_ms", "probe_speedup", "cached"],
-        )
-    )
-    print(
-        f"serving ({result.n_samples} requests, batch 1): "
-        f"default {result.default_samples_per_s:.1f}/s, "
-        f"tuned {result.tuned_samples_per_s:.1f}/s -> "
-        f"{result.speedup:.2f}x end to end, "
-        f"{_flagship_speedup(result):.2f}x on the flagship engine"
-    )
+    print(backend_study.format_report(result))
+    print(f"{_flagship_speedup(result):.2f}x on the flagship engine")
 
 
 def test_bench_backends_bitwise_identical(benchmark, result):
@@ -89,43 +69,3 @@ def test_bench_backends_tuner_picks_a_winner(benchmark, result):
     assert any(name != "reference-fast" for name in winners.values()), (
         f"autotuner kept reference-fast everywhere: {winners}"
     )
-
-
-def test_bench_backends_emit_json(benchmark, result):
-    """Write BENCH_backends.json for the CI benchmark artifact."""
-    benchmark(lambda: None)
-    payload = {
-        "generated_by": "benchmarks/test_bench_backends.py",
-        "workload": {
-            "n_requests": result.n_calls,
-            "batch": 1,
-            "model": "mlp-1024-512-256-10",
-        },
-        "serving": {
-            "reference-fast": {
-                "ms": result.default_ms,
-                "samples_per_s": result.default_samples_per_s,
-            },
-            "tuned": {
-                "ms": result.tuned_ms,
-                "samples_per_s": result.tuned_samples_per_s,
-            },
-        },
-        "speedup_vs_reference": result.speedup,
-        "flagship_engine_speedup": _flagship_speedup(result),
-        "bitwise_identical": result.bitwise_identical,
-        "engines": [
-            {
-                "layer": row.layer_id,
-                "winner": row.winner,
-                "probe_timings_ms": row.probe_timings_ms,
-            }
-            for row in result.engines
-        ],
-    }
-    out_dir = os.environ.get("BENCH_OUTPUT_DIR", ".")
-    path = os.path.join(out_dir, "BENCH_backends.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    print(f"\nwrote {path}")
-    assert os.path.getsize(path) > 0

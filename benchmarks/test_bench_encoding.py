@@ -6,26 +6,12 @@ here for all three encodings at 2/4/8-bit activations.
 """
 
 from repro.experiments import encoding_study
-from repro.experiments.common import format_table
 
 
 def test_bench_encoding_design_space(benchmark):
     result = benchmark(encoding_study.run, encoding_study.fast_config())
     print()
-    print(
-        format_table(
-            result.rows(),
-            [
-                "encoding",
-                "bits",
-                "wl_cycles",
-                "conv/col",
-                "rel_error",
-                "fJ_per_mac",
-                "ns_per_vec",
-            ],
-        )
-    )
+    print(encoding_study.format_report(result))
     keys = result.by_key()
     # Speed: pulse-width < bit-serial < unary at 8-bit activations.
     assert keys[("pulse-width", 8)].latency_ns < keys[("bit-serial", 8)].latency_ns
@@ -38,10 +24,5 @@ def test_bench_encoding_design_space(benchmark):
 def test_bench_pulse_width_jitter(benchmark):
     rows = benchmark(encoding_study.jitter_sweep)
     print()
-    print(
-        format_table(
-            [(r["jitter_sigma_slots"], r["rel_error"]) for r in rows],
-            ["jitter_slots", "rel_error"],
-        )
-    )
+    print(encoding_study.format_jitter(rows))
     assert rows[-1]["rel_error"] > rows[0]["rel_error"]

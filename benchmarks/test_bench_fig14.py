@@ -18,7 +18,9 @@ def result():
 
 
 def test_bench_fig14a_energy_efficiency(benchmark, result):
-    run_result = benchmark(fig14.run, fig14.full_config())
+    run_result = benchmark.pedantic(
+        fig14.run, args=(fig14.full_config(),), rounds=1, iterations=1
+    )
     print()
     print(fig14.format_report(run_result))
     improvements = run_result.improvements()

@@ -13,13 +13,7 @@ from repro.arch import MeshNocSpec, map_layers_to_tiles, noc_share_of_compute
 from repro.arch.mapping import map_model
 from repro.cim.spec import rom_macro_spec
 from repro.experiments.common import format_table
-
-BENCHMARKS = (
-    ("vgg8", (1, 3, 32, 32)),
-    ("resnet18", (1, 3, 32, 32)),
-    ("tiny_yolo", (1, 3, 416, 416)),
-    ("yolo", (1, 3, 416, 416)),
-)
+from repro.experiments.fig14 import BENCHMARKS
 
 
 def _shares():
@@ -43,7 +37,7 @@ def _shares():
 
 
 def test_bench_noc_share(benchmark):
-    rows = benchmark(_shares)
+    rows = benchmark.pedantic(_shares, rounds=1, iterations=1)
     print()
     print(
         format_table(

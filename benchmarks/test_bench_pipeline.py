@@ -13,7 +13,12 @@ from repro.experiments.common import format_table
 
 
 def test_bench_pingpong_relief(benchmark):
-    result = benchmark(pipeline_study.run, pipeline_study.full_config())
+    result = benchmark.pedantic(
+        pipeline_study.run,
+        args=(pipeline_study.full_config(),),
+        rounds=1,
+        iterations=1,
+    )
     print()
     rows = [
         (
@@ -43,7 +48,9 @@ def test_bench_pingpong_relief(benchmark):
 
 
 def test_bench_pingpong_slowdown_sensitivity(benchmark):
-    rows = benchmark(pipeline_study.slowdown_sensitivity)
+    rows = benchmark.pedantic(
+        pipeline_study.slowdown_sensitivity, rounds=1, iterations=1
+    )
     print()
     print(
         format_table(

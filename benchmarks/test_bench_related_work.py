@@ -8,7 +8,6 @@ alphabets cost the depthwise model most.
 """
 
 from repro.experiments import related_work_quant
-from repro.experiments.common import format_table
 
 
 def test_bench_sub8bit_quantization(benchmark):
@@ -17,13 +16,7 @@ def test_bench_sub8bit_quantization(benchmark):
         related_work_quant.run, args=(config,), rounds=1, iterations=1
     )
     print()
-    print(f"baselines: {result.baselines}")
-    print(
-        format_table(
-            result.rows(),
-            ["model", "scheme", "accuracy", "drop", "weight_err"],
-        )
-    )
+    print(related_work_quant.format_report(result))
     for model in config.model_names:
         # int8 post-training quantization is essentially free...
         assert result.at(model, "int8").accuracy_drop < 0.05

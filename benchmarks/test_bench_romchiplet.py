@@ -10,7 +10,7 @@ import pytest
 
 from repro import models
 from repro.arch import chiplet_scaling, partition_summary
-from repro.experiments.common import format_table
+from repro.experiments.common import format_metrics, format_table
 
 
 @pytest.fixture(scope="module")
@@ -24,32 +24,7 @@ def test_bench_rom_chiplet_scaling(benchmark, yolo_profile):
         chiplet_scaling, yolo_profile, (25.0, 50.0, 100.0), "yolo"
     )
     print()
-    rows = [
-        (
-            p.die_area_mm2,
-            p.rom_chips,
-            p.sram_chips,
-            p.rom_area_cm2,
-            p.sram_area_cm2,
-            p.rom_energy_uj,
-            p.sram_energy_uj,
-        )
-        for p in result.points
-    ]
-    print(
-        format_table(
-            rows,
-            [
-                "die_mm2",
-                "rom_chips",
-                "sram_chips",
-                "rom_cm2",
-                "sram_cm2",
-                "rom_uJ",
-                "sram_uJ",
-            ],
-        )
-    )
+    print(format_table(result.rows(), result.HEADERS))
     for point in result.points:
         # Order-of-magnitude fewer dies and silicon at every budget.
         assert point.chip_count_ratio > 5
@@ -61,6 +36,6 @@ def test_bench_rom_chiplet_scaling(benchmark, yolo_profile):
 def test_bench_rom_chiplet_partition_summary(benchmark, yolo_profile):
     summary = benchmark(partition_summary, yolo_profile, 25.0)
     print()
-    print(format_table(sorted(summary.items()), ["metric", "value"]))
+    print(format_metrics(sorted(summary.items())))
     assert summary["chip_count_ratio"] > 5
     assert summary["area_ratio"] > 5

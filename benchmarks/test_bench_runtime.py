@@ -12,7 +12,6 @@ amortizes over the batch either way.
 import pytest
 
 from repro.experiments import runtime_study
-from repro.experiments.common import format_table
 
 
 @pytest.fixture(scope="module")
@@ -31,24 +30,7 @@ def test_bench_runtime_runs(benchmark):
 def test_bench_runtime_report(benchmark, result):
     benchmark(lambda: None)
     print()
-    print(
-        f"compile: {result.compile_ms:.1f} ms, "
-        f"{result.engines_programmed} engines programmed once"
-    )
-    print(
-        format_table(
-            result.rows(),
-            [
-                "regime",
-                "calls",
-                "samples",
-                "compiled_ms",
-                "reference_ms",
-                "speedup",
-                "bitwise",
-            ],
-        )
-    )
+    print(runtime_study.format_report(result))
 
 
 def test_bench_runtime_bitwise_identical(benchmark, result):

@@ -12,7 +12,6 @@ check come from the same artifacts.
 import pytest
 
 from repro.experiments import warmstart_study
-from repro.experiments.common import format_table
 
 
 @pytest.fixture(scope="module")
@@ -31,21 +30,7 @@ def test_bench_warmstart_runs(benchmark):
 def test_bench_warmstart_report(benchmark, result):
     benchmark(lambda: None)
     print()
-    print(
-        format_table(
-            result.rows(),
-            [
-                "model",
-                "layers",
-                "cold_ms",
-                "save_ms",
-                "load_ms",
-                "speedup",
-                "artifact_MB",
-                "bitwise",
-            ],
-        )
-    )
+    print(warmstart_study.format_report(result))
 
 
 def test_bench_warmstart_bitwise_identical(benchmark, result):

@@ -37,11 +37,7 @@ def branch_sweep() -> None:
         config.ratio_sweep = ((4, 4),)
         config.split_sweep = ((4, 4),)
     result = fig11.run(config)
-    rows = [
-        (f"D{p.d} x U{p.u}", p.du, p.accuracy, p.normalized_area, p.trainable_params)
-        for p in result.ratio_points + result.split_points
-    ]
-    print(format_table(rows, ["point", "D*U", "accuracy", "norm_area", "trainable"]))
+    print(fig11.format_report(result))
     best_d, best_u = result.best_split("vgg8")
     print(f"best split at D*U=16: D={best_d}, U={best_u} (paper: D=U=4)")
 

@@ -21,13 +21,7 @@ from repro import models
 from repro.arch import TrainingCostModel
 from repro.experiments import pipeline_study
 from repro.experiments.common import format_table
-
-BENCHMARKS = (
-    ("vgg8", (1, 3, 32, 32)),
-    ("resnet18", (1, 3, 32, 32)),
-    ("tiny_yolo", (1, 3, 416, 416)),
-    ("yolo", (1, 3, 416, 416)),
-)
+from repro.experiments.fig14 import BENCHMARKS
 
 
 def training_costs() -> None:
@@ -66,21 +60,7 @@ def training_costs() -> None:
 def pingpong() -> None:
     print("\n=== Ping-pong weight reload for inference (section 4.3.3) ===")
     result = pipeline_study.run(pipeline_study.full_config())
-    rows = [
-        (
-            r["model"],
-            r["resident_fraction"],
-            r["serial_ns"] / 1e6,
-            r["pingpong_ns"] / 1e6,
-            r["latency_relief"],
-        )
-        for r in result.rows
-    ]
-    print(
-        format_table(
-            rows, ["model", "resident", "serial_ms", "pingpong_ms", "relief"]
-        )
-    )
+    print(pipeline_study.format_report(result))
     print(
         "DRAM energy is identical under both schedules — the overlap\n"
         '"relieve[s] the latency issue, but little could be done to the\n'

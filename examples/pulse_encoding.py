@@ -18,26 +18,12 @@ Run:  python examples/pulse_encoding.py
 """
 
 from repro.experiments import encoding_study
-from repro.experiments.common import format_table
 
 
 def design_space() -> None:
     print("=== Encoding design space (section 3.1) ===")
     result = encoding_study.run(encoding_study.full_config())
-    print(
-        format_table(
-            result.rows(),
-            [
-                "encoding",
-                "bits",
-                "wl_cycles",
-                "conv/col",
-                "rel_error",
-                "fJ_per_mac",
-                "ns_per_vec",
-            ],
-        )
-    )
+    print(encoding_study.format_report(result))
     keys = result.by_key()
     serial = keys[("bit-serial", 8)]
     unary = keys[("unary-pulse", 8)]
@@ -54,21 +40,11 @@ def design_space() -> None:
 def jitter() -> None:
     print("\n=== Pulse-width timing jitter (fine 12-bit ADC) ===")
     rows = encoding_study.jitter_sweep()
-    print(
-        format_table(
-            [(r["jitter_sigma_slots"], r["rel_error"]) for r in rows],
-            ["jitter_slots", "rel_error"],
-        )
-    )
+    print(encoding_study.format_jitter(rows))
     print("\n=== Same sweep behind the macro's 5-bit ADC ===")
     coarse = encoding_study.EncodingStudyConfig(adc_bits=5)
     rows = encoding_study.jitter_sweep(config=coarse)
-    print(
-        format_table(
-            [(r["jitter_sigma_slots"], r["rel_error"]) for r in rows],
-            ["jitter_slots", "rel_error"],
-        )
-    )
+    print(encoding_study.format_jitter(rows))
     print(
         "\nBehind the 5-bit column ADC the quantization step (~4 counts)"
         "\nswallows slot-level jitter: the speed-accuracy trade-off only"

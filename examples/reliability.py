@@ -23,13 +23,7 @@ from repro.arch.mapping import map_model
 from repro.cim import tolerable_cell_sigma, variation_sweep
 from repro.cim.spec import rom_macro_spec
 from repro.experiments.common import format_table
-
-BENCHMARKS = (
-    ("vgg8", (1, 3, 32, 32)),
-    ("resnet18", (1, 3, 32, 32)),
-    ("tiny_yolo", (1, 3, 416, 416)),
-    ("yolo", (1, 3, 416, 416)),
-)
+from repro.experiments.fig14 import BENCHMARKS
 
 
 def variation() -> None:

@@ -30,13 +30,7 @@ from repro.experiments import (
     pipeline_study,
     related_work_quant,
 )
-
-BENCHMARKS = (
-    ("vgg8", (1, 3, 32, 32)),
-    ("resnet18", (1, 3, 32, 32)),
-    ("tiny_yolo", (1, 3, 416, 416)),
-    ("yolo", (1, 3, 416, 416)),
-)
+from repro.experiments.fig14 import BENCHMARKS
 
 
 def main() -> None:

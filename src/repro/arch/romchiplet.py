@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.system import (
     AreaBreakdown,
@@ -189,6 +189,31 @@ class ChipletScalingPoint:
 class ChipletScalingResult:
     model: str
     points: List[ChipletScalingPoint] = field(default_factory=list)
+
+    #: Column names of :meth:`rows`.
+    HEADERS: ClassVar[Tuple[str, ...]] = (
+        "die_mm2",
+        "rom_chips",
+        "sram_chips",
+        "rom_cm2",
+        "sram_cm2",
+        "rom_uJ",
+        "sram_uJ",
+    )
+
+    def rows(self) -> List[Tuple]:
+        return [
+            (
+                p.die_area_mm2,
+                p.rom_chips,
+                p.sram_chips,
+                p.rom_area_cm2,
+                p.sram_area_cm2,
+                p.rom_energy_uj,
+                p.sram_energy_uj,
+            )
+            for p in self.points
+        ]
 
 
 def chiplet_scaling(

@@ -51,6 +51,12 @@ Commands
 The global ``-v`` / ``-vv`` flag turns on INFO / DEBUG logging from the
 ``repro`` logger hierarchy (silent by default).
 
+Every subcommand is one row of :data:`COMMANDS` — ``(name, help,
+handler, argument specs)`` — from which :func:`build_parser` is a loop.
+The study commands share one handler, :func:`_run_study`: pick the
+module's ``full_config()`` or ``fast_config()``, apply the arguments
+declared as config overrides, ``run``, print ``format_report(result)``.
+
 ``docs/cli.md`` (regenerated by ``scripts/gen_cli_docs.py``) embeds the
 ``--help`` output of every subcommand.
 """
@@ -58,30 +64,159 @@ The global ``-v`` / ``-vv`` flag turns on INFO / DEBUG logging from the
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import List, Optional
+import time
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro import models, viz
-from repro.experiments import fig6b, fig10, fig11, fig12, fig14, table1
-from repro.experiments import ablations, options_study
-from repro.experiments.common import format_table
+from repro.experiments import (
+    ablations,
+    backend_study,
+    chaos_study,
+    du_search,
+    encoding_study,
+    fig6b,
+    fig10,
+    fig11,
+    fig12,
+    fig14,
+    options_study,
+    pipeline_study,
+    related_work_quant,
+    runtime_study,
+    shard_study,
+    table1,
+    warmstart_study,
+)
+from repro.experiments.common import format_metrics, format_table, zoo_model
+from repro.obs import trace
+
+
+# ----------------------------------------------------------------------
+# The command table's vocabulary
+# ----------------------------------------------------------------------
+class Command(NamedTuple):
+    name: str
+    help: str
+    handler: Callable[[argparse.Namespace], int]
+    args: tuple = ()
+
+
+def arg(*flags: str, **kwargs):
+    """One ``add_argument`` call, as data."""
+    return flags, kwargs
+
+
+def positive_int(value: str) -> int:
+    count = int(value)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
+#: Zoo models the runtime/shard studies can drive: classifiers whose
+#: downsampling fits the studies' small (CIFAR-scale) input images.
+#: The YOLO detectors need 416x416 inputs — far beyond a study budget.
+_STUDY_MODELS = ("mobilenet", "resnet18", "resnet8", "vgg8")
+
+FULL = arg("--full", action="store_true", help="full budget")
+SEED = arg("--seed", type=int, default=0)
+
+
+def zoo_arg(default: str):
+    return arg("--model", default=default, choices=models.available_models())
+
+
+def study_model_arg(verb: str, synthetic: str):
+    return arg(
+        "--model", default=None, choices=_STUDY_MODELS,
+        help=f"{verb} a zoo network (width-reduced, BN folded) instead of "
+        f"the synthetic {synthetic}",
+    )
+
+
+def trace_arg(help: str):
+    return arg("--trace", metavar="OUT.json", default=None, help=help)
+
+
+def shards_arg(help: str, **kwargs):
+    return arg("--shards", type=positive_int, default=None, help=help, **kwargs)
+
+
+def batches_arg(help: str):
+    return arg("--batches", type=positive_int, default=None, help=help)
+
+
+def _serve_zoo(config, model: str) -> None:
+    # A zoo network costs far more per request than the synthetic MLP.
+    config.model = model
+    config.n_requests = min(config.n_requests, 16)
+
+
+def _sweep(config, counts: List[int]) -> None:
+    config.shard_counts = sorted(set(counts))
+
+
+# ----------------------------------------------------------------------
+# Handlers
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def _chrome_trace(path: Optional[str]):
+    """Trace the enclosed block and, on the way out, write it to ``path``
+    as a Chrome trace; without a path, do nothing."""
+    if not path:
+        yield
+        return
+    from repro.obs import export_chrome
+
+    with trace.tracing() as tracer:
+        yield
+    export_chrome(tracer, path)
+    print(f"\nwrote Chrome trace ({len(tracer)} spans) to {path}")
+
+
+def _run_study(study, overrides: dict, args: argparse.Namespace) -> int:
+    """The one handler behind every study command.
+
+    ``overrides`` maps a parsed argument to the config field it sets
+    (or a ``(config, value)`` callable); ``None`` means "not given".
+    """
+    config = study.full_config() if args.full else study.fast_config()
+    for dest, target in overrides.items():
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        if callable(target):
+            target(config, value)
+        else:
+            setattr(config, target, value)
+    with _chrome_trace(getattr(args, "trace", None)):
+        print(study.format_report(study.run(config)))
+    return 0
+
+
+def study(name: str, module, *args, overrides=None, help=None) -> Command:
+    """A command that runs ``module`` through :func:`_run_study`."""
+    return Command(
+        name,
+        help or f"run the {name} experiment",
+        lambda parsed: _run_study(module, overrides or {}, parsed),
+        args,
+    )
+
+
+def _zoo_profile(name: str):
+    model = models.build_model(name, rng=np.random.default_rng(0))
+    return models.profile_model(model, models.INPUT_SHAPES[name])
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    shapes = {
-        "vgg8": (1, 3, 32, 32),
-        "resnet18": (1, 3, 32, 32),
-        "resnet8": (1, 3, 32, 32),
-        "mobilenet": (1, 3, 32, 32),
-        "tiny_yolo": (1, 3, 416, 416),
-        "yolo": (1, 3, 416, 416),
-    }
     rows = []
     for name in models.available_models():
-        model = models.build_model(name, rng=np.random.default_rng(0))
-        profile = models.profile_model(model, shapes[name])
+        profile = _zoo_profile(name)
         rows.append(
             (
                 name,
@@ -92,9 +227,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
         )
     print(format_table(rows, ["model", "params", "MACs", "output"]))
     if args.verbose:
-        model = models.build_model(args.model, rng=np.random.default_rng(0))
         print()
-        print(models.profile_model(model, shapes[args.model]).summary())
+        print(_zoo_profile(args.model).summary())
     return 0
 
 
@@ -122,100 +256,8 @@ def _cmd_fig14(_: argparse.Namespace) -> int:
     return 0
 
 
-def _training_command(runner, args: argparse.Namespace):
-    config = runner.full_config() if args.full else runner.fast_config()
-    return runner.run(config)
-
-
-def _cmd_fig10(args: argparse.Namespace) -> int:
-    result = _training_command(fig10, args)
-    rows = [
-        (r.model, r.target, r.method, r.accuracy, r.normalized_area)
-        for r in result.rows
-    ]
-    print(format_table(rows, ["model", "target", "method", "accuracy", "norm_area"]))
-    return 0
-
-
-def _cmd_fig11(args: argparse.Namespace) -> int:
-    result = _training_command(fig11, args)
-    rows = [
-        ("ratio", f"D{p.d}xU{p.u}", p.accuracy, p.normalized_area)
-        for p in result.ratio_points
-    ] + [
-        ("split", f"D{p.d}-U{p.u}", p.accuracy, p.normalized_area)
-        for p in result.split_points
-    ]
-    print(format_table(rows, ["sweep", "point", "accuracy", "norm_area"]))
-    return 0
-
-
-def _cmd_fig12(args: argparse.Namespace) -> int:
-    result = _training_command(fig12, args)
-    rows = [(r.method, r.target, r.map50) for r in result.rows]
-    print(format_table(rows, ["method", "target", "mAP@0.5"]))
-    print()
-    print(
-        viz.bar_chart(
-            [(a.method, round(a.total_cm2, 2)) for a in result.areas],
-            title="chip area to hold all weights (cm^2)",
-        )
-    )
-    return 0
-
-
-def _cmd_fig6b(args: argparse.Namespace) -> int:
-    result = _training_command(fig6b, args)
-    print(
-        viz.line_plot(
-            [p.n_frozen_convs for p in result.points],
-            [p.accuracy for p in result.points],
-            title="ATL: accuracy vs frozen conv layers",
-            y_label="accuracy",
-        )
-    )
-    return 0
-
-
-def _cmd_options(args: argparse.Namespace) -> int:
-    config = options_study.full_config() if args.full else options_study.fast_config()
-    result = options_study.run(config)
-    rows = [
-        (r.option, r.accuracy, r.normalized_area, r.sram_bits, r.rom_bits)
-        for r in result.rows
-    ]
-    print(format_table(rows, ["option", "accuracy", "norm_area", "sram_bits", "rom_bits"]))
-    return 0
-
-
 def _cmd_packing(_: argparse.Namespace) -> int:
-    report = ablations.packing_ablation()
-    rows = [(key, value) for key, value in report.items()]
-    print(format_table(rows, ["metric", "value"]))
-    return 0
-
-
-def _cmd_encoding(args: argparse.Namespace) -> int:
-    from repro.experiments import encoding_study
-
-    config = (
-        encoding_study.full_config() if args.full else encoding_study.fast_config()
-    )
-    result = encoding_study.run(config)
-    print(
-        format_table(
-            result.rows(),
-            [
-                "encoding",
-                "bits",
-                "wl_cycles",
-                "conv/col",
-                "rel_error",
-                "fJ_per_mac",
-                "ns_per_vec",
-            ],
-        )
-    )
+    print(format_metrics(ablations.packing_ablation().items()))
     return 0
 
 
@@ -240,61 +282,8 @@ def _cmd_designspace(_: argparse.Namespace) -> int:
 def _cmd_chiplets(args: argparse.Namespace) -> int:
     from repro.arch import chiplet_scaling
 
-    model = models.build_model(args.model, rng=np.random.default_rng(0))
-    shape = (1, 3, 416, 416) if "yolo" in args.model else (1, 3, 32, 32)
-    profile = models.profile_model(model, shape)
-    result = chiplet_scaling(profile, model_name=args.model)
-    rows = [
-        (
-            p.die_area_mm2,
-            p.rom_chips,
-            p.sram_chips,
-            p.rom_area_cm2,
-            p.sram_area_cm2,
-            p.rom_energy_uj,
-            p.sram_energy_uj,
-        )
-        for p in result.points
-    ]
-    print(
-        format_table(
-            rows,
-            [
-                "die_mm2",
-                "rom_chips",
-                "sram_chips",
-                "rom_cm2",
-                "sram_cm2",
-                "rom_uJ",
-                "sram_uJ",
-            ],
-        )
-    )
-    return 0
-
-
-def _cmd_pingpong(args: argparse.Namespace) -> int:
-    from repro.experiments import pipeline_study
-
-    config = (
-        pipeline_study.full_config() if args.full else pipeline_study.fast_config()
-    )
-    result = pipeline_study.run(config)
-    rows = [
-        (
-            r["model"],
-            r["resident_fraction"],
-            r["serial_ns"] / 1e6,
-            r["pingpong_ns"] / 1e6,
-            r["latency_relief"],
-        )
-        for r in result.rows
-    ]
-    print(
-        format_table(
-            rows, ["model", "resident", "serial_ms", "pingpong_ms", "relief"]
-        )
-    )
+    result = chiplet_scaling(_zoo_profile(args.model), model_name=args.model)
+    print(format_table(result.rows(), result.HEADERS))
     return 0
 
 
@@ -302,18 +291,9 @@ def _cmd_training(_: argparse.Namespace) -> int:
     from repro.arch import TrainingCostModel
 
     cost_model = TrainingCostModel()
-    shapes = {
-        "vgg8": (1, 3, 32, 32),
-        "resnet18": (1, 3, 32, 32),
-        "tiny_yolo": (1, 3, 416, 416),
-        "yolo": (1, 3, 416, 416),
-    }
     rows = []
-    for name, shape in shapes.items():
-        profile = models.profile_model(
-            models.build_model(name, rng=np.random.default_rng(0)), shape
-        )
-        summary = cost_model.summary(profile)
+    for name, _ in fig14.BENCHMARKS:
+        summary = cost_model.summary(_zoo_profile(name))
         rows.append(
             (
                 name,
@@ -344,138 +324,11 @@ def _cmd_variation(_: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_dusearch(args: argparse.Namespace) -> int:
-    from repro.experiments import du_search
-
-    config = du_search.full_config() if args.full else du_search.fast_config()
-    result = du_search.run(config)
-    rows = [
-        (
-            f"D{e.candidate.d}-U{e.candidate.u}",
-            e.accuracy,
-            e.sram_area_mm2,
-            e.trainable_params,
-        )
-        for e in result.evaluations
-    ]
-    print(format_table(rows, ["candidate", "accuracy", "sram_mm2", "trainable"]))
-    selected = result.selected
-    print(
-        f"\nselected: D={selected.candidate.d} U={selected.candidate.u} "
-        f"(accuracy floor {result.accuracy_floor:.3f})"
-    )
-    return 0
-
-
-def _cmd_subbit(args: argparse.Namespace) -> int:
-    from repro.experiments import related_work_quant
-
-    config = (
-        related_work_quant.full_config()
-        if args.full
-        else related_work_quant.fast_config()
-    )
-    result = related_work_quant.run(config)
-    print(f"baselines: {result.baselines}")
-    print(
-        format_table(
-            result.rows(), ["model", "scheme", "accuracy", "drop", "weight_err"]
-        )
-    )
-    return 0
-
-
-def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro.experiments import backend_study
-
-    config = backend_study.full_config() if args.full else backend_study.fast_config()
-    if getattr(args, "model", None):
-        config.model = args.model
-        config.n_requests = min(config.n_requests, 8 if not args.full else 16)
-    config.probe_n = args.probe_n
-    result = backend_study.run(config)
-    print(
-        f"compile: default {result.compile_default_ms:.1f} ms, "
-        f"tuned {result.compile_tuned_ms:.1f} ms (includes per-engine probes)"
-    )
-    print(
-        format_table(
-            result.rows(),
-            ["layer", "winner", "ref_ms", "winner_ms", "probe_speedup", "cached"],
-        )
-    )
-    print(
-        f"serving ({result.n_samples} requests, batch 1): "
-        f"default {result.default_ms:.1f} ms "
-        f"({result.default_samples_per_s:.1f}/s), "
-        f"tuned {result.tuned_ms:.1f} ms "
-        f"({result.tuned_samples_per_s:.1f}/s) -> "
-        f"{result.speedup:.2f}x, bitwise={result.bitwise_identical}"
-    )
-    return 0
-
-
-def _cmd_runtime(args: argparse.Namespace) -> int:
-    from repro.experiments import runtime_study
-
-    config = runtime_study.full_config() if args.full else runtime_study.fast_config()
-    if getattr(args, "model", None):
-        config.model = args.model  # zoo network instead of the MLP
-        config.n_requests = min(config.n_requests, 8 if not args.full else 16)
-    result = runtime_study.run(config)
-    print(
-        f"compile: {result.compile_ms:.1f} ms "
-        f"({result.engines_programmed} engines programmed once; "
-        f"{result.cache_hits} cache hits / {result.cache_misses} misses)"
-    )
-    print(
-        format_table(
-            result.rows(),
-            [
-                "regime",
-                "calls",
-                "samples",
-                "compiled_ms",
-                "reference_ms",
-                "speedup",
-                "bitwise",
-            ],
-        )
-    )
-    return 0
-
-
-_ZOO_SHAPES = {
-    "vgg8": (1, 3, 32, 32),
-    "resnet18": (1, 3, 32, 32),
-    "resnet8": (1, 3, 32, 32),
-    "mobilenet": (1, 3, 32, 32),
-    "tiny_yolo": (1, 3, 416, 416),
-    "yolo": (1, 3, 416, 416),
-}
-
-#: Zoo models the runtime/shard studies can drive: classifiers whose
-#: downsampling fits the studies' small (CIFAR-scale) input images.
-#: The YOLO detectors need 416x416 inputs — far beyond a study budget.
-_STUDY_MODELS = ("mobilenet", "resnet18", "resnet8", "vgg8")
-
-
-def _zoo_model(name: str, seed: int):
-    from repro.runtime import RuntimeConfig
-
-    model = models.build_model(name, rng=np.random.default_rng(seed))
-    model.eval()
-    # Zoo models carry BatchNorm; deployment folds it exactly once.
-    return model, RuntimeConfig(fold_bn=True)
-
-
 def _cmd_compile(args: argparse.Namespace) -> int:
-    import time
-
     from repro.runtime import (
         ArtifactStore,
         EngineCache,
-        RuntimeConfig,
+        artifact_key,
         compile_model,
         load,
         save,
@@ -484,7 +337,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     store = ArtifactStore(args.store)
     if args.load is not None:
         start = time.perf_counter()
-        compiled = load(store, args.load, verify=args.verify)
+        load(store, args.load, verify=args.verify)
         load_ms = (time.perf_counter() - start) * 1000.0
         meta = store.meta(args.load)
         print(
@@ -499,11 +352,9 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         )
         return 0
 
-    model, config = _zoo_model(args.model, args.seed)
+    model, config = zoo_model(args.model, args.seed)
     # Key the artifact on the model *as built* (pre-fold), matching the
     # registry's and `repro warm`'s warm-start lookups.
-    from repro.runtime import artifact_key
-
     key = artifact_key(model, config, shards=args.shards)
     start = time.perf_counter()
     compiled = compile_model(model, config, cache=EngineCache(), shards=args.shards)
@@ -527,14 +378,12 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_warm(args: argparse.Namespace) -> int:
-    import time
-
     from repro.runtime import ArtifactStore, EngineCache, artifact_key, compile_model, save
 
     store = ArtifactStore(args.store)
     rows = []
     for name in args.models:
-        model, config = _zoo_model(name, args.seed)
+        model, config = zoo_model(name, args.seed)
         key = artifact_key(model, config, shards=args.shards)
         if key in store and not args.force:
             rows.append((name, "cached", 0.0, key[:16]))
@@ -551,31 +400,6 @@ def _cmd_warm(args: argparse.Namespace) -> int:
             store.verify(key)
         print(f"verified {len(store.keys())} artifacts")
     print(format_table(rows, ["model", "status", "ms", "key"]))
-    return 0
-
-
-def _cmd_warmstart(args: argparse.Namespace) -> int:
-    from repro.experiments import warmstart_study
-
-    config = (
-        warmstart_study.full_config() if args.full else warmstart_study.fast_config()
-    )
-    result = warmstart_study.run(config)
-    print(
-        format_table(
-            result.rows(),
-            [
-                "model",
-                "layers",
-                "cold_ms",
-                "save_ms",
-                "load_ms",
-                "speedup",
-                "artifact_MB",
-                "bitwise",
-            ],
-        )
-    )
     return 0
 
 
@@ -618,43 +442,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     server = InferenceServer(registry, policy, n_workers=args.workers)
-    tracer = None
-    if args.trace:
-        from repro.obs import trace as obs_trace
-
-        tracer = obs_trace.install()
-    try:
+    with _chrome_trace(args.trace):
         with server:
             report = LoadGenerator(server, spec, pools).run()
             snapshot = server.snapshot()
-    finally:
-        if tracer is not None:
-            from repro.obs import trace as obs_trace
-
-            obs_trace.uninstall()
-
-    print(
-        f"\nload: {report.completed}/{report.n_requests} completed, "
-        f"{report.rejected} rejected, {report.failed} failed in "
-        f"{report.wall_s * 1e3:.0f} ms ({report.throughput_rps:.0f} req/s)"
-    )
-    print("\nserver metrics:")
-    print(format_table(snapshot.rows(), ["metric", "value"]))
-    print("\nbatch-size histogram:")
-    hist = sorted(snapshot.batch_size_hist.items())
-    print(format_table(hist, ["batch_samples", "count"]))
-    print("\nper-tenant accounting:")
-    print(
-        format_table(
-            snapshot.tenant_rows(),
-            ["tenant", "completed", "samples", "rejected", "failed", "cancelled", "nJ_per_sample", "MMACs_per_sample"],
+        print(
+            f"\nload: {report.completed}/{report.n_requests} completed, "
+            f"{report.rejected} rejected, {report.failed} failed in "
+            f"{report.wall_s * 1e3:.0f} ms ({report.throughput_rps:.0f} req/s)"
         )
-    )
-    if tracer is not None:
-        from repro.obs import export_chrome
-
-        export_chrome(tracer, args.trace)
-        print(f"\nwrote Chrome trace ({len(tracer)} spans) to {args.trace}")
+        print("\nserver metrics:")
+        print(format_metrics(snapshot.rows()))
+        print("\nbatch-size histogram:")
+        hist = sorted(snapshot.batch_size_hist.items())
+        print(format_table(hist, ["batch_samples", "count"]))
+        print("\nper-tenant accounting:")
+        print(
+            format_table(
+                snapshot.tenant_rows(),
+                ["tenant", "completed", "samples", "rejected", "failed", "cancelled", "nJ_per_sample", "MMACs_per_sample"],
+            )
+        )
     if args.metrics:
         from repro.obs import collect_server, export_prometheus
 
@@ -663,110 +471,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_shard(args: argparse.Namespace) -> int:
-    from repro.experiments import shard_study
-
-    config = shard_study.full_config() if args.full else shard_study.fast_config()
-    if getattr(args, "model", None):
-        config.model = args.model  # zoo network instead of the conv stack
-    if args.shards is not None:
-        config.shard_counts = sorted(set(args.shards))
-    if args.batches is not None:
-        config.n_batches = args.batches
-    tracer = None
-    if args.trace:
-        from repro.obs import trace as obs_trace
-
-        tracer = obs_trace.install()
-    try:
-        result = shard_study.run(config)
-    finally:
-        if tracer is not None:
-            from repro.obs import trace as obs_trace
-
-            obs_trace.uninstall()
-    print(
-        f"stream: {result.n_batches} micro-batches x "
-        f"{result.batch_samples} samples (makespans in simulated chip time)"
-    )
-    print(
-        format_table(
-            result.rows(),
-            [
-                "shards",
-                "serial_ms",
-                "pipelined_ms",
-                "speedup",
-                "link_nJ",
-                "balance",
-                "bitwise",
-            ],
-        )
-    )
-    if tracer is not None:
-        from repro.obs import export_chrome
-
-        export_chrome(tracer, args.trace)
-        print(f"\nwrote Chrome trace ({len(tracer)} spans) to {args.trace}")
-    return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.experiments import chaos_study
-
-    config = chaos_study.full_config() if args.full else chaos_study.fast_config()
-    if getattr(args, "model", None):
-        config.model = args.model  # zoo network instead of the conv stack
-    if args.shards is not None:
-        config.n_shards = args.shards
-    if args.batches is not None:
-        config.n_batches = args.batches
-    if args.batch_size is not None:
-        config.batch_size = args.batch_size
-    if args.campaigns is not None:
-        config.n_campaigns = args.campaigns
-    config.seed = args.seed
-    result = chaos_study.run(config)
-    print(
-        f"chaos: {result.n_batches} micro-batches x {result.batch_samples} "
-        f"samples across {result.n_shards} shards"
-    )
-    print("\nshard-death campaigns:")
-    print(
-        format_table(
-            result.campaign_rows(),
-            [
-                "campaign",
-                "death_at",
-                "shard",
-                "availability",
-                "dropped",
-                "replayed",
-                "replan_ms",
-                "recovery_ms",
-                "bitwise",
-            ],
-        )
-    )
-    print("\nrecovery distribution:")
-    print(format_table(result.recovery_summary(), ["metric", "value"]))
-    print("\ndegradation corners (vs clean oracle):")
-    print(
-        format_table(
-            result.corner_rows(),
-            ["kind", "magnitude", "mean_rel_err", "argmax_agree", "bitwise"],
-        )
-    )
-    return 0
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs import profiler
     from repro.runtime import EngineCache, compile_model
 
-    model, config = _zoo_model(args.model, args.seed)
+    model, config = zoo_model(args.model, args.seed)
     compiled = compile_model(model, config, cache=EngineCache())
-    shape = _ZOO_SHAPES[args.model]
+    shape = models.INPUT_SHAPES[args.model]
     rng = np.random.default_rng(args.seed + 1)
     batch = rng.normal(size=(args.batch,) + shape[1:])
     report = profiler.profile(
@@ -806,6 +517,180 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+# ----------------------------------------------------------------------
+# The table (registration order is the order of ``--help`` and docs/cli.md)
+# ----------------------------------------------------------------------
+COMMANDS: Tuple[Command, ...] = (
+    Command(
+        "info", "model zoo profiles", _cmd_info,
+        (arg("--verbose", action="store_true"), zoo_arg("vgg8")),
+    ),
+    Command("table1", "Table I report", _cmd_table1),
+    Command("fig14", "system comparison", _cmd_fig14),
+    Command("packing", "subarray packing ablation", _cmd_packing),
+    Command("designspace", "ADC/rows design space", _cmd_designspace),
+    Command("training", "on-chip training costs", _cmd_training),
+    Command("variation", "device-variation Monte-Carlo", _cmd_variation),
+    Command(
+        "serve", "dynamic-batching serving demo", _cmd_serve,
+        (
+            arg("--requests", type=int, default=128, help="total requests"),
+            arg(
+                "--rate", type=float, default=2000.0,
+                help="Poisson offered load in req/s (0 = unpaced burst)",
+            ),
+            arg("--batch", type=int, default=16, help="max batch samples"),
+            arg("--wait-ms", type=float, default=2.0, help="max batching wait"),
+            arg("--queue-depth", type=int, default=256, help="admission bound"),
+            arg("--workers", type=int, default=2, help="worker threads"),
+            SEED,
+            trace_arg("write a Chrome trace of the run (load in Perfetto)"),
+            arg(
+                "--metrics", metavar="OUT.prom", default=None,
+                help="write server metrics in Prometheus text format",
+            ),
+        ),
+    ),
+    Command(
+        "compile", "compile a zoo model to a persisted artifact", _cmd_compile,
+        (
+            arg("--store", required=True, help="artifact store directory"),
+            zoo_arg("vgg8"),
+            arg(
+                "--save", action="store_true",
+                help="persist the compiled image into the store",
+            ),
+            arg(
+                "--load", metavar="KEY", default=None,
+                help="restore the artifact under KEY instead of compiling",
+            ),
+            arg(
+                "--verify", action="store_true",
+                help="with --load: checksum the artifact and re-hash its weights",
+            ),
+            shards_arg("compile a sharded deployment across N simulated chiplets"),
+            SEED,
+        ),
+    ),
+    Command(
+        "warm", "pre-populate an artifact store for zoo models", _cmd_warm,
+        (
+            arg("--store", required=True, help="artifact store directory"),
+            arg(
+                "--models", nargs="+", default=["vgg8"],
+                choices=models.available_models(),
+            ),
+            shards_arg("persist sharded deployments across N simulated chiplets"),
+            arg(
+                "--force", action="store_true",
+                help="recompile even when the store already holds the key",
+            ),
+            arg(
+                "--verify", action="store_true",
+                help="checksum every artifact in the store afterwards",
+            ),
+            SEED,
+        ),
+    ),
+    study(
+        "warmstart", warmstart_study, FULL,
+        help="cold-compile vs artifact-load startup study",
+    ),
+    study(
+        "shard", shard_study,
+        shards_arg(
+            "shard counts to sweep (default: the study config's sweep)", nargs="+"
+        ),
+        batches_arg("micro-batches in the stream"),
+        study_model_arg("cut", "conv stack"),
+        FULL,
+        trace_arg(
+            "write a Chrome trace of the sharded streams (per-shard "
+            "tracks; load in Perfetto)"
+        ),
+        overrides={"model": "model", "shards": _sweep, "batches": "n_batches"},
+        help="sharded pipeline-parallel chiplet execution study",
+    ),
+    study(
+        "chaos", chaos_study,
+        study_model_arg("run the campaigns on", "conv stack"),
+        shards_arg("chiplet shards of the deployment under fault"),
+        batches_arg("micro-batches in each campaign stream"),
+        arg(
+            "--batch-size", type=positive_int, default=None,
+            help="samples per micro-batch",
+        ),
+        arg(
+            "--campaigns", type=positive_int, default=None,
+            help="shard-death campaigns to sweep",
+        ),
+        FULL,
+        SEED,
+        overrides={
+            "model": "model",
+            "shards": "n_shards",
+            "batches": "n_batches",
+            "batch_size": "batch_size",
+            "campaigns": "n_campaigns",
+            "seed": "seed",
+        },
+        help="deterministic fault-injection campaign study",
+    ),
+    Command(
+        "profile", "per-plan-node runtime profile of a zoo model", _cmd_profile,
+        (
+            arg(
+                "model", nargs="?", default="resnet8", choices=_STUDY_MODELS,
+                help="zoo model to profile (default: resnet8)",
+            ),
+            arg("--batch", type=positive_int, default=8, help="batch samples"),
+            arg("--runs", type=positive_int, default=1, help="profiled executions"),
+            arg(
+                "--collapsed", metavar="PATH", default=None,
+                help="also write folded flamegraph stacks to PATH",
+            ),
+            arg(
+                "--metric", default="wall_us", choices=("wall_us", "chip_ns"),
+                help="collapsed-stack metric",
+            ),
+            SEED,
+        ),
+    ),
+    Command(
+        "chiplets", "ROM vs SRAM chiplet assemblies", _cmd_chiplets,
+        (zoo_arg("yolo"),),
+    ),
+    study(
+        "runtime", runtime_study,
+        study_model_arg("serve", "MLP"),
+        FULL,
+        overrides={"model": _serve_zoo},
+        help="compile-once runtime amortization study",
+    ),
+    study(
+        "tune", backend_study,
+        study_model_arg("serve", "MLP"),
+        arg(
+            "--probe-n", type=int, default=1, dest="probe_n",
+            help="autotuner probe batch width for linear engines (match the "
+            "serving batch size)",
+        ),
+        FULL,
+        overrides={"model": _serve_zoo, "probe_n": "probe_n"},
+        help="kernel-backend autotuning study (default vs tuned serving)",
+    ),
+    study("fig6b", fig6b, FULL),
+    study("fig10", fig10, FULL),
+    study("fig11", fig11, FULL),
+    study("fig12", fig12, FULL),
+    study("options", options_study, FULL),
+    study("encoding", encoding_study, FULL),
+    study("pingpong", pipeline_study, FULL),
+    study("dusearch", du_search, FULL),
+    study("subbit", related_work_quant, FULL),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="YOLoC (DAC'22) reproduction toolkit"
@@ -815,234 +700,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="log from the repro.* hierarchy (-v INFO, -vv DEBUG)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    info = sub.add_parser("info", help="model zoo profiles")
-    info.add_argument("--verbose", action="store_true")
-    info.add_argument("--model", default="vgg8", choices=models.available_models())
-    info.set_defaults(func=_cmd_info)
-
-    sub.add_parser("table1", help="Table I report").set_defaults(func=_cmd_table1)
-    sub.add_parser("fig14", help="system comparison").set_defaults(func=_cmd_fig14)
-    sub.add_parser("packing", help="subarray packing ablation").set_defaults(
-        func=_cmd_packing
-    )
-    sub.add_parser("designspace", help="ADC/rows design space").set_defaults(
-        func=_cmd_designspace
-    )
-    sub.add_parser("training", help="on-chip training costs").set_defaults(
-        func=_cmd_training
-    )
-    sub.add_parser("variation", help="device-variation Monte-Carlo").set_defaults(
-        func=_cmd_variation
-    )
-
-    serve = sub.add_parser("serve", help="dynamic-batching serving demo")
-    serve.add_argument("--requests", type=int, default=128, help="total requests")
-    serve.add_argument(
-        "--rate", type=float, default=2000.0,
-        help="Poisson offered load in req/s (0 = unpaced burst)",
-    )
-    serve.add_argument("--batch", type=int, default=16, help="max batch samples")
-    serve.add_argument("--wait-ms", type=float, default=2.0, help="max batching wait")
-    serve.add_argument("--queue-depth", type=int, default=256, help="admission bound")
-    serve.add_argument("--workers", type=int, default=2, help="worker threads")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--trace", metavar="OUT.json", default=None,
-        help="write a Chrome trace of the run (load in Perfetto)",
-    )
-    serve.add_argument(
-        "--metrics", metavar="OUT.prom", default=None,
-        help="write server metrics in Prometheus text format",
-    )
-    serve.set_defaults(func=_cmd_serve)
-
-    def positive_int(value: str) -> int:
-        count = int(value)
-        if count < 1:
-            raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
-        return count
-
-    compile_cmd = sub.add_parser(
-        "compile", help="compile a zoo model to a persisted artifact"
-    )
-    compile_cmd.add_argument(
-        "--store", required=True, help="artifact store directory"
-    )
-    compile_cmd.add_argument(
-        "--model", default="vgg8", choices=models.available_models()
-    )
-    compile_cmd.add_argument(
-        "--save", action="store_true",
-        help="persist the compiled image into the store",
-    )
-    compile_cmd.add_argument(
-        "--load", metavar="KEY", default=None,
-        help="restore the artifact under KEY instead of compiling",
-    )
-    compile_cmd.add_argument(
-        "--verify", action="store_true",
-        help="with --load: checksum the artifact and re-hash its weights",
-    )
-    compile_cmd.add_argument(
-        "--shards", type=positive_int, default=None,
-        help="compile a sharded deployment across N simulated chiplets",
-    )
-    compile_cmd.add_argument("--seed", type=int, default=0)
-    compile_cmd.set_defaults(func=_cmd_compile)
-
-    warm = sub.add_parser(
-        "warm", help="pre-populate an artifact store for zoo models"
-    )
-    warm.add_argument("--store", required=True, help="artifact store directory")
-    warm.add_argument(
-        "--models", nargs="+", default=["vgg8"],
-        choices=models.available_models(),
-    )
-    warm.add_argument(
-        "--shards", type=positive_int, default=None,
-        help="persist sharded deployments across N simulated chiplets",
-    )
-    warm.add_argument(
-        "--force", action="store_true",
-        help="recompile even when the store already holds the key",
-    )
-    warm.add_argument(
-        "--verify", action="store_true",
-        help="checksum every artifact in the store afterwards",
-    )
-    warm.add_argument("--seed", type=int, default=0)
-    warm.set_defaults(func=_cmd_warm)
-
-    warmstart = sub.add_parser(
-        "warmstart", help="cold-compile vs artifact-load startup study"
-    )
-    warmstart.add_argument("--full", action="store_true", help="full budget")
-    warmstart.set_defaults(func=_cmd_warmstart)
-
-    shard = sub.add_parser(
-        "shard", help="sharded pipeline-parallel chiplet execution study"
-    )
-    shard.add_argument(
-        "--shards", type=positive_int, nargs="+", default=None,
-        help="shard counts to sweep (default: the study config's sweep)",
-    )
-    shard.add_argument(
-        "--batches", type=positive_int, default=None,
-        help="micro-batches in the stream",
-    )
-    shard.add_argument(
-        "--model", default=None, choices=_STUDY_MODELS,
-        help="cut a zoo network (width-reduced, BN folded) instead of "
-        "the synthetic conv stack",
-    )
-    shard.add_argument("--full", action="store_true", help="full budget")
-    shard.add_argument(
-        "--trace", metavar="OUT.json", default=None,
-        help="write a Chrome trace of the sharded streams (per-shard "
-        "tracks; load in Perfetto)",
-    )
-    shard.set_defaults(func=_cmd_shard)
-
-    chaos = sub.add_parser(
-        "chaos", help="deterministic fault-injection campaign study"
-    )
-    chaos.add_argument(
-        "--model", default=None, choices=_STUDY_MODELS,
-        help="run the campaigns on a zoo network (width-reduced, BN "
-        "folded) instead of the synthetic conv stack",
-    )
-    chaos.add_argument(
-        "--shards", type=positive_int, default=None,
-        help="chiplet shards of the deployment under fault",
-    )
-    chaos.add_argument(
-        "--batches", type=positive_int, default=None,
-        help="micro-batches in each campaign stream",
-    )
-    chaos.add_argument(
-        "--batch-size", type=positive_int, default=None,
-        help="samples per micro-batch",
-    )
-    chaos.add_argument(
-        "--campaigns", type=positive_int, default=None,
-        help="shard-death campaigns to sweep",
-    )
-    chaos.add_argument("--full", action="store_true", help="full budget")
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.set_defaults(func=_cmd_chaos)
-
-    profile_cmd = sub.add_parser(
-        "profile", help="per-plan-node runtime profile of a zoo model"
-    )
-    profile_cmd.add_argument(
-        "model", nargs="?", default="resnet8", choices=_STUDY_MODELS,
-        help="zoo model to profile (default: resnet8)",
-    )
-    profile_cmd.add_argument(
-        "--batch", type=positive_int, default=8, help="batch samples"
-    )
-    profile_cmd.add_argument(
-        "--runs", type=positive_int, default=1, help="profiled executions"
-    )
-    profile_cmd.add_argument(
-        "--collapsed", metavar="PATH", default=None,
-        help="also write folded flamegraph stacks to PATH",
-    )
-    profile_cmd.add_argument(
-        "--metric", default="wall_us", choices=("wall_us", "chip_ns"),
-        help="collapsed-stack metric",
-    )
-    profile_cmd.add_argument("--seed", type=int, default=0)
-    profile_cmd.set_defaults(func=_cmd_profile)
-
-    chiplets = sub.add_parser("chiplets", help="ROM vs SRAM chiplet assemblies")
-    chiplets.add_argument(
-        "--model", default="yolo", choices=models.available_models()
-    )
-    chiplets.set_defaults(func=_cmd_chiplets)
-
-    runtime_cmd = sub.add_parser(
-        "runtime", help="compile-once runtime amortization study"
-    )
-    runtime_cmd.add_argument(
-        "--model", default=None, choices=_STUDY_MODELS,
-        help="serve a zoo network (width-reduced, BN folded) instead of "
-        "the synthetic MLP",
-    )
-    runtime_cmd.add_argument("--full", action="store_true", help="full budget")
-    runtime_cmd.set_defaults(func=_cmd_runtime)
-
-    tune_cmd = sub.add_parser(
-        "tune", help="kernel-backend autotuning study (default vs tuned serving)"
-    )
-    tune_cmd.add_argument(
-        "--model", default=None, choices=_STUDY_MODELS,
-        help="serve a zoo network (width-reduced, BN folded) instead of "
-        "the synthetic MLP",
-    )
-    tune_cmd.add_argument(
-        "--probe-n", type=int, default=1, dest="probe_n",
-        help="autotuner probe batch width for linear engines (match the "
-        "serving batch size)",
-    )
-    tune_cmd.add_argument("--full", action="store_true", help="full budget")
-    tune_cmd.set_defaults(func=_cmd_tune)
-
-    for name, handler in [
-        ("fig6b", _cmd_fig6b),
-        ("fig10", _cmd_fig10),
-        ("fig11", _cmd_fig11),
-        ("fig12", _cmd_fig12),
-        ("options", _cmd_options),
-        ("encoding", _cmd_encoding),
-        ("pingpong", _cmd_pingpong),
-        ("dusearch", _cmd_dusearch),
-        ("subbit", _cmd_subbit),
-    ]:
-        cmd = sub.add_parser(name, help=f"run the {name} experiment")
-        cmd.add_argument("--full", action="store_true", help="full budget")
-        cmd.set_defaults(func=handler)
+    for command in COMMANDS:
+        cmd = sub.add_parser(command.name, help=command.help)
+        for flags, kwargs in command.args:
+            cmd.add_argument(*flags, **kwargs)
+        cmd.set_defaults(func=command.handler)
     return parser
 
 

@@ -2,9 +2,11 @@
 
 Every runner exposes ``run(config) -> result`` returning plain dicts /
 dataclasses that print the same rows or series the paper reports, plus a
-``fast_config()`` (seconds, used by tests and CI benchmarks) and a
+``fast_config()`` (seconds, used by tests and CI benchmarks), a
 ``full_config()`` (minutes, the paper-scale budget used by
-``scripts/run_full_experiments.py``).
+``scripts/run_full_experiments.py``) and a ``format_report(result)``
+— the one place the study's column headers are written, which the CLI,
+the benchmark report tests and the examples all print through.
 
 =============  ====================================================
 module         reproduces

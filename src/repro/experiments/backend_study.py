@@ -17,14 +17,21 @@ bitwise column is a re-check of an already-enforced contract.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import nn
-from repro.runtime import EngineCache, RuntimeConfig, compile_model
+from repro.experiments.common import (
+    format_table,
+    mlp_stack,
+    study_model,
+    study_requests,
+    time_calls,
+)
+from repro.runtime import EngineCache, compile_model
 from repro.runtime.backends import clear_tune_cache
 
 
@@ -113,66 +120,23 @@ class BackendStudyResult:
         ]
 
 
-def _build_model(config: BackendStudyConfig) -> Tuple[nn.Module, dict]:
-    if config.model is not None:
-        from repro import models
-
-        model = models.build_model(
-            config.model,
-            num_classes=config.num_classes,
-            width_mult=config.width_mult,
-            rng=np.random.default_rng(config.seed),
-        )
-        model.eval()
-        return model, {"fold_bn": True}
-    rng = np.random.default_rng(config.seed)
-    layers: List[nn.Module] = []
-    width = config.in_features
-    for next_width in config.layer_widths:
-        layers += [nn.Linear(width, next_width, rng=rng), nn.ReLU()]
-        width = next_width
-    layers.append(nn.Linear(width, config.num_classes, rng=rng))
-    return nn.Sequential(*layers), {}
-
-
-def _requests(config: BackendStudyConfig) -> np.ndarray:
-    rng = np.random.default_rng(config.seed + 1)
-    if config.model is not None:
-        return rng.normal(
-            size=(config.n_requests, 3, config.image_hw, config.image_hw)
-        )
-    return rng.normal(size=(config.n_requests, config.in_features))
-
-
-def _time_calls(fn, calls, repeats: int) -> Tuple[float, list]:
-    best = float("inf")
-    outputs = []
-    for _ in range(repeats):
-        outputs = []
-        start = time.perf_counter()
-        for x in calls:
-            outputs.append(fn(x))
-        best = min(best, time.perf_counter() - start)
-    return best * 1000.0, outputs
-
-
 def run(config: BackendStudyConfig = None) -> BackendStudyResult:
     """Serve the same workload on default vs autotuned kernels."""
     config = config if config is not None else fast_config()
-    model, extra = _build_model(config)
-    requests = _requests(config)
+    model, runtime_config = study_model(config, mlp_stack)
+    requests = study_requests(config)
 
     start = time.perf_counter()
-    default = compile_model(
-        model, RuntimeConfig(**extra), cache=EngineCache()
-    )
+    default = compile_model(model, runtime_config, cache=EngineCache())
     compile_default_ms = (time.perf_counter() - start) * 1000.0
 
     clear_tune_cache()  # honest tuned-compile timing: no prior decisions
     start = time.perf_counter()
     tuned = compile_model(
         model,
-        RuntimeConfig(backend="auto", tune_probe_n=config.probe_n, **extra),
+        dataclasses.replace(
+            runtime_config, backend="auto", tune_probe_n=config.probe_n
+        ),
         cache=EngineCache(),
     )
     compile_tuned_ms = (time.perf_counter() - start) * 1000.0
@@ -198,8 +162,8 @@ def run(config: BackendStudyConfig = None) -> BackendStudyResult:
     for x in calls:  # warm both paths (einsum capture, page cache)
         default.run(x)
         tuned.run(x)
-    default_ms, outs_d = _time_calls(lambda x: default.run(x)[0], calls, config.repeats)
-    tuned_ms, outs_t = _time_calls(lambda x: tuned.run(x)[0], calls, config.repeats)
+    default_ms, outs_d = time_calls(lambda x: default.run(x)[0], calls, config.repeats)
+    tuned_ms, outs_t = time_calls(lambda x: tuned.run(x)[0], calls, config.repeats)
     result.n_calls = len(calls)
     result.n_samples = sum(x.shape[0] for x in calls)
     result.default_ms = default_ms
@@ -208,3 +172,22 @@ def run(config: BackendStudyConfig = None) -> BackendStudyResult:
         np.array_equal(a, b) for a, b in zip(outs_d, outs_t)
     )
     return result
+
+
+def format_report(result: BackendStudyResult) -> str:
+    return "\n".join(
+        [
+            f"compile: default {result.compile_default_ms:.1f} ms, "
+            f"tuned {result.compile_tuned_ms:.1f} ms (includes per-engine probes)",
+            format_table(
+                result.rows(),
+                ["layer", "winner", "ref_ms", "winner_ms", "probe_speedup", "cached"],
+            ),
+            f"serving ({result.n_samples} requests, batch 1): "
+            f"default {result.default_ms:.1f} ms "
+            f"({result.default_samples_per_s:.1f}/s), "
+            f"tuned {result.tuned_ms:.1f} ms "
+            f"({result.tuned_samples_per_s:.1f}/s) -> "
+            f"{result.speedup:.2f}x, bitwise={result.bitwise_identical}",
+        ]
+    )

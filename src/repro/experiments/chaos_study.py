@@ -30,9 +30,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import nn
 from repro.chaos import ADC_DRIFT, BITLINE_NOISE, ChaosController, FaultEvent, FaultSchedule, SHARD_DEATH
-from repro.runtime import RuntimeConfig, compile_model, shard, stream_rng
+from repro.experiments.common import (
+    conv_stack,
+    format_metrics,
+    format_table,
+    study_model,
+    study_stream,
+)
+from repro.runtime import compile_model, shard
 
 
 @dataclass
@@ -174,52 +180,12 @@ class ChaosStudyResult:
         ]
 
 
-def _build_model(config: ChaosStudyConfig) -> Tuple[nn.Module, RuntimeConfig]:
-    if config.model is not None:
-        from repro import models
-
-        model = models.build_model(
-            config.model,
-            num_classes=config.num_classes,
-            width_mult=config.width_mult,
-            rng=np.random.default_rng(config.seed),
-        )
-        model.eval()
-        # Zoo models carry BatchNorm; deployment folds it exactly once.
-        return model, RuntimeConfig(fold_bn=True)
-    rng = np.random.default_rng(config.seed)
-    layers: List[nn.Module] = []
-    width = 3
-    for ch in config.channels:
-        layers += [nn.Conv2d(width, ch, 3, padding=1, rng=rng), nn.ReLU()]
-        width = ch
-    hw = config.image_hw // 2
-    layers += [
-        nn.MaxPool2d(2),
-        nn.Flatten(),
-        nn.Linear(width * hw * hw, config.num_classes, rng=rng),
-    ]
-    return nn.Sequential(*layers), RuntimeConfig()
-
-
 def run(config: ChaosStudyConfig = None) -> ChaosStudyResult:
     """Execute the campaign sweep and the degradation-corner table."""
     config = config if config is not None else fast_config()
-    model, runtime_config = _build_model(config)
+    model, runtime_config = study_model(config, conv_stack)
     compiled = compile_model(model, runtime_config)
-    input_shape = (1, 3, config.image_hw, config.image_hw)
-    batches = [
-        np.random.default_rng([config.seed + 1, i]).normal(
-            size=(config.batch_size, 3, config.image_hw, config.image_hw)
-        )
-        for i in range(config.n_batches)
-    ]
-    # Unsharded per-batch replay with the stream's per-batch RNGs: the
-    # bitwise / accuracy oracle for every campaign and corner.
-    oracle = [
-        compiled.run(batch, rng=stream_rng(config.seed, i))[0]
-        for i, batch in enumerate(batches)
-    ]
+    input_shape, batches, oracle = study_stream(config, compiled)
     sharded = shard(compiled, config.n_shards, input_shape=input_shape)
 
     result = ChaosStudyResult(
@@ -311,3 +277,34 @@ def run(config: ChaosStudyConfig = None) -> ChaosStudyResult:
             )
         )
     return result
+
+
+def format_report(result: ChaosStudyResult) -> str:
+    return "\n".join(
+        [
+            f"chaos: {result.n_batches} micro-batches x {result.batch_samples} "
+            f"samples across {result.n_shards} shards",
+            "\nshard-death campaigns:",
+            format_table(
+                result.campaign_rows(),
+                [
+                    "campaign",
+                    "death_at",
+                    "shard",
+                    "availability",
+                    "dropped",
+                    "replayed",
+                    "replan_ms",
+                    "recovery_ms",
+                    "bitwise",
+                ],
+            ),
+            "\nrecovery distribution:",
+            format_metrics(result.recovery_summary()),
+            "\ndegradation corners (vs clean oracle):",
+            format_table(
+                result.corner_rows(),
+                ["kind", "magnitude", "mean_rel_err", "argmax_agree", "bitwise"],
+            ),
+        ]
+    )

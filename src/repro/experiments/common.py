@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import nn, models
 from repro.datasets import TransferSuite, SuiteSplits
 from repro.rebranch import TrainConfig, TransferTrainer
+from repro.runtime import RuntimeConfig, stream_rng
 
 
 @dataclass
@@ -120,3 +122,105 @@ def format_table(rows, headers) -> str:
     lines = [fmt(headers), fmt(["-" * w for w in widths])]
     lines.extend(fmt(cells) for cells in text_rows)
     return "\n".join(lines)
+
+
+def format_metrics(rows) -> str:
+    """A ``(metric, value)`` table."""
+    return format_table(rows, ["metric", "value"])
+
+
+# -- shared by the runtime studies (runtime / tune / shard / chaos) -----
+
+
+def zoo_model(name: str, seed: int = 0, **build) -> Tuple[nn.Module, RuntimeConfig]:
+    """A zoo network in eval mode plus the config that deploys it."""
+    model = models.build_model(name, rng=np.random.default_rng(seed), **build)
+    model.eval()
+    # Zoo models carry BatchNorm; deployment folds it exactly once.
+    return model, RuntimeConfig(fold_bn=True)
+
+
+def mlp_stack(config, rng: np.random.Generator) -> nn.Module:
+    """``in_features -> layer_widths... -> num_classes`` ReLU classifier."""
+    layers: List[nn.Module] = []
+    width = config.in_features
+    for next_width in config.layer_widths:
+        layers += [nn.Linear(width, next_width, rng=rng), nn.ReLU()]
+        width = next_width
+    layers.append(nn.Linear(width, config.num_classes, rng=rng))
+    return nn.Sequential(*layers)
+
+
+def conv_stack(config, rng: np.random.Generator) -> nn.Module:
+    """3x3 conv + ReLU per ``channels`` entry, 2x2 max-pool, linear head."""
+    layers: List[nn.Module] = []
+    width = 3
+    for ch in config.channels:
+        layers += [nn.Conv2d(width, ch, 3, padding=1, rng=rng), nn.ReLU()]
+        width = ch
+    hw = config.image_hw // 2
+    layers += [
+        nn.MaxPool2d(2),
+        nn.Flatten(),
+        nn.Linear(width * hw * hw, config.num_classes, rng=rng),
+    ]
+    return nn.Sequential(*layers)
+
+
+def study_model(
+    config, synthetic: Callable[[object, np.random.Generator], nn.Module]
+) -> Tuple[nn.Module, RuntimeConfig]:
+    """The network a study config deploys: the zoo model ``config.model``
+    names (at ``width_mult``), else the study's ``synthetic`` stack."""
+    if config.model is None:
+        return synthetic(config, np.random.default_rng(config.seed)), RuntimeConfig()
+    return zoo_model(
+        config.model,
+        config.seed,
+        num_classes=config.num_classes,
+        width_mult=config.width_mult,
+    )
+
+
+def study_requests(config) -> np.ndarray:
+    """``n_requests`` samples shaped for :func:`study_model`'s network."""
+    rng = np.random.default_rng(config.seed + 1)
+    if config.model is not None:
+        return rng.normal(
+            size=(config.n_requests, 3, config.image_hw, config.image_hw)
+        )
+    return rng.normal(size=(config.n_requests, config.in_features))
+
+
+def study_stream(config, compiled) -> Tuple[tuple, List[np.ndarray], List[np.ndarray]]:
+    """``(input_shape, micro-batches, oracle)`` of a shard / chaos study.
+
+    The oracle is the unsharded per-batch replay under the stream's
+    per-batch RNGs: the bitwise witness for every sharded execution.
+    """
+    sample = (3, config.image_hw, config.image_hw)
+    batches = [
+        np.random.default_rng([config.seed + 1, i]).normal(
+            size=(config.batch_size,) + sample
+        )
+        for i in range(config.n_batches)
+    ]
+    oracle = [
+        compiled.run(batch, rng=stream_rng(config.seed, i))[0]
+        for i, batch in enumerate(batches)
+    ]
+    return (1,) + sample, batches, oracle
+
+
+def time_calls(fn: Callable, calls: Sequence, repeats: int) -> Tuple[float, list]:
+    """Minimum wall-clock ms over ``repeats`` passes of ``fn`` over
+    ``calls`` (the standard low-noise estimator); outputs of the last."""
+    best = float("inf")
+    outputs: list = []
+    for _ in range(repeats):
+        outputs = []
+        start = time.perf_counter()
+        for x in calls:
+            outputs.append(fn(x))
+        best = min(best, time.perf_counter() - start)
+    return best * 1000.0, outputs

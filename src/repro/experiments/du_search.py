@@ -18,6 +18,7 @@ import numpy as np
 from repro.datasets import classification_suite
 from repro.experiments.common import (
     clone_with_new_head,
+    format_table,
     pretrain_classifier,
     transfer_and_evaluate,
 )
@@ -111,3 +112,21 @@ def run(config: Optional[DuSearchConfig] = None) -> DuSearchResult:
     if config.candidates is not None:
         candidates = [DuCandidate(d, u) for d, u in config.candidates]
     return search(evaluate, candidates=candidates, tolerance=config.tolerance)
+
+
+def format_report(result: DuSearchResult) -> str:
+    rows = [
+        (
+            f"D{e.candidate.d}-U{e.candidate.u}",
+            e.accuracy,
+            e.sram_area_mm2,
+            e.trainable_params,
+        )
+        for e in result.evaluations
+    ]
+    selected = result.selected
+    return (
+        format_table(rows, ["candidate", "accuracy", "sram_mm2", "trainable"])
+        + f"\n\nselected: D={selected.candidate.d} U={selected.candidate.u} "
+        f"(accuracy floor {result.accuracy_floor:.3f})"
+    )

@@ -30,6 +30,7 @@ from repro.cim.encoding import (
     PulseWidthEncoding,
     UnaryPulseEncoding,
 )
+from repro.experiments.common import format_table
 
 
 @dataclass
@@ -164,3 +165,26 @@ def jitter_sweep(
         )
         rows.append({"jitter_sigma_slots": sigma, "rel_error": point.rel_error})
     return rows
+
+
+def format_jitter(rows: List[Dict[str, float]]) -> str:
+    """Table of a :func:`jitter_sweep`."""
+    return format_table(
+        [(r["jitter_sigma_slots"], r["rel_error"]) for r in rows],
+        ["jitter_slots", "rel_error"],
+    )
+
+
+def format_report(result: EncodingStudyResult) -> str:
+    return format_table(
+        result.rows(),
+        [
+            "encoding",
+            "bits",
+            "wl_cycles",
+            "conv/col",
+            "rel_error",
+            "fJ_per_mac",
+            "ns_per_vec",
+        ],
+    )

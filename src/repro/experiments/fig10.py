@@ -22,6 +22,7 @@ from repro.datasets import classification_suite
 from repro.experiments.common import (
     PretrainedBundle,
     clone_with_new_head,
+    format_table,
     pretrain_classifier,
     transfer_and_evaluate,
 )
@@ -168,3 +169,11 @@ def run(config: Optional[Fig10Config] = None) -> Fig10Result:
                     )
                 )
     return result
+
+
+def format_report(result: Fig10Result) -> str:
+    rows = [
+        (r.model, r.target, r.method, r.accuracy, r.normalized_area)
+        for r in result.rows
+    ]
+    return format_table(rows, ["model", "target", "method", "accuracy", "norm_area"])

@@ -17,6 +17,7 @@ import numpy as np
 from repro.datasets import classification_suite
 from repro.experiments.common import (
     clone_with_new_head,
+    format_table,
     pretrain_classifier,
     transfer_and_evaluate,
 )
@@ -138,3 +139,14 @@ def run(config: Optional[Fig11Config] = None) -> Fig11Result:
                 _one_point(bundle, splits, d, u, baseline_area, train_cfg, config.seed)
             )
     return result
+
+
+def format_report(result: Fig11Result) -> str:
+    rows = [
+        ("ratio", f"D{p.d}xU{p.u}", p.accuracy, p.normalized_area)
+        for p in result.ratio_points
+    ] + [
+        ("split", f"D{p.d}-U{p.u}", p.accuracy, p.normalized_area)
+        for p in result.split_points
+    ]
+    return format_table(rows, ["sweep", "point", "accuracy", "norm_area"])

@@ -24,11 +24,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro import models
+from repro import models, viz
 from repro.arch.mapping import map_model
 from repro.arch.memory import SramBufferModel
 from repro.cim.spec import rom_macro_spec, sram_macro_spec
 from repro.datasets.detection import detection_suite
+from repro.experiments.common import format_table
 from repro.experiments.detection import (
     DetectionTrainConfig,
     build_scaled_detector,
@@ -119,10 +120,10 @@ def _full_size_areas(d: int, u: int) -> List[AreaRow]:
     cache = SramBufferModel()
     rng = np.random.default_rng(0)
     yolo_profile = models.profile_model(
-        models.yolo_v2(rng=rng), (1, 3, 416, 416)
+        models.yolo_v2(rng=rng), models.INPUT_SHAPES["yolo"]
     )
     tiny_profile = models.profile_model(
-        models.tiny_yolo(rng=rng), (1, 3, 416, 416)
+        models.tiny_yolo(rng=rng), models.INPUT_SHAPES["tiny_yolo"]
     )
 
     def row(method: str, rom_bits: int, sram_bits: int) -> AreaRow:
@@ -235,3 +236,17 @@ def run(config: Optional[Fig12Config] = None) -> Fig12Result:
                 )
             )
     return result
+
+
+def format_report(result: Fig12Result) -> str:
+    rows = [(r.method, r.target, r.map50) for r in result.rows]
+    return "\n".join(
+        [
+            format_table(rows, ["method", "target", "mAP@0.5"]),
+            "",
+            viz.bar_chart(
+                [(a.method, round(a.total_cm2, 2)) for a in result.areas],
+                title="chip area to hold all weights (cm^2)",
+            ),
+        ]
+    )

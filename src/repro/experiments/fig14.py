@@ -30,11 +30,9 @@ from repro.arch.system import (
 )
 
 #: (model, input shape) pairs of the paper's benchmark set.
-BENCHMARKS: Tuple[Tuple[str, Tuple[int, int, int, int]], ...] = (
-    ("vgg8", (1, 3, 32, 32)),
-    ("resnet18", (1, 3, 32, 32)),
-    ("tiny_yolo", (1, 3, 416, 416)),
-    ("yolo", (1, 3, 416, 416)),
+BENCHMARKS: Tuple[Tuple[str, Tuple[int, int, int, int]], ...] = tuple(
+    (name, models.INPUT_SHAPES[name])
+    for name in ("vgg8", "resnet18", "tiny_yolo", "yolo")
 )
 
 #: The paper's improvement ratios, for side-by-side comparison.

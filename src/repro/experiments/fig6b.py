@@ -14,6 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro import viz
 from repro.datasets import classification_suite
 from repro.experiments.common import (
     clone_with_new_head,
@@ -114,3 +115,12 @@ def run(config: Optional[Fig6bConfig] = None) -> Fig6bResult:
             )
         )
     return result
+
+
+def format_report(result: Fig6bResult) -> str:
+    return viz.line_plot(
+        [p.n_frozen_convs for p in result.points],
+        [p.accuracy for p in result.points],
+        title="ATL: accuracy vs frozen conv layers",
+        y_label="accuracy",
+    )

@@ -27,6 +27,7 @@ from repro.datasets import classification_suite
 from repro.experiments.common import (
     PretrainedBundle,
     clone_with_new_head,
+    format_table,
     pretrain_classifier,
     transfer_and_evaluate,
 )
@@ -179,3 +180,13 @@ def run(config: Optional[OptionsConfig] = None) -> OptionsResult:
         )
     )
     return result
+
+
+def format_report(result: OptionsResult) -> str:
+    rows = [
+        (r.option, r.accuracy, r.normalized_area, r.sram_bits, r.rom_bits)
+        for r in result.rows
+    ]
+    return format_table(
+        rows, ["option", "accuracy", "norm_area", "sram_bits", "rom_bits"]
+    )

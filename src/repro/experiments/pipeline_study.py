@@ -21,14 +21,8 @@ from repro.arch.pipeline import relief_summary, tasks_for_single_chip
 from repro.arch.mapping import weight_reload_factor
 from repro.arch.system import SramSingleChipSystem
 from repro.cim.spec import sram_macro_spec
-
-BENCHMARKS: Tuple[Tuple[str, Tuple[int, int, int, int]], ...] = (
-    ("vgg8", (1, 3, 32, 32)),
-    ("resnet18", (1, 3, 32, 32)),
-    ("tiny_yolo", (1, 3, 416, 416)),
-    ("yolo", (1, 3, 416, 416)),
-)
-
+from repro.experiments.common import format_table
+from repro.experiments.fig14 import BENCHMARKS
 
 @dataclass
 class PipelineStudyConfig:
@@ -105,13 +99,12 @@ def run(config: Optional[PipelineStudyConfig] = None) -> PipelineStudyResult:
 def slowdown_sensitivity(
     slowdowns: Tuple[float, ...] = (1.0, 1.25, 1.5, 2.0),
     model_name: str = "yolo",
-    shape: Tuple[int, int, int, int] = (1, 3, 416, 416),
     seed: int = 0,
 ) -> List[Dict[str, float]]:
     """How much bank-switching compute loss the overlap can absorb."""
     rng = np.random.default_rng(seed)
     model = models.build_model(model_name, rng=rng)
-    profile = models.profile_model(model, shape)
+    profile = models.profile_model(model, models.INPUT_SHAPES[model_name])
     spec = sram_macro_spec()
     # A deliberately small chip so the model is reload-dominated.
     capacity_bits = int(profile.total_params * 8 * 0.25)
@@ -129,3 +122,19 @@ def slowdown_sensitivity(
             }
         )
     return rows
+
+
+def format_report(result: PipelineStudyResult) -> str:
+    rows = [
+        (
+            r["model"],
+            r["resident_fraction"],
+            r["serial_ns"] / 1e6,
+            r["pingpong_ns"] / 1e6,
+            r["latency_relief"],
+        )
+        for r in result.rows
+    ]
+    return format_table(
+        rows, ["model", "resident", "serial_ms", "pingpong_ms", "relief"]
+    )

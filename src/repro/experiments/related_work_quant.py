@@ -23,7 +23,7 @@ import numpy as np
 from repro.datasets import classification_suite
 from repro.nn.tensor import Tensor, no_grad
 from repro.eval.classification import accuracy
-from repro.experiments.common import pretrain_classifier
+from repro.experiments.common import format_table, pretrain_classifier
 from repro.quant import mean_quantization_error, quantize_weights_
 from repro.rebranch import TrainConfig
 
@@ -127,3 +127,9 @@ def run(config: Optional[RelatedWorkQuantConfig] = None) -> RelatedWorkQuantResu
                 )
             )
     return result
+
+
+def format_report(result: RelatedWorkQuantResult) -> str:
+    return f"baselines: {result.baselines}\n" + format_table(
+        result.rows(), ["model", "scheme", "accuracy", "drop", "weight_err"]
+    )

@@ -26,13 +26,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import nn
-from repro.runtime import (
-    EngineCache,
-    RuntimeConfig,
-    compile_model,
-    reference_forward,
+from repro.experiments.common import (
+    format_table,
+    mlp_stack,
+    study_model,
+    study_requests,
+    time_calls,
 )
+from repro.runtime import EngineCache, compile_model, reference_forward
 
 
 @dataclass
@@ -110,56 +111,11 @@ class RuntimeStudyResult:
         ]
 
 
-def _build_model(config: RuntimeStudyConfig) -> Tuple[nn.Module, RuntimeConfig]:
-    if config.model is not None:
-        from repro import models
-
-        model = models.build_model(
-            config.model,
-            num_classes=config.num_classes,
-            width_mult=config.width_mult,
-            rng=np.random.default_rng(config.seed),
-        )
-        model.eval()
-        # Zoo models carry BatchNorm; deployment folds it exactly once.
-        return model, RuntimeConfig(fold_bn=True)
-    rng = np.random.default_rng(config.seed)
-    layers: List[nn.Module] = []
-    width = config.in_features
-    for next_width in config.layer_widths:
-        layers += [nn.Linear(width, next_width, rng=rng), nn.ReLU()]
-        width = next_width
-    layers.append(nn.Linear(width, config.num_classes, rng=rng))
-    return nn.Sequential(*layers), RuntimeConfig()
-
-
-def _requests(config: RuntimeStudyConfig) -> np.ndarray:
-    rng = np.random.default_rng(config.seed + 1)
-    if config.model is not None:
-        return rng.normal(
-            size=(config.n_requests, 3, config.image_hw, config.image_hw)
-        )
-    return rng.normal(size=(config.n_requests, config.in_features))
-
-
-def _time_calls(fn, calls, repeats: int) -> Tuple[float, list]:
-    """Minimum wall-clock over ``repeats`` passes; outputs of the last."""
-    best = float("inf")
-    outputs = []
-    for _ in range(repeats):
-        outputs = []
-        start = time.perf_counter()
-        for x in calls:
-            outputs.append(fn(x))
-        best = min(best, time.perf_counter() - start)
-    return best * 1000.0, outputs
-
-
 def run(config: RuntimeStudyConfig = None) -> RuntimeStudyResult:
     """Measure compiled vs seed per-call inference on both regimes."""
     config = config if config is not None else fast_config()
-    model, runtime_config = _build_model(config)
-    requests = _requests(config)
+    model, runtime_config = study_model(config, mlp_stack)
+    requests = study_requests(config)
 
     cache = EngineCache()
     start = time.perf_counter()
@@ -181,8 +137,8 @@ def run(config: RuntimeStudyConfig = None) -> RuntimeStudyResult:
         for x in calls:  # warm both paths (page cache, einsum paths)
             compiled.run(x)
         reference_forward(model, calls[0])
-        compiled_ms, outs_c = _time_calls(compiled_call, calls, config.repeats)
-        reference_ms, outs_r = _time_calls(reference_call, calls, config.repeats)
+        compiled_ms, outs_c = time_calls(compiled_call, calls, config.repeats)
+        reference_ms, outs_r = time_calls(reference_call, calls, config.repeats)
         bitwise = all(
             np.array_equal(a, b) for a, b in zip(outs_c, outs_r)
         )
@@ -199,3 +155,25 @@ def run(config: RuntimeStudyConfig = None) -> RuntimeStudyResult:
     result.cache_hits = cache.stats.hits
     result.cache_misses = cache.stats.misses
     return result
+
+
+def format_report(result: RuntimeStudyResult) -> str:
+    return "\n".join(
+        [
+            f"compile: {result.compile_ms:.1f} ms "
+            f"({result.engines_programmed} engines programmed once; "
+            f"{result.cache_hits} cache hits / {result.cache_misses} misses)",
+            format_table(
+                result.rows(),
+                [
+                    "regime",
+                    "calls",
+                    "samples",
+                    "compiled_ms",
+                    "reference_ms",
+                    "speedup",
+                    "bitwise",
+                ],
+            ),
+        ]
+    )

@@ -24,8 +24,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import nn
-from repro.runtime import RuntimeConfig, compile_model, shard, stream_rng
+from repro.experiments.common import (
+    conv_stack,
+    format_table,
+    study_model,
+    study_stream,
+)
+from repro.runtime import compile_model, shard
 
 
 @dataclass
@@ -110,53 +115,13 @@ class ShardStudyResult:
         ]
 
 
-def _build_model(config: ShardStudyConfig) -> Tuple[nn.Module, RuntimeConfig]:
-    if config.model is not None:
-        from repro import models
-
-        model = models.build_model(
-            config.model,
-            num_classes=config.num_classes,
-            width_mult=config.width_mult,
-            rng=np.random.default_rng(config.seed),
-        )
-        model.eval()
-        # Zoo models carry BatchNorm; deployment folds it exactly once.
-        return model, RuntimeConfig(fold_bn=True)
-    rng = np.random.default_rng(config.seed)
-    layers: List[nn.Module] = []
-    width = 3
-    for ch in config.channels:
-        layers += [nn.Conv2d(width, ch, 3, padding=1, rng=rng), nn.ReLU()]
-        width = ch
-    hw = config.image_hw // 2
-    layers += [
-        nn.MaxPool2d(2),
-        nn.Flatten(),
-        nn.Linear(width * hw * hw, config.num_classes, rng=rng),
-    ]
-    return nn.Sequential(*layers), RuntimeConfig()
-
-
 def run(config: ShardStudyConfig = None) -> ShardStudyResult:
     """Execute the micro-batch stream at every shard count and compare
     the serial and pipelined makespans measured from it."""
     config = config if config is not None else fast_config()
-    model, runtime_config = _build_model(config)
+    model, runtime_config = study_model(config, conv_stack)
     compiled = compile_model(model, runtime_config)
-    input_shape = (1, 3, config.image_hw, config.image_hw)
-    batches = [
-        np.random.default_rng([config.seed + 1, i]).normal(
-            size=(config.batch_size, 3, config.image_hw, config.image_hw)
-        )
-        for i in range(config.n_batches)
-    ]
-    # Unsharded per-batch replay with the stream's per-batch RNGs: the
-    # bitwise oracle for every shard count.
-    expected = [
-        compiled.run(batch, rng=stream_rng(config.seed, i))[0]
-        for i, batch in enumerate(batches)
-    ]
+    input_shape, batches, expected = study_stream(config, compiled)
 
     result = ShardStudyResult(
         n_batches=config.n_batches, batch_samples=config.batch_size
@@ -182,3 +147,24 @@ def run(config: ShardStudyConfig = None) -> ShardStudyResult:
             )
         )
     return result
+
+
+def format_report(result: ShardStudyResult) -> str:
+    return "\n".join(
+        [
+            f"stream: {result.n_batches} micro-batches x "
+            f"{result.batch_samples} samples (makespans in simulated chip time)",
+            format_table(
+                result.rows(),
+                [
+                    "shards",
+                    "serial_ms",
+                    "pipelined_ms",
+                    "speedup",
+                    "link_nJ",
+                    "balance",
+                    "bitwise",
+                ],
+            ),
+        ]
+    )

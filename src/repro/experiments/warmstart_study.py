@@ -23,13 +23,13 @@ cold compile it replaces, with the bitwise check green.
 from __future__ import annotations
 
 import tempfile
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import nn
+from repro.experiments.common import format_table, time_calls
 from repro.runtime import (
     ArtifactStore,
     EngineCache,
@@ -130,17 +130,6 @@ def _conv(channels: Sequence[int], hw: int, rng: np.random.Generator) -> nn.Modu
     return nn.Sequential(*layers)
 
 
-def _min_time(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:
-    """Minimum wall-clock over ``repeats`` calls; value of the last."""
-    best = float("inf")
-    value = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - start)
-    return best * 1000.0, value
-
-
 def measure(
     name: str,
     model: nn.Module,
@@ -149,12 +138,14 @@ def measure(
     repeats: int,
 ) -> WarmstartResult:
     """Cold-compile vs save/load one model through ``store``."""
-    cold_ms, compiled = _min_time(
-        lambda: compile_model(model, RuntimeConfig(), cache=EngineCache()), repeats
+    cold_ms, [compiled] = time_calls(
+        lambda m: compile_model(m, RuntimeConfig(), cache=EngineCache()),
+        [model],
+        repeats,
     )
-    save_ms, key = _min_time(lambda: save(compiled, store), 1)
-    load_ms, loaded = _min_time(
-        lambda: load(store, key, cache=EngineCache()), repeats
+    save_ms, [key] = time_calls(lambda c: save(c, store), [compiled], 1)
+    load_ms, [loaded] = time_calls(
+        lambda k: load(store, k, cache=EngineCache()), [key], repeats
     )
     expected, _ = compiled.run(sample, rng=np.random.default_rng(7))
     restored, _ = loaded.run(sample, rng=np.random.default_rng(7))
@@ -198,3 +189,19 @@ def run(config: Optional[WarmstartStudyConfig] = None) -> WarmstartStudyResult:
             measure(name, model, sample, store, config.repeats)
         )
     return result
+
+
+def format_report(result: WarmstartStudyResult) -> str:
+    return format_table(
+        result.rows(),
+        [
+            "model",
+            "layers",
+            "cold_ms",
+            "save_ms",
+            "load_ms",
+            "speedup",
+            "artifact_MB",
+            "bitwise",
+        ],
+    )

@@ -19,7 +19,7 @@ from repro.models.resnet import BasicBlock, ResNet, resnet18, resnet8
 from repro.models.darknet import darknet19, darknet_tiny, DarknetBackbone
 from repro.models.yolo import YoloDetector, yolo_v2, tiny_yolo, decode_predictions
 from repro.models.profile import LayerProfile, ModelProfile, profile_model
-from repro.models.registry import build_model, available_models
+from repro.models.registry import INPUT_SHAPES, build_model, available_models
 
 __all__ = [
     "ConvBNAct",
@@ -43,6 +43,7 @@ __all__ = [
     "LayerProfile",
     "ModelProfile",
     "profile_model",
+    "INPUT_SHAPES",
     "build_model",
     "available_models",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro import nn
 from repro.models.mobilenet import mobilenet
@@ -17,6 +17,19 @@ _BUILDERS: Dict[str, Callable[..., nn.Module]] = {
     "mobilenet": mobilenet,
     "yolo": yolo_v2,
     "tiny_yolo": tiny_yolo,
+}
+
+_CIFAR, _DETECTION = (1, 3, 32, 32), (1, 3, 416, 416)
+
+#: Paper-resolution input shape per zoo model: classifiers run at CIFAR
+#: scale, detectors at 416x416 (section 4.1).
+INPUT_SHAPES: Dict[str, Tuple[int, int, int, int]] = {
+    "vgg8": _CIFAR,
+    "resnet18": _CIFAR,
+    "resnet8": _CIFAR,
+    "mobilenet": _CIFAR,
+    "yolo": _DETECTION,
+    "tiny_yolo": _DETECTION,
 }
 
 

@@ -1,11 +1,8 @@
-"""Unified metrics registry with Prometheus and JSON exposition.
+"""Metrics registry with Prometheus and JSON exposition.
 
-The serve layer already *collects* — :class:`ServerMetrics` ring
-buffers, :class:`CacheStats` counters, per-tenant
-:class:`ExecutionSession` energy — but each behind its own ad-hoc
-surface.  :class:`MetricsRegistry` unifies them behind the three
-standard instrument kinds (counter, gauge, histogram) with optional
-labels, and renders the whole registry as:
+:class:`MetricsRegistry` holds the three standard instrument kinds
+(counter, gauge, histogram) with optional labels, and renders the whole
+registry as:
 
 * **Prometheus text exposition** (:meth:`MetricsRegistry.to_prometheus`)
   — ``# HELP`` / ``# TYPE`` headers, ``name{label="value"} value``
@@ -14,11 +11,15 @@ labels, and renders the whole registry as:
 * **JSON** (:meth:`MetricsRegistry.to_json`) — the same families as a
   plain dict for programmatic consumers.
 
-:func:`collect_server` snapshots a live
-:class:`~repro.serve.server.InferenceServer` (request counters, typed
-rejections, queue depth, batch-size histogram, latency quantiles,
-throughput, engine-cache tiers, per-tenant energy) into a registry in
-one call — the implementation behind ``repro serve --metrics OUT.prom``.
+There is one metrics model: a server's
+:class:`~repro.serve.metrics.ServerMetrics` owns a registry and counts
+every request, batch, rejection and fault *in* its instruments, so
+those families are always live.  :func:`collect_server` only refreshes,
+on that same registry, the families whose source of truth lives
+elsewhere — point-in-time gauges (queue depth, latency quantiles,
+throughput, per-tenant energy) and the two counters mirrored from the
+tenants' sessions and the engine cache's ``CacheStats`` — and returns
+it: the implementation behind ``repro serve --metrics OUT.prom``.
 """
 
 from __future__ import annotations
@@ -59,23 +60,31 @@ def _label_str(label_names: Sequence[str], label_values: Tuple[str, ...]) -> str
 
 
 class Counter:
-    """Monotone counter child (one label combination)."""
+    """Monotone counter child (one label combination).
 
-    __slots__ = ("_value", "_lock")
+    ``inc`` and ``advance_to`` are safe from any thread.  An owner that
+    already serialises every writer of a child under a lock of its own
+    (``ServerMetrics`` on its hot path) may add to ``value`` directly
+    instead of paying for a second lock and a call per increment.
+    """
+
+    __slots__ = ("value", "_lock")
 
     def __init__(self):
-        self._value = 0.0
+        self.value = 0.0
         self._lock = threading.Lock()
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counters only go up, got {amount}")
         with self._lock:
-            self._value += amount
+            self.value += amount
 
-    @property
-    def value(self) -> float:
-        return self._value
+    def advance_to(self, total: float) -> None:
+        """Advance by the delta up to ``total``, a monotone count kept
+        elsewhere — so collecting it twice equals collecting it once."""
+        with self._lock:
+            self.value += max(0.0, total - self.value)
 
 
 class Gauge:
@@ -115,8 +124,7 @@ class Histogram:
         self._lock = threading.Lock()
 
     def observe(self, value: float, count: int = 1) -> None:
-        """Record ``value`` (``count`` times — for replaying pre-binned
-        histograms such as the server's batch-size counts)."""
+        """Record ``value`` (``count`` times, for pre-binned input)."""
         with self._lock:
             self._sum += value * count
             self._count += count
@@ -182,16 +190,19 @@ class _Family:
         return Histogram(self._buckets or DEFAULT_BUCKETS)
 
     def children(self) -> List[Tuple[Tuple[str, ...], object]]:
+        """``(label values, child)`` pairs, sorted by label values so the
+        exposition does not depend on which label was seen first."""
         with self._lock:
-            return list(self._children.items())
+            return sorted(self._children.items())
 
 
 class MetricsRegistry:
     """Named families of counters / gauges / histograms.
 
     Re-declaring a family with the same name and kind returns the
-    existing one (so collectors are idempotent); re-declaring with a
-    different kind or labels is a hard error.
+    existing one, and every collector below either sets a gauge or
+    advances a counter by its delta, so collectors are idempotent;
+    re-declaring with a different kind or labels is a hard error.
     """
 
     def __init__(self):
@@ -315,7 +326,7 @@ def _merge_le(
 # -- collectors --------------------------------------------------------
 
 
-def collect_cache(cache, registry: MetricsRegistry, prefix: str = "repro") -> None:
+def collect_cache(cache, registry: MetricsRegistry) -> None:
     """Fold an :class:`~repro.runtime.cache.EngineCache`'s counters in.
 
     Iterates ``dataclasses.fields(CacheStats)`` so a newly added counter
@@ -324,141 +335,82 @@ def collect_cache(cache, registry: MetricsRegistry, prefix: str = "repro") -> No
     """
     stats = cache.stats
     family = registry.counter(
-        f"{prefix}_engine_cache_events_total",
+        "repro_engine_cache_events_total",
         "Engine-cache activity by event (memory and disk tiers).",
         ("event",),
     )
     for f in dataclasses.fields(stats):
-        family.labels(event=f.name).inc(float(getattr(stats, f.name)))
+        family.labels(event=f.name).advance_to(getattr(stats, f.name))
     registry.gauge(
-        f"{prefix}_engine_cache_entries",
+        "repro_engine_cache_entries",
         "Programmed engines currently resident in the memory tier.",
     ).labels().set(len(cache))
 
 
-def collect_server(
-    server, registry: Optional[MetricsRegistry] = None, prefix: str = "repro"
-) -> MetricsRegistry:
-    """Snapshot a live :class:`InferenceServer` into a registry.
+def collect_server(server) -> MetricsRegistry:
+    """Refresh a live :class:`InferenceServer`'s registry and return it.
 
-    Unifies the server's :class:`MetricsSnapshot` (requests, queue,
-    batching, latency quantiles, throughput), the shared engine cache,
-    and per-tenant session energy under one exposition surface.
+    The request / batch / rejection / fault counters and the batch-size
+    histogram are live instruments ``server.metrics`` increments as it
+    observes; this only brings the families counted elsewhere up to
+    date on the same registry: gauges from one ``server.snapshot()``,
+    the shared engine cache, and per-tenant session samples / energy.
     """
-    registry = registry if registry is not None else MetricsRegistry()
+    registry = server.metrics.registry
     snap = server.snapshot()
 
-    for name, value, help in (
-        ("requests_submitted", snap.submitted, "Requests admitted to submit()."),
-        ("requests_completed", snap.completed, "Requests completed successfully."),
-        ("requests_failed", snap.failed, "Requests failed during execution."),
-        ("requests_cancelled", snap.cancelled, "Requests cancelled at shutdown."),
-        ("batches_executed", snap.batches, "Dynamic batches executed."),
+    for name, help, value in (
+        ("queue_depth", "Requests waiting in the scheduler queue.", snap.queue_depth),
+        (
+            "throughput_rps",
+            "Completed requests/s over the rolling window.",
+            snap.throughput_rps,
+        ),
+        (
+            "throughput_sps",
+            "Completed samples/s over the rolling window.",
+            snap.throughput_sps,
+        ),
+        (
+            "uptime_seconds",
+            "Seconds since the metrics collector was born.",
+            snap.uptime_s,
+        ),
+        ("metrics_window_seconds", "Rolling-throughput window size.", snap.window_s),
+        ("queued_seconds_mean", "Mean time requests spent queued.", snap.mean_queued_s),
+        (
+            "chaos_recovery_seconds_mean",
+            "Mean wall-clock failover recovery time.",
+            snap.mean_recovery_s,
+        ),
     ):
-        registry.counter(f"{prefix}_{name}_total", help).labels().inc(float(value))
-
-    rejected = registry.counter(
-        f"{prefix}_requests_rejected_total",
-        "Typed admission rejections.",
-        ("reason",),
-    )
-    for reason, count in sorted(snap.rejected.items()):
-        rejected.labels(reason=reason).inc(float(count))
-
-    registry.gauge(
-        f"{prefix}_queue_depth", "Requests waiting in the scheduler queue."
-    ).labels().set(snap.queue_depth)
-    registry.gauge(
-        f"{prefix}_throughput_rps", "Completed requests/s over the rolling window."
-    ).labels().set(snap.throughput_rps)
-    registry.gauge(
-        f"{prefix}_throughput_sps", "Completed samples/s over the rolling window."
-    ).labels().set(snap.throughput_sps)
-    registry.gauge(
-        f"{prefix}_uptime_seconds", "Seconds since the metrics collector was born."
-    ).labels().set(snap.uptime_s)
-    registry.gauge(
-        f"{prefix}_metrics_window_seconds", "Rolling-throughput window size."
-    ).labels().set(snap.window_s)
-
+        registry.gauge(f"repro_{name}", help).labels().set(value)
     latency = registry.gauge(
-        f"{prefix}_request_latency_seconds",
+        "repro_request_latency_seconds",
         "End-to-end request latency, nearest-rank quantiles.",
         ("quantile",),
     )
     latency.labels(quantile="0.5").set(snap.p50_latency_s)
     latency.labels(quantile="0.95").set(snap.p95_latency_s)
     latency.labels(quantile="0.99").set(snap.p99_latency_s)
-    registry.gauge(
-        f"{prefix}_queued_seconds_mean", "Mean time requests spent queued."
-    ).labels().set(snap.mean_queued_s)
 
-    sizes = registry.histogram(
-        f"{prefix}_batch_size",
-        "Samples per executed dynamic batch.",
-        buckets=DEFAULT_BUCKETS,
-    ).labels()
-    for size, count in sorted(snap.batch_size_hist.items()):
-        sizes.observe(float(size), count=count)
+    collect_cache(server.registry.cache, registry)
 
-    faults = registry.counter(
-        f"{prefix}_chaos_faults_total",
-        "Chaos faults fired against the server, by fault kind.",
-        ("kind",),
+    samples = registry.counter(
+        "repro_tenant_samples_total", "Executed samples per tenant.", ("tenant",)
     )
-    for kind, count in sorted(snap.faults.items()):
-        faults.labels(kind=kind).inc(float(count))
-    registry.counter(
-        f"{prefix}_chaos_recoveries_total", "Completed shard failovers."
-    ).labels().inc(float(snap.recoveries))
-    registry.counter(
-        f"{prefix}_chaos_recovery_dropped_total",
-        "Requests dropped (cancelled) by failovers.",
-    ).labels().inc(float(snap.recovery_dropped))
-    registry.counter(
-        f"{prefix}_chaos_recovery_replayed_total",
-        "Requests requeued for exactly-once replay by failovers.",
-    ).labels().inc(float(snap.recovery_replayed))
-    registry.gauge(
-        f"{prefix}_chaos_recovery_seconds_mean",
-        "Mean wall-clock failover recovery time.",
-    ).labels().set(snap.mean_recovery_s)
-
-    collect_cache(server.registry.cache, registry, prefix=prefix)
-
-    tenant_counters = {
-        "completed": registry.counter(
-            f"{prefix}_tenant_completed_total", "Completed requests per tenant.",
-            ("tenant",),
-        ),
-        "samples": registry.counter(
-            f"{prefix}_tenant_samples_total", "Executed samples per tenant.",
-            ("tenant",),
-        ),
-        "rejected": registry.counter(
-            f"{prefix}_tenant_rejected_total", "Rejected requests per tenant.",
-            ("tenant",),
-        ),
-        "failed": registry.counter(
-            f"{prefix}_tenant_failed_total", "Failed requests per tenant.",
-            ("tenant",),
-        ),
-    }
     energy = registry.gauge(
-        f"{prefix}_tenant_energy_per_sample_fj",
+        "repro_tenant_energy_per_sample_fj",
         "Session energy per executed sample (fJ) per tenant.",
         ("tenant",),
     )
     macs = registry.gauge(
-        f"{prefix}_tenant_macs_per_sample",
+        "repro_tenant_macs_per_sample",
         "MAC operations per executed sample per tenant.",
         ("tenant",),
     )
     for t in snap.tenants:
-        tenant_counters["completed"].labels(tenant=t.tenant).inc(float(t.completed))
-        tenant_counters["samples"].labels(tenant=t.tenant).inc(float(t.samples))
-        tenant_counters["rejected"].labels(tenant=t.tenant).inc(float(t.rejected))
-        tenant_counters["failed"].labels(tenant=t.tenant).inc(float(t.failed))
+        samples.labels(tenant=t.tenant).advance_to(t.samples)
         energy.labels(tenant=t.tenant).set(t.energy_per_sample_fj)
         macs.labels(tenant=t.tenant).set(t.macs_per_sample)
     return registry

@@ -19,8 +19,11 @@ them into efficient batched execution on compiled models:
   into :meth:`CompiledModel.run` (the numpy kernels release the GIL),
   with one lock-guarded :class:`~repro.runtime.ExecutionSession` per
   tenant.
-* :class:`ServerMetrics` — rolling throughput, p50/p95/p99 latency,
-  queue depth, batch-size histogram, per-tenant energy per sample.
+* :class:`ServerMetrics` — owns the server's
+  :class:`~repro.obs.MetricsRegistry` and counts requests, rejections,
+  batches and faults in its instruments; its snapshot adds rolling
+  throughput, p50/p95/p99 latency, queue depth, batch-size histogram
+  and per-tenant energy per sample.
 * :class:`LoadGenerator` — seeded Poisson traffic over mixed
   tenants/models, driving the ``repro serve`` CLI command and the
   serving benchmarks.

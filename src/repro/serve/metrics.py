@@ -1,9 +1,15 @@
 """Serving metrics: throughput, latency percentiles, batching, energy.
 
-Everything here is O(1) per observation on the worker hot path — a ring
-buffer for latencies, a timestamp deque for the rolling-throughput
-window, a dict bump for the batch-size histogram — with aggregation
-deferred to :meth:`ServerMetrics.snapshot`.  Energy per sample per
+:class:`ServerMetrics` owns the server's
+:class:`~repro.obs.metrics.MetricsRegistry` and is the one place a
+server number is counted: every monotone count (requests by terminal
+state, typed rejections, batches, chaos faults and recoveries, the
+per-tenant request counters) is a registry instrument incremented here,
+so the Prometheus / JSON exposition and :class:`MetricsSnapshot` read
+the same values.  Everything is O(1) per observation on the worker hot
+path — a counter bump, a ring buffer for latencies, a timestamp deque
+for the rolling-throughput window — with aggregation deferred to
+:meth:`ServerMetrics.snapshot`.  Energy per sample per
 tenant comes from the tenants' :class:`~repro.runtime.ExecutionSession`
 accumulators, which the server feeds with each request's proportional
 share of its executed batch's :class:`~repro.cim.macro.MacroStats`
@@ -17,11 +23,12 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.cim.macro import MacroStats
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.stats import LatencySummary, percentile  # noqa: F401  (re-export)
 
 #: MacroStats fields that describe the batch's *shared* critical path —
@@ -90,8 +97,7 @@ class MetricsSnapshot:
     uptime_s: float = 0.0
     window_s: float = 0.0
     tenants: List[TenantMetrics] = field(default_factory=list)
-    # Chaos / failover accounting.  Default-valued so snapshots built by
-    # older call sites (and pickled fixtures) stay constructible.
+    # Chaos / failover accounting.
     faults: Dict[str, int] = field(default_factory=dict)
     recoveries: int = 0
     recovery_dropped: int = 0
@@ -152,49 +158,121 @@ class MetricsSnapshot:
         ]
 
 
-class ServerMetrics:
-    """Thread-safe rolling metrics collector.
+#: Latency / queued ring-buffer length the percentiles are computed over.
+_HISTORY = 4096
 
-    ``window_s`` bounds the rolling-throughput horizon; ``history``
-    bounds the latency ring buffer the percentiles are computed over.
+
+class _TenantCounters(NamedTuple):
+    """One tenant's children of the ``repro_tenant_*_total`` families."""
+
+    completed: Counter
+    rejected: Counter
+    failed: Counter
+    cancelled: Counter
+
+
+class _Children(dict):
+    """``label value -> bound child``, created on first use, so the hot
+    path pays a dict lookup rather than ``_Family.labels``' validation."""
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        child = self[key] = self._make(key)
+        return child
+
+
+class ServerMetrics:
+    """Thread-safe serving metrics over registry instruments.
+
+    Counts live in :attr:`registry` (unlabelled children bound here,
+    labelled ones on first use) and every increment happens under this
+    collector's one lock — which is what lets the hot path add to a
+    counter child's ``value`` directly — so :meth:`snapshot`, which
+    reads the same instruments plus the windowed state no instrument
+    can hold (latency and queued rings, the completion window, exact
+    batch sizes), stays a consistent cross-family view.  ``window_s``
+    bounds the rolling-throughput horizon.
     """
 
-    def __init__(self, window_s: float = 60.0, history: int = 4096):
+    def __init__(self, window_s: float = 60.0):
         if window_s <= 0:
             raise ValueError(f"window_s must be positive, got {window_s}")
         self.window_s = window_s
         self._born = time.monotonic()
         self._lock = threading.Lock()
-        self._latencies: Deque[float] = deque(maxlen=history)
-        self._queued: Deque[float] = deque(maxlen=history)
+        self._latencies: Deque[float] = deque(maxlen=_HISTORY)
+        self._queued: Deque[float] = deque(maxlen=_HISTORY)
         self._completions: Deque[Tuple[float, int, int]] = deque()  # (t, requests, samples)
-        self._batch_size_hist: Dict[int, int] = {}
-        self._rejected: Dict[str, int] = {}
-        self._tenant_completed: Dict[str, int] = {}
-        self._tenant_rejected: Dict[str, int] = {}
-        self._tenant_failed: Dict[str, int] = {}
-        self._tenant_cancelled: Dict[str, int] = {}
-        self.submitted = 0
-        self.completed = 0
-        self.failed = 0
-        self.cancelled = 0
-        self.batches = 0
-        self._faults: Dict[str, int] = {}
+        self._batch_sizes: Dict[int, int] = {}
         self._recovery_wall_s: List[float] = []
-        self.recovery_dropped = 0
-        self.recovery_replayed = 0
+
+        self.registry = registry = MetricsRegistry()
+
+        def counter(name: str, help: str) -> Counter:
+            return registry.counter(f"repro_{name}_total", help).labels()
+
+        self._submitted = counter(
+            "requests_submitted", "Requests admitted to submit()."
+        )
+        self._completed = counter(
+            "requests_completed", "Requests completed successfully."
+        )
+        self._failed = counter("requests_failed", "Requests failed during execution.")
+        self._cancelled = counter(
+            "requests_cancelled", "Requests cancelled at shutdown."
+        )
+        self._batches = counter("batches_executed", "Dynamic batches executed.")
+        self._recoveries = counter("chaos_recoveries", "Completed shard failovers.")
+        self._recovery_dropped = counter(
+            "chaos_recovery_dropped", "Requests dropped (cancelled) by failovers."
+        )
+        self._recovery_replayed = counter(
+            "chaos_recovery_replayed",
+            "Requests requeued for exactly-once replay by failovers.",
+        )
+        self._batch_size = registry.histogram(
+            "repro_batch_size", "Samples per executed dynamic batch."
+        ).labels()
+        rejected = registry.counter(
+            "repro_requests_rejected_total", "Typed admission rejections.", ("reason",)
+        )
+        self._rejected = _Children(lambda reason: rejected.labels(reason=reason))
+        faults = registry.counter(
+            "repro_chaos_faults_total",
+            "Chaos faults fired against the server, by fault kind.",
+            ("kind",),
+        )
+        self._faults = _Children(lambda kind: faults.labels(kind=kind))
+        per_tenant = [
+            registry.counter(
+                f"repro_tenant_{state}_total",
+                f"{state.capitalize()} requests per tenant.",
+                ("tenant",),
+            )
+            for state in _TenantCounters._fields
+        ]
+        # A tenant's four children are born together, so every
+        # per-tenant family lists every tenant the server has seen.
+        self._tenants = _Children(
+            lambda tenant: _TenantCounters(
+                *(family.labels(tenant=tenant) for family in per_tenant)
+            )
+        )
 
     # -- hot-path observations ----------------------------------------
-    def observe_submitted(self, n: int = 1) -> None:
+    def observe_submitted(self) -> None:
         with self._lock:
-            self.submitted += n
+            self._submitted.value += 1
 
     def observe_rejected(self, reason: str, tenant: str) -> None:
         """Record a typed rejection (the submission itself is counted by
         ``observe_submitted``, which runs first for every request)."""
         with self._lock:
-            self._rejected[reason] = self._rejected.get(reason, 0) + 1
-            self._tenant_rejected[tenant] = self._tenant_rejected.get(tenant, 0) + 1
+            self._rejected[reason].value += 1
+            self._tenants[tenant].rejected.value += 1
 
     def observe_batch(
         self,
@@ -207,46 +285,43 @@ class ServerMetrics:
         """Record one executed batch and its per-request timings."""
         now = time.monotonic() if now is None else now
         with self._lock:
-            self.batches += 1
-            self.completed += len(latencies_s)
-            self._batch_size_hist[n_samples] = (
-                self._batch_size_hist.get(n_samples, 0) + 1
-            )
+            self._batches.value += 1
+            self._completed.value += len(latencies_s)
+            self._batch_size.observe(n_samples)
+            self._batch_sizes[n_samples] = self._batch_sizes.get(n_samples, 0) + 1
             self._latencies.extend(latencies_s)
             self._queued.extend(queued_s)
             self._completions.append((now, len(latencies_s), n_samples))
-            for tenant in tenants:
-                self._tenant_completed[tenant] = (
-                    self._tenant_completed.get(tenant, 0) + 1
-                )
+            # One increment per tenant present, not per request.
+            for tenant in set(tenants):
+                self._tenants[tenant].completed.value += tenants.count(tenant)
             self._trim(now)
 
     def observe_failed(self, tenants: List[str]) -> None:
         with self._lock:
-            self.failed += len(tenants)
+            self._failed.value += len(tenants)
             for tenant in tenants:
-                self._tenant_failed[tenant] = self._tenant_failed.get(tenant, 0) + 1
+                self._tenants[tenant].failed.value += 1
 
     def observe_fault(self, kind: str) -> None:
         """Record one chaos fault firing (by fault kind)."""
         with self._lock:
-            self._faults[kind] = self._faults.get(kind, 0) + 1
+            self._faults[kind].value += 1
 
     def observe_recovery(
         self, wall_s: float, *, dropped: int = 0, replayed: int = 0
     ) -> None:
         """Record one completed failover: wall time and batch accounting."""
         with self._lock:
+            self._recoveries.value += 1
             self._recovery_wall_s.append(float(wall_s))
-            self.recovery_dropped += dropped
-            self.recovery_replayed += replayed
+            self._recovery_dropped.value += dropped
+            self._recovery_replayed.value += replayed
 
     def observe_cancelled(self, tenant: str) -> None:
         with self._lock:
-            self.cancelled += 1
-            self._tenant_cancelled[tenant] = (
-                self._tenant_cancelled.get(tenant, 0) + 1
-            )
+            self._cancelled.value += 1
+            self._tenants[tenant].cancelled.value += 1
 
     def _trim(self, now: float) -> None:
         horizon = now - self.window_s
@@ -273,14 +348,14 @@ class ServerMetrics:
             span = min(self.window_s, max(now - self._born, 1e-9))
             summary = LatencySummary.of(lat)
             snapshot = MetricsSnapshot(
-                submitted=self.submitted,
-                completed=self.completed,
-                failed=self.failed,
-                cancelled=self.cancelled,
-                rejected=dict(self._rejected),
+                submitted=int(self._submitted.value),
+                completed=int(self._completed.value),
+                failed=int(self._failed.value),
+                cancelled=int(self._cancelled.value),
+                rejected={k: int(c.value) for k, c in self._rejected.items()},
                 queue_depth=queue_depth,
-                batches=self.batches,
-                batch_size_hist=dict(self._batch_size_hist),
+                batches=int(self._batches.value),
+                batch_size_hist=dict(self._batch_sizes),
                 throughput_rps=window_requests / span,
                 throughput_sps=window_samples / span,
                 p50_latency_s=summary.p50_s,
@@ -289,40 +364,35 @@ class ServerMetrics:
                 mean_queued_s=float(queued.mean()) if queued.size else 0.0,
                 uptime_s=now - self._born,
                 window_s=self.window_s,
-                faults=dict(self._faults),
-                recoveries=len(self._recovery_wall_s),
-                recovery_dropped=self.recovery_dropped,
-                recovery_replayed=self.recovery_replayed,
+                faults={k: int(c.value) for k, c in self._faults.items()},
+                recoveries=int(self._recoveries.value),
+                recovery_dropped=int(self._recovery_dropped.value),
+                recovery_replayed=int(self._recovery_replayed.value),
                 mean_recovery_s=(
                     float(np.mean(self._recovery_wall_s))
                     if self._recovery_wall_s
                     else 0.0
                 ),
             )
-            tenant_completed = dict(self._tenant_completed)
-            tenant_rejected = dict(self._tenant_rejected)
-            tenant_failed = dict(self._tenant_failed)
-            tenant_cancelled = dict(self._tenant_cancelled)
+            tenants = {
+                tenant: [int(c.value) for c in counters]
+                for tenant, counters in self._tenants.items()
+            }
         if sessions is not None:
-            seen = (
-                set(tenant_completed)
-                | set(tenant_rejected)
-                | set(tenant_failed)
-                | set(tenant_cancelled)
-            )
-            for tenant in sorted(seen):
+            for tenant in sorted(tenants):
                 session = sessions.get(tenant)
                 stats, _, samples = (
                     session.snapshot() if session is not None else (None, 0, 0)
                 )
+                completed, rejected, failed, cancelled = tenants[tenant]
                 snapshot.tenants.append(
                     TenantMetrics(
                         tenant=tenant,
-                        completed=tenant_completed.get(tenant, 0),
+                        completed=completed,
                         samples=samples,
-                        rejected=tenant_rejected.get(tenant, 0),
-                        failed=tenant_failed.get(tenant, 0),
-                        cancelled=tenant_cancelled.get(tenant, 0),
+                        rejected=rejected,
+                        failed=failed,
+                        cancelled=cancelled,
                         energy_per_sample_fj=(
                             stats.total_energy_fj / samples if samples else 0.0
                         ),

@@ -88,7 +88,6 @@ class InferenceServer:
         policy: Optional[BatchPolicy] = None,
         *,
         n_workers: int = 1,
-        metrics: Optional[ServerMetrics] = None,
         record_batches: bool = False,
         rng_seed: int = 0,
         chaos=None,
@@ -110,7 +109,7 @@ class InferenceServer:
         self.registry = registry
         self.policy = policy if policy is not None else BatchPolicy()
         self.queue = RequestQueue(self.policy)
-        self.metrics = metrics if metrics is not None else ServerMetrics()
+        self.metrics = ServerMetrics()
         self.record_batches = record_batches
         self.executed_batches: List[ExecutedBatch] = []
         self.chaos = chaos

@@ -12,7 +12,7 @@ genuine deadlock into a test failure instead of a hang.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -58,6 +58,68 @@ def immediate_results(handles: Sequence) -> List:
     admitted and will complete through a worker instead.
     """
     return [handle.result(timeout=0) for handle in handles if handle.done()]
+
+
+def registry_samples(registry, kinds=("counter", "gauge", "histogram")) -> Dict:
+    """``{(family, ((label, value), ...)): sample}`` of a MetricsRegistry.
+
+    Counters and gauges map to their value, histograms to
+    ``(bucket counts, sum, count)``.
+    """
+    out = {}
+    for family in registry.to_json()["metrics"]:
+        if family["type"] not in kinds:
+            continue
+        for sample in family["samples"]:
+            key = (family["name"], tuple(sorted(sample["labels"].items())))
+            out[key] = (
+                sample["value"]
+                if "value" in sample
+                else (sample["buckets"], sample["sum"], sample["count"])
+            )
+    return out
+
+
+def assert_one_metrics_model(server):
+    """At quiescence every ``MetricsSnapshot`` count is the registry's
+    sample of the same number, and every submitted request ended in
+    exactly one terminal state.  Returns ``(snapshot, samples)``."""
+    from repro.obs import collect_server
+
+    samples = registry_samples(collect_server(server))
+    snap = server.snapshot()
+
+    def labelled(family, label):
+        return {
+            dict(labels)[label]: value
+            for (name, labels), value in samples.items()
+            if name == family
+        }
+
+    for name, count in (
+        ("repro_requests_submitted_total", snap.submitted),
+        ("repro_requests_completed_total", snap.completed),
+        ("repro_requests_failed_total", snap.failed),
+        ("repro_requests_cancelled_total", snap.cancelled),
+        ("repro_batches_executed_total", snap.batches),
+        ("repro_chaos_recoveries_total", snap.recoveries),
+        ("repro_chaos_recovery_dropped_total", snap.recovery_dropped),
+        ("repro_chaos_recovery_replayed_total", snap.recovery_replayed),
+    ):
+        assert samples[(name, ())] == count, name
+    assert labelled("repro_requests_rejected_total", "reason") == snap.rejected
+    assert labelled("repro_chaos_faults_total", "kind") == snap.faults
+    for field in ("completed", "samples", "rejected", "failed", "cancelled"):
+        assert labelled(f"repro_tenant_{field}_total", "tenant") == {
+            t.tenant: getattr(t, field) for t in snap.tenants
+        }, field
+    _, size_sum, size_count = samples[("repro_batch_size", ())]
+    assert size_count == sum(snap.batch_size_hist.values()) == snap.batches
+    assert size_sum == sum(size * n for size, n in snap.batch_size_hist.items())
+    assert snap.submitted == (
+        snap.completed + snap.total_rejected + snap.failed + snap.cancelled
+    )
+    return snap, samples
 
 
 def numerical_grad(

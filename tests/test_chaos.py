@@ -76,7 +76,7 @@ from repro.serve import (
     RequestStatus,
 )
 
-from .helpers import DEADLINE, await_results
+from .helpers import DEADLINE, assert_one_metrics_model, await_results
 
 HW = 8  # input images are (3, HW, HW); zoo models are width-reduced
 N_BATCHES = 6
@@ -856,6 +856,11 @@ class TestServeChaos:
         assert snapshot.recovery_dropped == 0
         # Every admitted request completed despite the failover.
         assert snapshot.completed == len(oracle)
+        # The fault and its one replay are counted where they are
+        # exported: snapshot and registry read the same instruments.
+        _, samples = assert_one_metrics_model(server)
+        assert samples[("repro_chaos_faults_total", (("kind", SHARD_DEATH),))] == 1
+        assert samples[("repro_chaos_recovery_replayed_total", ())] == 1
 
     def test_server_warm_restore_from_artifact_store(self, tmp_path):
         """The server-side twin of the stream's warm-restore test: a

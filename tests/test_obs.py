@@ -19,6 +19,7 @@ The load-bearing guarantees:
 import dataclasses
 import json
 import logging
+import sys
 import threading
 
 import numpy as np
@@ -46,12 +47,19 @@ from repro.serve import (
     BatchPolicy,
     InferenceServer,
     ModelRegistry,
+    RequestStatus,
     ServerMetrics,
     fraction_of_stats,
 )
 from repro.serve.metrics import SHARED_STAT_FIELDS
 
-from .helpers import await_results
+from .helpers import (
+    DEADLINE,
+    assert_one_metrics_model,
+    await_results,
+    immediate_results,
+    registry_samples,
+)
 
 IN_FEATURES = 32
 
@@ -439,6 +447,25 @@ class TestMetricsRegistry:
             assert f'event="{field.name}"' in text
         assert "repro_engine_cache_entries" in text
 
+    def test_collect_cache_twice_equals_once(self):
+        cache = EngineCache()
+        compile_model(mlp(), cache=cache)
+        registry = MetricsRegistry()
+        collect_cache(cache, registry)
+        once = registry_samples(registry)
+        assert once[("repro_engine_cache_events_total", (("event", "programmed"),))] == 2
+        collect_cache(cache, registry)
+        assert registry_samples(registry) == once
+        # ...and a later collection advances by exactly the new activity.
+        compile_model(mlp(seed=1), cache=cache)
+        collect_cache(cache, registry)
+        events = {
+            dict(labels)["event"]: value
+            for (name, labels), value in registry_samples(registry).items()
+            if name == "repro_engine_cache_events_total"
+        }
+        assert events == dataclasses.asdict(cache.stats)
+
 
 # ----------------------------------------------------------------------
 # Shared stats helpers
@@ -680,6 +707,209 @@ class TestServerObservability:
         assert by_name["repro_requests_completed_total"]["samples"][0][
             "value"
         ] == 6.0
+
+
+#: The exposition surface: every ``(family, kind, label names)`` that
+#: ``collect_server(server)`` renders.  The first 27 are what the
+#: hand-copied collector exported; ``repro_tenant_cancelled_total`` is
+#: the one it forgot.
+EXPOSITION = {
+    ("repro_batch_size", "histogram", ()),
+    ("repro_batches_executed_total", "counter", ()),
+    ("repro_chaos_faults_total", "counter", ("kind",)),
+    ("repro_chaos_recoveries_total", "counter", ()),
+    ("repro_chaos_recovery_dropped_total", "counter", ()),
+    ("repro_chaos_recovery_replayed_total", "counter", ()),
+    ("repro_chaos_recovery_seconds_mean", "gauge", ()),
+    ("repro_engine_cache_entries", "gauge", ()),
+    ("repro_engine_cache_events_total", "counter", ("event",)),
+    ("repro_metrics_window_seconds", "gauge", ()),
+    ("repro_queue_depth", "gauge", ()),
+    ("repro_queued_seconds_mean", "gauge", ()),
+    ("repro_request_latency_seconds", "gauge", ("quantile",)),
+    ("repro_requests_cancelled_total", "counter", ()),
+    ("repro_requests_completed_total", "counter", ()),
+    ("repro_requests_failed_total", "counter", ()),
+    ("repro_requests_rejected_total", "counter", ("reason",)),
+    ("repro_requests_submitted_total", "counter", ()),
+    ("repro_tenant_completed_total", "counter", ("tenant",)),
+    ("repro_tenant_energy_per_sample_fj", "gauge", ("tenant",)),
+    ("repro_tenant_failed_total", "counter", ("tenant",)),
+    ("repro_tenant_macs_per_sample", "gauge", ("tenant",)),
+    ("repro_tenant_rejected_total", "counter", ("tenant",)),
+    ("repro_tenant_samples_total", "counter", ("tenant",)),
+    ("repro_throughput_rps", "gauge", ()),
+    ("repro_throughput_sps", "gauge", ()),
+    ("repro_uptime_seconds", "gauge", ()),
+    ("repro_tenant_cancelled_total", "counter", ("tenant",)),
+}
+
+
+class TestOneMetricsModel:
+    """A server number is counted once — in a registry instrument — and
+    ``MetricsSnapshot`` and the exposition both read it from there."""
+
+    def make_server(self, policy=None, **kwargs):
+        registry = ModelRegistry(cache=EngineCache())
+        registry.register("m", mlp())
+        return InferenceServer(registry, policy, **kwargs)
+
+    def test_cancelled_at_shutdown_is_exported_per_tenant(self):
+        server = self.make_server()
+        handle = server.submit("m", batch(1), tenant="c")
+        server.stop()  # never started: the pending request cancels
+        assert handle.result(timeout=0).status is RequestStatus.CANCELLED
+        registry = collect_server(server)
+        text = registry.to_prometheus()
+        assert "repro_requests_cancelled_total 1" in text
+        assert 'repro_tenant_cancelled_total{tenant="c"} 1' in text
+        by_name = {f["name"]: f for f in registry.to_json()["metrics"]}
+        assert by_name["repro_tenant_cancelled_total"]["samples"] == [
+            {"labels": {"tenant": "c"}, "value": 1.0}
+        ]
+
+    def test_exposition_surface_is_pinned(self):
+        server = self.make_server()
+        server.stop()
+        registry = collect_server(server)
+        assert registry is server.metrics.registry
+        assert {
+            (f.name, f.kind, f.label_names) for f in registry.families()
+        } == EXPOSITION
+
+    def test_collecting_twice_equals_collecting_once(self):
+        server = self.make_server(BatchPolicy(max_batch_size=4, max_wait_s=0.005))
+        x = batch(6)
+        with server:
+            await_results(
+                [server.submit("m", x[i : i + 1], tenant="t") for i in range(6)]
+            )
+        monotone = ("counter", "histogram")  # uptime and friends may move
+        registry = collect_server(server)
+        once = registry_samples(registry, monotone)
+        assert once[("repro_requests_completed_total", ())] == 6
+        assert once[("repro_tenant_samples_total", (("tenant", "t"),))] == 6
+        # A scrape loop collects into the same registry every time.
+        assert collect_server(server) is registry
+        assert registry_samples(registry, monotone) == once
+
+    def test_counters_never_decrease_between_collections(self):
+        server = self.make_server(BatchPolicy(max_batch_size=4, max_wait_s=0.0))
+        x = batch(8)
+        with server:
+            await_results([server.submit("m", x[i : i + 1]) for i in range(4)])
+            before = registry_samples(collect_server(server), ("counter",))
+            handles = [server.submit("m", x[i : i + 1]) for i in range(4, 8)]
+            handles.append(server.submit("nope", x[:1]))
+            during = registry_samples(collect_server(server), ("counter",))
+            await_results(handles)
+        after = registry_samples(collect_server(server), ("counter",))
+        for earlier, later in ((before, during), (during, after)):
+            for key, value in earlier.items():
+                assert later[key] >= value, key
+        assert after[("repro_requests_completed_total", ())] == 8
+
+    def test_every_terminal_state_is_counted_once(self):
+        # A full 4-sample batch releases at once; a lone request waits
+        # out max_wait_s for mates, so it is still queued at stop().
+        server = self.make_server(
+            BatchPolicy(
+                max_batch_size=4,
+                max_wait_s=10 * DEADLINE,
+                max_queue_depth=4,
+                max_pending_per_tenant=2,
+            )
+        )
+        x = batch(4)
+        admitted = [
+            server.submit("m", x[0:1], tenant="a"),
+            server.submit("m", x[1:2], tenant="a"),
+        ]
+        refused = [server.submit("m", x[3:4], tenant="a")]  # a has 2 pending
+        admitted += [
+            server.submit("m", np.ones((1, IN_FEATURES + 1)), tenant="bad"),
+            server.submit("m", x[2:3], tenant="b"),
+        ]
+        refused += [
+            server.submit("m", x[3:4], tenant="b"),  # queue holds 4 samples
+            server.submit("nope", x[3:4], tenant="b"),
+        ]
+        server.start()
+        results = await_results(admitted)
+        straggler = server.submit("m", x[3:4], tenant="c")
+        server.stop(drain=False)
+        refused.append(server.submit("m", x[3:4], tenant="c"))
+
+        assert [r.status for r in results] == [
+            RequestStatus.COMPLETED,
+            RequestStatus.COMPLETED,
+            RequestStatus.FAILED,
+            RequestStatus.COMPLETED,
+        ]
+        assert straggler.result(timeout=0).status is RequestStatus.CANCELLED
+        assert [r.status for r in immediate_results(refused)] == [
+            RequestStatus.REJECTED_TENANT_LIMIT,
+            RequestStatus.REJECTED_QUEUE_FULL,
+            RequestStatus.REJECTED_UNKNOWN_MODEL,
+            RequestStatus.REJECTED_SHUTTING_DOWN,
+        ]
+        snap, samples = assert_one_metrics_model(server)
+        assert (snap.submitted, snap.completed, snap.failed, snap.cancelled) == (
+            9, 3, 1, 1,
+        )
+        assert snap.total_rejected == 4 and len(snap.rejected) == 4
+        assert samples[("repro_tenant_cancelled_total", (("tenant", "c"),))] == 1
+        assert samples[("repro_tenant_failed_total", (("tenant", "bad"),))] == 1
+
+    def test_snapshot_from_a_second_thread_never_overcounts(self):
+        # The server counts a submission before the request can reach a
+        # worker and observes a batch before completing its handles, and
+        # snapshot() reads every instrument under the collector's one
+        # lock — so no view may show more ended than submitted.
+        server = self.make_server(
+            BatchPolicy(max_batch_size=4, max_wait_s=0.0), n_workers=3
+        )
+        x = batch(4)
+        watching, done = threading.Event(), threading.Event()
+        views = []
+
+        def watch():
+            while not done.is_set():
+                views.append(server.snapshot())
+                watching.set()
+
+        watcher = threading.Thread(target=watch, name="snapshot-watcher")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            watcher.start()
+            assert watching.wait(DEADLINE)
+            with server:
+                handles = []
+                for i in range(240):
+                    if i % 40 == 7:
+                        handles.append(server.submit("nope", x[:1], tenant="u"))
+                    elif i % 40 == 23:
+                        bad = np.ones((1, IN_FEATURES + 1))
+                        handles.append(server.submit("m", bad, tenant="bad"))
+                    else:
+                        handles.append(
+                            server.submit("m", x[i % 4 : i % 4 + 1], tenant=f"t{i % 3}")
+                        )
+                await_results(handles)
+        finally:
+            done.set()
+            watcher.join(DEADLINE)
+            sys.setswitchinterval(interval)
+        assert not watcher.is_alive()
+        assert views
+        for view in views:
+            ended = (
+                view.completed + view.total_rejected + view.failed + view.cancelled
+            )
+            assert ended <= view.submitted
+        snap, _ = assert_one_metrics_model(server)
+        assert (snap.submitted, snap.failed, snap.total_rejected) == (240, 6, 6)
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import viz
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
 
 
 class TestHbar:
@@ -95,6 +95,23 @@ class TestCli:
             "packing",
             "chaos",
         } <= set(sub.choices)
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c.name)
+    def test_command_table_entry_binds(self, command):
+        assert command.help
+        assert callable(command.handler)
+        required = {"compile": ["--store", "s"], "warm": ["--store", "s"]}
+        args = build_parser().parse_args(
+            [command.name, *required.get(command.name, [])]
+        )
+        assert args.command == command.name
+        assert args.func is command.handler
+
+    def test_command_table_is_the_whole_cli(self):
+        sub = next(
+            a for a in build_parser()._actions if hasattr(a, "choices") and a.choices
+        )
+        assert list(sub.choices) == [command.name for command in COMMANDS]
 
     def test_info_command(self, capsys):
         assert main(["info"]) == 0
