@@ -74,7 +74,6 @@ import numpy as np
 from repro import models, viz
 from repro.experiments import (
     ablations,
-    backend_study,
     chaos_study,
     du_search,
     encoding_study,
@@ -666,18 +665,6 @@ COMMANDS: Tuple[Command, ...] = (
         FULL,
         overrides={"model": _serve_zoo},
         help="compile-once runtime amortization study",
-    ),
-    study(
-        "tune", backend_study,
-        study_model_arg("serve", "MLP"),
-        arg(
-            "--probe-n", type=int, default=1, dest="probe_n",
-            help="autotuner probe batch width for linear engines (match the "
-            "serving batch size)",
-        ),
-        FULL,
-        overrides={"model": _serve_zoo, "probe_n": "probe_n"},
-        help="kernel-backend autotuning study (default vs tuned serving)",
     ),
     study("fig6b", fig6b, FULL),
     study("fig10", fig10, FULL),

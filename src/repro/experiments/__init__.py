@@ -32,7 +32,6 @@ module              implements
 ``options_study``   Options I-IV head-to-head (Fig. 6)
 ``ablations``       ADC bits, bit-line noise, packing, standby, init
 ``runtime_study``   compile-once runtime amortization (serving/streaming)
-``backend_study``   kernel-backend autotuning: default vs tuned serving
 ``shard_study``     sharded pipeline-parallel makespans on executed traffic
 ``warmstart_study``  cold compile vs persisted-artifact warm start
 ==================  ================================================
@@ -40,7 +39,6 @@ module              implements
 
 from repro.experiments import (
     ablations,
-    backend_study,
     cim_accuracy,
     du_search,
     encoding_study,
@@ -65,7 +63,6 @@ from repro.experiments.common import (
 
 __all__ = [
     "ablations",
-    "backend_study",
     "cim_accuracy",
     "du_search",
     "encoding_study",

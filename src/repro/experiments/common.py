@@ -129,7 +129,7 @@ def format_metrics(rows) -> str:
     return format_table(rows, ["metric", "value"])
 
 
-# -- shared by the runtime studies (runtime / tune / shard / chaos) -----
+# -- shared by the runtime studies (runtime / shard / chaos) -----
 
 
 def zoo_model(name: str, seed: int = 0, **build) -> Tuple[nn.Module, RuntimeConfig]:

@@ -15,11 +15,10 @@ software:
   macros; ``capacity=0`` reproduces the seed per-call behaviour.
 * :func:`reference_forward` — the seed per-call path kept as a bit-exact
   oracle and benchmark baseline.
-* :mod:`repro.runtime.backends` — pluggable execution kernels held to
-  bitwise identity with the reference walk, plus :func:`tune_kernel`,
-  the compile-time autotuner that benchmarks the registered candidates
-  per engine (``RuntimeConfig(backend="auto")``) and records winners in
-  snapshots so warm starts skip re-benchmarking.
+* :mod:`repro.runtime.backends` — the execution kernels, each held to
+  bitwise identity with the reference walk: the one every engine runs
+  (:class:`TiledBitSerialKernel`), and a name registry
+  (:func:`get_backend`) the performance ledger builds kernels through.
 * :func:`shard` / :class:`ShardedModel` — partition a compiled plan
   across simulated chiplets and execute micro-batch streams
   pipeline-parallel, with inter-chiplet link energy/latency accounting
@@ -47,15 +46,12 @@ from repro.runtime.cache import (
     weight_fingerprint,
 )
 from repro.runtime.backends import (
-    AUTO_BACKEND,
     DEFAULT_BACKEND,
     KernelBackend,
     TiledBitSerialKernel,
-    TuneReport,
     available_backends,
     get_backend,
     register_backend,
-    tune_kernel,
 )
 from repro.runtime.errors import CompileError, UnsupportedModuleError
 from repro.runtime.engine import (
@@ -129,14 +125,11 @@ __all__ = [
     "resolve_cache",
     "macro_config_key",
     "weight_fingerprint",
-    "AUTO_BACKEND",
     "DEFAULT_BACKEND",
     "KernelBackend",
-    "TuneReport",
     "available_backends",
     "get_backend",
     "register_backend",
-    "tune_kernel",
     "TiledBitSerialKernel",
     "ProgrammedConv",
     "ProgrammedLinear",

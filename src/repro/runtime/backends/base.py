@@ -6,15 +6,13 @@ builds in its constructor plus a ``matmul(x) -> (out, MacroStats)``
 hot path.  Every backend is held to the same contract the original
 fast kernel established: **bitwise identity** with the reference
 macro walk (:meth:`repro.cim.macro.CimMacro.matmul` accumulated in
-tile order) for every input it accepts — outputs *and* stats.  A
-backend may therefore be freely substituted per engine; the autotuner
-(:mod:`repro.runtime.backends.autotune`) picks the fastest one at
-compile time and *vetoes* — never trusts — any candidate whose probe
-output is not bit-for-bit the reference kernel's.
+tile order) for every input it accepts — outputs *and* stats.
 
-Backends register themselves by name at import time; the names are
-stable identifiers that travel in ``.rcma`` snapshot headers so a
-warm-started process rebuilds the tuned winner without re-benchmarking.
+Backends register themselves by name at import time.  Engines do not
+consult the registry — each builds the :data:`DEFAULT_BACKEND` class
+directly — it exists so the performance ledger's per-kernel rows and
+the bitwise witnesses can construct any kernel by its stable name:
+``get_backend(name)(engine)``.
 """
 
 from __future__ import annotations
@@ -29,13 +27,8 @@ from repro.cim.macro import MacroConfig, MacroStats
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cim.mvm import CimTiledMatmul
 
-#: The backend every engine uses unless told otherwise — the proven
-#: fused bit-serial kernel that predates the backend layer.
+#: The backend every engine uses — the fused bit-serial kernel.
 DEFAULT_BACKEND = "reference-fast"
-
-#: Sentinel backend name: benchmark the registered candidates at
-#: program time and keep the fastest bitwise-identical one.
-AUTO_BACKEND = "auto"
 
 
 class KernelBackend(abc.ABC):
@@ -48,7 +41,7 @@ class KernelBackend(abc.ABC):
     stats)`` to the reference tile walk for every accepted input.
     """
 
-    #: Stable registry / snapshot identifier, set by each subclass.
+    #: Stable registry identifier, set by each subclass.
     backend_name: str = ""
 
     @abc.abstractmethod

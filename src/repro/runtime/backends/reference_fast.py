@@ -379,42 +379,19 @@ class TiledBitSerialKernel(KernelBackend):
                 f"of {len(blocks)} row blocks"
             )
         bits = _stored_bits(engine.weights, engine.config.weight_bits)
-        self._bind(
-            engine,
-            [
-                _TileGroup(r0, r1, tiles, bits[r0:r1], packed)
-                for ((r0, r1), tiles), packed in zip(blocks.items(), packed_planes)
-            ],
-        )
-
-    def _bind(self, engine: CimTiledMatmul, groups: List[_TileGroup]) -> None:
         self.engine = engine
-        self._groups = groups
-        # Per-instance, keyed by operand shape and group identity (both
-        # survive group sharing).
+        self._groups = [
+            _TileGroup(r0, r1, tiles, bits[r0:r1], packed)
+            for ((r0, r1), tiles), packed in zip(blocks.items(), packed_planes)
+        ]
+        # Per-instance, keyed by operand shape and group identity.
         self._path_cache: dict = {}
         self._fused_cache: dict = {}
         self._post_init()
 
     def _post_init(self) -> None:
         """Subclass hook: derive extra program-time layout from the
-        shared :class:`_TileGroup` list (called for every construction,
-        :meth:`adopt` included)."""
-
-    @classmethod
-    def adopt(cls, kernel: "TiledBitSerialKernel") -> "TiledBitSerialKernel":
-        """Build this backend around an already-built kernel's groups.
-
-        The :class:`_TileGroup` program-time artifacts (plane matrices,
-        LUTs, row sums) are read-only and backend-independent, so the
-        autotuner and the snapshot restore path share them across
-        candidate backends instead of rebuilding per candidate.
-        """
-        if type(kernel) is cls:
-            return kernel
-        adopted = cls.__new__(cls)
-        adopted._bind(kernel.engine, kernel._groups)
-        return adopted
+        :class:`_TileGroup` list."""
 
     def packed_planes(self) -> List[np.ndarray]:
         """The kernel's persisted state: one bit-packed plane matrix

@@ -59,10 +59,6 @@ class CacheStats:
     raised *or* returned nothing — falls through to programming from
     scratch.  In-memory ``hits`` never touch the disk tier, so
     ``misses == disk_hits + disk_misses`` on a disk-backed cache.
-
-    ``tuned`` counts engines that entered the cache carrying an
-    autotuned kernel (programmed with ``backend="auto"`` or restored
-    from a tuned snapshot/artifact).
     """
 
     hits: int = 0
@@ -71,7 +67,6 @@ class CacheStats:
     programmed: int = 0
     disk_hits: int = 0
     disk_misses: int = 0
-    tuned: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -79,8 +74,7 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
     def reset(self) -> None:
-        self.hits = self.misses = self.evictions = self.programmed = 0
-        self.disk_hits = self.disk_misses = self.tuned = 0
+        self.__init__()
 
 
 def weight_fingerprint(weight: np.ndarray) -> str:
@@ -217,11 +211,9 @@ class EngineCache:
         self._to_disk(key, engine)
         return self._retain(key, engine, "programmed")
 
-    def _retain(self, key: EngineKey, engine: Any, tier: str = "programmed") -> Any:
-        if getattr(engine, "tuned", False):
-            tier = tier + "+tuned"
-            with self._lock:
-                self.stats.tuned += 1
+    def _retain(self, key: EngineKey, engine: Any, tier: str) -> Any:
+        """Make ``engine`` resident under ``key`` (the one place entries
+        are inserted and evicted); returns the engine serving the key."""
         with self._lock:
             if self.capacity > 0:
                 existing = self._entries.get(key)
@@ -239,10 +231,8 @@ class EngineCache:
 
     def tier_of(self, key: EngineKey) -> Optional[str]:
         """Provenance of the resident engine for ``key`` —
-        ``"programmed"``, ``"disk"`` or ``"snapshot"``, with a
-        ``"+tuned"`` suffix when the engine carries an autotuned kernel
-        — or ``None`` when the key is not resident in the memory
-        tier."""
+        ``"programmed"``, ``"disk"`` or ``"snapshot"`` — or ``None``
+        when the key is not resident in the memory tier."""
         with self._lock:
             if key not in self._entries:
                 return None
@@ -279,21 +269,10 @@ class EngineCache:
 
     def put(self, key: EngineKey, engine: Any) -> None:
         """Seed ``key`` with an externally restored engine (snapshot load)."""
-        tier = "snapshot"
-        if getattr(engine, "tuned", False):
-            tier = tier + "+tuned"
-            with self._lock:
-                self.stats.tuned += 1
         with self._lock:
-            if self.capacity <= 0:
-                return
-            self._entries[key] = engine
-            self._entries.move_to_end(key)
-            self._tiers[key] = tier
-            while len(self._entries) > self.capacity:
-                evicted, _ = self._entries.popitem(last=False)
-                self._tiers.pop(evicted, None)
-                self.stats.evictions += 1
+            # A restored engine replaces whatever is resident.
+            self._entries.pop(key, None)
+            self._retain(key, engine, "snapshot")
 
     def clear(self) -> None:
         with self._lock:

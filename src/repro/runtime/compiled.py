@@ -117,17 +117,6 @@ class RuntimeConfig:
         still detects the actual sign per batch and programs the other
         variant through the cache if a batch defies the prediction, so
         the prediction affects only what is programmed eagerly.
-    ``backend``
-        Kernel backend request for every weight layer: ``None`` keeps
-        the default ``reference-fast`` kernel, a registered name pins
-        that backend, ``"auto"`` runs the compile-time autotuner per
-        engine.  Every choice is bitwise identical; this is purely a
-        speed decision and it participates in engine cache keys (only
-        when set, so existing keys and artifacts are unchanged).
-    ``tune_probe_n``
-        Probe batch width the autotuner benchmarks linear engines with
-        (pick the serving batch size you expect).  Convolutions always
-        probe wide — their engines execute im2col patch batches.
     """
 
     rom_config: Optional[MacroConfig] = None
@@ -136,8 +125,6 @@ class RuntimeConfig:
     encoding: Optional[ActivationEncoding] = None
     fold_bn: bool = False
     assume_signed_input: bool = True
-    backend: Optional[str] = None
-    tune_probe_n: int = 1
 
     def resolved_rom(self) -> MacroConfig:
         return (
@@ -260,8 +247,6 @@ class _EngineSlot:
         fingerprint: Optional[str] = None,
         profile_name: Optional[str] = None,
         profile_share: float = 1.0,
-        backend: Optional[str] = None,
-        tune_probe_n: int = 1,
     ):
         self.layer_id = layer_id
         self.kind = kind
@@ -272,12 +257,6 @@ class _EngineSlot:
         self.predicted_signed = bool(predicted_signed)
         self.stride = stride
         self.padding = padding
-        self.backend = backend
-        # Conv engines execute im2col patch batches (hundreds of
-        # vectors per call), so their autotuning probe is always wide.
-        self.tune_probe_n = (
-            max(64, int(tune_probe_n)) if kind == "conv" else int(tune_probe_n)
-        )
         self.profile_name = profile_name if profile_name is not None else layer_id
         self.profile_share = float(profile_share)
         # ``fingerprint`` is the snapshot warm-start hook: a caller that
@@ -316,8 +295,6 @@ class _EngineSlot:
                 layer_id=self.layer_id,
                 cache=self.cache,
                 fingerprint=self.fingerprint,
-                backend=self.backend,
-                tune_probe_n=self.tune_probe_n,
             )
         return linear_engine(
             self.weight_fn(),
@@ -327,8 +304,6 @@ class _EngineSlot:
             layer_id=self.layer_id,
             cache=self.cache,
             fingerprint=self.fingerprint,
-            backend=self.backend,
-            tune_probe_n=self.tune_probe_n,
         )
 
     def cache_tier(self) -> str:
@@ -560,8 +535,6 @@ class _PlanBuilder:
             fingerprint=self.fingerprints.get(name),
             profile_name=profile_name,
             profile_share=profile_share,
-            backend=self.config.backend,
-            tune_probe_n=self.config.tune_probe_n,
         )
         self.slots.append(slot)
         return slot
@@ -582,8 +555,6 @@ class _PlanBuilder:
             cache=self.cache,
             predicted_signed=signed,
             fingerprint=self.fingerprints.get(name),
-            backend=self.config.backend,
-            tune_probe_n=self.config.tune_probe_n,
         )
         self.slots.append(slot)
         return slot
@@ -949,20 +920,6 @@ class CompiledModel:
             slot.layer_id: slot.engine_for(slot.predicted_signed)
             for slot in self._slots
         }
-
-    def kernel_backends(self) -> Dict[str, Optional[str]]:
-        """Layer id -> resolved kernel backend name per programmed
-        engine (``None`` where the configuration forces the reference
-        macro path), with a ``" (tuned)"`` suffix on autotuned winners.
-        """
-        out: Dict[str, Optional[str]] = {}
-        for slot in self._slots:
-            engine = slot.engine_for(slot.predicted_signed)
-            name = engine.kernel_backend
-            if name is not None and engine.tuned:
-                name = f"{name} (tuned)"
-            out[slot.layer_id] = name
-        return out
 
     def profile(self, input_shape: Tuple[int, ...]):
         """Analytic :class:`~repro.models.profile.ModelProfile` of the

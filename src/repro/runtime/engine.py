@@ -28,13 +28,6 @@ from repro.cim.macro import MacroConfig, MacroStats
 from repro.cim.mvm import CimTiledMatmul, validate_groups
 from repro.nn import functional as F
 from repro.quant.quantizer import QuantSpec, quantize
-from repro.runtime.backends import (
-    AUTO_BACKEND,
-    DEFAULT_BACKEND,
-    TuneReport,
-    get_backend,
-    tune_kernel,
-)
 from repro.runtime.cache import (
     EngineCache,
     EngineKey,
@@ -56,13 +49,10 @@ class ProgrammedLinear:
     bit-plane weights (two's complement MSB) are part of the programmed
     configuration, exactly as on silicon.
 
-    ``backend`` selects the execution kernel: ``None`` keeps the
-    default ``reference-fast`` kernel, an explicit registered name
-    builds that backend, and ``"auto"`` runs the compile-time autotuner
-    (:func:`repro.runtime.backends.tune_kernel`) — every choice is held
-    to bitwise identity with the reference walk, so the selection is a
-    pure speed decision.  ``tune_probe_n`` is the probe batch width the
-    autotuner benchmarks with; pick the serving batch size you expect.
+    The execution kernel is not a choice: a configuration the fast
+    kernel is bit-exact for (:meth:`TiledBitSerialKernel.supported` — a
+    noise-free bit line) gets it, every other one runs the reference
+    macro path.
     """
 
     def __init__(
@@ -71,8 +61,6 @@ class ProgrammedLinear:
         config: Optional[MacroConfig] = None,
         activation_bits: int = 8,
         signed_inputs: bool = False,
-        backend: Optional[str] = None,
-        tune_probe_n: int = 1,
     ):
         config = config if config is not None else MacroConfig()
         weight = np.asarray(weight, dtype=np.float64)
@@ -81,17 +69,8 @@ class ProgrammedLinear:
         w_spec = QuantSpec(bits=config.weight_bits, signed=True, per_channel_axis=0)
         self._adopt(config, activation_bits, signed_inputs, *quantize(weight, w_spec))
         self.engine = CimTiledMatmul(self.w_codes.T, self.run_config)
-        self.backend_request = backend
-        if backend == AUTO_BACKEND:
-            if TiledBitSerialKernel.supported(self.run_config):
-                self._kernel, self.tune_report = tune_kernel(
-                    self.engine, probe_n=int(tune_probe_n)
-                )
-                self.tuned = True
-        else:
-            cls = get_backend(DEFAULT_BACKEND if backend is None else backend)
-            if cls.supported(self.run_config):
-                self._kernel = cls(self.engine)
+        if TiledBitSerialKernel.supported(self.run_config):
+            self._kernel = TiledBitSerialKernel(self.engine)
 
     @classmethod
     def from_state(
@@ -102,36 +81,20 @@ class ProgrammedLinear:
         w_codes: np.ndarray,
         w_scale: np.ndarray,
         packed_planes: Sequence[np.ndarray] = (),
-        *,
-        backend_request: Optional[str] = None,
-        backend: Optional[str] = None,
-        tuned: bool = False,
     ) -> "ProgrammedLinear":
         """The engine over *trusted* programmed state (a snapshot
         restore): int64 ``(out, in)`` codes and per-channel scales are
         adopted as they are, and ``packed_planes`` (the kernel's
         :meth:`~TiledBitSerialKernel.packed_planes`) rebuild the fast
-        kernel without deriving a bit plane.  ``backend`` / ``tuned``
-        re-adopt a recorded winner without re-benchmarking; one this
-        process cannot build degrades to the default kernel (execution
-        is bitwise identical either way).
+        kernel without deriving a bit plane.
         """
         linear = cls.__new__(cls)
         linear._adopt(config, activation_bits, signed_inputs, w_codes, w_scale)
         linear.engine = CimTiledMatmul.from_state(w_codes.T, linear.run_config)
-        linear.backend_request = backend_request
         if TiledBitSerialKernel.supported(linear.run_config):
             # No planes (never the writer's behaviour) still restores
             # correctly, just colder.
-            kernel = TiledBitSerialKernel(linear.engine, packed_planes or None)
-            try:
-                winner = get_backend(backend or DEFAULT_BACKEND)
-            except KeyError:
-                winner = TiledBitSerialKernel
-            if winner.supported(linear.run_config):
-                kernel = winner.adopt(kernel)
-            linear._kernel = kernel
-            linear.tuned = bool(tuned) and type(kernel).backend_name == backend
+            linear._kernel = TiledBitSerialKernel(linear.engine, packed_planes or None)
         return linear
 
     def _adopt(self, config, activation_bits, signed_inputs, w_codes, w_scale) -> None:
@@ -153,26 +116,13 @@ class ProgrammedLinear:
             signed_inputs=self.signed_inputs,
             bitline=bitline,
         )
-        #: What the caller asked for (``None`` / ``"auto"`` / a name) —
-        #: part of the engine's cache identity, and distinct from the
-        #: resolved :attr:`kernel_backend`.
-        self.backend_request: Optional[str] = None
-        self._kernel = None
-        #: True when the backend was chosen by the compile-time
-        #: autotuner rather than pinned by the caller.
-        self.tuned: bool = False
-        #: The autotuner's :class:`TuneReport` when it ran in this process.
-        self.tune_report: Optional[TuneReport] = None
+        #: The fast kernel, or ``None`` when the configuration forces
+        #: the reference macro path.
+        self._kernel: Optional[TiledBitSerialKernel] = None
 
     @property
     def n_subarrays(self) -> int:
         return self.engine.n_subarrays
-
-    @property
-    def kernel_backend(self) -> Optional[str]:
-        """Name of the kernel backend executing this engine (``None``
-        when the configuration forces the reference macro path)."""
-        return None if self._kernel is None else type(self._kernel).backend_name
 
     def execute(
         self,
@@ -252,23 +202,15 @@ class ProgrammedConv:
         config: Optional[MacroConfig] = None,
         activation_bits: int = 8,
         signed_inputs: bool = False,
-        backend: Optional[str] = None,
-        tune_probe_n: int = 64,
     ):
         weight = np.asarray(weight, dtype=np.float64)
         if weight.ndim != 4:
             raise ValueError(f"weight must be 4-D (O, C, kh, kw), got {weight.shape}")
-        # Convolutions execute im2col patch batches — hundreds to
-        # thousands of vectors per call — so the tuning probe defaults
-        # wide; a batch-1 probe would crown a kernel tuned for the
-        # wrong regime.
         linear = ProgrammedLinear(
             weight.reshape(weight.shape[0], -1),
             config,
             activation_bits,
             signed_inputs,
-            backend=backend,
-            tune_probe_n=tune_probe_n,
         )
         self._bind(linear, weight.shape, stride, padding)
 
@@ -294,22 +236,6 @@ class ProgrammedConv:
     @property
     def n_subarrays(self) -> int:
         return self.linear.n_subarrays
-
-    @property
-    def backend_request(self) -> Optional[str]:
-        return self.linear.backend_request
-
-    @property
-    def kernel_backend(self) -> Optional[str]:
-        return self.linear.kernel_backend
-
-    @property
-    def tuned(self) -> bool:
-        return self.linear.tuned
-
-    @property
-    def tune_report(self) -> Optional[TuneReport]:
-        return self.linear.tune_report
 
     @property
     def weight_shape(self) -> Tuple[int, int, int, int]:
@@ -403,16 +329,6 @@ def grouped_conv_execute(
 # ----------------------------------------------------------------------
 # Cache-aware constructors
 # ----------------------------------------------------------------------
-def _backend_key_suffix(backend: Optional[str]) -> Tuple:
-    """Key extension for a backend request.
-
-    ``None`` (the default kernel) extends nothing, so every key minted
-    before the backend layer existed — including those already baked
-    into ``.rcma`` artifact digests — is unchanged.
-    """
-    return () if backend is None else ("backend", str(backend))
-
-
 def linear_engine_key(
     weight: np.ndarray,
     config: MacroConfig,
@@ -420,7 +336,6 @@ def linear_engine_key(
     signed_inputs: bool,
     layer_id: str = "functional",
     fingerprint: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> EngineKey:
     return EngineKey(
         layer_id=layer_id,
@@ -430,8 +345,7 @@ def linear_engine_key(
             macro_config_key(config),
             int(activation_bits),
             bool(signed_inputs),
-        )
-        + _backend_key_suffix(backend),
+        ),
     )
 
 
@@ -444,7 +358,6 @@ def conv_engine_key(
     signed_inputs: bool,
     layer_id: str = "functional",
     fingerprint: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> EngineKey:
     return EngineKey(
         layer_id=layer_id,
@@ -456,24 +369,19 @@ def conv_engine_key(
             bool(signed_inputs),
             int(stride),
             int(padding),
-        )
-        + _backend_key_suffix(backend),
+        ),
     )
 
 
 def engine_cache_key(engine, layer_id: str, fingerprint: str) -> EngineKey:
     """The cache key a programmed engine lives under, from its own state."""
     linear = engine.linear if isinstance(engine, ProgrammedConv) else engine
-    # The backend *request* (None / "auto" / a pinned name) is the cache
-    # identity, not the resolved winner — a runtime asking for "auto"
-    # must hit the snapshot-seeded entry that was compiled with "auto".
     identity = (
         linear.config,
         linear.activation_bits,
         linear.signed_inputs,
         layer_id,
         fingerprint,
-        linear.backend_request,
     )
     if linear is engine:
         return linear_engine_key(None, *identity)
@@ -489,22 +397,16 @@ def linear_engine(
     layer_id: str = "functional",
     cache: Optional[EngineCache] = None,
     fingerprint: Optional[str] = None,
-    backend: Optional[str] = None,
-    tune_probe_n: int = 1,
 ) -> ProgrammedLinear:
     """Fetch (or program on first use) a cached linear engine."""
     config = config if config is not None else MacroConfig()
     cache = resolve_cache(cache)
     key = linear_engine_key(
-        weight, config, activation_bits, signed_inputs, layer_id, fingerprint,
-        backend=backend,
+        weight, config, activation_bits, signed_inputs, layer_id, fingerprint
     )
     return cache.get_or_program(
         key,
-        lambda: ProgrammedLinear(
-            weight, config, activation_bits, signed_inputs,
-            backend=backend, tune_probe_n=tune_probe_n,
-        ),
+        lambda: ProgrammedLinear(weight, config, activation_bits, signed_inputs),
     )
 
 
@@ -519,20 +421,17 @@ def conv_engine(
     layer_id: str = "functional",
     cache: Optional[EngineCache] = None,
     fingerprint: Optional[str] = None,
-    backend: Optional[str] = None,
-    tune_probe_n: int = 64,
 ) -> ProgrammedConv:
     """Fetch (or program on first use) a cached convolution engine."""
     config = config if config is not None else MacroConfig()
     cache = resolve_cache(cache)
     key = conv_engine_key(
         weight, stride, padding, config, activation_bits, signed_inputs,
-        layer_id, fingerprint, backend=backend,
+        layer_id, fingerprint,
     )
     return cache.get_or_program(
         key,
         lambda: ProgrammedConv(
-            weight, stride, padding, config, activation_bits, signed_inputs,
-            backend=backend, tune_probe_n=tune_probe_n,
+            weight, stride, padding, config, activation_bits, signed_inputs
         ),
     )

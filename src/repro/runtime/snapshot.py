@@ -101,9 +101,10 @@ FORMAT = "repro-compiled-model"
 #: History: 1 — linear step plans; 2 — DAG plan IR (residual composites
 #: as first-class module kinds, per-group engines for grouped convs,
 #: plan topology recorded in the header); 3 — kernel-backend provenance
-#: (tuned winner + backend request per engine, so warm starts rebuild
-#: autotuned kernels without re-benchmarking).
-VERSION = 3
+#: (tuned winner + backend request per engine); 4 — that provenance and
+#: the two ``RuntimeConfig`` fields behind it removed with the autotuner
+#: (every engine has the one fast kernel, so there is nothing to record).
+VERSION = 4
 
 #: Leading bytes of every artifact container file.
 MAGIC = b"RCMA1\n"
@@ -547,13 +548,6 @@ def serialize_engine(engine, tag: str, arrays: Dict[str, np.ndarray]) -> Dict[st
     arrays[f"{tag}_scale"] = np.asarray(linear.w_scale, dtype=np.float64)
     planes = [] if linear._kernel is None else linear._kernel.packed_planes()
     meta["kernel_groups"] = len(planes)
-    # Kernel-backend provenance (format v3): the resolved winner, the
-    # caller's request (part of the engine's cache identity), and
-    # whether the winner came from the autotuner — a warm start rebuilds
-    # the tuned kernel from these without re-benchmarking anything.
-    meta["backend"] = linear.kernel_backend
-    meta["backend_request"] = linear.backend_request
-    meta["tuned"] = bool(linear.tuned)
     for g, packed in enumerate(planes):
         arrays[f"{tag}_g{g}"] = packed
     return meta
@@ -575,15 +569,12 @@ def restore_engine(meta: Dict[str, Any], arrays):
             np.asarray(arrays[f"{tag}_codes"], dtype=np.int64),
             np.array(arrays[f"{tag}_scale"], dtype=np.float64),
             [arrays[f"{tag}_g{g}"] for g in range(n_groups)],
-            backend_request=meta.get("backend_request"),
-            backend=meta.get("backend"),
-            tuned=meta.get("tuned", False),
         )
     except ValueError as error:  # kernel-group count, plane-bit count
         raise SnapshotCorruptError(
             f"artifact engine {tag!r} is inconsistent: {error}"
         ) from error
-    if n_groups and linear.kernel_backend is None:
+    if n_groups and linear._kernel is None:
         raise SnapshotCorruptError(
             "artifact stores fused-kernel planes for a configuration the "
             "fast kernel does not support"

@@ -1,21 +1,22 @@
-"""Tests for the pluggable kernel-backend layer and its autotuner.
+"""Tests for the kernel backends and the one kernel every engine runs.
 
 The load-bearing guarantees:
 
-* every registered backend is **bitwise identical** to the reference
-  path — outputs and stats — across the zoo x noise x shards matrix;
-* the autotuner measures candidates and *vetoes* any whose probe output
-  differs by a single bit (candidates are never trusted);
-* tuned winners travel in engine cache provenance (``"+tuned"`` tiers,
-  ``CacheStats.tuned``) and in ``.rcma`` snapshot headers (format v3),
-  so a warm-started process rebuilds them without re-benchmarking;
+* every registered backend is **bitwise identical** to the
+  ``reference-fast`` kernel — outputs and stats — built the way the
+  performance ledger builds it, ``get_backend(name)(engine)``;
+* an engine's kernel is a function of its configuration alone: the
+  fast kernel when it is bit-exact for it, the reference macro path
+  otherwise — compile reads no clock and is repeatable;
 * cache disk-tier counters reconcile (``misses == disk_hits +
   disk_misses``) whether the store raises or quietly returns nothing;
 * artifact bytes are a pure function of the compiled model: two saves
   with the same ``created_at`` are byte-identical.
 """
 
+import dataclasses
 import hashlib
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +24,16 @@ import pytest
 
 from repro import nn
 from repro.cim import BitlineModel, MacroConfig
+from repro import models
+from repro.obs import trace
+from repro.rebranch.convert import convert_to_rebranch
 from repro.runtime import (
+    CacheStats,
     EngineCache,
     EngineKey,
     RuntimeConfig,
     compile_model,
-    linear_engine,
-    reference_forward,
+    fold_batchnorm,
 )
 from repro.runtime.backends import (
     DEFAULT_BACKEND,
@@ -37,24 +41,13 @@ from repro.runtime.backends import (
     PopcountBitSerialKernel,
     TiledBitSerialKernel,
     available_backends,
-    clear_tune_cache,
     get_backend,
     register_backend,
-    tune_kernel,
 )
-from repro.runtime.backends.base import _REGISTRY
-from repro.runtime.engine import ProgrammedConv, ProgrammedLinear, linear_engine_key
-from repro.runtime.sharded import shard
-from repro.runtime.snapshot import ArtifactStore, load, save
+from repro.runtime.engine import ProgrammedLinear
+from repro.runtime.snapshot import ArtifactStore, save
 
 RNG = np.random.default_rng(11)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_tune_decisions():
-    clear_tune_cache()
-    yield
-    clear_tune_cache()
 
 
 def mlp(seed=0, widths=(96, 48), in_features=64, num_classes=10):
@@ -66,17 +59,6 @@ def mlp(seed=0, widths=(96, 48), in_features=64, num_classes=10):
         width = next_width
     layers.append(nn.Linear(width, num_classes, rng=rng))
     return nn.Sequential(*layers)
-
-
-def small_conv_net(seed=0):
-    rng = np.random.default_rng(seed)
-    return nn.Sequential(
-        nn.Conv2d(3, 8, 3, padding=1, rng=rng),
-        nn.ReLU(),
-        nn.MaxPool2d(2),
-        nn.Flatten(),
-        nn.Linear(8 * 4 * 4, 5, rng=rng),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -106,11 +88,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="backend_name"):
             register_backend(Nameless)
 
-    def test_engine_rejects_unknown_backend(self):
-        weight = RNG.normal(size=(16, 32))
-        with pytest.raises(KeyError, match="unknown kernel backend"):
-            ProgrammedLinear(weight, backend="does-not-exist")
-
 
 # ----------------------------------------------------------------------
 # Popcount backend: bitwise identity
@@ -121,90 +98,25 @@ class TestPopcountBitwise:
     def test_matches_reference_fast(self, signed, n):
         rng = np.random.default_rng(3)
         weight = rng.normal(size=(48, 200))  # multi-tile rows and cols
-        base = ProgrammedLinear(weight, signed_inputs=signed)
-        pop = ProgrammedLinear(weight, backend="popcount", signed_inputs=signed)
+        linear = ProgrammedLinear(weight, signed_inputs=signed)
         x = rng.normal(size=(n, 200))
         x = x if signed else np.abs(x)
-        out_b, stats_b = base.execute(x)
-        out_p, stats_p = pop.execute(x)
+        out_b, stats_b = linear.execute(x)
+        linear._kernel = get_backend("popcount")(linear.engine)
+        out_p, stats_p = linear.execute(x)
         assert np.array_equal(out_b, out_p)
         assert stats_b == stats_p
-
-    def test_adopt_shares_groups_and_builds_layout(self):
-        weight = RNG.normal(size=(32, 300))
-        reference = ProgrammedLinear(weight)._kernel
-        adopted = PopcountBitSerialKernel.adopt(reference)
-        assert type(adopted) is PopcountBitSerialKernel
-        assert adopted._groups is reference._groups
-        assert len(adopted._packed_planes) == len(reference._groups)
-        # Adopting an instance of the right type is the identity.
-        assert PopcountBitSerialKernel.adopt(adopted) is adopted
 
     def test_unsupported_under_bitline_noise(self):
         config = MacroConfig(bitline=BitlineModel(noise_sigma_counts=1.0))
         assert not PopcountBitSerialKernel.supported(config)
 
-    def test_pinned_backend_on_unsupported_config_degrades_to_reference(self):
-        config = MacroConfig(bitline=BitlineModel(noise_sigma_counts=1.0))
-        engine = ProgrammedLinear(
-            RNG.normal(size=(8, 16)), config=config, backend="popcount"
-        )
-        assert engine._kernel is None
-        assert engine.kernel_backend is None
 
-
-# ----------------------------------------------------------------------
-# Autotuner
-# ----------------------------------------------------------------------
+# The class keeps the name its ids were collected under; what it holds
+# is the popcount ≡ reference-fast witness on resnet8's engine shapes.
 class TestAutotuner:
-    def test_winner_is_bitwise_identical(self):
-        weight = RNG.normal(size=(64, 256))
-        engine = ProgrammedLinear(weight).engine
-        kernel, report = tune_kernel(engine, probe_n=2)
-        assert report.winner in available_backends()
-        assert not report.cached
-        assert DEFAULT_BACKEND in report.timings_ms
-        reference = TiledBitSerialKernel(engine)
-        x = np.random.default_rng(5).integers(0, 256, size=(256, 3))
-        out_k, stats_k = kernel.matmul(x)
-        out_r, stats_r = reference.matmul(x)
-        assert np.array_equal(out_k, out_r)
-        assert stats_k == stats_r
-
-    def test_decisions_cached_by_structure(self):
-        weight = RNG.normal(size=(32, 128))
-        first = ProgrammedLinear(weight, backend="auto")
-        again = ProgrammedLinear(weight, backend="auto")
-        assert not first.tune_report.cached
-        assert again.tune_report.cached
-        assert again.tune_report.winner == first.tune_report.winner
-        clear_tune_cache()
-        fresh = ProgrammedLinear(weight, backend="auto")
-        assert not fresh.tune_report.cached
-
-    def test_wrong_candidate_is_vetoed_never_wins(self):
-        class Corrupt(TiledBitSerialKernel):
-            backend_name = "test-corrupt"
-
-            def matmul(self, x):
-                out, stats = super().matmul(x)
-                return out + 1e-9, stats  # off by one ulp-ish: must lose
-
-        register_backend(Corrupt)
-        try:
-            weight = RNG.normal(size=(24, 96))
-            engine = ProgrammedLinear(weight).engine
-            kernel, report = tune_kernel(
-                engine, candidates=(DEFAULT_BACKEND, "test-corrupt")
-            )
-            assert "test-corrupt" in report.vetoed
-            assert report.winner == DEFAULT_BACKEND
-            assert "test-corrupt" not in report.timings_ms
-        finally:
-            _REGISTRY.pop("test-corrupt", None)
-
-    # Every engine resnet8 programs: convs probe at ProgrammedConv's
-    # default 64 vectors, the classifier at 1.
+    # Every engine resnet8 programs: convs at 64 im2col vectors, the
+    # classifier at 1.
     @pytest.mark.parametrize(
         "rows,cols,probe_n,signed",
         [
@@ -222,67 +134,70 @@ class TestAutotuner:
     def test_popcount_never_vetoed_on_resnet8_probe_shapes(
         self, rows, cols, probe_n, signed
     ):
-        """popcount shares the reference kernel's operand layout; a veto
-        here would be a layout mismatch hiding as a "speed decision"."""
+        """popcount shares the reference kernel's operand layout, so on
+        the full input range its outputs and ``MacroStats`` are the
+        reference kernel's bit for bit."""
         weight = np.random.default_rng(rows + cols).normal(size=(cols, rows))
         engine = ProgrammedLinear(weight, signed_inputs=signed).engine
-        _, report = tune_kernel(engine, probe_n=probe_n, repeats=1)
-        assert report.vetoed == ()
-        assert "popcount" in report.timings_ms
-
-    def test_probe_n_validated(self):
-        engine = ProgrammedLinear(RNG.normal(size=(8, 16))).engine
-        with pytest.raises(ValueError, match="probe_n"):
-            tune_kernel(engine, probe_n=0)
-
-    def test_speedup_reported(self):
-        engine = ProgrammedLinear(RNG.normal(size=(32, 128))).engine
-        _, report = tune_kernel(engine)
-        assert report.speedup() > 0.0
+        low, high = engine.config.input_range()
+        x = np.random.default_rng([rows, cols, probe_n]).integers(
+            low, high + 1, size=(rows, probe_n)
+        )
+        out_r, stats_r = TiledBitSerialKernel(engine).matmul(x)
+        out_p, stats_p = get_backend("popcount")(engine).matmul(x)
+        assert np.array_equal(out_r, out_p)
+        assert stats_r == stats_p
 
 
 # ----------------------------------------------------------------------
-# Engine and cache provenance
+# One kernel per engine, decided by the configuration alone
 # ----------------------------------------------------------------------
 class TestEngineThreading:
     def test_default_engine_unchanged(self):
         engine = ProgrammedLinear(RNG.normal(size=(16, 64)))
-        assert engine.kernel_backend == DEFAULT_BACKEND
-        assert engine.backend_request is None
-        assert not engine.tuned
-        assert engine.tune_report is None
         assert type(engine._kernel) is TiledBitSerialKernel
+        assert type(engine._kernel).backend_name == DEFAULT_BACKEND
+        # ... and the reference macro path where the fast kernel is not exact.
+        noisy = MacroConfig(bitline=BitlineModel(noise_sigma_counts=1.0))
+        assert ProgrammedLinear(RNG.normal(size=(8, 16)), config=noisy)._kernel is None
 
-    def test_conv_delegates_backend_attrs(self):
-        conv = ProgrammedConv(
-            RNG.normal(size=(4, 3, 3, 3)), padding=1, backend="auto"
-        )
-        assert conv.tuned
-        assert conv.kernel_backend == conv.linear.kernel_backend
-        assert conv.backend_request == "auto"
-        assert conv.tune_report is conv.linear.tune_report
+    def test_runtime_config_fields_are_pinned(self):
+        # An option cannot come back unnoticed.
+        assert [f.name for f in dataclasses.fields(RuntimeConfig)] == [
+            "rom_config",
+            "sram_config",
+            "activation_bits",
+            "encoding",
+            "fold_bn",
+            "assume_signed_input",
+        ]
 
-    def test_backend_extends_cache_key_only_when_set(self):
-        weight = RNG.normal(size=(16, 64))
-        config = MacroConfig()
-        plain = linear_engine_key(weight, config, 8, False)
-        pinned = linear_engine_key(weight, config, 8, False, backend="popcount")
-        auto = linear_engine_key(weight, config, 8, False, backend="auto")
-        assert plain.config_key[-1] is False  # unchanged legacy shape
-        assert pinned != plain and auto != plain and pinned != auto
-        assert pinned.config_key[-2:] == ("backend", "popcount")
+    @pytest.mark.parametrize("rebranch", [False, True], ids=["resnet8", "rebranch"])
+    def test_compile_is_clock_free_and_repeatable(self, rebranch, monkeypatch):
+        def build():
+            rng = np.random.default_rng(0)
+            model = models.build_model("resnet8", rng=rng, width_mult=0.25)
+            fold_batchnorm(model)
+            if rebranch:
+                convert_to_rebranch(model, d=4, u=4, rng=rng)
+            return model.eval()
 
-    def test_tuned_tier_and_counter(self):
-        cache = EngineCache(capacity=8)
-        weight = RNG.normal(size=(16, 64))
-        linear_engine(weight, backend="auto", cache=cache, layer_id="L")
-        key = linear_engine_key(
-            weight, MacroConfig(), 8, False, "L", None, backend="auto"
-        )
-        assert cache.tier_of(key) == "programmed+tuned"
-        assert cache.stats.tuned == 1
-        plain_key = linear_engine_key(weight, MacroConfig(), 8, False, "L", None)
-        assert cache.tier_of(plain_key) is None  # distinct identity
+        def no_clock():
+            raise AssertionError("compile read the clock")
+
+        assert trace.current() is None
+        monkeypatch.setattr(time, "perf_counter", no_clock)
+        compiles = []
+        for _ in range(2):
+            cache = EngineCache()
+            compiled = compile_model(build(), RuntimeConfig(), cache=cache)
+            kernels = {
+                layer_id: type(getattr(engine, "linear", engine)._kernel)
+                for layer_id, engine in compiled.programmed_engines().items()
+            }
+            compiles.append((compiled.plan_spec(), cache.keys(), kernels))
+        assert compiles[0] == compiles[1]
+        assert set(compiles[0][2].values()) == {TiledBitSerialKernel}
 
 
 # ----------------------------------------------------------------------
@@ -347,56 +262,19 @@ class TestCacheAccounting:
         assert stats.misses == stats.disk_hits + stats.disk_misses
         assert store.reads == stats.disk_hits + stats.disk_misses
 
-    def test_stats_reset_clears_tuned(self):
-        cache = EngineCache(capacity=4)
-        linear_engine(
-            RNG.normal(size=(8, 32)), backend="auto", cache=cache, layer_id="r"
+    def test_stats_reset_clears_every_field(self):
+        stats = CacheStats()
+        for index, f in enumerate(dataclasses.fields(CacheStats)):
+            setattr(stats, f.name, index + 1)
+        stats.reset()
+        assert stats == CacheStats()
+        assert all(
+            getattr(stats, f.name) == f.default for f in dataclasses.fields(CacheStats)
         )
-        assert cache.stats.tuned == 1
-        cache.stats.reset()
-        assert cache.stats.tuned == 0
 
 
 # ----------------------------------------------------------------------
-# Compiled models: zoo x noise x shards bitwise matrix
-# ----------------------------------------------------------------------
-class TestTunedCompiledBitwise:
-    @pytest.mark.parametrize("build", [mlp, small_conv_net], ids=["mlp", "conv"])
-    @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
-    def test_auto_matches_reference_forward(self, build, noisy):
-        model = build()
-        x = (
-            np.random.default_rng(2).normal(size=(2, 64))
-            if build is mlp
-            else np.random.default_rng(2).normal(size=(2, 3, 8, 8))
-        )
-        bitline = BitlineModel(noise_sigma_counts=0.5) if noisy else None
-        rom = MacroConfig(bitline=bitline)
-        sram = MacroConfig(bitline=bitline)
-        config = RuntimeConfig(backend="auto", rom_config=rom, sram_config=sram)
-        compiled = compile_model(model, config, cache=EngineCache())
-        out_c, stats_c = compiled.run(x, rng=np.random.default_rng(9))
-        out_r, stats_r = reference_forward(
-            model, x, rom_config=rom, sram_config=sram,
-            rng=np.random.default_rng(9),
-        )
-        assert np.array_equal(out_c, out_r)
-        assert stats_c == stats_r
-
-    @pytest.mark.parametrize("n_shards", [1, 2])
-    def test_auto_sharded_matches_unsharded(self, n_shards):
-        model = mlp(seed=4)
-        x = np.random.default_rng(6).normal(size=(4, 64))
-        config = RuntimeConfig(backend="auto")
-        compiled = compile_model(model, config, cache=EngineCache())
-        expected, _ = compiled.run(x)
-        sharded = shard(compiled, n_shards)
-        got, _ = sharded.run(x)
-        assert np.array_equal(expected, got)
-
-
-# ----------------------------------------------------------------------
-# Snapshots: byte identity + tuned-winner round trip
+# Snapshots: byte identity
 # ----------------------------------------------------------------------
 def _store_digest(root: Path) -> dict:
     return {
@@ -416,38 +294,3 @@ class TestSnapshotProvenance:
         key_b = save(compiled, store_b, created_at=1234.5)
         assert key_a == key_b
         assert _store_digest(tmp_path / "a") == _store_digest(tmp_path / "b")
-
-    def test_tuned_winner_survives_round_trip_without_retune(self, tmp_path):
-        model = mlp(seed=8)
-        config = RuntimeConfig(backend="auto")
-        compiled = compile_model(model, config, cache=EngineCache())
-        x = np.random.default_rng(3).normal(size=(2, 64))
-        expected, expected_stats = compiled.run(x)
-        winners = {
-            s.layer_id: s.engine_for(s.predicted_signed).kernel_backend
-            for s in compiled._slots
-        }
-
-        store = ArtifactStore(tmp_path)
-        key = save(compiled, store, created_at=0.0)
-
-        clear_tune_cache()  # a warm start must not re-benchmark
-        cache = EngineCache(capacity=16)
-        loaded = load(store, key, cache=cache)
-        got, got_stats = loaded.run(x)
-        assert np.array_equal(expected, got)
-        assert expected_stats == got_stats
-        assert cache.stats.programmed == 0
-        for slot in loaded._slots:
-            engine = slot.engine_for(slot.predicted_signed)
-            assert engine.kernel_backend == winners[slot.layer_id]
-            assert engine.tuned
-            assert slot.cache_tier() == "snapshot+tuned"
-
-    def test_kernel_backends_introspection(self):
-        compiled = compile_model(
-            mlp(seed=8), RuntimeConfig(backend="auto"), cache=EngineCache()
-        )
-        backends = compiled.kernel_backends()
-        assert set(backends) == {"0", "2", "4"}
-        assert all(name.endswith("(tuned)") for name in backends.values())

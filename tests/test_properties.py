@@ -315,7 +315,12 @@ class TestFaultScheduleProperties:
 from unittest import mock
 
 from repro.cim import CimTiledMatmul
-from repro.runtime.backends import TiledBitSerialKernel, reference_fast
+from repro.runtime.backends import (
+    TiledBitSerialKernel,
+    available_backends,
+    get_backend,
+    reference_fast,
+)
 
 
 @st.composite
@@ -335,23 +340,42 @@ def blocked_kernel_cases(draw):
     return rows, cols, signed, adc_bits, seed, step, max(n, 1)
 
 
+def _engine_and_batch(case):
+    """The drawn engine, a full-range batch, and the tile walk's answer."""
+    rows, cols, signed, adc_bits, seed, _, n = case
+    rng = np.random.default_rng(seed)
+    config = MacroConfig(signed_inputs=signed, adc=AdcSpec(bits=adc_bits))
+    engine = CimTiledMatmul(rng.integers(-128, 128, size=(rows, cols)), config)
+    low, high = config.input_range()
+    x = rng.integers(low, high + 1, size=(rows, n))
+    return engine, x, engine.matmul(x)
+
+
 class TestVectorBlockProperties:
     @given(blocked_kernel_cases())
     @settings(max_examples=40, deadline=None)
     def test_blocked_kernel_matches_tiled_reference(self, case):
-        rows, cols, signed, adc_bits, seed, step, n = case
-        rng = np.random.default_rng(seed)
-        config = MacroConfig(signed_inputs=signed, adc=AdcSpec(bits=adc_bits))
-        engine = CimTiledMatmul(rng.integers(-128, 128, size=(rows, cols)), config)
+        step = case[5]
+        engine, x, (ref, ref_stats) = _engine_and_batch(case)
+        config = engine.config
         kernel = TiledBitSerialKernel(engine)
         stacked = kernel._groups[0].planes32.shape[0]
         budget = stacked * config.input_bits * 8 * step
-        low, high = config.input_range()
-        x = rng.integers(low, high + 1, size=(rows, n))
-        ref, ref_stats = engine.matmul(x)
         with mock.patch.object(reference_fast, "_BLOCK_BYTES", budget):
             assert reference_fast._block_vectors(stacked, config.input_bits) == step
             for _ in range(2):  # both sides of the first-call einsum veto
                 out, stats = kernel.matmul(x)
                 assert out.tobytes() == ref.tobytes()
                 assert stats == ref_stats
+
+    @given(blocked_kernel_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_every_registered_backend_matches_tiled_reference(self, case):
+        engine, x, (ref, ref_stats) = _engine_and_batch(case)
+        for name in available_backends():
+            # Built by name, as the performance ledger builds them.
+            kernel = get_backend(name)(engine)
+            for _ in range(2):  # both sides of the first-call einsum veto
+                out, stats = kernel.matmul(x)
+                assert out.tobytes() == ref.tobytes(), name
+                assert stats == ref_stats, name

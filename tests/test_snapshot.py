@@ -350,16 +350,22 @@ def golden_model():
 
 
 #: shard count -> (artifact_key, sha256 of the ``.rcma`` file saved with
-#: ``created_at=0.0``), computed on commit 6e58c20 (format VERSION 3).
+#: ``created_at=0.0``), recomputed once for format VERSION 4.
 #: A change here is a format change: bump ``VERSION`` deliberately.
+#: Header diff against VERSION 3 (pins 541adbcb…/4460209d… and
+#: 01c3a8bb…/85417408…, commit 6e58c20), nothing else moved:
+#:   "version": 3 -> 4 (and "key", which digests it)
+#:   each engine:  - "backend", - "backend_request", - "tuned"
+#:   "config":     - "backend", - "tune_probe_n"
+#: 6528 -> 6336 bytes unsharded, 6848 -> 6656 bytes in two shards.
 GOLDEN = {
     None: (
-        "541adbcb5a7e5d99ace8afd0e742de2c690ff6571d58b7599df83eb5d6e6113d",
-        "4460209deb17388526312dad5f6a2b60c06bd3bd2d3f0be2bf257181e7b7b17b",
+        "5fefffc01d51143fcf6e650d9774f209366b74c495b147d812af944d324a5e09",
+        "5844a949bf8e9a4919af073b9e5458856101172b110d1150300101acb5acb4cb",
     ),
     2: (
-        "01c3a8bb8cb1a1259f5460e53855b2925594f22c9670408172be0189e0b2e977",
-        "85417408ef5b8fe314f0bdee46e813fcbac860036c457a8bb9ce5d39be29cd48",
+        "9dbeb0af1b453a5469af8a38e3c4dea4ba4001caea6cd1e17776a18d8b0cf928",
+        "518cd122a0a6f8861d8fca2c71f23278f3a1d0c7bef08dacc09b1e47174eccf0",
     ),
 }
 
@@ -367,7 +373,7 @@ GOLDEN = {
 class TestGoldenFormat:
     @pytest.mark.parametrize("n_shards", [None, 2])
     def test_artifact_bytes_and_key_are_pinned(self, store, n_shards):
-        assert snapshot_mod.VERSION == 3
+        assert snapshot_mod.VERSION == 4
         compiled = compile_model(golden_model(), RuntimeConfig(), cache=EngineCache())
         target = compiled if n_shards is None else shard(compiled, n_shards)
         key = save(target, store, created_at=0.0)
@@ -401,8 +407,6 @@ def stored_dataclasses():
             encoding=PulseWidthEncoding(jitter_sigma_slots=0.5),
             fold_bn=True,
             assume_signed_input=False,
-            backend="popcount",
-            tune_probe_n=4,
         ),
         ChipletLinkSpec(energy_pj_per_bit=2.0, pins_per_link=16),
         ShardSegment(
@@ -545,11 +549,46 @@ class TestRobustness:
 
     def test_version_mismatch_is_typed(self, store, monkeypatch):
         compiled = compile_model(linear_model(), RuntimeConfig(), cache=EngineCache())
-        monkeypatch.setattr(snapshot_mod, "VERSION", snapshot_mod.VERSION + 1)
-        key = save(compiled, store)
+        # The previous format (what a pre-2.0 store holds) and a future one.
+        for written in (3, snapshot_mod.VERSION + 1):
+            monkeypatch.setattr(snapshot_mod, "VERSION", written)
+            key = save(compiled, store)
+            monkeypatch.undo()
+            with pytest.raises(SnapshotVersionError):
+                load(store, key)
+
+    def test_version_3_store_misses_and_is_rewritten(self, store, monkeypatch):
+        # A store written by format 3 can make a lookup miss, never fail:
+        # the registry compiles cold and overwrites, the engine cache's
+        # disk tier counts misses and reprograms.
+        key = artifact_key(linear_model(), RuntimeConfig())
+        monkeypatch.setattr(snapshot_mod, "VERSION", 3)
+        old_cache = EngineCache(store=store)
+        compiled = compile_model(linear_model(), RuntimeConfig(), cache=old_cache)
+        save(compiled, store, key=key)
         monkeypatch.undo()
-        with pytest.raises(SnapshotVersionError):
-            load(store, key)
+        n_engines = old_cache.stats.programmed
+        assert n_engines == store.engine_count() > 0
+
+        entry = ModelRegistry(cache=EngineCache()).register(
+            "m", linear_model(), store=store
+        )
+        assert not entry.warm_start and entry.artifact_key == key
+        x = model_input("linear")
+        expected, _ = compiled.run(x, rng=np.random.default_rng(1))
+        # Overwritten: the same key now loads.
+        served, _ = load(store, key, cache=EngineCache()).run(
+            x, rng=np.random.default_rng(1)
+        )
+        assert np.array_equal(expected, served)
+
+        first = EngineCache(store=store)
+        compile_model(linear_model(), RuntimeConfig(), cache=first)
+        assert first.stats.disk_hits == 0
+        assert first.stats.disk_misses == first.stats.programmed == n_engines
+        second = EngineCache(store=store)
+        compile_model(linear_model(), RuntimeConfig(), cache=second)
+        assert (second.stats.disk_hits, second.stats.programmed) == (n_engines, 0)
 
     def test_header_damage_is_typed(self, store):
         _, key = self._saved(store)
