@@ -1,17 +1,28 @@
 #!/usr/bin/env python
-"""Reject wall-clock synchronization in the test suites.
+"""Reject wall-clock dependence in the test suites.
 
-Scans every Python file under ``tests/`` and ``benchmarks/`` for
-``time.sleep`` (and ``sleep(...)`` imported bare from ``time``).  Tests
-that "wait a bit" for a thread or a queue are flake factories: they
-pass on a fast machine and time out under a loaded CI runner.  Every
-blocking wait must go through an event-ordered primitive — the
-``DEADLINE``-bounded helpers in ``tests/helpers.py``
-(``await_results``), a ``threading.Event``/``Condition`` wait, or a
-``join(timeout)`` — which block until the state change actually
-happens instead of guessing how long it takes.
+Scans every Python file under ``tests/`` and ``benchmarks/`` for two
+flake factories:
 
-A line may opt out with a trailing ``# hygiene: allow-sleep`` comment
+* ``time.sleep`` (and ``sleep(...)`` imported bare from ``time``).
+  Tests that "wait a bit" for a thread or a queue pass on a fast machine
+  and time out under a loaded CI runner.  Every blocking wait must go
+  through an event-ordered primitive — the ``DEADLINE``-bounded helpers
+  in ``tests/helpers.py`` (``await_results``), a
+  ``threading.Event``/``Condition`` wait, or a ``join(timeout)`` — which
+  block until the state change actually happens instead of guessing how
+  long it takes.
+* an ``assert`` that compares a host-wall quantity: a value derived
+  from ``time.perf_counter`` (followed through arithmetic, ``min`` /
+  ``max`` / ``round``, attributes and helper-function returns within the
+  file), or a study's wall-clock ``speedup`` field.  Two wall times
+  taken inside a unit-test process cannot be resolved on a shared
+  runner; assert what the ratio rests on — engines programmed, batches
+  executed, spans entered — and leave the ratio to the report tests and
+  the ledger (``bench/``).  Simulated-chip ratios (:data:`SIMULATED`)
+  are computed from deterministic chip time and stay assertable.
+
+A sleep may opt out with a trailing ``# hygiene: allow-sleep`` comment
 and a reason; none exist today, and adding one should be rare enough to
 argue in review.
 
@@ -20,6 +31,7 @@ Usage: python scripts/check_test_hygiene.py
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -33,10 +45,118 @@ SLEEP = re.compile(r"(?<![\w.])(?:time\.)?sleep\s*\(")
 BARE_IMPORT = re.compile(r"^\s*from\s+time\s+import\s+.*\bsleep\b")
 ALLOW = "# hygiene: allow-sleep"
 
+CLOCKS = {"perf_counter", "perf_counter_ns"}
+#: Calls a wall time passes through unchanged in kind.
+TRANSPARENT = {"min", "max", "round", "float", "abs", "sum"}
+SPEEDUP = re.compile(r"(?:^|_)speedup(?:_|$)")
+#: ``speedup``-named fields computed from simulated chip time.
+SIMULATED = {"pipeline_speedup"}
+
+
+def _identifier(node: ast.AST):
+    """The name a Name / Attribute / Call-of-those is known by."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+class _WallClock:
+    """Flow-insensitive taint of one file: which identifiers hold a
+    value derived from the host clock."""
+
+    def __init__(self, tree: ast.AST):
+        self.tainted = set()
+        #: function name -> which positions of a returned tuple are wall times
+        self.tuple_returns = {}
+        size = -1
+        while size != len(self.tainted) + len(self.tuple_returns):
+            size = len(self.tainted) + len(self.tuple_returns)
+            for node in ast.walk(tree):
+                self._propagate(node)
+
+    def derived(self, node: ast.AST) -> bool:
+        if isinstance(node, ast.Call):
+            name = _identifier(node)
+            if name in TRANSPARENT:
+                return any(self.derived(arg) for arg in node.args)
+            return name in CLOCKS or name in self.tainted
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            return _identifier(node) in self.tainted
+        if isinstance(node, ast.BinOp):
+            return self.derived(node.left) or self.derived(node.right)
+        if isinstance(node, ast.UnaryOp):
+            return self.derived(node.operand)
+        if isinstance(node, ast.IfExp):
+            return self.derived(node.body) or self.derived(node.orelse)
+        return False
+
+    def _bind(self, target: ast.AST, value: ast.AST) -> None:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            flags = self.tuple_returns.get(_identifier(value), ())
+            if isinstance(value, (ast.Tuple, ast.List)):
+                flags = [self.derived(item) for item in value.elts]
+            for item, flag in zip(target.elts, flags):
+                if flag and _identifier(item):
+                    self.tainted.add(_identifier(item))
+        elif self.derived(value) and _identifier(target):
+            self.tainted.add(_identifier(target))
+
+    def _propagate(self, node: ast.AST) -> None:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                self._bind(target, node.value)
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+            if node.value is not None:
+                self._bind(node.target, node.value)
+        elif isinstance(node, ast.FunctionDef):
+            for inner in ast.walk(node):
+                if not isinstance(inner, ast.Return) or inner.value is None:
+                    continue
+                if isinstance(inner.value, ast.Tuple):
+                    flags = [self.derived(item) for item in inner.value.elts]
+                    if any(flags):
+                        self.tuple_returns[node.name] = flags
+                elif self.derived(inner.value):
+                    self.tainted.add(node.name)
+
+
+def check_wall_ratio_asserts(path: Path, source: str) -> list:
+    tree = ast.parse(source, filename=str(path))
+    clock = _WallClock(tree)
+    problems = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assert):
+            continue
+        operands = [
+            operand
+            for compare in ast.walk(node.test)
+            if isinstance(compare, ast.Compare)
+            for operand in [compare.left, *compare.comparators]
+        ]
+        names = {_identifier(part) for op in operands for part in ast.walk(op)}
+        speedups = {
+            name for name in names - SIMULATED - {None} if SPEEDUP.search(name)
+        }
+        if speedups or any(clock.derived(operand) for operand in operands):
+            what = (
+                f"the wall-clock ratio {sorted(speedups)[0]!r}"
+                if speedups
+                else "a value derived from time.perf_counter"
+            )
+            problems.append(
+                f"{path.relative_to(REPO_ROOT)}:{node.lineno}: assert compares "
+                f"{what} — two host wall times cannot be resolved on a "
+                f"shared runner; assert the counts the ratio rests on"
+            )
+    return problems
+
 
 def check_file(path: Path) -> list:
     problems = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    source = path.read_text()
+    for lineno, line in enumerate(source.splitlines(), start=1):
         if ALLOW in line:
             continue
         stripped = line.split("#", 1)[0]
@@ -46,7 +166,7 @@ def check_file(path: Path) -> list:
                 f"in a test suite — synchronize on an event "
                 f"(tests/helpers.py DEADLINE idioms) instead"
             )
-    return problems
+    return problems + check_wall_ratio_asserts(path, source)
 
 
 def main() -> int:
@@ -60,7 +180,10 @@ def main() -> int:
         print(problem, file=sys.stderr)
     if problems:
         return 1
-    print(f"checked {checked} test files: no wall-clock sleeps")
+    print(
+        f"checked {checked} test files: no wall-clock sleeps, "
+        f"no host-wall ratio asserts"
+    )
     return 0
 
 

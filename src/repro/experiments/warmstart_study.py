@@ -15,9 +15,9 @@ programming from scratch?  For each model in the sweep the study
   the freshly compiled one (same inputs, same execution RNG).
 
 Timings take the minimum over ``repeats`` passes (the standard
-low-noise estimator).  ``benchmarks/test_bench_warmstart.py`` pins the
-headline number: warm-start load must be at least 5x faster than the
-cold compile it replaces, with the bitwise check green.
+low-noise estimator).  ``benchmarks/test_bench_warmstart.py`` pins why
+the load is the faster side — it programs no engine and quantises no
+weight — with the bitwise check green.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ certain extent" with only 1/(D*U) of the parameters trainable.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
 import numpy as np
@@ -55,11 +56,6 @@ class ReBranchConv2d(nn.Module):
 
         self.d = d
         self.u = u
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = trunk.kernel_size
-        self.stride = trunk.stride
-        self.padding = trunk.padding
 
         # Trunk: the pretrained weights, frozen (ROM).
         self.trunk = trunk
@@ -87,6 +83,12 @@ class ReBranchConv2d(nn.Module):
             out_channels, decompressed, rng
         )
         self.decompress.freeze()
+
+    #: The wrapped layer's geometry is its trunk's, read through.
+    in_channels, out_channels, kernel_size, stride, padding = (
+        property(operator.attrgetter(f"trunk.{name}"))
+        for name in ("in_channels", "out_channels", "kernel_size", "stride", "padding")
+    )
 
     def forward(self, x):
         return self.trunk(x) + self.decompress(self.res_conv(self.compress(x)))

@@ -43,6 +43,7 @@ path at a fixed RNG seed — pinned by ``tests/test_runtime.py`` against
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -58,19 +59,18 @@ from repro.rebranch.branch import ReBranchConv2d
 from repro.runtime.cache import EngineCache, resolve_cache, weight_fingerprint
 from repro.runtime.engine import (
     conv_engine,
-    conv_patches,
     engine_cache_key,
     grouped_conv_execute,
     linear_engine,
 )
-from repro.runtime.errors import CompileError, UnsupportedModuleError
+from repro.runtime.errors import CompileError
 from repro.runtime.programming import (
     DeploymentReport,
     build_report,
     fold_batchnorm,
     validate_deployable,
 )
-from repro.runtime.reference import pool2d as _pool
+from repro.runtime.reference import descend, pure_op
 from repro.runtime.session import ExecutionSession
 
 _log = get_logger("runtime.compile")
@@ -330,61 +330,28 @@ class _EngineSlot:
 
 
 class _ConvStep:
-    kind = "conv"
-
-    def __init__(self, slot: _EngineSlot, module: nn.Conv2d):
-        self.slot = slot
-        self.module = module
-        self.name = slot.layer_id
-
-    def apply(self, x: np.ndarray, state: _RunState) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        # Seed semantics: the encoding fallback keys on the raw layer
-        # input, while quantization signedness keys on the im2col
-        # patches (what actually reaches the word lines) — a stride
-        # larger than the kernel can make the two disagree.
-        encoding = None if bool((x < 0).any()) else state.encoding
-        patches, out_hw = conv_patches(
-            x,
-            self.module.weight.data.shape,
-            self.slot.stride,
-            self.slot.padding,
-        )
-        signed = bool((patches < 0).any())
-        out, stats = self.slot.engine_for(signed).execute_patches(
-            patches,
-            x.shape[0],
-            out_hw,
-            rng=state.rng,
-            encoding=encoding,
-            degrade=state.degrade,
-        )
-        state.stats = state.stats + stats
-        if self.module.bias is not None:
-            out = out + self.module.bias.data.reshape(1, -1, 1, 1)
-        return out
-
-
-class _GroupedConvStep:
-    """A grouped/depthwise convolution lowered to per-group engines.
+    """A convolution lowered to one conv engine per channel group.
 
     Group ``g`` owns its slice of the input channels and of the output
     channels, programmed as an independent conv engine (one
-    :class:`_EngineSlot` per group, shared through the engine cache).
-    Groups execute in index order against the shared run RNG —
-    deterministic group-major draws, matching the (equally grouped)
-    reference path bit for bit.
+    :class:`_EngineSlot` per group, shared through the engine cache); a
+    plain convolution is the one-group case.  Groups execute in index
+    order against the shared run RNG — deterministic group-major draws,
+    matching the (equally grouped) reference path bit for bit.
     """
-
-    kind = "grouped_conv"
 
     def __init__(self, name: str, slots: List[_EngineSlot], module: nn.Conv2d):
         self.name = name
         self.slots = slots
         self.module = module
+        self.kind = "conv" if len(slots) == 1 else "grouped_conv"
 
     def apply(self, x: np.ndarray, state: _RunState) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
+        # Seed semantics: the encoding fallback keys on the raw layer
+        # input, while quantization signedness keys on each group's
+        # im2col patches (what actually reaches the word lines) — a
+        # stride larger than the kernel can make the two disagree.
         encoding = None if bool((x < 0).any()) else state.encoding
         oc = self.module.out_channels
         icg = self.module.in_channels // self.module.groups
@@ -410,14 +377,14 @@ class _LinearStep:
     kind = "linear"
 
     def __init__(self, slot: _EngineSlot, module: nn.Linear):
-        self.slot = slot
+        self.slots = [slot]
         self.module = module
         self.name = slot.layer_id
 
     def apply(self, x: np.ndarray, state: _RunState) -> np.ndarray:
         signed = bool((x < 0).any())
         encoding = None if signed else state.encoding
-        out, stats = self.slot.engine_for(signed).execute(
+        out, stats = self.slots[0].engine_for(signed).execute(
             x, rng=state.rng, encoding=encoding, degrade=state.degrade
         )
         state.stats = state.stats + stats
@@ -508,37 +475,6 @@ class _PlanBuilder:
             self.sram_config if module.weight.requires_grad else self.rom_config
         )
 
-    def _conv_slot(
-        self,
-        name: str,
-        conv: nn.Conv2d,
-        config_fn: Callable[[], MacroConfig],
-        signed: bool,
-        weight_fn: Optional[Callable[[], np.ndarray]] = None,
-        profile_name: Optional[str] = None,
-        profile_share: float = 1.0,
-    ) -> _EngineSlot:
-        sh, sw = conv.stride
-        ph, pw = conv.padding
-        if sh != sw or ph != pw:
-            raise ValueError("deployment supports square stride/padding only")
-        slot = _EngineSlot(
-            layer_id=name,
-            kind="conv",
-            weight_fn=weight_fn if weight_fn is not None else (lambda: conv.weight.data),
-            config_fn=config_fn,
-            activation_bits=self.config.activation_bits,
-            cache=self.cache,
-            predicted_signed=signed,
-            stride=sh,
-            padding=ph,
-            fingerprint=self.fingerprints.get(name),
-            profile_name=profile_name,
-            profile_share=profile_share,
-        )
-        self.slots.append(slot)
-        return slot
-
     def _linear_slot(
         self,
         name: str,
@@ -560,30 +496,34 @@ class _PlanBuilder:
         return slot
 
     def _conv(self, name: str, conv: nn.Conv2d, config_fn, x: PlanHandle) -> PlanHandle:
-        if conv.groups > 1:
-            ocg = conv.out_channels // conv.groups
-            slots = [
-                self._conv_slot(
-                    f"{name}::g{g}",
-                    conv,
-                    config_fn,
-                    x.signed,
+        """One conv step over one engine slot per channel group — layer
+        ids ``<name>::g<i>``, or the bare name for a plain convolution."""
+        sh, sw = conv.stride
+        ph, pw = conv.padding
+        if sh != sw or ph != pw:
+            raise ValueError("deployment supports square stride/padding only")
+        ocg = conv.out_channels // conv.groups
+        slots = []
+        for g in range(conv.groups):
+            layer_id = f"{name}::g{g}" if conv.groups > 1 else name
+            slots.append(
+                _EngineSlot(
+                    layer_id=layer_id,
+                    kind="conv",
                     weight_fn=lambda g=g: conv.weight.data[g * ocg : (g + 1) * ocg],
+                    config_fn=config_fn,
+                    activation_bits=self.config.activation_bits,
+                    cache=self.cache,
+                    predicted_signed=x.signed,
+                    stride=sh,
+                    padding=ph,
+                    fingerprint=self.fingerprints.get(layer_id),
                     profile_name=name,
                     profile_share=1.0 / conv.groups,
                 )
-                for g in range(conv.groups)
-            ]
-            return self._leaf(_GroupedConvStep(name, slots, conv), name, x, True)
-        slot = self._conv_slot(name, conv, config_fn, x.signed)
-        return self._leaf(_ConvStep(slot, conv), name, x, True)
-
-    def _chain(self, module: nn.Module, name: str, x: PlanHandle) -> PlanHandle:
-        for child_name, child in module._modules.items():
-            x = self.build(
-                child, f"{name}.{child_name}" if name else child_name, x
             )
-        return x
+        self.slots.extend(slots)
+        return self._leaf(_ConvStep(name, slots, conv), name, x, True)
 
     # -- lowering -------------------------------------------------------
     def build(self, module: nn.Module, name: str, x: PlanHandle) -> PlanHandle:
@@ -613,109 +553,19 @@ class _PlanBuilder:
             )
             return self._leaf(_LinearStep(slot, module), name, x, True)
 
-        if isinstance(module, nn.ReLU):
+        op = pure_op(module)
+        if op is not None:
+            fn, sign = op
             return self._leaf(
-                _FuncStep(name, lambda v: np.maximum(v, 0.0)), name, x, False
-            )
-
-        if isinstance(module, nn.LeakyReLU):
-            # Read the slope live: the seed wrapper picked up in-place
-            # module mutation between forwards.
-            return self._leaf(
-                _FuncStep(
-                    name,
-                    lambda v, m=module: np.where(v > 0, v, m.negative_slope * v),
-                ),
+                _FuncStep(name, functools.partial(fn, module)),
                 name,
                 x,
-                True,
+                x.signed if sign is None else sign,
             )
 
-        if isinstance(module, nn.Sigmoid):
-            return self._leaf(
-                _FuncStep(
-                    name, lambda v: 1.0 / (1.0 + np.exp(-np.clip(v, -60, 60)))
-                ),
-                name,
-                x,
-                False,
-            )
-
-        if isinstance(module, nn.Tanh):
-            return self._leaf(_FuncStep(name, np.tanh), name, x, True)
-
-        if isinstance(module, (nn.Identity, nn.Dropout)):
-            return self._leaf(
-                _FuncStep(name, lambda v: v), name, x, x.signed
-            )
-
-        if isinstance(module, nn.MaxPool2d):
-            return self._leaf(
-                _FuncStep(
-                    name,
-                    lambda v, m=module: _pool(v, m.kernel_size, m.stride, "max"),
-                ),
-                name,
-                x,
-                x.signed,
-            )
-
-        if isinstance(module, nn.AvgPool2d):
-            return self._leaf(
-                _FuncStep(
-                    name,
-                    lambda v, m=module: _pool(v, m.kernel_size, m.stride, "avg"),
-                ),
-                name,
-                x,
-                x.signed,
-            )
-
-        if isinstance(module, nn.GlobalAvgPool2d):
-            return self._leaf(
-                _FuncStep(name, lambda v: v.mean(axis=(2, 3), keepdims=True)),
-                name,
-                x,
-                x.signed,
-            )
-
-        if isinstance(module, nn.Flatten):
-            return self._leaf(
-                _FuncStep(name, lambda v: v.reshape(v.shape[0], -1)),
-                name,
-                x,
-                x.signed,
-            )
-
-        # Composites.  An *empty* Sequential is a legal no-op placeholder
-        # (the seed path ran it as identity); everything else must either
-        # declare its dataflow (plan_forward) or be a bare container that
-        # never overrode forward.
-        if isinstance(module, nn.Sequential):
-            return self._chain(module, name, x)
-
-        plan = getattr(type(module), "plan_forward", None)
-        if plan is not None:
-            out = module.plan_forward(GraphBuilder(self, name), x)
-            self._check_handle(out)
-            return out
-
-        if module._modules:
-            if type(module).forward is nn.Module.forward:
-                # A bare container (no custom dataflow to betray).
-                return self._chain(module, name, x)
-            raise UnsupportedModuleError(
-                name,
-                type(module).__name__,
-                "the composite overrides forward() without declaring its "
-                "dataflow; implement plan_forward(builder, x) (or set "
-                "plan_forward = nn.plan_serial for a registration-order "
-                "chain)",
-            )
-
-        raise UnsupportedModuleError(
-            name, type(module).__name__, "no runtime lowering for this type"
-        )
+        out = descend(module, name, GraphBuilder(self, name), x)
+        self._check_handle(out)
+        return out
 
 
 class CompiledModel:
@@ -814,8 +664,8 @@ class CompiledModel:
         x = np.asarray(batch, dtype=np.float64)
         n_samples = x.shape[0] if x.ndim else 1
         # Resolve the tracer once per run: with tracing disabled this is
-        # one module-global read plus a no-op span context (~0.2 us)
-        # per node (benchmarked < 3% end-to-end against a bare loop).
+        # one module-global read plus the shared no-op span context per
+        # node (counted by ``benchmarks/test_bench_obs.py``).
         tracer = trace.current()
         with trace.NULL_SPAN if tracer is None else tracer.span(
             "run", "runtime", model=type(self.model).__name__, batch=n_samples

@@ -323,7 +323,9 @@ def grouped_conv_execute(
         )
         total = total + stats
         outs.append(out)
-    return np.concatenate(outs, axis=1), total
+    # A lone group is returned as is: the reference's ungrouped path does
+    # not copy either, and downstream reductions see the same layout.
+    return (outs[0] if groups == 1 else np.concatenate(outs, axis=1)), total
 
 
 # ----------------------------------------------------------------------

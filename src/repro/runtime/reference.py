@@ -93,12 +93,6 @@ class _ReferenceRunner:
         return out
 
     def run(self, module: nn.Module, x: np.ndarray, name: str = "") -> np.ndarray:
-        if isinstance(module, nn.Sequential):
-            for child_name, child in module._modules.items():
-                x = self.run(
-                    child, x, f"{name}.{child_name}" if name else child_name
-                )
-            return x
         if isinstance(module, ReBranchConv2d):
             trunk = self._conv(x, module.trunk, self.rom_config)
             branch = self._conv(x, module.compress, self.rom_config)
@@ -126,45 +120,10 @@ class _ReferenceRunner:
             if module.bias is not None:
                 out = out + module.bias.data
             return out
-        if isinstance(module, (nn.ReLU,)):
-            return np.maximum(x, 0.0)
-        if isinstance(module, nn.LeakyReLU):
-            return np.where(x > 0, x, module.negative_slope * x)
-        if isinstance(module, nn.Sigmoid):
-            return 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
-        if isinstance(module, nn.Tanh):
-            return np.tanh(x)
-        if isinstance(module, (nn.Identity, nn.Dropout)):
-            return x
-        if isinstance(module, nn.MaxPool2d):
-            return pool2d(x, module.kernel_size, module.stride, "max")
-        if isinstance(module, nn.AvgPool2d):
-            return pool2d(x, module.kernel_size, module.stride, "avg")
-        if isinstance(module, nn.GlobalAvgPool2d):
-            return x.mean(axis=(2, 3), keepdims=True)
-        if isinstance(module, nn.Flatten):
-            return x.reshape(x.shape[0], -1)
-        if getattr(type(module), "plan_forward", None) is not None:
-            return module.plan_forward(_EagerGraph(self, name), x)
-        if module._modules:
-            if type(module).forward is nn.Module.forward:
-                # A bare container: no custom dataflow to betray.
-                for child_name, child in module._modules.items():
-                    x = self.run(
-                        child, x, f"{name}.{child_name}" if name else child_name
-                    )
-                return x
-            raise UnsupportedModuleError(
-                name,
-                type(module).__name__,
-                "the composite overrides forward() without declaring its "
-                "dataflow; implement plan_forward(builder, x) (or set "
-                "plan_forward = nn.plan_serial for a registration-order "
-                "chain)",
-            )
-        raise UnsupportedModuleError(
-            name, type(module).__name__, "no runtime lowering for this type"
-        )
+        op = pure_op(module)
+        if op is not None:
+            return op[0](module, x)
+        return descend(module, name, _EagerGraph(self, name), x)
 
 
 def pool2d(x: np.ndarray, kernel, stride, mode: str) -> np.ndarray:
@@ -178,6 +137,61 @@ def pool2d(x: np.ndarray, kernel, stride, mode: str) -> np.ndarray:
     oh, ow = h // k, w // k
     view = x[:, :, : oh * k, : ow * k].reshape(n, c, oh, k, ow, k)
     return view.max(axis=(3, 5)) if mode == "max" else view.mean(axis=(3, 5))
+
+
+#: The engine-free module kinds, ``class -> (fn(module, x), sign)``:
+#: the float semantics both paths execute, and the compile-time sign
+#: prediction of the output — ``False`` unsigned, ``True`` signed,
+#: ``None`` whatever the input was.  ``fn`` reads module attributes per
+#: call, so an in-place mutation between runs is picked up (seed
+#: behaviour).  A new kind also needs a row in the artifact vocabulary
+#: (``snapshot.MODULE_KINDS``); ``tests/test_module_kinds.py`` says so.
+PURE_OPS = {
+    nn.ReLU: (lambda m, x: np.maximum(x, 0.0), False),
+    nn.LeakyReLU: (lambda m, x: np.where(x > 0, x, m.negative_slope * x), True),
+    nn.Sigmoid: (lambda m, x: 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60))), False),
+    nn.Tanh: (lambda m, x: np.tanh(x), True),
+    nn.Identity: (lambda m, x: x, None),
+    nn.Dropout: (lambda m, x: x, None),
+    nn.MaxPool2d: (lambda m, x: pool2d(x, m.kernel_size, m.stride, "max"), None),
+    nn.AvgPool2d: (lambda m, x: pool2d(x, m.kernel_size, m.stride, "avg"), None),
+    nn.GlobalAvgPool2d: (lambda m, x: x.mean(axis=(2, 3), keepdims=True), None),
+    nn.Flatten: (lambda m, x: x.reshape(x.shape[0], -1), None),
+}
+
+
+def pure_op(module: nn.Module):
+    """``module``'s :data:`PURE_OPS` row (subclasses included) or ``None``."""
+    for cls in type(module).__mro__:
+        if cls in PURE_OPS:
+            return PURE_OPS[cls]
+    return None
+
+
+def descend(module: nn.Module, name: str, graph, x):
+    """The composite rule, one copy for the plan builder and this walker.
+
+    ``graph`` is the ``plan_forward`` builder surface scoped to ``name``
+    and ``x`` a dataflow value of its kind.  A ``Sequential`` (an empty
+    one is a legal no-op placeholder) or a bare container that never
+    overrode ``forward`` is its registration-order chain; any other
+    composite must declare its dataflow through ``plan_forward``.
+    """
+    serial = isinstance(module, nn.Sequential)
+    if not serial and getattr(type(module), "plan_forward", None) is not None:
+        return module.plan_forward(graph, x)
+    if serial or (module._modules and type(module).forward is nn.Module.forward):
+        return nn.plan_serial(module, graph, x)
+    raise UnsupportedModuleError(
+        name,
+        type(module).__name__,
+        "the composite overrides forward() without declaring its "
+        "dataflow; implement plan_forward(builder, x) (or set "
+        "plan_forward = nn.plan_serial for a registration-order "
+        "chain)"
+        if module._modules
+        else "no runtime lowering for this type",
+    )
 
 
 def reference_forward(

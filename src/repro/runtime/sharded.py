@@ -61,9 +61,6 @@ from repro.obs import trace
 from repro.runtime.compiled import (
     _USE_DEFAULT,
     INPUT,
-    _ConvStep,
-    _GroupedConvStep,
-    _LinearStep,
     _PlanNode,
     _RunState,
     CompiledModel,
@@ -83,12 +80,7 @@ def stream_rng(seed: int, index: int) -> np.random.Generator:
 
 def _node_slots(node: _PlanNode) -> List[Any]:
     """Engine slots a plan node owns (empty for pure function/add nodes)."""
-    op = node.op
-    if isinstance(op, (_ConvStep, _LinearStep)):
-        return [op.slot]
-    if isinstance(op, _GroupedConvStep):
-        return list(op.slots)
-    return []
+    return list(getattr(node.op, "slots", ()))
 
 
 def _legal_cuts(nodes: Sequence[_PlanNode], output_index: int) -> List[bool]:

@@ -40,8 +40,8 @@ fall back to a cold compile instead of crashing.
 ``tests/test_snapshot.py`` pins the save→load→run bitwise identity
 differentially (per model family × shard count × seed, with and without
 bit-line noise, and across a process boundary);
-``benchmarks/test_bench_warmstart.py`` pins warm-start load at >= 5x
-faster than cold compilation.
+``benchmarks/test_bench_warmstart.py`` pins what a warm start skips — a
+load programs no engine and every slot's tier is ``"snapshot"``.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ from repro.cim.encoding import (
     UnaryPulseEncoding,
 )
 from repro.cim.macro import MacroConfig
+from repro.models.mobilenet import DepthwiseSeparable
+from repro.models.resnet import BasicBlock
 from repro.rebranch.branch import ReBranchConv2d
 from repro.runtime.cache import (
     EngineCache,
@@ -233,9 +235,10 @@ class RestoredComposite(nn.Module):
     chain serialize generically (``plan_forward = nn.plan_serial``, a
     non-overridden forward, or a plain ``Sequential``); composites with
     a real graph (residual adds, grouped diamonds) serialize as their
-    registered kind (see :func:`_plan_composites`) so the restored
-    module carries the original ``plan_forward``.  ``source_type``
-    records the original class name for repr.
+    own row of :data:`MODULE_KINDS`, so the restored module carries the
+    original ``plan_forward``.  ``source_type`` records the original
+    class name — for repr, and so that a re-save writes (and keys) the
+    name the first save did.
     """
 
     #: The restored dataflow is exactly the serial chain.
@@ -254,21 +257,133 @@ class RestoredComposite(nn.Module):
         return f"restored={self.source_type}"
 
 
-def _plan_composites() -> Dict[str, type]:
-    """Composite kinds with a non-serial ``plan_forward`` the artifact
-    format can name.  Restoring one rebuilds the original class (its
-    ``plan_forward`` carries the dataflow), so residual and
-    depthwise-separable models round-trip with their graphs intact.
-    Lazy import: ``repro.models`` must stay importable without the
-    runtime package being fully initialized.
-    """
-    from repro.models.mobilenet import DepthwiseSeparable
-    from repro.models.resnet import BasicBlock
+@dataclasses.dataclass(frozen=True)
+class ModuleKind:
+    """One row of the artifact's module vocabulary: what the header
+    stores for a class, in header order — ``kind``, the scalars, the
+    parameters, the buffers, the fixed sub-modules, the children.
 
-    return {
-        "basic_block": BasicBlock,
-        "depthwise_separable": DepthwiseSeparable,
-    }
+    ``scalars`` are ``(header key, module -> JSON value, JSON value ->
+    attribute)`` triples (:func:`_attr` for a plain attribute).
+    ``modules`` are sub-modules stored under their own header keys;
+    ``children`` stores every registered child as an ordered ``[name,
+    spec]`` list instead.  ``exact`` rows match ``type(module) is cls``
+    only — a subclass may have changed the behaviour the row restores —
+    the others match subclasses too.
+
+    Restoring a leaf row (scalars only) calls ``cls(**scalars)``; a row
+    holding weights or sub-modules skips the class initialiser, which
+    would draw fresh weights only to drop them, and sets the decoded
+    scalars as attributes.  ``shell`` overrides both.
+    """
+
+    cls: type
+    scalars: Tuple[Tuple[str, Callable, Callable], ...] = ()
+    params: Tuple[str, ...] = ()
+    buffers: Tuple[str, ...] = ()
+    modules: Tuple[str, ...] = ()
+    children: bool = False
+    exact: bool = False
+    shell: Optional[Callable[..., nn.Module]] = None
+
+    def empty(self, **scalars) -> nn.Module:
+        """The restored module before its arrays and sub-modules."""
+        if self.shell is not None:
+            return self.shell(**scalars)
+        if not (self.params or self.buffers or self.modules or self.children):
+            return self.cls(**scalars)
+        module = self.cls.__new__(self.cls)
+        nn.Module.__init__(module)
+        for name, value in scalars.items():
+            setattr(module, name, value)
+        return module
+
+
+def _attr(name: str, encode: Callable = int, decode: Optional[Callable] = None):
+    """The scalar triple of attribute ``name``."""
+    return (
+        name,
+        lambda module: encode(getattr(module, name)),
+        decode if decode is not None else encode,
+    )
+
+
+#: Coders of a kernel / stride / padding attribute: an int, a pair of
+#: ints (a JSON list; a tuple on the module) or an unset pool stride.
+_GEOMETRY = (
+    lambda value: [int(v) for v in value]
+    if isinstance(value, (tuple, list))
+    else (None if value is None else int(value)),
+    lambda meta: tuple(meta) if isinstance(meta, list) else meta,
+)
+_POOL = (_attr("kernel_size", *_GEOMETRY), _attr("stride", *_GEOMETRY))
+
+#: Artifact kind name -> :class:`ModuleKind`; the writer takes the first
+#: row that matches.  ``batchnorm2d`` never appears in a *compiled*
+#: artifact (deployment folds BN away) but lets :func:`artifact_key`
+#: address the caller's pre-fold model — the key warm-start flows look
+#: up before compiling.  ``composite`` is the generic fallback for
+#: serial containers (see :class:`RestoredComposite`).  Adding a kind:
+#: docs/architecture.md, "Adding a module kind".
+MODULE_KINDS: Dict[str, ModuleKind] = {
+    "rebranch": ModuleKind(
+        ReBranchConv2d,
+        (_attr("d"), _attr("u")),
+        modules=("trunk", "compress", "res_conv", "decompress"),
+    ),
+    "conv2d": ModuleKind(
+        nn.Conv2d,
+        (
+            _attr("in_channels"),
+            _attr("out_channels"),
+            _attr("kernel_size", *_GEOMETRY),
+            _attr("stride", *_GEOMETRY),
+            _attr("padding", *_GEOMETRY),
+            _attr("groups"),
+        ),
+        params=("weight", "bias"),
+    ),
+    "linear": ModuleKind(
+        nn.Linear,
+        (_attr("in_features"), _attr("out_features")),
+        params=("weight", "bias"),
+    ),
+    "batchnorm2d": ModuleKind(
+        nn.BatchNorm2d,
+        (_attr("num_features"), _attr("eps", float), _attr("momentum", float)),
+        params=("weight", "bias"),
+        buffers=("running_mean", "running_var"),
+    ),
+    "leaky_relu": ModuleKind(nn.LeakyReLU, (_attr("negative_slope", float),)),
+    "dropout": ModuleKind(nn.Dropout, (_attr("p", float),)),
+    "max_pool": ModuleKind(nn.MaxPool2d, _POOL),
+    "avg_pool": ModuleKind(nn.AvgPool2d, _POOL),
+    "relu": ModuleKind(nn.ReLU, exact=True),
+    "sigmoid": ModuleKind(nn.Sigmoid, exact=True),
+    "tanh": ModuleKind(nn.Tanh, exact=True),
+    "identity": ModuleKind(nn.Identity, exact=True),
+    "flatten": ModuleKind(nn.Flatten, exact=True),
+    "global_avg_pool": ModuleKind(nn.GlobalAvgPool2d, exact=True),
+    "basic_block": ModuleKind(BasicBlock, children=True, exact=True),
+    "depthwise_separable": ModuleKind(DepthwiseSeparable, children=True, exact=True),
+    "composite": ModuleKind(
+        nn.Module,
+        (
+            (
+                "source_type",
+                lambda module: module.source_type
+                if isinstance(module, RestoredComposite)
+                else type(module).__name__,
+                str,
+            ),
+            ("sequential", lambda module: isinstance(module, nn.Sequential), bool),
+        ),
+        children=True,
+        shell=lambda source_type, sequential: (
+            nn.Sequential() if sequential else RestoredComposite(source_type)
+        ),
+    ),
+}
 
 
 class _TreeWriter:
@@ -276,238 +391,75 @@ class _TreeWriter:
 
     def __init__(self):
         self.arrays: Dict[str, np.ndarray] = {}
-        self._counter = 0
 
-    def _store_array(self, value: np.ndarray) -> str:
-        name = f"p{self._counter}"
-        self._counter += 1
+    def _store_array(self, value: np.ndarray) -> Dict[str, Any]:
+        name = f"p{len(self.arrays)}"
         self.arrays[name] = np.asarray(value, dtype=np.float64)
-        return name
-
-    def _param(self, param: Optional[nn.Parameter]) -> Optional[Dict[str, Any]]:
-        if param is None:
-            return None
-        return {
-            "array": self._store_array(param.data),
-            "requires_grad": bool(param.requires_grad),
-        }
+        return {"array": name}
 
     def spec(self, module: nn.Module) -> Dict[str, Any]:
-        if isinstance(module, ReBranchConv2d):
-            return {
-                "kind": "rebranch",
-                "d": int(module.d),
-                "u": int(module.u),
-                "trunk": self.spec(module.trunk),
-                "compress": self.spec(module.compress),
-                "res_conv": self.spec(module.res_conv),
-                "decompress": self.spec(module.decompress),
-            }
-        if isinstance(module, nn.Conv2d):
-            return {
-                "kind": "conv2d",
-                "in_channels": module.in_channels,
-                "out_channels": module.out_channels,
-                "kernel_size": list(module.kernel_size),
-                "stride": list(module.stride),
-                "padding": list(module.padding),
-                "groups": module.groups,
-                "weight": self._param(module.weight),
-                "bias": self._param(module.bias),
-            }
-        if isinstance(module, nn.Linear):
-            return {
-                "kind": "linear",
-                "in_features": module.in_features,
-                "out_features": module.out_features,
-                "weight": self._param(module.weight),
-                "bias": self._param(module.bias),
-            }
-        if isinstance(module, nn.BatchNorm2d):
-            # Never present in a *compiled* artifact (deployment folds BN
-            # away), but required so :func:`artifact_key` can address the
-            # caller's pre-fold model — the key warm-start flows look up
-            # before compiling.
-            return {
-                "kind": "batchnorm2d",
-                "num_features": module.num_features,
-                "eps": float(module.eps),
-                "momentum": float(module.momentum),
-                "weight": self._param(module.weight),
-                "bias": self._param(module.bias),
-                "running_mean": {"array": self._store_array(module.running_mean)},
-                "running_var": {"array": self._store_array(module.running_var)},
-            }
-        if isinstance(module, nn.LeakyReLU):
-            return {"kind": "leaky_relu", "negative_slope": float(module.negative_slope)}
-        if isinstance(module, nn.Dropout):
-            return {"kind": "dropout", "p": float(module.p)}
-        if isinstance(module, (nn.MaxPool2d, nn.AvgPool2d)):
-            return {
-                "kind": "max_pool" if isinstance(module, nn.MaxPool2d) else "avg_pool",
-                "kernel_size": _intpair_meta(module.kernel_size),
-                "stride": _intpair_meta(module.stride),
-            }
-        for kind, cls in _STATELESS_LEAVES.items():
-            # Exact class match: a stateless subclass with custom forward
-            # must not silently degrade to its base behaviour.
-            if type(module) is cls:
-                return {"kind": kind}
-        for kind, cls in _plan_composites().items():
-            # Exact class match: graph composites restore as their real
-            # class so the original plan_forward carries the dataflow.
-            if type(module) is cls:
-                return {
-                    "kind": kind,
-                    "children": [
-                        [name, self.spec(child)]
-                        for name, child in module._modules.items()
-                    ],
-                }
-        if isinstance(module, nn.Sequential) or module._modules:
-            plan = getattr(type(module), "plan_forward", None)
-            if (
-                plan is not None
-                and plan is not nn.plan_serial
-                and not isinstance(module, nn.Sequential)
-            ):
+        kind, row = next(
+            (kind, row)
+            for kind, row in MODULE_KINDS.items()
+            if type(module) is row.cls or (not row.exact and isinstance(module, row.cls))
+        )
+        if row.cls is nn.Module and not isinstance(module, nn.Sequential):
+            # The fallback row restores a serial chain and nothing else.
+            if not module._modules:
+                raise SnapshotError(
+                    f"cannot serialize module of type {type(module).__name__}; "
+                    f"the artifact format covers exactly the deployable module set"
+                )
+            if getattr(type(module), "plan_forward", None) not in (None, nn.plan_serial):
                 raise SnapshotError(
                     f"cannot serialize composite {type(module).__name__} "
                     f"with a custom plan_forward dataflow; a generic "
                     f"restore would silently degrade it to a serial chain "
-                    f"(register the class in snapshot._plan_composites to "
+                    f"(give the class a row in snapshot.MODULE_KINDS to "
                     f"make it addressable)"
                 )
-            return {
-                "kind": "composite",
-                "source_type": type(module).__name__,
-                "sequential": isinstance(module, nn.Sequential),
-                "children": [
-                    [name, self.spec(child)]
-                    for name, child in module._modules.items()
-                ],
+        spec: Dict[str, Any] = {"kind": kind}
+        for name, encode, _ in row.scalars:
+            spec[name] = encode(module)
+        for name in row.params:
+            param = getattr(module, name)
+            spec[name] = None if param is None else {
+                **self._store_array(param.data),
+                "requires_grad": bool(param.requires_grad),
             }
-        raise SnapshotError(
-            f"cannot serialize module of type {type(module).__name__}; "
-            f"the artifact format covers exactly the deployable module set"
-        )
-
-
-_STATELESS_LEAVES = {
-    "relu": nn.ReLU,
-    "sigmoid": nn.Sigmoid,
-    "tanh": nn.Tanh,
-    "identity": nn.Identity,
-    "flatten": nn.Flatten,
-    "global_avg_pool": nn.GlobalAvgPool2d,
-}
-
-
-def _intpair_meta(value):
-    if value is None:
-        return None
-    if isinstance(value, (tuple, list)):
-        return list(int(v) for v in value)
-    return int(value)
-
-
-def _intpair_restore(value):
-    if isinstance(value, list):
-        return tuple(value)
-    return value
-
-
-def _restore_param(meta: Optional[Dict[str, Any]], arrays) -> Optional[nn.Parameter]:
-    if meta is None:
-        return None
-    data = np.asarray(arrays[meta["array"]], dtype=np.float64)
-    return nn.Parameter(data, requires_grad=meta["requires_grad"])
+        for name in row.buffers:
+            spec[name] = self._store_array(getattr(module, name))
+        for name in row.modules:
+            spec[name] = self.spec(getattr(module, name))
+        if row.children:
+            spec["children"] = [
+                [name, self.spec(child)] for name, child in module._modules.items()
+            ]
+        return spec
 
 
 def _restore_module(spec: Dict[str, Any], arrays) -> nn.Module:
-    kind = spec["kind"]
-    if kind == "conv2d":
-        conv = nn.Conv2d.__new__(nn.Conv2d)
-        nn.Module.__init__(conv)
-        conv.in_channels = spec["in_channels"]
-        conv.out_channels = spec["out_channels"]
-        conv.kernel_size = tuple(spec["kernel_size"])
-        conv.stride = tuple(spec["stride"])
-        conv.padding = tuple(spec["padding"])
-        conv.groups = spec["groups"]
-        conv.weight = _restore_param(spec["weight"], arrays)
-        conv.bias = _restore_param(spec["bias"], arrays)
-        return conv
-    if kind == "linear":
-        linear = nn.Linear.__new__(nn.Linear)
-        nn.Module.__init__(linear)
-        linear.in_features = spec["in_features"]
-        linear.out_features = spec["out_features"]
-        linear.weight = _restore_param(spec["weight"], arrays)
-        linear.bias = _restore_param(spec["bias"], arrays)
-        return linear
-    if kind == "rebranch":
-        branch = ReBranchConv2d.__new__(ReBranchConv2d)
-        nn.Module.__init__(branch)
-        trunk = _restore_module(spec["trunk"], arrays)
-        branch.d = spec["d"]
-        branch.u = spec["u"]
-        branch.in_channels = trunk.in_channels
-        branch.out_channels = trunk.out_channels
-        branch.kernel_size = trunk.kernel_size
-        branch.stride = trunk.stride
-        branch.padding = trunk.padding
-        branch.trunk = trunk
-        branch.compress = _restore_module(spec["compress"], arrays)
-        branch.res_conv = _restore_module(spec["res_conv"], arrays)
-        branch.decompress = _restore_module(spec["decompress"], arrays)
-        return branch
-    if kind == "batchnorm2d":
-        bn = nn.BatchNorm2d(
-            spec["num_features"], eps=spec["eps"], momentum=spec["momentum"]
-        )
-        bn.weight = _restore_param(spec["weight"], arrays)
-        bn.bias = _restore_param(spec["bias"], arrays)
-        bn._update_buffer(
-            "running_mean",
-            np.asarray(arrays[spec["running_mean"]["array"]], dtype=np.float64),
-        )
-        bn._update_buffer(
-            "running_var",
-            np.asarray(arrays[spec["running_var"]["array"]], dtype=np.float64),
-        )
-        return bn
-    if kind == "leaky_relu":
-        return nn.LeakyReLU(negative_slope=spec["negative_slope"])
-    if kind == "dropout":
-        return nn.Dropout(p=spec["p"])
-    if kind == "max_pool":
-        return nn.MaxPool2d(
-            _intpair_restore(spec["kernel_size"]), _intpair_restore(spec["stride"])
-        )
-    if kind == "avg_pool":
-        return nn.AvgPool2d(
-            _intpair_restore(spec["kernel_size"]), _intpair_restore(spec["stride"])
-        )
-    if kind in _STATELESS_LEAVES:
-        return _STATELESS_LEAVES[kind]()
-    plan_composites = _plan_composites()
-    if kind in plan_composites:
-        cls = plan_composites[kind]
-        module = cls.__new__(cls)
-        nn.Module.__init__(module)
-        for name, child_spec in spec["children"]:
-            setattr(module, name, _restore_module(child_spec, arrays))
-        return module
-    if kind == "composite":
-        if spec["sequential"]:
-            module: nn.Module = nn.Sequential()
-        else:
-            module = RestoredComposite(spec["source_type"])
-        for name, child_spec in spec["children"]:
-            setattr(module, name, _restore_module(child_spec, arrays))
-        return module
-    raise SnapshotVersionError(f"unknown module kind {kind!r} in artifact")
+    row = MODULE_KINDS.get(spec["kind"])
+    if row is None:
+        raise SnapshotVersionError(f"unknown module kind {spec['kind']!r} in artifact")
+
+    def array(meta):
+        return np.asarray(arrays[meta["array"]], dtype=np.float64)
+
+    module = row.empty(**{name: decode(spec[name]) for name, _, decode in row.scalars})
+    for name in row.params:
+        meta = spec[name]
+        if meta is not None:
+            meta = nn.Parameter(array(meta), requires_grad=meta["requires_grad"])
+        setattr(module, name, meta)
+    for name in row.buffers:
+        module.register_buffer(name, array(spec[name]))
+    children = [(name, spec[name]) for name in row.modules]
+    if row.children:
+        children += spec["children"]
+    for name, child in children:
+        setattr(module, name, _restore_module(child, arrays))
+    return module
 
 
 # ----------------------------------------------------------------------

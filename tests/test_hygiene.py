@@ -1,0 +1,121 @@
+"""``scripts/check_test_hygiene.py`` holds on this tree, and rejects what
+it says it rejects (the retired host-wall bars, spelled as they were)."""
+
+import importlib.util
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_test_hygiene.py"
+
+
+@pytest.fixture(scope="module")
+def hygiene():
+    spec = importlib.util.spec_from_file_location("check_test_hygiene", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def problems(hygiene, source):
+    path = hygiene.REPO_ROOT / "tests" / "sample.py"
+    return hygiene.check_wall_ratio_asserts(path, textwrap.dedent(source))
+
+
+def test_the_suites_are_clean(hygiene, capsys):
+    assert hygiene.main() == 0, capsys.readouterr().err
+
+
+REJECTED = {
+    "study_speedup_field": """
+        def test(result):
+            serving = result.regime("serving")
+            assert serving.speedup >= 5.0
+        """,
+    "speedup_property_through_a_local": """
+        def test(result):
+            speedup = result.speedup_vs_batch1
+            assert speedup >= 3.0, f"{speedup:.2f}x"
+        """,
+    "ratio_of_two_timed_legs": """
+        import time
+
+        def _time_leg(fn):
+            start = time.perf_counter()
+            fn()
+            return time.perf_counter() - start
+
+        def measure():
+            clean_s = chaos_s = float("inf")
+            for _ in range(3):
+                clean_s = min(clean_s, _time_leg(clean))
+                chaos_s = min(chaos_s, _time_leg(chaotic))
+            return clean_s, chaos_s
+
+        def test():
+            clean_s, chaos_s = measure()
+            ratio = chaos_s / clean_s
+            assert ratio <= 1.03
+        """,
+    "elapsed_below_a_budget": """
+        from time import perf_counter
+
+        def test():
+            start = perf_counter()
+            work()
+            assert perf_counter() - start < 0.5
+        """,
+    "timing_stored_on_self": """
+        import time
+
+        class Result:
+            def measure(self):
+                start = time.perf_counter()
+                work()
+                self.run_ms = (time.perf_counter() - start) * 1000.0
+
+        def test(result):
+            assert result.run_ms < 2 * result.budget
+        """,
+}
+
+ACCEPTED = {
+    "simulated_chip_ratio": """
+        def test(stream):
+            assert stream.pipeline_speedup >= 1.5
+        """,
+    "counts_beside_a_printed_ratio": """
+        import time
+
+        def test(cache, compiled, x):
+            start = time.perf_counter()
+            compiled.run(x)
+            elapsed = time.perf_counter() - start
+            print(f"{elapsed * 1e3:.1f} ms")
+            assert cache.stats.programmed == compiled.n_weight_layers
+        """,
+    "untimed_half_of_a_timed_helper": """
+        import time
+
+        def timed(fn):
+            start = time.perf_counter()
+            value = fn()
+            return time.perf_counter() - start, value
+
+        def test():
+            elapsed, batches = timed(run)
+            assert len(batches) < 64
+        """,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_host_wall_assert_is_rejected(hygiene, name):
+    found = problems(hygiene, REJECTED[name])
+    assert len(found) == 1 and "tests/sample.py" in found[0]
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPTED))
+def test_deterministic_assert_is_accepted(hygiene, name):
+    assert problems(hygiene, ACCEPTED[name]) == []

@@ -21,6 +21,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +108,15 @@ def resnet8_model(seed=0):
     )
     model.eval()
     fold_batchnorm(model)
+    return model
+
+
+def quarter_resnet8():
+    """Width-0.25 resnet8 as registered: batch norm not yet folded."""
+    from repro.models.resnet import resnet8
+
+    model = resnet8(num_classes=4, width_mult=0.25, rng=np.random.default_rng(0))
+    model.eval()
     return model
 
 
@@ -286,11 +296,16 @@ class TestRoundTripIdentity:
 
     def test_save_load_save_is_stable(self, store):
         # A loaded model re-saves under the same content key with the
-        # same engines (the artifact is a fixed point).
-        compiled = compile_model(conv_model(), RuntimeConfig(), cache=EngineCache())
-        key = save(compiled, store)
-        loaded = load(store, key, cache=EngineCache())
-        assert save(loaded, store) == key
+        # same engines (the artifact is a fixed point) — also when its
+        # custom serial composites (ResNet, ConvBNAct) came back as
+        # generic containers carrying the class name.
+        for model in (conv_model(), quarter_resnet8()):
+            compiled = compile_model(
+                model, RuntimeConfig(fold_bn=True), cache=EngineCache()
+            )
+            key = save(compiled, store)
+            loaded = load(store, key, cache=EngineCache())
+            assert save(loaded, store) == key
 
 
 # ----------------------------------------------------------------------
@@ -335,17 +350,82 @@ class TestArtifactKey:
 # ----------------------------------------------------------------------
 # The format, pinned across commits
 # ----------------------------------------------------------------------
-def golden_model():
+def ramp_parameters(model):
     """Literal weights (no RNG): the same bytes on every commit."""
-    model = nn.Sequential(
-        nn.Conv2d(2, 3, 3, padding=1),
-        nn.ReLU(),
-        nn.Flatten(),
-        nn.Linear(3 * 4 * 4, 4),
-    )
     for parameter in model.parameters():
         ramp = np.arange(parameter.data.size, dtype=np.float64)
         parameter.data[...] = ((ramp % 11) - 5.0).reshape(parameter.data.shape) / 16.0
+    return model
+
+
+def golden_model():
+    return ramp_parameters(
+        nn.Sequential(
+            nn.Conv2d(2, 3, 3, padding=1),
+            nn.ReLU(),
+            nn.Flatten(),
+            nn.Linear(3 * 4 * 4, 4),
+        )
+    )
+
+
+class GoldenSerialUnit(nn.Module):
+    """A custom serial composite: stored under the generic kind."""
+
+    plan_forward = nn.plan_serial
+
+    def __init__(self):
+        super().__init__()
+        self.conv = nn.Conv2d(2, 4, 3, padding=1)
+        self.act = nn.LeakyReLU(0.1)
+        self.drop = nn.Dropout(0.25)
+
+    def forward(self, x):
+        return self.drop(self.act(self.conv(x)))
+
+
+def golden_all_kinds_model():
+    """Every module kind a compiled artifact can hold (``batchnorm2d`` is
+    folded away before compilation; :func:`golden_bn_model` pins it).
+    Pool geometry is spelled all three ways the header stores it: an
+    int, a pair, and an unset stride."""
+    from repro.models.mobilenet import DepthwiseSeparable
+    from repro.models.resnet import BasicBlock
+    from repro.runtime import fold_batchnorm
+
+    model = nn.Sequential(
+        GoldenSerialUnit(),
+        ReBranchConv2d(nn.Conv2d(4, 4, 3, padding=1), d=2, u=2),
+        nn.Sigmoid(),
+        nn.MaxPool2d(2),
+        BasicBlock(4, 6),
+        nn.AvgPool2d((2, 2), (2, 2)),
+        DepthwiseSeparable(6, 8),
+        nn.Tanh(),
+        nn.Identity(),
+        nn.GlobalAvgPool2d(),
+        nn.Flatten(),
+        nn.Linear(8, 3),
+    )
+    model.eval()
+    fold_batchnorm(model)
+    return ramp_parameters(model)
+
+
+def golden_bn_model():
+    """A pre-fold model as warm-start flows key it.  A plain
+    ``Sequential``: no custom class name enters the digest."""
+    model = ramp_parameters(
+        nn.Sequential(
+            nn.Conv2d(2, 3, 3, padding=1),
+            nn.BatchNorm2d(3),
+            nn.ReLU(),
+            nn.Flatten(),
+            nn.Linear(3 * 4 * 4, 4),
+        )
+    )
+    model[1]._update_buffer("running_mean", np.array([0.25, -0.5, 0.125]))
+    model[1]._update_buffer("running_var", np.array([1.5, 0.75, 2.0]))
     return model
 
 
@@ -370,17 +450,54 @@ GOLDEN = {
 }
 
 
+#: The same pins for :func:`golden_all_kinds_model` (37016 and 37784
+#: bytes), and the keys of :func:`golden_bn_model` with and without
+#: ``fold_bn`` — all computed on commit 4842d2c, before the module-tree
+#: codec became table-driven, which had to leave them alone.
+GOLDEN_ALL_KINDS = {
+    None: (
+        "a6cee61ad77a72829672ad2aecc9100b36931d0cb9e22fc387f173355e71a55c",
+        "8a43a0ec756730c65dad588d61ecfb310c580fb019acb33439751781e4218ace",
+    ),
+    2: (
+        "7969d83d2e0a4658177bbb9c8dd34fee34154b43272b8a7fbbe94af0f3006c93",
+        "168e1ffe92a88b05eaf803bc3044e9429078a58650a224feb4bb2129dc67e147",
+    ),
+}
+GOLDEN_BN_KEYS = {
+    True: "2da42ac65202d40a81c99fc54b3301e9fde187936903c446e1ef8175388120fe",
+    False: "1e7f7d7e04e8d1877786fc3ce39a3dfcfce4c75820e58720b9ae357848e425b1",
+}
+
+
 class TestGoldenFormat:
-    @pytest.mark.parametrize("n_shards", [None, 2])
-    def test_artifact_bytes_and_key_are_pinned(self, store, n_shards):
-        assert snapshot_mod.VERSION == 4
-        compiled = compile_model(golden_model(), RuntimeConfig(), cache=EngineCache())
+    @staticmethod
+    def _saved_key_and_sha256(store, build, n_shards):
+        compiled = compile_model(build(), RuntimeConfig(), cache=EngineCache())
         target = compiled if n_shards is None else shard(compiled, n_shards)
         key = save(target, store, created_at=0.0)
         link = None if n_shards is None else target.link
-        assert key == artifact_key(golden_model(), shards=n_shards, link=link)
-        digest = hashlib.sha256(store.model_path(key).read_bytes()).hexdigest()
-        assert (key, digest) == GOLDEN[n_shards]
+        assert key == artifact_key(build(), shards=n_shards, link=link)
+        return key, hashlib.sha256(store.model_path(key).read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_artifact_bytes_and_key_are_pinned(self, store, n_shards):
+        assert snapshot_mod.VERSION == 4
+        pins = self._saved_key_and_sha256(store, golden_model, n_shards)
+        assert pins == GOLDEN[n_shards]
+
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_all_kinds_artifact_bytes_and_key_are_pinned(self, store, n_shards):
+        pins = self._saved_key_and_sha256(store, golden_all_kinds_model, n_shards)
+        assert pins == GOLDEN_ALL_KINDS[n_shards]
+        tree = json.dumps(store.meta(pins[0])["module_tree"])
+        kinds = set(re.findall(r'"kind": "(\w+)"', tree)) | {"batchnorm2d"}
+        assert kinds == set(snapshot_mod.MODULE_KINDS), "a row no pin covers"
+
+    @pytest.mark.parametrize("fold_bn", [True, False])
+    def test_pre_fold_batchnorm_key_is_pinned(self, fold_bn):
+        config = RuntimeConfig(fold_bn=fold_bn)
+        assert artifact_key(golden_bn_model(), config) == GOLDEN_BN_KEYS[fold_bn]
 
 
 def stored_dataclasses():
@@ -703,13 +820,16 @@ class TestRobustness:
             )
 
         config = RuntimeConfig(fold_bn=True)
-        pre_fold_key = artifact_key(bn_model(), config)
-        model = bn_model()
-        compiled = compile_model(model, config, cache=EngineCache())  # folds in place
-        assert save(compiled, store) == pre_fold_key
-        registry = ModelRegistry(cache=EngineCache())
-        entry = registry.register("m", bn_model(), config, store=store)
-        assert entry.warm_start and entry.artifact_key == pre_fold_key
+        # ... a plain Sequential, and a zoo model whose key digests the
+        # names of its custom serial composites.
+        for build in (bn_model, quarter_resnet8):
+            pre_fold_key = artifact_key(build(), config)
+            model = build()
+            compiled = compile_model(model, config, cache=EngineCache())  # folds in place
+            assert save(compiled, store) == pre_fold_key
+            registry = ModelRegistry(cache=EngineCache())
+            entry = registry.register("m", build(), config, store=store)
+            assert entry.warm_start and entry.artifact_key == pre_fold_key
 
     def test_load_with_retention_free_cache(self, store):
         # capacity=0 reproduces the seed per-call behaviour; load must
