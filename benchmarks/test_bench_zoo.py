@@ -167,3 +167,51 @@ def test_bench_zoo_per_call_amortization(benchmark, result, steady_state_counts)
     tallies = steady_state_counts(result.compiled, result.model, per_call, [])
     per_request = N_REQUESTS * result.compiled.n_weight_layers
     assert tallies["compiled"] == {"weights": 0, "activations": per_request}
+
+
+def test_bench_zoo_grouped_layers_execute_once(benchmark, monkeypatch):
+    """A depthwise layer is one pass, not one trip per group.
+
+    mobilenet programs 1385 engines — 1376 of them the per-group engines
+    of its seven depthwise layers — and a warm run used to make one
+    im2col and one kernel call for each.  Counted: one ``F.im2col`` per
+    conv layer (15), and no per-group engine's own kernel entered; the
+    eight plain convolutions and the classifier still make one call
+    each.  The wall-clock this buys is the ledger's
+    ``mobilenet_small_engines`` workload.
+    """
+    from repro.nn import functional as F
+    from repro.runtime.backends import TiledBitSerialKernel
+
+    benchmark(lambda: None)
+    model = models.build_model("mobilenet", rng=np.random.default_rng(0))
+    model.eval()
+    compiled = compile_model(model, RuntimeConfig(fold_bn=True), cache=EngineCache(4096))
+    x = np.random.default_rng(1).normal(size=(2, 3, 8, 8))
+    expected, expected_stats = reference_forward(model, x)
+    compiled.run(x)  # warm: every grouped layer's stack is built
+
+    engines = compiled.programmed_engines()
+    grouped = {
+        id(engine.linear._kernel)
+        for layer_id, engine in engines.items()
+        if "::g" in layer_id
+    }
+    assert (len(engines), len(grouped)) == (1385, 1376)
+
+    calls = {"im2col": 0, "kernel": 0, "grouped_kernel": 0}
+    real_im2col, real_matmul = F.im2col, TiledBitSerialKernel.matmul
+
+    def im2col(*args, **kwargs):
+        calls["im2col"] += 1
+        return real_im2col(*args, **kwargs)
+
+    def matmul(kernel, codes):
+        calls["grouped_kernel" if id(kernel) in grouped else "kernel"] += 1
+        return real_matmul(kernel, codes)
+
+    monkeypatch.setattr(F, "im2col", im2col)
+    monkeypatch.setattr(TiledBitSerialKernel, "matmul", matmul)
+    out, stats = compiled.run(x)
+    assert calls == {"im2col": 15, "kernel": 9, "grouped_kernel": 0}
+    assert out.tobytes() == expected.tobytes() and stats == expected_stats

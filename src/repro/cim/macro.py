@@ -150,6 +150,12 @@ def macro_pass_stats(
     :meth:`CimMacro.matmul` and the runtime's fast kernels build their
     stats through this function, so the two paths cannot drift apart.
     ``counts_total`` is the total ON-cell count over the pass.
+
+    The two data-dependent arguments, ``row_activations`` (int) and
+    ``counts_total`` (float), may also be same-shape arrays — one entry
+    per same-geometry macro, as the stacked grouped-layer kernel passes
+    them — in which case the three fields derived from them are arrays
+    holding exactly the per-macro scalar results.
     """
     phys_cols = cols_used * config.weight_bits
     rounds_per_bit = -(-phys_cols // config.n_adcs)
@@ -161,7 +167,7 @@ def macro_pass_stats(
         row_activations=row_activations,
         macs=rows_used * cols_used * n_vectors,
         wl_energy_fj=row_activations * config.wl_energy_fj,
-        bitline_energy_fj=float(counts_total) * config.cell.read_energy_fj,
+        bitline_energy_fj=counts_total * config.cell.read_energy_fj,
         adc_energy_fj=conversions * config.adc.energy_fj,
         peripheral_energy_fj=cycles * config.peripheral_energy_fj_per_cycle,
         latency_ns=cycles * config.cycle_time_ns,

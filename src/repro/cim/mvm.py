@@ -336,8 +336,9 @@ def cim_conv2d(
     Returns the float output (N, O, H', W') and aggregated macro stats.
     Like :func:`cim_linear`, a compile-and-run shim over the runtime's
     cached engines; bitwise identical to :func:`reference_cim_conv2d`.
-    ``groups > 1`` lowers to one cached engine per channel group (see
-    :func:`repro.runtime.engine.grouped_conv_execute`).
+    ``groups > 1`` lowers to one cached engine per channel group,
+    executed as one layer pass (see
+    :class:`repro.runtime.engine.GroupedConv`).
     """
     from repro.runtime.engine import (  # lazy: avoids import cycle
         conv_engine,

@@ -42,28 +42,45 @@ class QuantSpec:
         return int_range(self.bits, self.signed)[1]
 
 
-def _scales(values: np.ndarray, spec: QuantSpec) -> np.ndarray:
+def _code_range(spec: QuantSpec, signed, ndim: int):
+    """``(qmin, qmax)`` of the codes; with a per-slice ``signed`` mask,
+    arrays broadcasting along ``spec.per_channel_axis``."""
+    if signed is None:
+        return spec.qmin, spec.qmax
+    shape = [1] * ndim
+    shape[spec.per_channel_axis % ndim] = -1
+    signed = np.asarray(signed, dtype=bool).reshape(shape)
+    on, off = int_range(spec.bits, True), int_range(spec.bits, False)
+    return tuple(np.where(signed, s, u) for s, u in zip(on, off))
+
+
+def _scales(values: np.ndarray, spec: QuantSpec, qmax) -> np.ndarray:
     """Symmetric scale(s): max|x| mapped to the largest positive code."""
     if spec.per_channel_axis is None:
         amax = np.abs(values).max()
         amax = amax if amax > 0 else 1.0
-        return np.asarray(amax / spec.qmax)
+        return np.asarray(amax / qmax)
     axis = spec.per_channel_axis % values.ndim
     reduce_axes = tuple(i for i in range(values.ndim) if i != axis)
     amax = np.abs(values).max(axis=reduce_axes, keepdims=True)
     amax = np.where(amax > 0, amax, 1.0)
-    return amax / spec.qmax
+    return amax / qmax
 
 
-def quantize(values: np.ndarray, spec: QuantSpec) -> Tuple[np.ndarray, np.ndarray]:
+def quantize(
+    values: np.ndarray, spec: QuantSpec, signed=None
+) -> Tuple[np.ndarray, np.ndarray]:
     """Quantize to integer codes.  Returns ``(codes, scale)``.
 
     Codes are int64; ``dequantize(codes, scale)`` recovers the values up
-    to quantization error.
+    to quantization error.  ``signed``, one bool per slice along
+    ``spec.per_channel_axis``, overrides ``spec.signed`` slice by slice
+    (a grouped convolution's groups decide signedness independently).
     """
     values = np.asarray(values, dtype=np.float64)
-    scale = _scales(values, spec)
-    codes = np.clip(np.rint(values / scale), spec.qmin, spec.qmax).astype(np.int64)
+    qmin, qmax = _code_range(spec, signed, values.ndim)
+    scale = _scales(values, spec, qmax)
+    codes = np.clip(np.rint(values / scale), qmin, qmax).astype(np.int64)
     return codes, scale
 
 

@@ -58,9 +58,9 @@ from repro.cim.macro import MacroConfig, MacroStats
 from repro.rebranch.branch import ReBranchConv2d
 from repro.runtime.cache import EngineCache, resolve_cache, weight_fingerprint
 from repro.runtime.engine import (
+    GroupedConv,
     conv_engine,
     engine_cache_key,
-    grouped_conv_execute,
     linear_engine,
 )
 from repro.runtime.errors import CompileError
@@ -335,9 +335,10 @@ class _ConvStep:
     Group ``g`` owns its slice of the input channels and of the output
     channels, programmed as an independent conv engine (one
     :class:`_EngineSlot` per group, shared through the engine cache); a
-    plain convolution is the one-group case.  Groups execute in index
-    order against the shared run RNG — deterministic group-major draws,
-    matching the (equally grouped) reference path bit for bit.
+    plain convolution is the one-group case.  The engines are per
+    group, execution is per layer (:class:`GroupedConv`, which keeps the
+    groups' stacked kernel between runs): group-major stats and noise
+    draws, matching the (equally grouped) reference path bit for bit.
     """
 
     def __init__(self, name: str, slots: List[_EngineSlot], module: nn.Conv2d):
@@ -345,6 +346,17 @@ class _ConvStep:
         self.slots = slots
         self.module = module
         self.kind = "conv" if len(slots) == 1 else "grouped_conv"
+        kh, kw = module.kernel_size
+        self._layer = GroupedConv(
+            (module.out_channels, module.in_channels // module.groups, kh, kw),
+            module.groups,
+            slots[0].stride,
+            slots[0].padding,
+            self._engine_for,
+        )
+
+    def _engine_for(self, group: int, signed: bool):
+        return self.slots[group].engine_for(signed)
 
     def apply(self, x: np.ndarray, state: _RunState) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -352,20 +364,11 @@ class _ConvStep:
         # input, while quantization signedness keys on each group's
         # im2col patches (what actually reaches the word lines) — a
         # stride larger than the kernel can make the two disagree.
-        encoding = None if bool((x < 0).any()) else state.encoding
-        oc = self.module.out_channels
-        icg = self.module.in_channels // self.module.groups
-        kh, kw = self.module.kernel_size
-        out, stats = grouped_conv_execute(
-            x,
-            (oc, icg, kh, kw),
-            self.module.groups,
-            self.slots[0].stride,
-            self.slots[0].padding,
-            lambda g, signed: self.slots[g].engine_for(signed),
-            rng=state.rng,
-            encoding=encoding,
-            degrade=state.degrade,
+        encoding = state.encoding
+        if encoding is not None and bool((x < 0).any()):
+            encoding = None
+        out, stats = self._layer.execute(
+            x, rng=state.rng, encoding=encoding, degrade=state.degrade
         )
         state.stats = state.stats + stats
         if self.module.bias is not None:

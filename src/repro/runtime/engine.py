@@ -8,7 +8,9 @@ per-channel quantized, decomposed into bit planes, and placed onto
 activation batch and streams it through the programmed tiles — through
 the fast exact kernel when the configuration allows, or through the
 reference macro path (with an execution-time RNG for bit-line noise
-draws) when it does not.
+draws) when it does not.  A grouped convolution is programmed as one
+:class:`ProgrammedConv` per channel group and executed per layer by
+:class:`GroupedConv`.
 
 :func:`linear_engine` / :func:`conv_engine` are the cache-aware
 constructors: they key the engine by ``(layer id, weight fingerprint,
@@ -19,7 +21,7 @@ models through an :class:`~repro.runtime.cache.EngineCache`.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +37,16 @@ from repro.runtime.cache import (
     resolve_cache,
     weight_fingerprint,
 )
-from repro.runtime.backends.reference_fast import TiledBitSerialKernel
+from repro.runtime.backends.reference_fast import (
+    StackedBitSerialKernel,
+    TiledBitSerialKernel,
+)
+
+_UNSIGNED_ENGINE_ERROR = (
+    "engine is programmed for unsigned activations but the "
+    "input carries negative values; program a signed-input "
+    "engine for this layer"
+)
 
 
 class ProgrammedLinear:
@@ -150,24 +161,31 @@ class ProgrammedLinear:
                 f"expected input (N, {self.in_features}), got {x.shape}"
             )
         if not self.signed_inputs and x.size and bool((x < 0).any()):
-            raise ValueError(
-                "engine is programmed for unsigned activations but the "
-                "input carries negative values; program a signed-input "
-                "engine for this layer"
-            )
+            raise ValueError(_UNSIGNED_ENGINE_ERROR)
         act_spec = QuantSpec(bits=self.activation_bits, signed=self.signed_inputs)
         x_codes, x_scale = quantize(x, act_spec)
-        degraded = degrade is not None and not degrade.is_noop
-        if self._kernel is not None and encoding is None and not degraded:
-            y_codes, stats = self._kernel.matmul(x_codes.T)
-        else:
-            rng = rng if rng is not None else np.random.default_rng()
-            tiled = self.engine
-            if degraded:
-                tiled = tiled.with_config(degrade.apply(self.run_config))
-            y_codes, stats = tiled.matmul(x_codes.T, encoding=encoding, rng=rng)
+        y_codes, stats = self.matmul_codes(x_codes.T, rng, encoding, degrade)
         scale = float(x_scale) * self.w_scale.reshape(-1, 1)
         return (y_codes * scale).T, stats
+
+    def matmul_codes(
+        self,
+        codes: np.ndarray,
+        rng: Optional[np.random.Generator] = None,
+        encoding: Optional[ActivationEncoding] = None,
+        degrade: Any = None,
+    ) -> Tuple[np.ndarray, MacroStats]:
+        """The back half of :meth:`execute`: already-quantized activation
+        codes ``(in_features, N)`` through the tiles, as integer-valued
+        ``(out_features, N)`` partial sums before rescaling."""
+        degraded = degrade is not None and not degrade.is_noop
+        if self._kernel is not None and encoding is None and not degraded:
+            return self._kernel.matmul(codes)
+        rng = rng if rng is not None else np.random.default_rng()
+        tiled = self.engine
+        if degraded:
+            tiled = tiled.with_config(degrade.apply(self.run_config))
+        return tiled.matmul(codes, encoding=encoding, rng=rng)
 
 
 def conv_patches(
@@ -279,6 +297,151 @@ class ProgrammedConv:
         return out.reshape(n_samples, self.out_channels, out_h, out_w), stats
 
 
+class _GroupStack:
+    """What one list of per-group engines contributes to every layer
+    pass, gathered once: activation spec, input signedness, weight
+    scales and — when every group runs the fast kernel over one geometry
+    with integer-valued LUTs — their :class:`StackedBitSerialKernel`.
+
+    Valid for exactly the engine objects it was built from
+    (``engines``, held strongly and compared by identity): re-programmed
+    weights, a ROM <-> SRAM move and a different per-group sign pattern
+    all arrive as different engines.
+    """
+
+    def __init__(self, engines: List[ProgrammedConv]):
+        self.engines = engines
+        linears = [engine.linear for engine in engines]
+        self.act_spec = QuantSpec(bits=linears[0].activation_bits, per_channel_axis=1)
+        self.signed = np.array([lin.signed_inputs for lin in linears])
+        self.w_scale = np.stack([lin.w_scale.reshape(-1) for lin in linears])
+        kernels = [lin._kernel for lin in linears]
+        self.kernel = (
+            StackedBitSerialKernel(kernels)
+            if StackedBitSerialKernel.supported(kernels)
+            else None
+        )
+
+
+class GroupedConv:
+    """A grouped convolution executed per layer over per-group engines.
+
+    ``weight_shape`` is the full conv's ``(out_channels, in_per_group,
+    kh, kw)``; ``engine_for(g, signed)`` returns the
+    :class:`ProgrammedConv` for group ``g`` programmed for that input
+    signedness (callers route it through the engine cache, so each
+    group's macros are programmed once and shared).  The engines stay
+    the unit of programming, caching and persistence; only execution is
+    per layer.
+
+    Semantics — shared bit for bit with
+    :func:`repro.cim.mvm.reference_cim_conv2d`: each group is an
+    independent convolution over its channel slice, with **per-group**
+    batch-global activation quantization and **per-group** signedness
+    (decided on that group's im2col patches).  Stats sum over groups in
+    index order (sequential word-line streaming; tiles within a group
+    still run in parallel).
+
+    One front half serves every group — one im2col, signedness and
+    ``amax`` as reductions over the group axis, one quantization — and
+    feeds either the groups' stacked fast kernel or each group's
+    :meth:`ProgrammedLinear.matmul_codes` in index order: its own fast
+    kernel when a LUT is not integer-valued, or, for a noisy bit line, a
+    pulse encoding or a live degradation, the reference macro path
+    against the shared ``rng`` (deterministic group-major draws).  A
+    lone group keeps the plain single-engine path.
+
+    An instance kept across calls (a compiled plan's conv step) reuses
+    the :class:`_GroupStack` of its last engine list; it is built, then
+    published with one attribute store, and never mutated, so
+    concurrent runs share it safely.
+    """
+
+    def __init__(
+        self,
+        weight_shape: Tuple[int, int, int, int],
+        groups: int,
+        stride: int,
+        padding: int,
+        engine_for,
+    ):
+        self.weight_shape = weight_shape
+        self.groups = groups
+        self.stride = stride
+        self.padding = padding
+        self.engine_for = engine_for
+        self._stack: Optional[_GroupStack] = None
+
+    def _stack_for(self, engines: List[ProgrammedConv]) -> _GroupStack:
+        stack = self._stack
+        if stack is None or stack.engines != engines:
+            stack = self._stack = _GroupStack(engines)
+        return stack
+
+    def execute(
+        self,
+        x: np.ndarray,
+        rng: Optional[np.random.Generator] = None,
+        encoding: Optional[ActivationEncoding] = None,
+        *,
+        degrade: Any = None,
+    ) -> Tuple[np.ndarray, MacroStats]:
+        """Run a float batch ``(N, C, H, W)`` through the layer."""
+        x = np.asarray(x, dtype=np.float64)
+        oc, icg, kh, kw = self.weight_shape
+        groups = self.groups
+        validate_groups(oc, icg, groups, x.shape[1])
+        n = x.shape[0]
+        if groups == 1:
+            # Returned as is: the reference's ungrouped path does not copy
+            # either, and downstream reductions see the same layout.
+            patches, out_hw = conv_patches(
+                x, self.weight_shape, self.stride, self.padding
+            )
+            signed = bool(patches.size and (patches < 0).any())
+            return self.engine_for(0, signed).execute_patches(
+                patches, n, out_hw, rng=rng, encoding=encoding, degrade=degrade
+            )
+
+        cols, (out_h, out_w) = F.im2col(
+            x, (kh, kw), (self.stride,) * 2, (self.padding,) * 2
+        )
+        cols = cols.reshape(n, groups, icg * kh * kw, -1)  # (N, G, K, P)
+        negative = (cols < 0).any(axis=(0, 2, 3))
+        stack = self._stack_for(
+            [self.engine_for(g, signed) for g, signed in enumerate(negative.tolist())]
+        )
+        if (negative & ~stack.signed).any():
+            raise ValueError(_UNSIGNED_ENGINE_ERROR)
+
+        # Per-group batch-global quantization; (G, K, N*P) is each
+        # group's ``x_codes.T``.
+        codes, x_scale = quantize(cols, stack.act_spec, signed=stack.signed)
+        codes = codes.transpose(1, 2, 0, 3).reshape(groups, icg * kh * kw, -1)
+
+        degraded = degrade is not None and not degrade.is_noop
+        if stack.kernel is not None and encoding is None and not degraded:
+            y_codes, total = stack.kernel.matmul(codes)
+        else:
+            y_codes = np.empty((groups, oc // groups, codes.shape[2]))
+            total = MacroStats()
+            for g, engine in enumerate(stack.engines):
+                y_codes[g], stats = engine.linear.matmul_codes(
+                    codes[g], rng, encoding, degrade
+                )
+                total = total + stats
+
+        # Rescale into the C-contiguous (N, OC, oh, ow) layout that
+        # concatenating the per-group outputs produces.
+        out = np.empty((n, groups, oc // groups, out_h * out_w))
+        np.multiply(
+            y_codes.reshape(groups, oc // groups, n, -1).transpose(2, 0, 1, 3),
+            x_scale * stack.w_scale[:, :, None],
+            out=out,
+        )
+        return out.reshape(n, oc, out_h, out_w), total
+
+
 def grouped_conv_execute(
     x: np.ndarray,
     weight_shape: Tuple[int, int, int, int],
@@ -291,41 +454,11 @@ def grouped_conv_execute(
     *,
     degrade: Any = None,
 ) -> Tuple[np.ndarray, MacroStats]:
-    """Exact grouped-convolution lowering over per-group conv engines.
-
-    ``weight_shape`` is the full conv's ``(out_channels, in_per_group,
-    kh, kw)``; ``engine_for(g, signed)`` returns the
-    :class:`ProgrammedConv` for group ``g`` programmed for that input
-    signedness (callers route it through the engine cache, so each
-    group's macros are programmed once and shared).
-
-    Semantics — shared bit for bit by the compiled runtime and
-    :func:`repro.cim.mvm.reference_cim_conv2d`: each group is an
-    independent convolution over its channel slice, with **per-group**
-    batch-global activation quantization and **per-group** signedness
-    (decided on that group's im2col patches).  Groups execute in index
-    order against the shared ``rng``, so bit-line-noise draws are
-    deterministic group-major.  Stats sum over groups (sequential
-    word-line streaming; tiles within a group still run in parallel).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    oc, icg, kh, kw = weight_shape
-    validate_groups(oc, icg, groups, x.shape[1])
-    outs = []
-    total = MacroStats()
-    for g in range(groups):
-        xg = x[:, g * icg : (g + 1) * icg]
-        patches, out_hw = conv_patches(xg, (oc // groups, icg, kh, kw), stride, padding)
-        signed = bool(patches.size and (patches < 0).any())
-        engine = engine_for(g, signed)
-        out, stats = engine.execute_patches(
-            patches, x.shape[0], out_hw, rng=rng, encoding=encoding, degrade=degrade
-        )
-        total = total + stats
-        outs.append(out)
-    # A lone group is returned as is: the reference's ungrouped path does
-    # not copy either, and downstream reductions see the same layout.
-    return (outs[0] if groups == 1 else np.concatenate(outs, axis=1)), total
+    """One-shot :class:`GroupedConv` (which documents the semantics):
+    the layer pass without a stack kept between calls."""
+    return GroupedConv(weight_shape, groups, stride, padding, engine_for).execute(
+        x, rng=rng, encoding=encoding, degrade=degrade
+    )
 
 
 # ----------------------------------------------------------------------

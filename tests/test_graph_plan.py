@@ -24,6 +24,8 @@ The load-bearing guarantees:
   failover replay that resumes strictly inside a shard stage.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,9 @@ from repro.runtime import (
     RuntimeConfig,
     UnsupportedModuleError,
     compile_model,
+    conv_engine,
     fold_batchnorm,
+    grouped_conv_execute,
     load,
     plan_shards,
     reference_forward,
@@ -56,8 +60,11 @@ from repro.runtime import (
     shard,
     stream_rng,
 )
+from repro.runtime import engine as engine_module
 from repro.runtime.compiled import _RunState
 from repro.runtime.sharded import ShardedModel, _legal_cuts, _StreamItem
+
+from .helpers import DEADLINE
 
 HW = 8  # input images are (3, HW, HW); zoo models are width-reduced
 
@@ -326,6 +333,39 @@ class TestGroupedConv:
         )
         assert np.array_equal(y_ref, y_new)
 
+    def test_layer_pass_keeps_the_per_group_errors(self):
+        """The two input checks every group's engine made are made for
+        the whole layer, with the same ``ValueError`` s."""
+        rng = np.random.default_rng(5)
+        w = rng.normal(size=(4, 1, 3, 3))
+        x = rng.normal(size=(2, 4, 6, 6))
+        cache = EngineCache()
+
+        def unsigned_engines(g, signed):
+            return conv_engine(
+                w[g : g + 1], padding=1, signed_inputs=False, cache=cache
+            )
+
+        with pytest.raises(ValueError, match="programmed for unsigned activations"):
+            grouped_conv_execute(x, w.shape, 4, 1, 1, unsigned_engines)
+
+        # Codes out of the serial input range (a non-finite activation,
+        # where the platform's float -> int cast puts it out of range):
+        # whatever the per-call reference does, the layer pass does.
+        x[1, 2, 3, 3] = np.nan
+
+        def outcome(conv):
+            try:
+                with np.errstate(invalid="ignore"):
+                    out, _ = conv(x, w, padding=1, groups=4)
+            except ValueError as error:
+                return str(error)
+            return out.tobytes()
+
+        assert outcome(
+            lambda *a, **k: cim_conv2d(*a, cache=EngineCache(), **k)
+        ) == outcome(reference_cim_conv2d)
+
     def test_per_group_engines_share_cache_across_compiles(self):
         # One cache entry per group: size the LRU for the whole zoo model
         # (the compiled model's slots hold strong refs either way).
@@ -356,6 +396,119 @@ class TestGroupedConv:
         expected, _ = reference_forward(model, x)
         assert not np.array_equal(before, after)
         assert np.array_equal(after, expected)
+
+
+# ----------------------------------------------------------------------
+# The stacked per-layer state follows the per-group engines it came from
+# ----------------------------------------------------------------------
+class TestStackedStateFreshness:
+    """A grouped conv step keeps its groups' stacked kernel between
+    runs, keyed on the identity of the per-group engines: whatever
+    changes the engines — new weights, a ROM <-> SRAM move, another
+    per-group sign pattern — must change the stack with them."""
+
+    @staticmethod
+    def _assert_matches_reference(compiled, model, x):
+        out, stats = compiled.run(x)
+        ref, ref_stats = reference_forward(model, x)
+        assert out.tobytes() == ref.tobytes()
+        assert stats == ref_stats
+        return out
+
+    def test_in_place_weight_update_then_ensure_fresh(self):
+        model = zoo_model("mobilenet")
+        compiled = compile_model(model, RuntimeConfig(), cache=EngineCache())
+        x = zoo_input()
+        before = self._assert_matches_reference(compiled, model, x)
+        conv = model.features[2].depthwise.conv
+        conv.weight.data *= -1.5  # in place: same array object
+        assert compiled.ensure_fresh() == conv.groups
+        after = self._assert_matches_reference(compiled, model, x)
+        assert not np.array_equal(before, after)
+
+    def test_requires_grad_flip_moves_the_stack_between_macros(self):
+        model = zoo_model("mobilenet")
+        compiled = compile_model(model, RuntimeConfig(), cache=EngineCache())
+        x = zoo_input()
+        _, sram_stats = compiled.run(x)
+        conv = model.features[1].depthwise.conv
+        for frozen in (True, False, True):
+            conv.weight.requires_grad = not frozen
+            out, stats = compiled.run(x)
+            ref, ref_stats = reference_forward(model, x)
+            assert out.tobytes() == ref.tobytes()
+            assert stats == ref_stats
+            # The cells differ in read energy, so a stale stack shows.
+            assert (stats == sram_stats) == (not frozen)
+
+    def test_sign_pattern_change_between_batches(self):
+        rng = np.random.default_rng(6)
+        conv = nn.Conv2d(6, 6, 3, padding=1, groups=6, bias=False, rng=rng)
+        model = nn.Sequential(conv)
+        compiled = compile_model(model, RuntimeConfig(), cache=EngineCache())
+        base = rng.normal(size=(2, 6, 5, 5))
+        unsigned = np.abs(base)
+        mixed = unsigned.copy()
+        mixed[:, ::2] = base[:, ::2]
+        other = unsigned.copy()
+        other[:, 1::2] = base[:, 1::2]
+        for x in (base, unsigned, mixed, other, mixed, unsigned):
+            self._assert_matches_reference(compiled, model, x)
+
+    def test_two_threads_from_a_cold_stack(self, monkeypatch):
+        """One thread is held inside its first stack build while the
+        other runs the whole model (building and publishing every
+        stack), then finishes over the other's published stacks."""
+        model = mobilenet(num_classes=4, width_mult=0.25, rng=np.random.default_rng(2))
+        model.eval()
+        fold_batchnorm(model)
+        x = zoo_input(n=2, seed=5)
+        cache = EngineCache(capacity=2048)
+        expected, expected_stats = compile_model(model, RuntimeConfig(), cache=cache).run(x)
+        assert expected.tobytes() == reference_forward(model, x)[0].tobytes()
+
+        compiled = compile_model(model, RuntimeConfig(), cache=cache)  # cold stacks
+        building, other_done = threading.Event(), threading.Event()
+        real_init = engine_module._GroupStack.__init__
+        builds = []
+
+        def held_init(stack, engines):
+            builds.append(threading.current_thread().name)
+            if not building.is_set():
+                building.set()
+                assert other_done.wait(DEADLINE)
+            real_init(stack, engines)
+
+        monkeypatch.setattr(engine_module._GroupStack, "__init__", held_init)
+        results = {}
+
+        def first():
+            results["first"] = compiled.run(x)
+
+        def second():
+            assert building.wait(DEADLINE)
+            try:
+                results["second"] = compiled.run(x)
+            finally:
+                other_done.set()
+
+        threads = [
+            threading.Thread(target=first, name="first", daemon=True),
+            threading.Thread(target=second, name="second", daemon=True),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(DEADLINE)
+            assert not thread.is_alive()
+        n_grouped = sum(node.op.kind == "grouped_conv" for node in compiled._nodes)
+        # The held thread built one stack, the other one per layer; the
+        # rest of the held thread's layers found them published.
+        assert builds == ["first"] + ["second"] * n_grouped
+        for name in ("first", "second"):
+            out, stats = results[name]
+            assert out.tobytes() == expected.tobytes(), name
+            assert stats == expected_stats, name
 
 
 # ----------------------------------------------------------------------

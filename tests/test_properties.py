@@ -379,3 +379,120 @@ class TestVectorBlockProperties:
                 out, stats = kernel.matmul(x)
                 assert out.tobytes() == ref.tobytes(), name
                 assert stats == ref_stats, name
+
+
+# -- grouped convolutions executed per layer -----------------------------
+
+from repro import nn
+from repro.cim import (
+    BitlineModel,
+    PulseWidthEncoding,
+    cim_conv2d,
+    reference_cim_conv2d,
+)
+from repro.runtime import EngineCache, RuntimeConfig, compile_model
+
+
+@st.composite
+def grouped_layer_cases(draw):
+    """One grouped convolution and a batch for it.
+
+    Geometry with a stride above the kernel, padding and odd spatial
+    sizes; a per-group sign pattern (all-unsigned, all-signed, mixed,
+    one all-zero group); ADC widths on both sides of the integer-LUT and
+    identity-LUT lines; subarrays small enough that a group spans
+    several row blocks and column tiles; a noisy bit line or a pulse
+    encoding to force the per-group macro path; a vector-block budget
+    small enough that the stacked GEMM -> gather splits the batch.
+    """
+    groups = draw(st.integers(2, 8))
+    icg = draw(st.integers(1, 3))
+    ocg = draw(st.integers(1, 3))
+    kernel = draw(st.sampled_from((1, 3, 3)))
+    conv = dict(
+        stride=draw(st.sampled_from((1, 2, 3))),
+        padding=draw(st.integers(0, 2)),
+        groups=groups,
+    )
+    hw = draw(st.sampled_from((3, 5, 7)))
+    batch = draw(st.sampled_from((1, 3)))
+    signs = draw(st.sampled_from(("unsigned", "signed", "mixed", "zero-group")))
+    # Which back half runs: the stacked kernel (twice as often), each
+    # group's macro path under noise, or under a pulse encoding.
+    path = draw(st.sampled_from(("stacked", "stacked", "noisy", "pulse")))
+    macro = dict(
+        adc=AdcSpec(bits=draw(st.sampled_from((2, 3, 5, 8)))),
+        # K = icg * kernel**2 reaches 27 and ocg 3: 4 rows x 2 logical
+        # columns forces multi-tile groups, 128 x 32 keeps one tile.
+        rows=draw(st.sampled_from((4, 16, 128))),
+        phys_columns=draw(st.sampled_from((16, 256))),
+        bitline=BitlineModel(noise_sigma_counts=0.5 if path == "noisy" else 0.0),
+    )
+    encoding = None
+    if path == "pulse":
+        signs = "unsigned"  # pulse encodings cannot drive negative inputs
+        encoding = PulseWidthEncoding(jitter_sigma_slots=0.25)
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    weight = rng.normal(size=(groups * ocg, icg, kernel, kernel))
+    x = rng.normal(size=(batch, groups * icg, hw, hw))
+    channels = x.reshape(batch, groups, icg, hw, hw)
+    if signs == "unsigned":
+        np.abs(x, out=x)
+    elif signs == "mixed":
+        np.abs(channels[:, ::2], out=channels[:, ::2])
+    elif signs == "zero-group":
+        channels[:, draw(st.integers(0, groups - 1))] = 0.0
+    block_bytes = draw(st.sampled_from((4 << 20, 4096, 1024)))
+    return x, weight, conv, macro, encoding, block_bytes
+
+
+def _assert_same_bytes(out, ref):
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert out.flags.c_contiguous
+    assert out.tobytes() == ref.tobytes()
+
+
+class TestGroupedLayerProperties:
+    """The layer-level grouped pass equals the per-group reference:
+    outputs (shape, dtype, bytes, layout) and ``MacroStats``."""
+
+    @given(grouped_layer_cases())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_functional_shim_matches_reference(self, case):
+        x, weight, conv, macro, encoding, block_bytes = case
+        ref, ref_stats = reference_cim_conv2d(
+            x, weight, config=MacroConfig(**macro), encoding=encoding,
+            rng=np.random.default_rng(3), **conv,
+        )
+        with mock.patch.object(reference_fast, "_BLOCK_BYTES", block_bytes):
+            out, stats = cim_conv2d(
+                x, weight, config=MacroConfig(**macro), encoding=encoding,
+                rng=np.random.default_rng(3), cache=EngineCache(), **conv,
+            )
+        _assert_same_bytes(out, ref)
+        assert stats == ref_stats
+
+    @given(grouped_layer_cases())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_compiled_layer_matches_reference(self, case):
+        x, weight, conv, macro, encoding, block_bytes = case
+        layer = nn.Conv2d(
+            x.shape[1], weight.shape[0], weight.shape[2], bias=False, **conv
+        )
+        layer.weight.data = weight
+        layer.weight.requires_grad = False  # ROM placement
+        compiled = compile_model(
+            nn.Sequential(layer),
+            RuntimeConfig(rom_config=MacroConfig(**macro), encoding=encoding),
+            cache=EngineCache(),
+        )
+        ref, ref_stats = reference_cim_conv2d(
+            x, weight, config=MacroConfig(**macro), encoding=encoding,
+            rng=np.random.default_rng(3), **conv,
+        )
+        for _ in range(2):  # cold, then from the kept stack
+            with mock.patch.object(reference_fast, "_BLOCK_BYTES", block_bytes):
+                out, stats = compiled.run(x, rng=np.random.default_rng(3))
+            _assert_same_bytes(out, ref)
+            assert stats == ref_stats

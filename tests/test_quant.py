@@ -60,6 +60,25 @@ class TestQuantize:
         assert scale.shape == (2, 1)
         np.testing.assert_allclose(dequantize(codes, scale), values, rtol=1e-2)
 
+    def test_per_slice_signedness_equals_slice_by_slice(self):
+        """A ``signed`` mask along the per-channel axis is bitwise what
+        quantizing each slice alone with its own signedness gives (the
+        grouped layer pass relies on it)."""
+        values = RNG.normal(size=(3, 4, 5, 2))
+        values[:, 1] = np.abs(values[:, 1])
+        values[:, 3] = 0.0
+        signed = [True, False, True, False]
+        codes, scale = quantize(
+            values, QuantSpec(bits=5, per_channel_axis=1), signed=signed
+        )
+        assert codes.dtype == np.int64 and scale.shape == (1, 4, 1, 1)
+        for g, is_signed in enumerate(signed):
+            alone, alone_scale = quantize(
+                values[:, g], QuantSpec(bits=5, signed=is_signed)
+            )
+            assert codes[:, g].tobytes() == alone.tobytes()
+            assert scale[0, g, 0, 0] == alone_scale
+
     def test_per_channel_better_than_per_tensor(self):
         values = np.stack([0.01 * RNG.normal(size=32), 10 * RNG.normal(size=32)])
         per_tensor = quantization_mse(values, QuantSpec(bits=8))
