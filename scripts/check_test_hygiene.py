@@ -26,6 +26,12 @@ A sleep may opt out with a trailing ``# hygiene: allow-sleep`` comment
 and a reason; none exist today, and adding one should be rare enough to
 argue in review.
 
+It also scans ``src/`` for reliance on numpy's private interfaces — an
+import of ``numpy._core`` / ``numpy.core._*`` (or any other underscored
+numpy module), ``np._<name>`` attribute access, or the ``einsum_call=``
+keyword of ``np.einsum_path``.  Those move between numpy releases
+without notice; the kernels' bits must rest on documented behaviour.
+
 Usage: python scripts/check_test_hygiene.py
 """
 
@@ -38,6 +44,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SUITES = ("tests", "benchmarks")
+SOURCES = ("src",)
 
 #: ``time.sleep(...)`` or a bare ``sleep(...)`` call (from ``from time
 #: import sleep``); attribute access on other objects does not match.
@@ -153,6 +160,45 @@ def check_wall_ratio_asserts(path: Path, source: str) -> list:
     return problems
 
 
+#: ``numpy._core``, ``numpy.core._multiarray_umath``, ``numpy.lib._impl`` …
+PRIVATE_NUMPY = re.compile(r"^numpy(\.\w+)*\._(?!_)\w+")
+
+
+def check_private_numpy(path: Path, source: str) -> list:
+    tree = ast.parse(source, filename=str(path))
+    problems = []
+    for node in ast.walk(tree):
+        found = None
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            modules = []
+        for module in modules:
+            if PRIVATE_NUMPY.match(module):
+                found = f"import of the private numpy module {module!r}"
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ):
+            found = f"use of the private numpy attribute {node.attr!r}"
+        if isinstance(node, ast.Call) and any(
+            keyword.arg == "einsum_call" for keyword in node.keywords
+        ):
+            found = "the private einsum_call= keyword"
+        if found:
+            problems.append(
+                f"{path.relative_to(REPO_ROOT)}:{node.lineno}: {found} — "
+                f"private numpy interfaces move between releases; rest on "
+                f"documented behaviour"
+            )
+    return problems
+
+
 def check_file(path: Path) -> list:
     problems = []
     source = path.read_text()
@@ -176,13 +222,16 @@ def main() -> int:
         for path in sorted((REPO_ROOT / suite).rglob("*.py")):
             checked += 1
             problems.extend(check_file(path))
+    for root in SOURCES:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            problems.extend(check_private_numpy(path, path.read_text()))
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
         return 1
     print(
         f"checked {checked} test files: no wall-clock sleeps, "
-        f"no host-wall ratio asserts"
+        f"no host-wall ratio asserts; no private numpy interface under src/"
     )
     return 0
 

@@ -44,6 +44,7 @@ from repro.chaos.schedule import (
     FaultEvent,
     FaultSchedule,
 )
+from repro.cim.adc import AdcSpec
 from repro.cim.variation import apply_adc_errors
 
 
@@ -92,8 +93,8 @@ class _DriftedAdc:
     """An ADC spec whose conversions see a count offset and gain error.
 
     Wraps the engine's real :class:`~repro.cim.adc.AdcSpec`; every
-    attribute (resolution, energy, area) delegates to it, and only
-    ``quantize_counts`` differs: the observed counts are passed through
+    attribute (resolution, energy, area) delegates to it, and only the
+    conversion differs: the observed counts are passed through
     :func:`repro.cim.variation.apply_adc_errors` first — the same
     gain → offset → rail-clip pipeline the static variation study uses.
     """
@@ -106,14 +107,17 @@ class _DriftedAdc:
     def __getattr__(self, name: str) -> Any:
         return getattr(self._adc, name)
 
-    def quantize_counts(self, counts: np.ndarray, max_counts: float) -> np.ndarray:
+    def convert(self, counts: np.ndarray, max_counts: float) -> Tuple[np.ndarray, float]:
         counts = apply_adc_errors(
             counts,
             gain=self._gain,
             offset=self._offset,
             max_counts=float(max_counts),
         )
-        return self._adc.quantize_counts(counts, max_counts)
+        return self._adc.convert(counts, max_counts)
+
+    #: ``codes * step`` on top of :meth:`convert` — the one definition.
+    quantize_counts = AdcSpec.quantize_counts
 
 
 class ChaosController:

@@ -9,7 +9,7 @@ column multiplexing); each ADC digitizes the remnant bit-line charge to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -35,13 +35,16 @@ class AdcSpec:
     def levels(self) -> int:
         return 2**self.bits
 
-    def quantize_counts(self, counts: np.ndarray, full_scale: float) -> np.ndarray:
-        """Digitize bit-line accumulation counts.
+    def convert(self, counts: np.ndarray, full_scale: float) -> Tuple[np.ndarray, float]:
+        """Digitize bit-line accumulation counts into ADC codes.
 
         ``counts`` are the number of discharging cells per column (the
         analog MAC value); ``full_scale`` is the count mapped to the top
-        code (the number of simultaneously activated rows).  Returns the
-        reconstructed counts ``code * full_scale / (levels - 1)``.
+        code (the number of simultaneously activated rows).  Returns
+        ``(codes, step)``: the integer codes in ``[0, levels - 1]`` (held
+        as float64) and the count one code step stands for.  Digital
+        shift-and-add runs on the codes; ``step`` scales its result back
+        to counts, once.
         """
         if full_scale <= 0:
             raise ValueError(f"full_scale must be positive, got {full_scale}")
@@ -50,6 +53,12 @@ class AdcSpec:
         # count is exactly representable (step = 1).
         step = max(1.0, full_scale / (self.levels - 1))
         codes = np.clip(np.rint(np.asarray(counts) / step), 0, self.levels - 1)
+        return codes, step
+
+    def quantize_counts(self, counts: np.ndarray, full_scale: float) -> np.ndarray:
+        """The counts :meth:`convert`'s codes reconstruct to:
+        ``code * full_scale / (levels - 1)``."""
+        codes, step = self.convert(counts, full_scale)
         return codes * step
 
 

@@ -245,8 +245,8 @@ def _integrating_matmul(
     observed = np.clip(observed, 0.0, full_scale)
     if cfg.bitline.saturation is not None:
         observed = np.minimum(observed, cfg.bitline.saturation * full_scale)
-    quantized = cfg.adc.quantize_counts(observed, full_scale)
-    result = np.einsum("k,kcn->cn", macro._plane_weights, quantized, optimize=True)
+    codes, step = cfg.adc.convert(observed, full_scale)
+    result = step * np.einsum("k,kcn->cn", macro._plane_weights, codes, optimize=True)
 
     stats = _integrating_stats(macro, x, counts, integration_cycles, slots)
     return (result[:, 0] if squeeze else result), stats

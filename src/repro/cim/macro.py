@@ -346,9 +346,12 @@ class CimMacro:
             "jrn,krc->jkcn", in_planes, self._weight_planes, optimize=True
         )
         observed = self.config.bitline.observe(counts, rng)
-        quantized = self.config.adc.quantize_counts(observed, float(self.rows_used))
-        result = np.einsum(
-            "j,k,jkcn->cn", in_weights, self._plane_weights, quantized, optimize=True
+        # Digital shift-and-add over the integer ADC codes: every product
+        # and partial sum is an exact integer, so the contraction order
+        # einsum picks cannot change a bit; ``step`` rounds once.
+        codes, step = self.config.adc.convert(observed, float(self.rows_used))
+        result = step * np.einsum(
+            "j,k,jkcn->cn", in_weights, self._plane_weights, codes, optimize=True
         )
 
         stats = self._stats_for(x, in_planes, counts)

@@ -119,9 +119,9 @@ def perturbed_matmul(
         counts, gain=gain, offset=offset, max_counts=float(macro.rows_used)
     )
 
-    quantized = cfg.adc.quantize_counts(counts, float(macro.rows_used))
-    result = np.einsum(
-        "j,k,jkcn->cn", in_weights, macro._plane_weights, quantized, optimize=True
+    codes, step = cfg.adc.convert(counts, float(macro.rows_used))
+    result = step * np.einsum(
+        "j,k,jkcn->cn", in_weights, macro._plane_weights, codes, optimize=True
     )
     return result[:, 0] if squeeze else result
 

@@ -8,21 +8,15 @@ replaces the GEMM with ``popcount(w & x)`` accumulated over words.
 
 For serving-sized batches the count contraction is skinny — a matrix ×
 few-vectors product — where BLAS has nothing to block over and the
-packed form touches 1/32nd the memory; there the popcount contraction
-wins outright.  For wide batches BLAS's cache blocking wins instead,
-and the word loop's broadcast temporaries lose badly.  Neither regime
-is guessed at: the autotuner *measures* both per engine at program
-time and keeps the faster one, so this backend only ever runs where it
-was benchmarked faster.
+packed form touches 1/32nd the memory.  For wide batches BLAS's cache
+blocking wins instead, and the word loop's broadcast temporaries lose
+badly.  No engine selects this backend; it is registered for the
+performance ledger's per-kernel rows.
 
 Bitwise identity holds by construction: ON-cell counts are exact small
-integers whichever way they are contracted, the ADC gather indexes the
-same LUT with the same integers, and the recombination reuses the
-veto-proven einsum machinery of the base class unchanged — so every
-float that can round is produced by the exact same operation sequence
-as the reference-fast kernel.  The autotuner still *verifies* (output
-and stats, bit for bit) before this backend can win; the argument
-above is why the veto never fires, not a substitute for it.
+integers whichever way they are contracted, and everything after them
+is the base class's :meth:`_TileGroup.shift_add` — the same code table
+indexed by the same integers, the same exact shift-and-add.
 """
 
 from __future__ import annotations
@@ -35,10 +29,8 @@ from repro.cim.macro import MacroConfig, MacroStats
 from repro.runtime.backends.base import register_backend
 from repro.runtime.backends.reference_fast import (
     TiledBitSerialKernel,
-    _recombine_einsum,
     _serial_codes,
     _serial_planes,
-    _tile_operand,
 )
 
 #: ``np.bitwise_count`` landed in numpy 2.0; without it this backend
@@ -106,8 +98,8 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
     planes are packed once at program time (:meth:`_post_init`), input
     planes are packed per call, and the count matrix is accumulated as
     ``popcount(w & x)`` per 64-row word — exact integers, identical to
-    the float32 GEMM's.  Gather, recombination and stats run through
-    the inherited, veto-proven machinery.
+    the float32 GEMM's — and handed to the shared
+    :meth:`_TileGroup.shift_add`.
     """
 
     backend_name = "popcount"
@@ -126,23 +118,6 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
                 np.ascontiguousarray(_pack_rows_words(bits, rows).T)
             )
             self._stats_plans.append(_GroupStatsPlan(group, config))
-        # Cross-group einsum fusion applies when every row block carries
-        # the same uniform column tiling (the row-major tile grid's
-        # normal shape): the groups' quantized matrices stack into one
-        # wide operand and a single recombination covers the whole call.
-        groups = self._groups
-        tiles0 = groups[0].tiles
-        cols = tiles0[0].macro.cols_used
-        self._uniform_cols = cols
-        self._uniform = len(groups) > 1 and all(
-            len(g.tiles) == len(tiles0)
-            and all(
-                t.macro.cols_used == cols and t.col_start == i * cols
-                for i, t in enumerate(g.tiles)
-            )
-            for g in groups
-        )
-        self._fuse_all_cache: dict = {}
 
     @staticmethod
     def supported(config: MacroConfig) -> bool:
@@ -151,9 +126,8 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
     def matmul(self, x: np.ndarray) -> Tuple[np.ndarray, MacroStats]:
         engine = self.engine
         config = engine.config
-        unsigned, in_weights, squeeze = _serial_codes(engine, x)
+        unsigned, squeeze = _serial_codes(engine, x)
         ib = config.input_bits
-        wb = config.weight_bits
         rows_total, n = unsigned.shape
 
         # Input bit planes as 0/1 bytes in the shared (vector, j) column
@@ -166,7 +140,6 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
         ones_per_code = np.bitwise_count(unsigned)
 
         out = np.zeros((engine.shape[1], n))
-        quantized_groups = []
         # Inlined stats accumulators mirroring _StatsAccumulator field
         # by field; the per-tile values and float addition order are the
         # reference's (see _GroupStatsPlan).
@@ -186,13 +159,13 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
             )  # (n*ib, W)
             # popcount(w & x) per word: exact ON-cell counts, held as
             # (n*ib, wb*cols) — the float32 GEMM's result transposed;
-            # the gather's index conversion restores its C order.
+            # shift_add's dtype conversion restores its C order.
             counts = np.bitwise_count(xp[:, 0, None] & planes[0])
             if rows_used > 255:
                 counts = counts.astype(np.int64)
             for w in range(1, planes.shape[0]):
                 counts += np.bitwise_count(xp[:, w, None] & planes[w])
-            quantized_groups.append(group.quantize(counts.T))
+            group.shift_add(counts.T, self._in_weights, out)
             row_sums = ones_per_code[group.row_start : group.row_stop].sum(
                 axis=1, dtype=np.float64
             )
@@ -216,19 +189,6 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
                 per_t += per_tiles[index]
             lat_t = max(lat_t, (plan.max_cycles_pn * n) * cycle_ns)
 
-        per_group = self._recombine_all(quantized_groups, in_weights, wb, ib, n)
-        if per_group is not None:
-            # One (g, columns, n) view per row block; adding the views
-            # in group order is the reference accumulation sequence.
-            for partial in per_group:
-                out += partial
-        else:
-            for group, quantized in zip(self._groups, quantized_groups):
-                partials = self._recombine_group(
-                    group, quantized, in_weights, wb, ib, n
-                )
-                for index, tile in enumerate(group.tiles):
-                    out[tile.col_start : tile.col_stop] += partials[index]
         total = MacroStats(
             cycles=cycles_t,
             adc_conversions=conv_t,
@@ -241,56 +201,3 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
             latency_ns=lat_t,
         )
         return (out[:, 0] if squeeze else out), total
-
-    def _recombine_all(self, quantized_groups, in_weights, wb, ib, n):
-        """One recombination einsum over every tile of every row block.
-
-        When the tile grid is uniform, the groups' quantized matrices
-        stack into a single wide operand and the whole call recombines
-        through **one** einsum — the per-shape capture/veto machinery of
-        :func:`_recombine_einsum` applies to the wide operand unchanged.
-        Like every fusion here the mode is decided structurally per
-        operand shape, adopted only after a first-call bitwise veto
-        against the inherited per-group chain, and any shape that fails
-        stays on the per-group path forever (returns None).
-        """
-        if not self._uniform or n * ib > 256:
-            return None
-        groups = self._groups
-        g_count = len(groups)
-        t_count = len(groups[0].tiles)
-        cols = self._uniform_cols
-        key = (g_count, t_count, wb, cols, ib, n)
-        mode = self._fuse_all_cache.get(key)
-        if mode == "per-group":
-            return None
-        # Each group's (t, k, c) stacking lands in the wide tile's
-        # (k, g·t, c) order in one copy.
-        q_full = np.empty((wb, g_count * t_count, cols, n * ib))
-        for g, quantized in enumerate(quantized_groups):
-            q_full[:, g * t_count : (g + 1) * t_count] = quantized.reshape(
-                t_count, wb, cols, n * ib
-            ).transpose(1, 0, 2, 3)
-        plane_weights = groups[0].tiles[0].macro._plane_weights
-        flat = _recombine_einsum(
-            self._path_cache,
-            in_weights,
-            plane_weights,
-            _tile_operand(q_full, wb, g_count * t_count * cols, n, ib),
-        )
-        view = flat.reshape(g_count, t_count * cols, n)
-        if mode is None:
-            expected = [
-                self._recombine_group(group, quantized, in_weights, wb, ib, n)
-                for group, quantized in zip(groups, quantized_groups)
-            ]
-            tiled = flat.reshape(g_count, t_count, cols, n)
-            ok = all(
-                np.array_equal(tiled[g, t], expected[g][t])
-                for g in range(g_count)
-                for t in range(t_count)
-            )
-            self._fuse_all_cache[key] = "fused" if ok else "per-group"
-            if not ok:
-                return None
-        return view

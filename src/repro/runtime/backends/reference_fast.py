@@ -22,51 +22,38 @@ around four observations:
    precomputed at programming time with the exact reference arithmetic
    applies both in one contiguous gather, replacing the dominant
    divide/round/clip/scale passes.
-3. The final recombination einsum's floating-point reduction order
-   depends on the operand's extents (numpy switches between a
-   single-shot elementwise loop and BLAS contraction chains by problem
-   size), so the fast path may not substitute a reordered reduction.
-   What it may choose is the *memory* order of the operand: each
-   pairwise contraction first brings its operand to a C-contiguous
-   ``(kept, contracted)`` matrix and hands that to ``matmul``, so any
-   layout that yields the same matrix yields the same bits.  The
-   activation bit planes are therefore built **input-bit innermost** —
+3. ADC codes are integers, and shift-and-add over them is exact: the
+   oracle recombines the codes and applies the ADC step once per tile
+   partial (:meth:`repro.cim.adc.AdcSpec.convert`), so every product
+   and partial sum is an integer below ``levels * 2**(weight_bits +
+   input_bits)`` and *any* contraction order, blocking or BLAS kernel
+   returns the same bits.  The lookup table therefore holds codes, in
+   float32 while that bound fits 2**24 (2**21 for the 8/8/5-bit
+   default) and in float64 up to 2**53 — a program-time function of the
+   configuration; past 2**53 the configuration is not
+   :meth:`~TiledBitSerialKernel.supported` and takes the reference macro
+   path.  The activation bit planes are built **input-bit innermost** —
    ``(row, vector, input_bit)`` — which only permutes the columns of
-   the exact-integer count GEMM, and makes each tile's quantized slice
-   memory-ordered ``(weight_bit, column, vector, input_bit)``: the
-   first contraction (over the input bit) reshapes to
-   ``(weight_bit·column·vector, input_bit)`` as a *view*, where the
-   reference chain's ``(weight_bit, column, input_bit, vector)`` order
-   costs a full copy to reach the same matrix.  Per operand shape, a
-   one-time self-check additionally proves whether the einsum front-end
-   can be bypassed (replaying the captured contraction list through
-   numpy's own ``bmm_einsum``) while reproducing the ``optimize=True``
-   bits exactly; shapes that fail the check keep the plain einsum call.
-   The front-end parse otherwise dominates per-tile serving-sized calls.
-4. The count GEMM and the gather are exact per element — integer
-   counts whatever the summation order, one table lookup each — so a
-   wide batch runs GEMM -> gather over **blocks of the vector axis**
-   sized to keep one row block's float32 counts, gather indices and
-   float64 results cache-resident (:data:`_BLOCK_BYTES`), writing each
-   block into a per-call ``(weight_bit·column, vector·input_bit)``
-   float64 slab instead of streaming three whole-batch tensors through
-   memory.  Recombination is *not* blocked: a BLAS ``matmul`` may round
-   a row differently depending on how many rows share the call (tail
-   kernels, thread partitions), so each tile's einsum always receives
-   the whole batch — the call the reference makes, row for row.
+   the exact-integer count GEMM and makes the input-bit fold one
+   ``matmul`` over a contiguous ``(weight_bit·column·vector,
+   input_bit)`` view.
+4. Nothing in the chain depends on its neighbours along the vector
+   axis, so the whole back half — count GEMM -> code gather -> input-bit
+   fold -> weight-bit fold -> ``out += partial * step``
+   (:meth:`_TileGroup.shift_add`) — runs per **block of vectors** sized
+   to keep one row block's counts and codes cache-resident
+   (:data:`_BLOCK_BYTES`).  No whole-batch intermediate exists, and a
+   programmed kernel holds no per-call-shape state.
 
 Two further exact shortcuts: the total ON-cell count needed for energy
 accounting factorizes over rows (both factors are exact integers), and
-when the composed bit-line + ADC transfer is the identity on the
-reachable counts (activated rows within ADC resolution) the gather is
-skipped entirely.
+when the composed bit-line + ADC transfer maps every reachable count to
+itself (activated rows within ADC resolution) the gather is skipped
+entirely.
 
 :class:`StackedBitSerialKernel` runs the same-geometry kernels of one
 grouped convolution's groups as a single pass — batched count GEMM,
-one gather, group-major stats — and batches the recombination too
-exactly where observation 3 does not bite: an integer-valued lookup
-table makes every partial sum an exact integer, so no order can change
-a bit.
+one gather, one batched shift-and-add, group-major stats.
 
 ``tests/test_runtime.py`` pins the bitwise equivalence against the
 reference path across shapes, signedness and batch extents.  Anything
@@ -85,125 +72,42 @@ from repro.cim.macro import MacroConfig, MacroStats, macro_pass_stats, plane_wei
 from repro.cim.mvm import CimTiledMatmul
 from repro.runtime.backends.base import KernelBackend, register_backend
 
-try:  # numpy >= 2.3 executes pairwise einsum contractions through this
-    from numpy._core.einsumfunc import bmm_einsum as _bmm_einsum
-except Exception:  # pragma: no cover - older numpy
-    _bmm_einsum = None
-
-
-def _recombine_einsum(
-    path_cache: dict,
-    in_weights: np.ndarray,
-    plane_weights: np.ndarray,
-    quantized: np.ndarray,
-) -> np.ndarray:
-    """The reference recombination einsum, with per-shape dispatch.
-
-    ``np.einsum(optimize=True)`` pays a path search and parse on every
-    call, which dominates per-tile serving-sized calls.  The contraction
-    list it would execute depends only on the operand *shapes*, so on
-    the first call for each shape that list is captured and replayed
-    directly on later calls — the identical contraction sequence (same
-    intermediates, same reduction order, same bits) minus the per-call
-    front-end.  The classification is structural, never inferred from
-    runtime values (a degenerate batch — e.g. all zeros — must not be
-    able to poison the cached mode for its shape); the first call's
-    numerical comparison acts only as a veto that drops the shape back
-    to the plain einsum call if the replay machinery ever disagrees
-    with numpy's own execution.
-    """
-    key = quantized.shape
-    mode = path_cache.get(key)
-    if mode is None:
-        reference = np.einsum(
-            "j,k,jkcn->cn", in_weights, plane_weights, quantized, optimize=True
-        )
-        steps = _capture_contraction_steps(in_weights, plane_weights, quantized)
-        mode = "einsum"
-        if steps is not None:
-            try:
-                replay = _replay_steps(steps, in_weights, plane_weights, quantized)
-            except Exception:  # pragma: no cover - numpy internals moved
-                replay = None
-            if replay is not None and np.array_equal(reference, replay):
-                mode = steps
-        path_cache[key] = mode
-        return reference
-    if mode == "einsum":
-        return np.einsum(
-            "j,k,jkcn->cn", in_weights, plane_weights, quantized, optimize=True
-        )
-    return _replay_steps(mode, in_weights, plane_weights, quantized)
-
-
-def _capture_contraction_steps(in_weights, plane_weights, quantized):
-    """The pairwise contraction list ``np.einsum(optimize=True)`` would
-    execute for these operands, or None when it cannot be captured."""
-    if _bmm_einsum is None:
-        return None
-    try:
-        _, contractions = np.einsum_path(
-            "j,k,jkcn->cn",
-            in_weights,
-            plane_weights,
-            quantized,
-            optimize=True,
-            einsum_call=True,
-        )
-        steps = []
-        for contraction in contractions:
-            inds = contraction[0]
-            einsum_str = next(
-                part for part in contraction if isinstance(part, str)
-            )
-            steps.append((tuple(inds), einsum_str))
-        return tuple(steps)
-    except Exception:  # pragma: no cover - numpy internals moved
-        return None
-
-
-def _replay_steps(steps, in_weights, plane_weights, quantized):
-    """Execute a captured contraction list exactly as ``np.einsum`` does
-    — ``bmm_einsum`` per pairwise step — minus the per-call path
-    parsing, which dominates serving-sized tiles.  Only used for operand
-    shapes where :func:`_recombine_einsum` proved the result bitwise
-    equal to the ``optimize=True`` call.
-    """
-    operands = [in_weights, plane_weights, quantized]
-    for inds, einsum_str in steps:
-        tmp_operands = [operands.pop(x) for x in inds]
-        if len(tmp_operands) == 2:
-            new_view = _bmm_einsum(einsum_str, *tmp_operands)
-        else:
-            new_view = np.einsum(einsum_str, *tmp_operands, optimize=False)
-        operands.append(new_view)
-    return operands[-1]
-
-
-#: Byte budget for the float64 quantized slab of one block of input
-#: vectors, ``stacked weight-plane rows x vectors x input_bits``.  With
-#: the float32 counts and the gather indices beside it the block's
-#: working set is ~2.5x this — sized to stay within a few MiB of
-#: last-level-private cache (4-8 MiB is the measured plateau on the
-#: resnet8 conv shapes; 1 MiB and 16 MiB are each ~15% slower).
+#: Byte budget for one block of input vectors, at 8 bytes per count of
+#: ``stacked weight-plane rows x vectors x input_bits``: the float32
+#: counts and the float32 codes gathered from them.  With the gather
+#: indices beside them the block's working set is ~2x this — sized to
+#: stay within a few MiB of last-level-private cache (re-measured on the
+#: resnet8 conv shapes: 2-8 MiB is a plateau within run-to-run noise,
+#: 0.5 MiB is ~10% slower).
 _BLOCK_BYTES = 4 << 20
 
 
 def _block_vectors(stacked_rows: int, ib: int) -> int:
-    """Input vectors per GEMM -> gather block of a row block whose tiles
-    stack ``stacked_rows`` weight-plane rows: as many as keep the
-    block's float64 quantized slab within :data:`_BLOCK_BYTES`."""
+    """Input vectors per block of a row block whose tiles stack
+    ``stacked_rows`` weight-plane rows: as many as keep the block's
+    counts and codes within :data:`_BLOCK_BYTES`."""
     return max(1, _BLOCK_BYTES // (stacked_rows * ib * 8))
 
 
-def _serial_codes(
-    engine: CimTiledMatmul, x: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, bool]:
+def _code_sum_bound(config: MacroConfig) -> int:
+    """Strict bound on every product and partial sum of the shift-and-add
+    over ADC codes: codes are below ``levels``, the plane weights of each
+    axis sum (in magnitude) to below ``2**bits``."""
+    return config.adc.levels << (config.weight_bits + config.input_bits)
+
+
+def _accumulator_dtype(config: MacroConfig):
+    """The narrowest float in which the shift-and-add is exact integer
+    arithmetic (callers have checked :meth:`TiledBitSerialKernel.supported`)."""
+    return np.float32 if _code_sum_bound(config) <= 1 << 24 else np.float64
+
+
+def _serial_codes(engine: CimTiledMatmul, x: np.ndarray) -> Tuple[np.ndarray, bool]:
     """Validate one integer-code batch for ``engine``.
 
     Returns the ``(rows, n)`` two's-complement reinterpretation of the
-    codes as unsigned ``input_bits``-wide integers, the per-input-bit
-    recombination weights, and whether ``x`` was a single vector.
+    codes as unsigned ``input_bits``-wide integers, and whether ``x``
+    was a single vector.
     """
     config = engine.config
     x = np.asarray(x)
@@ -224,9 +128,8 @@ def _serial_codes(
             f"input codes outside [{low}, {high}] for "
             f"{config.input_bits}-bit serial input"
         )
-    ib = config.input_bits
-    unsigned = np.asarray(x, dtype=np.int64) & ((1 << ib) - 1)
-    return unsigned, plane_weights(ib, config.signed_inputs), squeeze
+    unsigned = np.asarray(x, dtype=np.int64) & ((1 << config.input_bits) - 1)
+    return unsigned, squeeze
 
 
 def _serial_planes(unsigned: np.ndarray, ib: int, dtype) -> np.ndarray:
@@ -242,12 +145,6 @@ def _serial_planes(unsigned: np.ndarray, ib: int, dtype) -> np.ndarray:
     for j in range(ib):
         planes[..., j] = (narrow >> j) & 1
     return planes
-
-
-def _tile_operand(quantized: np.ndarray, wb: int, cols: int, n: int, ib: int):
-    """One tile's C-contiguous ``(wb * cols, n * ib)`` quantized slice
-    viewed in the recombination einsum's logical ``(j, k, c, n)`` order."""
-    return quantized.reshape(wb, cols, n, ib).transpose(3, 0, 1, 2)
 
 
 _POPCOUNT_8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
@@ -271,10 +168,9 @@ class _TileGroup:
 
     Column tiles of the same rows consume the same input bit planes, so
     their float32 weight-plane matrices are stacked into one operand:
-    one GEMM and one ADC gather cover the whole block, and each tile's
-    quantized slice is a contiguous view holding exactly the values of
-    the per-tile reference operand — the per-tile einsum calls (and
-    therefore every output bit) are unchanged.
+    one GEMM, one ADC gather and one input-bit fold cover the whole
+    block (:meth:`shift_add`), and each tile's slice of the result is a
+    contiguous view.
 
     ``stored_bits`` is the row block's slice of the engine's
     :func:`_stored_bits` matrix.  ``packed`` is the *trusted* persisted
@@ -320,20 +216,17 @@ class _TileGroup:
                 stacked, rows
             )
         self.planes32 = planes.astype(np.float32)
-        # Bit-line observation + ADC quantization composed over every
-        # reachable integer count, with the exact reference arithmetic.
+        # Bit-line observation + ADC conversion composed over every
+        # reachable integer count, with the exact reference arithmetic:
+        # a table of integer codes, and the step they are scaled by.
         domain = np.arange(rows + 1, dtype=np.float64)
-        observed = config.bitline.observe(domain, None)
-        self.lut = config.adc.quantize_counts(observed, float(rows))
-        self.lut_is_identity = bool(np.array_equal(self.lut, domain))
-        # An integer-valued table makes every product and partial sum of
-        # the recombination ``j,k,jkcn->cn`` an integer; while those stay
-        # below 2**53 (table entries are at most the larger of the row
-        # count and the ADC's top code) any contraction order yields the
-        # same bits.
-        self.lut_is_integer = bool(np.array_equal(self.lut, np.rint(self.lut))) and (
-            max(rows, config.adc.levels) * 2.0 ** (wb + config.input_bits) < 2.0**53
+        codes, self.step = config.adc.convert(
+            config.bitline.observe(domain, None), float(rows)
         )
+        self.lut_is_identity = bool(np.array_equal(codes, domain))
+        dtype = _accumulator_dtype(config)
+        self.code_lut = codes.astype(dtype)
+        self.plane_weights = tiles[0].macro._plane_weights.astype(dtype)
         # Per-row ON-cell totals: exact integers whichever order they
         # are summed in, so the popcount over the codes equals the
         # float64 reduction of the bit planes bitwise.
@@ -348,16 +241,44 @@ class _TileGroup:
         """The stacked 0/1 plane matrix, bit-packed (exact)."""
         return np.packbits(self.planes32.astype(np.uint8))
 
-    def quantize(self, counts: np.ndarray) -> np.ndarray:
-        """The composed bit-line + ADC transfer of exact integer counts
-        (any numeric dtype, any memory order) as C-contiguous float64:
-        one gather, skipped when the transfer is the identity on
-        ``[0, rows_used]``."""
+    def shift_add(
+        self, counts: np.ndarray, in_weights: np.ndarray, out: np.ndarray
+    ) -> None:
+        """Digitize exact integer ``counts`` ``(..., stacked rows,
+        vectors * ib)`` (any numeric dtype, any memory order) and add the
+        row block's partial sums into float64 ``out`` ``(..., columns,
+        vectors)``.
+
+        One gather from the code table (skipped when every count is its
+        own code), the input bit folded by one ``matmul`` with
+        ``in_weights`` ``(..., ib, 1)``, the weight bit per tile: integer
+        arithmetic throughout, exact in the table's dtype, then one
+        rounding per element — ``partial * step``, the oracle's.  Leading
+        axes batch same-geometry row blocks.
+        """
+        dtype = self.code_lut.dtype
         if self.lut_is_identity:
-            return counts.astype(np.float64, order="C")
-        # Indices are in range by construction, so "clip" never clips;
-        # it selects numpy's unchecked, unbuffered gather loop.
-        return np.take(self.lut, counts.astype(np.intp, order="C"), mode="clip")
+            codes = counts.astype(dtype, order="C", copy=False)
+        else:
+            # Indices are in range by construction, so "clip" never clips;
+            # it selects numpy's unchecked, unbuffered gather loop.
+            codes = np.take(
+                self.code_lut, counts.astype(np.intp, order="C"), mode="clip"
+            )
+        lead, stacked = codes.shape[:-2], codes.shape[-2]
+        ib = in_weights.shape[-2]
+        folded = np.matmul(codes.reshape(*lead, -1, ib), in_weights).reshape(
+            *lead, stacked, -1
+        )
+        wb = self.plane_weights.size
+        for index, tile in enumerate(self.tiles):
+            planes = folded[..., self.offsets[index] : self.offsets[index + 1], :]
+            partial = np.matmul(self.plane_weights, planes.reshape(*lead, wb, -1))
+            out[..., tile.col_start : tile.col_stop, :] += np.multiply(
+                partial.reshape(*lead, tile.macro.cols_used, -1),
+                self.step,
+                dtype=np.float64,
+            )
 
 
 @register_backend
@@ -366,8 +287,9 @@ class TiledBitSerialKernel(KernelBackend):
 
     Mirrors :meth:`CimTiledMatmul.matmul` exactly — per-tile partial
     sums accumulate in tile order, latency is the slowest tile — while
-    fusing the bit-plane extraction (once per call), GEMM and ADC
-    gather (once per row block and block of vectors) across tiles.
+    fusing the bit-plane extraction (once per call) and the GEMM, ADC
+    gather and shift-and-add (once per row block and block of vectors)
+    across tiles.
     """
 
     backend_name = "reference-fast"
@@ -381,7 +303,8 @@ class TiledBitSerialKernel(KernelBackend):
         :meth:`packed_planes` — restore it from that trusted state."""
         if not self.supported(engine.config):
             raise ValueError(
-                "fast bit-serial kernel requires a noise-free bit line; "
+                "fast bit-serial kernel requires a noise-free bit line and "
+                "shift-and-add sums below 2**53; "
                 "use the reference CimTiledMatmul.matmul path instead"
             )
         blocks: dict = {}
@@ -400,9 +323,10 @@ class TiledBitSerialKernel(KernelBackend):
             _TileGroup(r0, r1, tiles, bits[r0:r1], packed)
             for ((r0, r1), tiles), packed in zip(blocks.items(), packed_planes)
         ]
-        # Per-instance, keyed by operand shape and group identity.
-        self._path_cache: dict = {}
-        self._fused_cache: dict = {}
+        config = engine.config
+        self._in_weights = plane_weights(
+            config.input_bits, config.signed_inputs
+        ).astype(_accumulator_dtype(config))[:, None]
         self._post_init()
 
     def _post_init(self) -> None:
@@ -416,18 +340,20 @@ class TiledBitSerialKernel(KernelBackend):
 
     @staticmethod
     def supported(config: MacroConfig) -> bool:
-        """True when the fast path is bit-exact for this configuration."""
+        """True when the fast path is bit-exact for this configuration:
+        a noise-free bit line, and a shift-and-add whose every partial
+        sum is an integer float64 holds exactly."""
         return (
             config.bitline is not None
             and config.bitline.noise_sigma_counts == 0
+            and _code_sum_bound(config) < 1 << 53
         )
 
     def matmul(self, x: np.ndarray) -> Tuple[np.ndarray, MacroStats]:
         engine = self.engine
         config = engine.config
-        unsigned, in_weights, squeeze = _serial_codes(engine, x)
+        unsigned, squeeze = _serial_codes(engine, x)
         ib = config.input_bits
-        wb = config.weight_bits
         rows_total, n = unsigned.shape
 
         # Input bit planes for the whole engine, once per call.  Every
@@ -442,30 +368,18 @@ class TiledBitSerialKernel(KernelBackend):
         # reference's sequential MacroStats.__add__ chain.
         acc = _StatsAccumulator()
         for group in self._groups:
-            block = flat[group.row_start : group.row_stop]
-            # One GEMM and one gather for every column tile of the row
-            # block: C-contiguous (sum of wb*cols, n*ib), i.e. stacked
-            # (k, c, n, j).  Counts are exact integers and the gather is
-            # elementwise, so a wide batch runs both over cache-sized
-            # blocks of vectors and keeps only the float64 slab.
-            stacked = group.planes32.shape[0]
-            step = _block_vectors(stacked, ib)
-            if n <= step:
-                quantized = group.quantize(np.matmul(group.planes32, block))
-            else:
-                quantized = np.empty((stacked, n * ib))
-                for c0 in range(0, n * ib, step * ib):
-                    c1 = c0 + step * ib
-                    quantized[:, c0:c1] = group.quantize(
-                        np.matmul(group.planes32, block[:, c0:c1])
-                    )
-            # Recombination always sees the whole batch: the reference's
-            # own call per tile, row for row.
-            partials = self._recombine_group(
-                group, quantized, in_weights, wb, ib, n
-            )
-            for tile, partial in zip(group.tiles, partials):
-                out[tile.col_start : tile.col_stop] += partial
+            bits = flat[group.row_start : group.row_stop]
+            # One GEMM for every column tile of the row block:
+            # C-contiguous (sum of wb*cols, vectors*ib), i.e. stacked
+            # (k, c, n, j) — per cache-sized block of vectors.
+            width = _block_vectors(group.planes32.shape[0], ib)
+            for v0 in range(0, n, width):
+                v1 = min(v0 + width, n)
+                group.shift_add(
+                    np.matmul(group.planes32, bits[:, v0 * ib : v1 * ib]),
+                    self._in_weights,
+                    out[:, v0:v1],
+                )
             row_sums = row_sums_all[group.row_start : group.row_stop]
             row_activations = int(row_sums.sum())
             for index, tile in enumerate(group.tiles):
@@ -485,86 +399,6 @@ class TiledBitSerialKernel(KernelBackend):
                 )
         total = acc.finish()
         return (out[:, 0] if squeeze else out), total
-
-    def _recombine_per_tile(self, group, quantized, in_weights, wb, ib, n):
-        """The reference recombination: one einsum call per column tile."""
-        return [
-            _recombine_einsum(
-                self._path_cache,
-                in_weights,
-                tile.macro._plane_weights,
-                _tile_operand(
-                    quantized[group.offsets[index] : group.offsets[index + 1]],
-                    wb,
-                    tile.macro.cols_used,
-                    n,
-                    ib,
-                ),
-            )
-            for index, tile in enumerate(group.tiles)
-        ]
-
-    def _recombine_group(self, group, quantized, in_weights, wb, ib, n):
-        """Recombine every column tile of a row block, fused when proven.
-
-        Serving-sized calls are dominated by per-tile einsum dispatch, so
-        equal-width column tiles are recombined in **one** einsum over the
-        concatenated columns.  Like the per-shape dispatch in
-        :func:`_recombine_einsum`, the fused mode is adopted per
-        ``(group, n)`` only after a first-call veto proved its result
-        bitwise equal to the per-tile reference calls — einsum may pick a
-        different contraction order for the wider operand, and any shape
-        where that changes one bit stays on the per-tile path forever.
-        """
-        tiles = group.tiles
-        # Fusion trades one reorder copy of the block for T-1 fewer
-        # einsum dispatches: a win only while dispatch dominates, i.e.
-        # for serving-sized vector counts.  The guard is purely shape-
-        # based (never value-based), so which path runs is deterministic
-        # — and both paths are veto-proven bitwise equal anyway.
-        if len(tiles) == 1 or n * ib > 256:
-            return self._recombine_per_tile(group, quantized, in_weights, wb, ib, n)
-        key = (id(group), n)
-        mode = self._fused_cache.get(key)
-        if mode == "per-tile":
-            return self._recombine_per_tile(group, quantized, in_weights, wb, ib, n)
-        cols = tiles[0].macro.cols_used
-        uniform = all(tile.macro.cols_used == cols for tile in tiles)
-        if mode is None:
-            partials = self._recombine_per_tile(
-                group, quantized, in_weights, wb, ib, n
-            )
-            mode = "per-tile"
-            if uniform:
-                fused = self._recombine_fused(
-                    tiles, quantized, in_weights, wb, ib, n, cols
-                )
-                if all(
-                    np.array_equal(a, b) for a, b in zip(partials, fused)
-                ):
-                    mode = "fused"
-            self._fused_cache[key] = mode
-            return partials
-        return self._recombine_fused(tiles, quantized, in_weights, wb, ib, n, cols)
-
-    def _recombine_fused(self, tiles, quantized, in_weights, wb, ib, n, cols):
-        """One einsum over the whole row block's columns.
-
-        The block's quantized matrix stacks tiles as (t, k, c) chunks;
-        reordering to (k, t·c) makes the group one wide logical tile, and
-        slicing the result recovers each tile's partial.
-        """
-        t = len(tiles)
-        q_fused = np.ascontiguousarray(
-            quantized.reshape(t, wb, cols, n * ib).transpose(1, 0, 2, 3)
-        )
-        result = _recombine_einsum(
-            self._path_cache,
-            in_weights,
-            tiles[0].macro._plane_weights,
-            _tile_operand(q_fused, wb, t * cols, n, ib),
-        )
-        return [result[i * cols : (i + 1) * cols] for i in range(t)]
 
 
 class _StatsAccumulator:
@@ -651,27 +485,18 @@ class StackedBitSerialKernel:
 
     Bitwise equal, in outputs and stats, to running each group's
     :class:`TiledBitSerialKernel` in index order and summing the stats
-    with ``MacroStats.__add__``.  Counts (batched float32 GEMM), the LUT
-    gather and the stats' integer reductions are exact per element
-    whatever the batching.  The float recombination is batched too,
-    which is why only kernels whose every LUT is integer-valued
-    (``lut_is_integer``, decided at program time) stack: all its
-    products and partial sums are then integers below 2**53, exact in
-    any order.  Layers with any other LUT keep the per-group kernels.
+    with ``MacroStats.__add__``.  Counts (batched float32 GEMM), the
+    code gather, the shift-and-add over integer codes and the stats'
+    integer reductions are exact per element whatever the batching, so
+    every grouped layer whose groups run the fast kernel stacks.
     """
 
     def __init__(self, kernels: Sequence[TiledBitSerialKernel]):
         engine = kernels[0].engine
         self.shape = engine.shape
         self.config = engine.config
-        ib = engine.config.input_bits
         #: Per-group input-bit weights ``(G, ib, 1)``: signedness is per group.
-        self._in_weights = np.stack(
-            [
-                plane_weights(ib, kernel.engine.config.signed_inputs)
-                for kernel in kernels
-            ]
-        )[:, :, None]
+        self._in_weights = np.stack([kernel._in_weights for kernel in kernels])
         self._ranges = np.array(
             [kernel.engine.config.input_range() for kernel in kernels]
         )
@@ -683,8 +508,7 @@ class StackedBitSerialKernel:
     @staticmethod
     def supported(kernels: Sequence[Optional[TiledBitSerialKernel]]) -> bool:
         """True when every group has a fast kernel over one geometry and
-        one circuit (input signedness aside, which is per group) whose
-        LUTs are all integer-valued."""
+        one circuit (input signedness aside, which is per group)."""
         first = kernels[0]
         if first is None:
             return False
@@ -693,7 +517,6 @@ class StackedBitSerialKernel:
             kernel is not None
             and kernel.engine.shape == first.engine.shape
             and replace(kernel.engine.config, signed_inputs=False) == circuit
-            and all(group.lut_is_integer for group in kernel._groups)
             for kernel in kernels
         )
 
@@ -719,7 +542,6 @@ class StackedBitSerialKernel:
         and the layer's :class:`MacroStats`."""
         self._validate(codes)
         ib = self.config.input_bits
-        wb = self.config.weight_bits
         groups, rows_total, n = codes.shape
         # Every buffer is per call: the stack is shared across threads.
         planes = _serial_planes(codes & ((1 << ib) - 1), ib, np.float32).reshape(
@@ -735,15 +557,16 @@ class StackedBitSerialKernel:
             head = block.head
             bits = planes[:, head.row_start : head.row_stop]
             stacked = block.planes32.shape[1]
-            # GEMM -> gather over cache-sized blocks of vectors, as in
-            # the per-group kernel; the budget covers all the groups.
-            step = _block_vectors(groups * stacked, ib)
-            for v0 in range(0, n, step):
-                v1 = min(v0 + step, n)
-                quantized = head.quantize(
-                    np.matmul(block.planes32, bits[:, :, v0 * ib : v1 * ib])
+            # Cache-sized blocks of vectors, as in the per-group kernel;
+            # the budget covers all the groups.
+            width = _block_vectors(groups * stacked, ib)
+            for v0 in range(0, n, width):
+                v1 = min(v0 + width, n)
+                head.shift_add(
+                    np.matmul(block.planes32, bits[:, :, v0 * ib : v1 * ib]),
+                    self._in_weights,
+                    out[:, :, v0:v1],
                 )
-                self._recombine(head, quantized, out[:, :, v0:v1], wb, ib)
 
             row_sums = row_sums_all[:, head.row_start : head.row_stop]
             row_activations = row_sums.sum(axis=1).astype(np.int64)
@@ -760,20 +583,3 @@ class StackedBitSerialKernel:
                     )
                 )
         return out, _sum_groups(per_group.finish(), groups)
-
-    def _recombine(self, head, quantized, out, wb, ib) -> None:
-        """Add one (integer-LUT) row block's partial sums into ``out``
-        ``(G, cols, vectors)``: input bit contracted first, then weight
-        bit, as two batched ``matmul`` s — exact in any order."""
-        groups, stacked, _ = quantized.shape
-        folded = np.matmul(
-            quantized.reshape(groups, -1, ib), self._in_weights
-        ).reshape(groups, stacked, -1)
-        for index, tile in enumerate(head.tiles):
-            planes = folded[:, head.offsets[index] : head.offsets[index + 1]]
-            partial = np.matmul(
-                tile.macro._plane_weights, planes.reshape(groups, wb, -1)
-            )
-            out[:, tile.col_start : tile.col_stop] += partial.reshape(
-                groups, tile.macro.cols_used, -1
-            )

@@ -62,8 +62,8 @@ class ProgrammedLinear:
 
     The execution kernel is not a choice: a configuration the fast
     kernel is bit-exact for (:meth:`TiledBitSerialKernel.supported` — a
-    noise-free bit line) gets it, every other one runs the reference
-    macro path.
+    noise-free bit line, shift-and-add sums below 2**53) gets it, every
+    other one runs the reference macro path.
     """
 
     def __init__(
@@ -301,7 +301,7 @@ class _GroupStack:
     """What one list of per-group engines contributes to every layer
     pass, gathered once: activation spec, input signedness, weight
     scales and — when every group runs the fast kernel over one geometry
-    with integer-valued LUTs — their :class:`StackedBitSerialKernel`.
+    — their :class:`StackedBitSerialKernel`.
 
     Valid for exactly the engine objects it was built from
     (``engines``, held strongly and compared by identity): re-programmed
@@ -344,12 +344,11 @@ class GroupedConv:
 
     One front half serves every group — one im2col, signedness and
     ``amax`` as reductions over the group axis, one quantization — and
-    feeds either the groups' stacked fast kernel or each group's
-    :meth:`ProgrammedLinear.matmul_codes` in index order: its own fast
-    kernel when a LUT is not integer-valued, or, for a noisy bit line, a
-    pulse encoding or a live degradation, the reference macro path
-    against the shared ``rng`` (deterministic group-major draws).  A
-    lone group keeps the plain single-engine path.
+    feeds either the groups' stacked fast kernel or, for a noisy bit
+    line, a pulse encoding or a live degradation, each group's
+    :meth:`ProgrammedLinear.matmul_codes` in index order: the reference
+    macro path against the shared ``rng`` (deterministic group-major
+    draws).  A lone group keeps the plain single-engine path.
 
     An instance kept across calls (a compiled plan's conv step) reuses
     the :class:`_GroupStack` of its last engine list; it is built, then

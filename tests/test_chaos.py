@@ -50,7 +50,9 @@ from repro.chaos import (
 from repro.chaos import inject as chaos_inject
 from repro.chaos import stream as chaos_stream
 from repro.chaos.schedule import ScheduleError
-from repro.cim import BitlineModel, MacroConfig
+from repro.cim import AdcSpec, BitlineModel, CimMacro, CimTiledMatmul, MacroConfig
+from repro.cim.macro import _bit_planes
+from repro.cim.variation import apply_adc_errors
 from repro.models import mobilenet, resnet8
 from repro.runtime import (
     ArtifactStore,
@@ -69,6 +71,7 @@ from repro.runtime import (
     stream_rng,
 )
 from repro.runtime import snapshot as rt_snapshot
+from repro.runtime.engine import ProgrammedLinear
 from repro.serve import (
     BatchPolicy,
     InferenceServer,
@@ -566,6 +569,63 @@ class TestDegradationWindows:
         _, second = self.run_pair(schedule)
         for got, want in zip(first.outputs, second.outputs):
             assert np.array_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# ADC drift goes through the one conversion primitive
+# ----------------------------------------------------------------------
+class TestDriftReachesTheAdc:
+    """The oracle digitises through ``adc.convert``; a drifted ADC that
+    only overrode ``quantize_counts`` would forward ``convert`` to the
+    undrifted spec and silently run clean."""
+
+    DRIFT = Degradation(adc_offset=6.0, adc_gain=1.1)
+
+    def test_convert_sees_gain_offset_and_rail_clip(self, monkeypatch):
+        config = MacroConfig()
+        rng = np.random.default_rng(0)
+        macro = CimMacro(config, rng.integers(-128, 128, size=(40, 6)))
+        x = rng.integers(0, 256, size=(40, 5))
+        in_planes, _ = _bit_planes(x, config.input_bits, config.signed_inputs)
+        counts = np.einsum("jrn,krc->jkcn", in_planes, macro._weight_planes)
+        seen = []
+        real = AdcSpec.convert
+
+        def spy(adc, observed, full_scale):
+            seen.append(observed)
+            return real(adc, observed, full_scale)
+
+        monkeypatch.setattr(AdcSpec, "convert", spy)
+        drifted, _ = macro.with_config(self.DRIFT.apply(config)).matmul(x)
+        clean, _ = macro.matmul(x)
+        want = apply_adc_errors(counts, gain=1.1, offset=6.0, max_counts=40.0)
+        assert [s.tobytes() for s in seen] == [want.tobytes(), counts.tobytes()]
+        assert not np.array_equal(drifted, clean)
+
+    def test_quantize_counts_is_convert_scaled(self):
+        adc = self.DRIFT.apply(MacroConfig()).adc
+        counts = np.linspace(0.0, 128.0, 53)
+        codes, step = adc.convert(counts, 128.0)
+        assert adc.quantize_counts(counts, 128.0).tobytes() == (codes * step).tobytes()
+        clean_codes, _ = AdcSpec().convert(counts, 128.0)
+        assert not np.array_equal(codes, clean_codes)
+
+    def test_degraded_engine_equals_the_reference_macro_path(self):
+        rng = np.random.default_rng(1)
+        linear = ProgrammedLinear(rng.normal(size=(48, 200)))  # 2 x 2 tiles
+        assert linear._kernel is not None  # clean runs take the fast kernel
+        codes = rng.integers(0, 256, size=(200, 7))
+        reference = CimTiledMatmul(
+            linear.w_codes.T, self.DRIFT.apply(linear.run_config)
+        )
+        want, want_stats = reference.matmul(codes, rng=np.random.default_rng(7))
+        got, stats = linear.matmul_codes(
+            codes, np.random.default_rng(7), None, self.DRIFT
+        )
+        assert got.tobytes() == want.tobytes()
+        assert stats == want_stats
+        clean, _ = linear.matmul_codes(codes)
+        assert not np.array_equal(got, clean)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """``scripts/check_test_hygiene.py`` holds on this tree, and rejects what
-it says it rejects (the retired host-wall bars, spelled as they were)."""
+it says it rejects (the retired host-wall bars and the retired einsum
+capture, spelled as they were); the docs' doctests run here too, so a
+contract page cannot break while tier-1 stays green."""
 
+import doctest
 import importlib.util
 import textwrap
 from pathlib import Path
@@ -119,3 +122,58 @@ def test_host_wall_assert_is_rejected(hygiene, name):
 @pytest.mark.parametrize("name", sorted(ACCEPTED))
 def test_deterministic_assert_is_accepted(hygiene, name):
     assert problems(hygiene, ACCEPTED[name]) == []
+
+
+PRIVATE_NUMPY = {
+    "from_private_core": """
+        from numpy._core.einsumfunc import bmm_einsum as _bmm_einsum
+        """,
+    "import_private_core": """
+        import numpy._core.einsumfunc
+        """,
+    "legacy_core_internals": """
+        from numpy.core import _multiarray_umath
+        """,
+    "attribute_through_np": """
+        import numpy as np
+
+        bmm = np._core.einsumfunc.bmm_einsum
+        """,
+    "einsum_call_keyword": """
+        import numpy as np
+
+        def steps(a, b):
+            return np.einsum_path("ij,jk->ik", a, b, optimize=True, einsum_call=True)
+        """,
+}
+
+PUBLIC_NUMPY = """
+    import numpy as np
+    from numpy import __version__
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    def contract(a, b):
+        path, _ = np.einsum_path("ij,jk->ik", a, b, optimize=True)
+        return np.einsum("ij,jk->ik", a, b, optimize=path), np.__version__
+    """
+
+
+def private_numpy_problems(hygiene, source):
+    path = hygiene.REPO_ROOT / "src" / "sample.py"
+    return hygiene.check_private_numpy(path, textwrap.dedent(source))
+
+
+@pytest.mark.parametrize("name", sorted(PRIVATE_NUMPY))
+def test_private_numpy_interface_is_rejected(hygiene, name):
+    found = private_numpy_problems(hygiene, PRIVATE_NUMPY[name])
+    assert len(found) == 1 and "src/sample.py" in found[0]
+
+
+def test_public_numpy_is_accepted(hygiene):
+    assert private_numpy_problems(hygiene, PUBLIC_NUMPY) == []
+
+
+@pytest.mark.parametrize("page", ["numerics.md", "snapshots.md"])
+def test_contract_page_doctests(page):
+    results = doctest.testfile(str(SCRIPT.parents[1] / "docs" / page), module_relative=False)
+    assert results.attempted and not results.failed

@@ -363,7 +363,7 @@ class TestVectorBlockProperties:
         budget = stacked * config.input_bits * 8 * step
         with mock.patch.object(reference_fast, "_BLOCK_BYTES", budget):
             assert reference_fast._block_vectors(stacked, config.input_bits) == step
-            for _ in range(2):  # both sides of the first-call einsum veto
+            for _ in range(2):  # a call leaves no state behind
                 out, stats = kernel.matmul(x)
                 assert out.tobytes() == ref.tobytes()
                 assert stats == ref_stats
@@ -375,21 +375,132 @@ class TestVectorBlockProperties:
         for name in available_backends():
             # Built by name, as the performance ledger builds them.
             kernel = get_backend(name)(engine)
-            for _ in range(2):  # both sides of the first-call einsum veto
+            for _ in range(2):  # a call leaves no state behind
                 out, stats = kernel.matmul(x)
                 assert out.tobytes() == ref.tobytes(), name
                 assert stats == ref_stats, name
 
 
+# -- shift-and-add over integer ADC codes --------------------------------
+
+from hypothesis import find
+
+from repro.cim import BitlineModel
+
+
+@st.composite
+def shift_add_cases(draw):
+    """A multi-tile engine — ragged last column tile, a row count that
+    does not divide the tile — over the bit widths, ADC resolutions,
+    input signedness and bit-line saturation that shape the code table,
+    with a batch of one to three vector blocks."""
+    wb = draw(st.sampled_from((1, 2, 4, 8)))
+    ib = draw(st.sampled_from((1, 2, 4, 8)))
+    tile_rows = draw(st.sampled_from((8, 32, 128)))
+    tile_cols = draw(st.sampled_from((2, 4, 16)))
+    config = MacroConfig(
+        rows=tile_rows,
+        phys_columns=tile_cols * wb,
+        weight_bits=wb,
+        input_bits=ib,
+        signed_inputs=draw(st.booleans()),
+        adc=AdcSpec(bits=draw(st.sampled_from((2, 3, 5, 8)))),
+        bitline=BitlineModel(
+            max_rows=tile_rows, saturation=draw(st.sampled_from((None, 0.5)))
+        ),
+    )
+    rows = draw(st.integers(1, 2)) * tile_rows + draw(st.integers(1, tile_rows - 1))
+    cols = draw(st.integers(1, 2)) * tile_cols + draw(st.integers(1, tile_cols - 1))
+    step = draw(st.sampled_from((3, 8)))
+    n = draw(st.integers(1, 3 * step))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    low, high = config.weight_range()
+    engine = CimTiledMatmul(rng.integers(low, high + 1, size=(rows, cols)), config)
+    low, high = config.input_range()
+    return engine, rng.integers(low, high + 1, size=(rows, n)), step
+
+
+def _block_budget(kernel, step):
+    """``_BLOCK_BYTES`` at which the tallest row block runs ``step``
+    vectors per block."""
+    stacked = max(group.planes32.shape[0] for group in kernel._groups)
+    return stacked * kernel.engine.config.input_bits * 8 * step
+
+
+def _cut_changes_bytes(matmul, x):
+    """Whether any cut of the vector axis changes a byte: the whole
+    batch's columns against every prefix's and every suffix's own call."""
+    whole = matmul(x)[0]
+    return any(
+        whole[:, :cut].tobytes() != matmul(x[:, :cut])[0].tobytes()
+        or whole[:, cut:].tobytes() != matmul(x[:, cut:])[0].tobytes()
+        for cut in range(1, x.shape[1])
+    )
+
+
+def _float_table_mutant(engine):
+    """The kernel with the code table swapped for the reconstructed
+    float counts ``codes * step`` it replaced (and ``step`` folded in)."""
+    kernel = TiledBitSerialKernel(engine)
+    kernel._in_weights = kernel._in_weights.astype(np.float64)
+    for group in kernel._groups:
+        group.code_lut = group.code_lut.astype(np.float64) * group.step
+        group.lut_is_identity = False
+        group.plane_weights = group.plane_weights.astype(np.float64)
+        group.step = 1.0
+    return kernel
+
+
+class TestShiftAddProperties:
+    @given(shift_add_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_backends_match_tiled_reference(self, case):
+        engine, x, step = case
+        ref, ref_stats = engine.matmul(x)
+        for name in available_backends():
+            kernel = get_backend(name)(engine)
+            with mock.patch.object(
+                reference_fast, "_BLOCK_BYTES", _block_budget(kernel, step)
+            ):
+                out, stats = kernel.matmul(x)
+            assert out.tobytes() == ref.tobytes(), name
+            assert stats == ref_stats, name
+
+    @given(shift_add_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_cutting_the_vector_axis_changes_no_byte(self, case):
+        engine, x, step = case
+        kernel = TiledBitSerialKernel(engine)
+        with mock.patch.object(
+            reference_fast, "_BLOCK_BYTES", _block_budget(kernel, step)
+        ):
+            assert not _cut_changes_bytes(kernel.matmul, x)
+        tile = engine.tiles[0]
+        assert not _cut_changes_bytes(
+            tile.macro.matmul, x[tile.row_start : tile.row_stop]
+        )
+
+    def test_float_table_mutant_is_not_cut_invariant(self):
+        """The property above has teeth: over the same strategy, the old
+        float table breaks it on some drawn case."""
+
+        def breaks(case):
+            engine, x, _ = case
+            return _cut_changes_bytes(_float_table_mutant(engine).matmul, x)
+
+        engine, x, _ = find(
+            shift_add_cases(),
+            breaks,
+            settings=settings(max_examples=200, deadline=None, derandomize=True),
+        )
+        # The witness is the table, not the harness: unmutated, it holds.
+        assert not _cut_changes_bytes(TiledBitSerialKernel(engine).matmul, x)
+
+
 # -- grouped convolutions executed per layer -----------------------------
 
 from repro import nn
-from repro.cim import (
-    BitlineModel,
-    PulseWidthEncoding,
-    cim_conv2d,
-    reference_cim_conv2d,
-)
+from repro.cim import PulseWidthEncoding, cim_conv2d, reference_cim_conv2d
 from repro.runtime import EngineCache, RuntimeConfig, compile_model
 
 

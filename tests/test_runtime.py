@@ -39,7 +39,8 @@ from repro.runtime import (
     reference_forward,
 )
 
-from repro.runtime.backends import reference_fast
+from repro.runtime.backends import available_backends, get_backend, reference_fast
+from repro.runtime.engine import ProgrammedLinear
 
 RNG = np.random.default_rng(7)
 
@@ -132,7 +133,7 @@ class TestKernels:
         for n in (1, 5, 33):
             x = RNG.integers(low, high, size=(40, n))
             ref, ref_stats = macro.matmul(x)
-            for _ in range(2):  # second call exercises the cached einsum path
+            for _ in range(2):  # a call leaves no state behind
                 fast, fast_stats = kernel.matmul(x)
                 assert np.array_equal(ref, fast)
                 assert ref_stats == fast_stats
@@ -218,30 +219,45 @@ class TestVectorBlocks:
         for n in (1, block - 1, block, block + 1, 2 * block + 3, 3 * block + 5):
             x = rng.integers(low, high, size=(200, n))
             ref, ref_stats = engine.matmul(x)
-            for _ in range(2):  # both sides of the first-call einsum veto
+            for _ in range(2):  # a call leaves no state behind
                 out, stats = kernel.matmul(x)
                 assert out.tobytes() == ref.tobytes()
                 assert stats == ref_stats
 
     def test_wide_batch_is_gathered_in_blocks(self, monkeypatch):
-        """GEMM -> gather runs per block of ``_block_vectors`` vectors;
-        a batch that fits one block is gathered whole."""
+        """The back half runs per block of ``_block_vectors`` vectors — a
+        batch that fits one block is gathered whole — and nothing of
+        whole-batch ``(stacked, n * ib)`` float64 extent is allocated."""
+        import tracemalloc
+
         engine = _blocked_engine(False, 5)
         kernel = TiledBitSerialKernel(engine)
         block = _block_of(kernel)
         gathers = []
-        real = reference_fast._TileGroup.quantize
-        monkeypatch.setattr(
-            reference_fast._TileGroup,
-            "quantize",
-            lambda group, counts: gathers.append(counts.shape[1]) or real(group, counts),
-        )
+        real = np.take
+
+        def take(table, indices, **kwargs):
+            gathers.append(indices.shape[1])
+            return real(table, indices, **kwargs)
+
+        monkeypatch.setattr(reference_fast.np, "take", take)
         ib = engine.config.input_bits
         kernel.matmul(np.zeros((200, 2 * block + 3), dtype=np.int64))
         assert gathers == [block * ib, block * ib, 3 * ib] * 2
         del gathers[:]
         kernel.matmul(np.zeros((200, block), dtype=np.int64))
         assert gathers == [block * ib] * 2
+
+        n = 8 * block + 3
+        x = np.zeros((200, n), dtype=np.int64)
+        stacked = max(group.planes32.shape[0] for group in kernel._groups)
+        tracemalloc.start()
+        try:
+            kernel.matmul(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stacked * n * ib * 8
 
     def test_one_kernel_two_threads_different_batches(self):
         """Programmed kernels are shared through EngineCache and the
@@ -282,6 +298,113 @@ class TestVectorBlocks:
             for got, got_stats in results[slot]:
                 assert got.tobytes() == out.tobytes()
                 assert got_stats == stats
+
+
+def _extents(obj):
+    """Attribute names, container lengths and array shapes reachable
+    from a kernel through its own backend objects."""
+    if isinstance(obj, np.ndarray):
+        return obj.shape
+    if isinstance(obj, (list, tuple)):
+        return [_extents(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: _extents(value) for key, value in obj.items()}
+    if type(obj).__module__.startswith("repro.runtime.backends"):
+        return {name: _extents(value) for name, value in vars(obj).items()}
+    return None
+
+
+class TestProgrammedKernelIsStateless:
+    """A programmed kernel holds no per-call-shape state: twenty batch
+    widths leave every attribute, container and array as programmed."""
+
+    WIDTHS = list(range(1, 17)) + [33, 64, 129, 300]
+
+    @pytest.mark.parametrize("name", ["reference-fast", "popcount", "stacked"])
+    def test_twenty_batch_widths_grow_nothing(self, name):
+        engine = _blocked_engine(True, 5)  # two row blocks x two column tiles
+        if name == "stacked":
+            kernel = reference_fast.StackedBitSerialKernel(
+                [TiledBitSerialKernel(engine) for _ in range(3)]
+            )
+            shape = (3, 200)
+        else:
+            kernel = get_backend(name)(engine)
+            shape = (200,)
+        programmed = _extents(kernel)
+        assert programmed  # the walk saw the kernel's own objects
+        rng = np.random.default_rng(5)
+        for n in self.WIDTHS:
+            kernel.matmul(rng.integers(-128, 128, size=shape + (n,)))
+            assert _extents(kernel) == programmed
+
+
+class TestExactnessBound:
+    """The shift-and-add is exact integer arithmetic below a bound that
+    is checked, not assumed: float32 to 2**24, float64 to 2**53, the
+    reference macro path beyond."""
+
+    @staticmethod
+    def config(weight_bits, input_bits, adc_bits, **kwargs):
+        return MacroConfig(
+            weight_bits=weight_bits,
+            input_bits=input_bits,
+            phys_columns=16 * weight_bits,
+            adc=AdcSpec(bits=adc_bits),
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize(
+        "bits,dtype",
+        [
+            ((8, 8, 5), np.float32),  # the default widths: 2**21
+            ((8, 8, 8), np.float32),  # 2**24 exactly: sums stay below it
+            ((8, 8, 9), np.float64),
+            ((16, 16, 12), np.float64),
+            ((24, 24, 4), np.float64),  # 2**52
+        ],
+    )
+    def test_accumulator_dtype_is_a_function_of_the_bound(self, bits, dtype):
+        config = self.config(*bits)
+        assert TiledBitSerialKernel.supported(config)
+        kernel = TiledBitSerialKernel(CimTiledMatmul(np.zeros((3, 2), dtype=int), config))
+        (group,) = kernel._groups
+        assert group.code_lut.dtype == dtype
+        assert group.plane_weights.dtype == dtype
+        assert kernel._in_weights.dtype == dtype
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_wide_codes_run_in_float64_bitwise(self, signed):
+        config = self.config(16, 16, 12, signed_inputs=signed)
+        rng = np.random.default_rng(16 + signed)
+        # Full-range codes over 2 x 2 tiles (128 + 72 rows, 16 + 4 columns).
+        weights = rng.integers(-(2**15), 2**15, size=(200, 20))
+        engine = CimTiledMatmul(weights, config)
+        assert len(engine.tiles) == 4
+        low, high = config.input_range()
+        x = rng.integers(low, high + 1, size=(200, 9))
+        ref, ref_stats = engine.matmul(x)
+        for name in available_backends():
+            out, stats = get_backend(name)(engine).matmul(x)
+            assert out.tobytes() == ref.tobytes(), name
+            assert stats == ref_stats, name
+
+    @pytest.mark.parametrize("adc_bits", [5, 8])  # 2**53 exactly, and past it
+    def test_past_the_bound_is_unsupported(self, adc_bits):
+        config = self.config(24, 24, adc_bits)
+        assert not TiledBitSerialKernel.supported(config)
+        assert not get_backend("popcount").supported(config)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            TiledBitSerialKernel(CimTiledMatmul(np.zeros((3, 2), dtype=int), config))
+        # ... and an engine then takes the reference macro path.
+        rng = np.random.default_rng(3)
+        weight, x = rng.normal(size=(4, 12)), np.abs(rng.normal(size=(2, 12)))
+        linear = ProgrammedLinear(weight, config, activation_bits=24)
+        assert linear._kernel is None
+        out, stats = linear.execute(x)
+        ref, ref_stats = reference_cim_linear(x, weight, config, activation_bits=24)
+        assert out.tobytes() == ref.tobytes()
+        assert stats == ref_stats
 
 
 # ----------------------------------------------------------------------
