@@ -202,6 +202,18 @@ def _bit_planes(codes: np.ndarray, bits: int, signed: bool) -> Tuple[np.ndarray,
     return planes, plane_weights(bits, signed)
 
 
+def checked_weight_codes(config: MacroConfig, weights: np.ndarray) -> np.ndarray:
+    """``weights`` as int64 codes, after the range scan programming owes
+    ``config``'s storage width (an empty matrix has nothing to scan)."""
+    low, high = config.weight_range()
+    if weights.size and (weights.min() < low or weights.max() > high):
+        raise ValueError(
+            f"weight codes outside [{low}, {high}] for "
+            f"{config.weight_bits}-bit storage"
+        )
+    return weights.astype(np.int64)
+
+
 class CimMacro:
     """One subarray programmed with an integer weight matrix.
 
@@ -231,9 +243,10 @@ class CimMacro:
     def from_state(
         cls, config: MacroConfig, weights: np.ndarray, rng: np.random.Generator
     ) -> "CimMacro":
-        """A programmed macro over *trusted* int64 codes (a snapshot
-        restore): no shape or range scan, and the bit planes stay
-        underived until the reference path first reads them."""
+        """A programmed macro over *trusted* integer codes (a tile of a
+        matrix its engine already scanned, or of a snapshot restore, at
+        the width the artifact stores): :meth:`__init__` minus the shape
+        and range scan."""
         macro = cls.__new__(cls)
         macro.config = config
         macro._rng = rng
@@ -261,19 +274,10 @@ class CimMacro:
                 f"weights {weights.shape} exceed subarray capacity "
                 f"({self.config.rows} x {self.config.logical_columns} words)"
             )
-        low, high = self.config.weight_range()
-        if weights.min() < low or weights.max() > high:
-            raise ValueError(
-                f"weight codes outside [{low}, {high}] for "
-                f"{self.config.weight_bits}-bit storage"
-            )
-        self._place(weights.astype(np.int64))
-        self._planes, _ = _bit_planes(
-            weights, self.config.weight_bits, self.config.signed_weights
-        )  # (wb, rows, cols)
+        self._place(checked_weight_codes(self.config, weights))
 
     def _place(self, weights: np.ndarray) -> None:
-        """Adopt validated int64 codes; bit planes are left to derive."""
+        """Adopt validated integer codes; bit planes are left to derive."""
         self.rows_used, self.cols_used = weights.shape
         self.weights = weights
         self._plane_weights = plane_weights(
@@ -285,11 +289,11 @@ class CimMacro:
     def _weight_planes(self) -> np.ndarray:
         """The programmed weight bit planes, ``(wb, rows, cols)`` in {0, 1}.
 
-        Computed eagerly by :meth:`_store`; a macro built by
-        :meth:`from_state` arrives without them and derives them from
-        ``self.weights`` on first access — the exact :func:`_bit_planes`
-        computation, so the lazily derived planes are bitwise identical
-        to the eagerly stored ones.
+        The one place they are derived: from ``self.weights``, on the
+        first read by a reference-path consumer (:meth:`matmul`, the
+        pulse encodings, the variation study), and published by a single
+        attribute store — two threads racing here both compute the same
+        array.  The fast kernel never reads them.
         """
         if self._planes is None:
             self._planes, _ = _bit_planes(

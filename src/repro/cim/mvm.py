@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.cim.encoding import ActivationEncoding
-from repro.cim.macro import CimMacro, MacroConfig, MacroStats
+from repro.cim.macro import CimMacro, MacroConfig, MacroStats, checked_weight_codes
 from repro.nn import functional as F
 from repro.quant.quantizer import QuantSpec, quantize
 
@@ -77,20 +77,24 @@ class CimTiledMatmul:
         weights = np.asarray(weights)
         if weights.ndim != 2:
             raise ValueError(f"weights must be 2-D, got {weights.shape}")
-        self._lay_out(weights, rng, CimMacro)
+        # One range scan over the whole matrix; a tile is within capacity
+        # by construction.
+        self._lay_out(checked_weight_codes(self.config, weights), rng)
 
     @classmethod
     def from_state(cls, weights: np.ndarray, config: MacroConfig) -> "CimTiledMatmul":
-        """The tiled engine over *trusted* ``(R, C)`` int64 codes (a
-        snapshot restore): the same tile grid, its macros built by
-        :meth:`CimMacro.from_state` — nothing validated or derived."""
+        """The tiled engine over *trusted* ``(R, C)`` integer codes (a
+        snapshot restore, at the artifact's width): :meth:`__init__`
+        minus the scan."""
         engine = cls.__new__(cls)
         engine.config = config
-        engine._lay_out(weights, None, CimMacro.from_state)
+        engine._lay_out(weights, None)
         return engine
 
-    def _lay_out(self, weights: np.ndarray, rng, make_macro) -> None:
-        """Place ``weights`` on the row-major subarray tile grid."""
+    def _lay_out(self, weights: np.ndarray, rng) -> None:
+        """Place validated integer ``weights`` on the row-major subarray
+        tile grid; no tile derives a bit plane until the reference path
+        reads it."""
         self.weights = weights
         self.shape = weights.shape
         # One construction-time generator shared by every tile; the
@@ -105,7 +109,7 @@ class CimTiledMatmul:
             r1 = min(r0 + tile_r, rows)
             for c0 in range(0, cols, tile_c):
                 c1 = min(c0 + tile_c, cols)
-                macro = make_macro(self.config, weights[r0:r1, c0:c1], rng)
+                macro = CimMacro.from_state(self.config, weights[r0:r1, c0:c1], rng)
                 self.tiles.append(_Tile(macro, r0, r1, c0, c1))
 
     def with_config(self, config: MacroConfig) -> "CimTiledMatmul":

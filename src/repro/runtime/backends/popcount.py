@@ -3,8 +3,9 @@
 The reference-fast kernel computes the ON-cell count tensor as a
 float32 GEMM between 0/1 plane matrices.  Those planes are one *bit*
 of information per float32 lane; this backend packs them 64-per-word
-(the same ``np.packbits`` layout the snapshot serializer stores) and
-replaces the GEMM with ``popcount(w & x)`` accumulated over words.
+(its own program-time layout, derived like the float32 planes from the
+engine's weight codes and persisted nowhere) and replaces the GEMM with
+``popcount(w & x)`` accumulated over words.
 
 For serving-sized batches the count contraction is skinny — a matrix ×
 few-vectors product — where BLAS has nothing to block over and the

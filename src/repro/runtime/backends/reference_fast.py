@@ -147,20 +147,20 @@ def _serial_planes(unsigned: np.ndarray, ib: int, dtype) -> np.ndarray:
     return planes
 
 
-_POPCOUNT_8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
+def _weight_bit_planes(codes: np.ndarray, weight_bits: int) -> np.ndarray:
+    """0/1 bit planes ``(weight_bits, columns, rows)`` of a ``(rows,
+    columns)`` block of weight codes, two's-complement reinterpreted
+    over ``weight_bits`` exactly like the macro's own planes, in the
+    narrowest unsigned type that holds a code.
 
-
-def _stored_bits(codes: np.ndarray, weight_bits: int) -> np.ndarray:
-    """Per-element count of stored '1' bits, two's-complement
-    reinterpreted over ``weight_bits`` exactly like the macro's bit
-    planes — i.e. the planes summed over the weight-bit axis."""
-    unsigned = np.asarray(codes, dtype=np.int64) & ((1 << weight_bits) - 1)
-    if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-        return np.bitwise_count(unsigned)
-    counts = _POPCOUNT_8[unsigned & 0xFF]
-    for shift in range(8, weight_bits, 8):
-        counts = counts + _POPCOUNT_8[(unsigned >> shift) & 0xFF]
-    return counts
+    Integer casts wrap, so the word's low ``weight_bits`` bits *are* the
+    two's-complement code and no mask is needed before the shifts.
+    """
+    word = np.min_scalar_type((1 << weight_bits) - 1)
+    unsigned = codes.T.astype(word, order="C")
+    planes = unsigned >> np.arange(weight_bits, dtype=word)[:, None, None]
+    planes &= 1
+    return planes
 
 
 class _TileGroup:
@@ -172,21 +172,14 @@ class _TileGroup:
     block (:meth:`shift_add`), and each tile's slice of the result is a
     contiguous view.
 
-    ``stored_bits`` is the row block's slice of the engine's
-    :func:`_stored_bits` matrix.  ``packed`` is the *trusted* persisted
-    form of the stacked planes (:meth:`packed`, what ``.rcma`` artifacts
-    store): given it, nothing is derived and the macros' own bit planes
-    are never materialized.
+    Everything here is derived from ``codes`` — the row block's
+    ``(rows, columns)`` slice of the engine's integer weight codes, the
+    one programmed state — by the same routine whether the engine was
+    just compiled or restored from an artifact; the macros' own float64
+    bit planes are never read.
     """
 
-    def __init__(
-        self,
-        row_start: int,
-        row_stop: int,
-        tiles: List,
-        stored_bits: np.ndarray,
-        packed: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, row_start: int, row_stop: int, tiles: List, codes: np.ndarray):
         self.row_start = row_start
         self.row_stop = row_stop
         self.tiles = tiles
@@ -196,50 +189,35 @@ class _TileGroup:
         self.offsets = np.cumsum(
             [0] + [wb * tile.macro.cols_used for tile in tiles]
         )
-        stacked = int(self.offsets[-1])
-        if packed is None:
-            planes = np.concatenate(
-                [
-                    tile.macro._weight_planes.transpose(0, 2, 1).reshape(
-                        wb * tile.macro.cols_used, rows
-                    )
-                    for tile in tiles
-                ]
-            )
-        else:
-            if packed.size * 8 < stacked * rows:
-                raise ValueError(
-                    f"row block [{row_start}, {row_stop}) holds "
-                    f"{packed.size * 8} plane bits, expected {stacked * rows}"
-                )
-            planes = np.unpackbits(packed, count=stacked * rows).reshape(
-                stacked, rows
-            )
-        self.planes32 = planes.astype(np.float32)
+        # Stacked planes: tile after tile, each ``(weight bit, column)``
+        # major over the block's rows — gathered as narrow words, then
+        # widened to float32 in one contiguous pass.
+        bits = _weight_bit_planes(codes, wb)
+        stacked = np.empty((int(self.offsets[-1]), rows), dtype=bits.dtype)
+        for index, tile in enumerate(tiles):
+            stacked[self.offsets[index] : self.offsets[index + 1]].reshape(
+                wb, tile.macro.cols_used, rows
+            )[...] = bits[:, tile.col_start : tile.col_stop]
+        self.planes32 = stacked.astype(np.float32)
+        # Per-row ON-cell totals: exact integers whichever order they
+        # are summed in, so they equal the float64 reduction of the
+        # macros' bit planes bitwise.
+        stored_bits = bits.sum(axis=0, dtype=bits.dtype)  # at most wb each
+        self.plane_row_sums = [
+            stored_bits[tile.col_start : tile.col_stop].sum(axis=0, dtype=np.float64)
+            for tile in tiles
+        ]
         # Bit-line observation + ADC conversion composed over every
         # reachable integer count, with the exact reference arithmetic:
         # a table of integer codes, and the step they are scaled by.
         domain = np.arange(rows + 1, dtype=np.float64)
-        codes, self.step = config.adc.convert(
+        adc_codes, self.step = config.adc.convert(
             config.bitline.observe(domain, None), float(rows)
         )
-        self.lut_is_identity = bool(np.array_equal(codes, domain))
+        self.lut_is_identity = bool(np.array_equal(adc_codes, domain))
         dtype = _accumulator_dtype(config)
-        self.code_lut = codes.astype(dtype)
+        self.code_lut = adc_codes.astype(dtype)
         self.plane_weights = tiles[0].macro._plane_weights.astype(dtype)
-        # Per-row ON-cell totals: exact integers whichever order they
-        # are summed in, so the popcount over the codes equals the
-        # float64 reduction of the bit planes bitwise.
-        self.plane_row_sums = [
-            stored_bits[:, tile.col_start : tile.col_stop].sum(
-                axis=1, dtype=np.float64
-            )
-            for tile in tiles
-        ]
-
-    def packed(self) -> np.ndarray:
-        """The stacked 0/1 plane matrix, bit-packed (exact)."""
-        return np.packbits(self.planes32.astype(np.uint8))
 
     def shift_add(
         self, counts: np.ndarray, in_weights: np.ndarray, out: np.ndarray
@@ -294,13 +272,7 @@ class TiledBitSerialKernel(KernelBackend):
 
     backend_name = "reference-fast"
 
-    def __init__(
-        self,
-        engine: CimTiledMatmul,
-        packed_planes: Optional[Sequence[np.ndarray]] = None,
-    ):
-        """Program the kernel for ``engine``, or — given its persisted
-        :meth:`packed_planes` — restore it from that trusted state."""
+    def __init__(self, engine: CimTiledMatmul):
         if not self.supported(engine.config):
             raise ValueError(
                 "fast bit-serial kernel requires a noise-free bit line and "
@@ -310,18 +282,10 @@ class TiledBitSerialKernel(KernelBackend):
         blocks: dict = {}
         for tile in engine.tiles:
             blocks.setdefault((tile.row_start, tile.row_stop), []).append(tile)
-        if packed_planes is None:
-            packed_planes = [None] * len(blocks)
-        elif len(packed_planes) != len(blocks):
-            raise ValueError(
-                f"{len(packed_planes)} packed plane groups for a tile grid "
-                f"of {len(blocks)} row blocks"
-            )
-        bits = _stored_bits(engine.weights, engine.config.weight_bits)
         self.engine = engine
         self._groups = [
-            _TileGroup(r0, r1, tiles, bits[r0:r1], packed)
-            for ((r0, r1), tiles), packed in zip(blocks.items(), packed_planes)
+            _TileGroup(r0, r1, tiles, engine.weights[r0:r1])
+            for (r0, r1), tiles in blocks.items()
         ]
         config = engine.config
         self._in_weights = plane_weights(
@@ -332,11 +296,6 @@ class TiledBitSerialKernel(KernelBackend):
     def _post_init(self) -> None:
         """Subclass hook: derive extra program-time layout from the
         :class:`_TileGroup` list."""
-
-    def packed_planes(self) -> List[np.ndarray]:
-        """The kernel's persisted state: one bit-packed plane matrix
-        per row block."""
-        return [group.packed() for group in self._groups]
 
     @staticmethod
     def supported(config: MacroConfig) -> bool:

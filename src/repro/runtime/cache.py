@@ -135,8 +135,9 @@ class EngineCache:
     engine), which reproduces the seed library's per-call behaviour.
 
     The bound is an entry count, not bytes — a programmed engine holds
-    its float64 weight bit planes, integer codes and the fused float32
-    kernel operand (roughly 110 bytes per weight at 8-bit), so
+    its integer codes and the fused float32 kernel operand (roughly 50
+    bytes per weight at 8-bit; the reference path's float64 bit planes
+    add 64 once that path has read them), so
     workloads that sweep many large distinct weight sets through one
     cache should size ``capacity`` (or use a dedicated cache)
     accordingly.

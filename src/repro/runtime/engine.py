@@ -21,7 +21,7 @@ models through an :class:`~repro.runtime.cache.EngineCache`.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -78,10 +78,10 @@ class ProgrammedLinear:
         if weight.ndim != 2:
             raise ValueError(f"weight must be 2-D (out, in), got {weight.shape}")
         w_spec = QuantSpec(bits=config.weight_bits, signed=True, per_channel_axis=0)
-        self._adopt(config, activation_bits, signed_inputs, *quantize(weight, w_spec))
-        self.engine = CimTiledMatmul(self.w_codes.T, self.run_config)
-        if TiledBitSerialKernel.supported(self.run_config):
-            self._kernel = TiledBitSerialKernel(self.engine)
+        w_codes, w_scale = quantize(weight, w_spec)
+        self._adopt(
+            config, activation_bits, signed_inputs, w_codes, w_scale, CimTiledMatmul
+        )
 
     @classmethod
     def from_state(
@@ -91,25 +91,29 @@ class ProgrammedLinear:
         signed_inputs: bool,
         w_codes: np.ndarray,
         w_scale: np.ndarray,
-        packed_planes: Sequence[np.ndarray] = (),
     ) -> "ProgrammedLinear":
         """The engine over *trusted* programmed state (a snapshot
-        restore): int64 ``(out, in)`` codes and per-channel scales are
-        adopted as they are, and ``packed_planes`` (the kernel's
-        :meth:`~TiledBitSerialKernel.packed_planes`) rebuild the fast
-        kernel without deriving a bit plane.
+        restore): integer ``(out, in)`` codes and per-channel scales are
+        adopted unscanned; everything else derives from the codes as it
+        does at programming time.
         """
         linear = cls.__new__(cls)
-        linear._adopt(config, activation_bits, signed_inputs, w_codes, w_scale)
-        linear.engine = CimTiledMatmul.from_state(w_codes.T, linear.run_config)
-        if TiledBitSerialKernel.supported(linear.run_config):
-            # No planes (never the writer's behaviour) still restores
-            # correctly, just colder.
-            linear._kernel = TiledBitSerialKernel(linear.engine, packed_planes or None)
+        linear._adopt(
+            config,
+            activation_bits,
+            signed_inputs,
+            w_codes,
+            w_scale,
+            CimTiledMatmul.from_state,
+        )
         return linear
 
-    def _adopt(self, config, activation_bits, signed_inputs, w_codes, w_scale) -> None:
-        """Bind programmed state and derive the run configuration."""
+    def _adopt(
+        self, config, activation_bits, signed_inputs, w_codes, w_scale, make_tiled
+    ) -> None:
+        """Bind the programmed state, derive the run configuration, and
+        lay the codes out on tiles (``make_tiled``: with or without the
+        range scan) under the fast kernel when it is bit-exact."""
         self.config = config
         self.activation_bits = int(activation_bits)
         self.signed_inputs = bool(signed_inputs)
@@ -127,9 +131,14 @@ class ProgrammedLinear:
             signed_inputs=self.signed_inputs,
             bitline=bitline,
         )
+        self.engine = make_tiled(w_codes.T, self.run_config)
         #: The fast kernel, or ``None`` when the configuration forces
         #: the reference macro path.
-        self._kernel: Optional[TiledBitSerialKernel] = None
+        self._kernel: Optional[TiledBitSerialKernel] = (
+            TiledBitSerialKernel(self.engine)
+            if TiledBitSerialKernel.supported(self.run_config)
+            else None
+        )
 
     @property
     def n_subarrays(self) -> int:

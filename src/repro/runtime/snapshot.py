@@ -15,10 +15,10 @@ header plus an mmap-able array section, see :class:`ArtifactStore`):
 
 * the deployable module tree (architecture spec + float64 parameters +
   ``requires_grad`` flags — placement-relevant, so preserved exactly);
-* per programmed engine: the quantized weight codes and per-channel
-  scales, the programming-time macro configuration, and — for
-  noise-free configurations — the fused kernel's bit-packed float32
-  weight planes, so load never re-derives what programming computed;
+* per programmed engine: the quantized weight codes, the per-channel
+  scales and the programming-time macro configuration — the one
+  programmed state; bit planes and kernel layout are derived from the
+  codes on load by the routine programming itself uses;
 * for sharded deployments: the realized :class:`ShardPlan` and
   inter-chiplet link spec;
 * a JSON header carrying the format version, the content key, and the
@@ -105,8 +105,11 @@ FORMAT = "repro-compiled-model"
 #: plan topology recorded in the header); 3 — kernel-backend provenance
 #: (tuned winner + backend request per engine); 4 — that provenance and
 #: the two ``RuntimeConfig`` fields behind it removed with the autotuner
-#: (every engine has the one fast kernel, so there is nothing to record).
-VERSION = 4
+#: (every engine has the one fast kernel, so there is nothing to record);
+#: 5 — the fused kernel's bit-packed planes and their per-engine group
+#: count removed: the weight codes are stored once and everything else
+#: derives from them.
+VERSION = 5
 
 #: Leading bytes of every artifact container file.
 MAGIC = b"RCMA1\n"
@@ -476,10 +479,9 @@ def _codes_dtype(weight_bits: int):
 def serialize_engine(engine, tag: str, arrays: Dict[str, np.ndarray]) -> Dict[str, Any]:
     """Capture one programmed engine's state into ``arrays`` + meta.
 
-    Stores the quantized weight codes, per-channel scales, programming
-    config, and — when the fast noise-free kernel is programmed — each
-    tile group's weight planes bit-packed (exact, since plane values
-    are 0/1).
+    The programmed state is the quantized weight codes, the per-channel
+    scales and the programming config; bit planes, tile grid and kernel
+    layout are functions of those and are derived again on restore.
     """
     is_conv = isinstance(engine, ProgrammedConv)
     linear = engine.linear if is_conv else engine
@@ -498,43 +500,50 @@ def serialize_engine(engine, tag: str, arrays: Dict[str, np.ndarray]) -> Dict[st
         _codes_dtype(linear.config.weight_bits)
     )
     arrays[f"{tag}_scale"] = np.asarray(linear.w_scale, dtype=np.float64)
-    planes = [] if linear._kernel is None else linear._kernel.packed_planes()
-    meta["kernel_groups"] = len(planes)
-    for g, packed in enumerate(planes):
-        arrays[f"{tag}_g{g}"] = packed
     return meta
 
 
 def restore_engine(meta: Dict[str, Any], arrays):
     """Inverse of :func:`serialize_engine` — a bitwise-equal engine,
-    built by the engines' own trusted state constructors."""
+    built by the engines' own trusted state constructors once the
+    stored arrays are seen to agree with the header."""
     tag = meta["tag"]
-    n_groups = meta["kernel_groups"]
-    try:
-        linear = ProgrammedLinear.from_state(
-            from_meta(MacroConfig, meta["config"]),
-            meta["activation_bits"],
-            meta["signed_inputs"],
-            # Copied off the container mapping (as unpacked planes are):
-            # a live engine keeps no page of the artifact file mapped, so
-            # overwriting an artifact cannot crash a server restored from it.
-            np.asarray(arrays[f"{tag}_codes"], dtype=np.int64),
-            np.array(arrays[f"{tag}_scale"], dtype=np.float64),
-            [arrays[f"{tag}_g{g}"] for g in range(n_groups)],
-        )
-    except ValueError as error:  # kernel-group count, plane-bit count
+    # Copied off the container mapping: a live engine keeps no page of
+    # the artifact file mapped, so overwriting an artifact cannot crash
+    # a server restored from it.  The codes keep their stored width —
+    # every consumer widens what it reads, none needs 8 bytes a weight.
+    codes = np.array(arrays[f"{tag}_codes"])
+    scale = np.array(arrays[f"{tag}_scale"], dtype=np.float64)
+    if codes.ndim != 2:
         raise SnapshotCorruptError(
-            f"artifact engine {tag!r} is inconsistent: {error}"
-        ) from error
-    if n_groups and linear._kernel is None:
-        raise SnapshotCorruptError(
-            "artifact stores fused-kernel planes for a configuration the "
-            "fast kernel does not support"
+            f"artifact engine {tag!r} stores {codes.ndim}-D weight codes, "
+            f"expected (out, in)"
         )
+    if scale.size != codes.shape[0]:
+        raise SnapshotCorruptError(
+            f"artifact engine {tag!r} stores {scale.size} scales for "
+            f"{codes.shape[0]} output channels"
+        )
+    linear = ProgrammedLinear.from_state(
+        from_meta(MacroConfig, meta["config"]),
+        meta["activation_bits"],
+        meta["signed_inputs"],
+        codes,
+        scale,
+    )
     if meta["kind"] == "linear":
         return linear
+    weight_shape = tuple(meta["weight_shape"])
+    if (
+        len(weight_shape) != 4
+        or (weight_shape[0], int(np.prod(weight_shape[1:]))) != codes.shape
+    ):
+        raise SnapshotCorruptError(
+            f"artifact engine {tag!r} records conv weight shape "
+            f"{weight_shape} over {codes.shape} weight codes"
+        )
     return ProgrammedConv.from_state(
-        linear, tuple(meta["weight_shape"]), meta["stride"], meta["padding"]
+        linear, weight_shape, meta["stride"], meta["padding"]
     )
 
 
@@ -782,8 +791,11 @@ class ArtifactStore:
     def _read(cls, path: Path) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
         header, data_start = cls._read_header(path)
         try:
+            # A plain-ndarray view of the mapping: slicing an ``np.memmap``
+            # once per array re-runs its subclass bookkeeping, 2802 times
+            # for mobilenet's header.
             blob = (
-                np.memmap(path, dtype=np.uint8, mode="c", offset=data_start)
+                np.asarray(np.memmap(path, dtype=np.uint8, mode="c", offset=data_start))
                 if header["data_size"]
                 else np.empty(0, dtype=np.uint8)
             )

@@ -48,6 +48,7 @@ from repro.runtime import (
     artifact_key,
     compile_model,
     load,
+    reference_forward,
     save,
     set_default_cache,
     shard,
@@ -309,6 +310,67 @@ class TestRoundTripIdentity:
 
 
 # ----------------------------------------------------------------------
+# The weight codes are the one programmed state
+# ----------------------------------------------------------------------
+def reachable_macros(compiled):
+    for engine in compiled.programmed_engines().values():
+        linear = getattr(engine, "linear", engine)
+        for tile in linear.engine.tiles:
+            yield tile.macro
+
+
+class TestCodesAreTheProgrammedState:
+    """Counts, not clocks: what is derived when, and what is stored."""
+
+    @staticmethod
+    def _model(store, config, how):
+        compiled = compile_model(resnet8_model(), config, cache=EngineCache())
+        if how == "loaded":
+            compiled = load(store, save(compiled, store), cache=EngineCache())
+        return compiled
+
+    @pytest.mark.parametrize("how", ["compiled", "loaded"])
+    def test_fast_path_never_derives_a_macro_plane(self, store, how):
+        compiled = self._model(store, RuntimeConfig(), how)
+        x = model_input("resnet8")
+        out, stats = compiled.run(x, rng=np.random.default_rng(0))
+        macros = list(reachable_macros(compiled))
+        assert macros and all(macro._planes is None for macro in macros)
+        expected, expected_stats = reference_forward(compiled.model, x)
+        assert np.array_equal(out, expected) and stats == expected_stats
+
+    @pytest.mark.parametrize("how", ["compiled", "loaded"])
+    def test_reference_path_derives_them_on_first_read(self, store, how):
+        config = noisy_runtime_config()
+        compiled = self._model(store, config, how)
+        assert all(macro._planes is None for macro in reachable_macros(compiled))
+        x = model_input("resnet8")
+        out, stats = compiled.run(x, rng=np.random.default_rng(3))
+        assert all(macro._planes is not None for macro in reachable_macros(compiled))
+        expected, expected_stats = reference_forward(
+            compiled.model,
+            x,
+            rom_config=config.rom_config,
+            sram_config=config.sram_config,
+            rng=np.random.default_rng(3),
+        )
+        assert np.array_equal(out, expected) and stats == expected_stats
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_artifact_stores_codes_and_scales_only(self, store, name):
+        compiled = compile_model(MODELS[name](), RuntimeConfig(), cache=EngineCache())
+        meta, arrays = store.read_model(save(compiled, store))
+        tree = json.dumps(meta["module_tree"])
+        engine_arrays = sorted(set(arrays) - set(re.findall(r'"array": "(\w+)"', tree)))
+        assert engine_arrays == sorted(
+            f"{entry['tag']}_{part}"
+            for entry in meta["engines"]
+            for part in ("codes", "scale")
+        )
+        assert all("kernel_groups" not in entry for entry in meta["engines"])
+
+
+# ----------------------------------------------------------------------
 # Content addressing
 # ----------------------------------------------------------------------
 class TestArtifactKey:
@@ -430,43 +492,45 @@ def golden_bn_model():
 
 
 #: shard count -> (artifact_key, sha256 of the ``.rcma`` file saved with
-#: ``created_at=0.0``), recomputed once for format VERSION 4.
+#: ``created_at=0.0``), recomputed once for format VERSION 5.
 #: A change here is a format change: bump ``VERSION`` deliberately.
-#: Header diff against VERSION 3 (pins 541adbcb…/4460209d… and
-#: 01c3a8bb…/85417408…, commit 6e58c20), nothing else moved:
-#:   "version": 3 -> 4 (and "key", which digests it)
-#:   each engine:  - "backend", - "backend_request", - "tuned"
-#:   "config":     - "backend", - "tune_probe_n"
-#: 6528 -> 6336 bytes unsharded, 6848 -> 6656 bytes in two shards.
+#: Header diff against VERSION 4 (pins 5fefffc0…/5844a949… and
+#: 9dbeb0af…/518cd122…, commit 1eb4b3d), nothing else moved:
+#:   "version": 4 -> 5 (and "key", which digests it)
+#:   each engine:  - "kernel_groups"
+#:   "arrays":     - every "<tag>_g<i>" row (later offsets, "data_size"
+#:                 and "data_sha256" follow)
+#: 6336 -> 5856 bytes unsharded, 6656 -> 6176 bytes in two shards.
 GOLDEN = {
     None: (
-        "5fefffc01d51143fcf6e650d9774f209366b74c495b147d812af944d324a5e09",
-        "5844a949bf8e9a4919af073b9e5458856101172b110d1150300101acb5acb4cb",
+        "ee20f5a944fd2429ded21986b7ba20033431ac1c69a4ea31a16835e854f3657c",
+        "d866edf983aa4d982b6c3d44b058ee79720f03b6129b932c443141936c3f7962",
     ),
     2: (
-        "9dbeb0af1b453a5469af8a38e3c4dea4ba4001caea6cd1e17776a18d8b0cf928",
-        "518cd122a0a6f8861d8fca2c71f23278f3a1d0c7bef08dacc09b1e47174eccf0",
+        "8ea8cad1002655345467908092b189a6d92d33340205922f91ce113a32eaf39f",
+        "490876986e1a5657cf3aeb510c2eb52b8397d330a13b78db473ac3c2c735150e",
     ),
 }
 
 
-#: The same pins for :func:`golden_all_kinds_model` (37016 and 37784
-#: bytes), and the keys of :func:`golden_bn_model` with and without
-#: ``fold_bn`` — all computed on commit 4842d2c, before the module-tree
-#: codec became table-driven, which had to leave them alone.
+#: The same pins for :func:`golden_all_kinds_model` (37016 -> 33816 and
+#: 37784 -> 34520 bytes, the same header diff over 16 engines), and the
+#: keys of :func:`golden_bn_model` with and without ``fold_bn`` — keys
+#: digest ``VERSION`` (that is what makes an old store miss), so they
+#: moved with it and with nothing else.
 GOLDEN_ALL_KINDS = {
     None: (
-        "a6cee61ad77a72829672ad2aecc9100b36931d0cb9e22fc387f173355e71a55c",
-        "8a43a0ec756730c65dad588d61ecfb310c580fb019acb33439751781e4218ace",
+        "332f769925fa16cde4180b30e5cacfacc62df516ad58cc05c92596bf4f954110",
+        "b0e6d4537d558bcc9b5da0319d87c3419d339fa0c3bfdb4976cd08676ae689cf",
     ),
     2: (
-        "7969d83d2e0a4658177bbb9c8dd34fee34154b43272b8a7fbbe94af0f3006c93",
-        "168e1ffe92a88b05eaf803bc3044e9429078a58650a224feb4bb2129dc67e147",
+        "b3866fe4ac9f4c7d00199ec83b58a79294f10a830dc23b40da5e1e0f168fceb3",
+        "5faef77a834d62d3e2e02d13dbad4f072ab6ddbcfb9bde1d7b651bbbd91c7cdc",
     ),
 }
 GOLDEN_BN_KEYS = {
-    True: "2da42ac65202d40a81c99fc54b3301e9fde187936903c446e1ef8175388120fe",
-    False: "1e7f7d7e04e8d1877786fc3ce39a3dfcfce4c75820e58720b9ae357848e425b1",
+    True: "ec82b67ca10586cf109423f92a004b2b0ff27ad6513a8940328a3475ce86c5a3",
+    False: "490619d35fc7446f7276eba38dc2ecbf45d263ad6a4249626157e4643edbf47f",
 }
 
 
@@ -482,7 +546,7 @@ class TestGoldenFormat:
 
     @pytest.mark.parametrize("n_shards", [None, 2])
     def test_artifact_bytes_and_key_are_pinned(self, store, n_shards):
-        assert snapshot_mod.VERSION == 4
+        assert snapshot_mod.VERSION == 5
         pins = self._saved_key_and_sha256(store, golden_model, n_shards)
         assert pins == GOLDEN[n_shards]
 
@@ -666,46 +730,90 @@ class TestRobustness:
 
     def test_version_mismatch_is_typed(self, store, monkeypatch):
         compiled = compile_model(linear_model(), RuntimeConfig(), cache=EngineCache())
-        # The previous format (what a pre-2.0 store holds) and a future one.
-        for written in (3, snapshot_mod.VERSION + 1):
+        # The previous formats (what pre-2.0 and pre-2.2 stores hold) and
+        # a future one.
+        for written in (3, 4, snapshot_mod.VERSION + 1):
             monkeypatch.setattr(snapshot_mod, "VERSION", written)
             key = save(compiled, store)
             monkeypatch.undo()
             with pytest.raises(SnapshotVersionError):
                 load(store, key)
 
-    def test_version_3_store_misses_and_is_rewritten(self, store, monkeypatch):
-        # A store written by format 3 can make a lookup miss, never fail:
-        # the registry compiles cold and overwrites, the engine cache's
-        # disk tier counts misses and reprograms.
-        key = artifact_key(linear_model(), RuntimeConfig())
-        monkeypatch.setattr(snapshot_mod, "VERSION", 3)
-        old_cache = EngineCache(store=store)
-        compiled = compile_model(linear_model(), RuntimeConfig(), cache=old_cache)
-        save(compiled, store, key=key)
-        monkeypatch.undo()
-        n_engines = old_cache.stats.programmed
-        assert n_engines == store.engine_count() > 0
+    def test_version_3_store_misses_and_is_rewritten(self, tmp_path, monkeypatch):
+        # A store written by an older format (3: kernel provenance; 4:
+        # packed planes beside the codes) can make a lookup miss, never
+        # fail: the registry compiles cold and overwrites, the engine
+        # cache's disk tier counts misses and reprograms.
+        for written in (3, 4):
+            store = ArtifactStore(tmp_path / f"v{written}")
+            key = artifact_key(linear_model(), RuntimeConfig())
+            monkeypatch.setattr(snapshot_mod, "VERSION", written)
+            old_cache = EngineCache(store=store)
+            compiled = compile_model(linear_model(), RuntimeConfig(), cache=old_cache)
+            save(compiled, store, key=key)
+            monkeypatch.undo()
+            n_engines = old_cache.stats.programmed
+            assert n_engines == store.engine_count() > 0
 
-        entry = ModelRegistry(cache=EngineCache()).register(
-            "m", linear_model(), store=store
-        )
-        assert not entry.warm_start and entry.artifact_key == key
-        x = model_input("linear")
-        expected, _ = compiled.run(x, rng=np.random.default_rng(1))
-        # Overwritten: the same key now loads.
-        served, _ = load(store, key, cache=EngineCache()).run(
-            x, rng=np.random.default_rng(1)
-        )
-        assert np.array_equal(expected, served)
+            entry = ModelRegistry(cache=EngineCache()).register(
+                "m", linear_model(), store=store
+            )
+            assert not entry.warm_start and entry.artifact_key == key
+            x = model_input("linear")
+            expected, _ = compiled.run(x, rng=np.random.default_rng(1))
+            # Overwritten: the same key now loads.
+            served, _ = load(store, key, cache=EngineCache()).run(
+                x, rng=np.random.default_rng(1)
+            )
+            assert np.array_equal(expected, served)
 
-        first = EngineCache(store=store)
-        compile_model(linear_model(), RuntimeConfig(), cache=first)
-        assert first.stats.disk_hits == 0
-        assert first.stats.disk_misses == first.stats.programmed == n_engines
-        second = EngineCache(store=store)
-        compile_model(linear_model(), RuntimeConfig(), cache=second)
-        assert (second.stats.disk_hits, second.stats.programmed) == (n_engines, 0)
+            first = EngineCache(store=store)
+            compile_model(linear_model(), RuntimeConfig(), cache=first)
+            assert first.stats.disk_hits == 0
+            assert first.stats.disk_misses == first.stats.programmed == n_engines
+            second = EngineCache(store=store)
+            compile_model(linear_model(), RuntimeConfig(), cache=second)
+            assert (second.stats.disk_hits, second.stats.programmed) == (n_engines, 0)
+
+    # The stored arrays must agree with the header that describes them;
+    # restore checks it explicitly (format 4 only noticed through the
+    # packed planes' bit count).
+    def _rewrite(self, store, key, edit):
+        meta, arrays = store.read_model(key)
+        arrays = {name: np.array(value) for name, value in arrays.items()}
+        edit(meta, arrays)
+        store._write(store.model_path(key), meta, arrays)
+
+    def test_engine_codes_not_2d_are_typed(self, store):
+        _, key = self._saved(store)
+
+        def edit(meta, arrays):
+            arrays["e0_codes"] = arrays["e0_codes"][None]
+
+        self._rewrite(store, key, edit)
+        with pytest.raises(SnapshotCorruptError, match="3-D weight codes"):
+            load(store, key, cache=EngineCache())
+
+    def test_engine_scale_length_mismatch_is_typed(self, store):
+        _, key = self._saved(store)
+
+        def edit(meta, arrays):
+            arrays["e0_scale"] = arrays["e0_scale"][:-1]
+
+        self._rewrite(store, key, edit)
+        with pytest.raises(SnapshotCorruptError, match="31 scales for 32"):
+            load(store, key, cache=EngineCache())
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_conv_weight_shape_mismatch_is_typed(self, store, axis):
+        _, key = self._saved(store, "conv")
+
+        def edit(meta, arrays):
+            meta["engines"][0]["weight_shape"][axis] += 1
+
+        self._rewrite(store, key, edit)
+        with pytest.raises(SnapshotCorruptError, match="conv weight shape"):
+            load(store, key, cache=EngineCache())
 
     def test_header_damage_is_typed(self, store):
         _, key = self._saved(store)
