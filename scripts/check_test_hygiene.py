@@ -31,6 +31,10 @@ import of ``numpy._core`` / ``numpy.core._*`` (or any other underscored
 numpy module), ``np._<name>`` attribute access, or the ``einsum_call=``
 keyword of ``np.einsum_path``.  Those move between numpy releases
 without notice; the kernels' bits must rest on documented behaviour.
+And for names numpy only has from 2.0 on (``np.bitwise_count`` …) used
+in a module that never tests ``hasattr(np, "<name>")``: the package
+declares ``numpy>=1.22``, so such a name is an optional fast path or a
+gated backend, never the only way.
 
 Usage: python scripts/check_test_hygiene.py
 """
@@ -199,6 +203,42 @@ def check_private_numpy(path: Path, source: str) -> list:
     return problems
 
 
+#: Public names added in numpy 2.0 (the array-API aliases and
+#: ``bitwise_count``): absent on the declared floor, ``numpy>=1.22``.
+NUMPY_2_ONLY = {
+    "acos", "acosh", "asin", "asinh", "atan", "atan2", "atanh",
+    "astype", "bitwise_count", "bitwise_invert", "bitwise_left_shift",
+    "bitwise_right_shift", "concat", "cumulative_prod", "cumulative_sum",
+    "isdtype", "long", "matrix_transpose", "matvec", "permute_dims", "pow",
+    "trapezoid", "ulong", "unique_all", "unique_counts", "unique_inverse",
+    "unique_values", "unstack", "vecdot", "vecmat",
+}
+
+
+def check_numpy_floor(path: Path, source: str) -> list:
+    tree = ast.parse(source, filename=str(path))
+    guarded = {
+        node.args[1].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _identifier(node.func) == "hasattr"
+        and len(node.args) == 2
+        and _identifier(node.args[0]) in ("np", "numpy")
+        and isinstance(node.args[1], ast.Constant)
+    }
+    return [
+        f"{path.relative_to(REPO_ROOT)}:{node.lineno}: np.{node.attr} exists "
+        f"only from numpy 2.0 on and this module never tests "
+        f"hasattr(np, {node.attr!r}) — the declared floor is numpy>=1.22; "
+        f"guard it and keep a path that runs without it"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+        and node.attr in NUMPY_2_ONLY - guarded
+    ]
+
+
 def check_file(path: Path) -> list:
     problems = []
     source = path.read_text()
@@ -224,14 +264,17 @@ def main() -> int:
             problems.extend(check_file(path))
     for root in SOURCES:
         for path in sorted((REPO_ROOT / root).rglob("*.py")):
-            problems.extend(check_private_numpy(path, path.read_text()))
+            source = path.read_text()
+            problems.extend(check_private_numpy(path, source))
+            problems.extend(check_numpy_floor(path, source))
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
         return 1
     print(
         f"checked {checked} test files: no wall-clock sleeps, "
-        f"no host-wall ratio asserts; no private numpy interface under src/"
+        f"no host-wall ratio asserts; no private numpy interface and no "
+        f"unguarded numpy-2 name under src/"
     )
     return 0
 

@@ -34,7 +34,7 @@ Top-level subpackages
     One runner per paper table/figure.
 """
 
-__version__ = "2.2.0"
+__version__ = "2.3.0"
 
 __all__ = [
     "nn",

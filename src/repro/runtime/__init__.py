@@ -53,7 +53,11 @@ from repro.runtime.backends import (
     get_backend,
     register_backend,
 )
-from repro.runtime.errors import CompileError, UnsupportedModuleError
+from repro.runtime.errors import (
+    CompileError,
+    InvalidBatchError,
+    UnsupportedModuleError,
+)
 from repro.runtime.engine import (
     ProgrammedConv,
     ProgrammedLinear,
@@ -101,6 +105,7 @@ __all__ = [
     "ArtifactStore",
     "CompileError",
     "UnsupportedModuleError",
+    "InvalidBatchError",
     "grouped_conv_execute",
     "SnapshotError",
     "SnapshotKeyError",

@@ -15,9 +15,12 @@ badly.  No engine selects this backend; it is registered for the
 performance ledger's per-kernel rows.
 
 Bitwise identity holds by construction: ON-cell counts are exact small
-integers whichever way they are contracted, and everything after them
-is the base class's :meth:`_TileGroup.shift_add` — the same code table
-indexed by the same integers, the same exact shift-and-add.
+integers whichever way they are contracted; the per-bit counts are
+paired into the base class's pair-table indices (``c0 + R * c1`` plus
+the pair's section offset — what its float32 GEMM emits directly), and
+everything after them is the base class's :meth:`_TileGroup.shift_add`
+— the same pair table indexed by the same integers, the same exact
+shift-and-add.
 """
 
 from __future__ import annotations
@@ -31,12 +34,24 @@ from repro.runtime.backends.base import register_backend
 from repro.runtime.backends.reference_fast import (
     TiledBitSerialKernel,
     _serial_codes,
-    _serial_planes,
 )
 
 #: ``np.bitwise_count`` landed in numpy 2.0; without it this backend
 #: simply never registers as supported (no candidate, never an error).
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
+
+
+def _serial_planes(unsigned: np.ndarray, ib: int) -> np.ndarray:
+    """0/1 input bit planes ``(rows, n, ib)`` as bytes — input bit
+    innermost, so the packed words contract to per-bit counts ordered
+    ``(vector, input bit)``."""
+    # Shift in the narrowest unsigned type that holds a code: the
+    # temporaries are 1 byte per element for 8-bit activations.
+    narrow = unsigned.astype(np.min_scalar_type((1 << ib) - 1), order="C")
+    planes = np.empty(unsigned.shape + (ib,), dtype=np.uint8)
+    for j in range(ib):
+        planes[..., j] = (narrow >> j) & 1
+    return planes
 
 
 class _GroupStatsPlan:
@@ -98,20 +113,24 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
     Only the count contraction differs from the base class: weight
     planes are packed once at program time (:meth:`_post_init`), input
     planes are packed per call, and the count matrix is accumulated as
-    ``popcount(w & x)`` per 64-row word — exact integers, identical to
-    the float32 GEMM's — and handed to the shared
-    :meth:`_TileGroup.shift_add`.
+    ``popcount(w & x)`` per 64-row word — exact integers, one per input
+    bit — then paired into the indices the float32 GEMM emits and handed
+    to the shared :meth:`_TileGroup.shift_add`.
     """
 
     backend_name = "popcount"
 
     def _post_init(self) -> None:
         config = self.engine.config
+        #: Each pair's table-section offset as a gather-index column.
+        self._sections = self._bias.astype(np.intp)[:, None]
         self._packed_planes: List[np.ndarray] = []
         self._stats_plans: List[_GroupStatsPlan] = []
         for group in self._groups:
             rows = group.row_stop - group.row_start
-            bits = group.planes32.astype(np.uint8).T  # (rows, wb*cols)
+            # The 0/1 planes, less the ones column the float32 GEMM
+            # carries its bias row with.
+            bits = group.planes32[:, :rows].astype(np.uint8).T  # (rows, wb*cols)
             # (W, wb*cols): one contiguous row of plane words per
             # 64-row word, so the count ufuncs' inner loop runs over
             # the long stacked axis even for a one-vector call.
@@ -131,10 +150,8 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
         ib = config.input_bits
         rows_total, n = unsigned.shape
 
-        # Input bit planes as 0/1 bytes in the shared (vector, j) column
-        # order — the packed words then contract to the count matrix in
-        # the same C-contiguous (k·c, n·j) layout the float32 GEMM emits.
-        flat = _serial_planes(unsigned, ib, np.uint8).reshape(rows_total, n * ib)
+        # Input bit planes as 0/1 bytes, (vector, j) column order.
+        flat = _serial_planes(unsigned, ib).reshape(rows_total, n * ib)
         # Per-row ON-bit totals: exact integers in any summation order,
         # so the popcount over codes equals the reference's float64
         # plane reduction bitwise.
@@ -159,14 +176,21 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
                 flat[group.row_start : group.row_stop], rows_used
             )  # (n*ib, W)
             # popcount(w & x) per word: exact ON-cell counts, held as
-            # (n*ib, wb*cols) — the float32 GEMM's result transposed;
-            # shift_add's dtype conversion restores its C order.
+            # (n*ib, wb*cols).
             counts = np.bitwise_count(xp[:, 0, None] & planes[0])
             if rows_used > 255:
                 counts = counts.astype(np.int64)
             for w in range(1, planes.shape[0]):
                 counts += np.bitwise_count(xp[:, w, None] & planes[w])
-            group.shift_add(counts.T, self._in_weights, out)
+            # Pair the per-bit counts into pair-table indices (n, pairs,
+            # wb*cols): c0 + R * c1 (an odd width's top pair has no c1)
+            # at the pair's section — the float32 GEMM's result
+            # transposed; shift_add's index conversion restores its C
+            # order.
+            counts = counts.reshape(n, ib, -1)
+            indices = counts[:, 0::2] + self._sections
+            indices[:, : ib // 2] += self._radix * counts[:, 1::2].astype(np.intp)
+            group.shift_add(indices.reshape(n * len(self._sections), -1).T, out)
             row_sums = ones_per_code[group.row_start : group.row_stop].sum(
                 axis=1, dtype=np.float64
             )

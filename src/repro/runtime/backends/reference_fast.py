@@ -15,45 +15,56 @@ around four observations:
 
 1. ON-cell counts are exact small integers (at most the activated row
    count), so the count contraction can run as a float32 GEMM with zero
-   rounding error, and the input bit planes can be built as float32
-   directly.
+   rounding error — and one GEMM column can carry **two** input bits.
+   With the radix ``R = rows + 1`` (an engine's tallest row block, plus
+   one) the right operand's entry for input-bit pair ``p`` is
+   ``bit[2p] + R * bit[2p + 1]``, so a GEMM entry is ``c0 + R * c1``:
+   two ON-cell counts, uniquely decodable because ``c0, c1 <= rows <
+   R``, exact in any order or blocking because every partial sum is a
+   non-negative integer below 2**24
+   (:meth:`TiledBitSerialKernel.supported`).  The macro streams one
+   activation bit per cycle; the simulator reads two per column.
 2. Bit-line clipping/saturation and ADC quantization are elementwise
-   functions of an integer count in ``[0, rows_used]`` — a lookup table
-   precomputed at programming time with the exact reference arithmetic
-   applies both in one contiguous gather, replacing the dominant
-   divide/round/clip/scale passes.
+   functions of an integer count in ``[0, rows_used]``, so both reads
+   digitise in **one** gather from a program-time *pair table*
+   ``T[s * R**2 + c0 + R * c1] = w[2p] * code(c0) + w[2p + 1] *
+   code(c1)`` (:func:`_pair_table`): integer ADC codes from the exact
+   reference arithmetic, the input plane weights baked in.  Pair ``p``
+   reads section ``s = p``; a signed top pair — MSB weight
+   ``-2**(ib - 1)`` — reads the one extra section ``s = P``, and an odd
+   ``input_bits`` is a top pair whose second bit is never set.  The
+   section offset rides in the GEMM itself: a ones column on the weight
+   planes times one bias row per row block in the operand, so input
+   signedness is a row of numbers, never a branch.
 3. ADC codes are integers, and shift-and-add over them is exact: the
    oracle recombines the codes and applies the ADC step once per tile
    partial (:meth:`repro.cim.adc.AdcSpec.convert`), so every product
    and partial sum is an integer below ``levels * 2**(weight_bits +
    input_bits)`` and *any* contraction order, blocking or BLAS kernel
-   returns the same bits.  The lookup table therefore holds codes, in
-   float32 while that bound fits 2**24 (2**21 for the 8/8/5-bit
-   default) and in float64 up to 2**53 — a program-time function of the
-   configuration; past 2**53 the configuration is not
-   :meth:`~TiledBitSerialKernel.supported` and takes the reference macro
-   path.  The activation bit planes are built **input-bit innermost** —
-   ``(row, vector, input_bit)`` — which only permutes the columns of
-   the exact-integer count GEMM and makes the input-bit fold one
-   ``matmul`` over a contiguous ``(weight_bit·column·vector,
-   input_bit)`` view.
+   returns the same bits.  The pair table therefore holds weighted
+   codes, in float32 while that bound fits 2**24 (2**21 for the
+   8/8/5-bit default) and in float64 up to 2**53 — a program-time
+   function of the configuration; past either bound the configuration
+   is not :meth:`~TiledBitSerialKernel.supported` and takes the
+   reference macro path.  The operand is built **pair innermost** —
+   ``(row, vector, pair)`` — so a block of vectors is a column slice of
+   it and the input-bit fold is a sum over ``P = ceil(input_bits / 2)``
+   adjacent entries.
 4. Nothing in the chain depends on its neighbours along the vector
-   axis, so the whole back half — count GEMM -> code gather -> input-bit
-   fold -> weight-bit fold -> ``out += partial * step``
+   axis, so the whole back half — count GEMM -> pair gather ->
+   weight-bit fold -> pair fold -> ``out += partial * step``
    (:meth:`_TileGroup.shift_add`) — runs per **block of vectors** sized
-   to keep one row block's counts and codes cache-resident
+   to keep one row block's indices and codes cache-resident
    (:data:`_BLOCK_BYTES`).  No whole-batch intermediate exists, and a
    programmed kernel holds no per-call-shape state.
 
-Two further exact shortcuts: the total ON-cell count needed for energy
-accounting factorizes over rows (both factors are exact integers), and
-when the composed bit-line + ADC transfer maps every reachable count to
-itself (activated rows within ADC resolution) the gather is skipped
-entirely.
+One further exact shortcut: the total ON-cell count needed for energy
+accounting factorizes over rows (both factors are exact integers).
 
 :class:`StackedBitSerialKernel` runs the same-geometry kernels of one
 grouped convolution's groups as a single pass — batched count GEMM,
-one gather, one batched shift-and-add, group-major stats.
+one gather, one batched shift-and-add, group-major stats; per-group
+input signedness is a per-group bias row.
 
 ``tests/test_runtime.py`` pins the bitwise equivalence against the
 reference path across shapes, signedness and batch extents.  Anything
@@ -63,30 +74,38 @@ encodings) falls back to the reference implementation at the call site.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import fields, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cim.bitline import BitlineModel
 from repro.cim.macro import MacroConfig, MacroStats, macro_pass_stats, plane_weights
 from repro.cim.mvm import CimTiledMatmul
 from repro.runtime.backends.base import KernelBackend, register_backend
 
-#: Byte budget for one block of input vectors, at 8 bytes per count of
-#: ``stacked weight-plane rows x vectors x input_bits``: the float32
-#: counts and the float32 codes gathered from them.  With the gather
-#: indices beside them the block's working set is ~2x this — sized to
-#: stay within a few MiB of last-level-private cache (re-measured on the
-#: resnet8 conv shapes: 2-8 MiB is a plateau within run-to-run noise,
-#: 0.5 MiB is ~10% slower).
+#: Byte budget for one block of input vectors, at 8 bytes per entry of
+#: ``stacked weight-plane rows x vectors x input-bit pairs``: the
+#: float32 table indices out of the GEMM and the float32 codes gathered
+#: at them.  With the gather's ``intp`` indices beside them the block's
+#: working set is ~2x this — sized to stay within a few MiB of
+#: last-level-private cache (re-measured on the resnet8 conv shapes:
+#: 2-8 MiB is a plateau within run-to-run noise, 0.5 MiB is ~10% slower).
 _BLOCK_BYTES = 4 << 20
 
 
-def _block_vectors(stacked_rows: int, ib: int) -> int:
+def _pairs(input_bits: int) -> int:
+    """Input-bit pairs of a code: GEMM columns, gathers and fold entries
+    per vector."""
+    return (input_bits + 1) // 2
+
+
+def _block_vectors(stacked_rows: int, pairs: int) -> int:
     """Input vectors per block of a row block whose tiles stack
     ``stacked_rows`` weight-plane rows: as many as keep the block's
-    counts and codes within :data:`_BLOCK_BYTES`."""
-    return max(1, _BLOCK_BYTES // (stacked_rows * ib * 8))
+    indices and codes within :data:`_BLOCK_BYTES`."""
+    return max(1, _BLOCK_BYTES // (stacked_rows * pairs * 8))
 
 
 def _code_sum_bound(config: MacroConfig) -> int:
@@ -132,19 +151,72 @@ def _serial_codes(engine: CimTiledMatmul, x: np.ndarray) -> Tuple[np.ndarray, bo
     return unsigned, squeeze
 
 
-def _serial_planes(unsigned: np.ndarray, ib: int, dtype) -> np.ndarray:
-    """0/1 input bit planes ``(..., rows, n, ib)`` — input bit innermost.
+#: ON bits of a byte of codes: ``np.bitwise_count`` where numpy has it
+#: (2.0 on), a 256-entry table's gather on the declared floor.
+_BYTE_ONES = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
+_byte_ones = np.bitwise_count if hasattr(np, "bitwise_count") else _BYTE_ONES.take
 
-    Flattened to ``(rows, n * ib)`` this is the count contraction's
-    right operand; a block of vectors is a column slice of it.
+
+@functools.lru_cache(maxsize=64)
+def _pair_values(input_bits: int, radix: int) -> Tuple[np.ndarray, ...]:
+    """The paired operand entries of every value of each byte of an
+    ``input_bits``-wide code: per byte one read-only float32 ``(2**bits,
+    pairs)`` array whose row ``b`` holds ``bit[2p] + radix * bit[2p + 1]``
+    of ``b`` for each of the byte's pairs (at most four).  Shared per
+    (width, radix) at program time."""
+    chunks = []
+    for low in range(0, input_bits, 8):
+        bits = min(8, input_bits - low)
+        pair = np.arange(1 << bits)[:, None] >> np.arange(0, bits, 2)
+        values = ((pair & 1) + radix * ((pair >> 1) & 1)).astype(np.float32)
+        values.flags.writeable = False
+        chunks.append(values)
+    return tuple(chunks)
+
+
+def _paired_operand(
+    unsigned: np.ndarray,
+    pair_values: Sequence[np.ndarray],
+    bounds: Sequence[Tuple[int, int]],
+    bias: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The count GEMM's right operand for unsigned codes ``(..., rows,
+    n)``, and the codes' per-row ON-bit totals ``(..., rows)``.
+
+    The operand is float32 ``(..., rows + len(bounds), n * pairs)``, pair
+    innermost: row block ``b`` of ``bounds`` (ascending, tiling the rows)
+    occupies rows ``r0 + b`` to ``r1 + b`` with its paired bits and row
+    ``r1 + b`` with ``bias`` ``(..., pairs)`` — the pair-table section
+    offsets the weight planes' ones column picks up — so a row block's
+    slice, bias row included, is the GEMM operand as it stands.  A block
+    of vectors is a column slice.  Each byte of the codes is expanded by
+    one gather from its :func:`_pair_values` straight into place; the
+    totals are exact integers whichever way they are counted.
     """
-    # Shift in the narrowest unsigned type that holds a code: the
-    # temporaries are 1 byte per element for 8-bit activations.
-    narrow = unsigned.astype(np.min_scalar_type((1 << ib) - 1), order="C")
-    planes = np.empty(unsigned.shape + (ib,), dtype=dtype)
-    for j in range(ib):
-        planes[..., j] = (narrow >> j) & 1
-    return planes
+    lead, (rows, n) = unsigned.shape[:-2], unsigned.shape[-2:]
+    pairs = bias.shape[-1]
+    operand = np.empty(lead + (rows + len(bounds), n, pairs), dtype=np.float32)
+    row_ones = np.zeros(lead + (rows,), dtype=np.int64)
+    for k, values in enumerate(pair_values):
+        # Integer casts wrap: the low byte of the shifted code.
+        byte = (unsigned >> 8 * k if k else unsigned).astype(np.uint8)
+        row_ones += _byte_ones(byte).sum(axis=-1, dtype=np.int64)
+        for b, (r0, r1) in enumerate(bounds):
+            # In range by construction, so "clip" never clips; it selects
+            # numpy's unchecked, unbuffered gather loop.
+            np.take(
+                values,
+                byte[..., r0:r1, :],
+                axis=0,
+                mode="clip",
+                out=operand[..., r0 + b : r1 + b, :, 4 * k : 4 * k + values.shape[1]],
+            )
+    for b, (_, r1) in enumerate(bounds):
+        operand[..., r1 + b, :, :] = bias[..., None, :]
+    return (
+        operand.reshape(lead + (rows + len(bounds), n * pairs)),
+        row_ones.astype(np.float64),
+    )
 
 
 def _weight_bit_planes(codes: np.ndarray, weight_bits: int) -> np.ndarray:
@@ -163,23 +235,81 @@ def _weight_bit_planes(codes: np.ndarray, weight_bits: int) -> np.ndarray:
     return planes
 
 
+def _pair_table(config: MacroConfig, rows: int, radix: int) -> Tuple[np.ndarray, float]:
+    """The pair table of a ``rows``-row block read at ``radix``, and the
+    ADC step its codes are scaled by: one shared read-only array per
+    distinct (rows, radix, circuit, input bits), built at program time."""
+    bitline = config.bitline  # noise-free, so observe() reads these two
+    return _shared_pair_table(
+        rows,
+        radix,
+        config.adc,
+        bitline.max_rows,
+        bitline.saturation,
+        config.input_bits,
+        _accumulator_dtype(config),
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_pair_table(rows, radix, adc, max_rows, saturation, input_bits, dtype):
+    """``table[s * radix**2 + c0 + radix * c1] = w0 * code(c0) + w1 *
+    code(c1)`` over ``c0, c1`` in ``[0, rows]``, where ``(w0, w1)`` are
+    the input plane weights of section ``s``'s bit pair: sections ``0``
+    to ``P - 1`` the pairs of an unsigned code (a missing top bit weighs
+    nothing), section ``P`` the top pair of a signed one.
+
+    ``code`` is the bit-line observation + ADC conversion of an integer
+    count with the exact reference arithmetic; entries unreachable from
+    a block shorter than the radix stay zero.  The cache only shares:
+    kernels hold their tables, so an evicted entry costs a later
+    program a rebuild, never a wrong table.
+    """
+    domain = np.arange(rows + 1, dtype=np.float64)
+    bitline = BitlineModel(max_rows=max_rows, saturation=saturation)
+    codes, step = adc.convert(bitline.observe(domain, None), float(rows))
+    pairs = _pairs(input_bits)
+    weights = np.zeros((2, 2 * pairs))
+    weights[0, :input_bits] = plane_weights(input_bits, False)
+    weights[1, :input_bits] = plane_weights(input_bits, True)
+    weights = weights.reshape(2, pairs, 2)
+    table = np.zeros((pairs + 1, radix, radix), dtype=dtype)
+    for section, (w0, w1) in zip(table, np.concatenate([weights[0], weights[1, -1:]])):
+        section[: rows + 1, : rows + 1] = np.add.outer(w1 * codes, w0 * codes)
+    table = table.reshape(-1)
+    table.flags.writeable = False
+    return table, step
+
+
+def _section_offsets(config: MacroConfig, radix: int) -> np.ndarray:
+    """The pair-table offset of each input-bit pair's section — the
+    operand's bias row: pair ``p`` reads section ``p``, a signed top
+    pair section ``P``."""
+    sections = np.arange(_pairs(config.input_bits))
+    if config.signed_inputs:
+        sections[-1] += 1
+    return (sections * radix**2).astype(np.float32)
+
+
 class _TileGroup:
     """Tiles sharing one row block, executed through one fused GEMM.
 
-    Column tiles of the same rows consume the same input bit planes, so
+    Column tiles of the same rows consume the same paired operand, so
     their float32 weight-plane matrices are stacked into one operand:
-    one GEMM, one ADC gather and one input-bit fold cover the whole
-    block (:meth:`shift_add`), and each tile's slice of the result is a
+    one GEMM and one pair gather cover the whole block
+    (:meth:`shift_add`), and each tile's slice of the result is a
     contiguous view.
 
     Everything here is derived from ``codes`` — the row block's
     ``(rows, columns)`` slice of the engine's integer weight codes, the
     one programmed state — by the same routine whether the engine was
     just compiled or restored from an artifact; the macros' own float64
-    bit planes are never read.
+    bit planes are never read.  ``radix`` is the engine's.
     """
 
-    def __init__(self, row_start: int, row_stop: int, tiles: List, codes: np.ndarray):
+    def __init__(
+        self, row_start: int, row_stop: int, tiles: List, codes: np.ndarray, radix: int
+    ):
         self.row_start = row_start
         self.row_stop = row_stop
         self.tiles = tiles
@@ -191,13 +321,14 @@ class _TileGroup:
         )
         # Stacked planes: tile after tile, each ``(weight bit, column)``
         # major over the block's rows — gathered as narrow words, then
-        # widened to float32 in one contiguous pass.
+        # widened to float32 in one contiguous pass — and a ones column
+        # that carries the operand's bias row through the GEMM.
         bits = _weight_bit_planes(codes, wb)
-        stacked = np.empty((int(self.offsets[-1]), rows), dtype=bits.dtype)
+        stacked = np.ones((int(self.offsets[-1]), rows + 1), dtype=bits.dtype)
         for index, tile in enumerate(tiles):
             stacked[self.offsets[index] : self.offsets[index + 1]].reshape(
-                wb, tile.macro.cols_used, rows
-            )[...] = bits[:, tile.col_start : tile.col_stop]
+                wb, tile.macro.cols_used, rows + 1
+            )[..., :rows] = bits[:, tile.col_start : tile.col_stop]
         self.planes32 = stacked.astype(np.float32)
         # Per-row ON-cell totals: exact integers whichever order they
         # are summed in, so they equal the float64 reduction of the
@@ -207,51 +338,36 @@ class _TileGroup:
             stored_bits[tile.col_start : tile.col_stop].sum(axis=0, dtype=np.float64)
             for tile in tiles
         ]
-        # Bit-line observation + ADC conversion composed over every
-        # reachable integer count, with the exact reference arithmetic:
-        # a table of integer codes, and the step they are scaled by.
-        domain = np.arange(rows + 1, dtype=np.float64)
-        adc_codes, self.step = config.adc.convert(
-            config.bitline.observe(domain, None), float(rows)
-        )
-        self.lut_is_identity = bool(np.array_equal(adc_codes, domain))
-        dtype = _accumulator_dtype(config)
-        self.code_lut = adc_codes.astype(dtype)
+        self.pair_table, self.step = _pair_table(config, rows, radix)
+        dtype = self.pair_table.dtype
         self.plane_weights = tiles[0].macro._plane_weights.astype(dtype)
+        self.pair_ones = np.ones(_pairs(config.input_bits), dtype=dtype)
 
-    def shift_add(
-        self, counts: np.ndarray, in_weights: np.ndarray, out: np.ndarray
-    ) -> None:
-        """Digitize exact integer ``counts`` ``(..., stacked rows,
-        vectors * ib)`` (any numeric dtype, any memory order) and add the
-        row block's partial sums into float64 ``out`` ``(..., columns,
-        vectors)``.
+    def shift_add(self, indices: np.ndarray, out: np.ndarray) -> None:
+        """Digitize pair-table ``indices`` ``(..., stacked rows, vectors *
+        pairs)`` (exact integers in any numeric dtype, any memory order)
+        and add the row block's partial sums into float64 ``out`` ``(...,
+        columns, vectors)``.
 
-        One gather from the code table (skipped when every count is its
-        own code), the input bit folded by one ``matmul`` with
-        ``in_weights`` ``(..., ib, 1)``, the weight bit per tile: integer
-        arithmetic throughout, exact in the table's dtype, then one
-        rounding per element — ``partial * step``, the oracle's.  Leading
-        axes batch same-geometry row blocks.
+        One gather of weighted code pairs; then per tile the weight bit
+        folds first — one product over the long contiguous axis — and
+        the pair entries of the ``weight_bits`` times smaller result
+        after it: integer arithmetic throughout, exact in the table's
+        dtype whichever way it is ordered, then one rounding per element
+        — ``partial * step``, the oracle's.  Leading axes batch
+        same-geometry row blocks.
         """
-        dtype = self.code_lut.dtype
-        if self.lut_is_identity:
-            codes = counts.astype(dtype, order="C", copy=False)
-        else:
-            # Indices are in range by construction, so "clip" never clips;
-            # it selects numpy's unchecked, unbuffered gather loop.
-            codes = np.take(
-                self.code_lut, counts.astype(np.intp, order="C"), mode="clip"
-            )
-        lead, stacked = codes.shape[:-2], codes.shape[-2]
-        ib = in_weights.shape[-2]
-        folded = np.matmul(codes.reshape(*lead, -1, ib), in_weights).reshape(
-            *lead, stacked, -1
+        # Indices are in range by construction, so "clip" never clips;
+        # it selects numpy's unchecked, unbuffered gather loop.
+        codes = np.take(
+            self.pair_table, indices.astype(np.intp, order="C"), mode="clip"
         )
-        wb = self.plane_weights.size
+        lead = codes.shape[:-2]
+        wb, pairs = self.plane_weights.size, self.pair_ones.size
         for index, tile in enumerate(self.tiles):
-            planes = folded[..., self.offsets[index] : self.offsets[index + 1], :]
+            planes = codes[..., self.offsets[index] : self.offsets[index + 1], :]
             partial = np.matmul(self.plane_weights, planes.reshape(*lead, wb, -1))
+            partial = np.matmul(partial.reshape(-1, pairs), self.pair_ones)
             out[..., tile.col_start : tile.col_stop, :] += np.multiply(
                 partial.reshape(*lead, tile.macro.cols_used, -1),
                 self.step,
@@ -265,9 +381,9 @@ class TiledBitSerialKernel(KernelBackend):
 
     Mirrors :meth:`CimTiledMatmul.matmul` exactly — per-tile partial
     sums accumulate in tile order, latency is the slowest tile — while
-    fusing the bit-plane extraction (once per call) and the GEMM, ADC
-    gather and shift-and-add (once per row block and block of vectors)
-    across tiles.
+    fusing the paired operand's expansion (once per call) and the GEMM,
+    pair gather and shift-and-add (once per row block and block of
+    vectors) across tiles.
     """
 
     backend_name = "reference-fast"
@@ -275,22 +391,26 @@ class TiledBitSerialKernel(KernelBackend):
     def __init__(self, engine: CimTiledMatmul):
         if not self.supported(engine.config):
             raise ValueError(
-                "fast bit-serial kernel requires a noise-free bit line and "
-                "shift-and-add sums below 2**53; "
+                "fast bit-serial kernel requires a noise-free bit line, "
+                "shift-and-add sums below 2**53 and pair-table indices "
+                "below 2**24; "
                 "use the reference CimTiledMatmul.matmul path instead"
             )
         blocks: dict = {}
         for tile in engine.tiles:
             blocks.setdefault((tile.row_start, tile.row_stop), []).append(tile)
         self.engine = engine
+        #: Row blocks, ascending; block ``b`` reads operand rows
+        #: ``r0 + b`` to ``r1 + b`` inclusive (its bias row last).
+        self._bounds = list(blocks)
+        #: One radix per engine: its tallest row block, plus one.
+        self._radix = max(r1 - r0 for r0, r1 in blocks) + 1
         self._groups = [
-            _TileGroup(r0, r1, tiles, engine.weights[r0:r1])
+            _TileGroup(r0, r1, tiles, engine.weights[r0:r1], self._radix)
             for (r0, r1), tiles in blocks.items()
         ]
-        config = engine.config
-        self._in_weights = plane_weights(
-            config.input_bits, config.signed_inputs
-        ).astype(_accumulator_dtype(config))[:, None]
+        self._bias = _section_offsets(engine.config, self._radix)
+        self._pair_values = _pair_values(engine.config.input_bits, self._radix)
         self._post_init()
 
     def _post_init(self) -> None:
@@ -300,43 +420,44 @@ class TiledBitSerialKernel(KernelBackend):
     @staticmethod
     def supported(config: MacroConfig) -> bool:
         """True when the fast path is bit-exact for this configuration:
-        a noise-free bit line, and a shift-and-add whose every partial
-        sum is an integer float64 holds exactly."""
+        a noise-free bit line, a shift-and-add whose every partial sum
+        is an integer float64 holds exactly, and a pair table — ``P + 1``
+        sections of ``(rows + 1)**2`` — whose every index, and so every
+        partial sum of the float32 count GEMM, is below 2**24."""
         return (
             config.bitline is not None
             and config.bitline.noise_sigma_counts == 0
             and _code_sum_bound(config) < 1 << 53
+            and (_pairs(config.input_bits) + 1) * (config.rows + 1) ** 2 <= 1 << 24
         )
 
     def matmul(self, x: np.ndarray) -> Tuple[np.ndarray, MacroStats]:
         engine = self.engine
-        config = engine.config
         unsigned, squeeze = _serial_codes(engine, x)
-        ib = config.input_bits
-        rows_total, n = unsigned.shape
+        n = unsigned.shape[1]
+        pairs = self._bias.size
 
-        # Input bit planes for the whole engine, once per call.  Every
-        # buffer below is allocated per call: programmed kernels are
-        # shared across threads.
-        flat = _serial_planes(unsigned, ib, np.float32).reshape(rows_total, n * ib)
-        # Per-row plane totals: exact integers, whole-call.
-        row_sums_all = flat.sum(axis=1, dtype=np.float64)
+        # The paired operand and per-row ON-bit totals for the whole
+        # engine, once per call.  Every buffer below is allocated per
+        # call: programmed kernels are shared across threads.
+        operand, row_sums_all = _paired_operand(
+            unsigned, self._pair_values, self._bounds, self._bias
+        )
 
         out = np.zeros((engine.shape[1], n))
         # Scalar accumulators: same per-field addition order as the
         # reference's sequential MacroStats.__add__ chain.
         acc = _StatsAccumulator()
-        for group in self._groups:
-            bits = flat[group.row_start : group.row_stop]
+        for b, group in enumerate(self._groups):
+            pairs_in = operand[group.row_start + b : group.row_stop + b + 1]
             # One GEMM for every column tile of the row block:
-            # C-contiguous (sum of wb*cols, vectors*ib), i.e. stacked
-            # (k, c, n, j) — per cache-sized block of vectors.
-            width = _block_vectors(group.planes32.shape[0], ib)
+            # C-contiguous (sum of wb*cols, vectors*pairs), i.e. stacked
+            # (k, c, n, p) — per cache-sized block of vectors.
+            width = _block_vectors(group.planes32.shape[0], pairs)
             for v0 in range(0, n, width):
                 v1 = min(v0 + width, n)
                 group.shift_add(
-                    np.matmul(group.planes32, bits[:, v0 * ib : v1 * ib]),
-                    self._in_weights,
+                    np.matmul(group.planes32, pairs_in[:, v0 * pairs : v1 * pairs]),
                     out[:, v0:v1],
                 )
             row_sums = row_sums_all[group.row_start : group.row_stop]
@@ -425,8 +546,8 @@ def _sum_groups(stats: MacroStats, groups: int) -> MacroStats:
 
 class _StackedRowBlock:
     """One row block of ``G`` same-geometry kernels: the groups' plane
-    matrices stacked ``(G, wb * cols, rows)`` for one batched count
-    GEMM.  Tile layout, LUT and its flags are the first group's — the
+    matrices stacked ``(G, wb * cols, rows + 1)`` for one batched count
+    GEMM.  Tile layout, pair table and step are the first group's — the
     kernels share geometry and circuit."""
 
     def __init__(self, groups: List[_TileGroup]):
@@ -444,24 +565,26 @@ class StackedBitSerialKernel:
 
     Bitwise equal, in outputs and stats, to running each group's
     :class:`TiledBitSerialKernel` in index order and summing the stats
-    with ``MacroStats.__add__``.  Counts (batched float32 GEMM), the
-    code gather, the shift-and-add over integer codes and the stats'
+    with ``MacroStats.__add__``.  Table indices (batched float32 GEMM),
+    the pair gather, the shift-and-add over integer codes and the stats'
     integer reductions are exact per element whatever the batching, so
     every grouped layer whose groups run the fast kernel stacks.
     """
 
     def __init__(self, kernels: Sequence[TiledBitSerialKernel]):
-        engine = kernels[0].engine
-        self.shape = engine.shape
-        self.config = engine.config
-        #: Per-group input-bit weights ``(G, ib, 1)``: signedness is per group.
-        self._in_weights = np.stack([kernel._in_weights for kernel in kernels])
+        first = kernels[0]
+        self.shape = first.engine.shape
+        self.config = first.engine.config
+        self._bounds, self._pair_values = first._bounds, first._pair_values
+        #: Per-group bias rows ``(G, pairs)``: signedness is per group,
+        #: and all it selects is the top pair's table section.
+        self._bias = np.stack([kernel._bias for kernel in kernels])
         self._ranges = np.array(
             [kernel.engine.config.input_range() for kernel in kernels]
         )
         self._blocks = [
             _StackedRowBlock([kernel._groups[index] for kernel in kernels])
-            for index in range(len(kernels[0]._groups))
+            for index in range(len(first._groups))
         ]
 
     @staticmethod
@@ -501,29 +624,27 @@ class StackedBitSerialKernel:
         and the layer's :class:`MacroStats`."""
         self._validate(codes)
         ib = self.config.input_bits
-        groups, rows_total, n = codes.shape
+        groups, _, n = codes.shape
+        pairs = self._bias.shape[1]
         # Every buffer is per call: the stack is shared across threads.
-        planes = _serial_planes(codes & ((1 << ib) - 1), ib, np.float32).reshape(
-            groups, rows_total, n * ib
+        operand, row_sums_all = _paired_operand(
+            codes & ((1 << ib) - 1), self._pair_values, self._bounds, self._bias
         )
-        row_sums_all = planes.sum(axis=2, dtype=np.float64)  # exact integers
 
         out = np.zeros((groups, self.shape[1], n))
         # Tiles in tile order with every group's entry side by side,
         # then the groups in index order.
         per_group = _StatsAccumulator()
-        for block in self._blocks:
+        for b, block in enumerate(self._blocks):
             head = block.head
-            bits = planes[:, head.row_start : head.row_stop]
-            stacked = block.planes32.shape[1]
+            pairs_in = operand[:, head.row_start + b : head.row_stop + b + 1]
             # Cache-sized blocks of vectors, as in the per-group kernel;
             # the budget covers all the groups.
-            width = _block_vectors(groups * stacked, ib)
+            width = _block_vectors(groups * block.planes32.shape[1], pairs)
             for v0 in range(0, n, width):
                 v1 = min(v0 + width, n)
                 head.shift_add(
-                    np.matmul(block.planes32, bits[:, :, v0 * ib : v1 * ib]),
-                    self._in_weights,
+                    np.matmul(block.planes32, pairs_in[:, :, v0 * pairs : v1 * pairs]),
                     out[:, :, v0:v1],
                 )
 

@@ -70,7 +70,7 @@ from repro.runtime.programming import (
     fold_batchnorm,
     validate_deployable,
 )
-from repro.runtime.reference import descend, pure_op
+from repro.runtime.reference import check_batch, descend, input_rank, pure_op
 from repro.runtime.session import ExecutionSession
 
 _log = get_logger("runtime.compile")
@@ -603,6 +603,7 @@ class CompiledModel:
         self._rng = rng if rng is not None else np.random.default_rng()
         self._profiles: Dict[Tuple[int, ...], Any] = {}
         self._consumers = self._count_consumers()
+        self._input_rank = input_rank(model)
 
     def _count_consumers(self) -> Dict[int, int]:
         """Refcounts: how many consumers each value (node output or the
@@ -664,8 +665,8 @@ class CompiledModel:
         draw from concurrently.
         """
         state = self._new_state(rng, encoding, degrade)
-        x = np.asarray(batch, dtype=np.float64)
-        n_samples = x.shape[0] if x.ndim else 1
+        x = check_batch(batch, self._input_rank)
+        n_samples = x.shape[0]
         # Resolve the tracer once per run: with tracing disabled this is
         # one module-global read plus the shared no-op span context per
         # node (counted by ``benchmarks/test_bench_obs.py``).

@@ -310,7 +310,9 @@ class _GroupStack:
     """What one list of per-group engines contributes to every layer
     pass, gathered once: activation spec, input signedness, weight
     scales and — when every group runs the fast kernel over one geometry
-    — their :class:`StackedBitSerialKernel`.
+    — their :class:`StackedBitSerialKernel`, in which a group's input
+    signedness is one row of numbers (the pair-table section its top
+    input-bit pair reads), so a mixed-sign layer is still one pass.
 
     Valid for exactly the engine objects it was built from
     (``engines``, held strongly and compared by identity): re-programmed

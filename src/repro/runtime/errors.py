@@ -1,9 +1,12 @@
-"""Typed compile-time failures of the deployment runtime.
+"""Typed failures of the deployment runtime: compile time, and the
+``run`` edge.
 
 :class:`CompileError` subclasses ``TypeError`` because the runtime
 historically raised bare ``TypeError("cannot deploy ...")`` for
 undeployable modules; existing callers that catch ``TypeError`` keep
 working while new callers can catch the precise class.
+:class:`InvalidBatchError` subclasses ``ValueError`` for the same
+reason: the engines' own shape checks always raised one.
 """
 
 from __future__ import annotations
@@ -31,3 +34,15 @@ class UnsupportedModuleError(CompileError):
             f"cannot deploy module {qualified_name or '<root>'!r} of type "
             f"{module_type}: {reason}"
         )
+
+
+class InvalidBatchError(ValueError):
+    """An input batch no engine should see: empty, non-finite, of a
+    non-numeric dtype, or of the wrong rank for the model's first node.
+
+    Raised by :meth:`CompiledModel.run` and :func:`reference_forward`
+    alike (:func:`repro.runtime.reference.check_batch`) before any
+    engine runs — instead of a quantiser reduction over nothing, a cast
+    warning followed by the kernel's code-range error, or an unpacking
+    error deep in ``im2col``.
+    """

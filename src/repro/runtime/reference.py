@@ -31,7 +31,7 @@ from repro.cim.encoding import ActivationEncoding
 from repro.cim.macro import MacroConfig, MacroStats
 from repro.cim.mvm import reference_cim_conv2d, reference_cim_linear
 from repro.rebranch.branch import ReBranchConv2d
-from repro.runtime.errors import UnsupportedModuleError
+from repro.runtime.errors import InvalidBatchError, UnsupportedModuleError
 
 
 class _EagerGraph:
@@ -168,6 +168,70 @@ def pure_op(module: nn.Module):
     return None
 
 
+#: Rank of the batch a leaf kind consumes; a kind not listed takes any.
+_LEAF_RANK = {
+    ReBranchConv2d: 4,
+    nn.Conv2d: 4,
+    nn.MaxPool2d: 4,
+    nn.AvgPool2d: 4,
+    nn.GlobalAvgPool2d: 4,
+    nn.Linear: 2,
+}
+
+
+class _FirstLeaf(Exception):
+    """Unwinds :func:`input_rank`'s walk at the first leaf it reaches."""
+
+
+class _LeafFinder:
+    """The ``plan_forward`` builder surface that runs nothing: the first
+    ``child`` that is a leaf ends the walk."""
+
+    def child(self, module: nn.Module, name: str, x):
+        if isinstance(module, tuple(_LEAF_RANK)) or pure_op(module) is not None:
+            raise _FirstLeaf(module)
+        return descend(module, name, self, x)
+
+    def add(self, a, b, name: str = "add"):
+        return a
+
+
+def input_rank(model: nn.Module) -> Optional[int]:
+    """Rank of the batch ``model``'s first node consumes — the first
+    leaf in declaration order, which is execution order for both walkers
+    — or ``None`` when any rank will do."""
+    try:
+        _LeafFinder().child(model, "", None)
+    except _FirstLeaf as found:
+        (leaf,) = found.args
+        return next(
+            (rank for kind, rank in _LEAF_RANK.items() if isinstance(leaf, kind)), None
+        )
+    return None
+
+
+def check_batch(batch, rank: Optional[int]) -> np.ndarray:
+    """``batch`` as the float64 array both walkers start from, or an
+    :class:`~repro.runtime.errors.InvalidBatchError`: the one check of
+    the model input, made before any engine runs."""
+    x = np.asarray(batch)
+    if x.dtype.kind not in "biuf":
+        raise InvalidBatchError(
+            f"batch dtype {x.dtype} is not numeric; expected real numbers"
+        )
+    if x.ndim == 0 or (rank is not None and x.ndim != rank):
+        raise InvalidBatchError(
+            f"batch of shape {x.shape} has rank {x.ndim}; the model's first "
+            f"node takes {'a batch axis' if rank is None else f'rank {rank}'}"
+        )
+    if x.size == 0:
+        raise InvalidBatchError(f"batch of shape {x.shape} is empty")
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise InvalidBatchError("batch contains NaN or infinite values")
+    return x
+
+
 def descend(module: nn.Module, name: str, graph, x):
     """The composite rule, one copy for the plan builder and this walker.
 
@@ -216,5 +280,5 @@ def reference_forward(
         rng if rng is not None else np.random.default_rng(),
         encoding,
     )
-    out = runner.run(model, np.asarray(x, dtype=np.float64))
+    out = runner.run(model, check_batch(x, input_rank(model)))
     return out, runner.stats

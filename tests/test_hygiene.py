@@ -173,6 +173,37 @@ def test_public_numpy_is_accepted(hygiene):
     assert private_numpy_problems(hygiene, PUBLIC_NUMPY) == []
 
 
+NUMPY_FLOOR = {
+    "unguarded": """
+        import numpy as np
+
+        def ones(codes):
+            return np.bitwise_count(codes).sum(axis=-1)
+        """,
+    "guarded": """
+        import numpy as np
+
+        _TABLE = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+        ones = np.bitwise_count if hasattr(np, "bitwise_count") else _TABLE.take
+        """,
+    "guards_another_name": """
+        import numpy as np
+
+        if hasattr(np, "bitwise_count"):
+            transpose = np.matrix_transpose
+        """,
+}
+
+
+@pytest.mark.parametrize(
+    "name,rejected", [("unguarded", 1), ("guarded", 0), ("guards_another_name", 1)]
+)
+def test_numpy_2_name_needs_a_hasattr_guard(hygiene, name, rejected):
+    path = hygiene.REPO_ROOT / "src" / "sample.py"
+    found = hygiene.check_numpy_floor(path, textwrap.dedent(NUMPY_FLOOR[name]))
+    assert len(found) == rejected and all("src/sample.py" in line for line in found)
+
+
 @pytest.mark.parametrize("page", ["numerics.md", "snapshots.md"])
 def test_contract_page_doctests(page):
     results = doctest.testfile(str(SCRIPT.parents[1] / "docs" / page), module_relative=False)

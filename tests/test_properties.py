@@ -1,11 +1,15 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import collections
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.cim import AdcSpec, CimMacro, MacroConfig
-from repro.cim.macro import _bit_planes
+from repro.cim.macro import _bit_planes, plane_weights
 from repro.eval.detection import iou, iou_matrix
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, unbroadcast
@@ -360,9 +364,10 @@ class TestVectorBlockProperties:
         config = engine.config
         kernel = TiledBitSerialKernel(engine)
         stacked = kernel._groups[0].planes32.shape[0]
-        budget = stacked * config.input_bits * 8 * step
+        pairs = reference_fast._pairs(config.input_bits)
+        budget = stacked * pairs * 8 * step
         with mock.patch.object(reference_fast, "_BLOCK_BYTES", budget):
-            assert reference_fast._block_vectors(stacked, config.input_bits) == step
+            assert reference_fast._block_vectors(stacked, pairs) == step
             for _ in range(2):  # a call leaves no state behind
                 out, stats = kernel.matmul(x)
                 assert out.tobytes() == ref.tobytes()
@@ -391,11 +396,15 @@ from repro.cim import BitlineModel
 @st.composite
 def shift_add_cases(draw):
     """A multi-tile engine — ragged last column tile, a row count that
-    does not divide the tile — over the bit widths, ADC resolutions,
-    input signedness and bit-line saturation that shape the code table,
-    with a batch of one to three vector blocks."""
+    does not divide the tile, so its last row block is shorter than the
+    engine's radix — over the bit widths (odd input widths included),
+    ADC resolutions, input signedness and bit-line saturation that shape
+    the pair table, with a batch of one to three vector blocks.  One
+    draw in three saturates: all-ones weights under all-ones
+    activations, every bit line of every pair counting ``c0 = c1 =
+    rows``."""
     wb = draw(st.sampled_from((1, 2, 4, 8)))
-    ib = draw(st.sampled_from((1, 2, 4, 8)))
+    ib = draw(st.sampled_from((1, 2, 3, 4, 5, 7, 8)))
     tile_rows = draw(st.sampled_from((8, 32, 128)))
     tile_cols = draw(st.sampled_from((2, 4, 16)))
     config = MacroConfig(
@@ -414,17 +423,68 @@ def shift_add_cases(draw):
     step = draw(st.sampled_from((3, 8)))
     n = draw(st.integers(1, 3 * step))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    low, high = config.weight_range()
-    engine = CimTiledMatmul(rng.integers(low, high + 1, size=(rows, cols)), config)
-    low, high = config.input_range()
-    return engine, rng.integers(low, high + 1, size=(rows, n)), step
+    if draw(st.sampled_from((False, False, True))):
+        # Two's complement -1: every bit of every code set.
+        weights = np.full((rows, cols), -1)
+        x = np.full((rows, n), -1 if config.signed_inputs else config.input_range()[1])
+    else:
+        low, high = config.weight_range()
+        weights = rng.integers(low, high + 1, size=(rows, cols))
+        low, high = config.input_range()
+        x = rng.integers(low, high + 1, size=(rows, n))
+    return CimTiledMatmul(weights, config), x, step
+
+
+#: What input-bit pairing adds, as the generated cases must reach it.
+PAIRING_CASES = {
+    "odd width: a top pair of one bit",
+    "signed top pair: the extra table section",
+    "signed top pair of one bit",
+    "row block shorter than the radix",
+    "c0 = c1 = rows on the tallest row block",
+}
+
+
+def _probe_pairing(kernel, reached):
+    """Decode every pair-table index the kernel's row blocks are handed
+    (``section * R**2 + c0 + R * c1``) and count which of
+    :data:`PAIRING_CASES` the call reached."""
+    radix = kernel._radix
+    config = kernel.engine.config
+    pairs = reference_fast._pairs(config.input_bits)
+    odd = config.input_bits % 2 == 1
+
+    def spy(group):
+        real = group.shift_add
+        rows = group.row_stop - group.row_start
+
+        def shift_add(indices, out):
+            section, digits = np.divmod(np.asarray(indices, dtype=np.int64), radix**2)
+            c1, c0 = np.divmod(digits, radix)
+            assert c0.max() <= rows and c1.max() <= rows and section.max() <= pairs
+            if odd:
+                reached["odd width: a top pair of one bit"] += 1
+                assert not c1[section >= pairs - 1].any()
+            if (section == pairs).any():
+                reached["signed top pair: the extra table section"] += 1
+                reached["signed top pair of one bit"] += odd
+            if rows < radix - 1:
+                reached["row block shorter than the radix"] += 1
+            elif ((c0 == rows) & (c1 == rows)).any():
+                reached["c0 = c1 = rows on the tallest row block"] += 1
+            real(indices, out)
+
+        group.shift_add = shift_add
+
+    for group in kernel._groups:
+        spy(group)
 
 
 def _block_budget(kernel, step):
     """``_BLOCK_BYTES`` at which the tallest row block runs ``step``
     vectors per block."""
     stacked = max(group.planes32.shape[0] for group in kernel._groups)
-    return stacked * kernel.engine.config.input_bits * 8 * step
+    return stacked * reference_fast._pairs(kernel.engine.config.input_bits) * 8 * step
 
 
 def _cut_changes_bytes(matmul, x):
@@ -439,32 +499,69 @@ def _cut_changes_bytes(matmul, x):
 
 
 def _float_table_mutant(engine):
-    """The kernel with the code table swapped for the reconstructed
+    """The kernel with the pair table swapped for the reconstructed
     float counts ``codes * step`` it replaced (and ``step`` folded in)."""
     kernel = TiledBitSerialKernel(engine)
-    kernel._in_weights = kernel._in_weights.astype(np.float64)
     for group in kernel._groups:
-        group.code_lut = group.code_lut.astype(np.float64) * group.step
-        group.lut_is_identity = False
+        group.pair_table = group.pair_table.astype(np.float64) * group.step
         group.plane_weights = group.plane_weights.astype(np.float64)
+        group.pair_ones = group.pair_ones.astype(np.float64)
         group.step = 1.0
     return kernel
 
 
+def _short_radix_mutant(engine):
+    """The kernel reading its pairs at radix ``rows`` instead of ``rows +
+    1``: within a section ``c0 + rows * c1``, where a full bit line
+    (``c0 = rows``) aliases ``(0, c1 + 1)``.  Every other entry moves to
+    its new index intact."""
+    kernel = TiledBitSerialKernel(engine)
+    radix = kernel._radix
+    c1, c0 = np.divmod(np.arange(radix**2), radix)
+    unaliased = c0 < radix - 1
+    for group in kernel._groups:
+        table = group.pair_table.reshape(-1, radix**2)
+        mutant = np.zeros_like(table)
+        mutant[:, (c0 + (radix - 1) * c1)[unaliased]] = table[:, unaliased]
+        group.pair_table = mutant.reshape(-1)
+    kernel._pair_values = reference_fast._pair_values(
+        engine.config.input_bits, radix - 1
+    )
+    return kernel
+
+
+def _unsigned_section_mutant(engine):
+    """The kernel gathering a signed code's top pair from the unsigned
+    code's section: the MSB weighs ``+2**(ib - 1)``."""
+    kernel = TiledBitSerialKernel(engine)
+    kernel._bias = reference_fast._section_offsets(
+        replace(engine.config, signed_inputs=False), kernel._radix
+    )
+    return kernel
+
+
 class TestShiftAddProperties:
-    @given(shift_add_cases())
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_backends_match_tiled_reference(self, case):
-        engine, x, step = case
-        ref, ref_stats = engine.matmul(x)
-        for name in available_backends():
-            kernel = get_backend(name)(engine)
-            with mock.patch.object(
-                reference_fast, "_BLOCK_BYTES", _block_budget(kernel, step)
-            ):
-                out, stats = kernel.matmul(x)
-            assert out.tobytes() == ref.tobytes(), name
-            assert stats == ref_stats, name
+    def test_backends_match_tiled_reference(self):
+        reached = collections.Counter()
+
+        @given(shift_add_cases())
+        @settings(max_examples=80, deadline=None, derandomize=True)
+        def run(case):
+            engine, x, step = case
+            ref, ref_stats = engine.matmul(x)
+            for name in available_backends():
+                kernel = get_backend(name)(engine)
+                if name == "reference-fast":
+                    _probe_pairing(kernel, reached)
+                with mock.patch.object(
+                    reference_fast, "_BLOCK_BYTES", _block_budget(kernel, step)
+                ):
+                    out, stats = kernel.matmul(x)
+                assert out.tobytes() == ref.tobytes(), name
+                assert stats == ref_stats, name
+
+        run()
+        assert PAIRING_CASES - {case for case, n in reached.items() if n} == set()
 
     @given(shift_add_cases())
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -495,6 +592,69 @@ class TestShiftAddProperties:
         )
         # The witness is the table, not the harness: unmutated, it holds.
         assert not _cut_changes_bytes(TiledBitSerialKernel(engine).matmul, x)
+
+    @pytest.mark.parametrize("mutant", [_short_radix_mutant, _unsigned_section_mutant])
+    def test_pairing_mutants_do_not_match_the_reference(self, mutant):
+        """So has the first: a radix one short of ``rows + 1`` and a
+        signed top pair read from the unsigned section each differ from
+        the tile walk on some drawn case."""
+
+        def differs(case):
+            engine, x, _ = case
+            return mutant(engine).matmul(x)[0].tobytes() != engine.matmul(x)[0].tobytes()
+
+        engine, x, _ = find(
+            shift_add_cases(),
+            differs,
+            settings=settings(max_examples=200, deadline=None, derandomize=True),
+        )
+        # The witness is the mutation: unmutated, the same case matches.
+        assert (
+            TiledBitSerialKernel(engine).matmul(x)[0].tobytes()
+            == engine.matmul(x)[0].tobytes()
+        )
+
+
+class TestPairTable:
+    """The table-level statement of what one gather returns."""
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("input_bits", [1, 2, 5, 8])
+    @pytest.mark.parametrize("rows,radix", [(8, 9), (5, 9), (128, 129)])
+    def test_every_entry_is_the_weighted_code_pair(self, rows, radix, input_bits, signed):
+        config = MacroConfig(
+            rows=radix - 1, input_bits=input_bits, signed_inputs=signed,
+            adc=AdcSpec(bits=3),
+        )
+        table, step = reference_fast._pair_table(config, rows, radix)
+        offsets = reference_fast._section_offsets(config, radix)
+        code, oracle_step = config.adc.convert(
+            config.bitline.observe(np.arange(rows + 1.0), None), float(rows)
+        )
+        assert step == oracle_step
+        # An odd width's top pair has no second bit: it weighs nothing.
+        weights = np.append(plane_weights(input_bits, signed), 0.0)
+        pairs = reference_fast._pairs(input_bits)
+        assert offsets.shape == (pairs,) and table.size == (pairs + 1) * radix**2
+        for p, offset in enumerate(offsets.astype(int)):
+            for c0 in range(rows + 1):
+                for c1 in range(rows + 1):
+                    assert table[offset + c0 + radix * c1] == (
+                        weights[2 * p] * code[c0] + weights[2 * p + 1] * code[c1]
+                    )
+
+    def test_tables_are_shared_and_read_only(self):
+        config = MacroConfig()
+        signed = MacroConfig(signed_inputs=True, wl_energy_fj=1.0)
+        table, _ = reference_fast._pair_table(config, 128, 129)
+        assert reference_fast._pair_table(signed, 128, 129)[0] is table
+        assert not table.flags.writeable
+        engines = [
+            CimTiledMatmul(np.zeros((200, 3), dtype=int), c) for c in (config, signed)
+        ]
+        first, second = (TiledBitSerialKernel(engine)._groups for engine in engines)
+        assert [g.pair_table is h.pair_table for g, h in zip(first, second)] == [True] * 2
+        assert first[0].pair_table is table and first[1].pair_table is not table
 
 
 # -- grouped convolutions executed per layer -----------------------------
@@ -568,21 +728,36 @@ class TestGroupedLayerProperties:
     """The layer-level grouped pass equals the per-group reference:
     outputs (shape, dtype, bytes, layout) and ``MacroStats``."""
 
-    @given(grouped_layer_cases())
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_functional_shim_matches_reference(self, case):
-        x, weight, conv, macro, encoding, block_bytes = case
-        ref, ref_stats = reference_cim_conv2d(
-            x, weight, config=MacroConfig(**macro), encoding=encoding,
-            rng=np.random.default_rng(3), **conv,
-        )
-        with mock.patch.object(reference_fast, "_BLOCK_BYTES", block_bytes):
-            out, stats = cim_conv2d(
+    def test_functional_shim_matches_reference(self):
+        reached = collections.Counter()
+        stacked_matmul = reference_fast.StackedBitSerialKernel.matmul
+
+        def matmul(kernel, codes):
+            # Per-group signedness is the top pair's section, a bias row.
+            top = kernel._bias[:, -1]
+            reached["one signedness"] += bool(top.min() == top.max())
+            reached["mixed-signedness stack"] += bool(top.min() != top.max())
+            return stacked_matmul(kernel, codes)
+
+        @given(grouped_layer_cases())
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        def run(case):
+            x, weight, conv, macro, encoding, block_bytes = case
+            ref, ref_stats = reference_cim_conv2d(
                 x, weight, config=MacroConfig(**macro), encoding=encoding,
-                rng=np.random.default_rng(3), cache=EngineCache(), **conv,
+                rng=np.random.default_rng(3), **conv,
             )
-        _assert_same_bytes(out, ref)
-        assert stats == ref_stats
+            with mock.patch.object(reference_fast, "_BLOCK_BYTES", block_bytes):
+                out, stats = cim_conv2d(
+                    x, weight, config=MacroConfig(**macro), encoding=encoding,
+                    rng=np.random.default_rng(3), cache=EngineCache(), **conv,
+                )
+            _assert_same_bytes(out, ref)
+            assert stats == ref_stats
+
+        with mock.patch.object(reference_fast.StackedBitSerialKernel, "matmul", matmul):
+            run()
+        assert reached["one signedness"] and reached["mixed-signedness stack"]
 
     @given(grouped_layer_cases())
     @settings(max_examples=80, deadline=None, derandomize=True)

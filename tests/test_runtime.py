@@ -11,6 +11,9 @@ The load-bearing guarantees:
   compiling again reuses the programmed engines.
 """
 
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -202,17 +205,16 @@ def _blocked_engine(signed, adc_bits):
 def _block_of(kernel):
     group = kernel._groups[0]
     return reference_fast._block_vectors(
-        group.planes32.shape[0], kernel.engine.config.input_bits
+        group.planes32.shape[0], reference_fast._pairs(kernel.engine.config.input_bits)
     )
 
 
 class TestVectorBlocks:
     @pytest.mark.parametrize("signed", [False, True])
-    @pytest.mark.parametrize("adc_bits", [5, 8])  # non-identity / identity LUT
+    @pytest.mark.parametrize("adc_bits", [5, 8])  # lossy / identity transfer
     def test_block_boundaries_bitwise_vs_tiled_reference(self, signed, adc_bits):
         engine = _blocked_engine(signed, adc_bits)
         kernel = TiledBitSerialKernel(engine)
-        assert [g.lut_is_identity for g in kernel._groups] == [adc_bits == 8] * 2
         block = _block_of(kernel)
         low, high = (-128, 128) if signed else (0, 256)
         rng = np.random.default_rng(adc_bits + signed)
@@ -227,7 +229,9 @@ class TestVectorBlocks:
     def test_wide_batch_is_gathered_in_blocks(self, monkeypatch):
         """The back half runs per block of ``_block_vectors`` vectors — a
         batch that fits one block is gathered whole — and nothing of
-        whole-batch ``(stacked, n * ib)`` float64 extent is allocated."""
+        whole-batch ``(stacked, n * ib)`` float64 extent is allocated.  A
+        gather covers two input bits, so a block holds ``_BLOCK_BYTES //
+        (stacked * pairs * 8)`` vectors."""
         import tracemalloc
 
         engine = _blocked_engine(False, 5)
@@ -237,20 +241,23 @@ class TestVectorBlocks:
         real = np.take
 
         def take(table, indices, **kwargs):
-            gathers.append(indices.shape[1])
+            if table.ndim == 1:  # a pair table, not the operand's byte expansion
+                gathers.append(indices.shape[1])
             return real(table, indices, **kwargs)
 
         monkeypatch.setattr(reference_fast.np, "take", take)
         ib = engine.config.input_bits
+        pairs = reference_fast._pairs(ib)
+        stacked = max(group.planes32.shape[0] for group in kernel._groups)
+        assert block == reference_fast._BLOCK_BYTES // (stacked * pairs * 8)
         kernel.matmul(np.zeros((200, 2 * block + 3), dtype=np.int64))
-        assert gathers == [block * ib, block * ib, 3 * ib] * 2
+        assert gathers == [block * pairs, block * pairs, 3 * pairs] * 2
         del gathers[:]
         kernel.matmul(np.zeros((200, block), dtype=np.int64))
-        assert gathers == [block * ib] * 2
+        assert gathers == [block * pairs] * 2
 
         n = 8 * block + 3
         x = np.zeros((200, n), dtype=np.int64)
-        stacked = max(group.planes32.shape[0] for group in kernel._groups)
         tracemalloc.start()
         try:
             kernel.matmul(x)
@@ -258,6 +265,22 @@ class TestVectorBlocks:
         finally:
             tracemalloc.stop()
         assert peak < stacked * n * ib * 8
+
+    @pytest.mark.parametrize("input_bits", [5, 8, 16])  # a partial byte, one, two
+    def test_row_totals_without_bitwise_count(self, monkeypatch, input_bits):
+        """On the declared numpy floor there is no ``np.bitwise_count``:
+        the per-row ON-bit totals (the stats' only input from the codes)
+        come from a byte table's gather, to the same integers."""
+        monkeypatch.setattr(reference_fast, "_byte_ones", reference_fast._BYTE_ONES.take)
+        config = MacroConfig(input_bits=input_bits, signed_inputs=True)
+        rng = np.random.default_rng(input_bits)
+        engine = CimTiledMatmul(rng.integers(-128, 128, size=(200, 40)), config)
+        low, high = config.input_range()
+        x = rng.integers(low, high + 1, size=(200, 7))
+        ref, ref_stats = engine.matmul(x)
+        out, stats = TiledBitSerialKernel(engine).matmul(x)
+        assert out.tobytes() == ref.tobytes()
+        assert stats == ref_stats
 
     def test_one_kernel_two_threads_different_batches(self):
         """Programmed kernels are shared through EngineCache and the
@@ -369,9 +392,9 @@ class TestExactnessBound:
         assert TiledBitSerialKernel.supported(config)
         kernel = TiledBitSerialKernel(CimTiledMatmul(np.zeros((3, 2), dtype=int), config))
         (group,) = kernel._groups
-        assert group.code_lut.dtype == dtype
+        assert group.pair_table.dtype == dtype
         assert group.plane_weights.dtype == dtype
-        assert kernel._in_weights.dtype == dtype
+        assert group.pair_ones.dtype == dtype
 
     @pytest.mark.parametrize("signed", [False, True])
     def test_wide_codes_run_in_float64_bitwise(self, signed):
@@ -388,6 +411,50 @@ class TestExactnessBound:
             out, stats = get_backend(name)(engine).matmul(x)
             assert out.tobytes() == ref.tobytes(), name
             assert stats == ref_stats, name
+
+    def test_pair_table_indices_reach_the_last_float32_integer(self):
+        """The supported side of ``(P + 1) * R**2 <= 2**24``: at 8 bits
+        the tallest legal subarray is 1830 rows, and all-ones weights
+        under all-ones signed activations read ``c0 = c1 = rows`` from
+        the last section — the table's last entry, 14 412 short of
+        2**24, every float32 partial sum on the way still an integer."""
+        config = MacroConfig(rows=1830, signed_inputs=True)
+        assert TiledBitSerialKernel.supported(config)
+        assert not TiledBitSerialKernel.supported(replace(config, rows=1831))
+        engine = CimTiledMatmul(np.full((1830, 2), -1), config)
+        kernel = TiledBitSerialKernel(engine)
+        (group,) = kernel._groups
+        assert group.pair_table.size == 5 * 1831**2 == (1 << 24) - 14411
+        x = np.full((1830, 3), -1)
+        x[:, 1] = np.arange(1830) % 256 - 128
+        ref, ref_stats = engine.matmul(x)
+        out, stats = kernel.matmul(x)
+        # 64 MiB of table: not for the shared cache to keep.
+        reference_fast._shared_pair_table.cache_clear()
+        assert out.tobytes() == ref.tobytes()
+        assert stats == ref_stats
+
+    def test_past_the_index_bound_is_unsupported(self, monkeypatch):
+        """The other side: no table is built, and an engine takes the
+        reference macro path."""
+        config = MacroConfig(rows=1831)
+        assert not TiledBitSerialKernel.supported(config)
+        assert not get_backend("popcount").supported(config)
+        # Fewer pairs, fewer sections: the bound is on (P + 1) * R**2.
+        assert TiledBitSerialKernel.supported(replace(config, input_bits=6))
+        monkeypatch.setattr(
+            reference_fast, "_pair_table", lambda *args: pytest.fail("table built")
+        )
+        with pytest.raises(ValueError, match="2\\*\\*24"):
+            TiledBitSerialKernel(CimTiledMatmul(np.zeros((3, 2), dtype=int), config))
+        rng = np.random.default_rng(3)
+        weight, x = rng.normal(size=(4, 12)), np.abs(rng.normal(size=(2, 12)))
+        linear = ProgrammedLinear(weight, config)
+        assert linear._kernel is None
+        out, stats = linear.execute(x)
+        ref, ref_stats = reference_cim_linear(x, weight, config)
+        assert out.tobytes() == ref.tobytes()
+        assert stats == ref_stats
 
     @pytest.mark.parametrize("adc_bits", [5, 8])  # 2**53 exactly, and past it
     def test_past_the_bound_is_unsupported(self, adc_bits):
@@ -784,6 +851,60 @@ class TestCompiledModel:
 # ----------------------------------------------------------------------
 # Consumers routed through CompiledModel
 # ----------------------------------------------------------------------
+class TestInvalidBatch:
+    """The ``run`` edge: a batch no engine should see fails with one
+    typed error from both walkers, before any engine runs."""
+
+    CASES = {
+        "empty": (np.zeros((0, 3, 8, 8)), "empty"),
+        "nan": (np.full((2, 3, 8, 8), np.nan), "NaN or infinite"),
+        "inf": (np.where(np.arange(384).reshape(2, 3, 8, 8) == 5, np.inf, 1.0), "NaN or infinite"),
+        "rank-3": (np.ones((3, 8, 8)), "rank 3"),
+        "scalar": (np.float64(1.0), "rank 0"),
+        "strings": (np.full((2, 3, 8, 8), "1.0"), "not numeric"),
+        "complex": (np.ones((2, 3, 8, 8), dtype=complex), "not numeric"),
+    }
+
+    @pytest.mark.parametrize("walker", ["compiled", "reference"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_typed_error_before_any_engine_runs(self, case, walker, monkeypatch, recwarn):
+        from repro.runtime import InvalidBatchError
+        from repro.runtime import engine
+
+        model = tiny_chain()
+        compiled = compile_model(model, RuntimeConfig())
+        for owner, name in (
+            (engine.ProgrammedLinear, "matmul_codes"),  # the compiled path's engines
+            (CimTiledMatmul, "matmul"),  # the reference path's
+        ):
+            monkeypatch.setattr(owner, name, lambda *a, **k: pytest.fail("engine ran"))
+        batch, message = self.CASES[case]
+        run = compiled.run if walker == "compiled" else functools.partial(
+            reference_forward, model
+        )
+        with pytest.raises(InvalidBatchError, match=message) as raised:
+            run(batch)
+        assert isinstance(raised.value, ValueError)
+        assert not recwarn.list  # no cast warning on the way
+
+    def test_rank_follows_the_first_node(self):
+        from repro.runtime import InvalidBatchError
+
+        rng = np.random.default_rng(0)
+        linear_first = nn.Sequential(nn.Linear(5, 3, rng=rng), nn.ReLU())
+        compiled = compile_model(linear_first, RuntimeConfig())
+        with pytest.raises(InvalidBatchError, match="rank 2"):
+            compiled.run(np.ones((2, 5, 1, 1)))
+        with pytest.raises(InvalidBatchError, match="rank 2"):
+            reference_forward(linear_first, np.ones((2, 5, 1, 1)))
+        # A first node that reshapes takes any batch; integers are numbers.
+        any_rank = nn.Sequential(nn.Flatten(), nn.Linear(5, 3, rng=rng))
+        x = np.arange(10).reshape(2, 5, 1)
+        out, stats = compile_model(any_rank, RuntimeConfig()).run(x)
+        ref, ref_stats = reference_forward(any_rank, x)
+        assert out.tobytes() == ref.tobytes() and stats == ref_stats
+
+
 class TestConsumers:
     def test_profile_model_accepts_compiled(self):
         from repro.models import profile_model
