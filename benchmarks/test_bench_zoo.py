@@ -175,10 +175,10 @@ def test_bench_zoo_grouped_layers_execute_once(benchmark, monkeypatch):
     mobilenet programs 1385 engines — 1376 of them the per-group engines
     of its seven depthwise layers — and a warm run used to make one
     im2col and one kernel call for each.  Counted: one ``F.im2col`` per
-    conv layer (15), and no per-group engine's own kernel entered; the
-    eight plain convolutions and the classifier still make one call
-    each.  The wall-clock this buys is the ledger's
-    ``mobilenet_small_engines`` workload.
+    conv layer (15), one stacked pass per depthwise layer (7), and no
+    per-group engine's own kernel entered; the eight plain convolutions
+    and the classifier still make one call each.  The wall-clock this
+    buys is the ledger's ``mobilenet_small_engines`` workload.
     """
     from repro.nn import functional as F
     from repro.runtime.backends import TiledBitSerialKernel
@@ -199,7 +199,7 @@ def test_bench_zoo_grouped_layers_execute_once(benchmark, monkeypatch):
     }
     assert (len(engines), len(grouped)) == (1385, 1376)
 
-    calls = {"im2col": 0, "kernel": 0, "grouped_kernel": 0}
+    calls = {"im2col": 0, "kernel": 0, "stack": 0, "grouped_kernel": 0}
     real_im2col, real_matmul = F.im2col, TiledBitSerialKernel.matmul
 
     def im2col(*args, **kwargs):
@@ -207,11 +207,14 @@ def test_bench_zoo_grouped_layers_execute_once(benchmark, monkeypatch):
         return real_im2col(*args, **kwargs)
 
     def matmul(kernel, codes):
-        calls["grouped_kernel" if id(kernel) in grouped else "kernel"] += 1
+        if id(kernel) in grouped:
+            calls["grouped_kernel"] += 1
+        else:  # a lone engine's kernel is the stack of one group
+            calls["stack" if len(kernel._ranges) > 1 else "kernel"] += 1
         return real_matmul(kernel, codes)
 
     monkeypatch.setattr(F, "im2col", im2col)
     monkeypatch.setattr(TiledBitSerialKernel, "matmul", matmul)
     out, stats = compiled.run(x)
-    assert calls == {"im2col": 15, "kernel": 9, "grouped_kernel": 0}
+    assert calls == {"im2col": 15, "kernel": 9, "stack": 7, "grouped_kernel": 0}
     assert out.tobytes() == expected.tobytes() and stats == expected_stats

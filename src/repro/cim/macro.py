@@ -153,9 +153,10 @@ def macro_pass_stats(
 
     The two data-dependent arguments, ``row_activations`` (int) and
     ``counts_total`` (float), may also be same-shape arrays — one entry
-    per same-geometry macro, as the stacked grouped-layer kernel passes
-    them — in which case the three fields derived from them are arrays
-    holding exactly the per-macro scalar results.
+    per same-geometry macro, as the runtime's bit-serial pass passes
+    them for a grouped layer's groups — in which case the three fields
+    derived from them are arrays holding exactly the per-macro scalar
+    results.
     """
     phys_cols = cols_used * config.weight_bits
     rounds_per_bit = -(-phys_cols // config.n_adcs)

@@ -61,10 +61,17 @@ around four observations:
 One further exact shortcut: the total ON-cell count needed for energy
 accounting factorizes over rows (both factors are exact integers).
 
-:class:`StackedBitSerialKernel` runs the same-geometry kernels of one
-grouped convolution's groups as a single pass — batched count GEMM,
-one gather, one batched shift-and-add, group-major stats; per-group
-input signedness is a per-group bias row.
+There is one pass, over a stack of ``G`` same-geometry engines: an
+ungrouped engine's kernel, ``TiledBitSerialKernel(engine)``, is the
+stack of one group, and a grouped convolution's kernel is
+:meth:`TiledBitSerialKernel.stack` over its groups' kernels — the same
+class, whose count GEMM, gather and shift-and-add are batched over the
+leading group axis and whose per-group input signedness is a per-group
+bias row.  Its stats are summed in one order
+(:meth:`TiledBitSerialKernel._pass_stats`): per group the tiles in tile
+order from ``0.0``, latency the slowest tile, then the groups in index
+order from ``0.0`` — the reference tile walk's order, chained over
+groups as the per-group reference chains them.
 
 ``tests/test_runtime.py`` pins the bitwise equivalence against the
 reference path across shapes, signedness and batch extents.  Anything
@@ -74,8 +81,9 @@ encodings) falls back to the reference implementation at the call site.
 
 from __future__ import annotations
 
+import copy
 import functools
-from dataclasses import fields, replace
+from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,36 +127,6 @@ def _accumulator_dtype(config: MacroConfig):
     """The narrowest float in which the shift-and-add is exact integer
     arithmetic (callers have checked :meth:`TiledBitSerialKernel.supported`)."""
     return np.float32 if _code_sum_bound(config) <= 1 << 24 else np.float64
-
-
-def _serial_codes(engine: CimTiledMatmul, x: np.ndarray) -> Tuple[np.ndarray, bool]:
-    """Validate one integer-code batch for ``engine``.
-
-    Returns the ``(rows, n)`` two's-complement reinterpretation of the
-    codes as unsigned ``input_bits``-wide integers, and whether ``x``
-    was a single vector.
-    """
-    config = engine.config
-    x = np.asarray(x)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
-    if x.shape[0] != engine.shape[0]:
-        raise ValueError(
-            f"input rows {x.shape[0]} do not match weight rows "
-            f"{engine.shape[0]}"
-        )
-    # Reference path: each tile's macro validates its input slice;
-    # the slices tile the same rows, so validating once is the same
-    # check with the same error.
-    low, high = config.input_range()
-    if x.min() < low or x.max() > high:
-        raise ValueError(
-            f"input codes outside [{low}, {high}] for "
-            f"{config.input_bits}-bit serial input"
-        )
-    unsigned = np.asarray(x, dtype=np.int64) & ((1 << config.input_bits) - 1)
-    return unsigned, squeeze
 
 
 #: ON bits of a byte of codes: ``np.bitwise_count`` where numpy has it
@@ -196,11 +174,11 @@ def _paired_operand(
     lead, (rows, n) = unsigned.shape[:-2], unsigned.shape[-2:]
     pairs = bias.shape[-1]
     operand = np.empty(lead + (rows + len(bounds), n, pairs), dtype=np.float32)
-    row_ones = np.zeros(lead + (rows,), dtype=np.int64)
+    row_ones = 0
     for k, values in enumerate(pair_values):
         # Integer casts wrap: the low byte of the shifted code.
         byte = (unsigned >> 8 * k if k else unsigned).astype(np.uint8)
-        row_ones += _byte_ones(byte).sum(axis=-1, dtype=np.int64)
+        row_ones = row_ones + _byte_ones(byte).sum(axis=-1, dtype=np.float64)
         for b, (r0, r1) in enumerate(bounds):
             # In range by construction, so "clip" never clips; it selects
             # numpy's unchecked, unbuffered gather loop.
@@ -213,10 +191,7 @@ def _paired_operand(
             )
     for b, (_, r1) in enumerate(bounds):
         operand[..., r1 + b, :, :] = bias[..., None, :]
-    return (
-        operand.reshape(lead + (rows + len(bounds), n * pairs)),
-        row_ones.astype(np.float64),
-    )
+    return operand.reshape(lead + (rows + len(bounds), n * pairs)), row_ones
 
 
 def _weight_bit_planes(codes: np.ndarray, weight_bits: int) -> np.ndarray:
@@ -298,7 +273,9 @@ class _TileGroup:
     their float32 weight-plane matrices are stacked into one operand:
     one GEMM and one pair gather cover the whole block
     (:meth:`shift_add`), and each tile's slice of the result is a
-    contiguous view.
+    contiguous view.  The per-group arrays, ``planes32`` and
+    ``row_weights``, lead with the group axis: one group here,
+    ``G`` in a :meth:`stack`.
 
     Everything here is derived from ``codes`` — the row block's
     ``(rows, columns)`` slice of the engine's integer weight codes, the
@@ -318,35 +295,52 @@ class _TileGroup:
         wb = config.weight_bits
         self.offsets = np.cumsum(
             [0] + [wb * tile.macro.cols_used for tile in tiles]
-        )
+        ).tolist()
         # Stacked planes: tile after tile, each ``(weight bit, column)``
         # major over the block's rows — gathered as narrow words, then
         # widened to float32 in one contiguous pass — and a ones column
         # that carries the operand's bias row through the GEMM.
         bits = _weight_bit_planes(codes, wb)
-        stacked = np.ones((int(self.offsets[-1]), rows + 1), dtype=bits.dtype)
+        stacked = np.ones((self.offsets[-1], rows + 1), dtype=bits.dtype)
         for index, tile in enumerate(tiles):
             stacked[self.offsets[index] : self.offsets[index + 1]].reshape(
                 wb, tile.macro.cols_used, rows + 1
             )[..., :rows] = bits[:, tile.col_start : tile.col_stop]
-        self.planes32 = stacked.astype(np.float32)
-        # Per-row ON-cell totals: exact integers whichever order they
-        # are summed in, so they equal the float64 reduction of the
-        # macros' bit planes bitwise.
+        self.planes32 = stacked.astype(np.float32)[None]
+        # Each tile's programmed ON cells per row, then a row of ones:
+        # one product with a group's per-row input ON bits gives every
+        # tile's ON-cell total and the block's activated rows — exact
+        # integers whichever order they are summed in, so they equal the
+        # float64 reductions of the reference bitwise.
         stored_bits = bits.sum(axis=0, dtype=bits.dtype)  # at most wb each
-        self.plane_row_sums = [
-            stored_bits[tile.col_start : tile.col_stop].sum(axis=0, dtype=np.float64)
-            for tile in tiles
-        ]
+        self.row_weights = np.ones((1, len(tiles) + 1, rows))
+        np.add.reduceat(
+            stored_bits,
+            [tile.col_start for tile in tiles],
+            axis=0,
+            dtype=np.float64,
+            out=self.row_weights[0, :-1],
+        )
         self.pair_table, self.step = _pair_table(config, rows, radix)
         dtype = self.pair_table.dtype
         self.plane_weights = tiles[0].macro._plane_weights.astype(dtype)
         self.pair_ones = np.ones(_pairs(config.input_bits), dtype=dtype)
 
+    @classmethod
+    def stack(cls, blocks: Sequence["_TileGroup"]) -> "_TileGroup":
+        """The same row block of ``G`` same-geometry kernels: their
+        per-group arrays concatenated over the group axis; tiles, pair
+        table and step are the first's — the kernels share geometry and
+        circuit."""
+        block = copy.copy(blocks[0])
+        block.planes32 = np.concatenate([b.planes32 for b in blocks])
+        block.row_weights = np.concatenate([b.row_weights for b in blocks])
+        return block
+
     def shift_add(self, indices: np.ndarray, out: np.ndarray) -> None:
-        """Digitize pair-table ``indices`` ``(..., stacked rows, vectors *
+        """Digitize pair-table ``indices`` ``(G, stacked rows, vectors *
         pairs)`` (exact integers in any numeric dtype, any memory order)
-        and add the row block's partial sums into float64 ``out`` ``(...,
+        and add the row block's partial sums into float64 ``out`` ``(G,
         columns, vectors)``.
 
         One gather of weighted code pairs; then per tile the weight bit
@@ -354,22 +348,21 @@ class _TileGroup:
         the pair entries of the ``weight_bits`` times smaller result
         after it: integer arithmetic throughout, exact in the table's
         dtype whichever way it is ordered, then one rounding per element
-        — ``partial * step``, the oracle's.  Leading axes batch
-        same-geometry row blocks.
+        — ``partial * step``, the oracle's.
         """
         # Indices are in range by construction, so "clip" never clips;
         # it selects numpy's unchecked, unbuffered gather loop.
         codes = np.take(
             self.pair_table, indices.astype(np.intp, order="C"), mode="clip"
         )
-        lead = codes.shape[:-2]
+        groups = codes.shape[0]
         wb, pairs = self.plane_weights.size, self.pair_ones.size
         for index, tile in enumerate(self.tiles):
-            planes = codes[..., self.offsets[index] : self.offsets[index + 1], :]
-            partial = np.matmul(self.plane_weights, planes.reshape(*lead, wb, -1))
+            planes = codes[:, self.offsets[index] : self.offsets[index + 1]]
+            partial = np.matmul(self.plane_weights, planes.reshape(groups, wb, -1))
             partial = np.matmul(partial.reshape(-1, pairs), self.pair_ones)
-            out[..., tile.col_start : tile.col_stop, :] += np.multiply(
-                partial.reshape(*lead, tile.macro.cols_used, -1),
+            out[:, tile.col_start : tile.col_stop] += np.multiply(
+                partial.reshape(groups, tile.col_stop - tile.col_start, -1),
                 self.step,
                 dtype=np.float64,
             )
@@ -377,13 +370,19 @@ class _TileGroup:
 
 @register_backend
 class TiledBitSerialKernel(KernelBackend):
-    """Fast executor over every tile of a :class:`CimTiledMatmul`.
+    """The bit-serial pass over every tile of a :class:`CimTiledMatmul`
+    — or, stacked, of ``G`` same-geometry engines at once.
 
-    Mirrors :meth:`CimTiledMatmul.matmul` exactly — per-tile partial
-    sums accumulate in tile order, latency is the slowest tile — while
-    fusing the paired operand's expansion (once per call) and the GEMM,
-    pair gather and shift-and-add (once per row block and block of
-    vectors) across tiles.
+    ``TiledBitSerialKernel(engine)`` is the stack of one group;
+    :meth:`stack` builds a grouped layer's kernel from its groups'.
+    Either way :meth:`matmul` runs one body over ``(G, rows, n)`` codes
+    and mirrors :meth:`CimTiledMatmul.matmul` for every group exactly —
+    per-tile partial sums accumulate in tile order, stats follow
+    :meth:`_pass_stats` — while fusing the paired operand's expansion
+    (once per call) and the count GEMM, pair gather and shift-and-add
+    (once per row block and block of vectors) across tiles and groups.
+    ``engine`` is the first group's: the geometry and circuit every
+    group shares.
     """
 
     backend_name = "reference-fast"
@@ -409,13 +408,56 @@ class TiledBitSerialKernel(KernelBackend):
             _TileGroup(r0, r1, tiles, engine.weights[r0:r1], self._radix)
             for (r0, r1), tiles in blocks.items()
         ]
-        self._bias = _section_offsets(engine.config, self._radix)
         self._pair_values = _pair_values(engine.config.input_bits, self._radix)
-        self._post_init()
+        #: Per-group bias rows ``(G, pairs)`` and input ranges, one
+        #: ``(low, high)`` per group: signedness is per group, and all it
+        #: selects is the top pair's table section and the codes
+        #: accepted.
+        self._bias = _section_offsets(engine.config, self._radix)[None]
+        self._ranges = [engine.config.input_range()]
+        #: The range every group accepts.
+        self._accepted = self._ranges[0]
 
-    def _post_init(self) -> None:
-        """Subclass hook: derive extra program-time layout from the
-        :class:`_TileGroup` list."""
+    @staticmethod
+    def stack(
+        kernels: Sequence[Optional["TiledBitSerialKernel"]],
+    ) -> Optional["TiledBitSerialKernel"]:
+        """One pass over the per-group kernels of a grouped layer, group
+        ``g`` at index ``g`` of the leading axis — or ``None`` unless
+        every group has a fast kernel over one geometry and one circuit
+        (input signedness aside, which is per group).
+
+        Table indices (batched float32 GEMM), the pair gather, the
+        shift-and-add over integer codes and the stats' integer
+        reductions are exact per element whatever the batching, so the
+        stack is bitwise equal, in outputs and stats, to running each
+        group's kernel in index order and summing the stats with
+        ``MacroStats.__add__``.  A stack always contracts counts by the
+        float32 GEMM.
+        """
+        first = kernels[0]
+        if first is None:
+            return None
+        circuit = replace(first.engine.config, signed_inputs=False)
+        if not all(
+            kernel is not None
+            and kernel.engine.shape == first.engine.shape
+            and replace(kernel.engine.config, signed_inputs=False) == circuit
+            for kernel in kernels
+        ):
+            return None
+        stack = TiledBitSerialKernel.__new__(TiledBitSerialKernel)
+        stack.engine, stack._bounds = first.engine, first._bounds
+        stack._radix, stack._pair_values = first._radix, first._pair_values
+        stack._groups = [
+            _TileGroup.stack(blocks)
+            for blocks in zip(*(kernel._groups for kernel in kernels))
+        ]
+        stack._bias = np.concatenate([kernel._bias for kernel in kernels])
+        stack._ranges = [bounds for kernel in kernels for bounds in kernel._ranges]
+        lows, highs = zip(*stack._ranges)
+        stack._accepted = (max(lows), min(highs))
+        return stack
 
     @staticmethod
     def supported(config: MacroConfig) -> bool:
@@ -432,234 +474,160 @@ class TiledBitSerialKernel(KernelBackend):
         )
 
     def matmul(self, x: np.ndarray) -> Tuple[np.ndarray, MacroStats]:
-        engine = self.engine
-        unsigned, squeeze = _serial_codes(engine, x)
-        n = unsigned.shape[1]
-        pairs = self._bias.size
-
-        # The paired operand and per-row ON-bit totals for the whole
-        # engine, once per call.  Every buffer below is allocated per
-        # call: programmed kernels are shared across threads.
-        operand, row_sums_all = _paired_operand(
-            unsigned, self._pair_values, self._bounds, self._bias
-        )
-
-        out = np.zeros((engine.shape[1], n))
-        # Scalar accumulators: same per-field addition order as the
-        # reference's sequential MacroStats.__add__ chain.
-        acc = _StatsAccumulator()
+        """Integer codes ``(rows,)`` or ``(rows, n)`` — ``(G, rows, n)``
+        for a stack — to float64 ``(cols,)``, ``(cols, n)`` or ``(G,
+        cols, n)``, and the pass's :class:`MacroStats`."""
+        x = np.asarray(x)
+        # Every buffer below is allocated per call: programmed kernels
+        # are shared across threads.  The unsigned codes die with the
+        # expansion, before the block loop's peak.
+        operand, row_ones = self._expand(self._serial_codes(x))
+        groups, n = row_ones.shape[0], x.shape[-1] if x.ndim > 1 else 1
+        pairs = self._bias.shape[-1]
+        out = np.zeros((groups, self.engine.shape[1], n))
         for b, group in enumerate(self._groups):
-            pairs_in = operand[group.row_start + b : group.row_stop + b + 1]
-            # One GEMM for every column tile of the row block:
-            # C-contiguous (sum of wb*cols, vectors*pairs), i.e. stacked
-            # (k, c, n, p) — per cache-sized block of vectors.
-            width = _block_vectors(group.planes32.shape[0], pairs)
+            # Cache-sized blocks of vectors; the budget covers the
+            # stacked planes of every group.
+            width = _block_vectors(groups * group.planes32.shape[1], pairs)
             for v0 in range(0, n, width):
                 v1 = min(v0 + width, n)
-                group.shift_add(
-                    np.matmul(group.planes32, pairs_in[:, v0 * pairs : v1 * pairs]),
-                    out[:, v0:v1],
+                group.shift_add(self._contract(operand, b, v0, v1), out[:, :, v0:v1])
+        if x.ndim < 3:
+            out = out[0, :, 0] if x.ndim == 1 else out[0]
+        return out, self._pass_stats(row_ones, n)
+
+    def _serial_codes(self, x: np.ndarray) -> np.ndarray:
+        """Validate one integer-code batch: ``(G, rows, n)`` two's-
+        complement reinterpretations of the codes as unsigned
+        ``input_bits``-wide integers."""
+        codes = x if x.ndim == 3 else x[None, :, None] if x.ndim == 1 else x[None]
+        groups, rows, _ = codes.shape
+        if rows != self.engine.shape[0]:
+            raise ValueError(
+                f"input rows {rows} do not match weight rows {self.engine.shape[0]}"
+            )
+        if groups != len(self._ranges):
+            raise ValueError(
+                f"input holds {groups} groups of codes for a pass over "
+                f"{len(self._ranges)}"
+            )
+        # Reference path: each tile's macro validates its input slice in
+        # tile order, group by group; the slices tile the same rows, so
+        # one check per group is the same check, and the error is the
+        # lowest offending group's.  Codes every group accepts need no
+        # per-group look.
+        low, high = self._accepted
+        if codes.min() < low or codes.max() > high:
+            low, high = np.array(self._ranges).T
+            bad = (codes.min(axis=(1, 2)) < low) | (codes.max(axis=(1, 2)) > high)
+            if bad.any():
+                g = int(np.argmax(bad))
+                raise ValueError(
+                    f"input codes outside [{low[g]}, {high[g]}] for "
+                    f"{self.engine.config.input_bits}-bit serial input"
                 )
-            row_sums = row_sums_all[group.row_start : group.row_stop]
-            row_activations = int(row_sums.sum())
-            for index, tile in enumerate(group.tiles):
+        mask = (1 << self.engine.config.input_bits) - 1
+        return np.asarray(codes, dtype=np.int64) & mask
+
+    def _expand(self, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The count contraction's right operand for unsigned codes
+        ``(G, rows, n)`` — the paired operand — and the codes' per-row
+        ON-bit totals ``(G, rows)``."""
+        return _paired_operand(codes, self._pair_values, self._bounds, self._bias)
+
+    def _contract(self, operand: np.ndarray, b: int, v0: int, v1: int) -> np.ndarray:
+        """Pair-table indices ``(G, stacked rows, vectors * pairs)`` of row
+        block ``b`` for vectors ``v0`` to ``v1``: one batched float32
+        GEMM for every column tile of the block and every group, its
+        result C-contiguous ``(g, k, c, n, p)``."""
+        group = self._groups[b]
+        pairs = self._bias.shape[-1]
+        return np.matmul(
+            group.planes32,
+            operand[
+                :, group.row_start + b : group.row_stop + b + 1, v0 * pairs : v1 * pairs
+            ],
+        )
+
+    def _pass_stats(self, row_ones: np.ndarray, n: int) -> MacroStats:
+        """The pass's :class:`MacroStats` from the groups' per-row input
+        ON-bit totals ``(G, rows)``.
+
+        Every tile's numbers come from :func:`macro_pass_stats`, called
+        once per tile, and are summed in the reference's order: per group
+        the tiles in tile order from ``0.0``, latency the slowest tile
+        (:meth:`CimTiledMatmul.matmul`); then the groups in index order
+        from ``0.0`` (:func:`_sum_groups`).  Numbers that differ between
+        groups are ``(G,)`` arrays, every group's tile sums side by side
+        — or plain floats for one group, where numpy's per-call cost
+        would dwarf the arithmetic; the rest are the same for every
+        group and are summed once.
+        """
+        groups = row_ones.shape[0]
+        config = self.engine.config
+        cycles = conversions = macs = 0
+        row_activations = wl_energy = bitline_energy = 0.0
+        adc_energy = peripheral_energy = latency = 0.0
+        for group in self._groups:
+            # (tiles + 1, G): each tile's ON-cell total, then the block's
+            # activated rows.
+            counts = np.matmul(
+                group.row_weights, row_ones[:, group.row_start : group.row_stop, None]
+            )[..., 0].T
+            if groups == 1:
+                counts = counts[:, 0].tolist()
+            activated = counts[-1]
+            for tile, counts_total in zip(group.tiles, counts):
                 macro = tile.macro
-                counts_total = float(
-                    np.dot(row_sums, group.plane_row_sums[index])
+                stats = macro_pass_stats(
+                    config, macro.rows_used, macro.cols_used, n, activated, counts_total
                 )
-                acc.add(
-                    macro_pass_stats(
-                        macro.config,
-                        macro.rows_used,
-                        macro.cols_used,
-                        n_vectors=n,
-                        row_activations=row_activations,
-                        counts_total=counts_total,
-                    )
-                )
-        total = acc.finish()
-        return (out[:, 0] if squeeze else out), total
-
-
-class _StatsAccumulator:
-    """Accumulates per-tile macro stats with the reference's exact
-    field-by-field addition order; wall-clock latency is the slowest
-    tile, matching :meth:`CimTiledMatmul.matmul`."""
-
-    def __init__(self):
-        self.cycles = 0
-        self.adc_conversions = 0
-        self.row_activations = 0
-        self.macs = 0
-        self.wl_energy_fj = 0.0
-        self.bitline_energy_fj = 0.0
-        self.adc_energy_fj = 0.0
-        self.peripheral_energy_fj = 0.0
-        self.max_latency_ns = 0.0
-
-    def add(self, stats: MacroStats) -> None:
-        self.cycles += stats.cycles
-        self.adc_conversions += stats.adc_conversions
-        self.row_activations += stats.row_activations
-        self.macs += stats.macs
-        self.wl_energy_fj += stats.wl_energy_fj
-        self.bitline_energy_fj += stats.bitline_energy_fj
-        self.adc_energy_fj += stats.adc_energy_fj
-        self.peripheral_energy_fj += stats.peripheral_energy_fj
-        self.max_latency_ns = max(self.max_latency_ns, stats.latency_ns)
-
-    def finish(self) -> MacroStats:
+                cycles += stats.cycles
+                conversions += stats.adc_conversions
+                macs += stats.macs
+                row_activations += stats.row_activations
+                wl_energy += stats.wl_energy_fj
+                bitline_energy += stats.bitline_energy_fj
+                adc_energy += stats.adc_energy_fj
+                peripheral_energy += stats.peripheral_energy_fj
+                latency = max(latency, stats.latency_ns)
+        total = _sum_groups(
+            (
+                row_activations,
+                wl_energy,
+                bitline_energy,
+                adc_energy,
+                peripheral_energy,
+                latency,
+            ),
+            groups,
+        )
         return MacroStats(
-            cycles=self.cycles,
-            adc_conversions=self.adc_conversions,
-            row_activations=self.row_activations,
-            macs=self.macs,
-            wl_energy_fj=self.wl_energy_fj,
-            bitline_energy_fj=self.bitline_energy_fj,
-            adc_energy_fj=self.adc_energy_fj,
-            peripheral_energy_fj=self.peripheral_energy_fj,
-            latency_ns=self.max_latency_ns,
+            cycles=cycles * groups,
+            adc_conversions=conversions * groups,
+            row_activations=int(total[0]),
+            macs=macs * groups,
+            wl_energy_fj=total[1],
+            bitline_energy_fj=total[2],
+            adc_energy_fj=total[3],
+            peripheral_energy_fj=total[4],
+            latency_ns=total[5],
         )
 
 
-def _sum_groups(stats: MacroStats, groups: int) -> MacroStats:
-    """``MacroStats.__add__`` chained over ``groups`` in index order,
-    from per-group stats held as one :class:`MacroStats` whose fields
-    are ``(groups,)`` arrays, or scalars where every group's is equal.
+def _sum_groups(values: Sequence, groups: int) -> List[float]:
+    """Each of ``values`` summed over ``groups`` groups in index order
+    from ``0.0`` — ``MacroStats.__add__`` chained over a grouped layer's
+    groups — where a ``(groups,)`` array holds one entry per group and a
+    float is every group's.
 
-    Float fields are the same left-to-right chain from ``0.0`` —
-    ``np.add.accumulate``, never the pairwise ``np.sum``; the loop it
-    replaces (an accumulator and an ``__add__`` per group) measured
-    6.4 ms against 0.9 ms over mobilenet's 1376 groups, of a 75 ms run.
+    One left-to-right ``np.add.accumulate`` covers every value, never
+    the pairwise ``np.sum``, so the cost barely moves from a few groups
+    to thousands; one group's sum is one addition.
     """
-
-    def chain(value):
-        column = np.broadcast_to(value, (groups,))
-        if column.dtype.kind != "f":
-            return int(column.sum())
-        return float(np.add.accumulate(np.concatenate(([0.0], column)))[-1])
-
-    return MacroStats(
-        **{f.name: chain(getattr(stats, f.name)) for f in fields(MacroStats)}
-    )
-
-
-class _StackedRowBlock:
-    """One row block of ``G`` same-geometry kernels: the groups' plane
-    matrices stacked ``(G, wb * cols, rows + 1)`` for one batched count
-    GEMM.  Tile layout, pair table and step are the first group's — the
-    kernels share geometry and circuit."""
-
-    def __init__(self, groups: List[_TileGroup]):
-        self.head = groups[0]
-        self.planes32 = np.stack([group.planes32 for group in groups])
-        self.plane_row_sums = [
-            np.stack([group.plane_row_sums[index] for group in groups])
-            for index in range(len(self.head.tiles))
-        ]
-
-
-class StackedBitSerialKernel:
-    """The per-group kernels of one grouped convolution, executed as one
-    layer pass: ``matmul`` takes every group's codes at once.
-
-    Bitwise equal, in outputs and stats, to running each group's
-    :class:`TiledBitSerialKernel` in index order and summing the stats
-    with ``MacroStats.__add__``.  Table indices (batched float32 GEMM),
-    the pair gather, the shift-and-add over integer codes and the stats'
-    integer reductions are exact per element whatever the batching, so
-    every grouped layer whose groups run the fast kernel stacks.
-    """
-
-    def __init__(self, kernels: Sequence[TiledBitSerialKernel]):
-        first = kernels[0]
-        self.shape = first.engine.shape
-        self.config = first.engine.config
-        self._bounds, self._pair_values = first._bounds, first._pair_values
-        #: Per-group bias rows ``(G, pairs)``: signedness is per group,
-        #: and all it selects is the top pair's table section.
-        self._bias = np.stack([kernel._bias for kernel in kernels])
-        self._ranges = np.array(
-            [kernel.engine.config.input_range() for kernel in kernels]
-        )
-        self._blocks = [
-            _StackedRowBlock([kernel._groups[index] for kernel in kernels])
-            for index in range(len(first._groups))
-        ]
-
-    @staticmethod
-    def supported(kernels: Sequence[Optional[TiledBitSerialKernel]]) -> bool:
-        """True when every group has a fast kernel over one geometry and
-        one circuit (input signedness aside, which is per group)."""
-        first = kernels[0]
-        if first is None:
-            return False
-        circuit = replace(first.engine.config, signed_inputs=False)
-        return all(
-            kernel is not None
-            and kernel.engine.shape == first.engine.shape
-            and replace(kernel.engine.config, signed_inputs=False) == circuit
-            for kernel in kernels
-        )
-
-    def _validate(self, codes: np.ndarray) -> None:
-        """:func:`_serial_codes`' checks for every group at once; the
-        error is the lowest offending group's, as in index order."""
-        if codes.shape[1] != self.shape[0]:
-            raise ValueError(
-                f"input rows {codes.shape[1]} do not match weight rows "
-                f"{self.shape[0]}"
-            )
-        low, high = self._ranges.T
-        bad = (codes.min(axis=(1, 2)) < low) | (codes.max(axis=(1, 2)) > high)
-        if bad.any():
-            g = int(np.argmax(bad))
-            raise ValueError(
-                f"input codes outside [{low[g]}, {high[g]}] for "
-                f"{self.config.input_bits}-bit serial input"
-            )
-
-    def matmul(self, codes: np.ndarray) -> Tuple[np.ndarray, MacroStats]:
-        """Integer codes ``(G, rows, n)`` -> ``(G, cols, n)`` float64
-        and the layer's :class:`MacroStats`."""
-        self._validate(codes)
-        ib = self.config.input_bits
-        groups, _, n = codes.shape
-        pairs = self._bias.shape[1]
-        # Every buffer is per call: the stack is shared across threads.
-        operand, row_sums_all = _paired_operand(
-            codes & ((1 << ib) - 1), self._pair_values, self._bounds, self._bias
-        )
-
-        out = np.zeros((groups, self.shape[1], n))
-        # Tiles in tile order with every group's entry side by side,
-        # then the groups in index order.
-        per_group = _StatsAccumulator()
-        for b, block in enumerate(self._blocks):
-            head = block.head
-            pairs_in = operand[:, head.row_start + b : head.row_stop + b + 1]
-            # Cache-sized blocks of vectors, as in the per-group kernel;
-            # the budget covers all the groups.
-            width = _block_vectors(groups * block.planes32.shape[1], pairs)
-            for v0 in range(0, n, width):
-                v1 = min(v0 + width, n)
-                head.shift_add(
-                    np.matmul(block.planes32, pairs_in[:, :, v0 * pairs : v1 * pairs]),
-                    out[:, :, v0:v1],
-                )
-
-            row_sums = row_sums_all[:, head.row_start : head.row_stop]
-            row_activations = row_sums.sum(axis=1).astype(np.int64)
-            for tile, plane_row_sums in zip(head.tiles, block.plane_row_sums):
-                macro = tile.macro
-                per_group.add(
-                    macro_pass_stats(
-                        macro.config,
-                        macro.rows_used,
-                        macro.cols_used,
-                        n_vectors=n,
-                        row_activations=row_activations,
-                        counts_total=np.einsum("gr,gr->g", row_sums, plane_row_sums),
-                    )
-                )
-        return out, _sum_groups(per_group.finish(), groups)
+    if groups == 1:
+        return [0.0 + value for value in values]
+    sums = np.zeros((len(values), groups + 1))
+    for row, value in zip(sums[:, 1:], values):
+        row[...] = value
+    return np.add.accumulate(sums, axis=1)[:, -1].tolist()

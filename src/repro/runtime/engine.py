@@ -37,10 +37,7 @@ from repro.runtime.cache import (
     resolve_cache,
     weight_fingerprint,
 )
-from repro.runtime.backends.reference_fast import (
-    StackedBitSerialKernel,
-    TiledBitSerialKernel,
-)
+from repro.runtime.backends.reference_fast import TiledBitSerialKernel
 
 _UNSIGNED_ENGINE_ERROR = (
     "engine is programmed for unsigned activations but the "
@@ -310,9 +307,10 @@ class _GroupStack:
     """What one list of per-group engines contributes to every layer
     pass, gathered once: activation spec, input signedness, weight
     scales and — when every group runs the fast kernel over one geometry
-    — their :class:`StackedBitSerialKernel`, in which a group's input
-    signedness is one row of numbers (the pair-table section its top
-    input-bit pair reads), so a mixed-sign layer is still one pass.
+    — their :meth:`TiledBitSerialKernel.stack`, the one bit-serial pass
+    with a group axis, in which a group's input signedness is one row of
+    numbers (the pair-table section its top input-bit pair reads), so a
+    mixed-sign layer is still one pass.
 
     Valid for exactly the engine objects it was built from
     (``engines``, held strongly and compared by identity): re-programmed
@@ -326,12 +324,7 @@ class _GroupStack:
         self.act_spec = QuantSpec(bits=linears[0].activation_bits, per_channel_axis=1)
         self.signed = np.array([lin.signed_inputs for lin in linears])
         self.w_scale = np.stack([lin.w_scale.reshape(-1) for lin in linears])
-        kernels = [lin._kernel for lin in linears]
-        self.kernel = (
-            StackedBitSerialKernel(kernels)
-            if StackedBitSerialKernel.supported(kernels)
-            else None
-        )
+        self.kernel = TiledBitSerialKernel.stack([lin._kernel for lin in linears])
 
 
 class GroupedConv:

@@ -895,10 +895,13 @@ def save(
     """Serialize ``compiled`` (a :class:`CompiledModel` or
     :class:`ShardedModel`) into ``store``; returns the artifact key.
 
-    ``created_at`` stamps the header (defaults to the wall clock).  It
-    is the *only* nondeterministic byte in an artifact — pass a fixed
-    value and two saves of the same compiled model are byte-identical,
-    which is what reproducible-build and artifact-diffing flows want.
+    ``created_at`` stamps the header (defaults to the wall clock in
+    whole seconds, whose ``repr`` has one length for centuries, so the
+    header's size — and with it every 64-byte-aligned array offset —
+    never depends on the clock).  It is the *only* nondeterministic
+    byte in an artifact — pass a fixed value and two saves of the same
+    compiled model are byte-identical, which is what reproducible-build
+    and artifact-diffing flows want.
 
     ``key`` defaults to :func:`artifact_key` of the compiled model's
     weights, config and shard layout (``fold_bn`` models hash to their
@@ -940,7 +943,7 @@ def save(
 
     meta: Dict[str, Any] = {
         "payload": "model",
-        "created_at": float(created_at) if created_at is not None else time.time(),
+        "created_at": float(created_at if created_at is not None else int(time.time())),
         "runtime_config": to_meta(base.config),
         "module_tree": spec,
         "fingerprints": fingerprints,

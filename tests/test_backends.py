@@ -16,6 +16,7 @@ The load-bearing guarantees:
 
 import dataclasses
 import hashlib
+import inspect
 import time
 from pathlib import Path
 
@@ -147,6 +148,66 @@ class TestAutotuner:
         out_p, stats_p = get_backend("popcount")(engine).matmul(x)
         assert np.array_equal(out_r, out_p)
         assert stats_r == stats_p
+
+
+# ----------------------------------------------------------------------
+# One stats formula for every pass
+# ----------------------------------------------------------------------
+class TestOneStatsFormula:
+    """Every kernel's stats come from ``macro_pass_stats``, the formula
+    the reference tile walk uses — one call per tile, whether the pass
+    is a lone group, a grouped layer's stack or the popcount backend —
+    and equal the tile walk's, as do the outputs."""
+
+    @pytest.mark.parametrize("kind", ["single", "stack", "popcount"])
+    def test_every_pass_reaches_macro_pass_stats(self, kind, monkeypatch):
+        from repro.cim import CimTiledMatmul, MacroStats
+        from repro.runtime.backends import reference_fast
+
+        if kind == "popcount" and not PopcountBitSerialKernel.supported(MacroConfig()):
+            pytest.skip("popcount needs np.bitwise_count")
+        rng = np.random.default_rng(17)
+        signs = [False, True, False] if kind == "stack" else [True]
+        # Two row blocks (128 + 72 rows) x two column tiles (32 + 8).
+        engines = [
+            CimTiledMatmul(
+                rng.integers(-128, 128, size=(200, 40)), MacroConfig(signed_inputs=s)
+            )
+            for s in signs
+        ]
+        codes = np.stack(
+            [rng.integers(*e.config.input_range(), size=(200, 9)) for e in engines]
+        )
+        ref = [engine.matmul(x) for engine, x in zip(engines, codes)]
+        ref_stats = MacroStats()
+        for _, stats in ref:  # a grouped layer's chain: groups in index order
+            ref_stats = ref_stats + stats
+
+        if kind == "stack":
+            kernel = TiledBitSerialKernel.stack(
+                [TiledBitSerialKernel(e) for e in engines]
+            )
+            x, expected = codes, np.stack([out for out, _ in ref])
+        else:
+            kernel = get_backend(kind.replace("single", DEFAULT_BACKEND))(engines[0])
+            x, expected = codes[0], ref[0][0]
+
+        calls = []
+        formula = reference_fast.macro_pass_stats
+        signature = inspect.signature(formula)
+
+        def spy(*args, **kwargs):
+            # The shape of row_activations: one entry per stacked group.
+            bound = signature.bind(*args, **kwargs).arguments
+            calls.append(np.shape(bound["row_activations"]))
+            return formula(*args, **kwargs)
+
+        monkeypatch.setattr(reference_fast, "macro_pass_stats", spy)
+        out, stats = kernel.matmul(x)
+        assert len(calls) == len(engines[0].tiles) == 4
+        assert set(calls) == ({(3,)} if kind == "stack" else {()})
+        assert out.tobytes() == expected.tobytes()
+        assert stats == ref_stats
 
 
 # ----------------------------------------------------------------------

@@ -363,7 +363,7 @@ class TestVectorBlockProperties:
         engine, x, (ref, ref_stats) = _engine_and_batch(case)
         config = engine.config
         kernel = TiledBitSerialKernel(engine)
-        stacked = kernel._groups[0].planes32.shape[0]
+        stacked = kernel._groups[0].planes32.shape[-2]
         pairs = reference_fast._pairs(config.input_bits)
         budget = stacked * pairs * 8 * step
         with mock.patch.object(reference_fast, "_BLOCK_BYTES", budget):
@@ -483,7 +483,7 @@ def _probe_pairing(kernel, reached):
 def _block_budget(kernel, step):
     """``_BLOCK_BYTES`` at which the tallest row block runs ``step``
     vectors per block."""
-    stacked = max(group.planes32.shape[0] for group in kernel._groups)
+    stacked = max(group.planes32.shape[-2] for group in kernel._groups)
     return stacked * reference_fast._pairs(kernel.engine.config.input_bits) * 8 * step
 
 
@@ -730,14 +730,15 @@ class TestGroupedLayerProperties:
 
     def test_functional_shim_matches_reference(self):
         reached = collections.Counter()
-        stacked_matmul = reference_fast.StackedBitSerialKernel.matmul
+        pass_matmul = TiledBitSerialKernel.matmul
 
         def matmul(kernel, codes):
             # Per-group signedness is the top pair's section, a bias row.
             top = kernel._bias[:, -1]
-            reached["one signedness"] += bool(top.min() == top.max())
-            reached["mixed-signedness stack"] += bool(top.min() != top.max())
-            return stacked_matmul(kernel, codes)
+            if top.size > 1:  # a grouped layer's stack, not a lone group
+                reached["one signedness"] += bool(top.min() == top.max())
+                reached["mixed-signedness stack"] += bool(top.min() != top.max())
+            return pass_matmul(kernel, codes)
 
         @given(grouped_layer_cases())
         @settings(max_examples=200, deadline=None, derandomize=True)
@@ -755,7 +756,7 @@ class TestGroupedLayerProperties:
             _assert_same_bytes(out, ref)
             assert stats == ref_stats
 
-        with mock.patch.object(reference_fast.StackedBitSerialKernel, "matmul", matmul):
+        with mock.patch.object(TiledBitSerialKernel, "matmul", matmul):
             run()
         assert reached["one signedness"] and reached["mixed-signedness stack"]
 

@@ -205,7 +205,7 @@ def _blocked_engine(signed, adc_bits):
 def _block_of(kernel):
     group = kernel._groups[0]
     return reference_fast._block_vectors(
-        group.planes32.shape[0], reference_fast._pairs(kernel.engine.config.input_bits)
+        group.planes32.shape[-2], reference_fast._pairs(kernel.engine.config.input_bits)
     )
 
 
@@ -242,13 +242,13 @@ class TestVectorBlocks:
 
         def take(table, indices, **kwargs):
             if table.ndim == 1:  # a pair table, not the operand's byte expansion
-                gathers.append(indices.shape[1])
+                gathers.append(indices.shape[-1])
             return real(table, indices, **kwargs)
 
         monkeypatch.setattr(reference_fast.np, "take", take)
         ib = engine.config.input_bits
         pairs = reference_fast._pairs(ib)
-        stacked = max(group.planes32.shape[0] for group in kernel._groups)
+        stacked = max(group.planes32.shape[-2] for group in kernel._groups)
         assert block == reference_fast._BLOCK_BYTES // (stacked * pairs * 8)
         kernel.matmul(np.zeros((200, 2 * block + 3), dtype=np.int64))
         assert gathers == [block * pairs, block * pairs, 3 * pairs] * 2
@@ -347,7 +347,7 @@ class TestProgrammedKernelIsStateless:
     def test_twenty_batch_widths_grow_nothing(self, name):
         engine = _blocked_engine(True, 5)  # two row blocks x two column tiles
         if name == "stacked":
-            kernel = reference_fast.StackedBitSerialKernel(
+            kernel = TiledBitSerialKernel.stack(
                 [TiledBitSerialKernel(engine) for _ in range(3)]
             )
             shape = (3, 200)

@@ -558,6 +558,22 @@ class TestGoldenFormat:
         kinds = set(re.findall(r'"kind": "(\w+)"', tree)) | {"batchnorm2d"}
         assert kinds == set(snapshot_mod.MODULE_KINDS), "a row no pin covers"
 
+    def test_default_stamp_does_not_move_the_header(self, store, monkeypatch):
+        """The wall-clock stamp is whole seconds: two clocks whose
+        ``repr`` lengths differ give one header size and one file size,
+        so an artifact's bytes never depend on when it was saved."""
+        compiled = compile_model(golden_model(), RuntimeConfig(), cache=EngineCache())
+        sizes = []
+        for now in (1760000000.5, 1760000000.123456789):
+            monkeypatch.setattr(snapshot_mod.time, "time", lambda: now)
+            key = save(compiled, store)
+            blob = store.model_path(key).read_bytes()
+            start = len(snapshot_mod.MAGIC)
+            sizes.append((int.from_bytes(blob[start : start + 8], "little"), len(blob)))
+            assert store.meta(key)["created_at"] == 1760000000.0
+        assert len(repr(1760000000.5)) != len(repr(1760000000.123456789))
+        assert sizes[0] == sizes[1]
+
     @pytest.mark.parametrize("fold_bn", [True, False])
     def test_pre_fold_batchnorm_key_is_pinned(self, fold_bn):
         config = RuntimeConfig(fold_bn=fold_bn)
