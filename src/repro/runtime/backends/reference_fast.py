@@ -55,7 +55,14 @@ around four observations:
    weight-bit fold -> pair fold -> ``out += partial * step``
    (:meth:`_TileGroup.shift_add`) — runs per **block of vectors** sized
    to keep one row block's indices and codes cache-resident
-   (:data:`_BLOCK_BYTES`).  No whole-batch intermediate exists, and a
+   (:data:`_BLOCK_BYTES`), and a call with enough of it
+   (:data:`_SPLIT_INDICES`) cuts its vectors into one contiguous chunk
+   per core the process may use: the caller runs the first, a
+   process-wide pool of threads the others
+   (:meth:`TiledBitSerialKernel._split`) — the GEMM, the gather, the
+   casts and the ufuncs all release the interpreter lock.  Each output
+   column is one chunk's, its row blocks added in ascending order, so
+   the cut moves no bit.  No whole-batch intermediate exists, and a
    programmed kernel holds no per-call-shape state.
 
 One further exact shortcut: the total ON-cell count needed for energy
@@ -81,8 +88,11 @@ encodings) falls back to the reference implementation at the call site.
 
 from __future__ import annotations
 
+import concurrent.futures
 import copy
 import functools
+import os
+import threading
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -101,6 +111,56 @@ from repro.runtime.backends.base import KernelBackend, register_backend
 #: last-level-private cache (re-measured on the resnet8 conv shapes:
 #: 2-8 MiB is a plateau within run-to-run noise, 0.5 MiB is ~10% slower).
 _BLOCK_BYTES = 4 << 20
+
+#: Pair-table indices a call gathers — vectors x stacked weight-plane
+#: rows x input-bit pairs, over every row block — from which its back
+#: half is split across cores; a smaller call runs inline.  Measured on
+#: two cores over the resnet8 and mobilenet kernel calls: a split call
+#: takes 1.03-2.4x the inline time below 2**18 indices (the handoff, and
+#: every chunk paying each row block's fixed cost), 0.85-1.01x at 2**18
+#: and 0.59-0.96x from 2**19 up.
+_SPLIT_INDICES = 1 << 18
+
+
+def _cores() -> int:
+    """The cores this process may run on: its affinity mask where the
+    platform has one, else every core."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+#: Contiguous chunks a split call cuts its vector axis into: one per core
+#: this process may use — the caller runs one, the pool's threads the rest.
+_WORKERS = _cores()
+
+#: The process-wide pool of ``_WORKERS - 1`` threads, built on the first
+#: split call; never built in a one-core process.
+_pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> concurrent.futures.ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = concurrent.futures.ThreadPoolExecutor(
+                _WORKERS - 1, thread_name_prefix="bit-serial"
+            )
+        return _pool
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool has no threads here, so a
+    chunk submitted to it would never start — the child builds its own
+    on first use, under a fresh lock (one a parent thread held at the
+    fork would stay held here)."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _pairs(input_bits: int) -> int:
@@ -417,6 +477,7 @@ class TiledBitSerialKernel(KernelBackend):
         self._ranges = [engine.config.input_range()]
         #: The range every group accepts.
         self._accepted = self._ranges[0]
+        self._vector_indices = self._count_vector_indices()
 
     @staticmethod
     def stack(
@@ -457,7 +518,18 @@ class TiledBitSerialKernel(KernelBackend):
         stack._ranges = [bounds for kernel in kernels for bounds in kernel._ranges]
         lows, highs = zip(*stack._ranges)
         stack._accepted = (max(lows), min(highs))
+        stack._vector_indices = stack._count_vector_indices()
         return stack
+
+    def _count_vector_indices(self) -> int:
+        """Pair-table indices one input vector costs the pass: every
+        group's stacked rows times the input-bit pairs, over the row
+        blocks — the measure :data:`_SPLIT_INDICES` is set in."""
+        pairs = self._bias.shape[-1]
+        return sum(
+            group.planes32.shape[0] * group.planes32.shape[1] * pairs
+            for group in self._groups
+        )
 
     @staticmethod
     def supported(config: MacroConfig) -> bool:
@@ -483,18 +555,55 @@ class TiledBitSerialKernel(KernelBackend):
         # expansion, before the block loop's peak.
         operand, row_ones = self._expand(self._serial_codes(x))
         groups, n = row_ones.shape[0], x.shape[-1] if x.ndim > 1 else 1
-        pairs = self._bias.shape[-1]
         out = np.zeros((groups, self.engine.shape[1], n))
-        for b, group in enumerate(self._groups):
-            # Cache-sized blocks of vectors; the budget covers the
-            # stacked planes of every group.
-            width = _block_vectors(groups * group.planes32.shape[1], pairs)
-            for v0 in range(0, n, width):
-                v1 = min(v0 + width, n)
-                group.shift_add(self._contract(operand, b, v0, v1), out[:, :, v0:v1])
+        if n * self._vector_indices >= _SPLIT_INDICES and min(_WORKERS, n) > 1:
+            self._split(operand, out, min(_WORKERS, n))
+        else:
+            self._back_half(operand, out, 0, n)
         if x.ndim < 3:
             out = out[0, :, 0] if x.ndim == 1 else out[0]
         return out, self._pass_stats(row_ones, n)
+
+    def _back_half(
+        self, operand: np.ndarray, out: np.ndarray, v0: int, v1: int
+    ) -> None:
+        """Count GEMM -> pair gather -> shift-and-add for vectors ``v0``
+        to ``v1``, into ``out[..., v0:v1]``: the row blocks in ascending
+        order, each in cache-sized blocks of vectors (the budget covers
+        the stacked planes of every group)."""
+        groups, pairs = out.shape[0], self._bias.shape[-1]
+        for b, group in enumerate(self._groups):
+            width = _block_vectors(groups * group.planes32.shape[1], pairs)
+            for w0 in range(v0, v1, width):
+                w1 = min(w0 + width, v1)
+                group.shift_add(self._contract(operand, b, w0, w1), out[:, :, w0:w1])
+
+    def _split(self, operand: np.ndarray, out: np.ndarray, chunks: int) -> None:
+        """:meth:`_back_half` over ``chunks`` contiguous ranges of the
+        vector axis: the calling thread runs the first, the pool the
+        rest — and once done with its own, the caller takes back and
+        runs every chunk no pool thread has started, so a busy pool
+        never makes a call wait in its queue.  Chunks write disjoint
+        ``out`` columns and every step is exact per vector, so the bits
+        are the inline pass's."""
+        n = out.shape[-1]
+        edges = [n * chunk // chunks for chunk in range(chunks + 1)]
+        first, *rest = zip(edges, edges[1:])
+        pool = _executor()
+        futures = [
+            pool.submit(self._back_half, operand, out, *chunk) for chunk in rest
+        ]
+        try:
+            self._back_half(operand, out, *first)
+            for future, chunk in zip(futures, rest):
+                if future.cancel():
+                    self._back_half(operand, out, *chunk)
+        finally:
+            # Whatever raised: once this returns, no chunk still writes.
+            started = [future for future in futures if not future.cancel()]
+            concurrent.futures.wait(started)
+        for future in started:
+            future.result()  # a pool thread's error, raised here
 
     def _serial_codes(self, x: np.ndarray) -> np.ndarray:
         """Validate one integer-code batch: ``(G, rows, n)`` two's-

@@ -19,6 +19,12 @@ Threads are the right worker model here: the numpy kernels under
 ``CompiledModel.run`` release the GIL for their GEMM/gather work, and
 per-tenant :class:`~repro.runtime.ExecutionSession` accounting is
 internally locked, so tenants' counters survive concurrent workers.
+A wide kernel call also splits its vectors over the kernel's one
+process-wide pool, one chunk per core the process may use; each worker
+runs its own call's first chunk and takes back any the pool has not
+started, so workers never queue behind one another's chunks.  Small
+models' batches stay below the split floor and run inline (a
+``Linear(32, 10)`` needs ~800 vectors to reach it).
 """
 
 from __future__ import annotations

@@ -11,8 +11,16 @@ The load-bearing guarantees:
   compiling again reuses the programmed engines.
 """
 
+import concurrent.futures
+import contextlib
 import functools
+import os
+import signal
+import sys
+import threading
+import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +32,7 @@ from repro.cim import (
     CimMacro,
     CimTiledMatmul,
     MacroConfig,
+    MacroStats,
     PulseWidthEncoding,
     cim_conv2d,
     cim_linear,
@@ -44,6 +53,8 @@ from repro.runtime import (
 
 from repro.runtime.backends import available_backends, get_backend, reference_fast
 from repro.runtime.engine import ProgrammedLinear
+
+from .helpers import DEADLINE
 
 RNG = np.random.default_rng(7)
 
@@ -191,47 +202,168 @@ class TestKernels:
 # ----------------------------------------------------------------------
 # Vector-axis blocking: every block boundary against the true oracle
 # ----------------------------------------------------------------------
-def _blocked_engine(signed, adc_bits):
-    """Two row blocks (128 + 72 rows) x two column tiles (32 + a ragged
-    8): the smallest grid with a multi-tile stacked slab, a shorter last
-    row block (its own LUT) and a ragged last column tile."""
+def _blocked_engine(signed, adc_bits, row_blocks=2):
+    """``row_blocks`` row blocks (128 rows each, the last 72) x two
+    column tiles (32 + a ragged 8).  Two is the smallest grid with a
+    multi-tile stacked slab, a shorter last row block (its own LUT) and a
+    ragged last column tile; from three on, the order the row blocks'
+    partials are added in shows in the bits (under a lossy ADC)."""
     config = MacroConfig(signed_inputs=signed, adc=AdcSpec(bits=adc_bits))
-    weights = np.random.default_rng(21).integers(-128, 128, size=(200, 40))
+    rows = 128 * (row_blocks - 1) + 72
+    weights = np.random.default_rng(21).integers(-128, 128, size=(rows, 40))
     engine = CimTiledMatmul(weights, config)
-    assert len(engine.tiles) == 4
+    assert len(engine.tiles) == 2 * row_blocks
     return engine
 
 
 def _block_of(kernel):
     group = kernel._groups[0]
     return reference_fast._block_vectors(
-        group.planes32.shape[-2], reference_fast._pairs(kernel.engine.config.input_bits)
+        group.planes32.shape[0] * group.planes32.shape[-2],
+        reference_fast._pairs(kernel.engine.config.input_bits),
     )
+
+
+def _split(workers):
+    """Every call with at least two vectors cut into ``workers`` chunks,
+    whatever cores the machine has and however little work it is."""
+    return mock.patch.multiple(reference_fast, _WORKERS=workers, _SPLIT_INDICES=0)
+
+
+def _assert_split_matches_tile_walk(kernel, engines, seed):
+    """Outputs and ``MacroStats`` of ``kernel`` — one engine's, or the
+    stack of ``engines`` — equal the tile walk's (stats chained over the
+    groups in index order), on batches around every vector-block
+    boundary, inline and cut into 2 and 3 chunks, first and second call;
+    the chunk edges fall both inside a block and on a block boundary."""
+    block = _block_of(kernel)
+    rng = np.random.default_rng(seed)
+    edges = []
+    back_half = TiledBitSerialKernel._back_half
+
+    def spy(self, operand, out, v0, v1):
+        edges.append(v0)
+        back_half(self, operand, out, v0, v1)
+
+    # Around every block boundary; cut into 2 and 3 chunks, 2 * block and
+    # 3 * block put chunk edges on one, the other widths inside a block.
+    for n in (1, block - 1, block, block + 1, 2 * block, 2 * block + 3,
+              3 * block, 3 * block + 5):
+        codes = [
+            rng.integers(*e.config.input_range(), size=(e.shape[0], n), endpoint=True)
+            for e in engines
+        ]
+        walks = [engine.matmul(x) for engine, x in zip(engines, codes)]
+        ref_stats = sum((stats for _, stats in walks), MacroStats())
+        if len(engines) == 1:
+            x, ref = codes[0], walks[0][0]
+        else:
+            x, ref = np.stack(codes), np.stack([out for out, _ in walks])
+        for workers in (1, 2, 3):
+            with _split(workers), mock.patch.object(
+                TiledBitSerialKernel, "_back_half", spy
+            ):
+                for _ in range(2):  # a call leaves no state behind
+                    out, stats = kernel.matmul(x)
+                    assert out.tobytes() == ref.tobytes()
+                    assert stats == ref_stats
+    inner = {edge for edge in edges if edge}
+    assert {edge % block == 0 for edge in inner} == {True, False}
+
+
+def _reversed_row_blocks(self, operand, out, v0, v1):
+    """``TiledBitSerialKernel._back_half`` with a chunk's row blocks run
+    last to first."""
+    groups, pairs = out.shape[0], self._bias.shape[-1]
+    for b in reversed(range(len(self._groups))):
+        group = self._groups[b]
+        width = reference_fast._block_vectors(groups * group.planes32.shape[1], pairs)
+        for w0 in range(v0, v1, width):
+            w1 = min(w0 + width, v1)
+            group.shift_add(self._contract(operand, b, w0, w1), out[:, :, w0:w1])
+
+
+def _two_callers(kernel, widths):
+    """Two threads calling ``kernel`` four times each on batches of
+    ``widths`` vectors, under a short switch interval: every result
+    equals the same call made alone.  Returns the threads that split."""
+    rng = np.random.default_rng(4)
+    batches = [rng.integers(0, 256, size=(kernel.engine.shape[0], n)) for n in widths]
+    serial = [kernel.matmul(x) for x in batches]
+    results = [[] for _ in batches]
+    splitters = []
+    split = TiledBitSerialKernel._split
+
+    def spy(self, *args):
+        splitters.append(threading.current_thread())
+        split(self, *args)
+
+    def work(slot):
+        for _ in range(4):
+            results[slot].append(kernel.matmul(batches[slot]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(slot,)) for slot in range(len(batches))
+        ]
+        with mock.patch.object(TiledBitSerialKernel, "_split", spy):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for slot, (out, stats) in enumerate(serial):
+        assert len(results[slot]) == 4
+        for got, got_stats in results[slot]:
+            assert got.tobytes() == out.tobytes()
+            assert got_stats == stats
+    return [thread for thread in threads if thread in splitters]
 
 
 class TestVectorBlocks:
     @pytest.mark.parametrize("signed", [False, True])
     @pytest.mark.parametrize("adc_bits", [5, 8])  # lossy / identity transfer
     def test_block_boundaries_bitwise_vs_tiled_reference(self, signed, adc_bits):
-        engine = _blocked_engine(signed, adc_bits)
+        engine = _blocked_engine(signed, adc_bits, row_blocks=3)
         kernel = TiledBitSerialKernel(engine)
-        block = _block_of(kernel)
-        low, high = (-128, 128) if signed else (0, 256)
-        rng = np.random.default_rng(adc_bits + signed)
-        for n in (1, block - 1, block, block + 1, 2 * block + 3, 3 * block + 5):
-            x = rng.integers(low, high, size=(200, n))
-            ref, ref_stats = engine.matmul(x)
-            for _ in range(2):  # a call leaves no state behind
-                out, stats = kernel.matmul(x)
-                assert out.tobytes() == ref.tobytes()
-                assert stats == ref_stats
+        _assert_split_matches_tile_walk(kernel, [engine], seed=adc_bits + signed)
+
+    def test_reversed_row_blocks_fail_the_boundary_check(self):
+        """The check above has teeth: chunks that add their row blocks'
+        partials last to first differ from the tile walk."""
+        engine = _blocked_engine(False, 5, row_blocks=3)
+        kernel = TiledBitSerialKernel(engine)
+        with mock.patch.object(TiledBitSerialKernel, "_back_half", _reversed_row_blocks):
+            with pytest.raises(AssertionError):
+                _assert_split_matches_tile_walk(kernel, [engine], seed=5)
+
+    @pytest.mark.parametrize("kind", ["stack", "popcount"])
+    def test_split_stack_and_popcount_bitwise_vs_tiled_reference(self, kind):
+        """The split is the one pass's, so a mixed-signedness grouped
+        stack and the popcount backend cut exactly like a lone group."""
+        if kind == "popcount":
+            if not get_backend("popcount").supported(MacroConfig()):
+                pytest.skip("popcount needs np.bitwise_count")
+            engines = [_blocked_engine(True, 5)]
+            kernel = get_backend("popcount")(engines[0])
+        else:
+            engines = [_blocked_engine(signed, 5) for signed in (False, True, False)]
+            kernel = TiledBitSerialKernel.stack(
+                [TiledBitSerialKernel(engine) for engine in engines]
+            )
+        _assert_split_matches_tile_walk(kernel, engines, seed=9)
 
     def test_wide_batch_is_gathered_in_blocks(self, monkeypatch):
         """The back half runs per block of ``_block_vectors`` vectors — a
-        batch that fits one block is gathered whole — and nothing of
-        whole-batch ``(stacked, n * ib)`` float64 extent is allocated.  A
-        gather covers two input bits, so a block holds ``_BLOCK_BYTES //
-        (stacked * pairs * 8)`` vectors."""
+        batch that fits one block is gathered whole, a split call's
+        chunks each in blocks from their own first vector — and nothing
+        of whole-batch ``(stacked, n * ib)`` float64 extent is allocated,
+        with three chunks in flight.  A gather covers two input bits, so
+        a block holds ``_BLOCK_BYTES // (stacked * pairs * 8)`` vectors."""
         import tracemalloc
 
         engine = _blocked_engine(False, 5)
@@ -250,20 +382,31 @@ class TestVectorBlocks:
         pairs = reference_fast._pairs(ib)
         stacked = max(group.planes32.shape[-2] for group in kernel._groups)
         assert block == reference_fast._BLOCK_BYTES // (stacked * pairs * 8)
-        kernel.matmul(np.zeros((200, 2 * block + 3), dtype=np.int64))
-        assert gathers == [block * pairs, block * pairs, 3 * pairs] * 2
-        del gathers[:]
-        kernel.matmul(np.zeros((200, block), dtype=np.int64))
-        assert gathers == [block * pairs] * 2
+        with _split(1):
+            kernel.matmul(np.zeros((200, 2 * block + 3), dtype=np.int64))
+            assert gathers == [block * pairs, block * pairs, 3 * pairs] * 2
+            del gathers[:]
+            kernel.matmul(np.zeros((200, block), dtype=np.int64))
+            assert gathers == [block * pairs] * 2
 
-        n = 8 * block + 3
-        x = np.zeros((200, n), dtype=np.int64)
-        tracemalloc.start()
-        try:
-            kernel.matmul(x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # Three chunks of 2 * block + 3 vectors: 273, 274 and 274 vectors,
+        # one block each; pool threads append in any order.
+        with _split(3):
+            del gathers[:]
+            kernel.matmul(np.zeros((200, 2 * block + 3), dtype=np.int64))
+            third = (2 * block + 3) // 3
+            assert sorted(gathers) == sorted(
+                [third * pairs, (third + 1) * pairs, (third + 1) * pairs] * 2
+            )
+
+            n = 8 * block + 3
+            x = np.zeros((200, n), dtype=np.int64)
+            tracemalloc.start()
+            try:
+                kernel.matmul(x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         assert peak < stacked * n * ib * 8
 
     @pytest.mark.parametrize("input_bits", [5, 8, 16])  # a partial byte, one, two
@@ -284,43 +427,147 @@ class TestVectorBlocks:
 
     def test_one_kernel_two_threads_different_batches(self):
         """Programmed kernels are shared through EngineCache and the
-        server's workers: concurrent calls must not share scratch."""
-        import sys
-        import threading
+        server's workers: concurrent calls must not share scratch — as
+        the machine's cores cut them, and with both callers splitting
+        over the one pool."""
+        kernel = TiledBitSerialKernel(_blocked_engine(False, 5))
+        block = _block_of(kernel)
+        _two_callers(kernel, (2 * block + 3, 5))
+        with _split(3):
+            assert len(_two_callers(kernel, (2 * block + 3, block + 1))) == 2
 
-        engine = _blocked_engine(False, 5)
-        kernel = TiledBitSerialKernel(engine)
-        rng = np.random.default_rng(4)
-        batches = [
-            rng.integers(0, 256, size=(200, n))
-            for n in (2 * _block_of(kernel) + 3, 5)
-        ]
-        serial = [kernel.matmul(x) for x in batches]
-        results = [[] for _ in batches]
 
-        def work(slot):
-            for _ in range(4):
-                results[slot].append(kernel.matmul(batches[slot]))
+class TestSplitPool:
+    """The process-wide pool a split call shares: the caller runs one
+    chunk and takes back any no pool thread has started, an error on a
+    pool thread reaches the caller, and no chunk outlives the call."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def pool(workers):
+        """Calls cut into ``workers`` chunks over a fresh one-thread pool."""
+        pool = concurrent.futures.ThreadPoolExecutor(1)
+        try:
+            with _split(workers), mock.patch.object(reference_fast, "_pool", pool):
+                yield pool
+        finally:
+            pool.shutdown(wait=True)
+
+    @staticmethod
+    def case():
+        kernel = TiledBitSerialKernel(_blocked_engine(True, 5))
+        n = 2 * _block_of(kernel) + 3
+        x = np.random.default_rng(6).integers(-128, 128, size=(200, n))
+        with _split(1):
+            return kernel, x, kernel.matmul(x)
+
+    def test_saturated_pool_runs_every_chunk_on_the_caller(self):
+        kernel, x, (inline, inline_stats) = self.case()
+        busy, release = threading.Event(), threading.Event()
+        ran_on = []
+        back_half = TiledBitSerialKernel._back_half
+
+        def spy(self, *args):
+            ran_on.append(threading.current_thread())
+            back_half(self, *args)
+
+        def occupy():
+            busy.set()
+            return release.wait(DEADLINE)
+
+        with self.pool(3) as pool:
+            blocker = pool.submit(occupy)
+            try:
+                assert busy.wait(DEADLINE)
+                with mock.patch.object(TiledBitSerialKernel, "_back_half", spy):
+                    out, stats = kernel.matmul(x)
+            finally:
+                release.set()
+            assert blocker.result(timeout=DEADLINE)
+        assert ran_on == [threading.current_thread()] * 3
+        assert out.tobytes() == inline.tobytes()
+        assert stats == inline_stats
+
+    def test_error_on_a_pool_thread_reaches_the_caller(self):
+        kernel, x, _ = self.case()
+        started = threading.Event()
+        back_half = TiledBitSerialKernel._back_half
+
+        def spy(self, operand, out, v0, v1):
+            if v0:  # a pool thread's chunk
+                started.set()
+                raise RuntimeError("chunk failed")
+            # The caller's: the pool thread has its chunk before this ends.
+            assert started.wait(DEADLINE)
+            back_half(self, operand, out, v0, v1)
+
+        with self.pool(2), mock.patch.object(TiledBitSerialKernel, "_back_half", spy):
+            with pytest.raises(RuntimeError, match="chunk failed"):
+                kernel.matmul(x)
+
+    def test_no_started_chunk_outlives_a_failed_call(self):
+        """The caller's chunk raises while a pool thread's is still
+        writing: the call raises only once that chunk is done.  A long
+        switch interval keeps the interpreter with the caller until it
+        blocks, so a call that raised without waiting would be seen
+        before the pool thread could finish."""
+        kernel, x, _ = self.case()
+        started, proceed, finished = (threading.Event() for _ in range(3))
+        back_half = TiledBitSerialKernel._back_half
+
+        def spy(self, operand, out, v0, v1):
+            if v0:  # a pool thread's chunk
+                started.set()
+                assert proceed.wait(DEADLINE)
+                back_half(self, operand, out, v0, v1)
+                finished.set()
+                return
+            assert started.wait(DEADLINE)
+            proceed.set()
+            raise ValueError("caller's chunk failed")
 
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
+        sys.setswitchinterval(1.0)
         try:
-            threads = [
-                threading.Thread(target=work, args=(slot,))
-                for slot in range(len(batches))
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-                assert not thread.is_alive()
+            with self.pool(2), mock.patch.object(TiledBitSerialKernel, "_back_half", spy):
+                with pytest.raises(ValueError, match="caller's chunk"):
+                    kernel.matmul(x)
+                assert finished.is_set()
         finally:
             sys.setswitchinterval(interval)
-        for slot, (out, stats) in enumerate(serial):
-            assert len(results[slot]) == 4
-            for got, got_stats in results[slot]:
-                assert got.tobytes() == out.tobytes()
-                assert got_stats == stats
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_builds_its_own_pool(self):
+        """A pool inherited across ``fork`` has no threads in the child:
+        the child drops it and splits over a pool of its own."""
+        kernel, x, (inline, _) = self.case()
+        with _split(2):
+            kernel.matmul(x)  # the parent's pool exists
+            assert reference_fast._pool is not None
+            with warnings.catch_warnings():
+                # Python 3.12 warns on forking a process with threads.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # the child: exit 0 only if every check holds
+                status = 1
+                try:
+                    fresh = reference_fast._pool is None
+                    out, _ = kernel.matmul(x)
+                    rebuilt = reference_fast._pool is not None
+                    same = out.tobytes() == inline.tobytes()
+                    status = 0 if fresh and rebuilt and same else 2
+                finally:
+                    os._exit(status)
+        reaped = []
+        reaper = threading.Thread(target=lambda: reaped.append(os.waitpid(pid, 0)))
+        reaper.start()
+        reaper.join(DEADLINE)
+        if reaper.is_alive():
+            os.kill(pid, signal.SIGKILL)
+            reaper.join(DEADLINE)
+        assert not reaper.is_alive()
+        [(_, status)] = reaped
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
 def _extents(obj):
