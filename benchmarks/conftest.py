@@ -21,8 +21,10 @@ from repro.runtime import engine, reference_forward
 def quantize_counts(monkeypatch):
     """``quantize_counts()`` starts counting quantisations on both
     execution paths and returns the live tallies, ``{"compiled": {...},
-    "seed": {...}}``, each split by operand: a per-channel spec is a
-    weight tensor, a batch-global one an activation batch.
+    "seed": {...}}``, each split by operand: a spec per output channel
+    (axis 0) is a weight tensor; anything else — batch-global, or one
+    scale per group along axis 1 in a conv layer pass — an activation
+    batch.
 
     The compile-once bars rest on these counts: after its first run a
     compiled model quantises activations only, while the seed path
@@ -34,10 +36,10 @@ def quantize_counts(monkeypatch):
         for path, module in (("compiled", engine), ("seed", mvm)):
             tallies[path] = counts = {"weights": 0, "activations": 0}
 
-            def quantize(x, spec, counts=counts, real=module.quantize):
-                operand = "activations" if spec.per_channel_axis is None else "weights"
+            def quantize(x, spec, signed=None, counts=counts, real=module.quantize):
+                operand = "weights" if spec.per_channel_axis == 0 else "activations"
                 counts[operand] += 1
-                return real(x, spec)
+                return real(x, spec, signed=signed)
 
             monkeypatch.setattr(module, "quantize", quantize)
         return tallies

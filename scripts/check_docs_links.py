@@ -11,7 +11,10 @@ Backticked source references are resolved too, so a deleted module or
 test class cannot stay cited: every `` `dir/name.py` `` must exist
 under the repo root, ``src/`` or ``src/repro/``, and for
 `` `dir/name.py::symbol` `` the file must define ``symbol`` (a
-function, class or assigned name; ``Class::method`` descends).
+function, class or assigned name; ``Class::method`` descends).  A
+backticked `` `Class.member` `` must name a class defined exactly once
+under ``src/repro`` whose body binds ``member``, one of whose methods
+assigns ``self.member``, or whose base class (defined there) has it.
 ROADMAP.md and CHANGES.md, which legitimately name deleted files, are
 not scanned.
 
@@ -21,6 +24,7 @@ Usage: python scripts/check_docs_links.py
 from __future__ import annotations
 
 import ast
+import functools
 import re
 import sys
 from pathlib import Path
@@ -36,6 +40,11 @@ EXTERNAL = ("http://", "https://", "mailto:")
 #: optionally followed by ``::symbol``.
 SOURCE_REF = re.compile(r"`([\w.-]+(?:/[\w.-]+)*/[\w-]+\.py)(?:::([\w.:]+))?`")
 SOURCE_ROOTS = (REPO_ROOT, REPO_ROOT / "src", REPO_ROOT / "src" / "repro")
+
+#: A whole backtick span ``Class.member``: a CamelCase class name
+#: (optionally private), one dot, one attribute name.
+CLASS_REF = re.compile(r"`(_?[A-Z][a-z]\w*)\.(\w+)`")
+PACKAGE = REPO_ROOT / "src" / "repro"
 
 
 def iter_markdown():
@@ -74,6 +83,66 @@ def check_source_ref(ref: str, symbol) -> str:
     return ""
 
 
+@functools.lru_cache(maxsize=1)
+def package_classes() -> dict:
+    """Every class defined under ``src/repro``: name -> its definitions."""
+    classes: dict = {}
+    for source in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.ClassDef):
+                classes.setdefault(node.name, []).append(node)
+    return classes
+
+
+def _self_assigned(method: ast.AST) -> set:
+    """Names ``method`` assigns as ``self.name`` (unpacking included)."""
+    names = set()
+    for node in ast.walk(method):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for leaf in ast.walk(target):
+                if (
+                    isinstance(leaf, ast.Attribute)
+                    and isinstance(leaf.value, ast.Name)
+                    and leaf.value.id == "self"
+                ):
+                    names.add(leaf.attr)
+    return names
+
+
+def has_member(cls: ast.ClassDef, member: str) -> bool:
+    """True when ``cls`` — or a base class defined under ``src/repro``
+    — binds ``member`` in its body or assigns ``self.member``."""
+    for node in cls.body:
+        if member in _bound_names(node):
+            return True
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+            member in _self_assigned(node)
+        ):
+            return True
+    for base in cls.bases:
+        name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+        defs = package_classes().get(name, [])
+        if len(defs) == 1 and defs[0] is not cls and has_member(defs[0], member):
+            return True
+    return False
+
+
+def check_class_ref(cls: str, member: str) -> str:
+    """The problem with one backticked ``Class.member`` reference, or ''."""
+    defs = package_classes().get(cls, [])
+    if len(defs) != 1:
+        return f"{len(defs)} classes {cls} under src/repro -> {cls}.{member}"
+    if not has_member(defs[0], member):
+        return f"class {cls} has no member -> {cls}.{member}"
+    return ""
+
+
 def check_file(path: Path) -> list:
     problems = []
     text = path.read_text()
@@ -94,10 +163,11 @@ def check_file(path: Path) -> list:
                     f"{path.relative_to(REPO_ROOT)}:{lineno}: broken link "
                     f"-> {target}"
                 )
-        for match in SOURCE_REF.finditer(line):
-            problem = check_source_ref(*match.groups())
-            if problem:
-                problems.append(f"{path.relative_to(REPO_ROOT)}:{lineno}: {problem}")
+        for regex, check in ((SOURCE_REF, check_source_ref), (CLASS_REF, check_class_ref)):
+            for match in regex.finditer(line):
+                problem = check(*match.groups())
+                if problem:
+                    problems.append(f"{path.relative_to(REPO_ROOT)}:{lineno}: {problem}")
     return problems
 
 

@@ -340,51 +340,31 @@ def cim_conv2d(
     Returns the float output (N, O, H', W') and aggregated macro stats.
     Like :func:`cim_linear`, a compile-and-run shim over the runtime's
     cached engines; bitwise identical to :func:`reference_cim_conv2d`.
-    ``groups > 1`` lowers to one cached engine per channel group,
-    executed as one layer pass (see
+    Every conv lowers to one cached engine per channel group (one for
+    ``groups == 1``), executed as one layer pass (see
     :class:`repro.runtime.engine.GroupedConv`).
     """
     from repro.runtime.engine import (  # lazy: avoids import cycle
         conv_engine,
-        conv_patches,
         grouped_conv_execute,
     )
 
     config = config if config is not None else MacroConfig()
-    x = np.asarray(x, dtype=np.float64)
     weight = np.asarray(weight, dtype=np.float64)
-    if groups != 1:
-        ocg = weight.shape[0] // max(groups, 1)
+    ocg = weight.shape[0] // max(groups, 1)
 
-        def engine_for(g: int, signed: bool):
-            return conv_engine(
-                weight[g * ocg : (g + 1) * ocg],
-                stride=stride,
-                padding=padding,
-                config=config,
-                activation_bits=activation_bits,
-                signed_inputs=signed,
-                cache=cache,
-            )
-
-        return grouped_conv_execute(
-            x, weight.shape, groups, stride, padding, engine_for,
-            rng=rng, encoding=encoding,
+    def engine_for(g: int, signed: bool):
+        return conv_engine(
+            weight[g * ocg : (g + 1) * ocg],
+            stride=stride,
+            padding=padding,
+            config=config,
+            activation_bits=activation_bits,
+            signed_inputs=signed,
+            cache=cache,
         )
-    # Signedness is a property of the im2col patches (what actually gets
-    # quantized), not of the raw input: a stride larger than the kernel
-    # can skip every negative pixel.
-    patches, out_hw = conv_patches(x, weight.shape, stride, padding)
-    signed_inputs = bool((patches < 0).any())
-    engine = conv_engine(
-        weight,
-        stride=stride,
-        padding=padding,
-        config=config,
-        activation_bits=activation_bits,
-        signed_inputs=signed_inputs,
-        cache=cache,
-    )
-    return engine.execute_patches(
-        patches, x.shape[0], out_hw, rng=rng, encoding=encoding
+
+    return grouped_conv_execute(
+        x, weight.shape, groups, stride, padding, engine_for,
+        rng=rng, encoding=encoding,
     )

@@ -494,11 +494,11 @@ class TiledBitSerialKernel(KernelBackend):
         stack is bitwise equal, in outputs and stats, to running each
         group's kernel in index order and summing the stats with
         ``MacroStats.__add__``.  A stack always contracts counts by the
-        float32 GEMM.
+        float32 GEMM.  One group's stack is its kernel itself.
         """
         first = kernels[0]
-        if first is None:
-            return None
+        if first is None or len(kernels) == 1:
+            return first
         circuit = replace(first.engine.config, signed_inputs=False)
         if not all(
             kernel is not None

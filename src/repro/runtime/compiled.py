@@ -335,10 +335,11 @@ class _ConvStep:
     Group ``g`` owns its slice of the input channels and of the output
     channels, programmed as an independent conv engine (one
     :class:`_EngineSlot` per group, shared through the engine cache); a
-    plain convolution is the one-group case.  The engines are per
-    group, execution is per layer (:class:`GroupedConv`, which keeps the
-    groups' stacked kernel between runs): group-major stats and noise
-    draws, matching the (equally grouped) reference path bit for bit.
+    plain convolution is the one-group case, through the same pass.
+    The engines are per group, execution is per layer
+    (:class:`GroupedConv`, which keeps the groups' stacked kernel — one
+    group's own — between runs): group-major stats and noise draws,
+    matching the (equally grouped) reference path bit for bit.
     """
 
     def __init__(self, name: str, slots: List[_EngineSlot], module: nn.Conv2d):

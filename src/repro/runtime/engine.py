@@ -8,9 +8,9 @@ per-channel quantized, decomposed into bit planes, and placed onto
 activation batch and streams it through the programmed tiles — through
 the fast exact kernel when the configuration allows, or through the
 reference macro path (with an execution-time RNG for bit-line noise
-draws) when it does not.  A grouped convolution is programmed as one
-:class:`ProgrammedConv` per channel group and executed per layer by
-:class:`GroupedConv`.
+draws) when it does not.  A convolution is programmed as one
+:class:`ProgrammedConv` per channel group (one for a plain conv) and
+executed per layer by :class:`GroupedConv`.
 
 :func:`linear_engine` / :func:`conv_engine` are the cache-aware
 constructors: they key the engine by ``(layer id, weight fingerprint,
@@ -273,34 +273,18 @@ class ProgrammedConv:
         *,
         degrade: Any = None,
     ) -> Tuple[np.ndarray, MacroStats]:
-        """Run a float batch ``(N, C, H, W)`` through the tiles."""
+        """Run a float batch ``(N, C, H, W)`` through this engine alone
+        (a compiled plan runs every conv through :class:`GroupedConv`)."""
         x = np.asarray(x, dtype=np.float64)
-        patches, out_hw = conv_patches(
+        n = x.shape[0]
+        patches, (out_h, out_w) = conv_patches(
             x, self.weight_shape, self.stride, self.padding
         )
-        return self.execute_patches(
-            patches, x.shape[0], out_hw, rng=rng, encoding=encoding, degrade=degrade
-        )
-
-    def execute_patches(
-        self,
-        patches: np.ndarray,
-        n_samples: int,
-        out_hw: Tuple[int, int],
-        rng: Optional[np.random.Generator] = None,
-        encoding: Optional[ActivationEncoding] = None,
-        *,
-        degrade: Any = None,
-    ) -> Tuple[np.ndarray, MacroStats]:
-        """Run precomputed :func:`conv_patches` through the tiles."""
-        out_h, out_w = out_hw
         flat, stats = self.linear.execute(
             patches, rng=rng, encoding=encoding, degrade=degrade
         )
-        out = flat.reshape(n_samples, out_h * out_w, self.out_channels).transpose(
-            0, 2, 1
-        )
-        return out.reshape(n_samples, self.out_channels, out_h, out_w), stats
+        out = flat.reshape(n, out_h * out_w, self.out_channels).transpose(0, 2, 1)
+        return out.reshape(n, self.out_channels, out_h, out_w), stats
 
 
 class _GroupStack:
@@ -328,7 +312,8 @@ class _GroupStack:
 
 
 class GroupedConv:
-    """A grouped convolution executed per layer over per-group engines.
+    """A convolution executed per layer over per-group engines; a plain
+    convolution is the one-group case.
 
     ``weight_shape`` is the full conv's ``(out_channels, in_per_group,
     kh, kw)``; ``engine_for(g, signed)`` returns the
@@ -346,13 +331,16 @@ class GroupedConv:
     index order (sequential word-line streaming; tiles within a group
     still run in parallel).
 
-    One front half serves every group — one im2col, signedness and
+    One body serves every ``groups`` — one im2col, signedness and
     ``amax`` as reductions over the group axis, one quantization — and
-    feeds either the groups' stacked fast kernel or, for a noisy bit
-    line, a pulse encoding or a live degradation, each group's
-    :meth:`ProgrammedLinear.matmul_codes` in index order: the reference
-    macro path against the shared ``rng`` (deterministic group-major
-    draws).  A lone group keeps the plain single-engine path.
+    feeds either the groups' stacked fast kernel (one group's is its
+    engine's own) or, for a noisy bit line, a pulse encoding or a live
+    degradation, each group's :meth:`ProgrammedLinear.matmul_codes` in
+    index order: the reference macro path against the shared ``rng``
+    (deterministic group-major draws).  One rescale writes the output
+    in the reference's layout: one group keeps the GEMM's channel-major
+    memory (the reference's ungrouped conv), several are NCHW-contiguous
+    (the reference's concatenation of per-group outputs).
 
     An instance kept across calls (a compiled plan's conv step) reuses
     the :class:`_GroupStack` of its last engine list; it is built, then
@@ -394,18 +382,7 @@ class GroupedConv:
         oc, icg, kh, kw = self.weight_shape
         groups = self.groups
         validate_groups(oc, icg, groups, x.shape[1])
-        n = x.shape[0]
-        if groups == 1:
-            # Returned as is: the reference's ungrouped path does not copy
-            # either, and downstream reductions see the same layout.
-            patches, out_hw = conv_patches(
-                x, self.weight_shape, self.stride, self.padding
-            )
-            signed = bool(patches.size and (patches < 0).any())
-            return self.engine_for(0, signed).execute_patches(
-                patches, n, out_hw, rng=rng, encoding=encoding, degrade=degrade
-            )
-
+        n, ocg = x.shape[0], oc // groups
         cols, (out_h, out_w) = F.im2col(
             x, (kh, kw), (self.stride,) * 2, (self.padding,) * 2
         )
@@ -426,7 +403,7 @@ class GroupedConv:
         if stack.kernel is not None and encoding is None and not degraded:
             y_codes, total = stack.kernel.matmul(codes)
         else:
-            y_codes = np.empty((groups, oc // groups, codes.shape[2]))
+            y_codes = np.empty((groups, ocg, codes.shape[2]))
             total = MacroStats()
             for g, engine in enumerate(stack.engines):
                 y_codes[g], stats = engine.linear.matmul_codes(
@@ -434,11 +411,16 @@ class GroupedConv:
                 )
                 total = total + stats
 
-        # Rescale into the C-contiguous (N, OC, oh, ow) layout that
-        # concatenating the per-group outputs produces.
-        out = np.empty((n, groups, oc // groups, out_h * out_w))
+        # Rescale into the reference's layout, which later float
+        # reductions see: one group keeps the GEMM's channel-major
+        # (OC, N, oh*ow) memory, several the C-contiguous (N, OC, oh, ow)
+        # one that concatenating the per-group outputs produces.
+        if groups == 1:
+            out = np.empty((groups, ocg, n, out_h * out_w)).transpose(2, 0, 1, 3)
+        else:
+            out = np.empty((n, groups, ocg, out_h * out_w))
         np.multiply(
-            y_codes.reshape(groups, oc // groups, n, -1).transpose(2, 0, 1, 3),
+            y_codes.reshape(groups, ocg, n, -1).transpose(2, 0, 1, 3),
             x_scale * stack.w_scale[:, :, None],
             out=out,
         )

@@ -14,12 +14,12 @@ monolithic engine stack.  This module closes that gap:
   only on **single-edge dataflow frontiers**: a residual or ReBranch
   diamond (fan-out rejoined by an add) is atomic, so every shard
   boundary carries exactly one activation tensor.
-* :class:`ShardedModel` executes that plan.  :meth:`ShardedModel.run`
-  streams one batch through all shards in order (bitwise identical to
-  the unsharded model — see below); :meth:`ShardedModel.run_stream`
-  executes a sequence of micro-batches *pipeline-parallel*: one worker
-  thread per shard, bounded inter-shard queues, shard ``k`` working on
-  micro-batch ``i`` while shard ``k-1`` works on micro-batch ``i+1``.
+* :class:`ShardedModel` executes that plan one stage step at a time.
+  :meth:`ShardedModel.run` steps one batch through all shards in order
+  (bitwise identical to the unsharded model — see below);
+  :meth:`ShardedModel.run_stream` steps micro-batches *pipeline-parallel*:
+  one worker thread per shard, bounded inter-shard queues, shard ``k``
+  working on micro-batch ``i`` while shard ``k-1`` works on ``i+1``.
 * Every activation tensor crossing a shard boundary is charged transfer
   energy and latency on a :class:`~repro.arch.chiplet.ChipletLinkSpec`
   (SIMBA's 1.17 pJ/bit serial link by default), folded into the
@@ -65,6 +65,7 @@ from repro.runtime.compiled import (
     _RunState,
     CompiledModel,
 )
+from repro.runtime.reference import check_batch
 from repro.runtime.session import ExecutionSession
 
 
@@ -378,8 +379,7 @@ class StreamResult:
         done = sorted(items, key=lambda item: item.index)
         if session is not None:
             for item in done:
-                samples = item.x.shape[0] if item.x.ndim else 1
-                session.record(item.state.stats, samples=samples)
+                session.record(item.state.stats, samples=item.x.shape[0])
         return cls(
             outputs=[item.x for item in done],
             per_batch=[item.state.stats for item in done],
@@ -433,11 +433,16 @@ class ShardedModel:
         self.compiled = compiled
         self.plan = plan
         self.link = link if link is not None else SIMBA_LINK
-        # The segments must tile the plan in order, which makes stage
-        # ``s`` the contiguous node range ``_bounds[s] = (lo, hi)``; and
-        # every stage boundary must be a single-edge frontier: the one
-        # value crossing it is the previous stage's last node.  Guard
-        # both for externally supplied (or restored) plans.
+        # The one plan validator (a restored plan's too): one segment per
+        # shard; the segments must tile the plan in order, which makes
+        # stage ``s`` the contiguous node range ``_bounds[s] = (lo, hi)``;
+        # and every stage boundary must be a single-edge frontier: the
+        # one value crossing it is the previous stage's last node.
+        if len(plan.segments) != plan.n_shards:
+            raise ValueError(
+                f"shard plan declares {plan.n_shards} shards but holds "
+                f"{len(plan.segments)} segments"
+            )
         nodes = compiled._nodes
         flat = [i for segment in plan.segments for i in segment.step_indices]
         if flat != list(range(len(nodes))):
@@ -489,7 +494,7 @@ class ShardedModel:
 
     # -- link accounting -----------------------------------------------
     def _transfer_stats(
-        self, x: np.ndarray, latency_factor: float = 1.0, energy_factor: float = 1.0
+        self, x: np.ndarray, latency_factor: float, energy_factor: float
     ) -> MacroStats:
         """Stats of one activation tensor crossing one shard boundary.
 
@@ -506,6 +511,54 @@ class ShardedModel:
             link_latency_ns=self.link.transfer_time_ns(bits) * latency_factor,
         )
 
+    # -- the stage step -------------------------------------------------
+    def _stage(
+        self,
+        s: int,
+        item: _StreamItem,
+        tracer: Optional["trace.Tracer"],
+        faults: Any = None,
+        cum_chip: float = 0.0,
+    ) -> float:
+        """The one stage step, serial or pipelined: walk stage ``s`` from
+        ``item.start_node`` under a ``shard{s}:mb{i}`` span, then charge
+        the outgoing link under a ``link{s}:mb{i}`` point span; returns
+        the stage's chip time.  A fault source (see :meth:`_pipeline`)
+        opens the walk's degradation window at ``cum_chip``, this shard's
+        chip time so far, closes it after, and scales the link; without
+        one, the run state's own ``degrade`` stays in force."""
+        lo, hi = self._bounds[s]
+        state = item.state
+        if faults is not None:
+            state.degrade = faults.degradation_at(item.index, cum_chip, s)
+        before = state.stats.latency_ns
+        with trace.NULL_SPAN if tracer is None else tracer.span(
+            f"shard{s}:mb{item.index}", "shard", shard=s, microbatch=item.index,
+            degraded=state.degrade is not None,
+        ) as sp:
+            item.x = self.compiled._walk(max(lo, item.start_node), hi, item.x, state)
+            delta = state.stats.latency_ns - before
+            if sp is not None:
+                sp.set("chip_ns", delta)
+        if faults is not None:
+            state.degrade = None
+        item.compute_ns[s] += delta
+        if s < self.n_shards - 1:
+            factors = (1.0, 1.0)  # (latency, energy)
+            if faults is not None:
+                factors = faults.link_factors(s, item.index, cum_chip + delta)
+            transfer = self._transfer_stats(item.x, *factors)
+            state.stats = state.stats + transfer
+            item.link_ns[s] += transfer.link_latency_ns
+            if tracer is not None:
+                with tracer.span(
+                    f"link{s}:mb{item.index}", "link", shard=s, microbatch=item.index,
+                    chip_ns=transfer.link_latency_ns, link_bits=transfer.link_bits,
+                    link_energy_fj=transfer.link_energy_fj,
+                ):
+                    pass
+        return delta
+
     # -- serial execution ----------------------------------------------
     def run(
         self,
@@ -516,44 +569,25 @@ class ShardedModel:
         session: Optional[ExecutionSession] = None,
         degrade: Any = None,
     ) -> Tuple[np.ndarray, MacroStats]:
-        """Stream one batch through all shards, in plan order.
+        """Stream one batch through all shards, in plan order: micro-batch
+        0 through every :meth:`_stage` on the calling thread.
 
-        Bitwise identical to ``self.compiled.run(batch, ...)``: the same
-        step objects execute in the same order against the same RNG
-        stream; shard boundaries only add ``link_*`` accounting to the
-        returned stats.  ``degrade`` routes engines through the chaos
-        runtime's live degradation paths, as in
-        :meth:`CompiledModel.run`.
+        Bitwise identical to ``self.compiled.run(batch, ...)`` — the same
+        batch check, then the same step objects in the same order against
+        the same RNG stream; shard boundaries only add ``link_*``
+        accounting to the returned stats.  ``degrade`` routes engines
+        through the chaos runtime's live degradation paths, as there.
         """
-        state = self.compiled._new_state(rng, encoding, degrade)
-        x = np.asarray(batch, dtype=np.float64)
-        n_samples = x.shape[0] if x.ndim else 1
-        last = len(self._bounds) - 1
+        x = check_batch(batch, self.compiled._input_rank)
+        item = _StreamItem(
+            0, x, self.compiled._new_state(rng, encoding, degrade), self.n_shards
+        )
         tracer = trace.current()  # resolved once; None is the hot path
-        for s, (lo, hi) in enumerate(self._bounds):
-            with trace.NULL_SPAN if tracer is None else tracer.span(
-                f"stage-{s}", "shard", shard=s
-            ) as sp:
-                before = state.stats.latency_ns
-                x = self.compiled._walk(lo, hi, x, state)
-                if sp is not None:
-                    sp.set("chip_ns", state.stats.latency_ns - before)
-            if s < last:
-                transfer = self._transfer_stats(x)
-                state.stats = state.stats + transfer
-                if tracer is not None:
-                    # A point span on the wall clock; its chip_ns extent
-                    # is what matters on the simulated-chip track.
-                    with tracer.span(
-                        f"link-{s}", "link", shard=s,
-                        chip_ns=transfer.link_latency_ns,
-                        link_bits=transfer.link_bits,
-                        link_energy_fj=transfer.link_energy_fj,
-                    ):
-                        pass
+        for s in range(self.n_shards):
+            self._stage(s, item, tracer)
         if session is not None:
-            session.record(state.stats, samples=n_samples)
-        return x, state.stats
+            session.record(item.state.stats, samples=x.shape[0])
+        return item.x, item.state.stats
 
     # -- pipelined execution -------------------------------------------
     def run_stream(
@@ -615,8 +649,9 @@ class ShardedModel:
         encoding: Any,
         queue_depth: int,
     ) -> List[_StreamItem]:
-        """Validate a stream request and stage one item per micro-batch,
-        each owning its RNG (``rngs[i]``, else :func:`stream_rng`)."""
+        """Validate a stream request (every batch as :meth:`CompiledModel.run`
+        does) and stage one item per micro-batch, each owning its RNG
+        (``rngs[i]``, else :func:`stream_rng`)."""
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
         if rngs is not None and len(rngs) != len(batches):
@@ -626,7 +661,7 @@ class ShardedModel:
         return [
             _StreamItem(
                 i,
-                np.asarray(batch, dtype=np.float64),
+                check_batch(batch, self.compiled._input_rank),
                 self.compiled._new_state(
                     rngs[i] if rngs is not None else stream_rng(seed, i), encoding
                 ),
@@ -645,7 +680,8 @@ class ShardedModel:
         List[_StreamItem], Dict[int, List[_StreamItem]], List[Tuple[Any, int, int]]
     ]:
         """The one shard pipeline: a pipelined pass of ``items`` over one
-        worker thread per shard and bounded inter-shard queues.
+        worker thread per shard (each stepping them through :meth:`_stage`)
+        and bounded inter-shard queues.
 
         ``tracer`` is resolved once by the caller, before the workers
         start: every shard thread traces into the same tracer (or
@@ -670,7 +706,6 @@ class ShardedModel:
         deterministic (index, shard) order.
         """
         n_shards = self.n_shards
-        last = n_shards - 1
         queues: List["queue.Queue"] = [
             queue.Queue(maxsize=queue_depth) for _ in range(n_shards + 1)
         ]
@@ -717,47 +752,8 @@ class ShardedModel:
                         dead.append(item)
                         continue
                     if not skip:
-                        degrade = None
-                        if faults is not None:
-                            degrade = faults.degradation_at(item.index, cum_chip, s)
-                        item.state.degrade = degrade
-                        before = item.state.stats.latency_ns
-                        # One span per (shard, micro-batch) occupancy,
-                        # recorded on this shard's worker thread — the
-                        # per-shard tracks of the exported trace.
-                        with trace.NULL_SPAN if tracer is None else tracer.span(
-                            f"shard{s}:mb{item.index}",
-                            "shard",
-                            shard=s,
-                            microbatch=item.index,
-                            degraded=degrade is not None,
-                        ) as sp:
-                            item.x = self.compiled._walk(
-                                max(lo, item.start_node), hi, item.x, item.state
-                            )
-                            delta = item.state.stats.latency_ns - before
-                            if sp is not None:
-                                sp.set("chip_ns", delta)
-                        item.state.degrade = None
-                        cum_chip += delta
-                        item.compute_ns[s] += delta
-                        if s < last:
-                            factors = (1.0, 1.0)  # (latency, energy)
-                            if faults is not None:
-                                factors = faults.link_factors(s, item.index, cum_chip)
-                            transfer = self._transfer_stats(item.x, *factors)
-                            item.state.stats = item.state.stats + transfer
-                            item.link_ns[s] += transfer.link_latency_ns
-                            if tracer is not None:
-                                with tracer.span(
-                                    f"link{s}:mb{item.index}",
-                                    "link",
-                                    shard=s,
-                                    microbatch=item.index,
-                                    chip_ns=transfer.link_latency_ns,
-                                    link_bits=transfer.link_bits,
-                                ):
-                                    pass
+                        # Spans on this thread: the trace's per-shard tracks.
+                        cum_chip += self._stage(s, item, tracer, faults, cum_chip)
                 except BaseException as error:  # noqa: BLE001 - re-raised below
                     errors.append(error)
                     continue

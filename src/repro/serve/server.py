@@ -41,6 +41,7 @@ from repro.cim.macro import MacroStats
 from repro.obs import trace
 from repro.obs.log import get_logger
 from repro.runtime import ExecutionSession, ShardedModel
+from repro.runtime.reference import check_batch
 from repro.serve.metrics import ServerMetrics, MetricsSnapshot, fraction_of_stats
 from repro.serve.registry import ModelRegistry
 from repro.serve.requests import (
@@ -205,7 +206,8 @@ class InferenceServer:
         ``x`` keeps its leading batch dimension (``(1, ...)`` for a
         single sample).  Rejections (unknown model, full queue, tenant
         cap, stopped server) come back as already-completed handles with
-        a typed :class:`RequestStatus`.
+        a typed :class:`RequestStatus`.  A request that is not a batch of
+        finite real numbers raises :class:`~repro.runtime.InvalidBatchError`.
         """
         tracer = trace.current()
         if tracer is None:
@@ -219,12 +221,13 @@ class InferenceServer:
     def _submit_inner(
         self, model: str, x: np.ndarray, tenant: str
     ) -> RequestHandle:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         if x.ndim < 2 or x.shape[0] < 1:
             raise ValueError(
                 f"request input must carry at least one sample in its "
                 f"batch dimension, got shape {x.shape}"
             )
+        x = check_batch(x, None)  # before a bad request fails its batch-mates
         if x.shape[0] > self.policy.max_queue_depth:
             # Larger than the whole admission bound: no amount of
             # backoff would ever admit it, so fail loudly instead of

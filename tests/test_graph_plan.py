@@ -48,6 +48,7 @@ from repro.runtime import (
     CompileError,
     EngineCache,
     RuntimeConfig,
+    TiledBitSerialKernel,
     UnsupportedModuleError,
     compile_model,
     conv_engine,
@@ -399,6 +400,72 @@ class TestGroupedConv:
 
 
 # ----------------------------------------------------------------------
+# One layer pass for every convolution, plain or grouped
+# ----------------------------------------------------------------------
+class TestLayerPass:
+    @pytest.mark.parametrize("name", ["resnet8", "mobilenet"])
+    def test_every_conv_is_one_pass_with_the_reference_layout(self, name, monkeypatch):
+        """Each conv node's ``GroupedConv.execute`` output equals the
+        reference's for that layer in bytes *and* strides (later float
+        reductions see the layout); a plain conv's kernel is its engine's
+        own; a warm run never enters a single engine's ``execute``."""
+        from repro.runtime import reference as reference_module
+
+        model = zoo_model(name)
+        compiled = compile_model(model, RuntimeConfig(), cache=EngineCache())
+        x = zoo_input()
+        compiled.run(x)  # warm: every stack built
+
+        passes, references, inside = [], [], []
+        real_execute = engine_module.GroupedConv.execute
+        real_reference = reference_module.reference_cim_conv2d
+
+        def execute(layer, *args, **kwargs):
+            inside.append(layer)
+            try:
+                result = real_execute(layer, *args, **kwargs)
+            finally:
+                inside.pop()
+            passes.append((layer.groups, result[0]))
+            return result
+
+        def reference(*args, **kwargs):
+            result = real_reference(*args, **kwargs)
+            references.append(result[0])
+            return result
+
+        def single_engine(real):
+            def spy(*args, **kwargs):
+                assert not inside, "a conv node entered a single engine's execute"
+                return real(*args, **kwargs)
+
+            return spy
+
+        monkeypatch.setattr(engine_module.GroupedConv, "execute", execute)
+        monkeypatch.setattr(reference_module, "reference_cim_conv2d", reference)
+        for owner in (engine_module.ProgrammedConv, engine_module.ProgrammedLinear):
+            monkeypatch.setattr(owner, "execute", single_engine(owner.execute))
+        compiled.run(x)
+        reference_forward(model, x)
+
+        convs = [
+            node.op for node in compiled._nodes if node.op.kind in ("conv", "grouped_conv")
+        ]
+        assert len(passes) == len(references) == len(convs)
+        kinds = {groups == 1 for groups, _ in passes}
+        assert kinds == ({True} if name == "resnet8" else {True, False})
+        for (groups, out), ref in zip(passes, references):
+            assert out.tobytes() == ref.tobytes()
+            assert out.strides == ref.strides, groups
+        for step in convs:
+            stack = step._layer._stack
+            if len(stack.engines) == 1:
+                kernel = stack.engines[0].linear._kernel
+                assert stack.kernel is kernel
+                assert TiledBitSerialKernel.stack([kernel]) is kernel
+
+
+# ----------------------------------------------------------------------
 # The stacked per-layer state follows the per-group engines it came from
 # ----------------------------------------------------------------------
 class TestStackedStateFreshness:
@@ -501,10 +568,13 @@ class TestStackedStateFreshness:
         for thread in threads:
             thread.join(DEADLINE)
             assert not thread.is_alive()
-        n_grouped = sum(node.op.kind == "grouped_conv" for node in compiled._nodes)
-        # The held thread built one stack, the other one per layer; the
-        # rest of the held thread's layers found them published.
-        assert builds == ["first"] + ["second"] * n_grouped
+        n_conv = sum(
+            node.op.kind in ("conv", "grouped_conv") for node in compiled._nodes
+        )
+        # The held thread built one stack, the other one per conv layer (a
+        # plain conv's is a one-group stack); the rest of the held
+        # thread's layers found them published.
+        assert builds == ["first"] + ["second"] * n_conv
         for name in ("first", "second"):
             out, stats = results[name]
             assert out.tobytes() == expected.tobytes(), name

@@ -13,12 +13,21 @@ import pytest
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_test_hygiene.py"
 
 
-@pytest.fixture(scope="module")
-def hygiene():
-    spec = importlib.util.spec_from_file_location("check_test_hygiene", SCRIPT)
+def load_script(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def hygiene():
+    return load_script(SCRIPT)
+
+
+@pytest.fixture(scope="module")
+def docs_links():
+    return load_script(SCRIPT.with_name("check_docs_links.py"))
 
 
 def problems(hygiene, source):
@@ -202,6 +211,28 @@ def test_numpy_2_name_needs_a_hasattr_guard(hygiene, name, rejected):
     path = hygiene.REPO_ROOT / "src" / "sample.py"
     found = hygiene.check_numpy_floor(path, textwrap.dedent(NUMPY_FLOOR[name]))
     assert len(found) == rejected and all("src/sample.py" in line for line in found)
+
+
+def test_the_docs_references_resolve(docs_links, capsys):
+    assert docs_links.main() == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "bound in the class body: `ProgrammedConv.execute`",
+        "assigned as self.member: `InferenceServer.metrics`",
+        "found on a base class: `ChaosStreamResult.pipeline_speedup`",
+    ],
+)
+def test_class_member_reference_resolves(docs_links, line):
+    (ref,) = docs_links.CLASS_REF.findall(line)
+    assert docs_links.check_class_ref(*ref) == ""
+
+
+def test_dangling_class_member_reference_is_reported(docs_links):
+    (ref,) = docs_links.CLASS_REF.findall("a deleted method: `ProgrammedConv.execute_patches`")
+    assert "ProgrammedConv.execute_patches" in docs_links.check_class_ref(*ref)
 
 
 @pytest.mark.parametrize("page", ["numerics.md", "snapshots.md"])

@@ -49,6 +49,7 @@ from repro.runtime import (
     compile_model,
     linear_engine,
     reference_forward,
+    shard,
 )
 
 from repro.runtime.backends import available_backends, get_backend, reference_fast
@@ -1133,6 +1134,25 @@ class TestInvalidBatch:
             run(batch)
         assert isinstance(raised.value, ValueError)
         assert not recwarn.list  # no cast warning on the way
+
+    @pytest.mark.parametrize("entry", ["run", "run_stream"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_sharded_edge_checks_before_any_stage(self, case, entry, monkeypatch, recwarn):
+        """The sharded edge makes the same check — for a stream, every
+        micro-batch before any shard thread starts (a good one first)."""
+        from repro.runtime import InvalidBatchError
+
+        sharded = shard(compile_model(tiny_chain(), RuntimeConfig()), 2)
+        monkeypatch.setattr(
+            CompiledModel, "_walk", lambda *a, **k: pytest.fail("a stage ran")
+        )
+        batch, message = self.CASES[case]
+        with pytest.raises(InvalidBatchError, match=message):
+            if entry == "run":
+                sharded.run(batch)
+            else:
+                sharded.run_stream([tiny_input(), batch])
+        assert not recwarn.list
 
     def test_rank_follows_the_first_node(self):
         from repro.runtime import InvalidBatchError

@@ -305,6 +305,39 @@ class TestServerExecution:
         with pytest.raises(ValueError):
             LoadSpec(samples_per_request=0)
 
+    def test_non_finite_or_non_numeric_request_rejected_at_submit(self):
+        """Raised before the request is counted or queued, so it cannot
+        fail the batch a good request is coalesced into."""
+        from repro.runtime import InvalidBatchError
+
+        model = mlp()
+        server = InferenceServer(
+            make_registry(m=model),
+            BatchPolicy(max_batch_size=4, max_wait_s=0.005),
+            record_batches=True,
+        )
+        pool = requests_pool(2)
+        first = server.submit("m", pool[:1])
+        submitted = server.snapshot().submitted
+        nan = pool[1:2].copy()
+        nan[0, 3] = np.nan
+        with pytest.raises(InvalidBatchError, match="NaN"):
+            server.submit("m", nan)
+        with pytest.raises(InvalidBatchError, match="not numeric"):
+            server.submit("m", pool[1:2].astype(object))
+        assert server.snapshot().submitted == submitted
+        second = server.submit("m", pool[1:2])
+        server.start()
+        results = [handle.result(timeout=30.0) for handle in (first, second)]
+        server.stop()
+        assert all(result.ok for result in results)
+        [batch] = server.executed_batches
+        assert batch.request_ids == [result.request_id for result in results]
+        expected, _ = reference_forward(model, pool)
+        assert batch.outputs.tobytes() == expected.tobytes()
+        for i, result in enumerate(results):
+            assert result.output.tobytes() == expected[i : i + 1].tobytes()
+
     def test_unadmittable_oversized_request_fails_loudly(self):
         # Bigger than the whole admission bound: no backoff would ever
         # admit it, so it must not masquerade as transient backpressure.

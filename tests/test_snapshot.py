@@ -831,6 +831,36 @@ class TestRobustness:
         with pytest.raises(SnapshotCorruptError, match="conv weight shape"):
             load(store, key, cache=EngineCache())
 
+    def _sharded_rewrite(self, store, edit):
+        compiled = compile_model(rebranch_model(), RuntimeConfig(), cache=EngineCache())
+        key = save(shard(compiled, 2), store)
+        self._rewrite(store, key, lambda meta, _: edit(meta["shards"], compiled))
+        return key
+
+    def test_shard_boundary_inside_a_diamond_is_typed(self, store):
+        from repro.runtime.sharded import _legal_cuts
+
+        def edit(shards, compiled):
+            legal = _legal_cuts(compiled._nodes, compiled._output_index)
+            cut = legal.index(False) + 1  # a boundary inside the ReBranch diamond
+            steps = list(range(len(compiled._nodes)))
+            first, second = shards["segments"]
+            first["step_indices"], second["step_indices"] = steps[:cut], steps[cut:]
+
+        key = self._sharded_rewrite(store, edit)
+        with pytest.raises(SnapshotCorruptError, match="illegal shard boundary"):
+            load(store, key, cache=EngineCache())
+
+    def test_more_shards_than_segments_is_typed(self, store):
+        # Loaded, this header left a shard thread with no stage: it died
+        # and the stream's joins never returned.
+        def edit(shards, compiled):
+            shards["n_shards"] = 3
+
+        key = self._sharded_rewrite(store, edit)
+        with pytest.raises(SnapshotCorruptError, match="3 shards but holds 2 segments"):
+            load(store, key, cache=EngineCache())
+
     def test_header_damage_is_typed(self, store):
         _, key = self._saved(store)
         path = store.model_path(key)
