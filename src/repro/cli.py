@@ -447,7 +447,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             snapshot = server.snapshot()
         print(
             f"\nload: {report.completed}/{report.n_requests} completed, "
-            f"{report.rejected} rejected, {report.failed} failed in "
+            f"{report.rejected} rejected, {report.failed} failed, "
+            f"{report.cancelled} cancelled in "
             f"{report.wall_s * 1e3:.0f} ms ({report.throughput_rps:.0f} req/s)"
         )
         print("\nserver metrics:")

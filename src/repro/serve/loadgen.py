@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.obs.stats import LatencySummary
-from repro.serve.requests import RequestHandle, RequestStatus
+from repro.serve.requests import RequestHandle
 from repro.serve.server import InferenceServer
 
 
@@ -61,6 +61,7 @@ class TenantLoadReport:
     completed: int
     rejected: int
     failed: int
+    cancelled: int
 
 
 @dataclass
@@ -72,6 +73,7 @@ class LoadReport:
     completed: int
     rejected: int
     failed: int
+    cancelled: int
     p50_latency_s: float
     p95_latency_s: float
     p99_latency_s: float
@@ -83,13 +85,7 @@ class LoadReport:
 
     def rows(self) -> List[Tuple]:
         return [
-            (
-                t.tenant,
-                t.submitted,
-                t.completed,
-                t.rejected,
-                t.failed,
-            )
+            (t.tenant, t.submitted, t.completed, t.rejected, t.failed, t.cancelled)
             for t in self.tenants
         ]
 
@@ -181,31 +177,28 @@ class LoadGenerator:
 
         per_tenant: Dict[str, TenantLoadReport] = {}
         latencies = []
-        completed = rejected = failed = 0
         for tenant, result in results:
             report = per_tenant.get(tenant)
             if report is None:
-                report = per_tenant[tenant] = TenantLoadReport(tenant, 0, 0, 0, 0)
+                report = per_tenant[tenant] = TenantLoadReport(tenant, 0, 0, 0, 0, 0)
             report.submitted += 1
-            if result.status is RequestStatus.COMPLETED:
-                completed += 1
-                report.completed += 1
+            # The server's terminal states: completed / failed /
+            # cancelled by name, every typed rejection as ``rejected``.
+            state = "rejected" if result.status.rejected else result.status.value
+            setattr(report, state, getattr(report, state) + 1)
+            if result.ok:
                 latencies.append(result.latency_s)
-            elif result.status.rejected:
-                rejected += 1
-                report.rejected += 1
-            else:
-                failed += 1
-                report.failed += 1
+        tenants = [per_tenant[t] for t in sorted(per_tenant)]
         summary = LatencySummary.of(latencies)
         return LoadReport(
             n_requests=spec.n_requests,
             wall_s=wall,
-            completed=completed,
-            rejected=rejected,
-            failed=failed,
+            completed=sum(t.completed for t in tenants),
+            rejected=sum(t.rejected for t in tenants),
+            failed=sum(t.failed for t in tenants),
+            cancelled=sum(t.cancelled for t in tenants),
             p50_latency_s=summary.p50_s,
             p95_latency_s=summary.p95_s,
             p99_latency_s=summary.p99_s,
-            tenants=[per_tenant[t] for t in sorted(per_tenant)],
+            tenants=tenants,
         )

@@ -6,7 +6,11 @@ server number is counted: every monotone count (requests by terminal
 state, typed rejections, batches, chaos faults and recoveries, the
 per-tenant request counters) is a registry instrument incremented here,
 so the Prometheus / JSON exposition and :class:`MetricsSnapshot` read
-the same values.  Everything is O(1) per observation on the worker hot
+the same values.  A request is counted twice in its life: once at
+submission (:meth:`ServerMetrics.observe_submitted`) and once at its
+terminal state (:meth:`ServerMetrics.observe`, which the server's one
+terminal path calls for every rejection, failure, cancellation and
+executed batch).  Everything is O(1) per observation on the worker hot
 path — a counter bump, a ring buffer for latencies, a timestamp deque
 for the rolling-throughput window — with aggregation deferred to
 :meth:`ServerMetrics.snapshot`.  Energy per sample per
@@ -23,13 +27,14 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cim.macro import MacroStats
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.stats import LatencySummary, percentile  # noqa: F401  (re-export)
+from repro.serve.requests import InferenceResult
 
 #: MacroStats fields that describe the batch's *shared* critical path —
 #: every request coalesced into a batch experiences the full latency, so
@@ -38,6 +43,11 @@ from repro.obs.stats import LatencySummary, percentile  # noqa: F401  (re-export
 #: a newly added field therefore scales by default and must be listed
 #: here explicitly to opt out (``tests/test_obs.py`` guards the drift).
 SHARED_STAT_FIELDS = frozenset({"latency_ns", "link_latency_ns"})
+
+#: ``(name, shared)`` per MacroStats field, decided once at import.
+_STAT_FIELDS = tuple(
+    (fld.name, fld.name in SHARED_STAT_FIELDS) for fld in dataclasses.fields(MacroStats)
+)
 
 
 def fraction_of_stats(stats: MacroStats, numerator: int, denominator: int) -> MacroStats:
@@ -48,18 +58,19 @@ def fraction_of_stats(stats: MacroStats, numerator: int, denominator: int) -> Ma
     Count fields become fractional in general; they are accounting
     quantities, and per-tenant sums over a full batch stay exact.
 
-    Fields are enumerated via ``dataclasses.fields(MacroStats)`` so a
-    newly added field cannot be silently dropped: it either scales (the
-    additive default) or sits in :data:`SHARED_STAT_FIELDS`.
+    Fields are enumerated via ``dataclasses.fields(MacroStats)`` at import
+    so a newly added field cannot be silently dropped: it either scales
+    (the additive default) or sits in :data:`SHARED_STAT_FIELDS`.
     """
     if denominator <= 0:
         raise ValueError(f"denominator must be positive, got {denominator}")
     f = numerator / denominator
-    scaled = {}
-    for fld in dataclasses.fields(MacroStats):
-        value = getattr(stats, fld.name)
-        scaled[fld.name] = value if fld.name in SHARED_STAT_FIELDS else value * f
-    return MacroStats(**scaled)
+    return MacroStats(
+        **{
+            name: getattr(stats, name) if shared else getattr(stats, name) * f
+            for name, shared in _STAT_FIELDS
+        }
+    )
 
 
 @dataclass
@@ -217,13 +228,11 @@ class ServerMetrics:
         self._submitted = counter(
             "requests_submitted", "Requests admitted to submit()."
         )
-        self._completed = counter(
-            "requests_completed", "Requests completed successfully."
-        )
-        self._failed = counter("requests_failed", "Requests failed during execution.")
-        self._cancelled = counter(
-            "requests_cancelled", "Requests cancelled at shutdown."
-        )
+        self._states = {  # by status value; rejections count by reason
+            "completed": counter("requests_completed", "Requests completed successfully."),
+            "failed": counter("requests_failed", "Requests failed during execution."),
+            "cancelled": counter("requests_cancelled", "Requests cancelled at shutdown."),
+        }
         self._batches = counter("batches_executed", "Dynamic batches executed.")
         self._recoveries = counter("chaos_recoveries", "Completed shard failovers.")
         self._recovery_dropped = counter(
@@ -267,41 +276,40 @@ class ServerMetrics:
         with self._lock:
             self._submitted.value += 1
 
-    def observe_rejected(self, reason: str, tenant: str) -> None:
-        """Record a typed rejection (the submission itself is counted by
-        ``observe_submitted``, which runs first for every request)."""
-        with self._lock:
-            self._rejected[reason].value += 1
-            self._tenants[tenant].rejected.value += 1
-
-    def observe_batch(
+    def observe(
         self,
-        n_samples: int,
-        latencies_s: List[float],
-        queued_s: List[float],
-        tenants: List[str],
+        results: Sequence[InferenceResult],
+        batch_samples: int = 0,
         now: Optional[float] = None,
     ) -> None:
-        """Record one executed batch and its per-request timings."""
-        now = time.monotonic() if now is None else now
-        with self._lock:
-            self._batches.value += 1
-            self._completed.value += len(latencies_s)
-            self._batch_size.observe(n_samples)
-            self._batch_sizes[n_samples] = self._batch_sizes.get(n_samples, 0) + 1
-            self._latencies.extend(latencies_s)
-            self._queued.extend(queued_s)
-            self._completions.append((now, len(latencies_s), n_samples))
-            # One increment per tenant present, not per request.
-            for tenant in set(tenants):
-                self._tenants[tenant].completed.value += tenants.count(tenant)
-            self._trim(now)
+        """Count terminal ``results``, each under its status and tenant.
 
-    def observe_failed(self, tenants: List[str]) -> None:
+        ``batch_samples > 0`` marks ``results`` as one executed batch of
+        that many samples: its size, the requests' latencies and queued
+        times and its completion-window entry are recorded under the
+        same lock acquisition.  (The submission itself is counted by
+        ``observe_submitted``, which runs first for every request.)
+        """
         with self._lock:
-            self._failed.value += len(tenants)
-            for tenant in tenants:
-                self._tenants[tenant].failed.value += 1
+            for result in results:
+                state = result.status.value
+                counter = self._states.get(state)
+                if counter is None:  # a typed rejection, counted by reason
+                    counter = self._rejected[state]
+                    state = "rejected"
+                counter.value += 1
+                getattr(self._tenants[result.tenant], state).value += 1
+            if batch_samples:
+                now = time.monotonic() if now is None else now
+                self._batches.value += 1
+                self._batch_size.observe(batch_samples)
+                self._batch_sizes[batch_samples] = (
+                    self._batch_sizes.get(batch_samples, 0) + 1
+                )
+                self._latencies.extend([r.latency_s for r in results])
+                self._queued.extend([r.queued_s for r in results])
+                self._completions.append((now, len(results), batch_samples))
+                self._trim(now)
 
     def observe_fault(self, kind: str) -> None:
         """Record one chaos fault firing (by fault kind)."""
@@ -317,11 +325,6 @@ class ServerMetrics:
             self._recovery_wall_s.append(float(wall_s))
             self._recovery_dropped.value += dropped
             self._recovery_replayed.value += replayed
-
-    def observe_cancelled(self, tenant: str) -> None:
-        with self._lock:
-            self._cancelled.value += 1
-            self._tenants[tenant].cancelled.value += 1
 
     def _trim(self, now: float) -> None:
         horizon = now - self.window_s
@@ -349,9 +352,9 @@ class ServerMetrics:
             summary = LatencySummary.of(lat)
             snapshot = MetricsSnapshot(
                 submitted=int(self._submitted.value),
-                completed=int(self._completed.value),
-                failed=int(self._failed.value),
-                cancelled=int(self._cancelled.value),
+                completed=int(self._states["completed"].value),
+                failed=int(self._states["failed"].value),
+                cancelled=int(self._states["cancelled"].value),
                 rejected={k: int(c.value) for k, c in self._rejected.items()},
                 queue_depth=queue_depth,
                 batches=int(self._batches.value),

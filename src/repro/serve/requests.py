@@ -116,9 +116,3 @@ class RequestHandle:
             )
         assert self._result is not None
         return self._result
-
-    @staticmethod
-    def completed(result: InferenceResult) -> "RequestHandle":
-        handle = RequestHandle()
-        handle._complete(result)
-        return handle

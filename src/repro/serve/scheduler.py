@@ -19,7 +19,9 @@ batches under a :class:`BatchPolicy`:
 
 Batches never mix models (they execute on one compiled image), but they
 freely mix tenants; the server splits the executed batch's stats back
-per tenant.
+per tenant.  A request enters the queue through one insertion,
+``RequestQueue._enqueue`` — at the back of its lane when offered, at
+the front when a failover requeues it.
 """
 
 from __future__ import annotations
@@ -91,12 +93,19 @@ class _ModelLane:
         self.samples = 0
         self.head_seq = 0  # arrival seq of the oldest pending request
 
-    def push(self, request: InferenceRequest) -> None:
+    def push(self, request: InferenceRequest, front: bool = False) -> None:
+        """Queue ``request`` behind its tenant's pending requests — or,
+        ``front``, ahead of them (a new tenant then leads the rotation)
+        — keeping ``head_seq`` at the oldest pending seq."""
+        if not self.tenants or request.seq < self.head_seq:
+            self.head_seq = request.seq
         pending = self.tenants.get(request.tenant)
         if pending is None:
             pending = self.tenants[request.tenant] = deque()
-            self.rotation.append(request.tenant)
-        pending.append(request)
+            (self.rotation.appendleft if front else self.rotation.append)(
+                request.tenant
+            )
+        (pending.appendleft if front else pending.append)(request)
         self.samples += request.n_samples
 
     def oldest(self) -> InferenceRequest:
@@ -200,18 +209,21 @@ class RequestQueue:
                     return self.TENANT_LIMIT
             request.seq = self._seq
             self._seq += 1
-            lane = self._lanes.get(request.model)
-            if lane is None:
-                lane = self._lanes[request.model] = _ModelLane(request.model)
-            if lane.empty:
-                lane.head_seq = request.seq
-            lane.push(request)
-            self._depth += request.n_samples
-            self._tenant_pending[request.tenant] = (
-                self._tenant_pending.get(request.tenant, 0) + request.n_samples
-            )
+            self._enqueue(request)
             self._ready.notify()
             return self.OK
+
+    def _enqueue(self, request: InferenceRequest, front: bool = False) -> None:
+        """The one insertion (lock held): the request's lane, the queue
+        depth and its tenant's pending count move together."""
+        lane = self._lanes.get(request.model)
+        if lane is None:
+            lane = self._lanes[request.model] = _ModelLane(request.model)
+        lane.push(request, front)
+        self._depth += request.n_samples
+        self._tenant_pending[request.tenant] = (
+            self._tenant_pending.get(request.tenant, 0) + request.n_samples
+        )
 
     def _pick_lane(self) -> Optional[_ModelLane]:
         """The non-empty lane holding the globally oldest request."""
@@ -336,22 +348,7 @@ class RequestQueue:
             if self._closed and not self._flush_on_close:
                 return False
             for request in reversed(batch):
-                lane = self._lanes.get(request.model)
-                if lane is None:
-                    lane = self._lanes[request.model] = _ModelLane(request.model)
-                pending = lane.tenants.get(request.tenant)
-                if pending is None:
-                    pending = lane.tenants[request.tenant] = deque()
-                    lane.rotation.appendleft(request.tenant)
-                pending.appendleft(request)
-                lane.samples += request.n_samples
-                self._depth += request.n_samples
-                self._tenant_pending[request.tenant] = (
-                    self._tenant_pending.get(request.tenant, 0) + request.n_samples
-                )
-            for model in {r.model for r in batch}:
-                lane = self._lanes[model]
-                lane.head_seq = lane.oldest().seq
+                self._enqueue(request, front=True)
             self._ready.notify()
             return True
 

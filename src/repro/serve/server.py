@@ -8,6 +8,10 @@ Worker threads drain the queue through
 coalesced batch with one :meth:`CompiledModel.run` call, then fan the
 outputs, timings and proportional stats back out to the requests.
 
+Every request ends through :meth:`InferenceServer._finish` — rejection,
+failure, cancellation and completion alike — which counts the results
+(:meth:`ServerMetrics.observe`) before it completes their handles.
+
 Numerics: one executed batch is one ``CompiledModel.run`` call, so its
 outputs are bitwise-identical to ``runtime.reference_forward`` over the
 same coalesced batch — the serving layer adds scheduling, never
@@ -169,21 +173,16 @@ class InferenceServer:
         if not drain or not started:
             # Close before draining: a submit racing this stop either
             # lands before the close (drained and cancelled here) or
-            # gets the typed queue-full rejection — never stranded.
+            # gets the typed shutting-down rejection — never stranded.
             # flush=False parks the workers immediately so they cannot
             # race this drain into executing work marked for cancel.
             self.queue.close(flush=False)
-            for request in self.queue.drain_remaining():
-                self.metrics.observe_cancelled(request.tenant)
-                self._complete_request(
-                    request,
-                    InferenceResult(
-                        status=RequestStatus.CANCELLED,
-                        request_id=request.request_id,
-                        tenant=request.tenant,
-                        model=request.model,
-                    ),
-                )
+            self._finish(
+                [
+                    _result(request, RequestStatus.CANCELLED)
+                    for request in self.queue.drain_remaining()
+                ]
+            )
         else:
             self.queue.close()
         for worker in self._workers:
@@ -239,22 +238,7 @@ class InferenceServer:
         # Count the submission before the request can reach a worker, so
         # a snapshot can never observe completed > submitted.
         self.metrics.observe_submitted()
-        if model not in self.registry:
-            self.metrics.observe_rejected(
-                RequestStatus.REJECTED_UNKNOWN_MODEL.value, tenant
-            )
-            with self._state_lock:
-                request_id = self._next_id
-                self._next_id += 1
-            return RequestHandle.completed(
-                InferenceResult(
-                    status=RequestStatus.REJECTED_UNKNOWN_MODEL,
-                    request_id=request_id,
-                    tenant=tenant,
-                    model=model,
-                    error=f"model {model!r} is not registered",
-                )
-            )
+        known = model in self.registry
         request = InferenceRequest(
             request_id=-1,
             tenant=tenant,
@@ -262,55 +246,34 @@ class InferenceServer:
             x=x,
             submitted_at=time.monotonic(),
         )
-        handle = RequestHandle(request)
+        # An unknown-model rejection carries no request: nothing was queued.
+        handle = RequestHandle(request if known else None)
         with self._state_lock:
-            request_id = self._next_id
+            request.request_id = self._next_id
             self._next_id += 1
-            request.request_id = request_id
+            self._handles[request.request_id] = handle
             stopping = self._stopping
-            if not stopping:
-                self._handles[request_id] = handle
-        if stopping:
-            # Terminal, not transient: retry-on-backpressure clients
-            # must be able to tell shutdown from a momentarily full queue.
-            self.metrics.observe_rejected(
-                RequestStatus.REJECTED_SHUTTING_DOWN.value, tenant
-            )
-            handle._complete(
-                self._rejection(request, RequestStatus.REJECTED_SHUTTING_DOWN)
-            )
-            return handle
-        verdict = self.queue.offer(request)
-        if verdict == RequestQueue.OK:
-            return handle
-        if verdict == RequestQueue.TENANT_LIMIT:
-            status = RequestStatus.REJECTED_TENANT_LIMIT
-        elif verdict == RequestQueue.CLOSED:
-            # A submit that raced stop() past the _stopping check still
-            # reports the terminal status, not transient backpressure.
-            status = RequestStatus.REJECTED_SHUTTING_DOWN
+        if not known:
+            status = RequestStatus.REJECTED_UNKNOWN_MODEL
+            error = f"model {model!r} is not registered"
         else:
-            status = RequestStatus.REJECTED_QUEUE_FULL
-        with self._state_lock:
-            self._handles.pop(request_id, None)
-        self.metrics.observe_rejected(status.value, tenant)
-        handle._complete(self._rejection(request, status))
+            # Shutdown is terminal, not transient: retry-on-backpressure
+            # clients must be able to tell it from a momentarily full queue.
+            status = (
+                RequestStatus.REJECTED_SHUTTING_DOWN
+                if stopping
+                else _VERDICTS[self.queue.offer(request)]
+            )
+            if status is None:
+                return handle
+            error = status.value
+        self._finish([_result(request, status, error)])
         return handle
 
     def submit_many(
         self, model: str, batches: Sequence[np.ndarray], tenant: str = "default"
     ) -> List[RequestHandle]:
         return [self.submit(model, x, tenant=tenant) for x in batches]
-
-    @staticmethod
-    def _rejection(request: InferenceRequest, status: RequestStatus) -> InferenceResult:
-        return InferenceResult(
-            status=status,
-            request_id=request.request_id,
-            tenant=request.tenant,
-            model=request.model,
-            error=status.value,
-        )
 
     # -- tenants -------------------------------------------------------
     def session(self, tenant: str) -> ExecutionSession:
@@ -466,24 +429,12 @@ class InferenceServer:
                 chip_total_ns=stats.latency_ns,
                 energy_fj=stats.total_energy_fj,
             )
-        # Observe before completing the handles: a client that wakes on
-        # handle.result() and immediately snapshots must see this batch.
-        self.metrics.observe_batch(
-            n_samples,
-            [r.latency_s for r in results],
-            [r.queued_s for r in results],
-            [r.tenant for r in batch],
-            now=finished,
-        )
-        if tracer is None:
-            for request, result in zip(batch, results):
-                self._complete_request(request, result)
-        else:
-            with tracer.span(
-                "respond", "serve", model=model, requests=len(batch)
-            ):
-                for request, result in zip(batch, results):
-                    self._complete_request(request, result)
+        with (
+            trace.NULL_SPAN
+            if tracer is None
+            else tracer.span("respond", "serve", model=model, requests=len(batch))
+        ):
+            self._finish(results, n_samples, finished)
 
     def _chaos_failover(self, model, batch, event) -> None:
         """Recover from a fired shard death before executing ``batch``.
@@ -560,18 +511,8 @@ class InferenceServer:
             record = dataclasses.replace(
                 record, dropped=displaced, replayed=(), resume_nodes=()
             )
-            for request in batch:
-                self.metrics.observe_cancelled(request.tenant)
-                self._complete_request(
-                    request,
-                    InferenceResult(
-                        status=RequestStatus.CANCELLED,
-                        request_id=request.request_id,
-                        tenant=request.tenant,
-                        model=request.model,
-                        error=f"displaced by {event.kind} and not requeued",
-                    ),
-                )
+            error = f"displaced by {event.kind} and not requeued"
+            self._finish([_result(r, RequestStatus.CANCELLED, error) for r in batch])
         self.metrics.observe_recovery(
             record.wall_s,
             dropped=len(record.dropped),
@@ -582,25 +523,49 @@ class InferenceServer:
         chaos.recoveries.append(record)
 
     def _fail_batch(self, batch: List[InferenceRequest], error: str) -> None:
-        # Observe before completing, like the success path: a client
-        # waking on handle.result() must see the failure in a snapshot.
-        self.metrics.observe_failed([request.tenant for request in batch])
-        for request in batch:
-            self._complete_request(
-                request,
-                InferenceResult(
-                    status=RequestStatus.FAILED,
-                    request_id=request.request_id,
-                    tenant=request.tenant,
-                    model=request.model,
-                    error=error,
-                ),
-            )
+        self._finish([_result(r, RequestStatus.FAILED, error) for r in batch])
 
-    def _complete_request(
-        self, request: InferenceRequest, result: InferenceResult
+    def _finish(
+        self,
+        results: List[InferenceResult],
+        batch_samples: int = 0,
+        now: Optional[float] = None,
     ) -> None:
+        """The one terminal path: every request ends here, exactly once.
+
+        Observed first, so a client that wakes on ``handle.result()``
+        and immediately snapshots sees its own request counted; then
+        every handle is popped under one lock acquisition and completed.
+        ``batch_samples`` / ``now`` mark ``results`` as one executed
+        batch (see :meth:`ServerMetrics.observe`).
+        """
+        self.metrics.observe(results, batch_samples, now)
         with self._state_lock:
-            handle = self._handles.pop(request.request_id, None)
-        if handle is not None:
-            handle._complete(result)
+            handles = [self._handles.pop(r.request_id, None) for r in results]
+        for handle, result in zip(handles, results):
+            if handle is not None:
+                handle._complete(result)
+
+
+#: Admission verdict -> the typed rejection it completes with (``None``:
+#: admitted).  A submit that raced ``stop()`` past the ``_stopping``
+#: check reads CLOSED and still reports the terminal status.
+_VERDICTS = {
+    RequestQueue.OK: None,
+    RequestQueue.FULL: RequestStatus.REJECTED_QUEUE_FULL,
+    RequestQueue.TENANT_LIMIT: RequestStatus.REJECTED_TENANT_LIMIT,
+    RequestQueue.CLOSED: RequestStatus.REJECTED_SHUTTING_DOWN,
+}
+
+
+def _result(
+    request: InferenceRequest, status: RequestStatus, error: Optional[str] = None
+) -> InferenceResult:
+    """The result of a request that ended without executing."""
+    return InferenceResult(
+        status=status,
+        request_id=request.request_id,
+        tenant=request.tenant,
+        model=request.model,
+        error=error,
+    )

@@ -122,6 +122,26 @@ def assert_one_metrics_model(server):
     return snap, samples
 
 
+def audit_stopped_servers(monkeypatch):
+    """Body of an autouse fixture (``yield from`` it): wraps
+    ``InferenceServer.stop`` so every server the test stops is checked
+    by :func:`assert_one_metrics_model` at teardown — after the test's
+    own last word, including submits it made to a stopped server."""
+    from repro.serve import InferenceServer
+
+    stopped = {}
+    stop = InferenceServer.stop
+
+    def tracked(server, *args, **kwargs):
+        stop(server, *args, **kwargs)
+        stopped[id(server)] = server
+
+    monkeypatch.setattr(InferenceServer, "stop", tracked)
+    yield
+    for server in stopped.values():
+        assert_one_metrics_model(server)
+
+
 def numerical_grad(
     fn: Callable[..., Tensor], inputs: Sequence[Tensor], index: int, eps: float = 1e-6
 ) -> np.ndarray:

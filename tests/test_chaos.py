@@ -79,7 +79,12 @@ from repro.serve import (
     RequestStatus,
 )
 
-from .helpers import DEADLINE, assert_one_metrics_model, await_results
+from .helpers import (
+    DEADLINE,
+    assert_one_metrics_model,
+    audit_stopped_servers,
+    await_results,
+)
 
 HW = 8  # input images are (3, HW, HW); zoo models are width-reduced
 N_BATCHES = 6
@@ -875,6 +880,12 @@ def serve_batches(n=6, seed=21):
 
 
 class TestServeChaos:
+    @pytest.fixture(autouse=True)
+    def one_metrics_model(self, monkeypatch):
+        """Every server a test stops keeps the one-metrics-model identity,
+        failovers included."""
+        yield from audit_stopped_servers(monkeypatch)
+
     def test_server_failover_replays_exactly_once(self):
         model = conv_model()
         compiled = compiled_model("conv")

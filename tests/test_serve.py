@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.chaos import SHARD_DEATH, ChaosController, FaultEvent, FaultSchedule
 from repro.cim.macro import MacroStats
 from repro.runtime import (
     EngineCache,
@@ -33,10 +34,12 @@ from repro.runtime import (
 from repro.serve import (
     BatchPolicy,
     InferenceRequest,
+    InferenceResult,
     InferenceServer,
     LoadGenerator,
     LoadSpec,
     ModelRegistry,
+    RequestHandle,
     RequestQueue,
     RequestStatus,
     ServerMetrics,
@@ -45,7 +48,12 @@ from repro.serve import (
     percentile,
 )
 
-from .helpers import await_results, immediate_results, next_batch_or_fail
+from .helpers import (
+    audit_stopped_servers,
+    await_results,
+    immediate_results,
+    next_batch_or_fail,
+)
 
 IN_FEATURES = 32
 
@@ -78,6 +86,19 @@ def queued_request(request_id, tenant, model="m", n_samples=1, submitted_at=None
         x=np.zeros((n_samples, IN_FEATURES)),
         submitted_at=time.monotonic() if submitted_at is None else submitted_at,
     )
+
+
+def served(tenant, latency_s, queued_s=0.0):
+    """A completed request's result, as an executed batch reports it."""
+    return InferenceResult(
+        RequestStatus.COMPLETED, 0, tenant, "m", latency_s=latency_s, queued_s=queued_s
+    )
+
+
+@pytest.fixture(autouse=True)
+def one_metrics_model(monkeypatch):
+    """Every server a test stops keeps the one-metrics-model identity."""
+    yield from audit_stopped_servers(monkeypatch)
 
 
 class TestRequestQueue:
@@ -172,6 +193,34 @@ class TestRequestQueue:
         assert [r.request_id for r in batch] == [0]
         assert queue.next_batch(timeout=1.0) is None
         assert queue.offer(queued_request(1, "t")) == RequestQueue.CLOSED
+
+    def test_requeue_goes_first_in_drawn_order(self):
+        """A failover's requeue puts the drawn batch back exactly: first
+        out again, same seqs, same tenant rotation, its lane ahead of a
+        newer model's, and counted again against depth and tenant caps."""
+        queue = RequestQueue(
+            BatchPolicy(max_batch_size=4, max_wait_s=0.0, max_pending_per_tenant=3)
+        )
+        for seq, tenant in enumerate("aabb"):
+            assert queue.offer(queued_request(seq, tenant, model="m1")) == RequestQueue.OK
+        batch = next_batch_or_fail(queue)  # drains m1's lane entirely
+        drawn = [(r.request_id, r.seq, r.tenant) for r in batch]
+        assert drawn == [(0, 0, "a"), (2, 2, "b"), (1, 1, "a"), (3, 3, "b")]
+        # Newer traffic, m2's first: only the requeue moving m1's head
+        # back to seq 0 can put m1's lane ahead of m2's again.
+        assert queue.offer(queued_request(4, "a", model="m2")) == RequestQueue.OK
+        assert queue.offer(queued_request(5, "b", model="m1")) == RequestQueue.OK
+        assert queue.depth == 2
+        assert queue.requeue(batch)
+        assert queue.depth == 6
+        # a and b each hold three pending samples again: both at the cap.
+        assert queue.offer(queued_request(6, "a", model="m2")) == RequestQueue.TENANT_LIMIT
+        assert queue.offer(queued_request(7, "b", model="m1")) == RequestQueue.TENANT_LIMIT
+        again = next_batch_or_fail(queue)
+        assert [(r.request_id, r.seq, r.tenant) for r in again] == drawn
+        assert [r.request_id for r in next_batch_or_fail(queue)] == [4]
+        assert [r.request_id for r in next_batch_or_fail(queue)] == [5]
+        assert queue.depth == 0
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -428,6 +477,82 @@ class TestServerExecution:
         assert result.status is RequestStatus.FAILED
         assert "evicted" in result.error
 
+    def test_every_outcome_is_counted_before_its_handle_completes(self, monkeypatch):
+        """A client that wakes on ``handle.result()`` and snapshots sees
+        its own request: when a handle completes, the server has already
+        counted it under its status and tenant — for all eight ways a
+        request ends.  Every request's tenant counts one request per
+        state, so the tenant count reads exactly 1."""
+        ended = []  # (status, error, counted)
+        servers = []
+        complete = RequestHandle._complete
+
+        def spy(handle, result):
+            snapshot = servers[-1].snapshot()
+            status = result.status
+            state = "rejected" if status.rejected else status.value
+            total = (
+                snapshot.rejected.get(status.value, 0)
+                if status.rejected
+                else getattr(snapshot, state)
+            )
+            tenants = {t.tenant: getattr(t, state) for t in snapshot.tenants}
+            ended.append((status, result.error, total >= 1 and tenants[result.tenant] == 1))
+            complete(handle, result)
+
+        monkeypatch.setattr(RequestHandle, "_complete", spy)
+        pool = requests_pool(1)
+
+        # Admission verdicts and a cancelling stop, on a server never started.
+        servers.append(
+            InferenceServer(
+                make_registry(m=mlp()),
+                BatchPolicy(max_batch_size=1, max_queue_depth=2, max_pending_per_tenant=1),
+            )
+        )
+        server = servers[-1]
+        server.submit("missing", pool, tenant="unknown")
+        server.submit("m", pool, tenant="kept")
+        server.submit("m", pool, tenant="kept")  # over the tenant cap
+        server.submit("m", pool, tenant="kept-too")
+        server.submit("m", pool, tenant="full")  # over the queue depth
+        server.stop(drain=False)  # cancels both kept requests
+        server.submit("m", pool, tenant="late")
+
+        # Execution outcomes: an unrecoverable failover, an eviction, a success.
+        registry = make_registry(m=mlp(), gone=mlp(seed=1))
+        chaos = ChaosController(
+            FaultSchedule(
+                seed=0, events=(FaultEvent(kind=SHARD_DEATH, shard=0, at_index=0),)
+            )
+        )
+        servers.append(
+            InferenceServer(registry, BatchPolicy(max_batch_size=1, max_wait_s=0.0), chaos=chaos)
+        )
+        server = servers[-1]
+        handles = [
+            server.submit("m", pool, tenant="displaced"),
+            server.submit("gone", pool, tenant="evicted"),
+            server.submit("m", pool, tenant="served"),
+        ]
+        registry.evict("gone")
+        server.start()
+        statuses = [result.status for result in await_results(handles)]
+        server.stop()
+
+        assert statuses == [
+            RequestStatus.CANCELLED,
+            RequestStatus.FAILED,
+            RequestStatus.COMPLETED,
+        ]
+        assert all(counted for _, _, counted in ended), ended
+        outcomes = {
+            (status, error if status is RequestStatus.CANCELLED else None)
+            for status, error, _ in ended
+        }
+        assert (len(ended), len(outcomes)) == (9, 8)  # stop cancelled two
+        assert {status for status, _ in outcomes} == set(RequestStatus)
+
     def test_timings_populated(self):
         registry = make_registry(m=mlp())
         with InferenceServer(registry, BatchPolicy(max_batch_size=1)) as server:
@@ -629,9 +754,13 @@ class TestMetrics:
 
     def test_batch_histogram_and_counts(self):
         metrics = ServerMetrics()
-        metrics.observe_batch(4, [0.1] * 3, [0.05] * 3, ["a", "a", "b"])
-        metrics.observe_batch(1, [0.2], [0.1], ["b"])
-        metrics.observe_rejected("rejected_queue_full", "c")
+        metrics.observe(
+            [served(tenant, 0.1, 0.05) for tenant in ("a", "a", "b")], 4
+        )
+        metrics.observe([served("b", 0.2, 0.1)], 1)
+        metrics.observe(
+            [InferenceResult(RequestStatus.REJECTED_QUEUE_FULL, 0, "c", "m")]
+        )
         snapshot = metrics.snapshot(
             queue_depth=2, sessions={"a": ExecutionSession(), "b": ExecutionSession()}
         )
@@ -651,8 +780,8 @@ class TestMetrics:
     def test_rolling_window_trims_old_completions(self):
         metrics = ServerMetrics(window_s=0.5)
         old = time.monotonic() - 10.0
-        metrics.observe_batch(1, [0.1], [0.0], ["a"], now=old)
-        metrics.observe_batch(1, [0.1], [0.0], ["a"])
+        metrics.observe([served("a", 0.1)], 1, now=old)
+        metrics.observe([served("a", 0.1)], 1)
         snapshot = metrics.snapshot()
         # Totals keep history; the rolling throughput window does not.
         assert snapshot.completed == 2
@@ -723,6 +852,31 @@ class TestLoadGenerator:
         assert len(rejected) == 6
         server.start()
         server.stop()  # drains the 4 admitted requests
+
+    def test_report_counts_cancelled_apart_from_failed(self):
+        """A failover that cannot recover cancels its batch; the client
+        report must say cancelled, as the server does, not failed."""
+        registry = make_registry(m=nn.Linear(8, 4, rng=np.random.default_rng(0)))
+        chaos = ChaosController(
+            FaultSchedule(
+                seed=0, events=(FaultEvent(kind=SHARD_DEATH, shard=0, at_index=0),)
+            )
+        )
+        server = InferenceServer(
+            registry, BatchPolicy(max_batch_size=4), chaos=chaos
+        ).start()
+        pool = np.random.default_rng(1).normal(size=(8, 8))
+        report = LoadGenerator(server, LoadSpec(n_requests=8, seed=0), {"m": pool}).run()
+        server.stop()
+        snapshot = server.snapshot()
+        assert report.cancelled > 0
+        assert (report.completed, report.failed, report.cancelled) == (
+            snapshot.completed,
+            snapshot.failed,
+            snapshot.cancelled,
+        )
+        [tenant] = report.tenants
+        assert (tenant.failed, tenant.cancelled) == (0, report.cancelled)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
