@@ -79,9 +79,14 @@ class MacroConfig:
         return 0, 2**self.input_bits - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class MacroStats:
     """Cycle/energy accounting of macro activity.
+
+    Immutable: accumulation builds a new value (``+``,
+    ``dataclasses.replace``), so one instance can be shared by every
+    holder — the served requests of one batch hold one share object per
+    distinct sample count.
 
     The ``link_*`` fields account inter-chiplet serial-link traffic when
     a model is sharded across chiplets (``repro.runtime.sharded``): bits

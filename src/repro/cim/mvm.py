@@ -167,8 +167,10 @@ class CimTiledMatmul:
             out[tile.col_start : tile.col_stop] += partial
             max_tile_latency = max(max_tile_latency, stats.latency_ns)
             total = total + stats
-        # Tiles run in parallel subarrays: wall-clock is the slowest tile.
-        total.latency_ns = max_tile_latency
+        # Tiles run in parallel subarrays: wall-clock is the slowest tile
+        # (a one-tile sum already says so; MacroStats is immutable).
+        if total.latency_ns != max_tile_latency:
+            total = replace(total, latency_ns=max_tile_latency)
         return (out[:, 0] if squeeze else out), total
 
     def exact_matmul(self, x: np.ndarray) -> np.ndarray:

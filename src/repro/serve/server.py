@@ -8,6 +8,16 @@ Worker threads drain the queue through
 coalesced batch with one :meth:`CompiledModel.run` call, then fan the
 outputs, timings and proportional stats back out to the requests.
 
+The fan-out costs per distinct share and per tenant, not per request,
+wherever a request needs no object of its own: one walk over the batch
+tallies each tenant's requests and samples; one
+:func:`~repro.serve.metrics.fraction_of_stats` call per distinct sample
+count (requests' and tenant totals') yields an immutable share that
+every result and session with that count holds; the batch sequence
+number, chaos chip clock, session lookup and batch record take one
+``_state_lock`` acquisition; and the metrics count the batch from the
+tenant tally.
+
 Every request ends through :meth:`InferenceServer._finish` — rejection,
 failure, cancellation and completion alike — which counts the results
 (:meth:`ServerMetrics.observe`) before it completes their handles.
@@ -279,10 +289,13 @@ class InferenceServer:
     def session(self, tenant: str) -> ExecutionSession:
         """The tenant's (lazily created) shared execution session."""
         with self._state_lock:
-            session = self._sessions.get(tenant)
-            if session is None:
-                session = self._sessions[tenant] = ExecutionSession()
-            return session
+            return self._session(tenant)
+
+    def _session(self, tenant: str) -> ExecutionSession:
+        session = self._sessions.get(tenant)  # _state_lock held
+        if session is None:
+            session = self._sessions[tenant] = ExecutionSession()
+        return session
 
     def sessions(self) -> Dict[str, ExecutionSession]:
         with self._state_lock:
@@ -351,6 +364,19 @@ class InferenceServer:
         finished = time.monotonic()
         n_samples = int(inputs.shape[0])
 
+        # One walk over the batch: per-tenant request and sample tallies.
+        # Stats shares are then one per distinct sample count — requests'
+        # and tenant totals' — each handed to every holder of that count.
+        requests: Dict[str, int] = {}
+        samples: Dict[str, int] = {}
+        for request in batch:
+            tenant = request.tenant
+            requests[tenant] = requests.get(tenant, 0) + 1
+            samples[tenant] = samples.get(tenant, 0) + request.n_samples
+        counts = {request.n_samples for request in batch}
+        counts.update(samples.values())
+        shares = {k: fraction_of_stats(stats, k, n_samples) for k in counts}
+
         with self._state_lock:
             batch_seq = self._batch_seq
             self._batch_seq += 1
@@ -358,51 +384,43 @@ class InferenceServer:
                 # Advance the simulated chip clock chip-time-fired chaos
                 # events are judged against.
                 self._chaos_chip_ns += stats.latency_ns + stats.link_latency_ns
-
-        # Per-tenant accounting: one locked record per tenant present.
-        tenant_samples: Dict[str, int] = {}
-        for request in batch:
-            tenant_samples[request.tenant] = (
-                tenant_samples.get(request.tenant, 0) + request.n_samples
-            )
-        for tenant, samples in tenant_samples.items():
-            self.session(tenant).record(
-                fraction_of_stats(stats, samples, n_samples), samples=samples
-            )
+            sessions = [(self._session(tenant), k) for tenant, k in samples.items()]
+            if self.record_batches:
+                self.executed_batches.append(
+                    ExecutedBatch(
+                        batch_seq=batch_seq,
+                        model=model,
+                        request_ids=[r.request_id for r in batch],
+                        tenants=[r.tenant for r in batch],
+                        inputs=inputs,
+                        outputs=outputs,
+                        stats=stats,
+                        execute_s=finished - started,
+                    )
+                )
+        for session, k in sessions:
+            session.record(shares[k], samples=k)
 
         results: List[InferenceResult] = []
         offset = 0
         for request in batch:
-            stop = offset + request.n_samples
+            k = request.n_samples
             results.append(
                 InferenceResult(
                     status=RequestStatus.COMPLETED,
                     request_id=request.request_id,
                     tenant=request.tenant,
                     model=model,
-                    output=outputs[offset:stop],
-                    stats=fraction_of_stats(stats, request.n_samples, n_samples),
+                    output=outputs[offset : offset + k],
+                    stats=shares[k],
                     batch_seq=batch_seq,
                     batch_samples=n_samples,
                     queued_s=started - request.submitted_at,
                     latency_s=finished - request.submitted_at,
                 )
             )
-            offset = stop
+            offset += k
 
-        if self.record_batches:
-            record = ExecutedBatch(
-                batch_seq=batch_seq,
-                model=model,
-                request_ids=[r.request_id for r in batch],
-                tenants=[r.tenant for r in batch],
-                inputs=inputs,
-                outputs=outputs,
-                stats=stats,
-                execute_s=finished - started,
-            )
-            with self._state_lock:
-                self.executed_batches.append(record)
         if tracer is not None:
             # Queue spans are retroactive, duration-anchored: queued_s
             # was measured on the monotonic clock (submitted_at), so lay
@@ -434,7 +452,7 @@ class InferenceServer:
             if tracer is None
             else tracer.span("respond", "serve", model=model, requests=len(batch))
         ):
-            self._finish(results, n_samples, finished)
+            self._finish(results, n_samples, finished, requests)
 
     def _chaos_failover(self, model, batch, event) -> None:
         """Recover from a fired shard death before executing ``batch``.
@@ -530,16 +548,17 @@ class InferenceServer:
         results: List[InferenceResult],
         batch_samples: int = 0,
         now: Optional[float] = None,
+        tenants: Optional[Dict[str, int]] = None,
     ) -> None:
         """The one terminal path: every request ends here, exactly once.
 
         Observed first, so a client that wakes on ``handle.result()``
         and immediately snapshots sees its own request counted; then
         every handle is popped under one lock acquisition and completed.
-        ``batch_samples`` / ``now`` mark ``results`` as one executed
-        batch (see :meth:`ServerMetrics.observe`).
+        ``batch_samples`` / ``now`` / ``tenants`` mark ``results`` as one
+        executed batch (see :meth:`ServerMetrics.observe`).
         """
-        self.metrics.observe(results, batch_samples, now)
+        self.metrics.observe(results, batch_samples, now, tenants)
         with self._state_lock:
             handles = [self._handles.pop(r.request_id, None) for r in results]
         for handle, result in zip(handles, results):

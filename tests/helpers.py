@@ -5,7 +5,7 @@ The synchronization helpers exist so timing-sensitive serve/shard tests
 never assert on wall-clock windows ("finished within N seconds") or
 sample completion flags at racy moments.  Every wait blocks on the real
 synchronization primitive — the queue's condition variable via
-``next_batch``, the handle's completion event via ``result`` — with one
+``next_batch``, the handle's completion lock via ``result`` — with one
 generous shared deadline (:data:`DEADLINE`) whose only job is to turn a
 genuine deadlock into a test failure instead of a hang.
 """
@@ -41,10 +41,11 @@ def next_batch_or_fail(queue, timeout: float = DEADLINE):
 
 
 def await_results(handles: Sequence, timeout: float = DEADLINE) -> List:
-    """Block on every handle's completion event; returns their results.
+    """Block on every handle's completion; returns their results.
 
-    ``RequestHandle.result`` waits on a ``threading.Event`` set by the
-    worker that completes the request, so this never polls.
+    ``RequestHandle.result`` blocks on the handle's completion lock,
+    which the worker that completes the request releases, so this never
+    polls.
     """
     return [handle.result(timeout=timeout) for handle in handles]
 
@@ -82,8 +83,10 @@ def registry_samples(registry, kinds=("counter", "gauge", "histogram")) -> Dict:
 
 def assert_one_metrics_model(server):
     """At quiescence every ``MetricsSnapshot`` count is the registry's
-    sample of the same number, and every submitted request ended in
-    exactly one terminal state.  Returns ``(snapshot, samples)``."""
+    sample of the same number, every submitted request ended in exactly
+    one terminal state, and the per-tenant ``samples`` / ``completed``
+    sum to the executed batch sizes / ``completed``.  Returns
+    ``(snapshot, samples)``."""
     from repro.obs import collect_server
 
     samples = registry_samples(collect_server(server))
@@ -116,6 +119,10 @@ def assert_one_metrics_model(server):
     _, size_sum, size_count = samples[("repro_batch_size", ())]
     assert size_count == sum(snap.batch_size_hist.values()) == snap.batches
     assert size_sum == sum(size * n for size, n in snap.batch_size_hist.items())
+    # Every executed sample is attributed to exactly one tenant, and
+    # every completed request to its own.
+    assert sum(t.samples for t in snap.tenants) == size_sum
+    assert sum(t.completed for t in snap.tenants) == snap.completed
     assert snap.submitted == (
         snap.completed + snap.total_rejected + snap.failed + snap.cancelled
     )

@@ -1,5 +1,7 @@
 """Tests for the circuit-level CiM simulation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from repro.cim import (
     rom_macro_spec,
     sram_macro_spec,
 )
-from repro.cim.macro import _bit_planes
+from repro.cim.macro import MacroStats, _bit_planes
 from repro.cim.spec import TABLE1_PAPER
 
 RNG = np.random.default_rng(21)
@@ -290,6 +292,27 @@ class TestTiledMatmul:
     def test_non_2d_weights_rejected(self):
         with pytest.raises(ValueError):
             CimTiledMatmul(np.zeros(8, dtype=int), MacroConfig())
+
+
+class TestMacroStats:
+    def test_fields_cannot_be_assigned(self):
+        """Immutable, so the served requests of one batch can share one
+        stats object (see ``InferenceServer._execute_batch``)."""
+        stats = MacroStats(cycles=3, macs=7, latency_ns=2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stats.macs = 8
+        assert stats.macs == 7
+
+    def test_add_and_replace_build_new_values(self):
+        a = MacroStats(cycles=3, macs=7, wl_energy_fj=0.5, latency_ns=2.0)
+        b = MacroStats(cycles=1, macs=2, wl_energy_fj=0.25, link_bits=4.0)
+        total = a + b
+        assert total == MacroStats(
+            cycles=4, macs=9, wl_energy_fj=0.75, latency_ns=2.0, link_bits=4.0
+        )
+        unlinked = dataclasses.replace(total, link_bits=0.0)
+        assert unlinked.link_bits == 0.0 and total.link_bits == 4.0
+        assert dataclasses.replace(unlinked, link_bits=4.0) == total
 
 
 class TestFloatPaths:

@@ -49,6 +49,7 @@ from repro.serve import (
 )
 
 from .helpers import (
+    DEADLINE,
     audit_stopped_servers,
     await_results,
     immediate_results,
@@ -561,6 +562,94 @@ class TestServerExecution:
         assert result.batch_seq >= 0
 
 
+class TestRequestHandle:
+    def test_every_waiter_receives_the_result(self):
+        """Two threads blocked on one pending handle both wake on its one
+        completion.  A spy on the handle's lock tells the test when each
+        waiter has entered its blocking acquire — no sleeps."""
+        handle = RequestHandle(queued_request(5, "t"))
+        real = handle._pending
+        entered = [threading.Event(), threading.Event()]
+
+        class Spy:
+            def acquire(self, *args, **kwargs):
+                entered[int(threading.current_thread().name)].set()
+                return real.acquire(*args, **kwargs)
+
+            def release(self):
+                real.release()
+
+        handle._pending = Spy()
+        got = [None, None]
+
+        def wait(index):
+            got[index] = handle.result(timeout=DEADLINE)
+
+        threads = [threading.Thread(target=wait, args=(i,), name=str(i)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        assert all(event.wait(DEADLINE) for event in entered)
+        result = served("t", 0.1)
+        handle._complete(result)
+        for thread in threads:
+            thread.join(DEADLINE)
+            assert not thread.is_alive()
+        assert got == [result, result] and got[0] is result
+
+    def test_waiters_and_completer_race_under_short_switch_interval(self):
+        """More waiter threads than cores, each blocking on every handle
+        while another thread completes them, with thread switches forced
+        at every opportunity: every waiter sees every result."""
+        import sys
+
+        handles = [RequestHandle(queued_request(i, "t")) for i in range(64)]
+        results = [served("t", float(i)) for i in range(64)]
+        seen = [[] for _ in range(6)]
+
+        def wait(index):
+            seen[index] = [h.result(timeout=DEADLINE) for h in handles]
+
+        def complete():
+            for handle, result in zip(handles, results):
+                handle._complete(result)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=wait, args=(i,)) for i in range(6)]
+            threads.append(threading.Thread(target=complete))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(DEADLINE)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(got == results for got in seen)
+        assert all(h.done() for h in handles)
+
+    def test_pending_result_with_zero_timeout_names_the_request(self):
+        handle = RequestHandle(queued_request(42, "t"))
+        with pytest.raises(TimeoutError, match="request 42 "):
+            handle.result(timeout=0)
+
+    def test_done_flips_only_on_complete(self):
+        handle = RequestHandle(queued_request(1, "t"))
+        assert not handle.done()
+        result = served("t", 0.1)
+        handle._complete(result)
+        assert handle.done()
+        assert handle.result(timeout=0) is result
+
+    def test_second_complete_raises(self):
+        handle = RequestHandle(queued_request(3, "t"))
+        first = served("t", 0.1)
+        handle._complete(first)
+        with pytest.raises(RuntimeError, match="request 3 completed twice"):
+            handle._complete(served("t", 0.2))
+        assert handle.result(timeout=0) is first
+
+
 class TestSessionsAndAccounting:
     def test_per_tenant_sessions_sum_to_batch_stats(self):
         registry = make_registry(m=mlp())
@@ -588,6 +677,49 @@ class TestSessionsAndAccounting:
         assert total_energy == pytest.approx(batch.stats.total_energy_fj, rel=1e-12)
         total_macs = sum(s.snapshot()[0].macs for s in sessions.values())
         assert total_macs == pytest.approx(batch.stats.macs, rel=1e-12)
+
+    def test_shares_computed_once_per_distinct_sample_count(self, monkeypatch):
+        """Requests and tenant totals with equal sample counts get one
+        shared share, computed by one ``fraction_of_stats`` call with the
+        same arguments as a per-holder call — so bitwise equal to it."""
+        import repro.serve.server as server_module
+
+        calls = []
+        real = server_module.fraction_of_stats
+
+        def spy(stats, numerator, denominator):
+            calls.append((numerator, denominator))
+            return real(stats, numerator, denominator)
+
+        monkeypatch.setattr(server_module, "fraction_of_stats", spy)
+        registry = make_registry(m=mlp())
+        server = InferenceServer(
+            registry, BatchPolicy(max_batch_size=8, max_wait_s=1.0), record_batches=True
+        )
+        pool = requests_pool(8)
+        plan = [("a", 1), ("b", 1), ("a", 2), ("c", 3), ("a", 1)]
+        handles, start = [], 0
+        for tenant, k in plan:
+            handles.append(server.submit("m", pool[start : start + k], tenant=tenant))
+            start += k
+        server.start()
+        results = await_results(handles)
+        server.stop()
+
+        [batch] = server.executed_batches
+        n = batch.inputs.shape[0]
+        assert n == 8 and all(r.ok and r.batch_samples == n for r in results)
+        for (_, k), result in zip(plan, results):
+            assert result.stats == real(batch.stats, k, n)
+        totals = {"a": 4, "b": 1, "c": 3}
+        sessions = server.sessions()
+        for tenant, k in totals.items():
+            assert sessions[tenant].snapshot()[0] == real(batch.stats, k, n), tenant
+        singles = [r.stats for (_, k), r in zip(plan, results) if k == 1]
+        assert all(s is singles[0] for s in singles)
+        # One call per distinct count among requests {1, 2, 3} and
+        # tenant totals {4, 1, 3}.
+        assert sorted(calls) == [(1, n), (2, n), (3, n), (4, n)]
 
     def test_concurrent_submitters_lose_no_session_updates(self):
         registry = make_registry(m=mlp())
