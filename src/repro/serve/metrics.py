@@ -10,16 +10,15 @@ the same values.  A request is counted twice in its life: once at
 submission (:meth:`ServerMetrics.observe_submitted`) and once at its
 terminal state (:meth:`ServerMetrics.observe`, which the server's one
 terminal path calls for every rejection, failure, cancellation and
-executed batch).  An executed batch is counted from the per-tenant
-request tally the server builds anyway — one add per state and tenant,
-not a walk over its results; beyond that the worker hot path pays a ring
-buffer for latencies and a timestamp deque for the rolling-throughput
-window, with aggregation deferred to :meth:`ServerMetrics.snapshot`.
-Energy per sample per tenant comes from the tenants'
-:class:`~repro.runtime.ExecutionSession` accumulators, which the server
-feeds with each tenant's proportional share of its executed batch's
-:class:`~repro.cim.macro.MacroStats` (computed by
-:func:`fraction_of_stats`, once per distinct sample count in the batch).
+executed batch).  Everything is O(1) per observation on the worker hot
+path — a counter bump, a ring buffer for latencies, a timestamp deque
+for the rolling-throughput window — with aggregation deferred to
+:meth:`ServerMetrics.snapshot`.  Energy per sample per
+tenant comes from the tenants' :class:`~repro.runtime.ExecutionSession`
+accumulators, which the server feeds with each tenant's proportional
+share of its executed batch's :class:`~repro.cim.macro.MacroStats`
+(computed by :func:`fraction_of_stats`, once per distinct sample count
+in the batch).
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -286,33 +285,24 @@ class ServerMetrics:
         results: Sequence[InferenceResult],
         batch_samples: int = 0,
         now: Optional[float] = None,
-        tenants: Optional[Mapping[str, int]] = None,
     ) -> None:
         """Count terminal ``results``, each under its status and tenant.
 
         ``batch_samples > 0`` marks ``results`` as one executed batch of
         that many samples: its size, the requests' latencies and queued
         times and its completion-window entry are recorded under the
-        same lock acquisition.  ``tenants`` is such a batch's
-        ``{tenant: requests}`` tally (every result then COMPLETED): the
-        counts become one add per state and tenant instead of a walk
-        over ``results``.  (The submission itself is counted by
+        same lock acquisition.  (The submission itself is counted by
         ``observe_submitted``, which runs first for every request.)
         """
         with self._lock:
-            if tenants is None:
-                for result in results:
-                    state = result.status.value
-                    counter = self._states.get(state)
-                    if counter is None:  # a typed rejection, counted by reason
-                        counter = self._rejected[state]
-                        state = "rejected"
-                    counter.value += 1
-                    getattr(self._tenants[result.tenant], state).value += 1
-            else:
-                self._states["completed"].value += len(results)
-                for tenant, requests in tenants.items():
-                    self._tenants[tenant].completed.value += requests
+            for result in results:
+                state = result.status.value
+                counter = self._states.get(state)
+                if counter is None:  # a typed rejection, counted by reason
+                    counter = self._rejected[state]
+                    state = "rejected"
+                counter.value += 1
+                getattr(self._tenants[result.tenant], state).value += 1
             if batch_samples:
                 now = time.monotonic() if now is None else now
                 self._batches.value += 1

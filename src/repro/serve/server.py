@@ -8,15 +8,12 @@ Worker threads drain the queue through
 coalesced batch with one :meth:`CompiledModel.run` call, then fan the
 outputs, timings and proportional stats back out to the requests.
 
-The fan-out costs per distinct share and per tenant, not per request,
-wherever a request needs no object of its own: one walk over the batch
-tallies each tenant's requests and samples; one
+The fan-out's stats cost per distinct share, not per request: one
 :func:`~repro.serve.metrics.fraction_of_stats` call per distinct sample
 count (requests' and tenant totals') yields an immutable share that
-every result and session with that count holds; the batch sequence
-number, chaos chip clock, session lookup and batch record take one
-``_state_lock`` acquisition; and the metrics count the batch from the
-tenant tally.
+every result and session with that count holds, and the batch sequence
+number, chaos chip clock and session lookup take one ``_state_lock``
+acquisition.
 
 Every request ends through :meth:`InferenceServer._finish` — rejection,
 failure, cancellation and completion alike — which counts the results
@@ -364,15 +361,12 @@ class InferenceServer:
         finished = time.monotonic()
         n_samples = int(inputs.shape[0])
 
-        # One walk over the batch: per-tenant request and sample tallies.
-        # Stats shares are then one per distinct sample count — requests'
-        # and tenant totals' — each handed to every holder of that count.
-        requests: Dict[str, int] = {}
+        # Per-tenant sample totals, then one stats share per distinct
+        # sample count — requests' and tenant totals' — each handed to
+        # every holder of that count.
         samples: Dict[str, int] = {}
         for request in batch:
-            tenant = request.tenant
-            requests[tenant] = requests.get(tenant, 0) + 1
-            samples[tenant] = samples.get(tenant, 0) + request.n_samples
+            samples[request.tenant] = samples.get(request.tenant, 0) + request.n_samples
         counts = {request.n_samples for request in batch}
         counts.update(samples.values())
         shares = {k: fraction_of_stats(stats, k, n_samples) for k in counts}
@@ -385,19 +379,6 @@ class InferenceServer:
                 # events are judged against.
                 self._chaos_chip_ns += stats.latency_ns + stats.link_latency_ns
             sessions = [(self._session(tenant), k) for tenant, k in samples.items()]
-            if self.record_batches:
-                self.executed_batches.append(
-                    ExecutedBatch(
-                        batch_seq=batch_seq,
-                        model=model,
-                        request_ids=[r.request_id for r in batch],
-                        tenants=[r.tenant for r in batch],
-                        inputs=inputs,
-                        outputs=outputs,
-                        stats=stats,
-                        execute_s=finished - started,
-                    )
-                )
         for session, k in sessions:
             session.record(shares[k], samples=k)
 
@@ -421,6 +402,21 @@ class InferenceServer:
             )
             offset += k
 
+        if self.record_batches:
+            # Built outside the lock and appended after the sessions are
+            # recorded, so a listed batch is already in its tenants' totals.
+            record = ExecutedBatch(
+                batch_seq=batch_seq,
+                model=model,
+                request_ids=[r.request_id for r in batch],
+                tenants=[r.tenant for r in batch],
+                inputs=inputs,
+                outputs=outputs,
+                stats=stats,
+                execute_s=finished - started,
+            )
+            with self._state_lock:
+                self.executed_batches.append(record)
         if tracer is not None:
             # Queue spans are retroactive, duration-anchored: queued_s
             # was measured on the monotonic clock (submitted_at), so lay
@@ -452,7 +448,7 @@ class InferenceServer:
             if tracer is None
             else tracer.span("respond", "serve", model=model, requests=len(batch))
         ):
-            self._finish(results, n_samples, finished, requests)
+            self._finish(results, n_samples, finished)
 
     def _chaos_failover(self, model, batch, event) -> None:
         """Recover from a fired shard death before executing ``batch``.
@@ -548,17 +544,16 @@ class InferenceServer:
         results: List[InferenceResult],
         batch_samples: int = 0,
         now: Optional[float] = None,
-        tenants: Optional[Dict[str, int]] = None,
     ) -> None:
         """The one terminal path: every request ends here, exactly once.
 
         Observed first, so a client that wakes on ``handle.result()``
         and immediately snapshots sees its own request counted; then
         every handle is popped under one lock acquisition and completed.
-        ``batch_samples`` / ``now`` / ``tenants`` mark ``results`` as one
-        executed batch (see :meth:`ServerMetrics.observe`).
+        ``batch_samples`` / ``now`` mark ``results`` as one executed
+        batch (see :meth:`ServerMetrics.observe`).
         """
-        self.metrics.observe(results, batch_samples, now, tenants)
+        self.metrics.observe(results, batch_samples, now)
         with self._state_lock:
             handles = [self._handles.pop(r.request_id, None) for r in results]
         for handle, result in zip(handles, results):

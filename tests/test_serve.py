@@ -678,6 +678,32 @@ class TestSessionsAndAccounting:
         total_macs = sum(s.snapshot()[0].macs for s in sessions.values())
         assert total_macs == pytest.approx(batch.stats.macs, rel=1e-12)
 
+    def test_batch_is_listed_after_its_sessions_record_it(self, monkeypatch):
+        """A reader that finds a batch in ``executed_batches`` finds it
+        in its tenants' session totals too."""
+        server = InferenceServer(
+            make_registry(m=mlp()),
+            BatchPolicy(max_batch_size=4, max_wait_s=1.0),
+            record_batches=True,
+        )
+        listed_at_record = []
+        real = ExecutionSession.record
+
+        def spy(session, stats, samples):
+            listed_at_record.append(len(server.executed_batches))
+            return real(session, stats, samples=samples)
+
+        monkeypatch.setattr(ExecutionSession, "record", spy)
+        pool = requests_pool(4)
+        handles = [
+            server.submit("m", pool[i : i + 1], tenant=t) for i, t in enumerate("abab")
+        ]
+        server.start()
+        await_results(handles)
+        server.stop()
+        assert len(server.executed_batches) == 1
+        assert listed_at_record == [0, 0]
+
     def test_shares_computed_once_per_distinct_sample_count(self, monkeypatch):
         """Requests and tenant totals with equal sample counts get one
         shared share, computed by one ``fraction_of_stats`` call with the
