@@ -192,6 +192,13 @@ def test_bench_zoo_grouped_layers_execute_once(benchmark, monkeypatch):
     compiled.run(x)  # warm: every grouped layer's stack is built
 
     engines = compiled.programmed_engines()
+    # The stacks were built from the groups' codes: no per-group engine
+    # built a kernel of its own (the reads below build them).
+    assert not any(
+        engine.linear._fast_kernel
+        for layer_id, engine in engines.items()
+        if "::g" in layer_id
+    )
     grouped = {
         id(engine.linear._kernel)
         for layer_id, engine in engines.items()
@@ -209,7 +216,7 @@ def test_bench_zoo_grouped_layers_execute_once(benchmark, monkeypatch):
     def matmul(kernel, codes):
         if id(kernel) in grouped:
             calls["grouped_kernel"] += 1
-        else:  # a lone engine's kernel is the stack of one group
+        else:  # a lone engine's kernel is a one-group pass
             calls["stack" if len(kernel._ranges) > 1 else "kernel"] += 1
         return real_matmul(kernel, codes)
 

@@ -79,7 +79,7 @@ class CimTiledMatmul:
             raise ValueError(f"weights must be 2-D, got {weights.shape}")
         # One range scan over the whole matrix; a tile is within capacity
         # by construction.
-        self._lay_out(checked_weight_codes(self.config, weights), rng)
+        self._adopt(checked_weight_codes(self.config, weights), rng)
 
     @classmethod
     def from_state(cls, weights: np.ndarray, config: MacroConfig) -> "CimTiledMatmul":
@@ -88,29 +88,47 @@ class CimTiledMatmul:
         minus the scan."""
         engine = cls.__new__(cls)
         engine.config = config
-        engine._lay_out(weights, None)
+        engine._adopt(weights, None)
         return engine
 
-    def _lay_out(self, weights: np.ndarray, rng) -> None:
-        """Place validated integer ``weights`` on the row-major subarray
-        tile grid; no tile derives a bit plane until the reference path
-        reads it."""
+    def _adopt(self, weights: np.ndarray, rng) -> None:
+        """Adopt validated integer ``weights``; the subarray tiles are
+        placed on the first read of :attr:`tiles`."""
         self.weights = weights
         self.shape = weights.shape
-        # One construction-time generator shared by every tile; the
-        # runtime always passes an execution rng, so it is only the
-        # fallback for direct macro use.
-        rng = rng if rng is not None else np.random.default_rng()
-        rows, cols = weights.shape
+        self._rng = rng
+        self._tiles: Optional[List[_Tile]] = None
+
+    def tile_bounds(self) -> List[Tuple[int, int, int, int]]:
+        """``(row_start, row_stop, col_start, col_stop)`` of every tile,
+        row-major: the grid :attr:`tiles` places, read without placing it."""
+        rows, cols = self.shape
         tile_r = self.config.rows
         tile_c = self.config.logical_columns
-        self.tiles: List[_Tile] = []
-        for r0 in range(0, rows, tile_r):
-            r1 = min(r0 + tile_r, rows)
-            for c0 in range(0, cols, tile_c):
-                c1 = min(c0 + tile_c, cols)
-                macro = CimMacro.from_state(self.config, weights[r0:r1, c0:c1], rng)
-                self.tiles.append(_Tile(macro, r0, r1, c0, c1))
+        return [
+            (r0, min(r0 + tile_r, rows), c0, min(c0 + tile_c, cols))
+            for r0 in range(0, rows, tile_r)
+            for c0 in range(0, cols, tile_c)
+        ]
+
+    @property
+    def tiles(self) -> List[_Tile]:
+        """The programmed subarrays, laid out on the first read — the
+        reference path's; the fast kernel reads the codes — and published
+        by one attribute store, so racing threads lay out equal tiles.
+        No tile derives a bit plane until the reference path reads it."""
+        if self._tiles is None:
+            # One generator shared by every tile; the runtime always
+            # passes an execution rng, so it is only the fallback for
+            # direct macro use.
+            rng = self._rng if self._rng is not None else np.random.default_rng()
+            tiles = []
+            for r0, r1, c0, c1 in self.tile_bounds():
+                codes = self.weights[r0:r1, c0:c1]
+                macro = CimMacro.from_state(self.config, codes, rng)
+                tiles.append(_Tile(macro, r0, r1, c0, c1))
+            self._tiles = tiles
+        return self._tiles
 
     def with_config(self, config: MacroConfig) -> "CimTiledMatmul":
         """A per-call view of this engine sensing through ``config``:
@@ -119,14 +137,14 @@ class CimTiledMatmul:
         window) never touches the shared engine."""
         view = copy.copy(self)
         view.config = config
-        view.tiles = [
+        view._tiles = [
             replace(tile, macro=tile.macro.with_config(config)) for tile in self.tiles
         ]
         return view
 
     @property
     def n_subarrays(self) -> int:
-        return len(self.tiles)
+        return self.n_row_tiles * -(-self.shape[1] // self.config.logical_columns)
 
     @property
     def n_row_tiles(self) -> int:

@@ -68,17 +68,16 @@ around four observations:
 One further exact shortcut: the total ON-cell count needed for energy
 accounting factorizes over rows (both factors are exact integers).
 
-There is one pass, over a stack of ``G`` same-geometry engines: an
-ungrouped engine's kernel, ``TiledBitSerialKernel(engine)``, is the
-stack of one group, and a grouped convolution's kernel is
-:meth:`TiledBitSerialKernel.stack` over its groups' kernels — the same
-class, whose count GEMM, gather and shift-and-add are batched over the
-leading group axis and whose per-group input signedness is a per-group
-bias row.  Its stats are summed in one order
-(:meth:`TiledBitSerialKernel._pass_stats`): per group the tiles in tile
-order from ``0.0``, latency the slowest tile, then the groups in index
-order from ``0.0`` — the reference tile walk's order, chained over
-groups as the per-group reference chains them.
+There is one pass, over ``G`` same-geometry engines: an ungrouped
+engine's kernel, ``TiledBitSerialKernel(engine)``, is the pass of one
+group, and a grouped convolution's kernel is the same constructor over
+its groups' engines, built once from their codes — its count GEMM,
+gather and shift-and-add batched over the leading group axis, its
+per-group input signedness a per-group bias row.  Its stats are summed
+in one order (:meth:`TiledBitSerialKernel._pass_stats`): per group the
+tiles in tile order from ``0.0``, latency the slowest tile, then the
+groups in index order from ``0.0`` — the reference tile walk's order,
+chained over groups as the per-group reference chains them.
 
 ``tests/test_runtime.py`` pins the bitwise equivalence against the
 reference path across shapes, signedness and batch extents.  Anything
@@ -89,7 +88,6 @@ encodings) falls back to the reference implementation at the call site.
 from __future__ import annotations
 
 import concurrent.futures
-import copy
 import functools
 import os
 import threading
@@ -255,16 +253,16 @@ def _paired_operand(
 
 
 def _weight_bit_planes(codes: np.ndarray, weight_bits: int) -> np.ndarray:
-    """0/1 bit planes ``(weight_bits, columns, rows)`` of a ``(rows,
-    columns)`` block of weight codes, two's-complement reinterpreted
-    over ``weight_bits`` exactly like the macro's own planes, in the
-    narrowest unsigned type that holds a code.
+    """0/1 bit planes ``(G, weight_bits, columns, rows)`` of ``G`` groups'
+    ``(G, rows, columns)`` blocks of weight codes, two's-complement
+    reinterpreted over ``weight_bits`` exactly like the macro's own
+    planes, in the narrowest unsigned type that holds a code.
 
     Integer casts wrap, so the word's low ``weight_bits`` bits *are* the
     two's-complement code and no mask is needed before the shifts.
     """
     word = np.min_scalar_type((1 << weight_bits) - 1)
-    unsigned = codes.T.astype(word, order="C")
+    unsigned = codes.swapaxes(-1, -2).astype(word, order="C")[:, None]
     planes = unsigned >> np.arange(weight_bits, dtype=word)[:, None, None]
     planes &= 1
     return planes
@@ -333,69 +331,59 @@ class _TileGroup:
     their float32 weight-plane matrices are stacked into one operand:
     one GEMM and one pair gather cover the whole block
     (:meth:`shift_add`), and each tile's slice of the result is a
-    contiguous view.  The per-group arrays, ``planes32`` and
-    ``row_weights``, lead with the group axis: one group here,
-    ``G`` in a :meth:`stack`.
+    contiguous view; ``columns`` holds each tile's ``(col_start,
+    col_stop)``.  The per-group arrays, ``planes32`` and
+    ``row_weights``, lead with the group axis.
 
-    Everything here is derived from ``codes`` — the row block's
-    ``(rows, columns)`` slice of the engine's integer weight codes, the
-    one programmed state — by the same routine whether the engine was
-    just compiled or restored from an artifact; the macros' own float64
-    bit planes are never read.  ``radix`` is the engine's.
+    Everything here is derived from ``codes`` — the row block's ``(G,
+    rows, columns)`` slice of the groups' integer weight codes, the one
+    programmed state — in one vectorised pass over every group, whether
+    the engines were just compiled or restored from an artifact.
     """
 
     def __init__(
-        self, row_start: int, row_stop: int, tiles: List, codes: np.ndarray, radix: int
+        self,
+        row_start: int,
+        row_stop: int,
+        columns: List[Tuple[int, int]],
+        codes: np.ndarray,
+        radix: int,
+        config: MacroConfig,
     ):
         self.row_start = row_start
         self.row_stop = row_stop
-        self.tiles = tiles
-        config = tiles[0].macro.config
-        rows = row_stop - row_start
+        self.columns = columns
+        groups, rows = codes.shape[0], row_stop - row_start
         wb = config.weight_bits
-        self.offsets = np.cumsum(
-            [0] + [wb * tile.macro.cols_used for tile in tiles]
-        ).tolist()
+        self.offsets = np.cumsum([0] + [wb * (c1 - c0) for c0, c1 in columns]).tolist()
         # Stacked planes: tile after tile, each ``(weight bit, column)``
         # major over the block's rows — gathered as narrow words, then
         # widened to float32 in one contiguous pass — and a ones column
         # that carries the operand's bias row through the GEMM.
         bits = _weight_bit_planes(codes, wb)
-        stacked = np.ones((self.offsets[-1], rows + 1), dtype=bits.dtype)
-        for index, tile in enumerate(tiles):
-            stacked[self.offsets[index] : self.offsets[index + 1]].reshape(
-                wb, tile.macro.cols_used, rows + 1
-            )[..., :rows] = bits[:, tile.col_start : tile.col_stop]
-        self.planes32 = stacked.astype(np.float32)[None]
+        stacked = np.ones((groups, self.offsets[-1], rows + 1), dtype=bits.dtype)
+        for (c0, c1), k0, k1 in zip(columns, self.offsets, self.offsets[1:]):
+            tile = stacked[:, k0:k1].reshape(groups, wb, c1 - c0, rows + 1)
+            tile[..., :rows] = bits[:, :, c0:c1]
+        self.planes32 = stacked.astype(np.float32)
         # Each tile's programmed ON cells per row, then a row of ones:
         # one product with a group's per-row input ON bits gives every
         # tile's ON-cell total and the block's activated rows — exact
         # integers whichever order they are summed in, so they equal the
         # float64 reductions of the reference bitwise.
-        stored_bits = bits.sum(axis=0, dtype=bits.dtype)  # at most wb each
-        self.row_weights = np.ones((1, len(tiles) + 1, rows))
+        stored_bits = bits.sum(axis=1, dtype=bits.dtype)  # at most wb each
+        self.row_weights = np.ones((groups, len(columns) + 1, rows))
         np.add.reduceat(
             stored_bits,
-            [tile.col_start for tile in tiles],
-            axis=0,
+            [c0 for c0, _ in columns],
+            axis=1,
             dtype=np.float64,
-            out=self.row_weights[0, :-1],
+            out=self.row_weights[:, :-1],
         )
         self.pair_table, self.step = _pair_table(config, rows, radix)
         dtype = self.pair_table.dtype
-        self.plane_weights = tiles[0].macro._plane_weights.astype(dtype)
+        self.plane_weights = plane_weights(wb, config.signed_weights).astype(dtype)
         self.pair_ones = np.ones(_pairs(config.input_bits), dtype=dtype)
-
-    @classmethod
-    def stack(cls, blocks: Sequence["_TileGroup"]) -> "_TileGroup":
-        """The same row block of ``G`` same-geometry kernels: their
-        per-group arrays concatenated over the group axis; tiles, pair
-        table and step are the first's — the kernels share geometry and
-        circuit."""
-        block = copy.copy(blocks[0])
-        block.planes32 = np.concatenate([b.planes32 for b in blocks])
-        block.row_weights = np.concatenate([b.row_weights for b in blocks])
-        return block
 
     def shift_add(self, indices: np.ndarray, out: np.ndarray) -> None:
         """Digitize pair-table ``indices`` ``(G, stacked rows, vectors *
@@ -417,12 +405,12 @@ class _TileGroup:
         )
         groups = codes.shape[0]
         wb, pairs = self.plane_weights.size, self.pair_ones.size
-        for index, tile in enumerate(self.tiles):
-            planes = codes[:, self.offsets[index] : self.offsets[index + 1]]
-            partial = np.matmul(self.plane_weights, planes.reshape(groups, wb, -1))
+        for (c0, c1), k0, k1 in zip(self.columns, self.offsets, self.offsets[1:]):
+            planes = codes[:, k0:k1].reshape(groups, wb, -1)
+            partial = np.matmul(self.plane_weights, planes)
             partial = np.matmul(partial.reshape(-1, pairs), self.pair_ones)
-            out[:, tile.col_start : tile.col_stop] += np.multiply(
-                partial.reshape(groups, tile.col_stop - tile.col_start, -1),
+            out[:, c0:c1] += np.multiply(
+                partial.reshape(groups, c1 - c0, -1),
                 self.step,
                 dtype=np.float64,
             )
@@ -430,24 +418,28 @@ class _TileGroup:
 
 @register_backend
 class TiledBitSerialKernel(KernelBackend):
-    """The bit-serial pass over every tile of a :class:`CimTiledMatmul`
-    — or, stacked, of ``G`` same-geometry engines at once.
+    """The bit-serial pass over every tile of ``G`` same-geometry
+    :class:`CimTiledMatmul` engines at once, group ``g`` the ``g``-th.
 
-    ``TiledBitSerialKernel(engine)`` is the stack of one group;
-    :meth:`stack` builds a grouped layer's kernel from its groups'.
-    Either way :meth:`matmul` runs one body over ``(G, rows, n)`` codes
-    and mirrors :meth:`CimTiledMatmul.matmul` for every group exactly —
-    per-tile partial sums accumulate in tile order, stats follow
-    :meth:`_pass_stats` — while fusing the paired operand's expansion
-    (once per call) and the count GEMM, pair gather and shift-and-add
-    (once per row block and block of vectors) across tiles and groups.
-    ``engine`` is the first group's: the geometry and circuit every
-    group shares.
+    ``TiledBitSerialKernel(engine)`` is the pass of one group; a grouped
+    layer's kernel is the same constructor over its groups' engines,
+    built from their codes in one vectorised pass per row block
+    (:class:`_TileGroup`).  Either way :meth:`matmul` runs one body over
+    ``(G, rows, n)`` codes and mirrors :meth:`CimTiledMatmul.matmul` for
+    every group exactly — per-tile partial sums accumulate in tile
+    order, stats follow :meth:`_pass_stats` — while fusing the paired
+    operand's expansion (once per call) and the count GEMM, pair gather
+    and shift-and-add (once per row block and block of vectors) across
+    tiles and groups — every step exact per element, so the pass over
+    ``G`` engines is bitwise each group's pass, stats chained in index
+    order.  ``engine`` is the first group's: the geometry and circuit
+    every group shares, input signedness aside, which is per group.
     """
 
     backend_name = "reference-fast"
 
-    def __init__(self, engine: CimTiledMatmul):
+    def __init__(self, *engines: CimTiledMatmul):
+        engine = self.engine = engines[0]
         if not self.supported(engine.config):
             raise ValueError(
                 "fast bit-serial kernel requires a noise-free bit line, "
@@ -455,71 +447,37 @@ class TiledBitSerialKernel(KernelBackend):
                 "below 2**24; "
                 "use the reference CimTiledMatmul.matmul path instead"
             )
+        # Unsigned and signed inputs' configs: every group runs one of
+        # the two, which differ in input signedness alone.
+        circuit = [replace(engine.config, signed_inputs=s) for s in (False, True)]
+        for other in engines:
+            config = other.config
+            if other.shape != engine.shape or config != circuit[config.signed_inputs]:
+                raise ValueError("a stacked pass needs one geometry and one circuit")
         blocks: dict = {}
-        for tile in engine.tiles:
-            blocks.setdefault((tile.row_start, tile.row_stop), []).append(tile)
-        self.engine = engine
+        for r0, r1, c0, c1 in engine.tile_bounds():
+            blocks.setdefault((r0, r1), []).append((c0, c1))
         #: Row blocks, ascending; block ``b`` reads operand rows
         #: ``r0 + b`` to ``r1 + b`` inclusive (its bias row last).
         self._bounds = list(blocks)
-        #: One radix per engine: its tallest row block, plus one.
+        #: One radix per pass: its tallest row block, plus one.
         self._radix = max(r1 - r0 for r0, r1 in blocks) + 1
+        codes = np.stack([e.weights for e in engines])
         self._groups = [
-            _TileGroup(r0, r1, tiles, engine.weights[r0:r1], self._radix)
-            for (r0, r1), tiles in blocks.items()
+            _TileGroup(r0, r1, columns, codes[:, r0:r1], self._radix, engine.config)
+            for (r0, r1), columns in blocks.items()
         ]
         self._pair_values = _pair_values(engine.config.input_bits, self._radix)
-        #: Per-group bias rows ``(G, pairs)`` and input ranges, one
-        #: ``(low, high)`` per group: signedness is per group, and all it
-        #: selects is the top pair's table section and the codes
+        #: Per-group bias rows ``(G, pairs)`` and input ranges ``(G, 2)``,
+        #: one ``(low, high)`` per group: signedness is per group, and all
+        #: it selects is the top pair's table section and the codes
         #: accepted.
-        self._bias = _section_offsets(engine.config, self._radix)[None]
-        self._ranges = [engine.config.input_range()]
+        sign = np.array([e.config.signed_inputs for e in engines], dtype=np.intp)
+        self._bias = np.array([_section_offsets(c, self._radix) for c in circuit])[sign]
+        self._ranges = np.array([c.input_range() for c in circuit])[sign]
         #: The range every group accepts.
-        self._accepted = self._ranges[0]
+        self._accepted = (self._ranges[:, 0].max(), self._ranges[:, 1].min())
         self._vector_indices = self._count_vector_indices()
-
-    @staticmethod
-    def stack(
-        kernels: Sequence[Optional["TiledBitSerialKernel"]],
-    ) -> Optional["TiledBitSerialKernel"]:
-        """One pass over the per-group kernels of a grouped layer, group
-        ``g`` at index ``g`` of the leading axis — or ``None`` unless
-        every group has a fast kernel over one geometry and one circuit
-        (input signedness aside, which is per group).
-
-        Table indices (batched float32 GEMM), the pair gather, the
-        shift-and-add over integer codes and the stats' integer
-        reductions are exact per element whatever the batching, so the
-        stack is bitwise equal, in outputs and stats, to running each
-        group's kernel in index order and summing the stats with
-        ``MacroStats.__add__``.  A stack always contracts counts by the
-        float32 GEMM.  One group's stack is its kernel itself.
-        """
-        first = kernels[0]
-        if first is None or len(kernels) == 1:
-            return first
-        circuit = replace(first.engine.config, signed_inputs=False)
-        if not all(
-            kernel is not None
-            and kernel.engine.shape == first.engine.shape
-            and replace(kernel.engine.config, signed_inputs=False) == circuit
-            for kernel in kernels
-        ):
-            return None
-        stack = TiledBitSerialKernel.__new__(TiledBitSerialKernel)
-        stack.engine, stack._bounds = first.engine, first._bounds
-        stack._radix, stack._pair_values = first._radix, first._pair_values
-        stack._groups = [
-            _TileGroup.stack(blocks)
-            for blocks in zip(*(kernel._groups for kernel in kernels))
-        ]
-        stack._bias = np.concatenate([kernel._bias for kernel in kernels])
-        stack._ranges = [bounds for kernel in kernels for bounds in kernel._ranges]
-        lows, highs = zip(*stack._ranges)
-        stack._accepted = (max(lows), min(highs))
-        stack._vector_indices = stack._count_vector_indices()
-        return stack
 
     def _count_vector_indices(self) -> int:
         """Pair-table indices one input vector costs the pass: every
@@ -627,7 +585,7 @@ class TiledBitSerialKernel(KernelBackend):
         # per-group look.
         low, high = self._accepted
         if codes.min() < low or codes.max() > high:
-            low, high = np.array(self._ranges).T
+            low, high = self._ranges.T
             bad = (codes.min(axis=(1, 2)) < low) | (codes.max(axis=(1, 2)) > high)
             if bad.any():
                 g = int(np.argmax(bad))
@@ -686,10 +644,10 @@ class TiledBitSerialKernel(KernelBackend):
             if groups == 1:
                 counts = counts[:, 0].tolist()
             activated = counts[-1]
-            for tile, counts_total in zip(group.tiles, counts):
-                macro = tile.macro
+            rows = group.row_stop - group.row_start
+            for (c0, c1), counts_total in zip(group.columns, counts):
                 stats = macro_pass_stats(
-                    config, macro.rows_used, macro.cols_used, n, activated, counts_total
+                    config, rows, c1 - c0, n, activated, counts_total
                 )
                 cycles += stats.cycles
                 conversions += stats.adc_conversions

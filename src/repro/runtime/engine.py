@@ -109,8 +109,8 @@ class ProgrammedLinear:
         self, config, activation_bits, signed_inputs, w_codes, w_scale, make_tiled
     ) -> None:
         """Bind the programmed state, derive the run configuration, and
-        lay the codes out on tiles (``make_tiled``: with or without the
-        range scan) under the fast kernel when it is bit-exact."""
+        adopt the codes as a tiled engine (``make_tiled``: with or
+        without the range scan)."""
         self.config = config
         self.activation_bits = int(activation_bits)
         self.signed_inputs = bool(signed_inputs)
@@ -129,13 +129,24 @@ class ProgrammedLinear:
             bitline=bitline,
         )
         self.engine = make_tiled(w_codes.T, self.run_config)
-        #: The fast kernel, or ``None`` when the configuration forces
-        #: the reference macro path.
-        self._kernel: Optional[TiledBitSerialKernel] = (
-            TiledBitSerialKernel(self.engine)
-            if TiledBitSerialKernel.supported(self.run_config)
-            else None
-        )
+        self._fast_kernel: Optional[TiledBitSerialKernel] = None
+
+    @property
+    def _kernel(self) -> Optional[TiledBitSerialKernel]:
+        """The fast kernel, or ``None`` when the configuration forces
+        the reference macro path: derived on first read (a grouped
+        layer's engines run its kernel and never build one) and
+        published by one attribute store, so racing threads build equal
+        kernels."""
+        if self._fast_kernel is None and TiledBitSerialKernel.supported(
+            self.run_config
+        ):
+            self._fast_kernel = TiledBitSerialKernel(self.engine)
+        return self._fast_kernel
+
+    @_kernel.setter
+    def _kernel(self, kernel: Optional[TiledBitSerialKernel]) -> None:
+        self._fast_kernel = kernel
 
     @property
     def n_subarrays(self) -> int:
@@ -290,11 +301,12 @@ class ProgrammedConv:
 class _GroupStack:
     """What one list of per-group engines contributes to every layer
     pass, gathered once: activation spec, input signedness, weight
-    scales and — when every group runs the fast kernel over one geometry
-    — their :meth:`TiledBitSerialKernel.stack`, the one bit-serial pass
-    with a group axis, in which a group's input signedness is one row of
-    numbers (the pair-table section its top input-bit pair reads), so a
-    mixed-sign layer is still one pass.
+    scales and — when the configuration allows the fast kernel — the
+    one bit-serial pass with a group axis: one group's engine's own
+    kernel, or a :class:`TiledBitSerialKernel` built once over the
+    groups' tiled engines, in which a group's input signedness is one
+    row of numbers (the pair-table section its top input-bit pair
+    reads), so a mixed-sign layer is still one pass.
 
     Valid for exactly the engine objects it was built from
     (``engines``, held strongly and compared by identity): re-programmed
@@ -308,7 +320,12 @@ class _GroupStack:
         self.act_spec = QuantSpec(bits=linears[0].activation_bits, per_channel_axis=1)
         self.signed = np.array([lin.signed_inputs for lin in linears])
         self.w_scale = np.stack([lin.w_scale.reshape(-1) for lin in linears])
-        self.kernel = TiledBitSerialKernel.stack([lin._kernel for lin in linears])
+        if len(linears) == 1:
+            self.kernel = linears[0]._kernel
+        elif TiledBitSerialKernel.supported(linears[0].run_config):
+            self.kernel = TiledBitSerialKernel(*(lin.engine for lin in linears))
+        else:
+            self.kernel = None
 
 
 class GroupedConv:

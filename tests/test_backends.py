@@ -184,9 +184,7 @@ class TestOneStatsFormula:
             ref_stats = ref_stats + stats
 
         if kind == "stack":
-            kernel = TiledBitSerialKernel.stack(
-                [TiledBitSerialKernel(e) for e in engines]
-            )
+            kernel = TiledBitSerialKernel(*engines)
             x, expected = codes, np.stack([out for out, _ in ref])
         else:
             kernel = get_backend(kind.replace("single", DEFAULT_BACKEND))(engines[0])

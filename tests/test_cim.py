@@ -276,6 +276,38 @@ class TestTiledMatmul:
         assert engine.n_subarrays == 2 * 2
         assert engine.n_row_tiles == 2
 
+    @pytest.mark.parametrize("rows", [1, 127, 128, 129, 300])
+    @pytest.mark.parametrize("cols", [1, 31, 32, 33, 70])
+    def test_tile_count_is_arithmetic_before_and_after_layout(self, rows, cols):
+        """Tiles are laid out on first read; the count needs no layout
+        and agrees with it, ragged edges included."""
+        config = MacroConfig(phys_columns=16 * 8)  # 128 rows x 16 logical cols
+        engine = CimTiledMatmul(np.ones((rows, cols), dtype=int), config)
+        before = engine.n_subarrays
+        assert engine._tiles is None
+        assert before == len(engine.tiles) == engine.n_subarrays
+        assert [(t.row_start, t.row_stop, t.col_start, t.col_stop) for t in engine.tiles] == (
+            engine.tile_bounds()
+        )
+
+    def test_with_config_before_layout(self):
+        """A view of an engine no read has laid out yet senses through
+        its own config; the engine keeps its own."""
+        config = MacroConfig(adc=AdcSpec(bits=8))
+        coarse = dataclasses.replace(config, adc=AdcSpec(bits=4))
+        weights = RNG.integers(-128, 128, size=(200, 40))
+        x = RNG.integers(0, 256, size=(200, 5))
+        engine = CimTiledMatmul(weights, config)
+        assert engine._tiles is None
+        view = engine.with_config(coarse)
+        assert all(tile.macro.config is coarse for tile in view.tiles)
+        assert all(tile.macro.config is config for tile in engine.tiles)
+        for tiled, fresh in ((view, coarse), (engine, config)):
+            out, stats = tiled.matmul(x)
+            ref, ref_stats = CimTiledMatmul(weights, fresh).matmul(x)
+            assert out.tobytes() == ref.tobytes()
+            assert stats == ref_stats
+
     def test_latency_is_parallel_max_not_sum(self):
         config = MacroConfig()
         single = CimTiledMatmul(np.zeros((128, 32), dtype=int), config)

@@ -462,7 +462,10 @@ class TestLayerPass:
             if len(stack.engines) == 1:
                 kernel = stack.engines[0].linear._kernel
                 assert stack.kernel is kernel
-                assert TiledBitSerialKernel.stack([kernel]) is kernel
+                # ... the one-group pass over the engine's own codes.
+                assert kernel.engine is stack.engines[0].linear.engine
+                assert type(kernel) is TiledBitSerialKernel
+                assert len(kernel._ranges) == 1
 
 
 # ----------------------------------------------------------------------

@@ -353,9 +353,7 @@ class TestVectorBlocks:
             kernel = get_backend("popcount")(engines[0])
         else:
             engines = [_blocked_engine(signed, 5) for signed in (False, True, False)]
-            kernel = TiledBitSerialKernel.stack(
-                [TiledBitSerialKernel(engine) for engine in engines]
-            )
+            kernel = TiledBitSerialKernel(*engines)
         _assert_split_matches_tile_walk(kernel, engines, seed=9)
 
     def test_wide_batch_is_gathered_in_blocks(self, monkeypatch):
@@ -595,9 +593,7 @@ class TestProgrammedKernelIsStateless:
     def test_twenty_batch_widths_grow_nothing(self, name):
         engine = _blocked_engine(True, 5)  # two row blocks x two column tiles
         if name == "stacked":
-            kernel = TiledBitSerialKernel.stack(
-                [TiledBitSerialKernel(engine) for _ in range(3)]
-            )
+            kernel = TiledBitSerialKernel(engine, engine, engine)
             shape = (3, 200)
         else:
             kernel = get_backend(name)(engine)

@@ -17,6 +17,7 @@ The load-bearing guarantees:
   recompiling instead of crashing.
 """
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -24,6 +25,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ import pytest
 
 from repro import nn
 from repro.arch.chiplet import ChipletLinkSpec
-from repro.cim import AdcSpec, BitlineModel, MacroConfig
+from repro.cim import AdcSpec, BitlineModel, CimMacro, MacroConfig
 from repro.cim.cells import ROM_1T, SRAM_CIM_6T, CellSpec
 from repro.cim.encoding import PulseWidthEncoding, UnaryPulseEncoding
 from repro.rebranch.branch import ReBranchConv2d
@@ -54,8 +56,12 @@ from repro.runtime import (
     shard,
 )
 from repro.runtime import snapshot as snapshot_mod
+from repro.runtime.backends import reference_fast
+from repro.runtime.backends.reference_fast import TiledBitSerialKernel
 from repro.runtime.sharded import ShardSegment
 from repro.serve import BatchPolicy, InferenceServer, ModelRegistry
+
+from .helpers import DEADLINE
 
 HW = 8  # input images are (3, HW, HW)
 
@@ -355,6 +361,144 @@ class TestCodesAreTheProgrammedState:
             rng=np.random.default_rng(3),
         )
         assert np.array_equal(out, expected) and stats == expected_stats
+
+    def test_kernels_are_built_once_per_layer_on_the_first_run(
+        self, store, monkeypatch
+    ):
+        """Compiling and loading a depthwise model build no kernel and
+        lay out no tile; each first run builds one kernel per conv or
+        linear layer over all of its groups — one ``_TileGroup`` per row
+        block — and still lays out no tile.  Engines stay per group."""
+        model = mobilenet_model()
+        x = model_input("mobilenet")
+        expected, expected_stats = reference_forward(model, x)
+        built = collections.Counter()
+        passes = []
+
+        def count(owner, name, key):
+            real = getattr(owner, name)
+
+            def spy(*args, **kwargs):
+                built[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+
+        count(CimMacro, "from_state", "macros")
+        count(reference_fast._TileGroup, "__init__", "row blocks")
+        real_kernel = TiledBitSerialKernel.__init__
+
+        def kernel_spy(kernel, *engines):
+            passes.append(len(engines))
+            real_kernel(kernel, *engines)
+
+        monkeypatch.setattr(TiledBitSerialKernel, "__init__", kernel_spy)
+
+        layers = [m for m in model.modules() if isinstance(m, (nn.Conv2d, nn.Linear))]
+        rows = MacroConfig().rows
+        row_blocks = sum(-(-m.weight.data[0].size // rows) for m in layers)
+        groups = sorted(getattr(m, "groups", 1) for m in layers)
+        assert max(groups) > 1  # depthwise layers
+
+        cache = EngineCache(capacity=1024)
+        compiled = compile_model(model, RuntimeConfig(), cache=cache)
+        assert cache.stats.programmed == len(cache.keys()) == sum(groups)
+        loaded_cache = EngineCache(capacity=1024)
+        loaded = load(store, save(compiled, store), cache=loaded_cache)
+        assert sorted(map(repr, loaded_cache.keys())) == sorted(map(repr, cache.keys()))
+        assert not built and not passes
+
+        for restored in (compiled, loaded):
+            for _ in range(2):  # the second run builds nothing
+                out, stats = restored.run(x)
+                assert out.tobytes() == expected.tobytes()
+                assert stats == expected_stats
+            assert sorted(passes) == groups
+            assert built == {"row blocks": row_blocks}
+            del passes[:]
+            built.clear()
+
+    def test_two_threads_first_run_a_loaded_model(self, store, monkeypatch):
+        """One thread is held inside the loaded model's first kernel
+        build while the other runs the whole model, building and
+        publishing every kernel; both results are the oracle's."""
+        model = mobilenet_model()
+        x = model_input("mobilenet")
+        expected, expected_stats = reference_forward(model, x)
+        compiled = compile_model(model, RuntimeConfig(), cache=EngineCache())
+        loaded = load(store, save(compiled, store), cache=EngineCache())
+        building, other_done = threading.Event(), threading.Event()
+        real_kernel = TiledBitSerialKernel.__init__
+        builders = []
+
+        def held_kernel(kernel, *engines):
+            builders.append(threading.current_thread().name)
+            if not building.is_set():
+                building.set()
+                assert other_done.wait(DEADLINE)
+            real_kernel(kernel, *engines)
+
+        monkeypatch.setattr(TiledBitSerialKernel, "__init__", held_kernel)
+        results = {}
+
+        def first():
+            results["first"] = loaded.run(x)
+
+        def second():
+            assert building.wait(DEADLINE)
+            try:
+                results["second"] = loaded.run(x)
+            finally:
+                other_done.set()
+
+        threads = [
+            threading.Thread(target=first, name="first", daemon=True),
+            threading.Thread(target=second, name="second", daemon=True),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(DEADLINE)
+            assert not thread.is_alive()
+        assert builders[0] == "first" and "second" in builders
+        for name in ("first", "second"):
+            out, stats = results[name]
+            assert out.tobytes() == expected.tobytes(), name
+            assert stats == expected_stats, name
+
+    def test_threads_racing_on_first_runs_agree(self, store):
+        """More threads than cores first-run one loaded model at once,
+        under a short switch interval: whichever kernels and stacks win
+        the publishing races, every result is the oracle's."""
+        model = mobilenet_model()
+        x = model_input("mobilenet")
+        expected, expected_stats = reference_forward(model, x)
+        compiled = compile_model(model, RuntimeConfig(), cache=EngineCache())
+        loaded = load(store, save(compiled, store), cache=EngineCache())
+        start = threading.Barrier(4)
+        results = [None] * 4
+
+        def first_run(i):
+            start.wait(DEADLINE)
+            results[i] = loaded.run(x)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=first_run, args=(i,), daemon=True)
+                for i in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(DEADLINE)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for out, stats in results:
+            assert out.tobytes() == expected.tobytes()
+            assert stats == expected_stats
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_artifact_stores_codes_and_scales_only(self, store, name):
