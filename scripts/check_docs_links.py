@@ -18,12 +18,21 @@ assigns ``self.member``, or whose base class (defined there) has it.
 ROADMAP.md and CHANGES.md, which legitimately name deleted files, are
 not scanned.
 
+The Sphinx cross-references in ``src/repro`` (``:func:``, ``:class:``,
+``:meth:``, ``:data:``, ``:attr:``, ``:exc:``) are resolved as well,
+so a deleted function cannot stay cited in a docstring: a
+``repro.``-qualified target drops its module path (which must exist),
+a ``Class.member`` target goes through the ``Class.member`` check
+above, and a single name must be bound somewhere under ``src/repro``.
+numpy, standard-library and builtin targets are skipped.
+
 Usage: python scripts/check_docs_links.py
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import functools
 import re
 import sys
@@ -45,6 +54,11 @@ SOURCE_ROOTS = (REPO_ROOT, REPO_ROOT / "src", REPO_ROOT / "src" / "repro")
 #: (optionally private), one dot, one attribute name.
 CLASS_REF = re.compile(r"`(_?[A-Z][a-z]\w*)\.(\w+)`")
 PACKAGE = REPO_ROOT / "src" / "repro"
+
+#: A Sphinx cross-reference, ``:role:`target``` or ``:role:`text
+#: <target>```; the target may wrap across docstring lines.
+XREF = re.compile(r":(?:func|class|meth|data|attr|exc):`([^`]+)`")
+EXTERNAL_MODULES = {"np", "numpy"} | set(sys.stdlib_module_names)
 
 
 def iter_markdown():
@@ -143,6 +157,58 @@ def check_class_ref(cls: str, member: str) -> str:
     return ""
 
 
+@functools.lru_cache(maxsize=1)
+def package_names() -> frozenset:
+    """Every name bound anywhere under ``src/repro``: functions, methods,
+    classes, assigned names and ``self`` attributes."""
+    names = set()
+    for source in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.stmt):
+                names |= _bound_names(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names |= _self_assigned(node)
+    return frozenset(names)
+
+
+def _is_module(parts: list) -> bool:
+    path = PACKAGE.parent.joinpath(*parts)
+    return path.with_suffix(".py").is_file() or (path / "__init__.py").is_file()
+
+
+def check_xref(target: str) -> str:
+    """The problem with one cross-reference target, or ''."""
+    target = "".join(target.split())  # a target wrapped across lines
+    target = target.rsplit("<", 1)[-1].rstrip(">").lstrip("~!")
+    parts = target.split(".")
+    if parts[0] == "repro":
+        prefix = next((i for i in range(len(parts), 0, -1) if _is_module(parts[:i])), 0)
+        if not prefix:
+            return f"no module under src for -> {target}"
+        parts = parts[prefix:]
+    elif parts[0] in EXTERNAL_MODULES or hasattr(builtins, parts[0]):
+        return ""
+    if len(parts) == 2:
+        return check_class_ref(*parts)
+    if len(parts) > 2:
+        return f"unresolvable cross-reference -> {target}"
+    if parts and parts[0] not in package_names():
+        return f"nothing under src/repro defines -> {target}"
+    return ""
+
+
+def check_xrefs(path: Path) -> list:
+    """Problems with the cross-references in one source file."""
+    text = path.read_text()
+    problems = []
+    for match in XREF.finditer(text):
+        problem = check_xref(match.group(1))
+        if problem:
+            lineno = text.count("\n", 0, match.start()) + 1
+            problems.append(f"{path.relative_to(REPO_ROOT)}:{lineno}: {problem}")
+    return problems
+
+
 def check_file(path: Path) -> list:
     problems = []
     text = path.read_text()
@@ -180,13 +246,15 @@ def main() -> int:
             continue
         checked += 1
         problems.extend(check_file(path))
+    for path in sorted(PACKAGE.rglob("*.py")):
+        problems.extend(check_xrefs(path))
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
         return 1
     print(
-        f"checked {checked} markdown files: all internal links and "
-        f"source references resolve"
+        f"checked {checked} markdown files and the docstrings under "
+        f"src/repro: all internal links and source references resolve"
     )
     return 0
 

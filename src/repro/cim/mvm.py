@@ -365,8 +365,8 @@ def cim_conv2d(
     :class:`repro.runtime.engine.GroupedConv`).
     """
     from repro.runtime.engine import (  # lazy: avoids import cycle
+        GroupedConv,
         conv_engine,
-        grouped_conv_execute,
     )
 
     config = config if config is not None else MacroConfig()
@@ -384,7 +384,5 @@ def cim_conv2d(
             cache=cache,
         )
 
-    return grouped_conv_execute(
-        x, weight.shape, groups, stride, padding, engine_for,
-        rng=rng, encoding=encoding,
-    )
+    layer = GroupedConv(weight.shape, groups, stride, padding, engine_for)
+    return layer.execute(x, rng=rng, encoding=encoding)

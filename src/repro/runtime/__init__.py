@@ -5,8 +5,10 @@ exactly once at fabrication and every later inference streams
 activations through the same macros.  This package is that split in
 software:
 
-* :func:`compile` — **programming**: fold BN, place ROM/SRAM, quantize
-  weights, build tiled engines; once per model.
+* :func:`compile` — **programming**: fold BN, place ROM/SRAM (the plan
+  builder records each weight layer's row of the
+  :class:`DeploymentReport` as it lowers it), quantize weights, build
+  tiled engines; once per model.
 * :meth:`CompiledModel.run` — **execution**: batched activation
   streaming through the cached engines with per-run / per-session
   :class:`~repro.cim.macro.MacroStats` accounting.
@@ -62,13 +64,11 @@ from repro.runtime.engine import (
     ProgrammedConv,
     ProgrammedLinear,
     conv_engine,
-    grouped_conv_execute,
     linear_engine,
 )
 from repro.runtime.programming import (
     DeployedLayerInfo,
     DeploymentReport,
-    build_report,
     fold_batchnorm,
     validate_deployable,
 )
@@ -106,7 +106,6 @@ __all__ = [
     "CompileError",
     "UnsupportedModuleError",
     "InvalidBatchError",
-    "grouped_conv_execute",
     "SnapshotError",
     "SnapshotKeyError",
     "SnapshotCorruptError",
@@ -142,7 +141,6 @@ __all__ = [
     "linear_engine",
     "DeployedLayerInfo",
     "DeploymentReport",
-    "build_report",
     "fold_batchnorm",
     "validate_deployable",
     "ExecutionSession",

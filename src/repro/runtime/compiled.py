@@ -60,13 +60,13 @@ from repro.runtime.cache import EngineCache, resolve_cache, weight_fingerprint
 from repro.runtime.engine import (
     GroupedConv,
     conv_engine,
-    engine_cache_key,
+    engine_key,
     linear_engine,
 )
 from repro.runtime.errors import CompileError
 from repro.runtime.programming import (
+    DeployedLayerInfo,
     DeploymentReport,
-    build_report,
     fold_batchnorm,
     validate_deployable,
 )
@@ -311,13 +311,19 @@ class _EngineSlot:
         cache — ``"programmed"`` / ``"disk"`` / ``"snapshot"`` — or
         ``"evicted"`` when the LRU dropped it (the slot's own strong
         reference keeps the engine alive regardless)."""
-        engine = self._engines.get((self.predicted_signed, id(self.config_fn())))
-        tier = None
-        if engine is not None:
-            tier = self.cache.tier_of(
-                engine_cache_key(engine, self.layer_id, self.fingerprint)
-            )
-        return tier if tier is not None else "evicted"
+        config = self.config_fn()
+        if (self.predicted_signed, id(config)) not in self._engines:
+            return "evicted"
+        geometry = (self.stride, self.padding) if self.kind == "conv" else ()
+        key = engine_key(
+            self.layer_id,
+            self.fingerprint,
+            config,
+            self.activation_bits,
+            self.predicted_signed,
+            *geometry,
+        )
+        return self.cache.tier_of(key) or "evicted"
 
     def refresh(self) -> bool:
         """Re-fingerprint the live weights; True when they changed."""
@@ -433,8 +439,16 @@ class GraphBuilder:
         return PlanHandle(index, a.signed or b.signed)
 
 
+def _memory(module) -> str:
+    """Fig. 9 placement of a plain conv or linear: trainable -> SRAM,
+    frozen -> ROM."""
+    return "sram" if module.weight.requires_grad else "rom"
+
+
 class _PlanBuilder:
-    """Walk the module tree once, building the plan DAG and engine slots."""
+    """Walk the module tree once, building the plan DAG, the engine
+    slots and the placement report (one row per weight layer, appended
+    as it is lowered)."""
 
     def __init__(
         self,
@@ -443,12 +457,12 @@ class _PlanBuilder:
         fingerprints: Optional[Dict[str, str]] = None,
     ):
         self.config = config
-        self.rom_config = config.resolved_rom()
-        self.sram_config = config.resolved_sram()
+        self.configs = {"rom": config.resolved_rom(), "sram": config.resolved_sram()}
         self.cache = cache
         self.fingerprints = fingerprints if fingerprints is not None else {}
         self.nodes: List[_PlanNode] = []
         self.slots: List[_EngineSlot] = []
+        self.report = DeploymentReport()
 
     # -- node plumbing --------------------------------------------------
     def _append(self, op: Any, inputs: Tuple[int, ...], name: str) -> int:
@@ -469,15 +483,26 @@ class _PlanBuilder:
         index = self._append(op, (x.index,), name)
         return PlanHandle(index, signed)
 
-    def _placement_config_fn(self, module) -> Callable[[], MacroConfig]:
-        """Live ROM/SRAM choice: trainable -> SRAM, frozen -> ROM.
-
-        Evaluated at execution time like the seed path, so freezing or
-        unfreezing a layer after compilation moves it between macros.
-        """
-        return lambda: (
-            self.sram_config if module.weight.requires_grad else self.rom_config
+    def _record(self, name: str, kind: str, weights: Dict[str, int]) -> None:
+        """Append one weight layer's report row; ``weights`` counts its
+        weights per memory, each charged that memory's weight width."""
+        bits = {
+            memory: count * self.configs[memory].weight_bits
+            for memory, count in weights.items()
+        }
+        self.report.rom_weight_bits += bits.get("rom", 0)
+        self.report.sram_weight_bits += bits.get("sram", 0)
+        self.report.layers.append(
+            DeployedLayerInfo(name, kind, "+".join(bits), sum(bits.values()))
         )
+
+    def _place(self, name: str, kind: str, module) -> Callable[[], MacroConfig]:
+        """Place a plain conv or linear: record its row as placed now and
+        return the live choice, evaluated at execution time like the
+        seed path, so freezing or unfreezing the layer after compilation
+        moves it between macros."""
+        self._record(name, kind, {_memory(module): module.weight.size})
+        return lambda: self.configs[_memory(module)]
 
     def _linear_slot(
         self,
@@ -534,11 +559,21 @@ class _PlanBuilder:
         """Lower ``module`` applied to ``x``; returns the output handle."""
         if isinstance(module, ReBranchConv2d):
             # Fixed Fig. 9 placement: trunk + projections on ROM macros,
-            # res-conv on SRAM, regardless of requires_grad — lowered as
-            # the explicit diamond: x fans out to trunk and compress,
-            # the branch chain rejoins the trunk at an add node.
-            rom = lambda: self.rom_config  # noqa: E731
-            sram = lambda: self.sram_config  # noqa: E731
+            # res-conv on SRAM, regardless of requires_grad — one report
+            # row, lowered as the explicit diamond: x fans out to trunk
+            # and compress, the branch chain rejoins the trunk at an add
+            # node.
+            rom_weights = sum(
+                conv.weight.size
+                for conv in (module.trunk, module.compress, module.decompress)
+            )
+            self._record(
+                name,
+                "rebranch",
+                {"rom": rom_weights, "sram": module.res_conv.weight.size},
+            )
+            rom = lambda: self.configs["rom"]  # noqa: E731
+            sram = lambda: self.configs["sram"]  # noqa: E731
             trunk = self._conv(f"{name}.trunk", module.trunk, rom, x)
             branch = self._conv(f"{name}.compress", module.compress, rom, x)
             branch = self._conv(f"{name}.res_conv", module.res_conv, sram, branch)
@@ -549,11 +584,11 @@ class _PlanBuilder:
             return PlanHandle(index, True)
 
         if isinstance(module, nn.Conv2d):
-            return self._conv(name, module, self._placement_config_fn(module), x)
+            return self._conv(name, module, self._place(name, "conv", module), x)
 
         if isinstance(module, nn.Linear):
             slot = self._linear_slot(
-                name, module, self._placement_config_fn(module), x.signed
+                name, module, self._place(name, "linear", module), x.signed
             )
             return self._leaf(_LinearStep(slot, module), name, x, True)
 
@@ -834,11 +869,6 @@ def compile(
             output = builder.build(
                 model, "", PlanHandle(INPUT, config.assume_signed_input)
             )
-        report = build_report(
-            model,
-            builder.rom_config.weight_bits,
-            builder.sram_config.weight_bits,
-        )
         if compile_span is not None:
             compile_span.set("nodes", len(builder.nodes))
             compile_span.set("weight_layers", len(builder.slots))
@@ -855,7 +885,7 @@ def compile(
         builder.nodes,
         output.index,
         builder.slots,
-        report,
+        builder.report,
         cache,
         rng,
     )

@@ -14,8 +14,9 @@ executed per layer by :class:`GroupedConv`.
 
 :func:`linear_engine` / :func:`conv_engine` are the cache-aware
 constructors: they key the engine by ``(layer id, weight fingerprint,
-config)`` and share programmed engines across calls, sessions and
-models through an :class:`~repro.runtime.cache.EngineCache`.
+config)`` — the one :func:`engine_key` — and share programmed engines
+across calls, sessions and models through an
+:class:`~repro.runtime.cache.EngineCache`.
 """
 
 from __future__ import annotations
@@ -284,18 +285,13 @@ class ProgrammedConv:
         *,
         degrade: Any = None,
     ) -> Tuple[np.ndarray, MacroStats]:
-        """Run a float batch ``(N, C, H, W)`` through this engine alone
-        (a compiled plan runs every conv through :class:`GroupedConv`)."""
-        x = np.asarray(x, dtype=np.float64)
-        n = x.shape[0]
-        patches, (out_h, out_w) = conv_patches(
-            x, self.weight_shape, self.stride, self.padding
+        """Run a float batch ``(N, C, H, W)`` through this engine alone:
+        the one-group :class:`GroupedConv` pass over itself, the body a
+        compiled plan runs every conv through."""
+        layer = GroupedConv(
+            self.weight_shape, 1, self.stride, self.padding, lambda g, signed: self
         )
-        flat, stats = self.linear.execute(
-            patches, rng=rng, encoding=encoding, degrade=degrade
-        )
-        out = flat.reshape(n, out_h * out_w, self.out_channels).transpose(0, 2, 1)
-        return out.reshape(n, self.out_channels, out_h, out_w), stats
+        return layer.execute(x, rng=rng, encoding=encoding, degrade=degrade)
 
 
 class _GroupStack:
@@ -444,85 +440,30 @@ class GroupedConv:
         return out.reshape(n, oc, out_h, out_w), total
 
 
-def grouped_conv_execute(
-    x: np.ndarray,
-    weight_shape: Tuple[int, int, int, int],
-    groups: int,
-    stride: int,
-    padding: int,
-    engine_for,
-    rng: Optional[np.random.Generator] = None,
-    encoding: Optional[ActivationEncoding] = None,
-    *,
-    degrade: Any = None,
-) -> Tuple[np.ndarray, MacroStats]:
-    """One-shot :class:`GroupedConv` (which documents the semantics):
-    the layer pass without a stack kept between calls."""
-    return GroupedConv(weight_shape, groups, stride, padding, engine_for).execute(
-        x, rng=rng, encoding=encoding, degrade=degrade
-    )
-
-
 # ----------------------------------------------------------------------
 # Cache-aware constructors
 # ----------------------------------------------------------------------
-def linear_engine_key(
-    weight: np.ndarray,
+def engine_key(
+    layer_id: str,
+    fingerprint: str,
     config: MacroConfig,
     activation_bits: int,
     signed_inputs: bool,
-    layer_id: str = "functional",
-    fingerprint: Optional[str] = None,
+    *geometry: int,
 ) -> EngineKey:
+    """The cache key of one programmed engine: a linear one's, or a conv
+    one's when ``geometry`` is its ``(stride, padding)``."""
     return EngineKey(
         layer_id=layer_id,
-        weight_hash=fingerprint if fingerprint is not None else weight_fingerprint(weight),
+        weight_hash=fingerprint,
         config_key=(
-            "linear",
+            "conv" if geometry else "linear",
             macro_config_key(config),
             int(activation_bits),
             bool(signed_inputs),
+            *map(int, geometry),
         ),
     )
-
-
-def conv_engine_key(
-    weight: np.ndarray,
-    stride: int,
-    padding: int,
-    config: MacroConfig,
-    activation_bits: int,
-    signed_inputs: bool,
-    layer_id: str = "functional",
-    fingerprint: Optional[str] = None,
-) -> EngineKey:
-    return EngineKey(
-        layer_id=layer_id,
-        weight_hash=fingerprint if fingerprint is not None else weight_fingerprint(weight),
-        config_key=(
-            "conv",
-            macro_config_key(config),
-            int(activation_bits),
-            bool(signed_inputs),
-            int(stride),
-            int(padding),
-        ),
-    )
-
-
-def engine_cache_key(engine, layer_id: str, fingerprint: str) -> EngineKey:
-    """The cache key a programmed engine lives under, from its own state."""
-    linear = engine.linear if isinstance(engine, ProgrammedConv) else engine
-    identity = (
-        linear.config,
-        linear.activation_bits,
-        linear.signed_inputs,
-        layer_id,
-        fingerprint,
-    )
-    if linear is engine:
-        return linear_engine_key(None, *identity)
-    return conv_engine_key(None, engine.stride, engine.padding, *identity)
 
 
 def linear_engine(
@@ -538,9 +479,9 @@ def linear_engine(
     """Fetch (or program on first use) a cached linear engine."""
     config = config if config is not None else MacroConfig()
     cache = resolve_cache(cache)
-    key = linear_engine_key(
-        weight, config, activation_bits, signed_inputs, layer_id, fingerprint
-    )
+    if fingerprint is None:
+        fingerprint = weight_fingerprint(weight)
+    key = engine_key(layer_id, fingerprint, config, activation_bits, signed_inputs)
     return cache.get_or_program(
         key,
         lambda: ProgrammedLinear(weight, config, activation_bits, signed_inputs),
@@ -562,9 +503,10 @@ def conv_engine(
     """Fetch (or program on first use) a cached convolution engine."""
     config = config if config is not None else MacroConfig()
     cache = resolve_cache(cache)
-    key = conv_engine_key(
-        weight, stride, padding, config, activation_bits, signed_inputs,
-        layer_id, fingerprint,
+    if fingerprint is None:
+        fingerprint = weight_fingerprint(weight)
+    key = engine_key(
+        layer_id, fingerprint, config, activation_bits, signed_inputs, stride, padding
     )
     return cache.get_or_program(
         key,

@@ -6,10 +6,14 @@ Everything in this module happens once per model, at *programming* time
 * :func:`fold_batchnorm` — fold (Conv2d -> BatchNorm2d) pairs into the
   convolution, as any fixed-weight deployment must (ROM weights cannot
   carry live BN statistics).
-* :func:`build_report` — record per-layer ROM/SRAM placement following
-  the YOLoC chip (Fig. 9): frozen convolutions/linears on ROM macros,
-  trainable layers on SRAM macros, ReBranch trunk + projections on ROM
-  with the res-conv on SRAM.
+* :func:`validate_deployable` — refuse a model that still carries
+  unfolded batch norm.
+* :class:`DeploymentReport` — the per-layer ROM/SRAM placement record
+  (YOLoC Fig. 9) the plan builder in :mod:`repro.runtime.compiled`
+  appends one :class:`DeployedLayerInfo` row to per weight layer as it
+  lowers it: frozen convolutions/linears on ROM macros, trainable ones
+  on SRAM macros, a ReBranch's trunk + projections on ROM with its
+  res-conv on SRAM.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import numpy as np
 
 from repro import nn
 from repro.obs.log import get_logger
-from repro.rebranch.branch import ReBranchConv2d
 
 _log = get_logger("runtime.programming")
 
@@ -108,51 +111,3 @@ class DeploymentReport:
     def rom_fraction(self) -> float:
         total = self.rom_weight_bits + self.sram_weight_bits
         return self.rom_weight_bits / total if total else 0.0
-
-
-def inside_rebranch(model: nn.Module, name: str) -> bool:
-    """True when the named module lives inside a ReBranchConv2d."""
-    parts = name.split(".")
-    node = model
-    for part in parts[:-1]:
-        node = node._modules[part]
-        if isinstance(node, ReBranchConv2d):
-            return True
-    return False
-
-
-def build_report(
-    model: nn.Module, rom_weight_bits_per_weight: int, sram_weight_bits_per_weight: int
-) -> DeploymentReport:
-    """ROM/SRAM placement of every weight layer (YOLoC Fig. 9 policy)."""
-    report = DeploymentReport()
-    for name, module in model.named_modules():
-        if isinstance(module, ReBranchConv2d):
-            bits = (
-                module.trunk.weight.size
-                + module.compress.weight.size
-                + module.decompress.weight.size
-            ) * rom_weight_bits_per_weight
-            sram_bits = module.res_conv.weight.size * sram_weight_bits_per_weight
-            report.rom_weight_bits += bits
-            report.sram_weight_bits += sram_bits
-            report.layers.append(
-                DeployedLayerInfo(name, "rebranch", "rom+sram", bits + sram_bits)
-            )
-        elif isinstance(module, nn.Conv2d) or isinstance(module, nn.Linear):
-            if inside_rebranch(model, name):
-                continue
-            kind = "conv" if isinstance(module, nn.Conv2d) else "linear"
-            trainable = module.weight.requires_grad
-            per_weight = (
-                sram_weight_bits_per_weight if trainable else rom_weight_bits_per_weight
-            )
-            bits = module.weight.size * per_weight
-            if trainable:
-                report.sram_weight_bits += bits
-            else:
-                report.rom_weight_bits += bits
-            report.layers.append(
-                DeployedLayerInfo(name, kind, "sram" if trainable else "rom", bits)
-            )
-    return report

@@ -90,7 +90,7 @@ from repro.runtime.cache import (
 )
 from repro.runtime.compiled import CompiledModel, RuntimeConfig
 from repro.runtime.compiled import compile as _compile
-from repro.runtime.engine import ProgrammedConv, ProgrammedLinear, engine_cache_key
+from repro.runtime.engine import ProgrammedConv, ProgrammedLinear, engine_key
 from repro.runtime.sharded import ShardedModel, ShardPlan, ShardSegment
 from repro.runtime.sharded import shard as _shard
 
@@ -1060,9 +1060,18 @@ def _load_impl(
                 f"artifact {key!r} holds an engine for unknown layer "
                 f"{layer_id!r}"
             )
-        engine_key = engine_cache_key(engine, layer_id, fingerprint)
-        staging.put(engine_key, engine)
-        staged.append((engine_key, engine))
+        linear = engine.linear if isinstance(engine, ProgrammedConv) else engine
+        geometry = () if linear is engine else (engine.stride, engine.padding)
+        cache_key = engine_key(
+            layer_id,
+            fingerprint,
+            linear.config,
+            linear.activation_bits,
+            linear.signed_inputs,
+            *geometry,
+        )
+        staging.put(cache_key, engine)
+        staged.append((cache_key, engine))
         seeded[id(engine)] = layer_id
 
     compiled = _compile(
@@ -1081,8 +1090,8 @@ def _load_impl(
     # later programming (weight refresh, a batch defying the signedness
     # prediction) shares engines process-wide, not with the staging
     # cache.
-    for engine_key, engine in staged:
-        target.put(engine_key, engine)
+    for cache_key, engine in staged:
+        target.put(cache_key, engine)
     compiled.cache = target
     for slot in compiled._slots:
         slot.cache = target

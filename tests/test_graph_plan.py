@@ -53,7 +53,6 @@ from repro.runtime import (
     compile_model,
     conv_engine,
     fold_batchnorm,
-    grouped_conv_execute,
     load,
     plan_shards,
     reference_forward,
@@ -348,7 +347,7 @@ class TestGroupedConv:
             )
 
         with pytest.raises(ValueError, match="programmed for unsigned activations"):
-            grouped_conv_execute(x, w.shape, 4, 1, 1, unsigned_engines)
+            engine_module.GroupedConv(w.shape, 4, 1, 1, unsigned_engines).execute(x)
 
         # Codes out of the serial input range (a non-finite activation,
         # where the platform's float -> int cast puts it out of range):

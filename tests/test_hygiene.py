@@ -235,6 +235,30 @@ def test_dangling_class_member_reference_is_reported(docs_links):
     assert "ProgrammedConv.execute_patches" in docs_links.check_class_ref(*ref)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "a qualified class: :class:`~repro.runtime.engine.GroupedConv`",
+        "a method: :meth:`ProgrammedConv.execute`",
+        "a name bound under src/repro: :func:`fold_batchnorm`",
+        "a numpy target: :class:`numpy.ndarray`",
+    ],
+)
+def test_cross_reference_resolves(docs_links, line):
+    (target,) = docs_links.XREF.findall(line)
+    assert docs_links.check_xref(target) == ""
+
+
+def test_dangling_cross_reference_is_reported(docs_links, tmp_path, monkeypatch):
+    (target,) = docs_links.XREF.findall("a deleted function: :func:`walk_placement`")
+    assert "walk_placement" in docs_links.check_xref(target)
+    source = tmp_path / "sample.py"
+    source.write_text('"""Places layers.\n\nSee :func:`repro.runtime.walk_placement`."""\n')
+    monkeypatch.setattr(docs_links, "REPO_ROOT", tmp_path)
+    (problem,) = docs_links.check_xrefs(source)
+    assert problem.startswith("sample.py:3:") and "walk_placement" in problem
+
+
 @pytest.mark.parametrize("page", ["numerics.md", "snapshots.md"])
 def test_contract_page_doctests(page):
     results = doctest.testfile(str(SCRIPT.parents[1] / "docs" / page), module_relative=False)

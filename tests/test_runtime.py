@@ -11,6 +11,7 @@ The load-bearing guarantees:
   compiling again reuses the programmed engines.
 """
 
+import collections
 import concurrent.futures
 import contextlib
 import functools
@@ -25,7 +26,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro import nn
+from repro import models, nn
 from repro.cim import (
     AdcSpec,
     BitlineModel,
@@ -39,21 +40,25 @@ from repro.cim import (
     reference_cim_conv2d,
     reference_cim_linear,
 )
+from repro.rebranch import ReBranchConv2d, convert_to_rebranch
 from repro.runtime import (
     CompiledModel,
+    DeployedLayerInfo,
+    DeploymentReport,
     EngineCache,
     EngineKey,
     ExecutionSession,
     RuntimeConfig,
     TiledBitSerialKernel,
     compile_model,
+    fold_batchnorm,
     linear_engine,
     reference_forward,
     shard,
 )
 
 from repro.runtime.backends import available_backends, get_backend, reference_fast
-from repro.runtime.engine import ProgrammedLinear
+from repro.runtime.engine import ProgrammedConv, ProgrammedLinear
 
 from .helpers import DEADLINE
 
@@ -73,6 +78,72 @@ def tiny_chain(num_classes=4, seed=0):
 
 def tiny_input(n=2, seed=1):
     return np.random.default_rng(seed).normal(size=(n, 3, 8, 8))
+
+
+def placement_model(name, variant, seed=0):
+    """A width-reduced zoo model, BN folded: as built (trainable), with
+    its 3x3 convolutions converted to ReBranch, or frozen."""
+    rng = np.random.default_rng(seed)
+    model = getattr(models, name)(num_classes=4, width_mult=0.125, rng=rng)
+    model.eval()
+    fold_batchnorm(model)
+    if variant == "rebranch":
+        assert convert_to_rebranch(model, rng=rng) > 0
+    elif variant == "frozen":
+        model.freeze()
+    return model
+
+
+def in_rebranch(model, name):
+    """True when the named module lives inside a ReBranchConv2d."""
+    node = model
+    for part in name.split(".")[:-1]:
+        node = node._modules[part]
+        if isinstance(node, ReBranchConv2d):
+            return True
+    return False
+
+
+def legacy_placement(model, rom_bits, sram_bits):
+    """The placement report as a walk of ``named_modules`` records it
+    (YOLoC Fig. 9): a ReBranch is one ROM + SRAM row, any other conv or
+    linear one row on SRAM when trainable, on ROM when frozen."""
+    report = DeploymentReport()
+    for name, module in model.named_modules():
+        if isinstance(module, ReBranchConv2d):
+            rom = sum(
+                conv.weight.size
+                for conv in (module.trunk, module.compress, module.decompress)
+            ) * rom_bits
+            sram = module.res_conv.weight.size * sram_bits
+            report.rom_weight_bits += rom
+            report.sram_weight_bits += sram
+            report.layers.append(DeployedLayerInfo(name, "rebranch", "rom+sram", rom + sram))
+        elif isinstance(module, (nn.Conv2d, nn.Linear)) and not in_rebranch(model, name):
+            kind = "conv" if isinstance(module, nn.Conv2d) else "linear"
+            trainable = module.weight.requires_grad
+            bits = module.weight.size * (sram_bits if trainable else rom_bits)
+            if trainable:
+                report.sram_weight_bits += bits
+            else:
+                report.rom_weight_bits += bits
+            report.layers.append(
+                DeployedLayerInfo(name, kind, "sram" if trainable else "rom", bits)
+            )
+    return report
+
+
+def plan_weight_layers(compiled):
+    """Weight-layer names in plan order: a ReBranch's four convolutions
+    count as the ReBranch, a grouped conv's per-group slots as its layer."""
+    names = []
+    for slot in compiled._slots:
+        name = slot.profile_name
+        if in_rebranch(compiled.model, name):
+            name = name.rsplit(".", 1)[0]
+        if name not in names:
+            names.append(name)
+    return names
 
 
 # ----------------------------------------------------------------------
@@ -738,6 +809,42 @@ class TestFunctionalShims:
         assert np.array_equal(y_ref, y_new)
         assert s_ref == s_new
 
+    PROGRAMMED_CONV_CASES = {
+        "unsigned": (dict(stride=1, padding=1), None, False),
+        "signed": (dict(stride=1, padding=1), None, True),
+        "stride2-pad1": (dict(stride=2, padding=1), None, True),
+        "noisy": (dict(stride=1, padding=0), 2.0, True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PROGRAMMED_CONV_CASES))
+    def test_programmed_conv_bitwise_vs_reference(self, case):
+        """A lone engine's ``execute`` — the one-group layer pass over
+        itself — equals the per-call reference in bytes and stats."""
+        conv, sigma, signed = self.PROGRAMMED_CONV_CASES[case]
+        config = MacroConfig(bitline=BitlineModel(noise_sigma_counts=sigma or 0.0))
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(2, 3, 7, 7))
+        x = x if signed else np.abs(x)
+        w = rng.normal(size=(5, 3, 3, 3))
+        engine = ProgrammedConv(w, config=config, signed_inputs=signed, **conv)
+        y_ref, s_ref = reference_cim_conv2d(
+            x, w, config=config, rng=np.random.default_rng(3), **conv
+        )
+        y_new, s_new = engine.execute(x, rng=np.random.default_rng(3))
+        assert y_new.shape == y_ref.shape and y_new.strides == y_ref.strides
+        assert y_new.tobytes() == y_ref.tobytes()
+        assert s_new == s_ref
+
+    def test_unsigned_programmed_conv_rejects_negative_inputs(self):
+        w = RNG.normal(size=(4, 2, 3, 3))
+        x = RNG.normal(size=(1, 2, 5, 5))
+        linear = ProgrammedLinear(w.reshape(4, -1), signed_inputs=False)
+        with pytest.raises(ValueError) as expected:
+            linear.execute(-np.ones((1, 18)))
+        with pytest.raises(ValueError) as raised:
+            ProgrammedConv(w, padding=1, signed_inputs=False).execute(x)
+        assert str(raised.value) == str(expected.value)
+
     def test_repeated_call_hits_cache(self):
         cache = EngineCache()
         x = RNG.normal(size=(4, 20))
@@ -1082,14 +1189,55 @@ class TestCompiledModel:
         assert not np.array_equal(before, after)
         assert np.array_equal(after, expected)
 
-    def test_report_matches_legacy_placement(self):
-        compiled = compile_model(tiny_chain(), RuntimeConfig(), cache=EngineCache())
+    @pytest.mark.parametrize("variant", ["plain", "rebranch", "frozen"])
+    @pytest.mark.parametrize("name", ["resnet8", "mobilenet", "tiny_yolo"])
+    def test_report_matches_legacy_placement(self, name, variant):
+        model = placement_model(name, variant)
+        compiled = compile_model(model, RuntimeConfig(), cache=EngineCache())
         report = compiled.report
+        config = RuntimeConfig()
+        legacy = legacy_placement(
+            model,
+            config.resolved_rom().weight_bits,
+            config.resolved_sram().weight_bits,
+        )
+        # Row for row: name, kind, memory and weight bits, in plan order.
+        assert report.layers == legacy.layers
+        assert [row.name for row in report.layers] == plan_weight_layers(compiled)
+        assert report.rom_weight_bits == legacy.rom_weight_bits
+        assert report.sram_weight_bits == legacy.sram_weight_bits
+        assert report.rom_weight_bits + report.sram_weight_bits == sum(
+            row.weight_bits for row in report.layers
+        )
+        modules = dict(model.named_modules())
+        rebranches = [n for n, m in modules.items() if isinstance(m, ReBranchConv2d)]
+        assert [
+            row.name for row in report.layers if row.memory == "rom+sram"
+        ] == rebranches
+        assert all(
+            (row.kind == "rebranch") == (row.memory == "rom+sram")
+            for row in report.layers
+        )
+        grouped = [
+            n
+            for n, m in modules.items()
+            if isinstance(m, nn.Conv2d) and m.groups > 1 and not in_rebranch(model, n)
+        ]
+        rows = collections.Counter(row.name for row in report.layers)
+        assert all(rows[n] == 1 for n in grouped)
+        # mobilenet's depthwise layers are 3x3: ReBranch converts them all.
+        assert bool(grouped) == (name == "mobilenet" and variant != "rebranch")
         kinds = {layer.kind for layer in report.layers}
-        assert kinds == {"conv", "linear"}
-        # Freshly built layers are trainable, so everything lands on SRAM.
-        assert report.sram_weight_bits > 0
-        assert report.rom_fraction == 0.0
+        if variant == "plain":
+            assert kinds == {"conv", "linear"} or kinds == {"conv"}
+            # Freshly built layers are trainable, so everything lands on SRAM.
+            assert report.sram_weight_bits > 0
+            assert report.rom_fraction == 0.0
+        elif variant == "frozen":
+            assert report.rom_fraction == 1.0
+        else:
+            assert "rebranch" in kinds
+            assert 0.0 < report.rom_fraction < 1.0
 
 
 # ----------------------------------------------------------------------

@@ -49,6 +49,8 @@ from repro.runtime import (
     SnapshotVersionError,
     artifact_key,
     compile_model,
+    conv_engine,
+    linear_engine,
     load,
     reference_forward,
     save,
@@ -56,6 +58,7 @@ from repro.runtime import (
     shard,
 )
 from repro.runtime import snapshot as snapshot_mod
+from repro.runtime.engine import engine_key
 from repro.runtime.backends import reference_fast
 from repro.runtime.backends.reference_fast import TiledBitSerialKernel
 from repro.runtime.sharded import ShardSegment
@@ -722,6 +725,64 @@ class TestGoldenFormat:
     def test_pre_fold_batchnorm_key_is_pinned(self, fold_bn):
         config = RuntimeConfig(fold_bn=fold_bn)
         assert artifact_key(golden_bn_model(), config) == GOLDEN_BN_KEYS[fold_bn]
+
+    def test_engine_tier_file_names_are_pinned(self, store):
+        """An engine's disk-tier file is named by its cache key: the key
+        tuples of a linear and a conv engine must not move."""
+        cache = EngineCache()
+        linear_engine(
+            np.arange(12.0).reshape(3, 4) / 10,
+            MacroConfig(cell=ROM_1T),
+            activation_bits=8,
+            signed_inputs=True,
+            layer_id="fc",
+            cache=cache,
+        )
+        conv_engine(
+            np.arange(54.0).reshape(2, 3, 3, 3) / 10,
+            stride=2,
+            padding=1,
+            activation_bits=4,
+            signed_inputs=False,
+            layer_id="stem::g0",
+            cache=cache,
+        )
+        assert [store.engine_path(key).name for key in cache.keys()] == [
+            "e4e96a96c48d2dd69b305b4c4966afbc7434c07e1bfd08bcd91bf0d151cc2c8e.rcma",
+            "8bbe0b56480acdaa4624e500bf85a7794b860ef856cd6d50834f80871242e1fa.rcma",
+        ]
+
+
+class TestEngineKeys:
+    @pytest.mark.parametrize("leg", ["compiled", "loaded"])
+    def test_every_slot_engine_is_held_under_its_key(self, store, leg):
+        """A slot's engine key (what ``cache_tier`` asks for) is the key
+        the cache holds the engine under — whether compile programmed it
+        or ``load`` seeded it from the engine's own restored state."""
+        # Room for every per-group engine: none is evicted.
+        compiled = compile_model(
+            mobilenet_model(), RuntimeConfig(), cache=EngineCache(capacity=1024)
+        )
+        if leg == "loaded":
+            compiled = load(
+                store, save(compiled, store), cache=EngineCache(capacity=1024)
+            )
+        assert len(compiled.cache.keys()) == len(compiled._slots) > 128
+        held = {id(compiled.cache.get(key)): key for key in compiled.cache.keys()}
+        assert len(held) == len(compiled.cache.keys())
+        for slot in compiled._slots:
+            config = slot.config_fn()
+            engine = slot._engines[(slot.predicted_signed, id(config))]
+            key = engine_key(
+                slot.layer_id,
+                slot.fingerprint,
+                config,
+                slot.activation_bits,
+                slot.predicted_signed,
+                *((slot.stride, slot.padding) if slot.kind == "conv" else ()),
+            )
+            assert held[id(engine)] == key
+            assert slot.cache_tier() == ("programmed" if leg == "compiled" else "snapshot")
 
 
 def stored_dataclasses():
