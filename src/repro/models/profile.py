@@ -7,9 +7,11 @@ propagating shapes symbolically, producing a :class:`ModelProfile` whose
 per-layer MAC/parameter/activation counts feed the area, latency, and
 energy models.
 
-Custom composite modules participate by implementing
-``profile_forward(shape, profiler, prefix) -> shape``; everything built
-from the standard layers works out of the box.
+Composites go through :func:`repro.runtime.reference.descend`, the
+composite rule the compiler and the reference walker call, with a
+``plan_forward`` builder whose values are shapes: rows carry the plan
+nodes' names, and a composite the compiler refuses raises the same
+:class:`~repro.runtime.errors.UnsupportedModuleError` here.
 """
 
 from __future__ import annotations
@@ -104,39 +106,39 @@ class ModelProfile:
         return "\n".join(lines)
 
 
-class Profiler:
-    """Collects :class:`LayerProfile` entries during the symbolic walk."""
-
-    def __init__(self):
-        self.layers: List[LayerProfile] = []
-
-    def add(self, layer: LayerProfile) -> None:
-        self.layers.append(layer)
-
-
 def _is_trainable(module: nn.Module) -> bool:
     params = list(module.parameters())
     return any(p.requires_grad for p in params) if params else True
 
 
+class _ShapeGraph:
+    """The ``plan_forward`` builder surface over shapes: ``child``
+    profiles the child on the shape, ``add`` returns its first operand."""
+
+    __slots__ = ("_layers", "_prefix")
+
+    def __init__(self, layers: List[LayerProfile], prefix: str):
+        self._layers = layers
+        self._prefix = prefix
+
+    def child(self, module: nn.Module, name: str, shape: Shape) -> Shape:
+        full = f"{self._prefix}.{name}" if self._prefix else name
+        return _profile_module(module, full, shape, self._layers)
+
+    def add(self, a: Shape, b: Shape, name: str = "add") -> Shape:
+        return a
+
+
 def _profile_module(
-    module: nn.Module, shape: Shape, profiler: Profiler, prefix: str
+    module: nn.Module, name: str, shape: Shape, layers: List[LayerProfile]
 ) -> Shape:
-    """Dispatch on module type, returning the output shape."""
-    custom = getattr(module, "profile_forward", None)
-    if custom is not None:
-        return custom(shape, profiler, prefix)
-
-    if isinstance(module, nn.Sequential):
-        for name, child in module._modules.items():
-            shape = _profile_module(child, shape, profiler, f"{prefix}{name}.")
-        return shape
-
+    """Profile ``module`` (qualified ``name``) on ``shape``, appending its
+    rows to ``layers``; returns the output shape."""
     if isinstance(module, nn.Conv2d):
         n, c, h, w = shape
         if c != module.in_channels:
             raise ValueError(
-                f"{prefix.rstrip('.')!r} expects {module.in_channels} input "
+                f"{name!r} expects {module.in_channels} input "
                 f"channels but the dataflow provides {c}"
             )
         oc = module.out_channels
@@ -147,9 +149,9 @@ def _profile_module(
         params = oc * c_per_group * kh * kw + (oc if module.bias is not None else 0)
         macs = oc * out_h * out_w * c_per_group * kh * kw
         out_shape = (n, oc, out_h, out_w)
-        profiler.add(
+        layers.append(
             LayerProfile(
-                name=prefix.rstrip("."),
+                name=name,
                 kind="conv",
                 params=params,
                 macs=macs * n,
@@ -166,9 +168,9 @@ def _profile_module(
         in_f, out_f = module.in_features, module.out_features
         params = out_f * in_f + (out_f if module.bias is not None else 0)
         out_shape = (n, out_f)
-        profiler.add(
+        layers.append(
             LayerProfile(
-                name=prefix.rstrip("."),
+                name=name,
                 kind="linear",
                 params=params,
                 macs=n * in_f * out_f,
@@ -181,9 +183,9 @@ def _profile_module(
         return out_shape
 
     if isinstance(module, nn.BatchNorm2d):
-        profiler.add(
+        layers.append(
             LayerProfile(
-                name=prefix.rstrip("."),
+                name=name,
                 kind="bn",
                 params=2 * module.num_features,
                 macs=0,
@@ -201,17 +203,13 @@ def _profile_module(
         pair = lambda v: (v, v) if isinstance(v, int) else v  # noqa: E731
         out_h, out_w = conv_out_hw((h, w), pair(kernel), pair(stride), (0, 0))
         out_shape = (n, c, out_h, out_w)
-        profiler.add(
-            LayerProfile(prefix.rstrip("."), "pool", 0, 0, shape, out_shape)
-        )
+        layers.append(LayerProfile(name, "pool", 0, 0, shape, out_shape))
         return out_shape
 
     if isinstance(module, nn.GlobalAvgPool2d):
         n, c = shape[0], shape[1]
         out_shape = (n, c, 1, 1)
-        profiler.add(
-            LayerProfile(prefix.rstrip("."), "pool", 0, 0, shape, out_shape)
-        )
+        layers.append(LayerProfile(name, "pool", 0, 0, shape, out_shape))
         return out_shape
 
     if isinstance(module, nn.Flatten):
@@ -227,21 +225,11 @@ def _profile_module(
     ):
         return shape
 
-    if isinstance(module, nn.ModuleList):
-        raise TypeError(
-            "ModuleList has no defined dataflow; wrap it in a module with "
-            "a profile_forward method"
-        )
+    # Imported here: repro.runtime imports repro.arch, which imports
+    # this module.
+    from repro.runtime.reference import descend
 
-    # Generic composite module: assume children execute in registration
-    # order as a chain (true for all zoo models' custom blocks that do
-    # not define profile_forward themselves).
-    if module._modules:
-        for name, child in module._modules.items():
-            shape = _profile_module(child, shape, profiler, f"{prefix}{name}.")
-        return shape
-
-    raise TypeError(f"cannot profile module of type {type(module).__name__}")
+    return descend(module, name, _ShapeGraph(layers, name), shape)
 
 
 def profile_model(model, input_shape: Shape) -> ModelProfile:
@@ -264,8 +252,8 @@ def profile_model(model, input_shape: Shape) -> ModelProfile:
             )
     if len(input_shape) not in (2, 4):
         raise ValueError(f"expected (N, F) or (N, C, H, W), got {input_shape}")
-    profiler = Profiler()
-    out_shape = _profile_module(model, tuple(input_shape), profiler, "")
+    layers: List[LayerProfile] = []
+    out_shape = _profile_module(model, "", tuple(input_shape), layers)
     return ModelProfile(
-        layers=profiler.layers, input_shape=tuple(input_shape), output_shape=out_shape
+        layers=layers, input_shape=tuple(input_shape), output_shape=out_shape
     )

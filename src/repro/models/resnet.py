@@ -54,15 +54,6 @@ class BasicBlock(nn.Module):
         out = builder.add(out, shortcut, name="add")
         return builder.child(self.act, "act", out)
 
-    def profile_forward(self, shape, profiler, prefix):
-        """Profile the two parallel paths (main + shortcut) explicitly."""
-        from repro.models.profile import _profile_module
-
-        main = _profile_module(self.conv1, shape, profiler, f"{prefix}conv1.")
-        main = _profile_module(self.conv2, main, profiler, f"{prefix}conv2.")
-        _profile_module(self.shortcut, shape, profiler, f"{prefix}shortcut.")
-        return main
-
 
 class ResNet(nn.Module):
     """CIFAR-style ResNet: 3x3 stem, four stages of BasicBlocks, linear head."""

@@ -93,6 +93,17 @@ class ReBranchConv2d(nn.Module):
     def forward(self, x):
         return self.trunk(x) + self.decompress(self.res_conv(self.compress(x)))
 
+    def plan_forward(self, builder, x):
+        """The trunk, and compress -> res_conv -> decompress, joined by
+        an add.  The analytic profile walks this; the compiler and the
+        reference walker lower a ReBranch themselves, because its Fig. 9
+        placement is fixed."""
+        out = builder.child(self.trunk, "trunk", x)
+        branch = builder.child(self.compress, "compress", x)
+        branch = builder.child(self.res_conv, "res_conv", branch)
+        branch = builder.child(self.decompress, "decompress", branch)
+        return builder.add(out, branch, name="add")
+
     def branch_parameters(self):
         """The SRAM-resident trainable parameters (the res-conv)."""
         return list(self.res_conv.parameters())
@@ -111,16 +122,6 @@ class ReBranchConv2d(nn.Module):
     def compression_ratio(self) -> float:
         """Trunk weights per trainable branch weight (~D*U, Fig. 11a)."""
         return self.trunk.weight.size / self.res_conv.weight.size
-
-    def profile_forward(self, shape, profiler, prefix):
-        """Profile the parallel trunk/branch dataflow."""
-        from repro.models.profile import _profile_module
-
-        out = _profile_module(self.trunk, shape, profiler, f"{prefix}trunk.")
-        branch = _profile_module(self.compress, shape, profiler, f"{prefix}compress.")
-        branch = _profile_module(self.res_conv, branch, profiler, f"{prefix}res_conv.")
-        _profile_module(self.decompress, branch, profiler, f"{prefix}decompress.")
-        return out
 
     def extra_repr(self) -> str:
         return (

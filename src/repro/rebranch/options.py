@@ -138,13 +138,6 @@ class SpwdConv2d(nn.Module):
         )
         return self.trunk(x) + decorated
 
-    def profile_forward(self, shape, profiler, prefix):
-        from repro.models.profile import _profile_module
-
-        out = _profile_module(self.trunk, shape, profiler, f"{prefix}trunk.")
-        _profile_module(self.decoration, shape, profiler, f"{prefix}decoration.")
-        return out
-
     def extra_repr(self) -> str:
         return f"bits={self.bits}"
 

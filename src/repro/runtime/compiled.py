@@ -26,11 +26,14 @@ deterministic and bitwise identical to the (equally DAG-aware)
 reference walker in :mod:`repro.runtime.reference`.
 
 Composites declare their dataflow through the ``plan_forward(builder,
-x)`` protocol (mirroring the ``profile_forward`` precedent): the
-builder hands the composite opaque :class:`PlanHandle` values and the
-composite wires children (``builder.child``) and fan-in ops
-(``builder.add``).  Serial-chain composites can simply set
-``plan_forward = nn.plan_serial``.  A composite that overrides
+x)`` protocol: the builder hands the composite opaque
+:class:`PlanHandle` values and the composite wires children
+(``builder.child``) and fan-in ops (``builder.add``).  The one
+composite rule, :func:`repro.runtime.reference.descend`, dispatches
+it here, in the reference walker and in the analytic profile
+(:func:`repro.models.profile.profile_model`), so a plan node and the
+profile row of the same layer carry the same name.  Serial-chain
+composites can simply set ``plan_forward = nn.plan_serial``.  A composite that overrides
 ``forward`` *without* declaring a plan raises a typed
 :class:`~repro.runtime.errors.UnsupportedModuleError` at compile time —
 never the silent child-chaining that used to defer failure to a
@@ -225,12 +228,8 @@ class _EngineSlot:
     compilation moves it to ROM here too) plus the fingerprint taken at
     programming time; engines for each input signedness are fetched
     through the cache on demand, so two compiled models over the same
-    weights share programmed tiles.
-
-    ``profile_name`` / ``profile_share`` map the slot back onto the
-    analytic profile: a grouped convolution programs one slot per group
-    (layer id ``<name>::g<i>``), each owning ``1/groups`` of the
-    profiled layer's MACs.
+    weights share programmed tiles.  A grouped convolution programs one
+    slot per group (layer id ``<name>::g<i>``) under its one plan node.
     """
 
     def __init__(
@@ -245,8 +244,6 @@ class _EngineSlot:
         stride: int = 0,
         padding: int = 0,
         fingerprint: Optional[str] = None,
-        profile_name: Optional[str] = None,
-        profile_share: float = 1.0,
     ):
         self.layer_id = layer_id
         self.kind = kind
@@ -257,8 +254,6 @@ class _EngineSlot:
         self.predicted_signed = bool(predicted_signed)
         self.stride = stride
         self.padding = padding
-        self.profile_name = profile_name if profile_name is not None else layer_id
-        self.profile_share = float(profile_share)
         # ``fingerprint`` is the snapshot warm-start hook: a caller that
         # already knows the weights' content hash (it wrote them) skips
         # re-hashing here; ``refresh`` always re-hashes the live weights.
@@ -547,8 +542,6 @@ class _PlanBuilder:
                     stride=sh,
                     padding=ph,
                     fingerprint=self.fingerprints.get(layer_id),
-                    profile_name=name,
-                    profile_share=1.0 / conv.groups,
                 )
             )
         self.slots.extend(slots)
@@ -637,7 +630,6 @@ class CompiledModel:
         self._output_index = output_index
         self._slots = slots
         self._rng = rng if rng is not None else np.random.default_rng()
-        self._profiles: Dict[Tuple[int, ...], Any] = {}
         self._consumers = self._count_consumers()
         self._input_rank = input_rank(model)
 
@@ -813,13 +805,12 @@ class CompiledModel:
 
     def profile(self, input_shape: Tuple[int, ...]):
         """Analytic :class:`~repro.models.profile.ModelProfile` of the
-        underlying model, cached per input shape."""
-        key = tuple(input_shape)
-        if key not in self._profiles:
-            from repro.models.profile import profile_model
+        underlying model, walked afresh so placement changes made after
+        compilation (``freeze``) show in ``trainable``; its weight rows
+        carry the plan's weight-node names."""
+        from repro.models.profile import profile_model
 
-            self._profiles[key] = profile_model(self.model, key)
-        return self._profiles[key]
+        return profile_model(self.model, input_shape)
 
 
 def compile(

@@ -240,9 +240,11 @@ def plan_shards(
 
     The cut cost of a block is its MAC count from the analytic profile
     when ``input_shape`` is given (compute-balanced pipeline stages —
-    the quantity that sets stage latency); otherwise its programmed
-    weight bits (capacity-balanced, the only cost known without a
-    dataflow shape).
+    the quantity that sets stage latency), read once per weight node:
+    the profile walks the same dataflow declaration, so a weight node
+    and its profile row share a name.  Otherwise the cost is its
+    programmed weight bits (capacity-balanced, the only cost known
+    without a dataflow shape).
     """
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -268,11 +270,7 @@ def plan_shards(
         for i in block:
             for slot in _node_slots(nodes[i]):
                 bits += float(slot.weight_fn().size * slot.config_fn().weight_bits)
-                # Grouped convs map several slots onto one profiled
-                # layer; each slot owns its profile_share of the MACs.
-                macs += (
-                    macs_by_layer.get(slot.profile_name, 0.0) * slot.profile_share
-                )
+            macs += macs_by_layer.get(nodes[i].name, 0.0)
         block_bits.append(bits)
         block_macs.append(macs)
     use_macs = sum(block_macs) > 0

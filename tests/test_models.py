@@ -1,10 +1,15 @@
 """Tests for the model zoo and the analytic profiler."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import models, nn
 from repro.nn.tensor import Tensor
+from repro.rebranch import convert_to_rebranch
+from repro.runtime.programming import fold_batchnorm
 
 RNG = np.random.default_rng(3)
 
@@ -199,6 +204,61 @@ class TestProfile:
         model = models.vgg8(rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
             models.profile_model(model, (3, 16, 16))
+
+
+def _plain(model):
+    return model
+
+
+def _rebranch(model):
+    convert_to_rebranch(model, rng=np.random.default_rng(1))
+    return model
+
+
+def _folded_rebranch(model):
+    fold_batchnorm(model)
+    return _rebranch(model)
+
+
+#: The three forms of a zoo model the system simulator profiles.
+PREPARE = {"plain": _plain, "rebranch": _rebranch, "folded_rebranch": _folded_rebranch}
+
+#: sha256 prefix of every profile row (all fields) and the output shape,
+#: per (zoo model, form) at the model's paper-scale ``INPUT_SHAPES``.
+PROFILE_DIGESTS = {
+    ("mobilenet", "plain"): "c7827da25ae10a51",
+    ("mobilenet", "rebranch"): "4e68b9bfa1922295",
+    ("mobilenet", "folded_rebranch"): "571719416f1d0538",
+    ("resnet18", "plain"): "7b8fea99d6491bc4",
+    ("resnet18", "rebranch"): "9ea11c982176f2ba",
+    ("resnet18", "folded_rebranch"): "79a30a100ff0797d",
+    ("resnet8", "plain"): "807e049c426fbd0f",
+    ("resnet8", "rebranch"): "b7bbb9cd4c384eed",
+    ("resnet8", "folded_rebranch"): "ce33fa7a64947d7e",
+    ("tiny_yolo", "plain"): "2d6c33dfdce49cc8",
+    ("tiny_yolo", "rebranch"): "576bfa012efd3908",
+    ("tiny_yolo", "folded_rebranch"): "29b4445183bbf2bf",
+    ("vgg8", "plain"): "8c0810e96794ba1e",
+    ("vgg8", "rebranch"): "abfc195de43c1b44",
+    ("vgg8", "folded_rebranch"): "518f96254b2e3ed3",
+    ("yolo", "plain"): "e14ffb9d50426070",
+    ("yolo", "rebranch"): "c12bc81dc0c22f69",
+    ("yolo", "folded_rebranch"): "1e15098aa6dfeff0",
+}
+
+
+def profile_digest(profile):
+    rows = [dataclasses.astuple(layer) for layer in profile.layers]
+    return hashlib.sha256(repr((rows, profile.output_shape)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("form", list(PREPARE))
+@pytest.mark.parametrize("name", models.available_models())
+def test_profile_rows_are_pinned(name, form):
+    """Every row the area, latency and energy models read stays put."""
+    model = PREPARE[form](models.build_model(name, rng=np.random.default_rng(0)))
+    profile = models.profile_model(model, models.INPUT_SHAPES[name])
+    assert profile_digest(profile) == PROFILE_DIGESTS[name, form]
 
 
 class TestRegistry:

@@ -1,23 +1,39 @@
-"""Drift guard over the two module-kind tables.
+"""Drift guard over the module-kind tables and the dataflow declarations.
 
-A deployable module kind is declared in up to three places: a row of
-the artifact vocabulary (``snapshot.MODULE_KINDS``), a row of the
+A deployable leaf kind is declared in up to three places: a row of the
+artifact vocabulary (``snapshot.MODULE_KINDS``), a row of the
 engine-free op table (``reference.PURE_OPS``) or a weight-layer lowering
-in ``_PlanBuilder.build`` / ``_ReferenceRunner.run``, and a
-``profile_model`` rule.  These tests are generated from the tables, so a
-kind added to one place and not the others fails here, by name
+in ``_PlanBuilder.build`` / ``_ReferenceRunner.run``, and a leaf rule of
+``profile_model``.  A composite declares its dataflow once, in
+``plan_forward``, which the compiler, the reference walker and the
+profile all read through ``reference.descend``.  These tests are
+generated from the tables and from every module class under ``repro``,
+so a kind added to one place and not the others — or a composite whose
+dataflow only ``forward`` knows — fails here, by name
 (docs/architecture.md, "Adding a module kind").
 """
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import repro
 from repro import nn
 from repro.models.mobilenet import DepthwiseSeparable
 from repro.models.profile import profile_model
 from repro.models.resnet import BasicBlock
+from repro.quant.fake_quant import FakeQuantize
 from repro.rebranch.branch import ReBranchConv2d
-from repro.runtime import EngineCache, RuntimeConfig, compile_model, reference_forward
+from repro.rebranch.options import SpwdConv2d
+from repro.runtime import (
+    EngineCache,
+    RuntimeConfig,
+    UnsupportedModuleError,
+    compile_model,
+    reference_forward,
+)
 from repro.runtime.reference import PURE_OPS
 from repro.runtime.snapshot import MODULE_KINDS, _restore_module, _TreeWriter
 
@@ -135,3 +151,97 @@ class TestPureOpRow:
         np.testing.assert_allclose(out, module(nn.Tensor(x)).data, rtol=1e-12)
         if sign is False:
             assert (out >= 0).all()
+
+
+# ----------------------------------------------------------------------
+# Dataflow declarations
+# ----------------------------------------------------------------------
+#: Leaves the walkers lower besides the ``PURE_OPS`` rows (a
+#: BatchNorm2d is folded into its conv before lowering).
+WEIGHT_LEAVES = (nn.Conv2d, nn.Linear, nn.BatchNorm2d)
+
+#: Classes that override ``forward`` and that every walker refuses, with
+#: the reason none declares a dataflow.
+REFUSED = {
+    SpwdConv2d: (
+        "forward fake-quantizes the decoration; a plan_forward would "
+        "lower it at full precision and compute something else"
+    ),
+    FakeQuantize: "training-time quantization; the macros quantize their inputs",
+    nn.ModuleList: "a container without a dataflow; calling it raises",
+}
+
+
+def forward_overriders():
+    """Every ``nn.Module`` subclass defined under ``repro`` that
+    overrides ``forward``, all of the package imported first."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(info.name)
+    found, stack = set(), [nn.Module]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            if cls not in found:
+                found.add(cls)
+                stack.append(cls)
+    return sorted(
+        (
+            cls
+            for cls in found
+            if cls.__module__.startswith("repro.") and "forward" in vars(cls)
+        ),
+        key=lambda cls: f"{cls.__module__}.{cls.__qualname__}",
+    )
+
+
+@pytest.mark.parametrize(
+    "cls", forward_overriders(), ids=lambda cls: f"{cls.__module__}.{cls.__name__}"
+)
+def test_forward_has_a_declared_dataflow(cls):
+    lowered = cls in WEIGHT_LEAVES or cls in PURE_OPS
+    declared = issubclass(cls, nn.Sequential) or (
+        getattr(cls, "plan_forward", None) is not None
+    )
+    assert lowered + declared + (cls in REFUSED) == 1, (
+        f"{cls.__name__} overrides forward: make it a leaf the walkers "
+        f"lower, declare plan_forward, or add it to REFUSED with a reason"
+    )
+
+
+class _Undeclared(nn.Module):
+    """Sums two stride-2 convolutions; declares no dataflow."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.a = nn.Conv2d(4, 4, 3, stride=2, padding=1, rng=rng)
+        self.b = nn.Conv2d(4, 4, 3, stride=2, padding=1, rng=rng)
+
+    def forward(self, x):
+        return self.a(x) + self.b(x)
+
+
+UNDECLARED = {
+    "undeclared_composite": _Undeclared,
+    "spwd_conv": lambda rng: SpwdConv2d(nn.Conv2d(4, 4, 3, padding=1, rng=rng), rng=rng),
+    "fake_quantize": lambda rng: FakeQuantize(),
+    "module_list": lambda rng: nn.ModuleList([nn.Conv2d(4, 4, 1, rng=rng)]),
+}
+
+
+def test_every_refused_kind_is_exercised():
+    kinds = {type(make(np.random.default_rng(0))) for make in UNDECLARED.values()}
+    assert set(REFUSED) <= kinds
+
+
+@pytest.mark.parametrize("kind", list(UNDECLARED))
+def test_undeclared_dataflow_is_refused_by_every_walker(kind):
+    """Refused, never walked as a guessed chain: chaining
+    ``_Undeclared``'s convs would report a (1, 4, 2, 2) output for a
+    module that returns (1, 4, 4, 4)."""
+    model = UNDECLARED[kind](np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(1, 4, 8, 8))
+    with pytest.raises(UnsupportedModuleError):
+        profile_model(model, x.shape)
+    with pytest.raises(UnsupportedModuleError):
+        compile_model(model, cache=EngineCache())
+    with pytest.raises(UnsupportedModuleError):
+        reference_forward(model, x)

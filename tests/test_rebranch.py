@@ -88,6 +88,14 @@ class TestReBranchConv2d:
         profile = models.profile_model(layer, (1, 8, 6, 6))
         conv_layers = [l for l in profile.layers if l.kind == "conv"]
         assert len(conv_layers) == 4
+        assert [l.name for l in conv_layers] == [
+            "trunk",
+            "compress",
+            "res_conv",
+            "decompress",
+        ]
+        trunk, compress = conv_layers[:2]
+        assert compress.in_shape == trunk.in_shape == (1, 8, 6, 6)
 
 
 class TestConvert:

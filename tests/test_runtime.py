@@ -134,11 +134,14 @@ def legacy_placement(model, rom_bits, sram_bits):
 
 
 def plan_weight_layers(compiled):
-    """Weight-layer names in plan order: a ReBranch's four convolutions
-    count as the ReBranch, a grouped conv's per-group slots as its layer."""
+    """Weight-layer names in plan order, one per weight plan node (a
+    grouped conv's per-group slots share one); a ReBranch's four
+    convolutions count as the ReBranch."""
     names = []
-    for slot in compiled._slots:
-        name = slot.profile_name
+    for node in compiled._nodes:
+        if not getattr(node.op, "slots", ()):
+            continue
+        name = node.name
         if in_rebranch(compiled.model, name):
             name = name.rsplit(".", 1)[0]
         if name not in names:
@@ -1331,9 +1334,13 @@ class TestConsumers:
         with pytest.raises(TypeError, match="cannot profile"):
             profile_model(object(), (1, 3, 8, 8))
 
-    def test_compiled_profile_is_cached(self):
-        compiled = compile_model(tiny_chain(), RuntimeConfig(), cache=EngineCache())
-        assert compiled.profile((1, 3, 8, 8)) is compiled.profile((1, 3, 8, 8))
+    def test_compiled_profile_sees_a_freeze_after_compile(self):
+        model = models.resnet8(width_mult=0.25, rng=np.random.default_rng(0))
+        compiled = compile_model(model, RuntimeConfig(fold_bn=True), cache=EngineCache())
+        shape = (1, 3, 32, 32)
+        assert compiled.profile(shape).trainable_params > 0
+        compiled.model.freeze()
+        assert compiled.profile(shape).trainable_params == 0
 
     def test_evaluate_compiled(self):
         from repro.arch import evaluate_all_systems, evaluate_compiled

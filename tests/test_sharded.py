@@ -16,10 +16,13 @@ The load-bearing guarantees:
   through the dynamic-batching server unchanged.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from repro import nn
+from repro import models, nn
 from repro.arch import ChipletLinkSpec, SIMBA_LINK
 from repro.cim import BitlineModel, MacroConfig
 from repro.cim.cells import ROM_1T
@@ -33,7 +36,10 @@ from repro.runtime import (
     shard,
     stream_rng,
 )
+from repro.rebranch import convert_to_rebranch
+from repro.runtime.programming import fold_batchnorm
 from repro.runtime.sharded import _balanced_cuts
+from repro.runtime.snapshot import to_meta
 from repro.serve import BatchPolicy, InferenceServer, ModelRegistry
 
 from .helpers import await_results
@@ -222,6 +228,54 @@ class TestShardPlan:
         assert _balanced_cuts([1, 1, 1, 1], 2) == [2, 2]
         assert _balanced_cuts([4, 1, 1, 1, 1], 2) == [1, 4]
         assert sum(_balanced_cuts([5, 1, 1, 5], 3)) == 4
+
+
+#: (zoo model, width, input px) of the pinned MAC-balanced cuts.
+#: Mobilenet at widths 0.75 and 0.3 has group counts that are not
+#: powers of two.
+CUT_CASES = [
+    ("resnet8", 1.0, 32),
+    ("mobilenet", 1.0, 32),
+    ("mobilenet", 0.75, 32),
+    ("mobilenet", 0.3, 32),
+    ("vgg8", 0.5, 32),
+    ("resnet18", 0.5, 32),
+    ("tiny_yolo", 0.25, 64),
+]
+#: (zoo model, width, ReBranch-converted) -> sha256 prefix of the cut's
+#: ``to_meta`` segments at 2, 3 and 4 shards.
+CUT_DIGESTS = {
+    ("resnet8", 1.0, False): ("82d1a069fa42258b", "edf0f6eaae9b2a60", "711244b4e2698b1f"),
+    ("resnet8", 1.0, True): ("f9f5ec480afb456b", "9b1fd3c476111244", "7e51ac11548517d8"),
+    ("mobilenet", 1.0, False): ("d7739d2592dd8f42", "bf87182e59edb5e2", "9276ccb17ecda0ba"),
+    ("mobilenet", 1.0, True): ("22ac97b7c236c8ba", "e7c68f57377b8744", "2f75517b0001c4df"),
+    ("mobilenet", 0.75, False): ("fa3c97e7e81fd3b7", "d820df2081ab4dee", "062056fcd62dbd7e"),
+    ("mobilenet", 0.75, True): ("db5d5bfdfd948b13", "e773e5ebd646d309", "2e1fe681b56f0d6e"),
+    ("mobilenet", 0.3, False): ("e1df93de38a62844", "b8c01fcf15a33d90", "f7a3a1884e99ce36"),
+    ("mobilenet", 0.3, True): ("d9391e625eb9cb1d", "67b5b0f99cb24caf", "d6fe523887f8c52e"),
+    ("vgg8", 0.5, False): ("51d26bf286cb92c3", "675f6b82e3a0e965", "a658b2d1071cea7b"),
+    ("vgg8", 0.5, True): ("2c82d40351598a34", "8c0d8d1c80c982e6", "9e8357f2f9a540f2"),
+    ("resnet18", 0.5, False): ("6de1d6c944b6f880", "345554296b44ee38", "d481f6bc46d0a3ce"),
+    ("resnet18", 0.5, True): ("88308214bd4772b4", "c6c34772d2919b49", "b9041e5f9b7835a5"),
+    ("tiny_yolo", 0.25, False): ("d902c2251cf2ce1d", "b3ac0adc39f7f118", "870cd1a678c135e9"),
+    ("tiny_yolo", 0.25, True): ("3e924d3a31605ad6", "0264a83698a37e60", "314906bd80074d5f"),
+}
+
+
+@pytest.mark.parametrize("rebranch", [False, True], ids=["plain", "rebranch"])
+@pytest.mark.parametrize("name,width,px", CUT_CASES)
+def test_zoo_cuts_are_pinned(name, width, px, rebranch):
+    model = models.build_model(name, width_mult=width, rng=np.random.default_rng(0))
+    fold_batchnorm(model)
+    if rebranch:
+        convert_to_rebranch(model, rng=np.random.default_rng(1))
+    compiled = compile_model(model)
+    digests = []
+    for n_shards in (2, 3, 4):
+        plan = plan_shards(compiled, n_shards, input_shape=(1, 3, px, px))
+        metas = json.dumps([to_meta(s) for s in plan.segments], sort_keys=True)
+        digests.append(hashlib.sha256(metas.encode()).hexdigest()[:16])
+    assert tuple(digests) == CUT_DIGESTS[name, width, rebranch]
 
 
 # ----------------------------------------------------------------------
