@@ -55,15 +55,19 @@ def _code_range(spec: QuantSpec, signed, ndim: int):
 
 
 def _scales(values: np.ndarray, spec: QuantSpec, qmax) -> np.ndarray:
-    """Symmetric scale(s): max|x| mapped to the largest positive code."""
+    """Symmetric scale(s): max|x| mapped to the largest positive code.
+
+    A slice whose max|x| is zero, or so small (subnormal) that its scale
+    underflows to zero, gets the scale of max|x| = 1: its codes are 0.
+    """
     if spec.per_channel_axis is None:
         amax = np.abs(values).max()
-        amax = amax if amax > 0 else 1.0
+        amax = amax if amax / qmax > 0 else 1.0
         return np.asarray(amax / qmax)
     axis = spec.per_channel_axis % values.ndim
     reduce_axes = tuple(i for i in range(values.ndim) if i != axis)
     amax = np.abs(values).max(axis=reduce_axes, keepdims=True)
-    amax = np.where(amax > 0, amax, 1.0)
+    amax = np.where(amax / qmax > 0, amax, 1.0)
     return amax / qmax
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.cim import AdcSpec, CimMacro, MacroConfig
@@ -34,6 +34,7 @@ class TestQuantProperties:
         assert np.abs(recon - values).max() <= float(scale) + 1e-9
 
     @given(finite_arrays, st.integers(2, 12))
+    @example(np.array([5e-324, 0.0]), 3)  # max|x| / qmax underflows to 0
     @settings(max_examples=60, deadline=None)
     def test_codes_in_declared_range(self, values, bits):
         spec = QuantSpec(bits=bits)
