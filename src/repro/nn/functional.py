@@ -76,7 +76,9 @@ def col2im(
     out_h = (h + 2 * ph - kh) // sh + 1
     out_w = (w + 2 * pw - kw) // sw + 1
     padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-    reshaped = cols.reshape(n, c, kh, kw, out_h, out_w)
+    # One copy of a transposed view (an einsum output, say) is cheaper
+    # than scattering from it kh * kw times; the sums are the same.
+    reshaped = np.ascontiguousarray(cols).reshape(n, c, kh, kw, out_h, out_w)
     for ki in range(kh):
         for kj in range(kw):
             padded[:, :, ki : ki + sh * out_h : sh, kj : kj + sw * out_w : sw] += reshaped[

@@ -1,11 +1,11 @@
 """The ``popcount`` backend: bit-plane GEMM over packed uint64 words.
 
 The reference-fast kernel computes the ON-cell count tensor as a
-float32 GEMM between 0/1 plane matrices.  Those planes are one *bit*
-of information per float32 lane; this backend packs them 64-per-word
-(its own program-time layout, derived like the float32 planes from the
-engine's weight codes and persisted nowhere) and replaces the GEMM with
-``popcount(w & x)`` accumulated over words.
+float32 GEMM between weight-bit-pair plane matrices and 0/1 input bits.
+Those planes hold two *bits* of information per float32 lane; this
+backend packs the weight bits 64-per-word (its own program-time layout,
+derived from the engine's weight codes and persisted nowhere) and
+replaces the GEMM with ``popcount(w & x)`` accumulated over words.
 
 For serving-sized batches the count contraction is skinny — a matrix ×
 few-vectors product — where BLAS has nothing to block over and the
@@ -16,8 +16,9 @@ performance ledger's per-kernel rows.
 
 Bitwise identity holds by construction: ON-cell counts are exact small
 integers whichever way they are contracted; the per-bit counts are
-paired into the base class's pair-table indices (``c0 + R * c1`` plus
-the pair's section offset — what its float32 GEMM emits directly), and
+paired over weight bits into the base class's pair-table indices (``c0
++ R * c1`` plus the weight-bit pair's section offset — what its float32
+GEMM emits directly), and
 everything else is the base class's pass — the same input check, the
 same pair table indexed by the same integers, the same exact
 shift-and-add, the same stats.
@@ -31,7 +32,11 @@ import numpy as np
 
 from repro.cim.macro import MacroConfig
 from repro.runtime.backends.base import register_backend
-from repro.runtime.backends.reference_fast import TiledBitSerialKernel
+from repro.runtime.backends.reference_fast import (
+    TiledBitSerialKernel,
+    _pairs,
+    _weight_bit_planes,
+)
 
 #: ``np.bitwise_count`` landed in numpy 2.0; without it this backend
 #: simply never registers as supported (no candidate, never an error).
@@ -69,11 +74,12 @@ def _pack_rows_words(bits: np.ndarray, rows: int) -> np.ndarray:
 class PopcountBitSerialKernel(TiledBitSerialKernel):
     """Packed-word popcount execution over the shared tile groups.
 
-    Only the count contraction differs from the base class: weight
+    Only the count contraction differs from the base class: weight bit
     planes are packed once at program time, input planes are packed per
     row block and block of vectors, and the count matrix is accumulated
     as ``popcount(w & x)`` per 64-row word — exact integers, one per
-    input bit — then paired into the indices the float32 GEMM emits.
+    weight bit and input bit — then paired over weight bits into the
+    indices the float32 GEMM emits.
     Validation, the shift-and-add and the stats are the base class's
     pass.  A popcount kernel is one engine's, a one-group pass; a
     grouped layer's stack contracts by the float32 GEMM.
@@ -83,19 +89,37 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
 
     def __init__(self, engine):
         super().__init__(engine)
-        #: Each pair's table-section offset as a gather-index column.
-        self._sections = self._bias[0].astype(np.intp)[:, None]
+        wb = engine.config.weight_bits
+        pairs = _pairs(wb)
+        #: Per row block: the packed planes ``(W, 2 * K)`` — every pair's
+        #: low bits in the base class's stacked ``(tile, pair, column)``
+        #: order, then its high bits — and each stacked row's table-section
+        #: offset ``(K,)``.
         self._packed_planes: List[np.ndarray] = []
+        self._sections: List[np.ndarray] = []
         for group in self._groups:
-            rows = group.row_stop - group.row_start
-            # The 0/1 planes, less the ones column the float32 GEMM
-            # carries its bias row with.
-            bits = group.planes32[0, :, :rows].astype(np.uint8).T  # (rows, wb*cols)
-            # (W, wb*cols): one contiguous row of plane words per
-            # 64-row word, so the count ufuncs' inner loop runs over
-            # the long stacked axis even for a one-vector call.
+            r0, r1 = group.row_start, group.row_stop
+            bits = _weight_bit_planes(engine.weights[None, r0:r1], wb)[0]
+            # Whole pairs, (bit of the pair, pair, column, row): an odd
+            # width's top pair has an all-zero second bit, which counts 0.
+            paired = np.zeros((2 * pairs,) + bits.shape[1:], dtype=np.uint8)
+            paired[:wb] = bits
+            paired = paired.reshape((pairs, 2) + bits.shape[1:]).swapaxes(0, 1)
+            tiles = [paired[:, :, c0:c1] for c0, c1 in group.columns]
+            stacked = np.concatenate([t.reshape(2, -1, r1 - r0) for t in tiles], axis=1)
+            # (W, 2 * K): one contiguous row of plane words per 64-row
+            # word, so the count ufuncs' inner loop runs over the long
+            # stacked axis even for a one-vector call.
             self._packed_planes.append(
-                np.ascontiguousarray(_pack_rows_words(bits, rows).T)
+                np.ascontiguousarray(
+                    _pack_rows_words(stacked.reshape(-1, r1 - r0).T, r1 - r0).T
+                )
+            )
+            self._sections.append(
+                np.concatenate(
+                    [np.repeat(np.arange(pairs), c1 - c0) for c0, c1 in group.columns]
+                )
+                * self._radix**2
             )
 
     @staticmethod
@@ -120,17 +144,16 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
             flat[group.row_start : group.row_stop, v0 * ib : v1 * ib], rows_used
         )  # (vectors*ib, W)
         # popcount(w & x) per word: exact ON-cell counts, held as
-        # (vectors*ib, wb*cols).
+        # (vectors*ib, 2 * K).
         counts = np.bitwise_count(xp[:, 0, None] & planes[0])
         if rows_used > 255:
             counts = counts.astype(np.int64)
         for w in range(1, planes.shape[0]):
             counts += np.bitwise_count(xp[:, w, None] & planes[w])
-        # Pair the per-bit counts into pair-table indices (vectors,
-        # pairs, wb*cols): c0 + R * c1 (an odd width's top pair has no
-        # c1) at the pair's section — the float32 GEMM's result
-        # transposed; shift_add's index conversion restores its C order.
-        counts = counts.reshape(v1 - v0, ib, -1)
-        indices = counts[:, 0::2] + self._sections
-        indices[:, : ib // 2] += self._radix * counts[:, 1::2].astype(np.intp)
-        return indices.reshape((v1 - v0) * len(self._sections), -1).T[None]
+        # Pair the per-bit counts over weight bits into pair-table indices
+        # (vectors*ib, K): c0 + R * c1 at the pair's section — the float32
+        # GEMM's result transposed; shift_add's index conversion restores
+        # its C order.
+        low, high = np.split(counts.astype(np.intp), 2, axis=1)
+        indices = low + self._radix * high + self._sections[b]
+        return indices.T[None]

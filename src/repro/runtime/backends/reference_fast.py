@@ -15,27 +15,30 @@ around four observations:
 
 1. ON-cell counts are exact small integers (at most the activated row
    count), so the count contraction can run as a float32 GEMM with zero
-   rounding error — and one GEMM column can carry **two** input bits.
-   With the radix ``R = rows + 1`` (an engine's tallest row block, plus
-   one) the right operand's entry for input-bit pair ``p`` is
-   ``bit[2p] + R * bit[2p + 1]``, so a GEMM entry is ``c0 + R * c1``:
-   two ON-cell counts, uniquely decodable because ``c0, c1 <= rows <
-   R``, exact in any order or blocking because every partial sum is a
-   non-negative integer below 2**24
-   (:meth:`TiledBitSerialKernel.supported`).  The macro streams one
-   activation bit per cycle; the simulator reads two per column.
+   rounding error — and one weight-plane entry can carry **two** weight
+   bits.  With the radix ``R = rows + 1`` (an engine's tallest row
+   block, plus one) the plane matrix's entry for weight-bit pair ``q``
+   is ``b[2q] + R * b[2q + 1]`` and the right operand holds one 0/1
+   input bit per column, so a GEMM entry is ``c0 + R * c1``: the ON-cell
+   counts of the pair's two bit lines, uniquely decodable because ``c0,
+   c1 <= rows < R``, exact in any order or blocking because every
+   partial sum is a non-negative integer below 2**24
+   (:meth:`TiledBitSerialKernel.supported`).  The macro digitises every
+   bit line; the simulator reads two per GEMM entry, and keeps
+   ``ceil(weight_bits / 2)`` float32 plane entries per weight resident
+   instead of ``weight_bits``.
 2. Bit-line clipping/saturation and ADC quantization are elementwise
    functions of an integer count in ``[0, rows_used]``, so both reads
    digitise in **one** gather from a program-time *pair table*
-   ``T[s * R**2 + c0 + R * c1] = w[2p] * code(c0) + w[2p + 1] *
+   ``T[q * R**2 + c0 + R * c1] = w[2q] * code(c0) + w[2q + 1] *
    code(c1)`` (:func:`_pair_table`): integer ADC codes from the exact
-   reference arithmetic, the input plane weights baked in.  Pair ``p``
-   reads section ``s = p``; a signed top pair — MSB weight
-   ``-2**(ib - 1)`` — reads the one extra section ``s = P``, and an odd
-   ``input_bits`` is a top pair whose second bit is never set.  The
-   section offset rides in the GEMM itself: a ones column on the weight
-   planes times one bias row per row block in the operand, so input
-   signedness is a row of numbers, never a branch.
+   reference arithmetic, the weight plane weights baked in.  Pair ``q``
+   reads section ``q``: a signed weight's top pair carries its MSB
+   weight ``-2**(weight_bits - 1)`` in its section, and an odd
+   ``weight_bits`` is a top pair whose second bit is never set.  The
+   section offset rides in the GEMM itself: a last column ``q * R**2``
+   on the weight planes times a ones row closing each block of the
+   operand.  One table serves signed and unsigned inputs alike.
 3. ADC codes are integers, and shift-and-add over them is exact: the
    oracle recombines the codes and applies the ADC step once per tile
    partial (:meth:`repro.cim.adc.AdcSpec.convert`), so every product
@@ -46,15 +49,17 @@ around four observations:
    8/8/5-bit default) and in float64 up to 2**53 — a program-time
    function of the configuration; past either bound the configuration
    is not :meth:`~TiledBitSerialKernel.supported` and takes the
-   reference macro path.  The operand is built **pair innermost** —
-   ``(row, vector, pair)`` — so a block of vectors is a column slice of
-   it and the input-bit fold is a sum over ``P = ceil(input_bits / 2)``
-   adjacent entries.
+   reference macro path.  The operand is built **input bit innermost**
+   — ``(row, vector, input bit)`` — so the input-bit fold is a product
+   of ``input_bits`` adjacent entries with the input plane weights,
+   where input signedness lives: a number in a weight vector, never a
+   branch.
 4. Nothing in the chain depends on its neighbours along the vector
-   axis, so the whole back half — count GEMM -> pair gather ->
-   weight-bit fold -> pair fold -> ``out += partial * step``
+   axis, so the whole back half — operand expansion -> count GEMM ->
+   pair gather -> weight-pair fold -> input-bit fold -> ``out +=
+   partial * step``
    (:meth:`_TileGroup.shift_add`) — runs per **block of vectors** sized
-   to keep one row block's indices and codes cache-resident
+   to keep one row block's operand, indices and codes cache-resident
    (:data:`_BLOCK_BYTES`), and a call with enough of it
    (:data:`_SPLIT_INDICES`) cuts its vectors into one contiguous chunk
    per core the process may use: the caller runs the first, a
@@ -62,8 +67,9 @@ around four observations:
    (:meth:`TiledBitSerialKernel._split`) — the GEMM, the gather, the
    casts and the ufuncs all release the interpreter lock.  Each output
    column is one chunk's, its row blocks added in ascending order, so
-   the cut moves no bit.  No whole-batch intermediate exists, and a
-   programmed kernel holds no per-call-shape state.
+   the cut moves no bit.  No whole-batch intermediate exists beyond
+   the codes' bytes, and a programmed kernel holds no per-call-shape
+   state.
 
 One further exact shortcut: the total ON-cell count needed for energy
 accounting factorizes over rows (both factors are exact integers).
@@ -73,11 +79,13 @@ engine's kernel, ``TiledBitSerialKernel(engine)``, is the pass of one
 group, and a grouped convolution's kernel is the same constructor over
 its groups' engines, built once from their codes — its count GEMM,
 gather and shift-and-add batched over the leading group axis, its
-per-group input signedness a per-group bias row.  Its stats are summed
-in one order (:meth:`TiledBitSerialKernel._pass_stats`): per group the
-tiles in tile order from ``0.0``, latency the slowest tile, then the
-groups in index order from ``0.0`` — the reference tile walk's order,
-chained over groups as the per-group reference chains them.
+per-group input signedness a per-group row of input plane weights in
+the input-bit fold (one weight vector when every group shares one).
+Its stats are summed in one order
+(:meth:`TiledBitSerialKernel._pass_stats`): per group the tiles in tile
+order from ``0.0``, latency the slowest tile, then the groups in index
+order from ``0.0`` — the reference tile walk's order, chained over
+groups as the per-group reference chains them.
 
 ``tests/test_runtime.py`` pins the bitwise equivalence against the
 reference path across shapes, signedness and batch extents.  Anything
@@ -102,16 +110,16 @@ from repro.cim.mvm import CimTiledMatmul
 from repro.runtime.backends.base import KernelBackend, register_backend
 
 #: Byte budget for one block of input vectors, at 8 bytes per entry of
-#: ``stacked weight-plane rows x vectors x input-bit pairs``: the
+#: ``stacked weight-plane rows x vectors x input bits``: the
 #: float32 table indices out of the GEMM and the float32 codes gathered
-#: at them.  With the gather's ``intp`` indices beside them the block's
-#: working set is ~2x this — sized to stay within a few MiB of
+#: at them.  With the gather's ``intp`` indices and the block's operand
+#: beside them the block's working set is ~2x this — sized to stay within a few MiB of
 #: last-level-private cache (re-measured on the resnet8 conv shapes:
 #: 2-8 MiB is a plateau within run-to-run noise, 0.5 MiB is ~10% slower).
 _BLOCK_BYTES = 4 << 20
 
 #: Pair-table indices a call gathers — vectors x stacked weight-plane
-#: rows x input-bit pairs, over every row block — from which its back
+#: rows x input bits, over every row block — from which its back
 #: half is split across cores; a smaller call runs inline.  Measured on
 #: two cores over the resnet8 and mobilenet kernel calls: a split call
 #: takes 1.03-2.4x the inline time below 2**18 indices (the handoff, and
@@ -161,17 +169,18 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _pairs(input_bits: int) -> int:
-    """Input-bit pairs of a code: GEMM columns, gathers and fold entries
-    per vector."""
-    return (input_bits + 1) // 2
+def _pairs(weight_bits: int) -> int:
+    """Weight-bit pairs of a code: plane-matrix rows per logical column,
+    and pair-table sections."""
+    return (weight_bits + 1) // 2
 
 
-def _block_vectors(stacked_rows: int, pairs: int) -> int:
+def _block_vectors(stacked_rows: int, input_bits: int) -> int:
     """Input vectors per block of a row block whose tiles stack
-    ``stacked_rows`` weight-plane rows: as many as keep the block's
-    indices and codes within :data:`_BLOCK_BYTES`."""
-    return max(1, _BLOCK_BYTES // (stacked_rows * pairs * 8))
+    ``stacked_rows`` weight-plane rows, at ``input_bits`` GEMM columns
+    per vector: as many as keep the block's indices and codes within
+    :data:`_BLOCK_BYTES`."""
+    return max(1, _BLOCK_BYTES // (stacked_rows * input_bits * 8))
 
 
 def _code_sum_bound(config: MacroConfig) -> int:
@@ -193,63 +202,69 @@ _BYTE_ONES = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.ui
 _byte_ones = np.bitwise_count if hasattr(np, "bitwise_count") else _BYTE_ONES.take
 
 
-@functools.lru_cache(maxsize=64)
-def _pair_values(input_bits: int, radix: int) -> Tuple[np.ndarray, ...]:
-    """The paired operand entries of every value of each byte of an
+@functools.lru_cache(maxsize=16)
+def _bit_values(input_bits: int) -> Tuple[np.ndarray, ...]:
+    """The operand entries of every value of each byte of an
     ``input_bits``-wide code: per byte one read-only float32 ``(2**bits,
-    pairs)`` array whose row ``b`` holds ``bit[2p] + radix * bit[2p + 1]``
-    of ``b`` for each of the byte's pairs (at most four).  Shared per
-    (width, radix) at program time."""
+    bits)`` array whose row ``b`` holds the 0/1 bits of ``b``, lowest
+    first.  Shared per width."""
     chunks = []
     for low in range(0, input_bits, 8):
         bits = min(8, input_bits - low)
-        pair = np.arange(1 << bits)[:, None] >> np.arange(0, bits, 2)
-        values = ((pair & 1) + radix * ((pair >> 1) & 1)).astype(np.float32)
+        values = (np.arange(1 << bits)[:, None] >> np.arange(bits)) & 1
+        values = values.astype(np.float32)
         values.flags.writeable = False
         chunks.append(values)
     return tuple(chunks)
 
 
-def _paired_operand(
-    unsigned: np.ndarray,
-    pair_values: Sequence[np.ndarray],
-    bounds: Sequence[Tuple[int, int]],
-    bias: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The count GEMM's right operand for unsigned codes ``(..., rows,
-    n)``, and the codes' per-row ON-bit totals ``(..., rows)``.
-
-    The operand is float32 ``(..., rows + len(bounds), n * pairs)``, pair
-    innermost: row block ``b`` of ``bounds`` (ascending, tiling the rows)
-    occupies rows ``r0 + b`` to ``r1 + b`` with its paired bits and row
-    ``r1 + b`` with ``bias`` ``(..., pairs)`` — the pair-table section
-    offsets the weight planes' ones column picks up — so a row block's
-    slice, bias row included, is the GEMM operand as it stands.  A block
-    of vectors is a column slice.  Each byte of the codes is expanded by
-    one gather from its :func:`_pair_values` straight into place; the
-    totals are exact integers whichever way they are counted.
-    """
-    lead, (rows, n) = unsigned.shape[:-2], unsigned.shape[-2:]
-    pairs = bias.shape[-1]
-    operand = np.empty(lead + (rows + len(bounds), n, pairs), dtype=np.float32)
-    row_ones = 0
-    for k, values in enumerate(pair_values):
+def _code_bytes(
+    unsigned: np.ndarray, input_bits: int
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """The bytes of unsigned ``input_bits``-wide codes ``(..., rows, n)``,
+    lowest first, each ``uint8`` of the codes' shape, and the codes'
+    per-row ON-bit totals ``(..., rows)`` — exact integers whichever way
+    they are counted."""
+    chunks, row_ones = [], 0
+    for low in range(0, input_bits, 8):
         # Integer casts wrap: the low byte of the shifted code.
-        byte = (unsigned >> 8 * k if k else unsigned).astype(np.uint8)
+        byte = (unsigned >> low if low else unsigned).astype(np.uint8)
         row_ones = row_ones + _byte_ones(byte).sum(axis=-1, dtype=np.float64)
-        for b, (r0, r1) in enumerate(bounds):
-            # In range by construction, so "clip" never clips; it selects
-            # numpy's unchecked, unbuffered gather loop.
-            np.take(
-                values,
-                byte[..., r0:r1, :],
-                axis=0,
-                mode="clip",
-                out=operand[..., r0 + b : r1 + b, :, 4 * k : 4 * k + values.shape[1]],
-            )
-    for b, (_, r1) in enumerate(bounds):
-        operand[..., r1 + b, :, :] = bias[..., None, :]
-    return operand.reshape(lead + (rows + len(bounds), n * pairs)), row_ones
+        chunks.append(byte)
+    return chunks, row_ones
+
+
+def _bit_operand(
+    code_bytes: Sequence[np.ndarray],
+    bit_values: Sequence[np.ndarray],
+    r0: int,
+    r1: int,
+    v0: int,
+    v1: int,
+) -> np.ndarray:
+    """The count GEMM's right operand for rows ``r0`` to ``r1`` and
+    vectors ``v0`` to ``v1`` of the codes whose bytes are ``code_bytes``
+    (:func:`_code_bytes`): float32 ``(..., r1 - r0 + 1, (v1 - v0) *
+    input_bits)``, input bit innermost, its 0/1 bits then a row of ones
+    — they pick up the pair-table section offsets in the weight planes'
+    last column.  Each byte is expanded by one gather from its
+    :func:`_bit_values` straight into place.
+    """
+    lead = code_bytes[0].shape[:-2]
+    width = sum(values.shape[1] for values in bit_values)
+    operand = np.empty(lead + (r1 - r0 + 1, v1 - v0, width), dtype=np.float32)
+    for k, (byte, values) in enumerate(zip(code_bytes, bit_values)):
+        # In range by construction, so "clip" never clips; it selects
+        # numpy's unchecked, unbuffered gather loop.
+        np.take(
+            values,
+            byte[..., r0:r1, v0:v1],
+            axis=0,
+            mode="clip",
+            out=operand[..., :-1, :, 8 * k : 8 * k + values.shape[1]],
+        )
+    operand[..., -1, :, :] = 1.0
+    return operand.reshape(lead + (r1 - r0 + 1, (v1 - v0) * width))
 
 
 def _weight_bit_planes(codes: np.ndarray, weight_bits: int) -> np.ndarray:
@@ -273,7 +288,8 @@ def _weight_bit_planes(codes: np.ndarray, weight_bits: int) -> np.ndarray:
 def _pair_table(config: MacroConfig, rows: int, radix: int) -> Tuple[np.ndarray, float]:
     """The pair table of a ``rows``-row block read at ``radix``, and the
     ADC step its codes are scaled by: one shared read-only array per
-    distinct (rows, radix, circuit, input bits), built at program time."""
+    distinct (rows, radix, circuit, weight encoding), built at program
+    time."""
     bitline = config.bitline  # noise-free, so observe() reads these two
     return _shared_pair_table(
         rows,
@@ -281,18 +297,21 @@ def _pair_table(config: MacroConfig, rows: int, radix: int) -> Tuple[np.ndarray,
         config.adc,
         bitline.max_rows,
         bitline.saturation,
-        config.input_bits,
+        config.weight_bits,
+        config.signed_weights,
         _accumulator_dtype(config),
     )
 
 
 @functools.lru_cache(maxsize=64)
-def _shared_pair_table(rows, radix, adc, max_rows, saturation, input_bits, dtype):
-    """``table[s * radix**2 + c0 + radix * c1] = w0 * code(c0) + w1 *
-    code(c1)`` over ``c0, c1`` in ``[0, rows]``, where ``(w0, w1)`` are
-    the input plane weights of section ``s``'s bit pair: sections ``0``
-    to ``P - 1`` the pairs of an unsigned code (a missing top bit weighs
-    nothing), section ``P`` the top pair of a signed one.
+def _shared_pair_table(
+    rows, radix, adc, max_rows, saturation, weight_bits, signed_weights, dtype
+):
+    """``table[q * radix**2 + c0 + radix * c1] = w[2q] * code(c0) +
+    w[2q + 1] * code(c1)`` over ``c0, c1`` in ``[0, rows]``, one section
+    per weight-bit pair ``q``, where ``w`` are the weight plane weights
+    (:func:`plane_weights`): a signed code's MSB weighs ``-2**(wb - 1)``
+    and an odd width's missing top bit weighs nothing.
 
     ``code`` is the bit-line observation + ADC conversion of an integer
     count with the exact reference arithmetic; entries unreachable from
@@ -303,39 +322,29 @@ def _shared_pair_table(rows, radix, adc, max_rows, saturation, input_bits, dtype
     domain = np.arange(rows + 1, dtype=np.float64)
     bitline = BitlineModel(max_rows=max_rows, saturation=saturation)
     codes, step = adc.convert(bitline.observe(domain, None), float(rows))
-    pairs = _pairs(input_bits)
-    weights = np.zeros((2, 2 * pairs))
-    weights[0, :input_bits] = plane_weights(input_bits, False)
-    weights[1, :input_bits] = plane_weights(input_bits, True)
-    weights = weights.reshape(2, pairs, 2)
-    table = np.zeros((pairs + 1, radix, radix), dtype=dtype)
-    for section, (w0, w1) in zip(table, np.concatenate([weights[0], weights[1, -1:]])):
+    pairs = _pairs(weight_bits)
+    weights = np.zeros(2 * pairs)
+    weights[:weight_bits] = plane_weights(weight_bits, signed_weights)
+    table = np.zeros((pairs, radix, radix), dtype=dtype)
+    for section, (w0, w1) in zip(table, weights.reshape(pairs, 2)):
         section[: rows + 1, : rows + 1] = np.add.outer(w1 * codes, w0 * codes)
     table = table.reshape(-1)
     table.flags.writeable = False
     return table, step
 
 
-def _section_offsets(config: MacroConfig, radix: int) -> np.ndarray:
-    """The pair-table offset of each input-bit pair's section — the
-    operand's bias row: pair ``p`` reads section ``p``, a signed top
-    pair section ``P``."""
-    sections = np.arange(_pairs(config.input_bits))
-    if config.signed_inputs:
-        sections[-1] += 1
-    return (sections * radix**2).astype(np.float32)
-
-
 class _TileGroup:
     """Tiles sharing one row block, executed through one fused GEMM.
 
-    Column tiles of the same rows consume the same paired operand, so
-    their float32 weight-plane matrices are stacked into one operand:
-    one GEMM and one pair gather cover the whole block
-    (:meth:`shift_add`), and each tile's slice of the result is a
-    contiguous view; ``columns`` holds each tile's ``(col_start,
-    col_stop)``.  The per-group arrays, ``planes32`` and
-    ``row_weights``, lead with the group axis.
+    Column tiles of the same rows consume the same operand, so their
+    float32 weight-plane matrices are stacked into one operand: one GEMM
+    and one pair gather cover the whole block (:meth:`shift_add`), and
+    each tile's slice of the result is a contiguous view; ``columns``
+    holds each tile's ``(col_start, col_stop)``.  The per-group arrays,
+    ``planes32`` and ``row_weights``, lead with the group axis;
+    ``input_weights`` — the input-bit fold's plane weights — is one
+    ``(input_bits,)`` vector when every group shares a signedness, else
+    one row per group.
 
     Everything here is derived from ``codes`` — the row block's ``(G,
     rows, columns)`` slice of the groups' integer weight codes, the one
@@ -351,23 +360,30 @@ class _TileGroup:
         codes: np.ndarray,
         radix: int,
         config: MacroConfig,
+        input_weights: np.ndarray,
     ):
         self.row_start = row_start
         self.row_stop = row_stop
         self.columns = columns
         groups, rows = codes.shape[0], row_stop - row_start
         wb = config.weight_bits
-        self.offsets = np.cumsum([0] + [wb * (c1 - c0) for c0, c1 in columns]).tolist()
-        # Stacked planes: tile after tile, each ``(weight bit, column)``
-        # major over the block's rows — gathered as narrow words, then
-        # widened to float32 in one contiguous pass — and a ones column
-        # that carries the operand's bias row through the GEMM.
+        pairs = _pairs(wb)
+        widths = [pairs * (c1 - c0) for c0, c1 in columns]
+        self.offsets = np.cumsum([0] + widths).tolist()
+        # Stacked planes: tile after tile, each ``(weight-bit pair,
+        # column)`` major over the block's rows — ``b[2q] + R * b[2q + 1]``
+        # (an odd width's top pair has no second bit) — then a last
+        # column with the pair's table-section offset, which the
+        # operand's ones row carries through the GEMM.
         bits = _weight_bit_planes(codes, wb)
-        stacked = np.ones((groups, self.offsets[-1], rows + 1), dtype=bits.dtype)
+        low, high = bits[:, 0::2], bits[:, 1::2]
+        sections = np.arange(pairs, dtype=np.float32)[:, None] * radix**2
+        self.planes32 = np.empty((groups, self.offsets[-1], rows + 1), dtype=np.float32)
         for (c0, c1), k0, k1 in zip(columns, self.offsets, self.offsets[1:]):
-            tile = stacked[:, k0:k1].reshape(groups, wb, c1 - c0, rows + 1)
-            tile[..., :rows] = bits[:, :, c0:c1]
-        self.planes32 = stacked.astype(np.float32)
+            tile = self.planes32[:, k0:k1].reshape(groups, pairs, c1 - c0, rows + 1)
+            tile[..., :rows] = low[:, :, c0:c1]
+            tile[:, : wb // 2, :, :rows] += high[:, :, c0:c1] * np.float32(radix)
+            tile[..., rows] = sections
         # Each tile's programmed ON cells per row, then a row of ones:
         # one product with a group's per-row input ON bits gives every
         # tile's ON-cell total and the block's activated rows — exact
@@ -383,34 +399,41 @@ class _TileGroup:
             out=self.row_weights[:, :-1],
         )
         self.pair_table, self.step = _pair_table(config, rows, radix)
-        dtype = self.pair_table.dtype
-        self.plane_weights = plane_weights(wb, config.signed_weights).astype(dtype)
-        self.pair_ones = np.ones(_pairs(config.input_bits), dtype=dtype)
+        self.pair_ones = np.ones(pairs, dtype=self.pair_table.dtype)
+        self.input_weights = input_weights
 
     def shift_add(self, indices: np.ndarray, out: np.ndarray) -> None:
         """Digitize pair-table ``indices`` ``(G, stacked rows, vectors *
-        pairs)`` (exact integers in any numeric dtype, any memory order)
-        and add the row block's partial sums into float64 ``out`` ``(G,
-        columns, vectors)``.
+        input bits)`` (exact integers in any numeric dtype, any memory
+        order) and add the row block's partial sums into float64 ``out``
+        ``(G, columns, vectors)``.
 
-        One gather of weighted code pairs; then per tile the weight bit
-        folds first — one product over the long contiguous axis — and
-        the pair entries of the ``weight_bits`` times smaller result
-        after it: integer arithmetic throughout, exact in the table's
-        dtype whichever way it is ordered, then one rounding per element
-        — ``partial * step``, the oracle's.
+        One gather of weighted code pairs; then per tile the weight-bit
+        pairs fold first — one product over the long contiguous axis —
+        and the input bits of the pairs-times smaller result after it,
+        with the input plane weights — one product for the whole stack
+        when its groups share a signedness, one per group otherwise:
+        integer arithmetic throughout, exact in the table's dtype
+        whichever way it is ordered, then one rounding per element —
+        ``partial * step``, the oracle's.
         """
         # Indices are in range by construction, so "clip" never clips;
         # it selects numpy's unchecked, unbuffered gather loop.
         codes = np.take(
             self.pair_table, indices.astype(np.intp, order="C"), mode="clip"
         )
-        groups = codes.shape[0]
-        wb, pairs = self.plane_weights.size, self.pair_ones.size
+        groups, pairs = codes.shape[0], self.pair_ones.size
+        weights = self.input_weights
+        input_bits = weights.shape[-1]
         for (c0, c1), k0, k1 in zip(self.columns, self.offsets, self.offsets[1:]):
-            planes = codes[:, k0:k1].reshape(groups, wb, -1)
-            partial = np.matmul(self.plane_weights, planes)
-            partial = np.matmul(partial.reshape(-1, pairs), self.pair_ones)
+            planes = codes[:, k0:k1].reshape(groups, pairs, -1)
+            partial = np.matmul(self.pair_ones, planes)
+            if weights.ndim == 1:
+                partial = np.matmul(partial.reshape(-1, input_bits), weights)
+            else:
+                partial = np.matmul(
+                    partial.reshape(groups, -1, input_bits), weights[..., None]
+                )
             out[:, c0:c1] += np.multiply(
                 partial.reshape(groups, c1 - c0, -1),
                 self.step,
@@ -429,9 +452,9 @@ class TiledBitSerialKernel(KernelBackend):
     (:class:`_TileGroup`).  Either way :meth:`matmul` runs one body over
     ``(G, rows, n)`` codes and mirrors :meth:`CimTiledMatmul.matmul` for
     every group exactly — per-tile partial sums accumulate in tile
-    order, stats follow :meth:`_pass_stats` — while fusing the paired
-    operand's expansion (once per call) and the count GEMM, pair gather
-    and shift-and-add (once per row block and block of vectors) across
+    order, stats follow :meth:`_pass_stats` — while fusing the operand's
+    expansion into input bits, the count GEMM, pair gather and
+    shift-and-add (once per row block and block of vectors) across
     tiles and groups — every step exact per element, so the pass over
     ``G`` engines is bitwise each group's pass, stats chained in index
     order.  ``engine`` is the first group's: the geometry and circuit
@@ -459,9 +482,6 @@ class TiledBitSerialKernel(KernelBackend):
         blocks: dict = {}
         for r0, r1, c0, c1 in engine.tile_bounds():
             blocks.setdefault((r0, r1), []).append((c0, c1))
-        #: Row blocks, ascending; block ``b`` reads operand rows
-        #: ``r0 + b`` to ``r1 + b`` inclusive (its bias row last).
-        self._bounds = list(blocks)
         #: One radix per pass: its tallest row block, plus one.
         self._radix = max(r1 - r0 for r0, r1 in blocks) + 1
         # One group's codes need no copy.
@@ -469,17 +489,23 @@ class TiledBitSerialKernel(KernelBackend):
             codes = engine.weights[None]
         else:
             codes = np.stack([e.weights for e in engines])
-        self._groups = [
-            _TileGroup(r0, r1, columns, codes[:, r0:r1], self._radix, engine.config)
-            for (r0, r1), columns in blocks.items()
-        ]
-        self._pair_values = _pair_values(engine.config.input_bits, self._radix)
-        #: Per-group bias rows ``(G, pairs)`` and input ranges ``(G, 2)``,
-        #: one ``(low, high)`` per group: signedness is per group, and all
-        #: it selects is the top pair's table section and the codes
-        #: accepted.
+        # Signedness is per group, and all it selects is the input
+        # plane weights of the input-bit fold and the codes accepted.
+        ib = engine.config.input_bits
         sign = np.array([e.config.signed_inputs for e in engines], dtype=np.intp)
-        self._bias = np.array([_section_offsets(c, self._radix) for c in circuit])[sign]
+        weights = np.array(
+            [plane_weights(ib, signed) for signed in (False, True)],
+            dtype=_accumulator_dtype(engine.config),
+        )
+        input_weights = weights[sign[0]] if (sign == sign[0]).all() else weights[sign]
+        self._groups = [
+            _TileGroup(
+                r0, r1, cols, codes[:, r0:r1], self._radix, engine.config, input_weights
+            )
+            for (r0, r1), cols in blocks.items()
+        ]
+        self._bit_values = _bit_values(ib)
+        #: Per-group input ranges ``(G, 2)``, one ``(low, high)`` per group.
         self._ranges = np.array([c.input_range() for c in circuit])[sign]
         #: The range every group accepts.
         self._accepted = (self._ranges[:, 0].max(), self._ranges[:, 1].min())
@@ -487,11 +513,11 @@ class TiledBitSerialKernel(KernelBackend):
 
     def _count_vector_indices(self) -> int:
         """Pair-table indices one input vector costs the pass: every
-        group's stacked rows times the input-bit pairs, over the row
-        blocks — the measure :data:`_SPLIT_INDICES` is set in."""
-        pairs = self._bias.shape[-1]
+        group's stacked rows times the input bits, over the row blocks —
+        the measure :data:`_SPLIT_INDICES` is set in."""
+        ib = self.engine.config.input_bits
         return sum(
-            group.planes32.shape[0] * group.planes32.shape[1] * pairs
+            group.planes32.shape[0] * group.planes32.shape[1] * ib
             for group in self._groups
         )
 
@@ -499,14 +525,15 @@ class TiledBitSerialKernel(KernelBackend):
     def supported(config: MacroConfig) -> bool:
         """True when the fast path is bit-exact for this configuration:
         a noise-free bit line, a shift-and-add whose every partial sum
-        is an integer float64 holds exactly, and a pair table — ``P + 1``
-        sections of ``(rows + 1)**2`` — whose every index, and so every
-        partial sum of the float32 count GEMM, is below 2**24."""
+        is an integer float64 holds exactly, and a pair table — ``Q =
+        ceil(weight_bits / 2)`` sections of ``(rows + 1)**2`` — whose
+        every index, and so every partial sum of the float32 count GEMM,
+        is below 2**24."""
         return (
             config.bitline is not None
             and config.bitline.noise_sigma_counts == 0
             and _code_sum_bound(config) < 1 << 53
-            and (_pairs(config.input_bits) + 1) * (config.rows + 1) ** 2 <= 1 << 24
+            and _pairs(config.weight_bits) * (config.rows + 1) ** 2 <= 1 << 24
         )
 
     def matmul(self, x: np.ndarray) -> Tuple[np.ndarray, MacroStats]:
@@ -516,33 +543,32 @@ class TiledBitSerialKernel(KernelBackend):
         x = np.asarray(x)
         # Every buffer below is allocated per call: programmed kernels
         # are shared across threads.  The unsigned codes die with the
-        # expansion, before the block loop's peak.
-        operand, row_ones = self._expand(self._serial_codes(x))
+        # split into bytes, before the block loop's peak.
+        expanded, row_ones = self._expand(self._serial_codes(x))
         groups, n = row_ones.shape[0], x.shape[-1] if x.ndim > 1 else 1
         out = np.zeros((groups, self.engine.shape[1], n))
         if n * self._vector_indices >= _SPLIT_INDICES and min(_WORKERS, n) > 1:
-            self._split(operand, out, min(_WORKERS, n))
+            self._split(expanded, out, min(_WORKERS, n))
         else:
-            self._back_half(operand, out, 0, n)
+            self._back_half(expanded, out, 0, n)
         if x.ndim < 3:
             out = out[0, :, 0] if x.ndim == 1 else out[0]
         return out, self._pass_stats(row_ones, n)
 
-    def _back_half(
-        self, operand: np.ndarray, out: np.ndarray, v0: int, v1: int
-    ) -> None:
-        """Count GEMM -> pair gather -> shift-and-add for vectors ``v0``
+    def _back_half(self, expanded, out: np.ndarray, v0: int, v1: int) -> None:
+        """Operand -> count GEMM -> pair gather -> shift-and-add for
+        ``expanded`` (what :meth:`_expand` returned) and vectors ``v0``
         to ``v1``, into ``out[..., v0:v1]``: the row blocks in ascending
         order, each in cache-sized blocks of vectors (the budget covers
         the stacked planes of every group)."""
-        groups, pairs = out.shape[0], self._bias.shape[-1]
+        groups, ib = out.shape[0], self.engine.config.input_bits
         for b, group in enumerate(self._groups):
-            width = _block_vectors(groups * group.planes32.shape[1], pairs)
+            width = _block_vectors(groups * group.planes32.shape[1], ib)
             for w0 in range(v0, v1, width):
                 w1 = min(w0 + width, v1)
-                group.shift_add(self._contract(operand, b, w0, w1), out[:, :, w0:w1])
+                group.shift_add(self._contract(expanded, b, w0, w1), out[:, :, w0:w1])
 
-    def _split(self, operand: np.ndarray, out: np.ndarray, chunks: int) -> None:
+    def _split(self, expanded, out: np.ndarray, chunks: int) -> None:
         """:meth:`_back_half` over ``chunks`` contiguous ranges of the
         vector axis: the calling thread runs the first, the pool the
         rest — and once done with its own, the caller takes back and
@@ -555,13 +581,13 @@ class TiledBitSerialKernel(KernelBackend):
         first, *rest = zip(edges, edges[1:])
         pool = _executor()
         futures = [
-            pool.submit(self._back_half, operand, out, *chunk) for chunk in rest
+            pool.submit(self._back_half, expanded, out, *chunk) for chunk in rest
         ]
         try:
-            self._back_half(operand, out, *first)
+            self._back_half(expanded, out, *first)
             for future, chunk in zip(futures, rest):
                 if future.cancel():
-                    self._back_half(operand, out, *chunk)
+                    self._back_half(expanded, out, *chunk)
         finally:
             # Whatever raised: once this returns, no chunk still writes.
             started = [future for future in futures if not future.cancel()]
@@ -602,25 +628,25 @@ class TiledBitSerialKernel(KernelBackend):
         mask = (1 << self.engine.config.input_bits) - 1
         return np.asarray(codes, dtype=np.int64) & mask
 
-    def _expand(self, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The count contraction's right operand for unsigned codes
-        ``(G, rows, n)`` — the paired operand — and the codes' per-row
-        ON-bit totals ``(G, rows)``."""
-        return _paired_operand(codes, self._pair_values, self._bounds, self._bias)
+    def _expand(self, codes: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
+        """What the count contraction reads of unsigned codes ``(G, rows,
+        n)`` — their bytes — and the codes' per-row ON-bit totals ``(G,
+        rows)``."""
+        return _code_bytes(codes, self.engine.config.input_bits)
 
-    def _contract(self, operand: np.ndarray, b: int, v0: int, v1: int) -> np.ndarray:
-        """Pair-table indices ``(G, stacked rows, vectors * pairs)`` of row
-        block ``b`` for vectors ``v0`` to ``v1``: one batched float32
-        GEMM for every column tile of the block and every group, its
-        result C-contiguous ``(g, k, c, n, p)``."""
+    def _contract(
+        self, code_bytes: List[np.ndarray], b: int, v0: int, v1: int
+    ) -> np.ndarray:
+        """Pair-table indices ``(G, stacked rows, vectors * input bits)``
+        of row block ``b`` for vectors ``v0`` to ``v1``: the block's
+        operand, built in place, then one batched float32 GEMM for every
+        column tile of the block and every group, its result C-contiguous
+        ``(g, q, c, n, j)``."""
         group = self._groups[b]
-        pairs = self._bias.shape[-1]
-        return np.matmul(
-            group.planes32,
-            operand[
-                :, group.row_start + b : group.row_stop + b + 1, v0 * pairs : v1 * pairs
-            ],
+        operand = _bit_operand(
+            code_bytes, self._bit_values, group.row_start, group.row_stop, v0, v1
         )
+        return np.matmul(group.planes32, operand)
 
     def _pass_stats(self, row_ones: np.ndarray, n: int) -> MacroStats:
         """The pass's :class:`MacroStats` from the groups' per-row input

@@ -301,8 +301,8 @@ class _GroupStack:
     one bit-serial pass with a group axis: one group's engine's own
     kernel, or a :class:`TiledBitSerialKernel` built once over the
     groups' tiled engines, in which a group's input signedness is one
-    row of numbers (the pair-table section its top input-bit pair
-    reads), so a mixed-sign layer is still one pass.
+    row of numbers (the input plane weights its input bits are folded
+    with), so a mixed-sign layer is still one pass.
 
     Valid for exactly the engine objects it was built from
     (``engines``, held strongly and compared by identity): re-programmed

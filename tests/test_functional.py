@@ -63,6 +63,14 @@ class TestIm2Col:
         rhs = (x * F.col2im(c, x.shape, (3, 3), (2, 2), (1, 1))).sum()
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
+    def test_col2im_on_a_transposed_view_is_byte_equal(self):
+        # The input-gradient contraction hands col2im a transposed view.
+        view = RNG.normal(size=(144, 2, 49)).transpose(1, 0, 2)
+        assert not view.flags.c_contiguous
+        args = ((2, 16, 7, 7), (3, 3), (1, 1), (1, 1))
+        copy = np.ascontiguousarray(view)
+        assert F.col2im(view, *args).tobytes() == F.col2im(copy, *args).tobytes()
+
 
 class TestConv2d:
     @pytest.mark.parametrize(

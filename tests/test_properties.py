@@ -365,10 +365,10 @@ class TestVectorBlockProperties:
         config = engine.config
         kernel = TiledBitSerialKernel(engine)
         stacked = kernel._groups[0].planes32.shape[-2]
-        pairs = reference_fast._pairs(config.input_bits)
-        budget = stacked * pairs * 8 * step
+        ib = config.input_bits
+        budget = stacked * ib * 8 * step
         with mock.patch.object(reference_fast, "_BLOCK_BYTES", budget):
-            assert reference_fast._block_vectors(stacked, pairs) == step
+            assert reference_fast._block_vectors(stacked, ib) == step
             for _ in range(2):  # a call leaves no state behind
                 out, stats = kernel.matmul(x)
                 assert out.tobytes() == ref.tobytes()
@@ -398,13 +398,13 @@ from repro.cim import BitlineModel
 def shift_add_cases(draw):
     """A multi-tile engine — ragged last column tile, a row count that
     does not divide the tile, so its last row block is shorter than the
-    engine's radix — over the bit widths (odd input widths included),
-    ADC resolutions, input signedness and bit-line saturation that shape
-    the pair table, with a batch of one to three vector blocks.  One
-    draw in three saturates: all-ones weights under all-ones
-    activations, every bit line of every pair counting ``c0 = c1 =
-    rows``."""
-    wb = draw(st.sampled_from((1, 2, 4, 8)))
+    engine's radix — over the bit widths (odd weight and input widths
+    included), ADC resolutions, weight and input signedness and bit-line
+    saturation that shape the pair table, with a batch of one to three
+    vector blocks.  One draw in three saturates: all-ones weights under
+    all-ones activations, both bit lines of every weight-bit pair
+    counting ``c0 = c1 = rows``."""
+    wb = draw(st.sampled_from((1, 2, 3, 4, 5, 8)))
     ib = draw(st.sampled_from((1, 2, 3, 4, 5, 7, 8)))
     tile_rows = draw(st.sampled_from((8, 32, 128)))
     tile_cols = draw(st.sampled_from((2, 4, 16)))
@@ -413,6 +413,7 @@ def shift_add_cases(draw):
         phys_columns=tile_cols * wb,
         weight_bits=wb,
         input_bits=ib,
+        signed_weights=draw(st.booleans()),
         signed_inputs=draw(st.booleans()),
         adc=AdcSpec(bits=draw(st.sampled_from((2, 3, 5, 8)))),
         bitline=BitlineModel(
@@ -425,8 +426,8 @@ def shift_add_cases(draw):
     n = draw(st.integers(1, 3 * step))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     if draw(st.sampled_from((False, False, True))):
-        # Two's complement -1: every bit of every code set.
-        weights = np.full((rows, cols), -1)
+        # Two's complement -1, or the top unsigned code: every bit set.
+        weights = np.full((rows, cols), -1 if config.signed_weights else 2**wb - 1)
         x = np.full((rows, n), -1 if config.signed_inputs else config.input_range()[1])
     else:
         low, high = config.weight_range()
@@ -436,11 +437,10 @@ def shift_add_cases(draw):
     return CimTiledMatmul(weights, config), x, step
 
 
-#: What input-bit pairing adds, as the generated cases must reach it.
+#: What weight-bit pairing adds, as the generated cases must reach it.
 PAIRING_CASES = {
-    "odd width: a top pair of one bit",
-    "signed top pair: the extra table section",
-    "signed top pair of one bit",
+    "odd weight width: a top pair of one bit",
+    "signed-weight top pair",
     "row block shorter than the radix",
     "c0 = c1 = rows on the tallest row block",
 }
@@ -448,12 +448,11 @@ PAIRING_CASES = {
 
 def _probe_pairing(kernel, reached):
     """Decode every pair-table index the kernel's row blocks are handed
-    (``section * R**2 + c0 + R * c1``) and count which of
-    :data:`PAIRING_CASES` the call reached."""
+    (``q * R**2 + c0 + R * c1``, ``q`` the weight-bit pair) and count
+    which of :data:`PAIRING_CASES` the call reached."""
     radix = kernel._radix
     config = kernel.engine.config
-    pairs = reference_fast._pairs(config.input_bits)
-    odd = config.input_bits % 2 == 1
+    top = reference_fast._pairs(config.weight_bits) - 1
 
     def spy(group):
         real = group.shift_add
@@ -462,13 +461,14 @@ def _probe_pairing(kernel, reached):
         def shift_add(indices, out):
             section, digits = np.divmod(np.asarray(indices, dtype=np.int64), radix**2)
             c1, c0 = np.divmod(digits, radix)
-            assert c0.max() <= rows and c1.max() <= rows and section.max() <= pairs
-            if odd:
-                reached["odd width: a top pair of one bit"] += 1
-                assert not c1[section >= pairs - 1].any()
-            if (section == pairs).any():
-                reached["signed top pair: the extra table section"] += 1
-                reached["signed top pair of one bit"] += odd
+            assert c0.max() <= rows and c1.max() <= rows and section.max() <= top
+            # The top pair's bit lines hold the MSB of the code.
+            msb = c1 if config.weight_bits % 2 == 0 else c0
+            if config.weight_bits % 2 == 1:
+                reached["odd weight width: a top pair of one bit"] += 1
+                assert not c1[section == top].any()
+            if config.signed_weights and msb[section == top].any():
+                reached["signed-weight top pair"] += 1
             if rows < radix - 1:
                 reached["row block shorter than the radix"] += 1
             elif ((c0 == rows) & (c1 == rows)).any():
@@ -485,7 +485,7 @@ def _block_budget(kernel, step):
     """``_BLOCK_BYTES`` at which the tallest row block runs ``step``
     vectors per block."""
     stacked = max(group.planes32.shape[-2] for group in kernel._groups)
-    return stacked * reference_fast._pairs(kernel.engine.config.input_bits) * 8 * step
+    return stacked * kernel.engine.config.input_bits * 8 * step
 
 
 def _cut_changes_bytes(matmul, x):
@@ -505,17 +505,17 @@ def _float_table_mutant(engine):
     kernel = TiledBitSerialKernel(engine)
     for group in kernel._groups:
         group.pair_table = group.pair_table.astype(np.float64) * group.step
-        group.plane_weights = group.plane_weights.astype(np.float64)
         group.pair_ones = group.pair_ones.astype(np.float64)
+        group.input_weights = group.input_weights.astype(np.float64)
         group.step = 1.0
     return kernel
 
 
 def _short_radix_mutant(engine):
-    """The kernel reading its pairs at radix ``rows`` instead of ``rows +
-    1``: within a section ``c0 + rows * c1``, where a full bit line
-    (``c0 = rows``) aliases ``(0, c1 + 1)``.  Every other entry moves to
-    its new index intact."""
+    """The kernel reading its weight-bit pairs at radix ``rows`` instead
+    of ``rows + 1``: within a section ``c0 + rows * c1``, where a full
+    bit line (``c0 = rows``) aliases ``(0, c1 + 1)``.  Every other entry
+    moves to its new index intact."""
     kernel = TiledBitSerialKernel(engine)
     radix = kernel._radix
     c1, c0 = np.divmod(np.arange(radix**2), radix)
@@ -525,19 +525,21 @@ def _short_radix_mutant(engine):
         mutant = np.zeros_like(table)
         mutant[:, (c0 + (radix - 1) * c1)[unaliased]] = table[:, unaliased]
         group.pair_table = mutant.reshape(-1)
-    kernel._pair_values = reference_fast._pair_values(
-        engine.config.input_bits, radix - 1
-    )
+        # b[2q] + R * b[2q + 1] -> b[2q] + (R - 1) * b[2q + 1]; the
+        # section offsets in the last column stay.
+        planes = group.planes32.copy()
+        planes[..., :-1] -= planes[..., :-1] // radix
+        group.planes32 = planes
     return kernel
 
 
-def _unsigned_section_mutant(engine):
-    """The kernel gathering a signed code's top pair from the unsigned
-    code's section: the MSB weighs ``+2**(ib - 1)``."""
+def _unsigned_fold_mutant(engine):
+    """The kernel folding a signed code's input bits with the unsigned
+    code's plane weights: the MSB weighs ``+2**(ib - 1)``."""
     kernel = TiledBitSerialKernel(engine)
-    kernel._bias = reference_fast._section_offsets(
-        replace(engine.config, signed_inputs=False), kernel._radix
-    )
+    unsigned = plane_weights(engine.config.input_bits, False)
+    for group in kernel._groups:
+        group.input_weights = unsigned.astype(group.input_weights.dtype)
     return kernel
 
 
@@ -594,11 +596,11 @@ class TestShiftAddProperties:
         # The witness is the table, not the harness: unmutated, it holds.
         assert not _cut_changes_bytes(TiledBitSerialKernel(engine).matmul, x)
 
-    @pytest.mark.parametrize("mutant", [_short_radix_mutant, _unsigned_section_mutant])
+    @pytest.mark.parametrize("mutant", [_short_radix_mutant, _unsigned_fold_mutant])
     def test_pairing_mutants_do_not_match_the_reference(self, mutant):
-        """So has the first: a radix one short of ``rows + 1`` and a
-        signed top pair read from the unsigned section each differ from
-        the tile walk on some drawn case."""
+        """So has the first: a radix one short of ``rows + 1`` and signed
+        input bits folded with the unsigned plane weights each differ
+        from the tile walk on some drawn case."""
 
         def differs(case):
             engine, x, _ = case
@@ -620,28 +622,27 @@ class TestPairTable:
     """The table-level statement of what one gather returns."""
 
     @pytest.mark.parametrize("signed", [False, True])
-    @pytest.mark.parametrize("input_bits", [1, 2, 5, 8])
+    @pytest.mark.parametrize("weight_bits", [1, 2, 5, 8])
     @pytest.mark.parametrize("rows,radix", [(8, 9), (5, 9), (128, 129)])
-    def test_every_entry_is_the_weighted_code_pair(self, rows, radix, input_bits, signed):
+    def test_every_entry_is_the_weighted_code_pair(self, rows, radix, weight_bits, signed):
         config = MacroConfig(
-            rows=radix - 1, input_bits=input_bits, signed_inputs=signed,
-            adc=AdcSpec(bits=3),
+            rows=radix - 1, phys_columns=16 * weight_bits, weight_bits=weight_bits,
+            signed_weights=signed, adc=AdcSpec(bits=3),
         )
         table, step = reference_fast._pair_table(config, rows, radix)
-        offsets = reference_fast._section_offsets(config, radix)
         code, oracle_step = config.adc.convert(
             config.bitline.observe(np.arange(rows + 1.0), None), float(rows)
         )
         assert step == oracle_step
         # An odd width's top pair has no second bit: it weighs nothing.
-        weights = np.append(plane_weights(input_bits, signed), 0.0)
-        pairs = reference_fast._pairs(input_bits)
-        assert offsets.shape == (pairs,) and table.size == (pairs + 1) * radix**2
-        for p, offset in enumerate(offsets.astype(int)):
+        weights = np.append(plane_weights(weight_bits, signed), 0.0)
+        pairs = reference_fast._pairs(weight_bits)
+        assert table.size == pairs * radix**2
+        for q in range(pairs):
             for c0 in range(rows + 1):
                 for c1 in range(rows + 1):
-                    assert table[offset + c0 + radix * c1] == (
-                        weights[2 * p] * code[c0] + weights[2 * p + 1] * code[c1]
+                    assert table[q * radix**2 + c0 + radix * c1] == (
+                        weights[2 * q] * code[c0] + weights[2 * q + 1] * code[c1]
                     )
 
     def test_tables_are_shared_and_read_only(self):
@@ -734,11 +735,14 @@ class TestGroupedLayerProperties:
         pass_matmul = TiledBitSerialKernel.matmul
 
         def matmul(kernel, codes):
-            # Per-group signedness is the top pair's section, a bias row.
-            top = kernel._bias[:, -1]
-            if top.size > 1:  # a grouped layer's stack, not a lone group
-                reached["one signedness"] += bool(top.min() == top.max())
-                reached["mixed-signedness stack"] += bool(top.min() != top.max())
+            # Per-group signedness is the input-bit fold's plane weights:
+            # one vector for the stack, or one row per group.
+            weights = kernel._groups[0].input_weights
+            if len(kernel._ranges) > 1:  # a grouped layer's stack, not a lone group
+                reached["one signedness"] += weights.ndim == 1
+                if weights.ndim == 2:
+                    top = weights[:, -1]
+                    reached["mixed-signedness stack"] += bool(top.min() != top.max())
             return pass_matmul(kernel, codes)
 
         @given(grouped_layer_cases())

@@ -295,7 +295,7 @@ def _block_of(kernel):
     group = kernel._groups[0]
     return reference_fast._block_vectors(
         group.planes32.shape[0] * group.planes32.shape[-2],
-        reference_fast._pairs(kernel.engine.config.input_bits),
+        kernel.engine.config.input_bits,
     )
 
 
@@ -349,10 +349,10 @@ def _assert_split_matches_tile_walk(kernel, engines, seed):
 def _reversed_row_blocks(self, operand, out, v0, v1):
     """``TiledBitSerialKernel._back_half`` with a chunk's row blocks run
     last to first."""
-    groups, pairs = out.shape[0], self._bias.shape[-1]
+    groups, ib = out.shape[0], self.engine.config.input_bits
     for b in reversed(range(len(self._groups))):
         group = self._groups[b]
-        width = reference_fast._block_vectors(groups * group.planes32.shape[1], pairs)
+        width = reference_fast._block_vectors(groups * group.planes32.shape[1], ib)
         for w0 in range(v0, v1, width):
             w1 = min(w0 + width, v1)
             group.shift_add(self._contract(operand, b, w0, w1), out[:, :, w0:w1])
@@ -435,8 +435,9 @@ class TestVectorBlocks:
         batch that fits one block is gathered whole, a split call's
         chunks each in blocks from their own first vector — and nothing
         of whole-batch ``(stacked, n * ib)`` float64 extent is allocated,
-        with three chunks in flight.  A gather covers two input bits, so
-        a block holds ``_BLOCK_BYTES // (stacked * pairs * 8)`` vectors."""
+        with three chunks in flight.  A gather covers one input bit of a
+        weight-bit pair, so a block holds ``_BLOCK_BYTES // (stacked * ib
+        * 8)`` vectors."""
         import tracemalloc
 
         engine = _blocked_engine(False, 5)
@@ -452,15 +453,14 @@ class TestVectorBlocks:
 
         monkeypatch.setattr(reference_fast.np, "take", take)
         ib = engine.config.input_bits
-        pairs = reference_fast._pairs(ib)
         stacked = max(group.planes32.shape[-2] for group in kernel._groups)
-        assert block == reference_fast._BLOCK_BYTES // (stacked * pairs * 8)
+        assert block == reference_fast._BLOCK_BYTES // (stacked * ib * 8)
         with _split(1):
             kernel.matmul(np.zeros((200, 2 * block + 3), dtype=np.int64))
-            assert gathers == [block * pairs, block * pairs, 3 * pairs] * 2
+            assert gathers == [block * ib, block * ib, 3 * ib] * 2
             del gathers[:]
             kernel.matmul(np.zeros((200, block), dtype=np.int64))
-            assert gathers == [block * pairs] * 2
+            assert gathers == [block * ib] * 2
 
         # Three chunks of 2 * block + 3 vectors: 273, 274 and 274 vectors,
         # one block each; pool threads append in any order.
@@ -469,7 +469,7 @@ class TestVectorBlocks:
             kernel.matmul(np.zeros((200, 2 * block + 3), dtype=np.int64))
             third = (2 * block + 3) // 3
             assert sorted(gathers) == sorted(
-                [third * pairs, (third + 1) * pairs, (third + 1) * pairs] * 2
+                [third * ib, (third + 1) * ib, (third + 1) * ib] * 2
             )
 
             n = 8 * block + 3
@@ -711,7 +711,7 @@ class TestExactnessBound:
         kernel = TiledBitSerialKernel(CimTiledMatmul(np.zeros((3, 2), dtype=int), config))
         (group,) = kernel._groups
         assert group.pair_table.dtype == dtype
-        assert group.plane_weights.dtype == dtype
+        assert group.input_weights.dtype == dtype
         assert group.pair_ones.dtype == dtype
 
     @pytest.mark.parametrize("signed", [False, True])
@@ -731,20 +731,20 @@ class TestExactnessBound:
             assert stats == ref_stats, name
 
     def test_pair_table_indices_reach_the_last_float32_integer(self):
-        """The supported side of ``(P + 1) * R**2 <= 2**24``: at 8 bits
-        the tallest legal subarray is 1830 rows, and all-ones weights
+        """The supported side of ``Q * R**2 <= 2**24``: at 8-bit weights
+        the tallest legal subarray is 2047 rows, and all-ones weights
         under all-ones signed activations read ``c0 = c1 = rows`` from
-        the last section — the table's last entry, 14 412 short of
-        2**24, every float32 partial sum on the way still an integer."""
-        config = MacroConfig(rows=1830, signed_inputs=True)
+        the top weight pair's section — the table's last entry, 2**24 -
+        1, every float32 partial sum on the way still an integer."""
+        config = MacroConfig(rows=2047, signed_inputs=True)
         assert TiledBitSerialKernel.supported(config)
-        assert not TiledBitSerialKernel.supported(replace(config, rows=1831))
-        engine = CimTiledMatmul(np.full((1830, 2), -1), config)
+        assert not TiledBitSerialKernel.supported(replace(config, rows=2048))
+        engine = CimTiledMatmul(np.full((2047, 2), -1), config)
         kernel = TiledBitSerialKernel(engine)
         (group,) = kernel._groups
-        assert group.pair_table.size == 5 * 1831**2 == (1 << 24) - 14411
-        x = np.full((1830, 3), -1)
-        x[:, 1] = np.arange(1830) % 256 - 128
+        assert group.pair_table.size == 4 * 2048**2 == 1 << 24
+        x = np.full((2047, 3), -1)
+        x[:, 1] = np.arange(2047) % 256 - 128
         ref, ref_stats = engine.matmul(x)
         out, stats = kernel.matmul(x)
         # 64 MiB of table: not for the shared cache to keep.
@@ -755,11 +755,13 @@ class TestExactnessBound:
     def test_past_the_index_bound_is_unsupported(self, monkeypatch):
         """The other side: no table is built, and an engine takes the
         reference macro path."""
-        config = MacroConfig(rows=1831)
+        config = MacroConfig(rows=2048)
         assert not TiledBitSerialKernel.supported(config)
         assert not get_backend("popcount").supported(config)
-        # Fewer pairs, fewer sections: the bound is on (P + 1) * R**2.
-        assert TiledBitSerialKernel.supported(replace(config, input_bits=6))
+        # Fewer weight-bit pairs, fewer sections: the bound is on Q * R**2,
+        # whatever the input width.
+        assert TiledBitSerialKernel.supported(replace(config, weight_bits=4))
+        assert not TiledBitSerialKernel.supported(replace(config, input_bits=2))
         monkeypatch.setattr(
             reference_fast, "_pair_table", lambda *args: pytest.fail("table built")
         )
@@ -790,6 +792,45 @@ class TestExactnessBound:
         ref, ref_stats = reference_cim_linear(x, weight, config, activation_bits=24)
         assert out.tobytes() == ref.tobytes()
         assert stats == ref_stats
+
+
+class TestResidentPlanes:
+    """ROM-CiM keeps a whole network's weights resident, and so does the
+    kernel: a float32 plane entry holds two weight bits, ~16 B per 8-bit
+    weight (one bit per entry held 32.26 B)."""
+
+    @pytest.mark.parametrize(
+        "name,width", [("resnet8", 1.0), ("mobilenet", 1.0), ("tiny_yolo", 0.25)]
+    )
+    def test_planes_hold_two_weight_bits_per_entry(self, name, width):
+        model = models.build_model(name, rng=np.random.default_rng(0), width_mult=width)
+        compiled = compile_model(model, RuntimeConfig(fold_bn=True), cache=EngineCache())
+        planes = weights = 0
+        for engine in compiled.programmed_engines().values():
+            linear = getattr(engine, "linear", engine)
+            assert linear.engine.config.weight_bits == 8
+            planes += sum(group.planes32.nbytes for group in linear._kernel._groups)
+            weights += linear.engine.weights.size
+        assert planes / weights <= 16.3
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_widest_tiny_yolo_engine_bitwise_vs_tiled_reference(self, signed):
+        """The shape of tiny_yolo's widest engine, 3 x 3 x 1024 inputs by
+        1024 filters: 72 row blocks of 128 stacked weight-bit-pair rows
+        per column tile, at the vector counts of a 1 x 1 and a 2 x 2
+        output grid."""
+        config = MacroConfig(signed_inputs=signed)
+        rng = np.random.default_rng(9216 + signed)
+        engine = CimTiledMatmul(rng.integers(-128, 128, size=(9216, 1024)), config)
+        kernel = TiledBitSerialKernel(engine)
+        low, high = config.input_range()
+        for n in (1, 4):
+            x = rng.integers(low, high + 1, size=(9216, n))
+            ref, ref_stats = engine.matmul(x)
+            out, stats = kernel.matmul(x)
+            assert out.tobytes() == ref.tobytes()
+            assert stats == ref_stats
 
 
 # ----------------------------------------------------------------------
