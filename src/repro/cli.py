@@ -49,7 +49,9 @@ Commands
                 against the clean oracle.
 
 The global ``-v`` / ``-vv`` flag turns on INFO / DEBUG logging from the
-``repro`` logger hierarchy (silent by default).
+``repro`` logger hierarchy (silent by default).  A command that meets a
+missing, damaged or stale artifact prints ``repro: <ErrorClass>:
+<message>`` on stderr and exits 1.
 
 Every subcommand is one row of :data:`COMMANDS` — ``(name, help,
 handler, argument specs)`` — from which :func:`build_parser` is a loop.
@@ -92,6 +94,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import format_metrics, format_table, zoo_model
 from repro.obs import trace
+from repro.runtime.errors import SnapshotError
 
 
 # ----------------------------------------------------------------------
@@ -703,7 +706,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.obs.log import configure
 
         configure(args.verbosity)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SnapshotError as error:
+        # A missing, damaged or stale artifact is an answer, not a crash.
+        print(f"repro: {type(error).__name__}: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -62,11 +62,12 @@ from repro.rebranch.branch import ReBranchConv2d
 from repro.runtime.cache import EngineCache, resolve_cache, weight_fingerprint
 from repro.runtime.engine import (
     GroupedConv,
-    conv_engine,
+    ProgrammedConv,
+    ProgrammedLinear,
+    engine_from_state,
     engine_key,
-    linear_engine,
 )
-from repro.runtime.errors import CompileError
+from repro.runtime.errors import CompileError, SnapshotStaleError
 from repro.runtime.programming import (
     DeployedLayerInfo,
     DeploymentReport,
@@ -113,13 +114,13 @@ class RuntimeConfig:
         Fold ``BatchNorm2d`` layers into their preceding convolutions at
         compile time (mutates the module tree once, like chip mask
         preparation).
-    ``assume_signed_input``
-        Compile-time prediction for the model input's sign; every layer
-        after an unsigned activation (ReLU, Sigmoid) is predicted
-        unsigned, matching the chip's mixed configuration.  Execution
-        still detects the actual sign per batch and programs the other
-        variant through the cache if a batch defies the prediction, so
-        the prediction affects only what is programmed eagerly.
+
+    The model input is predicted signed and every layer after an
+    unsigned activation (ReLU, Sigmoid) unsigned, matching the chip's
+    mixed configuration.  Execution still detects the actual sign per
+    batch and programs the other variant through the cache if a batch
+    defies the prediction, so the prediction affects only what is
+    programmed eagerly.
     """
 
     rom_config: Optional[MacroConfig] = None
@@ -127,7 +128,6 @@ class RuntimeConfig:
     activation_bits: int = 8
     encoding: Optional[ActivationEncoding] = None
     fold_bn: bool = False
-    assume_signed_input: bool = True
 
     def resolved_rom(self) -> MacroConfig:
         return (
@@ -219,6 +219,15 @@ class _AddStep:
         return a + b
 
 
+class _StoredLayer(NamedTuple):
+    """A layer's stored ``signed -> (codes, scale)`` variants and the
+    fingerprint they were programmed under (re-checked if ``verify``)."""
+
+    fingerprint: Optional[str]
+    variants: Dict[bool, Tuple[np.ndarray, np.ndarray]]
+    verify: bool
+
+
 class _EngineSlot:
     """One weight layer's handle into the engine cache.
 
@@ -230,6 +239,8 @@ class _EngineSlot:
     through the cache on demand, so two compiled models over the same
     weights share programmed tiles.  A grouped convolution programs one
     slot per group (layer id ``<name>::g<i>``) under its one plan node.
+    Handed ``stored`` state (a snapshot restore), the slot adopts it
+    instead of programming (:meth:`_adopt`).
     """
 
     def __init__(
@@ -243,7 +254,7 @@ class _EngineSlot:
         predicted_signed: bool,
         stride: int = 0,
         padding: int = 0,
-        fingerprint: Optional[str] = None,
+        stored: Optional[_StoredLayer] = None,
     ):
         self.layer_id = layer_id
         self.kind = kind
@@ -254,18 +265,59 @@ class _EngineSlot:
         self.predicted_signed = bool(predicted_signed)
         self.stride = stride
         self.padding = padding
-        # ``fingerprint`` is the snapshot warm-start hook: a caller that
-        # already knows the weights' content hash (it wrote them) skips
-        # re-hashing here; ``refresh`` always re-hashes the live weights.
-        self.fingerprint = (
-            fingerprint if fingerprint is not None else weight_fingerprint(weight_fn())
-        )
+        #: What a conv engine's key and state add to a linear one's.
+        self.geometry = (stride, padding) if kind == "conv" else ()
         # Strong per-slot references: the LRU cache shares engines across
         # models, but eviction there must never force this compiled
         # model to reprogram its own layers on the hot path.
         self._engines: Dict[Any, Any] = {}
+        if stored is not None:
+            self._adopt(stored)
+            return
+        self.fingerprint = weight_fingerprint(weight_fn())
         # Compile-once: program the predicted variant eagerly.
         self.engine_for(self.predicted_signed)
+
+    def _key(self, signed: bool, config: MacroConfig):
+        return engine_key(
+            self.layer_id,
+            self.fingerprint,
+            config,
+            self.activation_bits,
+            signed,
+            *self.geometry,
+        )
+
+    def _adopt(self, stored: _StoredLayer) -> None:
+        """Seed this slot and the cache (tier ``"snapshot"``) with engines
+        over the stored codes, built under the layer's placement now:
+        what compiling holds, with nothing quantized.  The stored
+        fingerprint is trusted unless ``stored.verify``."""
+        self.fingerprint = stored.fingerprint
+        if stored.verify:
+            self.fingerprint = weight_fingerprint(self.weight_fn())
+        if (
+            self.fingerprint != stored.fingerprint
+            or self.predicted_signed not in stored.variants
+        ):
+            raise SnapshotStaleError(
+                f"artifact holds no state programmed from layer "
+                f"{self.layer_id!r}'s weights"
+            )
+        config, shape = self.config_fn(), self.weight_fn().shape
+        for signed, (codes, scale) in stored.variants.items():
+            engine = engine_from_state(
+                self.layer_id,
+                shape,
+                codes,
+                scale,
+                config,
+                self.activation_bits,
+                signed,
+                *self.geometry,
+            )
+            self._engines[(signed, id(config))] = engine
+            self.cache.put(self._key(signed, config), engine)
 
     def engine_for(self, signed: bool):
         signed = bool(signed)
@@ -279,27 +331,14 @@ class _EngineSlot:
         return engine
 
     def _program(self, signed: bool, config: MacroConfig):
+        weight, bits = self.weight_fn(), self.activation_bits
         if self.kind == "conv":
-            return conv_engine(
-                self.weight_fn(),
-                stride=self.stride,
-                padding=self.padding,
-                config=config,
-                activation_bits=self.activation_bits,
-                signed_inputs=signed,
-                layer_id=self.layer_id,
-                cache=self.cache,
-                fingerprint=self.fingerprint,
+            program = functools.partial(
+                ProgrammedConv, weight, *self.geometry, config, bits, signed
             )
-        return linear_engine(
-            self.weight_fn(),
-            config=config,
-            activation_bits=self.activation_bits,
-            signed_inputs=signed,
-            layer_id=self.layer_id,
-            cache=self.cache,
-            fingerprint=self.fingerprint,
-        )
+        else:
+            program = functools.partial(ProgrammedLinear, weight, config, bits, signed)
+        return self.cache.get_or_program(self._key(signed, config), program)
 
     def cache_tier(self) -> str:
         """Provenance of this slot's predicted engine in the shared
@@ -309,16 +348,7 @@ class _EngineSlot:
         config = self.config_fn()
         if (self.predicted_signed, id(config)) not in self._engines:
             return "evicted"
-        geometry = (self.stride, self.padding) if self.kind == "conv" else ()
-        key = engine_key(
-            self.layer_id,
-            self.fingerprint,
-            config,
-            self.activation_bits,
-            self.predicted_signed,
-            *geometry,
-        )
-        return self.cache.tier_of(key) or "evicted"
+        return self.cache.tier_of(self._key(self.predicted_signed, config)) or "evicted"
 
     def refresh(self) -> bool:
         """Re-fingerprint the live weights; True when they changed."""
@@ -443,18 +473,19 @@ def _memory(module) -> str:
 class _PlanBuilder:
     """Walk the module tree once, building the plan DAG, the engine
     slots and the placement report (one row per weight layer, appended
-    as it is lowered)."""
+    as it is lowered).  ``stored`` (layer id -> :class:`_StoredLayer`)
+    makes every slot adopt a snapshot's programmed state."""
 
     def __init__(
         self,
         config: RuntimeConfig,
         cache: EngineCache,
-        fingerprints: Optional[Dict[str, str]] = None,
+        stored: Optional[Dict[str, _StoredLayer]] = None,
     ):
         self.config = config
         self.configs = {"rom": config.resolved_rom(), "sram": config.resolved_sram()}
         self.cache = cache
-        self.fingerprints = fingerprints if fingerprints is not None else {}
+        self.stored = stored if stored is not None else {}
         self.nodes: List[_PlanNode] = []
         self.slots: List[_EngineSlot] = []
         self.report = DeploymentReport()
@@ -499,22 +530,25 @@ class _PlanBuilder:
         self._record(name, kind, {_memory(module): module.weight.size})
         return lambda: self.configs[_memory(module)]
 
-    def _linear_slot(
+    def _slot(
         self,
-        name: str,
-        linear: nn.Linear,
+        layer_id: str,
+        kind: str,
+        weight_fn: Callable[[], np.ndarray],
         config_fn: Callable[[], MacroConfig],
         signed: bool,
+        *geometry: int,
     ) -> _EngineSlot:
         slot = _EngineSlot(
-            layer_id=name,
-            kind="linear",
-            weight_fn=lambda: linear.weight.data,
-            config_fn=config_fn,
-            activation_bits=self.config.activation_bits,
-            cache=self.cache,
-            predicted_signed=signed,
-            fingerprint=self.fingerprints.get(name),
+            layer_id,
+            kind,
+            weight_fn,
+            config_fn,
+            self.config.activation_bits,
+            self.cache,
+            signed,
+            *geometry,
+            stored=self.stored.get(layer_id),
         )
         self.slots.append(slot)
         return slot
@@ -527,24 +561,18 @@ class _PlanBuilder:
         if sh != sw or ph != pw:
             raise ValueError("deployment supports square stride/padding only")
         ocg = conv.out_channels // conv.groups
-        slots = []
-        for g in range(conv.groups):
-            layer_id = f"{name}::g{g}" if conv.groups > 1 else name
-            slots.append(
-                _EngineSlot(
-                    layer_id=layer_id,
-                    kind="conv",
-                    weight_fn=lambda g=g: conv.weight.data[g * ocg : (g + 1) * ocg],
-                    config_fn=config_fn,
-                    activation_bits=self.config.activation_bits,
-                    cache=self.cache,
-                    predicted_signed=x.signed,
-                    stride=sh,
-                    padding=ph,
-                    fingerprint=self.fingerprints.get(layer_id),
-                )
+        slots = [
+            self._slot(
+                f"{name}::g{g}" if conv.groups > 1 else name,
+                "conv",
+                lambda g=g: conv.weight.data[g * ocg : (g + 1) * ocg],
+                config_fn,
+                x.signed,
+                sh,
+                ph,
             )
-        self.slots.extend(slots)
+            for g in range(conv.groups)
+        ]
         return self._leaf(_ConvStep(name, slots, conv), name, x, True)
 
     # -- lowering -------------------------------------------------------
@@ -580,8 +608,12 @@ class _PlanBuilder:
             return self._conv(name, module, self._place(name, "conv", module), x)
 
         if isinstance(module, nn.Linear):
-            slot = self._linear_slot(
-                name, module, self._place(name, "linear", module), x.signed
+            slot = self._slot(
+                name,
+                "linear",
+                lambda: module.weight.data,
+                self._place(name, "linear", module),
+                x.signed,
             )
             return self._leaf(_LinearStep(slot, module), name, x, True)
 
@@ -822,7 +854,6 @@ def compile(
     shards: Optional[int] = None,
     link: Optional[Any] = None,
     shard_input_shape: Optional[Tuple[int, ...]] = None,
-    fingerprints: Optional[Dict[str, str]] = None,
 ):
     """Program ``model``'s macros once; returns the executable image.
 
@@ -839,14 +870,28 @@ def compile(
     of link crossings).  ``link`` overrides the inter-chiplet link spec
     and ``shard_input_shape`` enables the MAC-balanced layer cut.
 
-    ``fingerprints`` (layer id -> content hash) supplies trusted
-    programming fingerprints for layers whose hash the caller already
-    knows — the snapshot warm-start path, which wrote the weights it is
-    now compiling over.  Layers absent from the mapping are hashed as
-    usual, and ``ensure_fresh()`` always re-hashes the live weights.
+    :func:`repro.runtime.snapshot.load` builds the same plan over a
+    stored module tree, with each slot adopting the artifact's stored
+    codes instead of programming.
     """
     config = config if config is not None else RuntimeConfig()
-    cache = resolve_cache(cache)
+    compiled = _compile_plan(model, config, resolve_cache(cache), rng)
+    if shards is None:
+        return compiled
+    from repro.runtime.sharded import shard as _shard
+
+    return _shard(compiled, shards, link=link, input_shape=shard_input_shape)
+
+
+def _compile_plan(
+    model: nn.Module,
+    config: RuntimeConfig,
+    cache: EngineCache,
+    rng: Optional[np.random.Generator],
+    stored: Optional[Dict[str, _StoredLayer]] = None,
+) -> CompiledModel:
+    """:func:`compile`'s body over a resolved cache: the plan, its slots
+    and the placement report (``stored``: see :class:`_PlanBuilder`)."""
     with trace.maybe_span(
         "compile", "compile", model=type(model).__name__
     ) as compile_span:
@@ -855,11 +900,9 @@ def compile(
                 fold_batchnorm(model)
         with trace.maybe_span("validate_deployable", "compile"):
             validate_deployable(model)
-        builder = _PlanBuilder(config, cache, fingerprints)
+        builder = _PlanBuilder(config, cache, stored)
         with trace.maybe_span("build_plan", "compile"):
-            output = builder.build(
-                model, "", PlanHandle(INPUT, config.assume_signed_input)
-            )
+            output = builder.build(model, "", PlanHandle(INPUT, True))
         if compile_span is not None:
             compile_span.set("nodes", len(builder.nodes))
             compile_span.set("weight_layers", len(builder.slots))
@@ -870,7 +913,7 @@ def compile(
         len(builder.slots),
         config.fold_bn,
     )
-    compiled = CompiledModel(
+    return CompiledModel(
         model,
         config,
         builder.nodes,
@@ -880,11 +923,6 @@ def compile(
         cache,
         rng,
     )
-    if shards is None:
-        return compiled
-    from repro.runtime.sharded import shard as _shard
-
-    return _shard(compiled, shards, link=link, input_shape=shard_input_shape)
 
 
 #: Alias for callers that shadow the builtin ``compile``.

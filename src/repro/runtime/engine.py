@@ -16,11 +16,13 @@ executed per layer by :class:`GroupedConv`.
 constructors: they key the engine by ``(layer id, weight fingerprint,
 config)`` — the one :func:`engine_key` — and share programmed engines
 across calls, sessions and models through an
-:class:`~repro.runtime.cache.EngineCache`.
+:class:`~repro.runtime.cache.EngineCache`; :func:`engine_from_state` is
+the snapshot restore's, over stored codes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import Any, List, Optional, Tuple
 
@@ -39,6 +41,7 @@ from repro.runtime.cache import (
     weight_fingerprint,
 )
 from repro.runtime.backends.reference_fast import TiledBitSerialKernel
+from repro.runtime.errors import SnapshotCorruptError
 
 _UNSIGNED_ENGINE_ERROR = (
     "engine is programmed for unsigned activations but the "
@@ -464,6 +467,42 @@ def engine_key(
             *map(int, geometry),
         ),
     )
+
+
+def engine_from_state(
+    layer_id: str,
+    weight_shape: Tuple[int, ...],
+    codes: np.ndarray,
+    scale: np.ndarray,
+    config: MacroConfig,
+    activation_bits: int,
+    signed_inputs: bool,
+    *geometry: int,
+):
+    """The engine of layer ``layer_id`` — linear over ``(out, in)``
+    weights, or conv when ``geometry`` is its ``(stride, padding)`` —
+    over stored codes and scales, once they agree with the layer."""
+    # Copied off the container mapping: a live engine keeps no page of
+    # the artifact file mapped, so overwriting an artifact cannot crash
+    # a server restored from it.  The codes keep their stored width —
+    # every consumer widens what it reads, none needs 8 bytes a weight.
+    codes = np.array(codes)
+    scale = np.array(scale, dtype=np.float64)
+    rows = (weight_shape[0], math.prod(weight_shape[1:]))
+    if codes.ndim != 2:
+        problem = f"{codes.ndim}-D weight codes, expected (out, in)"
+    elif scale.size != codes.shape[0]:
+        problem = f"{scale.size} scales for {codes.shape[0]} output channels"
+    elif codes.shape != rows or len(weight_shape) != (4 if geometry else 2):
+        problem = f"{codes.shape} weight codes for weights {tuple(weight_shape)}"
+    else:
+        linear = ProgrammedLinear.from_state(
+            config, activation_bits, signed_inputs, codes, scale
+        )
+        if not geometry:
+            return linear
+        return ProgrammedConv.from_state(linear, tuple(weight_shape), *geometry)
+    raise SnapshotCorruptError(f"layer {layer_id!r} stores {problem}")
 
 
 def linear_engine(

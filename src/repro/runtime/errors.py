@@ -1,5 +1,5 @@
-"""Typed failures of the deployment runtime: compile time, and the
-``run`` edge.
+"""Typed failures of the deployment runtime: compile time, the ``run``
+edge, and the artifact store.
 
 :class:`CompileError` subclasses ``TypeError`` because the runtime
 historically raised bare ``TypeError("cannot deploy ...")`` for
@@ -46,3 +46,26 @@ class InvalidBatchError(ValueError):
     warning followed by the kernel's code-range error, or an unpacking
     error deep in ``im2col``.
     """
+
+
+class SnapshotError(Exception):
+    """Base class of every artifact-store failure."""
+
+
+class SnapshotKeyError(SnapshotError, KeyError):
+    """The store holds no artifact under the requested key."""
+
+    def __str__(self) -> str:  # KeyError quotes its arg; keep it readable
+        return Exception.__str__(self)
+
+
+class SnapshotCorruptError(SnapshotError):
+    """The artifact container is truncated, unreadable or inconsistent."""
+
+
+class SnapshotVersionError(SnapshotError):
+    """The artifact was written by an incompatible format version."""
+
+
+class SnapshotStaleError(SnapshotError):
+    """The artifact's programmed engines do not match its own weights."""

@@ -15,10 +15,10 @@ header plus an mmap-able array section, see :class:`ArtifactStore`):
 
 * the deployable module tree (architecture spec + float64 parameters +
   ``requires_grad`` flags — placement-relevant, so preserved exactly);
-* per programmed engine: the quantized weight codes, the per-channel
-  scales and the programming-time macro configuration — the one
-  programmed state; bit planes and kernel layout are derived from the
-  codes on load by the routine programming itself uses;
+* per programmed engine: the quantized weight codes and per-channel
+  scales — the one programmed state — and the input signedness they
+  serve; the circuit (macro config, activation width, conv geometry)
+  is the layer's, derived on load as :func:`compile` derives it;
 * for sharded deployments: the realized :class:`ShardPlan` and
   inter-chiplet link spec;
 * a JSON header carrying the format version, the content key, and the
@@ -89,8 +89,15 @@ from repro.runtime.cache import (
     weight_fingerprint,
 )
 from repro.runtime.compiled import CompiledModel, RuntimeConfig
-from repro.runtime.compiled import compile as _compile
-from repro.runtime.engine import ProgrammedConv, ProgrammedLinear, engine_key
+from repro.runtime.compiled import _compile_plan, _StoredLayer
+from repro.runtime.engine import ProgrammedConv, engine_from_state
+from repro.runtime.errors import (
+    SnapshotCorruptError,
+    SnapshotError,
+    SnapshotKeyError,
+    SnapshotStaleError,
+    SnapshotVersionError,
+)
 from repro.runtime.sharded import ShardedModel, ShardPlan, ShardSegment
 from repro.runtime.sharded import shard as _shard
 
@@ -108,8 +115,10 @@ FORMAT = "repro-compiled-model"
 #: (every engine has the one fast kernel, so there is nothing to record);
 #: 5 — the fused kernel's bit-packed planes and their per-engine group
 #: count removed: the weight codes are stored once and everything else
-#: derives from them.
-VERSION = 5
+#: derives from them; 6 — an engine entry keeps only its tag, layer id
+#: and input signedness: the macro config, activation width and conv
+#: geometry are the layer's, derived on load as compile derives them.
+VERSION = 6
 
 #: Leading bytes of every artifact container file.
 MAGIC = b"RCMA1\n"
@@ -117,32 +126,6 @@ MAGIC = b"RCMA1\n"
 #: Array payloads are aligned to this boundary so the mmap'd views the
 #: loader hands out are safely aligned for every dtype.
 _ALIGN = 64
-
-
-# ----------------------------------------------------------------------
-# Typed failures
-# ----------------------------------------------------------------------
-class SnapshotError(Exception):
-    """Base class of every artifact-store failure."""
-
-
-class SnapshotKeyError(SnapshotError, KeyError):
-    """The store holds no artifact under the requested key."""
-
-    def __str__(self) -> str:  # KeyError quotes its arg; keep it readable
-        return Exception.__str__(self)
-
-
-class SnapshotCorruptError(SnapshotError):
-    """The artifact container is truncated, unreadable or inconsistent."""
-
-
-class SnapshotVersionError(SnapshotError):
-    """The artifact was written by an incompatible format version."""
-
-
-class SnapshotStaleError(SnapshotError):
-    """The artifact's programmed engines do not match its own weights."""
 
 
 # ----------------------------------------------------------------------
@@ -476,75 +459,21 @@ def _codes_dtype(weight_bits: int):
     return np.int32
 
 
-def serialize_engine(engine, tag: str, arrays: Dict[str, np.ndarray]) -> Dict[str, Any]:
-    """Capture one programmed engine's state into ``arrays`` + meta.
-
-    The programmed state is the quantized weight codes, the per-channel
-    scales and the programming config; bit planes, tile grid and kernel
-    layout are functions of those and are derived again on restore.
-    """
-    is_conv = isinstance(engine, ProgrammedConv)
-    linear = engine.linear if is_conv else engine
-    meta: Dict[str, Any] = {
-        "tag": tag,
-        "kind": "conv" if is_conv else "linear",
-        "signed_inputs": bool(linear.signed_inputs),
-        "activation_bits": int(linear.activation_bits),
-        "config": to_meta(linear.config),
-    }
-    if is_conv:
-        meta["stride"] = int(engine.stride)
-        meta["padding"] = int(engine.padding)
-        meta["weight_shape"] = list(engine.weight_shape)
-    arrays[f"{tag}_codes"] = linear.w_codes.astype(
-        _codes_dtype(linear.config.weight_bits)
-    )
+def _write_state(
+    engine, tag: str, layer_id: str, arrays: Dict[str, np.ndarray]
+) -> Dict[str, Any]:
+    """One programmed engine's entry, its codes and scales put in
+    ``arrays``: all a restore cannot derive from the engine's layer."""
+    linear = getattr(engine, "linear", engine)
+    arrays[f"{tag}_codes"] = linear.w_codes.astype(_codes_dtype(linear.config.weight_bits))
     arrays[f"{tag}_scale"] = np.asarray(linear.w_scale, dtype=np.float64)
-    return meta
+    signed = bool(linear.signed_inputs)
+    return {"tag": tag, "layer_id": layer_id, "signed_inputs": signed}
 
 
-def restore_engine(meta: Dict[str, Any], arrays):
-    """Inverse of :func:`serialize_engine` — a bitwise-equal engine,
-    built by the engines' own trusted state constructors once the
-    stored arrays are seen to agree with the header."""
-    tag = meta["tag"]
-    # Copied off the container mapping: a live engine keeps no page of
-    # the artifact file mapped, so overwriting an artifact cannot crash
-    # a server restored from it.  The codes keep their stored width —
-    # every consumer widens what it reads, none needs 8 bytes a weight.
-    codes = np.array(arrays[f"{tag}_codes"])
-    scale = np.array(arrays[f"{tag}_scale"], dtype=np.float64)
-    if codes.ndim != 2:
-        raise SnapshotCorruptError(
-            f"artifact engine {tag!r} stores {codes.ndim}-D weight codes, "
-            f"expected (out, in)"
-        )
-    if scale.size != codes.shape[0]:
-        raise SnapshotCorruptError(
-            f"artifact engine {tag!r} stores {scale.size} scales for "
-            f"{codes.shape[0]} output channels"
-        )
-    linear = ProgrammedLinear.from_state(
-        from_meta(MacroConfig, meta["config"]),
-        meta["activation_bits"],
-        meta["signed_inputs"],
-        codes,
-        scale,
-    )
-    if meta["kind"] == "linear":
-        return linear
-    weight_shape = tuple(meta["weight_shape"])
-    if (
-        len(weight_shape) != 4
-        or (weight_shape[0], int(np.prod(weight_shape[1:]))) != codes.shape
-    ):
-        raise SnapshotCorruptError(
-            f"artifact engine {tag!r} records conv weight shape "
-            f"{weight_shape} over {codes.shape} weight codes"
-        )
-    return ProgrammedConv.from_state(
-        linear, weight_shape, meta["stride"], meta["padding"]
-    )
+def _stored_arrays(entry: Dict[str, Any], arrays) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(codes, scale)`` :func:`_write_state` stored for ``entry``."""
+    return arrays[f"{entry['tag']}_codes"], arrays[f"{entry['tag']}_scale"]
 
 
 # ----------------------------------------------------------------------
@@ -681,7 +610,6 @@ class ArtifactStore:
     @staticmethod
     def _write(path: Path, meta: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> None:
         index: Dict[str, Any] = {}
-        chunks: List[np.ndarray] = []
         offset = 0
         digest = hashlib.sha256()
         pad_cache = b"\x00" * _ALIGN
@@ -703,7 +631,6 @@ class ArtifactStore:
             payload.append(data)
             digest.update(data)
             offset += len(data)
-            chunks.append(array)
         header = json.dumps(
             {
                 "format": FORMAT,
@@ -832,31 +759,33 @@ class ArtifactStore:
         return path
 
     def read_model(self, key: str) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-        path = self.model_path(key)
-        if not path.exists():
-            raise SnapshotKeyError(f"store holds no artifact for key {key!r}")
-        return self._read(path)
+        return self._read(self.model_path(key))
 
     def verify(self, key: str) -> None:
         """Checksum the full artifact; raises a typed error if damaged."""
-        path = self.model_path(key)
-        if not path.exists():
-            raise SnapshotKeyError(f"store holds no artifact for key {key!r}")
-        self._verify_container(path)
+        self._verify_container(self.model_path(key))
 
     def meta(self, key: str) -> Dict[str, Any]:
-        """The parsed JSON header of one artifact (for inspection/CLIs)."""
-        meta, _ = self.read_model(key)
-        return meta
+        """The parsed JSON header of one artifact (for inspection/CLIs);
+        the data section is not mapped."""
+        header, _ = self._read_header(self.model_path(key))
+        return header["meta"]
 
     # -- engine tier (used by EngineCache's disk second tier) ----------
     def write_engine(self, key: EngineKey, engine) -> Path:
+        """The model path's entry, plus the circuit a model restore
+        derives from the engine's layer."""
         arrays: Dict[str, np.ndarray] = {}
+        conv = isinstance(engine, ProgrammedConv)
+        linear = engine.linear if conv else engine
         meta = {
             "payload": "engine",
-            "layer_id": key.layer_id,
             "weight_hash": key.weight_hash,
-            "engine": serialize_engine(engine, "e", arrays),
+            "engine": _write_state(engine, "e", key.layer_id, arrays),
+            "config": to_meta(linear.config),
+            "activation_bits": linear.activation_bits,
+            "weight_shape": list(engine.weight_shape if conv else linear.w_codes.shape),
+            "geometry": [engine.stride, engine.padding] if conv else [],
         }
         path = self.engine_path(key)
         self._write(path, meta, arrays)
@@ -864,8 +793,6 @@ class ArtifactStore:
 
     def read_engine(self, key: EngineKey):
         path = self.engine_path(key)
-        if not path.exists():
-            raise SnapshotKeyError(f"store holds no engine artifact for {key}")
         meta, arrays = self._read(path)
         if meta.get("payload") != "engine":
             raise SnapshotCorruptError(
@@ -876,7 +803,16 @@ class ArtifactStore:
                 f"engine artifact {path.name} was programmed for weight hash "
                 f"{meta.get('weight_hash')!r}, requested {key.weight_hash!r}"
             )
-        return restore_engine(meta["engine"], arrays)
+        entry = meta["engine"]
+        return engine_from_state(
+            entry["layer_id"],
+            meta["weight_shape"],
+            *_stored_arrays(entry, arrays),
+            from_meta(MacroConfig, meta["config"]),
+            meta["activation_bits"],
+            entry["signed_inputs"],
+            *meta["geometry"],
+        )
 
 
 # ----------------------------------------------------------------------
@@ -932,14 +868,16 @@ def save(
                 f"call ensure_fresh() (and re-run) before saving"
             )
         fingerprints[slot.layer_id] = slot.fingerprint
-        # Guarantee the predicted variant exists even if the slot was
-        # never executed (engine_for is a no-op when already programmed).
+        # The variants programmed under the layer's placement now — the
+        # one a restore derives — the predicted one included even if the
+        # slot never ran (engine_for is a no-op when already programmed).
         slot.engine_for(slot.predicted_signed)
-        for (signed, _), engine in slot._engines.items():
-            tag = f"e{len(engines_meta)}"
-            meta = serialize_engine(engine, tag, arrays)
-            meta["layer_id"] = slot.layer_id
-            engines_meta.append(meta)
+        placed = id(slot.config_fn())
+        for (_, config_id), engine in slot._engines.items():
+            if config_id == placed:
+                engines_meta.append(
+                    _write_state(engine, f"e{len(engines_meta)}", slot.layer_id, arrays)
+                )
 
     meta: Dict[str, Any] = {
         "payload": "model",
@@ -993,9 +931,11 @@ def load(
     Returns a :class:`CompiledModel` (or :class:`ShardedModel` for a
     sharded artifact) whose outputs are bitwise identical to compiling
     the stored weights from scratch — pinned differentially by
-    ``tests/test_snapshot.py``.  The restored engines are seeded into
-    ``cache`` (default: the process-wide engine cache), so subsequent
-    compilations of the same weights share them.
+    ``tests/test_snapshot.py``.  The plan is built once, straight into
+    ``cache`` (default: the process-wide engine cache): each slot adopts
+    its layer's stored codes under the circuit it derives as
+    :func:`compile` does, so a load programs nothing and subsequent
+    compilations of the same weights share the restored engines.
 
     The fast default trusts the artifact's recorded programming
     fingerprints (the content key and the container's declared sizes
@@ -1033,80 +973,28 @@ def _load_impl(
     try:
         model = _restore_module(meta["module_tree"], arrays)
         config = from_meta(RuntimeConfig, meta["runtime_config"])
-        engines = [
-            (entry, restore_engine(entry, arrays)) for entry in meta["engines"]
-        ]
-        fingerprints = dict(meta["fingerprints"])
+        stored = {
+            layer_id: _StoredLayer(fingerprint, {}, verify)
+            for layer_id, fingerprint in meta["fingerprints"].items()
+        }
+        for entry in meta["engines"]:  # a KeyError: an unknown layer
+            stored[entry["layer_id"]].variants[bool(entry["signed_inputs"])] = (
+                _stored_arrays(entry, arrays)
+            )
     except (KeyError, ValueError, TypeError) as error:
         raise SnapshotCorruptError(
             f"artifact {key!r} is internally inconsistent: "
             f"{type(error).__name__}: {error}"
         ) from error
 
-    target = resolve_cache(cache)
-    # Always build the plan against a private, right-sized staging
-    # cache: the target may be too small to hold every seeded engine,
-    # or shared with concurrent compilations that could evict them
-    # mid-build — either would make the identity check below misfire
-    # on a perfectly valid artifact.
-    staging = EngineCache(capacity=max(len(engines), 1))
-    seeded: Dict[int, str] = {}
-    staged: List[Tuple[EngineKey, Any]] = []
-    for entry, engine in engines:
-        layer_id = entry["layer_id"]
-        fingerprint = fingerprints.get(layer_id)
-        if fingerprint is None:
-            raise SnapshotCorruptError(
-                f"artifact {key!r} holds an engine for unknown layer "
-                f"{layer_id!r}"
-            )
-        linear = engine.linear if isinstance(engine, ProgrammedConv) else engine
-        geometry = () if linear is engine else (engine.stride, engine.padding)
-        cache_key = engine_key(
-            layer_id,
-            fingerprint,
-            linear.config,
-            linear.activation_bits,
-            linear.signed_inputs,
-            *geometry,
+    # Each slot adopts its layer's stored state as the plan is built,
+    # and raises a typed error when it cannot.
+    compiled = _compile_plan(model, config, resolve_cache(cache), rng, stored)
+    if {slot.layer_id for slot in compiled._slots} != set(stored):
+        raise SnapshotCorruptError(
+            f"artifact {key!r} stores programmed state for other weight "
+            f"layers than its module tree has"
         )
-        staging.put(cache_key, engine)
-        staged.append((cache_key, engine))
-        seeded[id(engine)] = layer_id
-
-    compiled = _compile(
-        model,
-        config,
-        cache=staging,
-        rng=rng,
-        # verify: re-hash every restored weight tensor instead of
-        # trusting the recorded fingerprints; a mismatch makes the slot
-        # miss the seeded cache and trip the identity check below.
-        fingerprints=None if verify else fingerprints,
-    )
-    # Share the restored engines with the caller's cache (best effort —
-    # its LRU policy applies; the compiled model's slots hold strong
-    # references either way), and point the compiled model at it so any
-    # later programming (weight refresh, a batch defying the signedness
-    # prediction) shares engines process-wide, not with the staging
-    # cache.
-    for cache_key, engine in staged:
-        target.put(cache_key, engine)
-    compiled.cache = target
-    for slot in compiled._slots:
-        slot.cache = target
-    # Every slot's engines must be the seeded objects: a slot that
-    # missed the cache programmed from scratch, i.e. its (possibly
-    # re-hashed) weights do not match the fingerprints the artifact's
-    # engines were saved under.
-    for slot in compiled._slots:
-        for engine in slot._engines.values():
-            if id(engine) not in seeded:
-                raise SnapshotStaleError(
-                    f"artifact {key!r}: stored weights for layer "
-                    f"{slot.layer_id!r} do not match the fingerprint its "
-                    f"programmed engines were saved under"
-                )
     # The plan rebuilt over the restored tree must realize the exact
     # DAG topology the artifact records — a divergence means the tree
     # and the saved graph no longer describe the same execution.

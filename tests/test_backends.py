@@ -228,7 +228,6 @@ class TestEngineThreading:
             "activation_bits",
             "encoding",
             "fold_bn",
-            "assume_signed_input",
         ]
 
     @pytest.mark.parametrize("rebranch", [False, True], ids=["resnet8", "rebranch"])

@@ -57,6 +57,9 @@ from repro.runtime import (
     set_default_cache,
     shard,
 )
+from repro.runtime import cache as cache_mod
+from repro.runtime import compiled as compiled_mod
+from repro.runtime import engine as engine_mod
 from repro.runtime import snapshot as snapshot_mod
 from repro.runtime.engine import engine_key
 from repro.runtime.backends import reference_fast
@@ -639,45 +642,47 @@ def golden_bn_model():
 
 
 #: shard count -> (artifact_key, sha256 of the ``.rcma`` file saved with
-#: ``created_at=0.0``), recomputed once for format VERSION 5.
+#: ``created_at=0.0``), recomputed once for format VERSION 6.
 #: A change here is a format change: bump ``VERSION`` deliberately.
-#: Header diff against VERSION 4 (pins 5fefffc0…/5844a949… and
-#: 9dbeb0af…/518cd122…, commit 1eb4b3d), nothing else moved:
-#:   "version": 4 -> 5 (and "key", which digests it)
-#:   each engine:  - "kernel_groups"
-#:   "arrays":     - every "<tag>_g<i>" row (later offsets, "data_size"
-#:                 and "data_sha256" follow)
-#: 6336 -> 5856 bytes unsharded, 6656 -> 6176 bytes in two shards.
+#: Header diff against VERSION 5 (pins ee20f5a9…/d866edf9… and
+#: 8ea8cad1…/49087698…, commit 65fe04b), nothing else moved:
+#:   "version": 5 -> 6 (and "key", which digests it)
+#:   each engine:      - "kind", "activation_bits", "config", and for a
+#:                     conv "stride", "padding", "weight_shape"; what is
+#:                     left is "tag", "layer_id", "signed_inputs"
+#:   "runtime_config": - "assume_signed_input" (the field is gone)
+#:   "arrays", "data_size", "data_sha256": unchanged (same data section)
+#: 5856 -> 4576 bytes unsharded, 6176 -> 4896 bytes in two shards.
 GOLDEN = {
     None: (
-        "ee20f5a944fd2429ded21986b7ba20033431ac1c69a4ea31a16835e854f3657c",
-        "d866edf983aa4d982b6c3d44b058ee79720f03b6129b932c443141936c3f7962",
+        "7cb225332138e19d9586d6ee030b3f532afdcdf430a0087f09a89b324855ba93",
+        "27bce1d0e96b23f246603298e3bb69f6e86fef0457ce0b156000524390d90025",
     ),
     2: (
-        "8ea8cad1002655345467908092b189a6d92d33340205922f91ce113a32eaf39f",
-        "490876986e1a5657cf3aeb510c2eb52b8397d330a13b78db473ac3c2c735150e",
+        "5ce47a2778f21b071e99a08e40bab3979d8c20ce613e3a6c552aae6fa3181204",
+        "501e4a0ae3d096f2e3fad191341143df69843970cd773a5b83f2076864284799",
     ),
 }
 
 
-#: The same pins for :func:`golden_all_kinds_model` (37016 -> 33816 and
-#: 37784 -> 34520 bytes, the same header diff over 16 engines), and the
+#: The same pins for :func:`golden_all_kinds_model` (33816 -> 23256 and
+#: 34520 -> 23960 bytes, the same header diff over 16 engines), and the
 #: keys of :func:`golden_bn_model` with and without ``fold_bn`` — keys
-#: digest ``VERSION`` (that is what makes an old store miss), so they
-#: moved with it and with nothing else.
+#: digest ``VERSION`` and the ``RuntimeConfig`` fields, so they moved
+#: with the two and with nothing else.
 GOLDEN_ALL_KINDS = {
     None: (
-        "332f769925fa16cde4180b30e5cacfacc62df516ad58cc05c92596bf4f954110",
-        "b0e6d4537d558bcc9b5da0319d87c3419d339fa0c3bfdb4976cd08676ae689cf",
+        "5e9fae2c60233380963ad70db1831bf1d4fbca17f772fe065a0f0f0faf310628",
+        "a2d93fee134b019f9d33325ed23e496faf837f6af1e8d32a773e772ba54fe80c",
     ),
     2: (
-        "b3866fe4ac9f4c7d00199ec83b58a79294f10a830dc23b40da5e1e0f168fceb3",
-        "5faef77a834d62d3e2e02d13dbad4f072ab6ddbcfb9bde1d7b651bbbd91c7cdc",
+        "a1fbb879616eab0d533eab1961e4b351e7f80fabdc751dba40b330398cc8ff39",
+        "f52baa63143fa9e68a8ec5387e1fb952693e2921a8916715c653f9b43f40d150",
     ),
 }
 GOLDEN_BN_KEYS = {
-    True: "ec82b67ca10586cf109423f92a004b2b0ff27ad6513a8940328a3475ce86c5a3",
-    False: "490619d35fc7446f7276eba38dc2ecbf45d263ad6a4249626157e4643edbf47f",
+    True: "463c2a6eb4fb4d1bb863a2d53b0946698d32b2a9e3f21ffe82d89601b7111973",
+    False: "0e6f2bb2b056ad389272077fa2462df9169935aacb8fffd0283e66af55df4845",
 }
 
 
@@ -693,7 +698,7 @@ class TestGoldenFormat:
 
     @pytest.mark.parametrize("n_shards", [None, 2])
     def test_artifact_bytes_and_key_are_pinned(self, store, n_shards):
-        assert snapshot_mod.VERSION == 5
+        assert snapshot_mod.VERSION == 6
         pins = self._saved_key_and_sha256(store, golden_model, n_shards)
         assert pins == GOLDEN[n_shards]
 
@@ -785,6 +790,157 @@ class TestEngineKeys:
             assert slot.cache_tier() == ("programmed" if leg == "compiled" else "snapshot")
 
 
+class TestRestorePath:
+    """A load builds the plan once, straight into the caller's cache:
+    every slot adopts its stored codes under the restored tree's
+    placement, and nothing is quantized or programmed."""
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_weights_are_hashed_only_under_verify(self, store, monkeypatch, verify):
+        compiled = compile_model(mobilenet_model(), RuntimeConfig(), cache=EngineCache())
+        key = save(compiled, store)
+        hashed = []
+        real = cache_mod.weight_fingerprint
+
+        def counting(weight):
+            hashed.append(weight.shape)
+            return real(weight)
+
+        for module in (cache_mod, compiled_mod, engine_mod, snapshot_mod):
+            monkeypatch.setattr(module, "weight_fingerprint", counting)
+        cache = EngineCache(capacity=1024)
+        loaded = load(store, key, cache=cache, verify=verify)
+        assert len(hashed) == (len(loaded._slots) if verify else 0)
+        assert cache.stats.programmed == 0
+        assert {slot.cache_tier() for slot in loaded._slots} == {"snapshot"}
+
+    @pytest.mark.parametrize("capacity", [0, 1])
+    def test_a_cache_too_small_to_hold_the_model_programs_nothing(
+        self, store, capacity
+    ):
+        compiled = compile_model(mobilenet_model(), RuntimeConfig(), cache=EngineCache())
+        cache = EngineCache(capacity=capacity)
+        loaded = load(store, save(compiled, store), cache=cache)
+        x = model_input("mobilenet")
+        expected, expected_stats = compiled.run(x, rng=np.random.default_rng(1))
+        restored, restored_stats = loaded.run(x, rng=np.random.default_rng(1))
+        assert restored.tobytes() == expected.tobytes()
+        assert restored_stats == expected_stats
+        assert cache.stats.programmed == 0
+
+    def test_restored_codes_are_copied_at_their_stored_width(self, store):
+        compiled = compile_model(conv_model(), RuntimeConfig(), cache=EngineCache())
+        loaded = load(store, save(compiled, store), cache=EngineCache())
+        for engine in loaded.programmed_engines().values():
+            codes = getattr(engine, "linear", engine).w_codes
+            assert codes.dtype == np.int8 and codes.flags.owndata
+
+    def test_freeze_after_compile_saves_the_placement_now(self, store):
+        """Freeze after compile: the artifact holds only the variants
+        programmed under ROM placement — both input signednesses of the
+        first layer, the predicted one of the others — not the SRAM
+        ones programmed before, and the load is bitwise equal."""
+        model = conv_model()
+        compiled = compile_model(model, RuntimeConfig(), cache=EngineCache())
+        x = model_input("conv")
+        batches = (x, np.abs(x))  # the first layer sees both signednesses
+        for batch in batches:
+            compiled.run(batch)
+        model.freeze()
+        for batch in batches:
+            compiled.run(batch)
+        key = save(compiled, store)
+        entries = store.meta(key)["engines"]
+        assert sorted(entry["layer_id"] for entry in entries) == sorted(
+            ["0"] + [slot.layer_id for slot in compiled._slots]
+        )
+        cache = EngineCache()
+        loaded = load(store, key, cache=cache)
+        for batch in batches:
+            expected, expected_stats = compiled.run(batch, rng=np.random.default_rng(2))
+            restored, restored_stats = loaded.run(batch, rng=np.random.default_rng(2))
+            assert restored.tobytes() == expected.tobytes()
+            assert restored_stats == expected_stats
+        assert cache.stats.programmed == 0
+        cells = {
+            getattr(engine, "linear", engine).config.cell
+            for slot in loaded._slots
+            for engine in slot._engines.values()
+        }
+        assert cells == {ROM_1T}
+
+    def test_freeze_after_load_reprograms_from_the_weights(self, store):
+        compiled = compile_model(conv_model(), RuntimeConfig(), cache=EngineCache())
+        cache = EngineCache()
+        loaded = load(store, save(compiled, store), cache=cache)
+        compiled.model.freeze()
+        loaded.model.freeze()
+        x = model_input("conv")
+        expected, expected_stats = compiled.run(x, rng=np.random.default_rng(4))
+        restored, restored_stats = loaded.run(x, rng=np.random.default_rng(4))
+        assert restored.tobytes() == expected.tobytes()
+        assert restored_stats == expected_stats
+        assert cache.stats.programmed == len(loaded._slots)
+
+    def test_engine_tier_entry_is_the_model_entry_plus_its_circuit(self, store):
+        cache = EngineCache(store=store)
+        compile_model(conv_model(), RuntimeConfig(), cache=cache)
+        metas = [
+            ArtifactStore._read(path)[0]
+            for path in sorted((store.root / "engines").glob("*.rcma"))
+        ]
+        assert len(metas) == cache.stats.programmed
+        for meta in metas:
+            assert set(meta["engine"]) == {"tag", "layer_id", "signed_inputs"}
+            assert set(meta) == {
+                "payload",
+                "weight_hash",
+                "engine",
+                "config",
+                "activation_bits",
+                "weight_shape",
+                "geometry",
+            }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_an_engine_entry_is_tag_layer_and_signedness(self, store, name):
+        compiled = compile_model(MODELS[name](), RuntimeConfig(), cache=EngineCache())
+        entries = store.meta(save(compiled, store))["engines"]
+        assert entries and all(
+            list(entry) == ["tag", "layer_id", "signed_inputs"] for entry in entries
+        )
+
+
+class TestCliArtifactFailures:
+    """A missing or damaged artifact ends a command with one typed line
+    on stderr and exit status 1, not a traceback."""
+
+    def test_compile_load_of_a_missing_key(self, store, capsys):
+        from repro.cli import main
+
+        assert main(["compile", "--store", str(store.root), "--load", "0" * 64]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro: SnapshotKeyError: ") and err.count("\n") == 1
+
+    def test_warm_verify_of_a_damaged_store(self, store, capsys):
+        from repro.cli import main
+        from repro.experiments.common import zoo_model
+
+        # A small artifact under the key `warm` computes for vgg8, so the
+        # command finds it cached and goes straight to verifying.
+        key = artifact_key(*zoo_model("vgg8", 0))
+        compiled = compile_model(linear_model(), RuntimeConfig(), cache=EngineCache())
+        save(compiled, store, key=key)
+        path = store.model_path(key)
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        argv = ["warm", "--store", str(store.root), "--models", "vgg8", "--verify"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro: SnapshotCorruptError: ") and "checksum" in err
+
+
 def stored_dataclasses():
     """One non-default instance of every dataclass the header stores."""
     config = MacroConfig(
@@ -808,7 +964,6 @@ def stored_dataclasses():
             activation_bits=6,
             encoding=PulseWidthEncoding(jitter_sigma_slots=0.5),
             fold_bn=True,
-            assume_signed_input=False,
         ),
         ChipletLinkSpec(energy_pj_per_bit=2.0, pins_per_link=16),
         ShardSegment(
@@ -1025,15 +1180,66 @@ class TestRobustness:
         with pytest.raises(SnapshotCorruptError, match="31 scales for 32"):
             load(store, key, cache=EngineCache())
 
-    @pytest.mark.parametrize("axis", [0, 1, 2])
-    def test_conv_weight_shape_mismatch_is_typed(self, store, axis):
+    #: Stored conv codes one output channel short (with their scales),
+    #: one input column short, one input column long.
+    _CODE_EDITS = [
+        lambda codes, scale: (codes[:-1], scale[:-1]),
+        lambda codes, scale: (codes[:, :-1], scale),
+        lambda codes, scale: (np.concatenate([codes, codes[:, :1]], axis=1), scale),
+    ]
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_conv_weight_shape_mismatch_is_typed(self, store, case):
+        """An engine entry stores no weight shape: the layer's comes from
+        the module tree, and stored codes that disagree with it are
+        corrupt."""
         _, key = self._saved(store, "conv")
 
         def edit(meta, arrays):
-            meta["engines"][0]["weight_shape"][axis] += 1
+            arrays["e0_codes"], arrays["e0_scale"] = self._CODE_EDITS[case](
+                arrays["e0_codes"], arrays["e0_scale"]
+            )
 
         self._rewrite(store, key, edit)
-        with pytest.raises(SnapshotCorruptError, match="conv weight shape"):
+        with pytest.raises(SnapshotCorruptError, match="weight codes for weights \\("):
+            load(store, key, cache=EngineCache())
+
+    def test_layer_without_an_entry_is_stale(self, store):
+        _, key = self._saved(store, "conv")
+        self._rewrite(store, key, lambda meta, _: meta["engines"].pop(0))
+        with pytest.raises(SnapshotStaleError, match="no state programmed from"):
+            load(store, key, cache=EngineCache())
+
+    def test_entry_for_a_foreign_layer_is_typed(self, store):
+        _, key = self._saved(store, "conv")
+
+        def edit(meta, arrays):
+            meta["engines"][0]["layer_id"] = "ghost"
+
+        self._rewrite(store, key, edit)
+        with pytest.raises(SnapshotCorruptError, match="KeyError: 'ghost'"):
+            load(store, key, cache=EngineCache())
+
+    def test_state_for_a_layer_the_tree_lacks_is_typed(self, store):
+        _, key = self._saved(store, "conv")
+
+        def edit(meta, arrays):
+            meta["fingerprints"]["ghost"] = meta["fingerprints"]["0"]
+            meta["engines"].append(dict(meta["engines"][0], layer_id="ghost"))
+
+        self._rewrite(store, key, edit)
+        with pytest.raises(SnapshotCorruptError, match="other weight layers"):
+            load(store, key, cache=EngineCache())
+
+    def test_a_layer_the_artifact_does_not_name_is_typed(self, store):
+        _, key = self._saved(store, "conv")
+
+        def edit(meta, arrays):
+            del meta["fingerprints"]["0"]
+            meta["engines"].pop(0)
+
+        self._rewrite(store, key, edit)
+        with pytest.raises(SnapshotCorruptError, match="other weight layers"):
             load(store, key, cache=EngineCache())
 
     def _sharded_rewrite(self, store, edit):
@@ -1124,8 +1330,8 @@ class TestRobustness:
 
     def test_load_with_small_cache_is_not_spuriously_stale(self, store):
         # A target cache smaller than the artifact's engine count must
-        # not evict seeded engines mid-build and misreport staleness:
-        # load stages privately, then shares best-effort.
+        # not misreport staleness: each slot holds the engines it
+        # adopted, and the cache keeps what its LRU policy allows.
         compiled, key = self._saved(store)
         loaded = load(store, key, cache=EngineCache(capacity=1))
         x = model_input("linear")
@@ -1192,7 +1398,7 @@ class TestRobustness:
 
     def test_load_with_retention_free_cache(self, store):
         # capacity=0 reproduces the seed per-call behaviour; load must
-        # still restore (through a private staging cache), not recompile.
+        # still restore (each slot holds what it adopted), not recompile.
         compiled, key = self._saved(store)
         loaded = load(store, key, cache=EngineCache(capacity=0))
         x = model_input("linear")
