@@ -1,8 +1,8 @@
 """The ``popcount`` backend: bit-plane GEMM over packed uint64 words.
 
 The reference-fast kernel computes the ON-cell count tensor as a
-float32 GEMM between weight-bit-pair plane matrices and 0/1 input bits.
-Those planes hold two *bits* of information per float32 lane; this
+float32 GEMM between weight-bit-digit plane matrices and 0/1 input bits.
+Those planes hold two or three *bits* of information per float32 lane; this
 backend packs the weight bits 64-per-word (its own program-time layout,
 derived from the engine's weight codes and persisted nowhere) and
 replaces the GEMM with ``popcount(w & x)`` accumulated over words.
@@ -16,11 +16,11 @@ performance ledger's per-kernel rows.
 
 Bitwise identity holds by construction: ON-cell counts are exact small
 integers whichever way they are contracted; the per-bit counts are
-paired over weight bits into the base class's pair-table indices (``c0
-+ R * c1`` plus the weight-bit pair's section offset — what its float32
-GEMM emits directly), and
-everything else is the base class's pass — the same input check, the
-same pair table indexed by the same integers, the same exact
+combined over weight bits into the base class's digit-table indices
+(``sum_j c_j * R**j`` at each row block's own radix ``R`` and digit
+count, plus the section's offset — what its float32 GEMM emits
+directly), and everything else is the base class's pass — the same input check, the
+same digit table indexed by the same integers, the same exact
 shift-and-add, the same stats.
 """
 
@@ -34,7 +34,6 @@ from repro.cim.macro import MacroConfig
 from repro.runtime.backends.base import register_backend
 from repro.runtime.backends.reference_fast import (
     TiledBitSerialKernel,
-    _pairs,
     _weight_bit_planes,
 )
 
@@ -78,8 +77,8 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
     planes are packed once at program time, input planes are packed per
     row block and block of vectors, and the count matrix is accumulated
     as ``popcount(w & x)`` per 64-row word — exact integers, one per
-    weight bit and input bit — then paired over weight bits into the
-    indices the float32 GEMM emits.
+    weight bit and input bit — then combined over each section's weight
+    bits into the indices the float32 GEMM emits.
     Validation, the shift-and-add and the stats are the base class's
     pass.  A popcount kernel is one engine's, a one-group pass; a
     grouped layer's stack contracts by the float32 GEMM.
@@ -90,24 +89,26 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
     def __init__(self, engine):
         super().__init__(engine)
         wb = engine.config.weight_bits
-        pairs = _pairs(wb)
-        #: Per row block: the packed planes ``(W, 2 * K)`` — every pair's
-        #: low bits in the base class's stacked ``(tile, pair, column)``
-        #: order, then its high bits — and each stacked row's table-section
-        #: offset ``(K,)``.
+        #: Per row block: the packed planes ``(W, d * K)`` — every
+        #: section's lowest bits in the base class's stacked ``(tile,
+        #: section, column)`` order, then its next bits, up to its ``d``-th
+        #: — and each stacked row's table-section offset ``(K,)``.
         self._packed_planes: List[np.ndarray] = []
         self._sections: List[np.ndarray] = []
         for group in self._groups:
             r0, r1 = group.row_start, group.row_stop
+            digits, sections = group.digits, group.section_ones.size
             bits = _weight_bit_planes(engine.weights[None, r0:r1], wb)[0]
-            # Whole pairs, (bit of the pair, pair, column, row): an odd
-            # width's top pair has an all-zero second bit, which counts 0.
-            paired = np.zeros((2 * pairs,) + bits.shape[1:], dtype=np.uint8)
-            paired[:wb] = bits
-            paired = paired.reshape((pairs, 2) + bits.shape[1:]).swapaxes(0, 1)
-            tiles = [paired[:, :, c0:c1] for c0, c1 in group.columns]
-            stacked = np.concatenate([t.reshape(2, -1, r1 - r0) for t in tiles], axis=1)
-            # (W, 2 * K): one contiguous row of plane words per 64-row
+            # Whole sections, (digit, section, column, row): a short top
+            # section's missing digits are all-zero bits, which count 0.
+            whole = np.zeros((sections * digits,) + bits.shape[1:], dtype=np.uint8)
+            whole[:wb] = bits
+            whole = whole.reshape((sections, digits) + bits.shape[1:]).swapaxes(0, 1)
+            tiles = [whole[:, :, c0:c1] for c0, c1 in group.columns]
+            stacked = np.concatenate(
+                [t.reshape(digits, -1, r1 - r0) for t in tiles], axis=1
+            )
+            # (W, d * K): one contiguous row of plane words per 64-row
             # word, so the count ufuncs' inner loop runs over the long
             # stacked axis even for a one-vector call.
             self._packed_planes.append(
@@ -117,9 +118,9 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
             )
             self._sections.append(
                 np.concatenate(
-                    [np.repeat(np.arange(pairs), c1 - c0) for c0, c1 in group.columns]
+                    [np.repeat(np.arange(sections), c1 - c0) for c0, c1 in group.columns]
                 )
-                * self._radix**2
+                * group.radix**digits
             )
 
     @staticmethod
@@ -136,7 +137,7 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
         return flat, np.bitwise_count(codes).sum(axis=-1, dtype=np.float64)
 
     def _contract(self, flat: np.ndarray, b: int, v0: int, v1: int) -> np.ndarray:
-        """The base class's pair-table indices, from packed words."""
+        """The base class's digit-table indices, from packed words."""
         group, planes = self._groups[b], self._packed_planes[b]
         ib = self.engine.config.input_bits
         rows_used = group.row_stop - group.row_start
@@ -144,16 +145,18 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
             flat[group.row_start : group.row_stop, v0 * ib : v1 * ib], rows_used
         )  # (vectors*ib, W)
         # popcount(w & x) per word: exact ON-cell counts, held as
-        # (vectors*ib, 2 * K).
+        # (vectors*ib, d * K).
         counts = np.bitwise_count(xp[:, 0, None] & planes[0])
         if rows_used > 255:
             counts = counts.astype(np.int64)
         for w in range(1, planes.shape[0]):
             counts += np.bitwise_count(xp[:, w, None] & planes[w])
-        # Pair the per-bit counts over weight bits into pair-table indices
-        # (vectors*ib, K): c0 + R * c1 at the pair's section — the float32
-        # GEMM's result transposed; shift_add's index conversion restores
-        # its C order.
-        low, high = np.split(counts.astype(np.intp), 2, axis=1)
-        indices = low + self._radix * high + self._sections[b]
+        # Combine the per-bit counts over each section's weight bits into
+        # table indices (vectors*ib, K): sum_j c_j * R**j at the section's
+        # offset — the float32 GEMM's result transposed; shift_add's index
+        # conversion restores its C order.
+        digits = counts.astype(np.intp).reshape(counts.shape[0], group.digits, -1)
+        indices = digits[:, 0] + self._sections[b]
+        for j in range(1, group.digits):
+            indices += group.radix**j * digits[:, j]
         return indices.T[None]

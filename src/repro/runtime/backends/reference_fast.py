@@ -15,36 +15,38 @@ around four observations:
 
 1. ON-cell counts are exact small integers (at most the activated row
    count), so the count contraction can run as a float32 GEMM with zero
-   rounding error — and one weight-plane entry can carry **two** weight
-   bits.  With the radix ``R = rows + 1`` (an engine's tallest row
-   block, plus one) the plane matrix's entry for weight-bit pair ``q``
-   is ``b[2q] + R * b[2q + 1]`` and the right operand holds one 0/1
-   input bit per column, so a GEMM entry is ``c0 + R * c1``: the ON-cell
-   counts of the pair's two bit lines, uniquely decodable because ``c0,
-   c1 <= rows < R``, exact in any order or blocking because every
-   partial sum is a non-negative integer below 2**24
-   (:meth:`TiledBitSerialKernel.supported`).  The macro digitises every
-   bit line; the simulator reads two per GEMM entry, and keeps
-   ``ceil(weight_bits / 2)`` float32 plane entries per weight resident
-   instead of ``weight_bits``.
+   rounding error — and one weight-plane entry can carry up to **three**
+   weight bits, as the digits of a base-``R`` number.  Each row block
+   has its own radix ``R = rows + 1`` and digit count ``d``
+   (:func:`_digits`): three weight bits per entry while its table fits
+   below 2**24, else two.  The plane matrix's entry for section ``q``
+   is ``sum_j b[d*q + j] * R**j`` and the right operand holds one 0/1
+   input bit per column, so a GEMM entry is ``sum_j c_j * R**j``: the
+   ON-cell counts of the section's bit lines, uniquely decodable because
+   every ``c_j <= rows < R``, exact in any order or blocking because
+   every partial sum is a non-negative integer below 2**24.  The macro
+   digitises every bit line; the simulator reads ``d`` per GEMM entry,
+   and keeps ``ceil(weight_bits / d)`` float32 plane entries per weight
+   resident instead of ``weight_bits``.
 2. Bit-line clipping/saturation and ADC quantization are elementwise
-   functions of an integer count in ``[0, rows_used]``, so both reads
-   digitise in **one** gather from a program-time *pair table*
-   ``T[q * R**2 + c0 + R * c1] = w[2q] * code(c0) + w[2q + 1] *
-   code(c1)`` (:func:`_pair_table`): integer ADC codes from the exact
-   reference arithmetic, the weight plane weights baked in.  Pair ``q``
-   reads section ``q``: a signed weight's top pair carries its MSB
-   weight ``-2**(weight_bits - 1)`` in its section, and an odd
-   ``weight_bits`` is a top pair whose second bit is never set.  The
-   section offset rides in the GEMM itself: a last column ``q * R**2``
-   on the weight planes times a ones row closing each block of the
+   functions of an integer count in ``[0, rows_used]``, so every read
+   of a section digitises in **one** gather from a program-time *digit
+   table* ``T[off_q + sum_j c_j * R**j] = sum_j w[d*q + j] * code(c_j)``
+   (:func:`_pair_table`): integer ADC codes from the exact reference
+   arithmetic, the weight plane weights baked in.  Section ``q`` holds
+   ``R**k`` entries for its ``k`` weight bits — ``d``, or fewer for the
+   top section when ``d`` does not divide ``weight_bits`` (3 + 3 + 2 at
+   8 bits) — at offset ``off_q = q * R**d``; a signed weight's top
+   section carries its MSB weight ``-2**(weight_bits - 1)``.  The
+   section offset rides in the GEMM itself: a last column ``off_q`` on
+   the weight planes times a ones row closing each block of the
    operand.  One table serves signed and unsigned inputs alike.
 3. ADC codes are integers, and shift-and-add over them is exact: the
    oracle recombines the codes and applies the ADC step once per tile
    partial (:meth:`repro.cim.adc.AdcSpec.convert`), so every product
    and partial sum is an integer below ``levels * 2**(weight_bits +
    input_bits)`` and *any* contraction order, blocking or BLAS kernel
-   returns the same bits.  The pair table therefore holds weighted
+   returns the same bits.  The digit table therefore holds weighted
    codes, in float32 while that bound fits 2**24 (2**21 for the
    8/8/5-bit default) and in float64 up to 2**53 — a program-time
    function of the configuration; past either bound the configuration
@@ -56,11 +58,12 @@ around four observations:
    branch.
 4. Nothing in the chain depends on its neighbours along the vector
    axis, so the whole back half — operand expansion -> count GEMM ->
-   pair gather -> weight-pair fold -> input-bit fold -> ``out +=
+   digit gather -> section fold -> input-bit fold -> ``out +=
    partial * step``
    (:meth:`_TileGroup.shift_add`) — runs per **block of vectors** sized
    to keep one row block's operand, indices and codes cache-resident
-   (:data:`_BLOCK_BYTES`), and a call with enough of it
+   (:data:`_BLOCK_BYTES`; a row block cuts its vectors into equal
+   blocks, :func:`_vector_blocks`), and a call with enough of it
    (:data:`_SPLIT_INDICES`) cuts its vectors into one contiguous chunk
    per core the process may use: the caller runs the first, a
    process-wide pool of threads the others
@@ -95,6 +98,7 @@ encodings) falls back to the reference implementation at the call site.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import functools
 import os
@@ -118,7 +122,7 @@ from repro.runtime.backends.base import KernelBackend, register_backend
 #: 2-8 MiB is a plateau within run-to-run noise, 0.5 MiB is ~10% slower).
 _BLOCK_BYTES = 4 << 20
 
-#: Pair-table indices a call gathers — vectors x stacked weight-plane
+#: Table indices a call gathers — vectors x stacked weight-plane
 #: rows x input bits, over every row block — from which its back
 #: half is split across cores; a smaller call runs inline.  Measured on
 #: two cores over the resnet8 and mobilenet kernel calls: a split call
@@ -169,10 +173,28 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _pairs(weight_bits: int) -> int:
-    """Weight-bit pairs of a code: plane-matrix rows per logical column,
-    and pair-table sections."""
-    return (weight_bits + 1) // 2
+def _sections(weight_bits: int, digits: int) -> int:
+    """Sections of a ``weight_bits``-wide code read ``digits`` weight bits
+    per plane entry: plane-matrix rows per logical column, and table
+    sections."""
+    return -(-weight_bits // digits)
+
+
+def _table_size(rows: int, weight_bits: int, digits: int) -> int:
+    """Entries of a ``rows``-row block's digit table: ``R**digits`` per
+    full section and ``R**k`` for a top section of ``k`` weight bits, at
+    ``R = rows + 1`` — one past its largest index, the largest partial
+    sum of the block's float32 count GEMM."""
+    radix, full = rows + 1, _sections(weight_bits, digits) - 1
+    return full * radix**digits + radix ** (weight_bits - full * digits)
+
+
+def _digits(rows: int, weight_bits: int) -> int:
+    """Weight bits one plane entry of a ``rows``-row block carries: up to
+    three while every index of its table is below 2**24, else two —
+    which :meth:`TiledBitSerialKernel.supported` guarantees fits."""
+    digits = min(weight_bits, 3)
+    return digits if _table_size(rows, weight_bits, digits) <= 1 << 24 else 2
 
 
 def _block_vectors(stacked_rows: int, input_bits: int) -> int:
@@ -181,6 +203,16 @@ def _block_vectors(stacked_rows: int, input_bits: int) -> int:
     per vector: as many as keep the block's indices and codes within
     :data:`_BLOCK_BYTES`."""
     return max(1, _BLOCK_BYTES // (stacked_rows * input_bits * 8))
+
+
+def _vector_blocks(v0: int, v1: int, width: int) -> List[Tuple[int, int]]:
+    """Vectors ``v0`` to ``v1`` cut into ``ceil((v1 - v0) / width)``
+    contiguous blocks of equal size, to within one vector: never a last
+    block of a few vectors after full ones."""
+    n = v1 - v0
+    blocks = -(-n // width)
+    edges = [v0 + n * i // blocks for i in range(blocks + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 def _code_sum_bound(config: MacroConfig) -> int:
@@ -246,7 +278,7 @@ def _bit_operand(
     vectors ``v0`` to ``v1`` of the codes whose bytes are ``code_bytes``
     (:func:`_code_bytes`): float32 ``(..., r1 - r0 + 1, (v1 - v0) *
     input_bits)``, input bit innermost, its 0/1 bits then a row of ones
-    — they pick up the pair-table section offsets in the weight planes'
+    — they pick up the table's section offsets in the weight planes'
     last column.  Each byte is expanded by one gather from its
     :func:`_bit_values` straight into place.
     """
@@ -285,15 +317,13 @@ def _weight_bit_planes(codes: np.ndarray, weight_bits: int) -> np.ndarray:
     return planes
 
 
-def _pair_table(config: MacroConfig, rows: int, radix: int) -> Tuple[np.ndarray, float]:
-    """The pair table of a ``rows``-row block read at ``radix``, and the
-    ADC step its codes are scaled by: one shared read-only array per
-    distinct (rows, radix, circuit, weight encoding), built at program
-    time."""
+def _pair_table(config: MacroConfig, rows: int) -> Tuple[np.ndarray, float]:
+    """The digit table of a ``rows``-row block, and the ADC step its
+    codes are scaled by: one shared read-only array per distinct (rows,
+    circuit, weight encoding), built at program time."""
     bitline = config.bitline  # noise-free, so observe() reads these two
     return _shared_pair_table(
         rows,
-        radix,
         config.adc,
         bitline.max_rows,
         bitline.saturation,
@@ -303,34 +333,83 @@ def _pair_table(config: MacroConfig, rows: int, radix: int) -> Tuple[np.ndarray,
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _shared_pair_table(
-    rows, radix, adc, max_rows, saturation, weight_bits, signed_weights, dtype
+#: Bytes of digit tables the shared cache keeps: a few of the 17.2 MB
+#: tables of a 128-row block at 8-bit weights, every smaller one beside.
+_TABLE_CACHE_BYTES = 64 << 20
+
+
+class _TableCache:
+    """A least-recently-used cache of digit tables bounded by their bytes,
+    not their count: an entry past the bound evicts the oldest until the
+    rest fit, and a table larger than the bound is built, never kept.
+    The cache only shares — kernels hold their tables, so an evicted
+    entry costs a later program a rebuild, never a wrong table."""
+
+    def __init__(self, build, max_bytes: int):
+        self._build = build
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._tables: collections.OrderedDict = collections.OrderedDict()
+        self._lock = threading.Lock()
+
+    def __call__(self, *key):
+        with self._lock:
+            if key in self._tables:
+                self._tables.move_to_end(key)
+                return self._tables[key]
+        built = self._build(*key)
+        size = built[0].nbytes
+        with self._lock:
+            if key not in self._tables and size <= self.max_bytes:
+                self._tables[key] = built
+                self.nbytes += size
+                while self.nbytes > self.max_bytes:
+                    _, (table, _) = self._tables.popitem(last=False)
+                    self.nbytes -= table.nbytes
+            # A table another thread built meanwhile wins: one array per key.
+            return self._tables.get(key, built)
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._tables.clear()
+            self.nbytes = 0
+
+
+def _build_pair_table(
+    rows, adc, max_rows, saturation, weight_bits, signed_weights, dtype
 ):
-    """``table[q * radix**2 + c0 + radix * c1] = w[2q] * code(c0) +
-    w[2q + 1] * code(c1)`` over ``c0, c1`` in ``[0, rows]``, one section
-    per weight-bit pair ``q``, where ``w`` are the weight plane weights
-    (:func:`plane_weights`): a signed code's MSB weighs ``-2**(wb - 1)``
-    and an odd width's missing top bit weighs nothing.
+    """``table[q * R**d + sum_j c_j * R**j] = sum_j w[d*q + j] * code(c_j)``
+    over every digit ``c_j`` in ``[0, rows]`` of section ``q``'s weight
+    bits, ``R = rows + 1`` and ``d`` the block's :func:`_digits`, where
+    ``w`` are the weight plane weights (:func:`plane_weights`): a signed
+    code's MSB weighs ``-2**(wb - 1)``.  A top section of ``k < d`` bits
+    holds ``R**k`` entries.
 
     ``code`` is the bit-line observation + ADC conversion of an integer
-    count with the exact reference arithmetic; entries unreachable from
-    a block shorter than the radix stay zero.  The cache only shares:
-    kernels hold their tables, so an evicted entry costs a later
-    program a rebuild, never a wrong table.
+    count with the exact reference arithmetic.  Every entry is an
+    integer below :func:`_code_sum_bound`, summed in float64 and exact
+    in the table's ``dtype``.
     """
     domain = np.arange(rows + 1, dtype=np.float64)
     bitline = BitlineModel(max_rows=max_rows, saturation=saturation)
     codes, step = adc.convert(bitline.observe(domain, None), float(rows))
-    pairs = _pairs(weight_bits)
-    weights = np.zeros(2 * pairs)
-    weights[:weight_bits] = plane_weights(weight_bits, signed_weights)
-    table = np.zeros((pairs, radix, radix), dtype=dtype)
-    for section, (w0, w1) in zip(table, weights.reshape(pairs, 2)):
-        section[: rows + 1, : rows + 1] = np.add.outer(w1 * codes, w0 * codes)
-    table = table.reshape(-1)
+    digits = _digits(rows, weight_bits)
+    weights = plane_weights(weight_bits, signed_weights)
+    table = np.empty(_table_size(rows, weight_bits, digits), dtype=dtype)
+    start = 0
+    for low in range(0, weight_bits, digits):
+        # Digit j is axis -1 - j: C order puts c_0 innermost.
+        entries = 0.0
+        for weight in weights[low : low + digits]:
+            entries = np.add.outer(weight * codes, entries)
+        table[start : start + entries.size] = entries.reshape(-1)
+        start += entries.size
     table.flags.writeable = False
     return table, step
+
+
+#: One shared table per distinct (rows, circuit, weight encoding).
+_shared_pair_table = _TableCache(_build_pair_table, _TABLE_CACHE_BYTES)
 
 
 class _TileGroup:
@@ -338,13 +417,14 @@ class _TileGroup:
 
     Column tiles of the same rows consume the same operand, so their
     float32 weight-plane matrices are stacked into one operand: one GEMM
-    and one pair gather cover the whole block (:meth:`shift_add`), and
+    and one table gather cover the whole block (:meth:`shift_add`), and
     each tile's slice of the result is a contiguous view; ``columns``
     holds each tile's ``(col_start, col_stop)``.  The per-group arrays,
     ``planes32`` and ``row_weights``, lead with the group axis;
     ``input_weights`` — the input-bit fold's plane weights — is one
     ``(input_bits,)`` vector when every group shares a signedness, else
-    one row per group.
+    one row per group.  ``radix`` and ``digits`` are the block's own
+    ``R = rows + 1`` and weight bits per plane entry (:func:`_digits`).
 
     Everything here is derived from ``codes`` — the row block's ``(G,
     rows, columns)`` slice of the groups' integer weight codes, the one
@@ -358,7 +438,6 @@ class _TileGroup:
         row_stop: int,
         columns: List[Tuple[int, int]],
         codes: np.ndarray,
-        radix: int,
         config: MacroConfig,
         input_weights: np.ndarray,
     ):
@@ -367,23 +446,26 @@ class _TileGroup:
         self.columns = columns
         groups, rows = codes.shape[0], row_stop - row_start
         wb = config.weight_bits
-        pairs = _pairs(wb)
-        widths = [pairs * (c1 - c0) for c0, c1 in columns]
+        radix, digits = rows + 1, _digits(rows, wb)
+        self.radix, self.digits = radix, digits
+        sections = _sections(wb, digits)
+        widths = [sections * (c1 - c0) for c0, c1 in columns]
         self.offsets = np.cumsum([0] + widths).tolist()
-        # Stacked planes: tile after tile, each ``(weight-bit pair,
-        # column)`` major over the block's rows — ``b[2q] + R * b[2q + 1]``
-        # (an odd width's top pair has no second bit) — then a last
-        # column with the pair's table-section offset, which the
-        # operand's ones row carries through the GEMM.
+        # Stacked planes: tile after tile, each ``(section, column)``
+        # major over the block's rows — ``sum_j b[d*q + j] * R**j`` (a
+        # short top section has no higher digits) — then a last column
+        # with the section's table offset, which the operand's ones row
+        # carries through the GEMM.
         bits = _weight_bit_planes(codes, wb)
-        low, high = bits[:, 0::2], bits[:, 1::2]
-        sections = np.arange(pairs, dtype=np.float32)[:, None] * radix**2
+        offsets = np.arange(sections, dtype=np.float32)[:, None] * radix**digits
         self.planes32 = np.empty((groups, self.offsets[-1], rows + 1), dtype=np.float32)
         for (c0, c1), k0, k1 in zip(columns, self.offsets, self.offsets[1:]):
-            tile = self.planes32[:, k0:k1].reshape(groups, pairs, c1 - c0, rows + 1)
-            tile[..., :rows] = low[:, :, c0:c1]
-            tile[:, : wb // 2, :, :rows] += high[:, :, c0:c1] * np.float32(radix)
-            tile[..., rows] = sections
+            tile = self.planes32[:, k0:k1].reshape(groups, sections, c1 - c0, rows + 1)
+            tile[..., :rows] = bits[:, 0::digits, c0:c1]
+            for j in range(1, digits):
+                digit = bits[:, j::digits, c0:c1]
+                tile[:, : digit.shape[1], :, :rows] += digit * np.float32(radix**j)
+            tile[..., rows] = offsets
         # Each tile's programmed ON cells per row, then a row of ones:
         # one product with a group's per-row input ON bits gives every
         # tile's ON-cell total and the block's activated rows — exact
@@ -398,19 +480,19 @@ class _TileGroup:
             dtype=np.float64,
             out=self.row_weights[:, :-1],
         )
-        self.pair_table, self.step = _pair_table(config, rows, radix)
-        self.pair_ones = np.ones(pairs, dtype=self.pair_table.dtype)
+        self.pair_table, self.step = _pair_table(config, rows)
+        self.section_ones = np.ones(sections, dtype=self.pair_table.dtype)
         self.input_weights = input_weights
 
     def shift_add(self, indices: np.ndarray, out: np.ndarray) -> None:
-        """Digitize pair-table ``indices`` ``(G, stacked rows, vectors *
+        """Digitize digit-table ``indices`` ``(G, stacked rows, vectors *
         input bits)`` (exact integers in any numeric dtype, any memory
         order) and add the row block's partial sums into float64 ``out``
         ``(G, columns, vectors)``.
 
-        One gather of weighted code pairs; then per tile the weight-bit
-        pairs fold first — one product over the long contiguous axis —
-        and the input bits of the pairs-times smaller result after it,
+        One gather of weighted code sums; then per tile the sections
+        fold first — one product over the long contiguous axis — and the
+        input bits of the sections-times smaller result after it,
         with the input plane weights — one product for the whole stack
         when its groups share a signedness, one per group otherwise:
         integer arithmetic throughout, exact in the table's dtype
@@ -422,12 +504,12 @@ class _TileGroup:
         codes = np.take(
             self.pair_table, indices.astype(np.intp, order="C"), mode="clip"
         )
-        groups, pairs = codes.shape[0], self.pair_ones.size
+        groups, sections = codes.shape[0], self.section_ones.size
         weights = self.input_weights
         input_bits = weights.shape[-1]
         for (c0, c1), k0, k1 in zip(self.columns, self.offsets, self.offsets[1:]):
-            planes = codes[:, k0:k1].reshape(groups, pairs, -1)
-            partial = np.matmul(self.pair_ones, planes)
+            planes = codes[:, k0:k1].reshape(groups, sections, -1)
+            partial = np.matmul(self.section_ones, planes)
             if weights.ndim == 1:
                 partial = np.matmul(partial.reshape(-1, input_bits), weights)
             else:
@@ -453,7 +535,7 @@ class TiledBitSerialKernel(KernelBackend):
     ``(G, rows, n)`` codes and mirrors :meth:`CimTiledMatmul.matmul` for
     every group exactly — per-tile partial sums accumulate in tile
     order, stats follow :meth:`_pass_stats` — while fusing the operand's
-    expansion into input bits, the count GEMM, pair gather and
+    expansion into input bits, the count GEMM, table gather and
     shift-and-add (once per row block and block of vectors) across
     tiles and groups — every step exact per element, so the pass over
     ``G`` engines is bitwise each group's pass, stats chained in index
@@ -468,7 +550,7 @@ class TiledBitSerialKernel(KernelBackend):
         if not self.supported(engine.config):
             raise ValueError(
                 "fast bit-serial kernel requires a noise-free bit line, "
-                "shift-and-add sums below 2**53 and pair-table indices "
+                "shift-and-add sums below 2**53 and table indices "
                 "below 2**24; "
                 "use the reference CimTiledMatmul.matmul path instead"
             )
@@ -482,8 +564,6 @@ class TiledBitSerialKernel(KernelBackend):
         blocks: dict = {}
         for r0, r1, c0, c1 in engine.tile_bounds():
             blocks.setdefault((r0, r1), []).append((c0, c1))
-        #: One radix per pass: its tallest row block, plus one.
-        self._radix = max(r1 - r0 for r0, r1 in blocks) + 1
         # One group's codes need no copy.
         if len(engines) == 1:
             codes = engine.weights[None]
@@ -499,9 +579,7 @@ class TiledBitSerialKernel(KernelBackend):
         )
         input_weights = weights[sign[0]] if (sign == sign[0]).all() else weights[sign]
         self._groups = [
-            _TileGroup(
-                r0, r1, cols, codes[:, r0:r1], self._radix, engine.config, input_weights
-            )
+            _TileGroup(r0, r1, cols, codes[:, r0:r1], engine.config, input_weights)
             for (r0, r1), cols in blocks.items()
         ]
         self._bit_values = _bit_values(ib)
@@ -512,7 +590,7 @@ class TiledBitSerialKernel(KernelBackend):
         self._vector_indices = self._count_vector_indices()
 
     def _count_vector_indices(self) -> int:
-        """Pair-table indices one input vector costs the pass: every
+        """Table indices one input vector costs the pass: every
         group's stacked rows times the input bits, over the row blocks —
         the measure :data:`_SPLIT_INDICES` is set in."""
         ib = self.engine.config.input_bits
@@ -525,15 +603,16 @@ class TiledBitSerialKernel(KernelBackend):
     def supported(config: MacroConfig) -> bool:
         """True when the fast path is bit-exact for this configuration:
         a noise-free bit line, a shift-and-add whose every partial sum
-        is an integer float64 holds exactly, and a pair table — ``Q =
-        ceil(weight_bits / 2)`` sections of ``(rows + 1)**2`` — whose
-        every index, and so every partial sum of the float32 count GEMM,
-        is below 2**24."""
+        is an integer float64 holds exactly, and a two-digit table — ``Q
+        = ceil(weight_bits / 2)`` sections of at most ``(rows + 1)**2`` —
+        whose every index, and so every partial sum of the float32 count
+        GEMM, is below 2**24: the layout every row block can fall back to
+        (:func:`_digits`)."""
         return (
             config.bitline is not None
             and config.bitline.noise_sigma_counts == 0
             and _code_sum_bound(config) < 1 << 53
-            and _pairs(config.weight_bits) * (config.rows + 1) ** 2 <= 1 << 24
+            and _sections(config.weight_bits, 2) * (config.rows + 1) ** 2 <= 1 << 24
         )
 
     def matmul(self, x: np.ndarray) -> Tuple[np.ndarray, MacroStats]:
@@ -556,16 +635,15 @@ class TiledBitSerialKernel(KernelBackend):
         return out, self._pass_stats(row_ones, n)
 
     def _back_half(self, expanded, out: np.ndarray, v0: int, v1: int) -> None:
-        """Operand -> count GEMM -> pair gather -> shift-and-add for
+        """Operand -> count GEMM -> table gather -> shift-and-add for
         ``expanded`` (what :meth:`_expand` returned) and vectors ``v0``
         to ``v1``, into ``out[..., v0:v1]``: the row blocks in ascending
-        order, each in cache-sized blocks of vectors (the budget covers
-        the stacked planes of every group)."""
+        order, each in equal cache-sized blocks of vectors (the budget
+        covers the stacked planes of every group)."""
         groups, ib = out.shape[0], self.engine.config.input_bits
         for b, group in enumerate(self._groups):
             width = _block_vectors(groups * group.planes32.shape[1], ib)
-            for w0 in range(v0, v1, width):
-                w1 = min(w0 + width, v1)
+            for w0, w1 in _vector_blocks(v0, v1, width):
                 group.shift_add(self._contract(expanded, b, w0, w1), out[:, :, w0:w1])
 
     def _split(self, expanded, out: np.ndarray, chunks: int) -> None:
@@ -637,7 +715,7 @@ class TiledBitSerialKernel(KernelBackend):
     def _contract(
         self, code_bytes: List[np.ndarray], b: int, v0: int, v1: int
     ) -> np.ndarray:
-        """Pair-table indices ``(G, stacked rows, vectors * input bits)``
+        """Digit-table indices ``(G, stacked rows, vectors * input bits)``
         of row block ``b`` for vectors ``v0`` to ``v1``: the block's
         operand, built in place, then one batched float32 GEMM for every
         column tile of the block and every group, its result C-contiguous

@@ -135,9 +135,9 @@ class EngineCache:
     engine), which reproduces the seed library's per-call behaviour.
 
     The bound is an entry count, not bytes.  A compiled 8-bit engine
-    holds about 32 bytes per weight once it has run (a 256 x 1152 ROM
+    holds about 28 bytes per weight once it has run (a 256 x 1152 ROM
     engine: 8 for its int64 codes, 8 for the tiled engine's own int64
-    copy, 16.1 for the fused kernel's planes); a restored one keeps the
+    copy, 12.1 for the fused kernel's planes); a restored one keeps the
     codes at their 1-byte stored width, 1 + 1 in place of 8 + 8, and the
     reference path's float64 bit planes add 64 once it has read them.  So
     workloads that sweep many large distinct weight sets through one

@@ -398,15 +398,17 @@ from repro.cim import BitlineModel
 def shift_add_cases(draw):
     """A multi-tile engine — ragged last column tile, a row count that
     does not divide the tile, so its last row block is shorter than the
-    engine's radix — over the bit widths (odd weight and input widths
-    included), ADC resolutions, weight and input signedness and bit-line
-    saturation that shape the pair table, with a batch of one to three
-    vector blocks.  One draw in three saturates: all-ones weights under
-    all-ones activations, both bit lines of every weight-bit pair
-    counting ``c0 = c1 = rows``."""
+    tile and read at its own radix — over the bit widths (odd weight and
+    input widths included), tile heights on both sides of the
+    three-digit bound (256 rows hold two weight bits per plane entry
+    from 3-bit weights up), ADC resolutions, weight and input signedness
+    and bit-line saturation that shape the digit table, with a batch of
+    one to three vector blocks.  One draw in three saturates: all-ones
+    weights under all-ones activations, every bit line of every section
+    counting ``rows``."""
     wb = draw(st.sampled_from((1, 2, 3, 4, 5, 8)))
     ib = draw(st.sampled_from((1, 2, 3, 4, 5, 7, 8)))
-    tile_rows = draw(st.sampled_from((8, 32, 128)))
+    tile_rows = draw(st.sampled_from((8, 32, 128, 256)))
     tile_cols = draw(st.sampled_from((2, 4, 16)))
     config = MacroConfig(
         rows=tile_rows,
@@ -437,42 +439,61 @@ def shift_add_cases(draw):
     return CimTiledMatmul(weights, config), x, step
 
 
-#: What weight-bit pairing adds, as the generated cases must reach it.
-PAIRING_CASES = {
-    "odd weight width: a top pair of one bit",
-    "signed-weight top pair",
-    "row block shorter than the radix",
-    "c0 = c1 = rows on the tallest row block",
+#: What reading weight bits as base-``R`` digits adds, as the generated
+#: cases must reach it.
+DIGIT_CASES = {
+    "three weight bits per plane entry",
+    "the two-bit fallback past the three-digit bound",
+    "a top section shorter than the digit count, at 8 bits",
+    "a top section shorter than the digit count, at an odd width",
+    "a signed weight's top section",
+    "a row block shorter than the tile, at its own radix",
+    "every digit = rows",
 }
 
 
-def _probe_pairing(kernel, reached):
-    """Decode every pair-table index the kernel's row blocks are handed
-    (``q * R**2 + c0 + R * c1``, ``q`` the weight-bit pair) and count
-    which of :data:`PAIRING_CASES` the call reached."""
-    radix = kernel._radix
+def _probe_digits(kernel, reached):
+    """Decode every table index the kernel's row blocks are handed — by
+    section offset ``q * R**d``, then ``d`` base-``R`` digits, lowest
+    first, at the block's own ``R = rows + 1`` — and count which of
+    :data:`DIGIT_CASES` the call reached."""
     config = kernel.engine.config
-    top = reference_fast._pairs(config.weight_bits) - 1
+    wb = config.weight_bits
 
     def spy(group):
         real = group.shift_add
-        rows = group.row_stop - group.row_start
+        rows, radix, d = group.row_stop - group.row_start, group.radix, group.digits
+        assert radix == rows + 1
+        top = -(-wb // d) - 1
+        top_bits = wb - d * top  # the top section's weight bits
 
         def shift_add(indices, out):
-            section, digits = np.divmod(np.asarray(indices, dtype=np.int64), radix**2)
-            c1, c0 = np.divmod(digits, radix)
-            assert c0.max() <= rows and c1.max() <= rows and section.max() <= top
-            # The top pair's bit lines hold the MSB of the code.
-            msb = c1 if config.weight_bits % 2 == 0 else c0
-            if config.weight_bits % 2 == 1:
-                reached["odd weight width: a top pair of one bit"] += 1
-                assert not c1[section == top].any()
-            if config.signed_weights and msb[section == top].any():
-                reached["signed-weight top pair"] += 1
-            if rows < radix - 1:
-                reached["row block shorter than the radix"] += 1
-            elif ((c0 == rows) & (c1 == rows)).any():
-                reached["c0 = c1 = rows on the tallest row block"] += 1
+            section, rest = np.divmod(np.asarray(indices, dtype=np.int64), radix**d)
+            digits = []
+            for _ in range(d):
+                rest, digit = np.divmod(rest, radix)
+                digits.append(digit)
+            assert section.max() <= top
+            assert max(digit.max() for digit in digits) <= rows
+            # A short top section has no higher digits to set.
+            on_top = section == top
+            assert not any(digit[on_top].any() for digit in digits[top_bits:])
+            if d == 3:
+                reached["three weight bits per plane entry"] += 1
+            if d == 2 and wb >= 3:
+                reached["the two-bit fallback past the three-digit bound"] += 1
+            if top_bits < d:
+                width = "at 8 bits" if wb == 8 else "at an odd width" if wb % 2 else ""
+                if width:
+                    reached[f"a top section shorter than the digit count, {width}"] += 1
+            # The top section's highest digit holds the MSB of the code.
+            if config.signed_weights and digits[top_bits - 1][on_top].any():
+                reached["a signed weight's top section"] += 1
+            if rows < config.rows:
+                reached["a row block shorter than the tile, at its own radix"] += 1
+            full = (section < top) | (top_bits == d)
+            if d >= 2 and (full & np.logical_and.reduce([c == rows for c in digits])).any():
+                reached["every digit = rows"] += 1
             real(indices, out)
 
         group.shift_add = shift_add
@@ -500,35 +521,47 @@ def _cut_changes_bytes(matmul, x):
 
 
 def _float_table_mutant(engine):
-    """The kernel with the pair table swapped for the reconstructed
+    """The kernel with the digit table swapped for the reconstructed
     float counts ``codes * step`` it replaced (and ``step`` folded in)."""
     kernel = TiledBitSerialKernel(engine)
     for group in kernel._groups:
         group.pair_table = group.pair_table.astype(np.float64) * group.step
-        group.pair_ones = group.pair_ones.astype(np.float64)
+        group.section_ones = group.section_ones.astype(np.float64)
         group.input_weights = group.input_weights.astype(np.float64)
         group.step = 1.0
     return kernel
 
 
 def _short_radix_mutant(engine):
-    """The kernel reading its weight-bit pairs at radix ``rows`` instead
-    of ``rows + 1``: within a section ``c0 + rows * c1``, where a full
-    bit line (``c0 = rows``) aliases ``(0, c1 + 1)``.  Every other entry
-    moves to its new index intact."""
+    """The kernel reading each row block's weight-bit digits at radix
+    ``rows`` instead of ``rows + 1``: within a section ``sum_j c_j *
+    rows**j``, where a full bit line (``c_j = rows``) below the top digit
+    carries into the next.  Every entry no carry reaches moves to its new
+    index intact; the section offsets stay."""
     kernel = TiledBitSerialKernel(engine)
-    radix = kernel._radix
-    c1, c0 = np.divmod(np.arange(radix**2), radix)
-    unaliased = c0 < radix - 1
+    wb = engine.config.weight_bits
     for group in kernel._groups:
-        table = group.pair_table.reshape(-1, radix**2)
-        mutant = np.zeros_like(table)
-        mutant[:, (c0 + (radix - 1) * c1)[unaliased]] = table[:, unaliased]
-        group.pair_table = mutant.reshape(-1)
-        # b[2q] + R * b[2q + 1] -> b[2q] + (R - 1) * b[2q + 1]; the
-        # section offsets in the last column stay.
+        radix, d = group.radix, group.digits
+        mutant = np.zeros_like(group.pair_table)
+        for low in range(0, wb, d):
+            k, offset = min(d, wb - low), low // d * radix**d
+            entries = np.arange(radix**k)
+            rest, index, unaliased = entries, offset, True
+            for j in range(k):
+                rest, digit = np.divmod(rest, radix)
+                index = index + digit * (radix - 1) ** j
+                if j < k - 1:
+                    unaliased = unaliased & (digit < radix - 1)
+            mutant[index[unaliased]] = group.pair_table[offset + entries[unaliased]]
+        group.pair_table = mutant
+        # sum_j b_j * R**j -> sum_j b_j * (R - 1)**j; the section offsets
+        # in the last column stay.
+        rest = group.planes32[..., :-1].astype(np.int64)
         planes = group.planes32.copy()
-        planes[..., :-1] -= planes[..., :-1] // radix
+        planes[..., :-1] = 0
+        for j in range(d):
+            rest, digit = np.divmod(rest, radix)
+            planes[..., :-1] += digit * (radix - 1) ** j
         group.planes32 = planes
     return kernel
 
@@ -555,7 +588,7 @@ class TestShiftAddProperties:
             for name in available_backends():
                 kernel = get_backend(name)(engine)
                 if name == "reference-fast":
-                    _probe_pairing(kernel, reached)
+                    _probe_digits(kernel, reached)
                 with mock.patch.object(
                     reference_fast, "_BLOCK_BYTES", _block_budget(kernel, step)
                 ):
@@ -564,7 +597,7 @@ class TestShiftAddProperties:
                 assert stats == ref_stats, name
 
         run()
-        assert PAIRING_CASES - {case for case, n in reached.items() if n} == set()
+        assert DIGIT_CASES - {case for case, n in reached.items() if n} == set()
 
     @given(shift_add_cases())
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -598,9 +631,9 @@ class TestShiftAddProperties:
 
     @pytest.mark.parametrize("mutant", [_short_radix_mutant, _unsigned_fold_mutant])
     def test_pairing_mutants_do_not_match_the_reference(self, mutant):
-        """So has the first: a radix one short of ``rows + 1`` and signed
-        input bits folded with the unsigned plane weights each differ
-        from the tile walk on some drawn case."""
+        """So has the first: a row block's radix one short of ``rows +
+        1`` and signed input bits folded with the unsigned plane weights
+        each differ from the tile walk on some drawn case."""
 
         def differs(case):
             engine, x, _ = case
@@ -623,33 +656,47 @@ class TestPairTable:
 
     @pytest.mark.parametrize("signed", [False, True])
     @pytest.mark.parametrize("weight_bits", [1, 2, 5, 8])
-    @pytest.mark.parametrize("rows,radix", [(8, 9), (5, 9), (128, 129)])
-    def test_every_entry_is_the_weighted_code_pair(self, rows, radix, weight_bits, signed):
+    @pytest.mark.parametrize(
+        "rows,tile_radix", [(8, 9), (5, 9), (128, 129), (256, 257)]
+    )
+    def test_every_entry_is_the_weighted_code_pair(
+        self, rows, tile_radix, weight_bits, signed
+    ):
+        """A ``rows``-row block of a ``tile_radix - 1``-row tile reads its
+        own radix ``rows + 1``, ``d`` weight bits per section — 1, 2 or 3
+        below the three-digit bound, 2 past it (256 rows) — and every
+        entry is its digits' weighted codes."""
         config = MacroConfig(
-            rows=radix - 1, phys_columns=16 * weight_bits, weight_bits=weight_bits,
+            rows=tile_radix - 1, phys_columns=16 * weight_bits, weight_bits=weight_bits,
             signed_weights=signed, adc=AdcSpec(bits=3),
         )
-        table, step = reference_fast._pair_table(config, rows, radix)
+        table, step = reference_fast._pair_table(config, rows)
         code, oracle_step = config.adc.convert(
             config.bitline.observe(np.arange(rows + 1.0), None), float(rows)
         )
         assert step == oracle_step
-        # An odd width's top pair has no second bit: it weighs nothing.
-        weights = np.append(plane_weights(weight_bits, signed), 0.0)
-        pairs = reference_fast._pairs(weight_bits)
-        assert table.size == pairs * radix**2
-        for q in range(pairs):
-            for c0 in range(rows + 1):
-                for c1 in range(rows + 1):
-                    assert table[q * radix**2 + c0 + radix * c1] == (
-                        weights[2 * q] * code[c0] + weights[2 * q + 1] * code[c1]
-                    )
+        radix, d = rows + 1, min(weight_bits, 2 if rows == 256 else 3)
+        sections = -(-weight_bits // d)
+        # Full sections of R**d entries, a top one of R**(bits left).
+        assert table.size == (sections - 1) * radix**d + radix ** (
+            weight_bits - (sections - 1) * d
+        )
+        # A short top section's missing bits weigh nothing.
+        weights = np.zeros(sections * d)
+        weights[:weight_bits] = plane_weights(weight_bits, signed)
+        section, rest = np.divmod(np.arange(table.size), radix**d)
+        expected = np.zeros(table.size)
+        for j in range(d):
+            rest, digit = np.divmod(rest, radix)
+            expected += weights[d * section + j] * code[digit]
+        assert table.dtype == np.float32
+        assert table.tobytes() == expected.astype(np.float32).tobytes()
 
     def test_tables_are_shared_and_read_only(self):
         config = MacroConfig()
         signed = MacroConfig(signed_inputs=True, wl_energy_fj=1.0)
-        table, _ = reference_fast._pair_table(config, 128, 129)
-        assert reference_fast._pair_table(signed, 128, 129)[0] is table
+        table, _ = reference_fast._pair_table(config, 128)
+        assert reference_fast._pair_table(signed, 128)[0] is table
         assert not table.flags.writeable
         engines = [
             CimTiledMatmul(np.zeros((200, 3), dtype=int), c) for c in (config, signed)
@@ -657,6 +704,85 @@ class TestPairTable:
         first, second = (TiledBitSerialKernel(engine)._groups for engine in engines)
         assert [g.pair_table is h.pair_table for g, h in zip(first, second)] == [True] * 2
         assert first[0].pair_table is table and first[1].pair_table is not table
+
+    def test_cache_bytes_stay_within_the_bound(self):
+        """The shared cache is bounded by bytes, not entries: over many
+        circuits' 17.2 MB tables (128 rows, 8-bit weights) it keeps the
+        most recent that fit :data:`_TABLE_CACHE_BYTES`, a table past
+        the bound is built and never kept, and an evicted table is
+        rebuilt equal."""
+        cache = reference_fast._shared_pair_table
+        cache.cache_clear()
+        try:
+            circuits = [
+                MacroConfig(adc=AdcSpec(bits=bits), signed_weights=signed)
+                for bits in (2, 3, 4, 5, 6, 7, 8)
+                for signed in (False, True)
+            ]
+            tables = []
+            for config in circuits:
+                table, _ = reference_fast._pair_table(config, 128)
+                tables.append(table)
+                assert 0 < cache.nbytes <= reference_fast._TABLE_CACHE_BYTES
+                assert reference_fast._pair_table(config, 128)[0] is table
+            kept = reference_fast._TABLE_CACHE_BYTES // tables[0].nbytes
+            assert kept < len(circuits)
+            assert cache.nbytes == kept * tables[0].nbytes
+            rebuilt, _ = reference_fast._pair_table(circuits[0], 128)
+            assert rebuilt is not tables[0]
+            assert rebuilt.tobytes() == tables[0].tobytes()
+            with mock.patch.object(cache, "max_bytes", tables[0].nbytes - 1):
+                cache.cache_clear()
+                table, _ = reference_fast._pair_table(circuits[1], 128)
+                assert cache.nbytes == 0
+                assert reference_fast._pair_table(circuits[1], 128)[0] is not table
+        finally:
+            cache.cache_clear()
+
+    def test_cache_shared_by_threads_keeps_its_byte_count(self):
+        """Kernels are built on whichever thread runs a layer first:
+        six threads over a budget of a few small tables, under a short
+        switch interval, leave the cache's byte count equal to the bytes
+        it holds and within the bound, and every table a key returned
+        equal to a fresh build."""
+        import sys
+        import threading
+
+        cache = reference_fast._shared_pair_table
+        circuits = [
+            (MacroConfig(adc=AdcSpec(bits=bits)), rows)
+            for bits in (3, 5, 8)
+            for rows in (9, 16, 27, 40)
+        ]
+        budget = 3 * reference_fast._pair_table(*circuits[-1])[0].nbytes
+        seen = collections.defaultdict(list)
+
+        def work(seed):
+            order = np.random.default_rng(seed).permutation(len(circuits) * 4)
+            for i in order % len(circuits):
+                seen[i].append(reference_fast._pair_table(*circuits[i])[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(cache, "max_bytes", budget):
+                cache.cache_clear()
+                threads = [threading.Thread(target=work, args=(s,)) for s in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+                held = sum(table.nbytes for table, _ in cache._tables.values())
+                assert cache.nbytes == held <= budget
+        finally:
+            sys.setswitchinterval(interval)
+            cache.cache_clear()
+        assert sorted(seen) == list(range(len(circuits)))
+        for i, tables in seen.items():
+            fresh = reference_fast._pair_table(*circuits[i])[0]
+            assert all(table.tobytes() == fresh.tobytes() for table in tables)
+        cache.cache_clear()
 
 
 # -- grouped convolutions executed per layer -----------------------------

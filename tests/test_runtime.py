@@ -353,8 +353,7 @@ def _reversed_row_blocks(self, operand, out, v0, v1):
     for b in reversed(range(len(self._groups))):
         group = self._groups[b]
         width = reference_fast._block_vectors(groups * group.planes32.shape[1], ib)
-        for w0 in range(v0, v1, width):
-            w1 = min(w0 + width, v1)
+        for w0, w1 in reference_fast._vector_blocks(v0, v1, width):
             group.shift_add(self._contract(operand, b, w0, w1), out[:, :, w0:w1])
 
 
@@ -431,13 +430,15 @@ class TestVectorBlocks:
         _assert_split_matches_tile_walk(kernel, engines, seed=9)
 
     def test_wide_batch_is_gathered_in_blocks(self, monkeypatch):
-        """The back half runs per block of ``_block_vectors`` vectors — a
-        batch that fits one block is gathered whole, a split call's
-        chunks each in blocks from their own first vector — and nothing
-        of whole-batch ``(stacked, n * ib)`` float64 extent is allocated,
-        with three chunks in flight.  A gather covers one input bit of a
-        weight-bit pair, so a block holds ``_BLOCK_BYTES // (stacked * ib
-        * 8)`` vectors."""
+        """The back half runs per block of at most ``_block_vectors``
+        vectors, a row block's ``n`` vectors cut into ``ceil(n / block)``
+        equal blocks (never a last block of a few vectors) — a batch that
+        fits one block is gathered whole, a split call's chunks each in
+        blocks from their own first vector — and nothing of whole-batch
+        ``(stacked, n * ib)`` float64 extent is allocated, with three
+        chunks in flight.  A gather covers one input bit of a weight-bit
+        section, so a block holds ``_BLOCK_BYTES // (stacked * ib * 8)``
+        vectors."""
         import tracemalloc
 
         engine = _blocked_engine(False, 5)
@@ -447,7 +448,7 @@ class TestVectorBlocks:
         real = np.take
 
         def take(table, indices, **kwargs):
-            if table.ndim == 1:  # a pair table, not the operand's byte expansion
+            if table.ndim == 1:  # a digit table, not the operand's byte expansion
                 gathers.append(indices.shape[-1])
             return real(table, indices, **kwargs)
 
@@ -456,21 +457,22 @@ class TestVectorBlocks:
         stacked = max(group.planes32.shape[-2] for group in kernel._groups)
         assert block == reference_fast._BLOCK_BYTES // (stacked * ib * 8)
         with _split(1):
-            kernel.matmul(np.zeros((200, 2 * block + 3), dtype=np.int64))
-            assert gathers == [block * ib, block * ib, 3 * ib] * 2
+            n = 2 * block + 3
+            kernel.matmul(np.zeros((200, n), dtype=np.int64))
+            # Three blocks of n // 3 or n // 3 + 1 vectors, per row block.
+            even = [n * (i + 1) // 3 - n * i // 3 for i in range(3)]
+            assert max(even) - min(even) <= 1 and max(even) <= block
+            assert gathers == [v * ib for v in even] * 2
             del gathers[:]
             kernel.matmul(np.zeros((200, block), dtype=np.int64))
             assert gathers == [block * ib] * 2
 
-        # Three chunks of 2 * block + 3 vectors: 273, 274 and 274 vectors,
-        # one block each; pool threads append in any order.
+        # Three chunks of 2 * block + 3 vectors, cut as the blocks above
+        # are, one block each; pool threads append in any order.
         with _split(3):
             del gathers[:]
             kernel.matmul(np.zeros((200, 2 * block + 3), dtype=np.int64))
-            third = (2 * block + 3) // 3
-            assert sorted(gathers) == sorted(
-                [third * ib, (third + 1) * ib, (third + 1) * ib] * 2
-            )
+            assert sorted(gathers) == sorted([v * ib for v in even] * 2)
 
             n = 8 * block + 3
             x = np.zeros((200, n), dtype=np.int64)
@@ -712,7 +714,7 @@ class TestExactnessBound:
         (group,) = kernel._groups
         assert group.pair_table.dtype == dtype
         assert group.input_weights.dtype == dtype
-        assert group.pair_ones.dtype == dtype
+        assert group.section_ones.dtype == dtype
 
     @pytest.mark.parametrize("signed", [False, True])
     def test_wide_codes_run_in_float64_bitwise(self, signed):
@@ -796,13 +798,14 @@ class TestExactnessBound:
 
 class TestResidentPlanes:
     """ROM-CiM keeps a whole network's weights resident, and so does the
-    kernel: a float32 plane entry holds two weight bits, ~16 B per 8-bit
-    weight (one bit per entry held 32.26 B)."""
+    kernel: a float32 plane entry holds three weight bits (a 3 + 3 + 2
+    split of an 8-bit code), ~12.1 B per 8-bit weight (two bits per entry
+    held 16.13 B, one bit 32.26 B)."""
 
     @pytest.mark.parametrize(
         "name,width", [("resnet8", 1.0), ("mobilenet", 1.0), ("tiny_yolo", 0.25)]
     )
-    def test_planes_hold_two_weight_bits_per_entry(self, name, width):
+    def test_planes_hold_three_weight_bits_per_entry(self, name, width):
         model = models.build_model(name, rng=np.random.default_rng(0), width_mult=width)
         compiled = compile_model(model, RuntimeConfig(fold_bn=True), cache=EngineCache())
         planes = weights = 0
@@ -811,15 +814,15 @@ class TestResidentPlanes:
             assert linear.engine.config.weight_bits == 8
             planes += sum(group.planes32.nbytes for group in linear._kernel._groups)
             weights += linear.engine.weights.size
-        assert planes / weights <= 16.3
+        assert planes / weights <= 12.2
 
     @pytest.mark.slow
     @pytest.mark.parametrize("signed", [False, True])
     def test_widest_tiny_yolo_engine_bitwise_vs_tiled_reference(self, signed):
         """The shape of tiny_yolo's widest engine, 3 x 3 x 1024 inputs by
-        1024 filters: 72 row blocks of 128 stacked weight-bit-pair rows
-        per column tile, at the vector counts of a 1 x 1 and a 2 x 2
-        output grid."""
+        1024 filters: 72 row blocks of 128 rows, three stacked
+        weight-bit-section rows per column of a tile, at the vector
+        counts of a 1 x 1 and a 2 x 2 output grid."""
         config = MacroConfig(signed_inputs=signed)
         rng = np.random.default_rng(9216 + signed)
         engine = CimTiledMatmul(rng.integers(-128, 128, size=(9216, 1024)), config)
