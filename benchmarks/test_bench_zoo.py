@@ -174,8 +174,9 @@ def test_bench_zoo_grouped_layers_execute_once(benchmark, monkeypatch):
 
     mobilenet programs 1385 engines — 1376 of them the per-group engines
     of its seven depthwise layers — and a warm run used to make one
-    im2col and one kernel call for each.  Counted: one ``F.im2col`` per
-    conv layer (15), one stacked pass per depthwise layer (7), and no
+    im2col and one kernel call for each.  Counted: one im2col per conv
+    layer (15 ``F.sliding_windows`` views of its code map), one stacked
+    pass per depthwise layer (7), and no
     per-group engine's own kernel entered; the eight plain convolutions
     and the classifier still make one call each.  The wall-clock this
     buys is the ledger's ``mobilenet_small_engines`` workload.
@@ -207,11 +208,11 @@ def test_bench_zoo_grouped_layers_execute_once(benchmark, monkeypatch):
     assert (len(engines), len(grouped)) == (1385, 1376)
 
     calls = {"im2col": 0, "kernel": 0, "stack": 0, "grouped_kernel": 0}
-    real_im2col, real_matmul = F.im2col, TiledBitSerialKernel.matmul
+    real_windows, real_matmul = F.sliding_windows, TiledBitSerialKernel.matmul
 
-    def im2col(*args, **kwargs):
+    def windows(*args, **kwargs):
         calls["im2col"] += 1
-        return real_im2col(*args, **kwargs)
+        return real_windows(*args, **kwargs)
 
     def matmul(kernel, codes):
         if id(kernel) in grouped:
@@ -220,7 +221,7 @@ def test_bench_zoo_grouped_layers_execute_once(benchmark, monkeypatch):
             calls["stack" if len(kernel._ranges) > 1 else "kernel"] += 1
         return real_matmul(kernel, codes)
 
-    monkeypatch.setattr(F, "im2col", im2col)
+    monkeypatch.setattr(F, "sliding_windows", windows)
     monkeypatch.setattr(TiledBitSerialKernel, "matmul", matmul)
     out, stats = compiled.run(x)
     assert calls == {"im2col": 15, "kernel": 9, "stack": 7, "grouped_kernel": 0}

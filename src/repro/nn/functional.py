@@ -28,15 +28,11 @@ def _pair(value: IntPair) -> Tuple[int, int]:
 # ----------------------------------------------------------------------
 # im2col / col2im
 # ----------------------------------------------------------------------
-def im2col(
-    x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int], padding: Tuple[int, int]
-) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Unfold ``x`` (N, C, H, W) into columns.
-
-    Returns an array of shape (N, C*kh*kw, out_h*out_w) and the output
-    spatial size.
-    """
-    n, c, h, w = x.shape
+def conv_output_size(
+    h: int, w: int, kernel: Tuple[int, int], stride: Tuple[int, int], padding: Tuple[int, int]
+) -> Tuple[int, int]:
+    """``(out_h, out_w)`` of a convolution over an ``h x w`` input; a
+    ``ValueError`` when the output would be empty."""
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
@@ -47,16 +43,39 @@ def im2col(
             f"convolution output would be empty: input {h}x{w}, kernel {kh}x{kw}, "
             f"stride {sh}x{sw}, padding {ph}x{pw}"
         )
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    # Strided sliding-window view: (N, C, kh, kw, out_h, out_w)
+    return out_h, out_w
+
+
+def sliding_windows(
+    x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int], out_hw: Tuple[int, int]
+) -> np.ndarray:
+    """Read-only strided view ``(N, C, kh, kw, out_h, out_w)`` of the
+    windows of an already padded ``x`` (N, C, H, W), of any dtype."""
+    n, c = x.shape[:2]
     sn, sc, sh_b, sw_b = x.strides
-    view = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         x,
-        shape=(n, c, kh, kw, out_h, out_w),
-        strides=(sn, sc, sh_b, sw_b, sh_b * sh, sw_b * sw),
+        shape=(n, c) + tuple(kernel) + tuple(out_hw),
+        strides=(sn, sc, sh_b, sw_b, sh_b * stride[0], sw_b * stride[1]),
         writeable=False,
     )
+
+
+def im2col(
+    x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int], padding: Tuple[int, int]
+) -> Tuple[np.ndarray, Tuple[int, int]]:
+    """Unfold ``x`` (N, C, H, W) into columns.
+
+    Returns an array of shape (N, C*kh*kw, out_h*out_w) and the output
+    spatial size.
+    """
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    ph, pw = padding
+    out_h, out_w = conv_output_size(h, w, kernel, stride, padding)
+    if ph or pw:
+        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    view = sliding_windows(x, kernel, stride, (out_h, out_w))
     cols = view.reshape(n, c * kh * kw, out_h * out_w)
     return np.ascontiguousarray(cols), (out_h, out_w)
 

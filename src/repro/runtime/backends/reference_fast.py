@@ -234,6 +234,10 @@ _BYTE_ONES = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.ui
 _byte_ones = np.bitwise_count if hasattr(np, "bitwise_count") else _BYTE_ONES.take
 
 
+#: Each native signed integer type's unsigned twin.
+_UNSIGNED = {np.dtype(f"i{size}"): np.dtype(f"u{size}") for size in (1, 2, 4, 8)}
+
+
 @functools.lru_cache(maxsize=16)
 def _bit_values(input_bits: int) -> Tuple[np.ndarray, ...]:
     """The operand entries of every value of each byte of an
@@ -279,15 +283,27 @@ def _bit_operand(
     (:func:`_code_bytes`): float32 ``(..., r1 - r0 + 1, (v1 - v0) *
     input_bits)``, input bit innermost, its 0/1 bits then a row of ones
     — they pick up the table's section offsets in the weight planes'
-    last column.  Each byte is expanded by one gather from its
-    :func:`_bit_values` straight into place.
+    last column.
+
+    Codes of at most 8 bits are one gather from their :func:`_bit_values`
+    that writes the whole C-contiguous operand: its index is the block's
+    bytes closed by a row of the all-ones code, whose entry is every
+    input bit 1.  Wider codes gather byte by byte into strided slices of
+    the operand, then write the ones row.
     """
     lead = code_bytes[0].shape[:-2]
     width = sum(values.shape[1] for values in bit_values)
+    shape = lead + (r1 - r0 + 1, (v1 - v0) * width)
+    # In range by construction, so "clip" never clips; it selects
+    # numpy's unchecked, unbuffered gather loop.
+    if len(bit_values) == 1:
+        (byte,), (values,) = code_bytes, bit_values
+        index = np.empty(lead + (r1 - r0 + 1, v1 - v0), dtype=np.uint8)
+        index[..., :-1, :] = byte[..., r0:r1, v0:v1]
+        index[..., -1, :] = len(values) - 1
+        return np.take(values, index, axis=0, mode="clip").reshape(shape)
     operand = np.empty(lead + (r1 - r0 + 1, v1 - v0, width), dtype=np.float32)
     for k, (byte, values) in enumerate(zip(code_bytes, bit_values)):
-        # In range by construction, so "clip" never clips; it selects
-        # numpy's unchecked, unbuffered gather loop.
         np.take(
             values,
             byte[..., r0:r1, v0:v1],
@@ -296,7 +312,7 @@ def _bit_operand(
             out=operand[..., :-1, :, 8 * k : 8 * k + values.shape[1]],
         )
     operand[..., -1, :, :] = 1.0
-    return operand.reshape(lead + (r1 - r0 + 1, (v1 - v0) * width))
+    return operand.reshape(shape)
 
 
 def _weight_bit_planes(codes: np.ndarray, weight_bits: int) -> np.ndarray:
@@ -583,6 +599,8 @@ class TiledBitSerialKernel(KernelBackend):
             for (r0, r1), cols in blocks.items()
         ]
         self._bit_values = _bit_values(ib)
+        #: The narrowest signed integer type holding an input code.
+        self._code_width = np.min_scalar_type(-(1 << (ib - 1)))
         #: Per-group input ranges ``(G, 2)``, one ``(low, high)`` per group.
         self._ranges = np.array([c.input_range() for c in circuit])[sign]
         #: The range every group accepts.
@@ -676,7 +694,11 @@ class TiledBitSerialKernel(KernelBackend):
     def _serial_codes(self, x: np.ndarray) -> np.ndarray:
         """Validate one integer-code batch: ``(G, rows, n)`` two's-
         complement reinterpretations of the codes as unsigned
-        ``input_bits``-wide integers."""
+        ``input_bits``-wide integers, in the unsigned type of the codes'
+        own width — int16 codes of 8-bit activations stay two bytes a
+        code — or, for unsigned or too narrow codes, of the narrowest
+        signed type that holds them and ``input_bits``.  The range check
+        runs on the codes as given."""
         codes = x if x.ndim == 3 else x[None, :, None] if x.ndim == 1 else x[None]
         groups, rows, _ = codes.shape
         if rows != self.engine.shape[0]:
@@ -703,8 +725,16 @@ class TiledBitSerialKernel(KernelBackend):
                     f"input codes outside [{low[g]}, {high[g]}] for "
                     f"{self.engine.config.input_bits}-bit serial input"
                 )
-        mask = (1 << self.engine.config.input_bits) - 1
-        return np.asarray(codes, dtype=np.int64) & mask
+        # Mask in the codes' own width, through its unsigned twin:
+        # integers wrap, so the low bits are the two's-complement code.
+        # Unsigned codes, or codes narrower than input_bits, first widen
+        # to a signed type that holds them; non-integers read as int64.
+        unsigned = _UNSIGNED.get(codes.dtype)
+        if unsigned is None or codes.itemsize < self._code_width.itemsize:
+            width = np.result_type(codes.dtype, self._code_width)
+            codes = codes.astype(width if width in _UNSIGNED else np.int64)
+            unsigned = _UNSIGNED[codes.dtype]
+        return codes.view(unsigned) & ((1 << self.engine.config.input_bits) - 1)
 
     def _expand(self, codes: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
         """What the count contraction reads of unsigned codes ``(G, rows,

@@ -220,7 +220,9 @@ def conv_patches(
     Signedness of a convolution's activations must be decided on these
     patches — not the raw input — because a stride larger than the
     kernel can skip the only negative pixels; the seed path quantized
-    exactly the patches.
+    exactly the patches.  :meth:`GroupedConv.execute` reaches the same
+    codes from the pixels the windows read and no longer calls this;
+    the benchmark ledger's per-engine replay still does.
     """
     x = np.asarray(x, dtype=np.float64)
     _, ic, kh, kw = weight_shape
@@ -316,7 +318,11 @@ class _GroupStack:
     def __init__(self, engines: List[ProgrammedConv]):
         self.engines = engines
         linears = [engine.linear for engine in engines]
-        self.act_spec = QuantSpec(bits=linears[0].activation_bits, per_channel_axis=1)
+        bits = linears[0].activation_bits
+        self.act_spec = QuantSpec(bits=bits, per_channel_axis=1)
+        #: The narrowest signed integer type holding either signedness'
+        #: codes: [-2**(bits-1), 2**bits - 1] lies in [-2**bits, 2**bits).
+        self.code_dtype = np.min_scalar_type(-(1 << bits))
         self.signed = np.array([lin.signed_inputs for lin in linears])
         self.w_scale = np.stack([lin.w_scale.reshape(-1) for lin in linears])
         if len(linears) == 1:
@@ -325,6 +331,15 @@ class _GroupStack:
             self.kernel = TiledBitSerialKernel(*(lin.engine for lin in linears))
         else:
             self.kernel = None
+
+
+def _read_indices(size: int, kernel: int, stride: int, padding: int, out: int):
+    """The indices of the ``size`` input rows (or columns) that some of
+    a convolution's ``out`` windows along that axis read."""
+    read = np.zeros(size + 2 * padding, dtype=bool)
+    for i in range(kernel):
+        read[i : i + stride * (out - 1) + 1 : stride] = True
+    return np.flatnonzero(read[padding : padding + size])
 
 
 class GroupedConv:
@@ -347,13 +362,18 @@ class GroupedConv:
     index order (sequential word-line streaming; tiles within a group
     still run in parallel).
 
-    One body serves every ``groups`` — one im2col, signedness and
-    ``amax`` as reductions over the group axis, one quantization — and
-    feeds either the groups' stacked fast kernel (one group's is its
-    engine's own) or, for a noisy bit line, a pulse encoding or a live
-    degradation, each group's :meth:`ProgrammedLinear.matmul_codes` in
-    index order: the reference macro path against the shared ``rng``
-    (deterministic group-major draws).  One rescale writes the output
+    One body serves every ``groups`` — signedness and ``amax`` as
+    reductions over the group axis, one quantization, then one im2col —
+    and runs once per feature-map pixel, not per patch entry: it
+    quantizes the pixels some window reads (the patches hold exactly
+    these, repeated, and padding zeros, so signedness, scale and every
+    code are the patches'), narrows the codes into a zero code map and
+    im2cols the codes.  It feeds either the groups' stacked fast kernel
+    (one group's is its engine's own) or, for a noisy bit line, a pulse
+    encoding or a live degradation, each group's
+    :meth:`ProgrammedLinear.matmul_codes` in index order: the reference
+    macro path against the shared ``rng`` (deterministic group-major
+    draws).  One rescale writes the output
     in the reference's layout: one group keeps the GEMM's channel-major
     memory (the reference's ungrouped conv), several are NCHW-contiguous
     (the reference's concatenation of per-group outputs).
@@ -396,24 +416,54 @@ class GroupedConv:
         """Run a float batch ``(N, C, H, W)`` through the layer."""
         x = np.asarray(x, dtype=np.float64)
         oc, icg, kh, kw = self.weight_shape
-        groups = self.groups
+        groups, stride, pad = self.groups, self.stride, self.padding
         validate_groups(oc, icg, groups, x.shape[1])
-        n, ocg = x.shape[0], oc // groups
-        cols, (out_h, out_w) = F.im2col(
-            x, (kh, kw), (self.stride,) * 2, (self.padding,) * 2
-        )
-        cols = cols.reshape(n, groups, icg * kh * kw, -1)  # (N, G, K, P)
-        negative = (cols < 0).any(axis=(0, 2, 3))
+        n, c, h, w = x.shape
+        ocg = oc // groups
+        out_h, out_w = F.conv_output_size(h, w, (kh, kw), (stride,) * 2, (pad,) * 2)
+
+        # The patches hold the pixels some window reads, each up to
+        # kh*kw times, and padding zeros: signedness and max|x| over
+        # these pixels are the patches', and each code is the same.
+        rows = _read_indices(h, kh, stride, pad, out_h)
+        cols = _read_indices(w, kw, stride, pad, out_w)
+        whole = rows.size == h and cols.size == w
+        if whole:
+            seen = x
+        elif rows.size and cols.size:
+            seen = x[:, :, rows[:, None], cols]
+        else:  # every window reads padding alone: all-zero patches
+            seen = np.zeros((n, c, 1, 1))
+        seen = seen.reshape((n, groups, icg) + seen.shape[2:])  # a view
+        negative = (seen < 0).any(axis=(0, 2, 3, 4))
         stack = self._stack_for(
             [self.engine_for(g, signed) for g, signed in enumerate(negative.tolist())]
         )
         if (negative & ~stack.signed).any():
             raise ValueError(_UNSIGNED_ENGINE_ERROR)
 
-        # Per-group batch-global quantization; (G, K, N*P) is each
-        # group's ``x_codes.T``.
-        codes, x_scale = quantize(cols, stack.act_spec, signed=stack.signed)
-        codes = codes.transpose(1, 2, 0, 3).reshape(groups, icg * kh * kw, -1)
+        # Per-group batch-global quantization, narrowed into a zero
+        # (padded) code map.  The narrowing saturates, so a code out of
+        # range (a NaN's) stays out of range for the kernel's check.
+        codes, x_scale = quantize(seen, stack.act_spec, signed=stack.signed)
+        x_scale = x_scale.reshape(1, groups, 1, 1)
+        info = np.iinfo(stack.code_dtype)
+        shape = (n, c, h + 2 * pad, w + 2 * pad)
+        fmap = (np.empty if whole and not pad else np.zeros)(shape, info.dtype)
+        if whole:
+            inner = fmap[:, :, pad : pad + h, pad : pad + w]
+            codes = codes.reshape(inner.shape)
+            np.clip(codes, info.min, info.max, out=inner, casting="unsafe")
+        elif rows.size and cols.size:
+            fmap[:, :, pad + rows[:, None], pad + cols] = np.clip(
+                codes, info.min, info.max
+            ).reshape(n, c, rows.size, cols.size)
+        # im2col of the codes, straight into (G, K, N*P): each group's
+        # ``x_codes.T`` (a view where the layout already is one).
+        windows = F.sliding_windows(fmap, (kh, kw), (stride,) * 2, (out_h, out_w))
+        windows = windows.reshape(n, groups, icg, kh, kw, out_h, out_w)
+        codes = np.ascontiguousarray(windows.transpose(1, 2, 3, 4, 0, 5, 6))
+        codes = codes.reshape(groups, icg * kh * kw, -1)
 
         degraded = degrade is not None and not degrade.is_noop
         if stack.kernel is not None and encoding is None and not degraded:

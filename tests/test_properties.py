@@ -914,3 +914,149 @@ class TestGroupedLayerProperties:
                 out, stats = compiled.run(x, rng=np.random.default_rng(3))
             _assert_same_bytes(out, ref)
             assert stats == ref_stats
+
+
+# -- the layer pass quantizes the feature map, not its patches -----------
+
+
+def _read_pixels(h, w, kernel, stride, padding):
+    """Flat indices of the pixels some window reads, by brute force: the
+    im2col of an image of pixel numbers (padding reads as 0)."""
+    numbers = np.arange(1.0, h * w + 1).reshape(1, 1, h, w)
+    cols, _ = F.im2col(numbers, (kernel,) * 2, (stride,) * 2, (padding,) * 2)
+    return np.unique(cols[cols > 0]).astype(int) - 1
+
+
+#: What a window-coverage case plants in the batch.
+PLANTS = ("none", "max-unread", "negative-unread", "nan-unread", "nan-read")
+
+
+@st.composite
+def window_coverage_cases(draw):
+    """A convolution whose windows may miss pixels (stride above the
+    kernel, trailing rows and columns, windows over padding alone) or
+    produce no output, and a batch with one planted value: the largest
+    |x| or the only negative value in a pixel no window reads, a NaN in
+    an unread pixel, or a NaN in a read one."""
+    kernel = draw(st.sampled_from((1, 2, 3, 5)))
+    stride = draw(st.sampled_from((1, 2, 3)))
+    padding = draw(st.sampled_from((0, 1, 2)))
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    layout = draw(st.sampled_from(("one group", "two groups", "depthwise")))
+    if layout == "two groups":
+        groups, channels = 2, 2 * draw(st.integers(1, 2))
+    else:
+        channels = draw(st.integers(1, 3))
+        groups = 1 if layout == "one group" else channels
+    ocg = draw(st.integers(1, 2))
+    batch = draw(st.integers(1, 2))
+    plant = draw(st.sampled_from(PLANTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = rng.normal(size=(batch, channels, h, w))
+    weight = rng.normal(size=(groups * ocg, channels // groups, kernel, kernel))
+    if plant == "negative-unread":
+        np.abs(x, out=x)
+    empty = min(h, w) + 2 * padding < kernel
+    read = [] if empty else _read_pixels(h, w, kernel, stride, padding)
+    unread = np.setdiff1d(np.arange(h * w), read)
+    pool = read if plant == "nan-read" else unread
+    if plant == "none" or not len(pool):
+        plant = "none"
+    else:
+        pixel = np.unravel_index(pool[draw(st.integers(0, len(pool) - 1))], (h, w))
+        where = (draw(st.integers(0, batch - 1)), draw(st.integers(0, channels - 1)))
+        value = {
+            "max-unread": 10.0 * np.abs(x).max() + 1.0,
+            "negative-unread": -1.0,
+        }.get(plant, np.nan)
+        x[where + pixel] = value
+    conv = dict(stride=stride, padding=padding, groups=groups)
+    return x, weight, conv, "empty" if empty else plant
+
+
+def _conv_outcome(conv, x, weight, **kwargs):
+    """The output's shape, dtype, bytes and ``MacroStats`` — or the text
+    of the ``ValueError`` the call raised."""
+    try:
+        with np.errstate(invalid="ignore"):
+            out, stats = conv(x, weight, **kwargs)
+    except ValueError as error:
+        return "ValueError: " + str(error)
+    return out.shape, out.dtype, out.tobytes(), stats
+
+
+class TestFeatureMapQuantization:
+    """The layer pass quantizes the pixels some window reads and
+    im2cols their codes; the reference quantizes the im2col patches.
+    Outputs, ``MacroStats`` and errors are the same."""
+
+    def test_window_coverage_matches_reference(self):
+        reached = collections.Counter()
+
+        @given(window_coverage_cases())
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        def run(case):
+            x, weight, conv, plant = case
+            reached[plant] += 1
+            ours = _conv_outcome(
+                lambda *a, **k: cim_conv2d(*a, cache=EngineCache(), **k),
+                x, weight, **conv,
+            )
+            ref = _conv_outcome(reference_cim_conv2d, x, weight, **conv)
+            assert ours == ref
+            if plant == "nan-unread":
+                assert not isinstance(ours, str)
+            if plant == "empty":
+                assert "output would be empty" in ours
+
+        run()
+        assert set(reached) == set(PLANTS) | {"empty"}, reached
+
+    def test_largest_value_never_read(self):
+        """A 1x1 stride-2 conv reads every other pixel: the largest |x|
+        and the only negative value sit in pixels it skips."""
+        rng = np.random.default_rng(8)
+        x = rng.random((2, 4, 6, 6))
+        x[0, 1, 1, 1] = 50.0
+        x[1, 2, 3, 3] = -1.0
+        weight = rng.normal(size=(4, 4, 1, 1))
+        for groups in (1, 2):
+            conv = dict(stride=2, padding=0, groups=groups)
+            w = np.ascontiguousarray(weight[:, : 4 // groups])
+            ours = _conv_outcome(
+                lambda *a, **k: cim_conv2d(*a, cache=EngineCache(), **k),
+                x, w, **conv,
+            )
+            assert ours == _conv_outcome(reference_cim_conv2d, x, w, **conv)
+
+    @pytest.mark.parametrize("bits", [2, 4, 8, 12, 15, 16])
+    @pytest.mark.parametrize("signs", ["unsigned", "signed", "mixed"])
+    def test_activation_widths_match_reference(self, bits, signs):
+        """The fast path's narrowed codes hold every code of either
+        signedness at each activation width: the largest |x| of a group
+        quantizes to its top code."""
+        seen = []
+        pass_matmul = TiledBitSerialKernel.matmul
+
+        def matmul(kernel, codes):
+            seen.append(codes.dtype)
+            return pass_matmul(kernel, codes)
+
+        rng = np.random.default_rng(bits)
+        x = rng.normal(size=(2, 4, 5, 5))
+        if signs == "unsigned":
+            np.abs(x, out=x)
+        elif signs == "mixed":
+            np.abs(x[:, ::2], out=x[:, ::2])
+        weight = rng.normal(size=(4, 1, 3, 3))
+        for groups, w in ((4, weight), (1, rng.normal(size=(3, 4, 3, 3)))):
+            if groups == 1 and signs == "mixed":
+                continue
+            conv = dict(stride=1, padding=1, groups=groups, activation_bits=bits)
+            with mock.patch.object(TiledBitSerialKernel, "matmul", matmul):
+                ours = _conv_outcome(
+                    lambda *a, **k: cim_conv2d(*a, cache=EngineCache(), **k),
+                    x, w, **conv,
+                )
+            assert ours == _conv_outcome(reference_cim_conv2d, x, w, **conv)
+        assert seen and all(np.iinfo(dtype).bits < 64 for dtype in seen)

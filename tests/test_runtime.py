@@ -273,6 +273,48 @@ class TestKernels:
         with pytest.raises(ValueError, match="input codes outside"):
             kernel.matmul(np.full((8, 2), 300))
 
+    @pytest.mark.parametrize("input_bits", [8, 16])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_code_dtype_does_not_change_the_pass(self, signed, input_bits):
+        """The same code values give the same bits and stats in every
+        integer dtype — narrower than the input width (sign-extended
+        first) or wider — and the same error when out of range."""
+        config = MacroConfig(signed_inputs=signed, input_bits=input_bits)
+        weights = RNG.integers(-128, 128, size=(216, 48))  # 2 x 2 tiles
+        kernel = TiledBitSerialKernel(CimTiledMatmul(weights, config))
+        low, high = config.input_range()
+        dtypes = (np.int8, np.int16, np.int32, np.int64, np.uint8)
+        batches = [
+            RNG.integers(low, high + 1, size=(216, 9)),
+            RNG.integers(max(low, -128), 128, size=(216, 9)),
+            RNG.integers(0, 128, size=(216, 9)),
+        ]
+        for x in batches:
+            ref, ref_stats = kernel.matmul(x.astype(np.int64))
+            for dtype in dtypes:
+                info = np.iinfo(dtype)
+                if info.min <= x.min() and x.max() <= info.max:
+                    out, stats = kernel.matmul(x.astype(dtype))
+                    assert out.tobytes() == ref.tobytes()
+                    assert stats == ref_stats
+        raised = 0
+        for dtype in dtypes:
+            info = np.iinfo(dtype)
+            # The dtype's extremes, and int64-min saturated into it
+            # (a NaN's code narrowed by clipping).
+            for bad in {info.min, info.max, max(np.iinfo(np.int64).min, info.min)}:
+                if low <= bad <= high:
+                    continue
+                x = batches[2].astype(dtype)
+                x[5, 3] = bad
+                with pytest.raises(ValueError, match="input codes outside") as narrow:
+                    kernel.matmul(x)
+                with pytest.raises(ValueError) as wide:
+                    kernel.matmul(x.astype(np.int64))
+                assert str(narrow.value) == str(wide.value)
+                raised += 1
+        assert raised
+
 
 # ----------------------------------------------------------------------
 # Vector-axis blocking: every block boundary against the true oracle
