@@ -2,12 +2,12 @@
 """Run a trained network's convolutions through the bit-serial CiM macro.
 
 Demonstrates the *functional* half of the CiM simulation: after training
-a small classifier in float, its convolution and linear layers are
-re-executed through :func:`repro.cim.cim_conv2d` / ``cim_linear`` —
-8-bit quantized weights in subarray tiles, bit-serial activations,
-bit-line charge sharing, and the shared column ADC — and the end-to-end
-classification accuracy is compared against the float model for several
-ADC resolutions.
+a small classifier in float, the whole model is compiled onto CiM macros
+(:func:`repro.runtime.compile_model`) and re-executed — 8-bit quantized
+weights in subarray tiles, bit-serial activations, bit-line charge
+sharing, and the shared column ADC — and the end-to-end classification
+accuracy is compared against the float model for several ADC
+resolutions.
 
 Run:  python examples/cim_inference.py
 
@@ -19,8 +19,8 @@ import os
 
 import numpy as np
 
-from repro import nn
-from repro.cim import AdcSpec, MacroConfig, cim_conv2d, cim_linear
+from repro import nn, runtime
+from repro.cim import AdcSpec, MacroConfig
 from repro.datasets import classification_suite
 from repro.nn.tensor import Tensor
 from repro.rebranch import TrainConfig, TransferTrainer
@@ -48,29 +48,6 @@ def build_and_train(splits):
     return model
 
 
-def cim_forward(model, x: np.ndarray, config: MacroConfig, rng) -> np.ndarray:
-    """Re-execute the trained model with every MVM on the CiM macro."""
-    conv1, conv2, linear = model[0], model[3], model[7]
-
-    def maxpool2(t):
-        n, c, height, width = t.shape
-        return t.reshape(n, c, height // 2, 2, width // 2, 2).max(axis=(3, 5))
-
-    h, stats1 = cim_conv2d(
-        x, conv1.weight.data, stride=1, padding=1, config=config, rng=rng
-    )
-    h = maxpool2(np.maximum(h + conv1.bias.data.reshape(1, -1, 1, 1), 0.0))
-    h, stats2 = cim_conv2d(
-        h, conv2.weight.data, stride=1, padding=1, config=config, rng=rng
-    )
-    h = maxpool2(np.maximum(h + conv2.bias.data.reshape(1, -1, 1, 1), 0.0))
-    h = h.reshape(h.shape[0], -1)
-    logits, stats3 = cim_linear(h, linear.weight.data, config=config, rng=rng)
-    logits = logits + linear.bias.data
-    total = stats1 + stats2 + stats3
-    return logits, total
-
-
 def main() -> None:
     suite = classification_suite(seed=0)
     splits = suite.source_splits(
@@ -88,7 +65,10 @@ def main() -> None:
     print(f"\n{'ADC bits':>9} {'CiM accuracy':>13} {'fJ/MAC':>8} {'total uJ':>9}")
     for bits in (5,) if SMOKE else (8, 6, 5, 4, 3):
         config = MacroConfig(adc=AdcSpec(bits=bits))
-        logits, stats = cim_forward(model, x, config, np.random.default_rng(1))
+        compiled = runtime.compile_model(
+            model, runtime.RuntimeConfig(rom_config=config, sram_config=config)
+        )
+        logits, stats = compiled.run(x, rng=np.random.default_rng(1))
         acc = (logits.argmax(1) == splits.y_test).mean()
         print(
             f"{bits:>9} {acc:>13.3f} {stats.energy_per_mac_fj:>8.1f} "

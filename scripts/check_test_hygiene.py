@@ -36,6 +36,18 @@ in a module that never tests ``hasattr(np, "<name>")``: the package
 declares ``numpy>=1.22``, so such a name is an optional fast path or a
 gated backend, never the only way.
 
+And it scans ``src/`` for definitions nothing uses: a function, class or
+method (dunders aside) whose name appears nowhere in :data:`USERS` —
+``src/``, ``bench/``, ``benchmarks/``, ``examples/``, ``scripts/`` and
+``docs/`` — outside its own definition.  A test alone does not keep a
+definition alive: what only ``tests/`` calls is either dead or a second
+way to do what the program does another way.  The scan matches names,
+not bindings, so a name some other definition shares is never reported
+(delete such a twin by hand).  A definition a test needs for isolation
+or synchronisation stays on :data:`ALLOWED`, with the test that needs
+it; so, until they go together, do four that their one test alone
+checks.  An entry that names no such definition is reported too.
+
 Usage: python scripts/check_test_hygiene.py
 """
 
@@ -239,6 +251,93 @@ def check_numpy_floor(path: Path, source: str) -> list:
     ]
 
 
+#: Where a use keeps a definition under ``src/`` alive: every tree but
+#: ``tests/``.
+USERS = ("src", "bench", "benchmarks", "examples", "scripts", "docs")
+USER_SUFFIXES = (".py", ".md")
+WORD = re.compile(r"[A-Za-z_]\w*")
+
+#: Definitions only tests use, each kept for the test named beside it:
+#: the first two for a test's isolation or synchronisation; the rest are
+#: checked by that test alone and go with it (ROADMAP item 2).
+ALLOWED = {
+    "repro.runtime.backends.reference_fast._TableCache.cache_clear": (
+        "tests/test_runtime.py and tests/test_properties.py empty the shared "
+        "digit-table cache so each case builds its tables afresh"
+    ),
+    "repro.serve.scheduler.RequestQueue.wait_closed": (
+        "tests/test_chaos.py synchronises the mid-recovery shutdown "
+        "regression test on the queue closing"
+    ),
+    "repro.cim.bitline.BitlineModel.counts_to_voltage": (
+        "tests/test_cim.py::TestBitline::test_voltage_monotone_decreasing"
+    ),
+    "repro.cim.bitline.BitlineModel.voltage_to_counts": (
+        "tests/test_cim.py::TestBitline::test_voltage_count_inverse"
+    ),
+    "repro.cim.variation.VariationModel.is_ideal": (
+        "tests/test_variation.py::TestVariationModel::test_ideal_detection"
+    ),
+    "repro.nn.tensor.Tensor.detach": (
+        "tests/test_tensor.py::TestBasics::test_detach_cuts_graph"
+    ),
+}
+
+
+def _definitions(body, prefix=""):
+    """``(qualified name, name, node)`` of every function, class and
+    method of a module or class body, dunders aside."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield prefix + node.name, node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from _definitions(node.body, f"{prefix}{node.name}.")
+
+
+def unreferenced_definitions(root: Path = REPO_ROOT, allowed=ALLOWED) -> list:
+    """Every definition under ``root/src`` whose name no file under
+    ``root``'s :data:`USERS` mentions outside the definition itself (its
+    decorators included), less ``allowed`` — and every ``allowed`` entry
+    that names no such definition."""
+    uses = {}
+    for tree in USERS:
+        for path in sorted((root / tree).rglob("*")):
+            if path.suffix not in USER_SUFFIXES or path == Path(__file__).resolve():
+                continue
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+                for word in WORD.findall(line):
+                    uses.setdefault(word, []).append((path, lineno))
+    problems = []
+    stale = set(allowed)
+    for path in sorted((root / "src").rglob("*.py")):
+        module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qualname, name, node in _definitions(tree.body):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            used = any(
+                where != path or not first <= lineno <= node.end_lineno
+                for where, lineno in uses.get(name, ())
+            )
+            if used:
+                continue
+            if f"{module}.{qualname}" in allowed:
+                stale.discard(f"{module}.{qualname}")
+                continue
+            problems.append(
+                f"{path.relative_to(root)}:{node.lineno}: {qualname} is used "
+                f"nowhere outside tests/ — delete it (and any test that "
+                f"checks only it), or list it in ALLOWED with the test that "
+                f"needs it"
+            )
+    problems.extend(
+        f"scripts/check_test_hygiene.py: ALLOWED names {name}, which is gone "
+        f"or used outside tests/ — drop the entry"
+        for name in sorted(stale)
+    )
+    return problems
+
+
 def check_file(path: Path) -> list:
     problems = []
     source = path.read_text()
@@ -267,14 +366,15 @@ def main() -> int:
             source = path.read_text()
             problems.extend(check_private_numpy(path, source))
             problems.extend(check_numpy_floor(path, source))
+    problems.extend(unreferenced_definitions())
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
         return 1
     print(
         f"checked {checked} test files: no wall-clock sleeps, "
-        f"no host-wall ratio asserts; no private numpy interface and no "
-        f"unguarded numpy-2 name under src/"
+        f"no host-wall ratio asserts; no private numpy interface, no "
+        f"unguarded numpy-2 name and no definition only tests use under src/"
     )
     return 0
 

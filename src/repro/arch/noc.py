@@ -4,8 +4,8 @@ Fig. 9 draws a NoC joining the ROM-CiM macros, SRAM-CiM macros, cache,
 and controller; the paper's energy accounting then treats on-chip
 activation movement as part of the buffer term.  This module checks
 that simplification instead of assuming it: a 2-D mesh with XY routing
-(the standard CiM-accelerator fabric), analytic per-hop energy and
-latency, and a layer-to-tile traffic mapper.
+(the standard CiM-accelerator fabric), analytic per-hop energy, and a
+layer-to-tile traffic mapper.
 
 The expected outcome — and the reason the paper can ignore it — is that
 NoC transport energy is a single-digit percentage of the CiM compute
@@ -14,7 +14,6 @@ energy for every benchmark model (see the ablation bench).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -35,10 +34,6 @@ class MeshNocSpec:
     #: 28nm-class on-chip links are ~two orders cheaper than the
     #: SIMBA off-package link (1.17 pJ/b).
     hop_energy_pj_per_bit: float = 0.012
-    #: Router traversal latency per hop.
-    hop_latency_ns: float = 0.5
-    #: Link width: bits accepted per hop per cycle.
-    link_width_bits: int = 64
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -82,23 +77,6 @@ class MeshNocSpec:
     def transfer_energy_pj(self, bits: float, src: int, dst: int) -> float:
         return bits * self.hops(src, dst) * self.hop_energy_pj_per_bit
 
-    def transfer_latency_ns(self, bits: float, src: int, dst: int) -> float:
-        """Wormhole latency: head hops + body serialization."""
-        hops = self.hops(src, dst)
-        if hops == 0:
-            return 0.0
-        serialization = math.ceil(bits / self.link_width_bits)
-        return (hops + serialization - 1) * self.hop_latency_ns
-
-    @property
-    def average_hops(self) -> float:
-        """Mean XY distance under uniform-random traffic."""
-        total = 0
-        for src in range(self.n_tiles):
-            for dst in range(self.n_tiles):
-                total += self.hops(src, dst)
-        return total / self.n_tiles**2
-
 
 @dataclass
 class NocTrafficReport:
@@ -115,14 +93,6 @@ class NocTrafficReport:
     def total_energy_pj(self) -> float:
         return sum(
             self.spec.transfer_energy_pj(bits, src, dst)
-            for _, src, dst, bits in self.flows
-        )
-
-    @property
-    def total_latency_ns(self) -> float:
-        """Serialized worst case: every flow in sequence (upper bound)."""
-        return sum(
-            self.spec.transfer_latency_ns(bits, src, dst)
             for _, src, dst, bits in self.flows
         )
 

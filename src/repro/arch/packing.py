@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.cim.macro import MacroConfig
 from repro.models.profile import ModelProfile
@@ -60,9 +60,6 @@ class SubarrayAssignment:
     def used_rows(self) -> int:
         return sum(shelf.height for shelf in self.shelves)
 
-    def used_words(self) -> int:
-        return sum(tile.words for tile in self.tiles)
-
     def passes(self, cols_per_pass: int) -> int:
         """Serial macro passes to read every stored word once.
 
@@ -96,18 +93,6 @@ class PackingResult:
     def total_passes(self) -> int:
         cols_per_pass = max(1, self.config.n_adcs // self.config.weight_bits)
         return sum(a.passes(cols_per_pass) for a in self.assignments)
-
-    @property
-    def adc_utilization(self) -> float:
-        """Useful MAC results / ADC conversion capacity spent.
-
-        Every pass burns ``cols_per_pass`` column conversions over the
-        full 128-row dynamic range whether or not the rows/columns carry
-        weights; co-locating tiles raises the useful fraction.
-        """
-        cols_per_pass = max(1, self.config.n_adcs // self.config.weight_bits)
-        capacity = self.total_passes * cols_per_pass * self.config.rows
-        return self.total_words / capacity if capacity else 0.0
 
 
 def _cut_tiles(profile: ModelProfile, config: MacroConfig) -> List[WeightTile]:

@@ -68,10 +68,6 @@ class Schedule:
         return sum(e.compute_end_ns - e.compute_start_ns for e in self.entries)
 
     @property
-    def load_busy_ns(self) -> float:
-        return sum(e.load_end_ns - e.load_start_ns for e in self.entries)
-
-    @property
     def compute_utilization(self) -> float:
         span = self.makespan_ns
         return self.compute_busy_ns / span if span else 0.0

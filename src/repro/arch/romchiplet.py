@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Sequence, Tuple
 
 from repro.arch.system import (
     AreaBreakdown,
@@ -275,21 +275,3 @@ def partition_summary(
         "monolithic_area_mm2": monolithic,
         "needs_chiplets": float(monolithic > RETICLE_LIMIT_MM2),
     }
-
-
-def evaluate_four_systems(
-    profile: ModelProfile, die_area_mm2: float = 50.0, **kwargs
-) -> Dict[str, SystemReport]:
-    """The Fig. 13 trio plus the ROM-chiplet assembly, on one profile.
-
-    Extends :func:`repro.arch.system.evaluate_all_systems` with the
-    section 4.3.3 future-work configuration so all four deployments can
-    be compared in one call.
-    """
-    from repro.arch.system import evaluate_all_systems
-
-    reports = evaluate_all_systems(profile, **kwargs)
-    reports["rom-chiplet"] = RomChipletSystem(
-        die_area_mm2=die_area_mm2, **kwargs
-    ).evaluate(profile)
-    return reports

@@ -34,10 +34,6 @@ class ProcessNode:
     sram_density_mb_mm2: float
     tapeout_cost_musd: float
 
-    @property
-    def sram_cell_area_um2(self) -> float:
-        return 1.0 / self.sram_density_mb_mm2
-
 
 #: Published-magnitude numbers for the nodes on Fig. 1(a)'s x-axis.
 PROCESS_NODES: Tuple[ProcessNode, ...] = (

@@ -180,10 +180,6 @@ class ChaosController:
     def is_inert(self) -> bool:
         return not (self._deaths or self._degradations or self._links)
 
-    @property
-    def has_deaths(self) -> bool:
-        return bool(self._deaths)
-
     # -- window bookkeeping --------------------------------------------
     def _window_start(
         self,

@@ -31,8 +31,8 @@ Fault taxonomy (docs/chaos.md):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -202,10 +202,6 @@ class FaultSchedule:
         if ordered == self.events:
             return self
         return replace(self, events=ordered)
-
-    def for_kinds(self, kinds: Iterable[str]) -> Tuple[FaultEvent, ...]:
-        wanted = set(kinds)
-        return tuple(e for e in self.events if e.kind in wanted)
 
     def to_meta(self) -> Dict[str, Any]:
         return {

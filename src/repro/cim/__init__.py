@@ -55,8 +55,6 @@ from repro.cim.variation import (
 )
 from repro.cim.mvm import (
     CimTiledMatmul,
-    cim_linear,
-    cim_conv2d,
     reference_cim_linear,
     reference_cim_conv2d,
 )
@@ -100,8 +98,6 @@ __all__ = [
     "variation_sweep",
     "tolerable_cell_sigma",
     "CimTiledMatmul",
-    "cim_linear",
-    "cim_conv2d",
     "reference_cim_linear",
     "reference_cim_conv2d",
 ]

@@ -9,7 +9,7 @@ column multiplexing); each ADC digitizes the remnant bit-line charge to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -76,21 +76,3 @@ class SharedAdcBank:
                 f"{self.n_columns} columns cannot be evenly shared by "
                 f"{self.n_adcs} ADCs"
             )
-
-    @property
-    def mux_ratio(self) -> int:
-        return self.n_columns // self.n_adcs
-
-    def conversions_for_full_readout(self) -> int:
-        """ADC conversions needed to read every column once."""
-        return self.n_columns
-
-    def readout_time_ns(self, columns: Optional[int] = None) -> float:
-        """Time to read ``columns`` bit lines through the shared bank."""
-        columns = self.n_columns if columns is None else columns
-        rounds = -(-columns // self.n_adcs)  # ceil division
-        return rounds * self.adc.conversion_time_ns
-
-    def readout_energy_fj(self, columns: Optional[int] = None) -> float:
-        columns = self.n_columns if columns is None else columns
-        return columns * self.adc.energy_fj

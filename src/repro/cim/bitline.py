@@ -60,7 +60,3 @@ class BitlineModel:
         if self.saturation is not None:
             observed = np.minimum(observed, self.saturation * self.max_rows)
         return np.clip(observed, 0, self.max_rows)
-
-    def discharge_energy_fj(self, counts: float, cell_read_energy_fj: float) -> float:
-        """Energy of one evaluation: precharge + per-cell discharge."""
-        return counts * cell_read_energy_fj

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.cim.adc import AdcSpec, SharedAdcBank
+from repro.cim.adc import AdcSpec
 from repro.cim.bitline import BitlineModel
 from repro.cim.cells import CellSpec, ROM_1T
 
@@ -64,9 +64,6 @@ class MacroConfig:
     @property
     def capacity_bits(self) -> int:
         return self.rows * self.phys_columns
-
-    def adc_bank(self) -> SharedAdcBank:
-        return SharedAdcBank(self.adc, self.n_adcs, self.phys_columns)
 
     def weight_range(self) -> Tuple[int, int]:
         if self.signed_weights:

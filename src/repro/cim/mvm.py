@@ -191,17 +191,6 @@ class CimTiledMatmul:
             total = replace(total, latency_ns=max_tile_latency)
         return (out[:, 0] if squeeze else out), total
 
-    def exact_matmul(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
-        out = None
-        for tile in self.tiles:
-            partial = tile.macro.exact_matmul(x[tile.row_start : tile.row_stop])
-            if out is None:
-                shape = (self.shape[1],) + partial.shape[1:]
-                out = np.zeros(shape, dtype=np.int64)
-            out[tile.col_start : tile.col_stop] += partial
-        return out
-
 
 def reference_cim_linear(
     x: np.ndarray,
@@ -213,9 +202,8 @@ def reference_cim_linear(
 ) -> Tuple[np.ndarray, MacroStats]:
     """The seed per-call linear path: re-quantize and rebuild every call.
 
-    Kept verbatim as the bit-exact oracle for :func:`cim_linear` (which
-    now routes through the compile-once runtime) and as the baseline
-    the runtime benchmarks measure against.
+    Kept verbatim as the bit-exact oracle for the compile-once runtime's
+    engines and as the baseline the runtime benchmarks measure against.
     """
     config = config if config is not None else MacroConfig()
     x = np.asarray(x, dtype=np.float64)
@@ -300,89 +288,3 @@ def reference_cim_conv2d(
     )
     out = flat.reshape(n, out_h * out_w, oc).transpose(0, 2, 1)
     return out.reshape(n, oc, out_h, out_w), stats
-
-
-def cim_linear(
-    x: np.ndarray,
-    weight: np.ndarray,
-    config: Optional[MacroConfig] = None,
-    activation_bits: int = 8,
-    rng: Optional[np.random.Generator] = None,
-    encoding: Optional[ActivationEncoding] = None,
-    cache=None,
-) -> Tuple[np.ndarray, MacroStats]:
-    """Run ``x @ weight.T`` (float) through quantized CiM execution.
-
-    ``x`` is (N, in_features) float, ``weight`` (out, in) float.  Both are
-    symmetrically quantized (activations unsigned if non-negative), the
-    product is computed by the tiled macro model, and the result is
-    rescaled to float.  Returns ``(y, stats)``.  ``encoding`` selects
-    the word-line scheme (post-ReLU layers are unsigned, so the pulse
-    encodings apply directly).
-
-    This is a compile-and-run shim over the deployment runtime: the
-    weights are quantized and programmed into tiled engines once per
-    distinct ``(weights, config)`` and shared through the engine cache
-    (``cache``; defaults to the process-wide one), so repeated calls
-    only pay activation quantization and macro arithmetic.  Results are
-    bitwise identical to :func:`reference_cim_linear` at the same RNG.
-    """
-    from repro.runtime.engine import linear_engine  # lazy: avoids import cycle
-
-    config = config if config is not None else MacroConfig()
-    x = np.asarray(x, dtype=np.float64)
-    signed_inputs = bool((x < 0).any())
-    engine = linear_engine(
-        weight,
-        config=config,
-        activation_bits=activation_bits,
-        signed_inputs=signed_inputs,
-        cache=cache,
-    )
-    return engine.execute(x, rng=rng, encoding=encoding)
-
-
-def cim_conv2d(
-    x: np.ndarray,
-    weight: np.ndarray,
-    stride: int = 1,
-    padding: int = 0,
-    config: Optional[MacroConfig] = None,
-    activation_bits: int = 8,
-    rng: Optional[np.random.Generator] = None,
-    encoding: Optional[ActivationEncoding] = None,
-    cache=None,
-    groups: int = 1,
-) -> Tuple[np.ndarray, MacroStats]:
-    """Convolution through CiM: im2col + :func:`cim_linear` semantics.
-
-    ``x``: (N, C, H, W) float; ``weight``: (O, C / groups, kh, kw) float.
-    Returns the float output (N, O, H', W') and aggregated macro stats.
-    Like :func:`cim_linear`, a compile-and-run shim over the runtime's
-    cached engines; bitwise identical to :func:`reference_cim_conv2d`.
-    Every conv lowers to one cached engine per channel group (one for
-    ``groups == 1``), executed as one layer pass (see
-    :class:`repro.runtime.engine.GroupedConv`).
-    """
-    from repro.runtime.engine import (  # lazy: avoids import cycle
-        GroupedConv,
-        conv_engine,
-    )
-
-    config = config if config is not None else MacroConfig()
-    weight = np.asarray(weight, dtype=np.float64)
-    ocg = weight.shape[0] // max(groups, 1)
-
-    def engine_for(g: int, signed: bool):
-        return conv_engine(
-            weight[g * ocg : (g + 1) * ocg],
-            stride=stride,
-            padding=padding,
-            config=config,
-            activation_bits=activation_bits,
-            signed_inputs=signed,
-            cache=cache,
-        )
-
-    layer = GroupedConv(weight.shape, groups, stride, padding, engine_for)
-    return layer.execute(x, rng=rng, encoding=encoding)

@@ -47,13 +47,6 @@ class LayerProfile:
             count *= dim
         return count
 
-    @property
-    def input_activations(self) -> int:
-        count = 1
-        for dim in self.in_shape[1:]:
-            count *= dim
-        return count
-
 
 @dataclass
 class ModelProfile:
@@ -74,10 +67,6 @@ class ModelProfile:
     @property
     def trainable_params(self) -> int:
         return sum(layer.params for layer in self.layers if layer.trainable)
-
-    @property
-    def frozen_params(self) -> int:
-        return self.total_params - self.trainable_params
 
     def weight_layers(self) -> List[LayerProfile]:
         """Layers holding CiM-mappable weight matrices (conv + linear)."""

@@ -11,7 +11,7 @@ SRAM-CiM, Fig. 9).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -67,10 +67,6 @@ class YoloDetector(nn.Module):
 
     #: backbone then head — the registration-order chain.
     plan_forward = nn.plan_serial
-
-    def prediction_head(self) -> nn.Module:
-        """The part YOLoC keeps trainable in SRAM-CiM (Fig. 9)."""
-        return self.head
 
 
 def yolo_v2(

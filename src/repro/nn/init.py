@@ -38,13 +38,6 @@ def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: floa
     return rng.uniform(-bound, bound, size=shape)
 
 
-def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot-uniform initialization."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def zeros(shape: Tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape)
 

@@ -20,7 +20,7 @@ Design choices
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 

@@ -8,7 +8,7 @@ word lines, output channels on bit-line columns (Fig. 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -33,10 +33,6 @@ class QuantizedLayer:
     @property
     def cols(self) -> int:
         return self.codes.shape[1]
-
-    @property
-    def weight_bits_total(self) -> int:
-        return self.codes.size * self.bits
 
 
 def _unroll(weight: np.ndarray, kind: str) -> np.ndarray:

@@ -104,25 +104,6 @@ class ReBranchConv2d(nn.Module):
         branch = builder.child(self.decompress, "decompress", branch)
         return builder.add(out, branch, name="add")
 
-    def branch_parameters(self):
-        """The SRAM-resident trainable parameters (the res-conv)."""
-        return list(self.res_conv.parameters())
-
-    @property
-    def trunk_param_count(self) -> int:
-        return self.trunk.weight.size + (
-            self.trunk.bias.size if self.trunk.bias is not None else 0
-        )
-
-    @property
-    def branch_trainable_param_count(self) -> int:
-        return self.res_conv.weight.size
-
-    @property
-    def compression_ratio(self) -> float:
-        """Trunk weights per trainable branch weight (~D*U, Fig. 11a)."""
-        return self.trunk.weight.size / self.res_conv.weight.size
-
     def extra_repr(self) -> str:
         return (
             f"{self.in_channels}, {self.out_channels}, D={self.d}, U={self.u}, "

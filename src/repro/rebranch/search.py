@@ -43,11 +43,6 @@ class DuCandidate:
         """Overall trainable-parameter compression ratio."""
         return self.d * self.u
 
-    @property
-    def asymmetry(self) -> float:
-        """max(D,U)/min(D,U); 1.0 for the symmetric splits of Fig. 11b."""
-        return max(self.d, self.u) / min(self.d, self.u)
-
 
 @dataclass
 class DuEvaluation:

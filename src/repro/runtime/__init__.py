@@ -13,8 +13,8 @@ software:
   streaming through the cached engines with per-run / per-session
   :class:`~repro.cim.macro.MacroStats` accounting.
 * :class:`EngineCache` — LRU cache keyed by ``(layer id, weight hash,
-  config)`` so repeated and concurrent workloads share programmed
-  macros; ``capacity=0`` reproduces the seed per-call behaviour.
+  config)`` so repeated and concurrent compiles share programmed
+  macros; ``capacity=0`` reprograms every lookup, as the seed did.
 * :func:`reference_forward` — the seed per-call path kept as a bit-exact
   oracle and benchmark baseline.
 * :mod:`repro.runtime.backends` — the execution kernels, each held to
@@ -31,10 +31,10 @@ software:
   faster than a cold compile (``repro.runtime.snapshot``); the same
   store backs the engine cache's disk second tier.
 
-The consuming layers sit on top: the functional
-``repro.cim.cim_linear`` / ``cim_conv2d`` compile-and-run through the
-shared cache, and ``repro.arch`` / ``repro.models`` accept compiled
-models directly.
+A compiled model is the one way to run a layer: a single ``Linear`` or
+``Conv2d`` is compiled like any other model, and ``repro.arch`` /
+``repro.models`` accept compiled models directly.  ``repro.cim`` sits
+strictly below this package and imports nothing from it.
 """
 
 from repro.runtime.cache import (
@@ -63,8 +63,6 @@ from repro.runtime.errors import (
 from repro.runtime.engine import (
     ProgrammedConv,
     ProgrammedLinear,
-    conv_engine,
-    linear_engine,
 )
 from repro.runtime.programming import (
     DeployedLayerInfo,
@@ -137,8 +135,6 @@ __all__ = [
     "TiledBitSerialKernel",
     "ProgrammedConv",
     "ProgrammedLinear",
-    "conv_engine",
-    "linear_engine",
     "DeployedLayerInfo",
     "DeploymentReport",
     "fold_batchnorm",

@@ -4,9 +4,10 @@ A ROM-based chiplet programs its subarrays exactly once — at mask time —
 and every later inference streams activations through the same macros.
 The software analogue is this cache: programming an engine (weight
 quantization + bit-plane decomposition + tile placement) happens once
-per distinct ``(layer id, weight fingerprint, configuration)`` key, and
-repeated or concurrent workloads that deploy the same weights share the
-programmed engines instead of rebuilding them per call.
+per distinct ``(layer id, weight fingerprint, configuration)`` key
+(:func:`repro.runtime.engine.engine_key`), and repeated or concurrent
+compiles that deploy the same weights share the programmed engines
+instead of rebuilding them per model.
 
 ``EngineCache(capacity=0)`` is the *per-call* mode: nothing is ever
 retained, so every lookup programs a fresh engine — the seed library's
@@ -38,8 +39,8 @@ _log = get_logger("runtime.cache")
 class EngineKey:
     """Identity of one programmed engine.
 
-    ``layer_id`` scopes the engine to a layer (or ``"functional"`` for
-    the stateless :func:`repro.cim.cim_linear` path), ``weight_hash``
+    ``layer_id`` scopes the engine to a layer (its plan name, with a
+    ``::g<i>`` suffix per channel group of a grouped conv), ``weight_hash``
     fingerprints the exact float weights, and ``config_key`` captures
     every macro/quantization parameter that affects programming.
     """
@@ -67,11 +68,6 @@ class CacheStats:
     programmed: int = 0
     disk_hits: int = 0
     disk_misses: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def reset(self) -> None:
         self.__init__()

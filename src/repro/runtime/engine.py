@@ -12,12 +12,11 @@ draws) when it does not.  A convolution is programmed as one
 :class:`ProgrammedConv` per channel group (one for a plain conv) and
 executed per layer by :class:`GroupedConv`.
 
-:func:`linear_engine` / :func:`conv_engine` are the cache-aware
-constructors: they key the engine by ``(layer id, weight fingerprint,
-config)`` — the one :func:`engine_key` — and share programmed engines
-across calls, sessions and models through an
-:class:`~repro.runtime.cache.EngineCache`; :func:`engine_from_state` is
-the snapshot restore's, over stored codes.
+:func:`engine_key` is the one cache key of a programmed engine —
+``(layer id, weight fingerprint, config)`` — under which a compiled
+plan's slots program and share engines across runs, sessions and models
+through an :class:`~repro.runtime.cache.EngineCache`;
+:func:`engine_from_state` is the snapshot restore's, over stored codes.
 """
 
 from __future__ import annotations
@@ -33,13 +32,7 @@ from repro.cim.macro import MacroConfig, MacroStats
 from repro.cim.mvm import CimTiledMatmul, validate_groups
 from repro.nn import functional as F
 from repro.quant.quantizer import QuantSpec, quantize
-from repro.runtime.cache import (
-    EngineCache,
-    EngineKey,
-    macro_config_key,
-    resolve_cache,
-    weight_fingerprint,
-)
+from repro.runtime.cache import EngineKey, macro_config_key
 from repro.runtime.backends.reference_fast import TiledBitSerialKernel
 from repro.runtime.errors import SnapshotCorruptError
 
@@ -54,7 +47,7 @@ class ProgrammedLinear:
     """``y = x @ weight.T`` with the weights programmed into CiM tiles.
 
     Programming (this constructor) quantizes the float weights with the
-    same per-channel spec the functional path uses and builds the tiled
+    same per-channel spec the reference path uses and builds the tiled
     engine once.  :meth:`execute` is the per-batch hot path.
 
     ``signed_inputs`` is fixed at programming time: the macro's input
@@ -166,7 +159,7 @@ class ProgrammedLinear:
     ) -> Tuple[np.ndarray, MacroStats]:
         """Run a float batch ``(N, in_features)`` through the tiles.
 
-        Bitwise identical to the seed per-call functional path for the
+        Bitwise identical to the seed per-call reference path for the
         same inputs, configuration and RNG.
 
         ``degrade`` (duck-typed: :class:`repro.chaos.Degradation`) is
@@ -493,9 +486,6 @@ class GroupedConv:
         return out.reshape(n, oc, out_h, out_w), total
 
 
-# ----------------------------------------------------------------------
-# Cache-aware constructors
-# ----------------------------------------------------------------------
 def engine_key(
     layer_id: str,
     fingerprint: str,
@@ -553,53 +543,3 @@ def engine_from_state(
             return linear
         return ProgrammedConv.from_state(linear, tuple(weight_shape), *geometry)
     raise SnapshotCorruptError(f"layer {layer_id!r} stores {problem}")
-
-
-def linear_engine(
-    weight: np.ndarray,
-    config: Optional[MacroConfig] = None,
-    activation_bits: int = 8,
-    signed_inputs: bool = False,
-    *,
-    layer_id: str = "functional",
-    cache: Optional[EngineCache] = None,
-    fingerprint: Optional[str] = None,
-) -> ProgrammedLinear:
-    """Fetch (or program on first use) a cached linear engine."""
-    config = config if config is not None else MacroConfig()
-    cache = resolve_cache(cache)
-    if fingerprint is None:
-        fingerprint = weight_fingerprint(weight)
-    key = engine_key(layer_id, fingerprint, config, activation_bits, signed_inputs)
-    return cache.get_or_program(
-        key,
-        lambda: ProgrammedLinear(weight, config, activation_bits, signed_inputs),
-    )
-
-
-def conv_engine(
-    weight: np.ndarray,
-    stride: int = 1,
-    padding: int = 0,
-    config: Optional[MacroConfig] = None,
-    activation_bits: int = 8,
-    signed_inputs: bool = False,
-    *,
-    layer_id: str = "functional",
-    cache: Optional[EngineCache] = None,
-    fingerprint: Optional[str] = None,
-) -> ProgrammedConv:
-    """Fetch (or program on first use) a cached convolution engine."""
-    config = config if config is not None else MacroConfig()
-    cache = resolve_cache(cache)
-    if fingerprint is None:
-        fingerprint = weight_fingerprint(weight)
-    key = engine_key(
-        layer_id, fingerprint, config, activation_bits, signed_inputs, stride, padding
-    )
-    return cache.get_or_program(
-        key,
-        lambda: ProgrammedConv(
-            weight, stride, padding, config, activation_bits, signed_inputs
-        ),
-    )

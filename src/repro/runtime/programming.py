@@ -106,8 +106,3 @@ class DeploymentReport:
     layers: List[DeployedLayerInfo] = field(default_factory=list)
     rom_weight_bits: int = 0
     sram_weight_bits: int = 0
-
-    @property
-    def rom_fraction(self) -> float:
-        total = self.rom_weight_bits + self.sram_weight_bits
-        return self.rom_weight_bits / total if total else 0.0

@@ -603,9 +603,6 @@ class ArtifactStore:
     def keys(self) -> List[str]:
         return sorted(path.stem for path in self._models.glob("*.rcma"))
 
-    def engine_count(self) -> int:
-        return sum(1 for _ in self._engines.glob("*.rcma"))
-
     # -- container i/o -------------------------------------------------
     @staticmethod
     def _write(path: Path, meta: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> None:

@@ -87,7 +87,7 @@ class ModelRegistry:
     """Thread-safe name -> :class:`CompiledModel` mapping.
 
     ``cache`` defaults to the process-wide engine cache so independent
-    registries (and the functional paths) share programmed engines.
+    registries (and other compiles) share programmed engines.
     """
 
     def __init__(self, cache: Optional[EngineCache] = None):

@@ -44,7 +44,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -276,11 +276,6 @@ class InferenceServer:
             error = status.value
         self._finish([_result(request, status, error)])
         return handle
-
-    def submit_many(
-        self, model: str, batches: Sequence[np.ndarray], tenant: str = "default"
-    ) -> List[RequestHandle]:
-        return [self.submit(model, x, tenant=tenant) for x in batches]
 
     # -- tenants -------------------------------------------------------
     def session(self, tenant: str) -> ExecutionSession:

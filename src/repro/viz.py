@@ -8,7 +8,7 @@ regenerated figures *look like figures* in CI logs and reports.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 _FULL = "█"
 _PARTIAL = " ▏▎▍▌▋▊▉"
@@ -48,28 +48,6 @@ def bar_chart(
         lines.append(
             f"{label.ljust(label_width)}  {bar.ljust(width)}  {value:g}{unit}"
         )
-    return "\n".join(lines)
-
-
-def grouped_bar_chart(
-    groups: Dict[str, Dict[str, float]],
-    title: str = "",
-    width: int = 30,
-    unit: str = "",
-) -> str:
-    """Bars grouped by outer key (e.g. model -> method -> value)."""
-    if not groups:
-        raise ValueError("nothing to plot")
-    lines = [title] if title else []
-    max_value = max(v for inner in groups.values() for v in inner.values())
-    label_width = max(len(k) for inner in groups.values() for k in inner)
-    for group_name, inner in groups.items():
-        lines.append(f"[{group_name}]")
-        for label, value in inner.items():
-            bar = hbar(value, max_value, width)
-            lines.append(
-                f"  {label.ljust(label_width)}  {bar.ljust(width)}  {value:g}{unit}"
-            )
     return "\n".join(lines)
 
 

@@ -1,5 +1,5 @@
-"""Shared test utilities: numerical gradient checking and event-based
-synchronization for the serving tests.
+"""Shared test utilities: numerical gradient checking, one-layer CiM
+models, and event-based synchronization for the serving tests.
 
 The synchronization helpers exist so timing-sensitive serve/shard tests
 never assert on wall-clock windows ("finished within N seconds") or
@@ -186,3 +186,86 @@ def check_gradients(
             tensor.grad, expected, atol=atol, rtol=rtol,
             err_msg=f"gradient mismatch for input {index}",
         )
+
+
+def compiled_layer(
+    weight: np.ndarray,
+    config=None,
+    *,
+    cache,
+    activation_bits: int = 8,
+    stride: int = 1,
+    padding: int = 0,
+    groups: int = 1,
+):
+    """A compiled model of one bias-free layer holding ``weight``: an
+    ``nn.Linear`` for an ``(out, in)`` weight, an ``nn.Conv2d`` for an
+    ``(out, in / groups, kh, kw)`` one, programmed on ``config``
+    (default ``MacroConfig()``, the oracles' default) whichever memory it
+    is placed in.  ``run(x, rng=..., encoding=...)`` is the layer's one
+    execution path; ``reference_cim_linear`` / ``reference_cim_conv2d``
+    at the same arguments are its oracle."""
+    from repro import nn
+    from repro.cim import MacroConfig
+    from repro.runtime import RuntimeConfig, compile_model
+
+    weight = np.asarray(weight, dtype=np.float64)
+    if weight.ndim == 2:
+        layer = nn.Linear(weight.shape[1], weight.shape[0], bias=False)
+    else:
+        out_channels, in_per_group, kh, kw = weight.shape
+        layer = nn.Conv2d(
+            in_per_group * groups, out_channels, (kh, kw), stride, padding,
+            bias=False, groups=groups,
+        )
+    layer.weight.data = weight
+    config = config if config is not None else MacroConfig()
+    return compile_model(
+        nn.Sequential(layer),
+        RuntimeConfig(
+            rom_config=config, sram_config=config, activation_bits=activation_bits
+        ),
+        cache=cache,
+    )
+
+
+def layer_pass(
+    weight: np.ndarray,
+    config=None,
+    *,
+    cache,
+    activation_bits: int = 8,
+    stride: int = 1,
+    padding: int = 0,
+    groups: int = 1,
+    signed=None,
+):
+    """The layer pass a compiled conv step runs, over one
+    ``ProgrammedConv`` per channel group and input signedness programmed
+    through ``cache`` under its ``engine_key`` — without the plan's
+    batch check, so it sees what the kernel does with a NaN.  ``signed``
+    fixes every group's programmed signedness instead of following the
+    batch."""
+    from repro.cim import MacroConfig
+    from repro.runtime.cache import weight_fingerprint
+    from repro.runtime.engine import GroupedConv, ProgrammedConv, engine_key
+
+    config = config if config is not None else MacroConfig()
+    weight = np.asarray(weight, dtype=np.float64)
+    ocg = weight.shape[0] // groups
+
+    def engine_for(g: int, batch_signed: bool):
+        group = weight[g * ocg : (g + 1) * ocg]
+        is_signed = batch_signed if signed is None else signed
+        key = engine_key(
+            f"conv::g{g}", weight_fingerprint(group), config, activation_bits,
+            is_signed, stride, padding,
+        )
+        return cache.get_or_program(
+            key,
+            lambda: ProgrammedConv(
+                group, stride, padding, config, activation_bits, is_signed
+            ),
+        )
+
+    return GroupedConv(weight.shape, groups, stride, padding, engine_for)

@@ -201,7 +201,6 @@ class TestScheduleSurface:
         assert schedule.is_noop
         controller = ChaosController(schedule)
         assert controller.is_inert
-        assert not controller.has_deaths
         # A death is never a no-op.
         assert not FaultSchedule(
             events=(FaultEvent(kind=SHARD_DEATH, shard=0, at_index=0),)

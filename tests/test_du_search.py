@@ -40,8 +40,7 @@ class TestCandidates:
     def test_candidate_properties(self):
         candidate = DuCandidate(2, 8)
         assert candidate.du == 16
-        assert candidate.asymmetry == 4.0
-        assert DuCandidate(4, 4).asymmetry == 1.0
+        assert (candidate.d, candidate.u) == (2, 8)
 
     def test_invalid_candidate(self):
         with pytest.raises(ValueError, match="ratios"):
@@ -127,7 +126,8 @@ class TestSearchDriver:
         SRAM area shrinks with D*U — the classic Fig. 11(a) shape."""
 
         def evaluate(candidate):
-            penalty = 0.002 * candidate.du + 0.01 * (candidate.asymmetry - 1)
+            asymmetry = max(candidate.d, candidate.u) / min(candidate.d, candidate.u)
+            penalty = 0.002 * candidate.du + 0.01 * (asymmetry - 1)
             return evaluation(
                 candidate.d,
                 candidate.u,

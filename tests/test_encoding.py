@@ -16,6 +16,11 @@ from repro.cim import (
     encoding_by_name,
 )
 from repro.experiments import encoding_study
+from repro.runtime import EngineCache
+from repro.runtime.cache import weight_fingerprint
+from repro.runtime.engine import ProgrammedLinear, engine_key
+
+from .helpers import compiled_layer
 
 RNG = np.random.default_rng(7)
 
@@ -272,8 +277,6 @@ class TestTiledEncodingIntegration:
         assert pw.adc_conversions < serial.adc_conversions
 
     def test_cim_linear_with_unary_encoding(self):
-        from repro.cim import cim_linear
-
         rng = np.random.default_rng(3)
         x = np.abs(rng.normal(size=(4, 64)))  # post-ReLU: unsigned
         w = rng.normal(size=(10, 64))
@@ -282,19 +285,22 @@ class TestTiledEncodingIntegration:
         # 5-bit ADC the single coarse conversion costs real fidelity —
         # the accuracy half of the section 3.1 trade-off.
         config = MacroConfig(adc=AdcSpec(bits=8))
-        y_ref, _ = cim_linear(x, w, config=config, activation_bits=4)
-        y_pulse, stats = cim_linear(
-            x, w, config=config, activation_bits=4, encoding=UnaryPulseEncoding()
-        )
+        layer = compiled_layer(w, config, activation_bits=4, cache=EngineCache())
+        y_ref, _ = layer.run(x)
+        y_pulse, stats = layer.run(x, encoding=UnaryPulseEncoding())
         assert y_pulse.shape == y_ref.shape
         assert stats.macs > 0
         assert np.corrcoef(y_ref.ravel(), y_pulse.ravel())[0, 1] > 0.95
 
     def test_cim_linear_signed_input_rejected_for_pulse(self):
-        from repro.cim import cim_linear
-
+        """A compiled layer falls back to bit-serial for signed inputs;
+        an engine handed a pulse encoding for them refuses."""
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 32))  # signed activations
         w = rng.normal(size=(4, 32))
+        key = engine_key("fc", weight_fingerprint(w), MacroConfig(), 8, True)
+        engine = EngineCache().get_or_program(
+            key, lambda: ProgrammedLinear(w, signed_inputs=True)
+        )
         with pytest.raises(ValueError, match="unsigned"):
-            cim_linear(x, w, encoding=UnaryPulseEncoding())
+            engine.execute(x, encoding=UnaryPulseEncoding())

@@ -34,7 +34,6 @@ from repro.cim import (
     AdcSpec,
     BitlineModel,
     MacroConfig,
-    cim_conv2d,
     reference_cim_conv2d,
 )
 from repro.cim.cells import ROM_1T, SRAM_CIM_6T
@@ -51,7 +50,6 @@ from repro.runtime import (
     TiledBitSerialKernel,
     UnsupportedModuleError,
     compile_model,
-    conv_engine,
     fold_batchnorm,
     load,
     plan_shards,
@@ -64,7 +62,7 @@ from repro.runtime import engine as engine_module
 from repro.runtime.compiled import _RunState
 from repro.runtime.sharded import ShardedModel, _legal_cuts, _StreamItem
 
-from .helpers import DEADLINE
+from .helpers import DEADLINE, compiled_layer, layer_pass
 
 HW = 8  # input images are (3, HW, HW); zoo models are width-reduced
 
@@ -309,13 +307,13 @@ class TestGroupedConv:
 
     @pytest.mark.parametrize("groups", [2, 4])
     def test_functional_shim_bitwise_vs_reference(self, groups):
+        """A compiled one-layer grouped conv equals the per-call reference."""
         rng = np.random.default_rng(3)
         x = rng.random((2, 4, 6, 6))
         w = rng.normal(size=(8, 4 // groups, 3, 3))
         y_ref, s_ref = reference_cim_conv2d(x, w, padding=1, groups=groups)
-        y_new, s_new = cim_conv2d(
-            x, w, padding=1, groups=groups, cache=EngineCache()
-        )
+        layer = compiled_layer(w, padding=1, groups=groups, cache=EngineCache())
+        y_new, s_new = layer.run(x)
         assert np.array_equal(y_ref, y_new)
         assert s_ref == s_new
 
@@ -327,10 +325,8 @@ class TestGroupedConv:
         y_ref, _ = reference_cim_conv2d(
             x, w, padding=1, config=config, groups=4, rng=np.random.default_rng(8)
         )
-        y_new, _ = cim_conv2d(
-            x, w, padding=1, config=config, groups=4,
-            rng=np.random.default_rng(8), cache=EngineCache(),
-        )
+        layer = compiled_layer(w, config, padding=1, groups=4, cache=EngineCache())
+        y_new, _ = layer.run(x, rng=np.random.default_rng(8))
         assert np.array_equal(y_ref, y_new)
 
     def test_layer_pass_keeps_the_per_group_errors(self):
@@ -339,15 +335,11 @@ class TestGroupedConv:
         rng = np.random.default_rng(5)
         w = rng.normal(size=(4, 1, 3, 3))
         x = rng.normal(size=(2, 4, 6, 6))
-        cache = EngineCache()
-
-        def unsigned_engines(g, signed):
-            return conv_engine(
-                w[g : g + 1], padding=1, signed_inputs=False, cache=cache
-            )
-
+        unsigned = layer_pass(
+            w, padding=1, groups=4, signed=False, cache=EngineCache()
+        )
         with pytest.raises(ValueError, match="programmed for unsigned activations"):
-            engine_module.GroupedConv(w.shape, 4, 1, 1, unsigned_engines).execute(x)
+            unsigned.execute(x)
 
         # Codes out of the serial input range (a non-finite activation,
         # where the platform's float -> int cast puts it out of range):
@@ -363,7 +355,7 @@ class TestGroupedConv:
             return out.tobytes()
 
         assert outcome(
-            lambda *a, **k: cim_conv2d(*a, cache=EngineCache(), **k)
+            lambda x, w, **k: layer_pass(w, cache=EngineCache(), **k).execute(x)
         ) == outcome(reference_cim_conv2d)
 
     def test_per_group_engines_share_cache_across_compiles(self):

@@ -1,7 +1,8 @@
 """``scripts/check_test_hygiene.py`` holds on this tree, and rejects what
 it says it rejects (the retired host-wall bars and the retired einsum
-capture, spelled as they were); the docs' doctests run here too, so a
-contract page cannot break while tier-1 stays green."""
+capture, spelled as they were, and a definition only tests use); the
+docs' doctests run here too, so a contract page cannot break while
+tier-1 stays green."""
 
 import doctest
 import importlib.util
@@ -211,6 +212,61 @@ def test_numpy_2_name_needs_a_hasattr_guard(hygiene, name, rejected):
     path = hygiene.REPO_ROOT / "src" / "sample.py"
     found = hygiene.check_numpy_floor(path, textwrap.dedent(NUMPY_FLOOR[name]))
     assert len(found) == rejected and all("src/sample.py" in line for line in found)
+
+
+PLANTED = """
+    def planted(x):
+        return x
+
+
+    class Kept:
+        @property
+        def planted_property(self):
+            return planted(1)
+
+        def __repr__(self):
+            return "Kept()"
+    """
+
+
+def plant(root, uses):
+    """A tree under ``root`` whose ``src/`` defines ``planted`` (used by
+    ``Kept.planted_property``), ``Kept`` (used by ``src/pkg/use.py``) and
+    ``Kept.planted_property`` (used by nothing), plus ``uses``: relative
+    path -> text."""
+    files = {"src/pkg/mod.py": textwrap.dedent(PLANTED), "src/pkg/use.py": "Kept\n"}
+    for relative, text in {**files, **uses}.items():
+        path = root / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text))
+
+
+@pytest.mark.parametrize(
+    "uses,reported",
+    [
+        ({}, ["planted_property"]),
+        ({"tests/test_mod.py": "Kept().planted_property\n"}, ["planted_property"]),
+        ({"bench/run.py": "value = Kept().planted_property\n"}, []),
+        ({"docs/mod.md": "`Kept.planted_property` is one.\n"}, []),
+    ],
+    ids=["unused", "tests-only", "bench", "docs"],
+)
+def test_definition_only_tests_use_is_reported(hygiene, tmp_path, uses, reported):
+    """``planted`` is used by ``Kept.planted_property``; the property is
+    used by nothing but ``uses``, and a use under tests/ does not count."""
+    plant(tmp_path, uses)
+    found = hygiene.unreferenced_definitions(tmp_path, allowed={})
+    assert [line.split(": ")[1].split()[0] for line in found] == [
+        f"Kept.{name}" for name in reported
+    ]
+    assert all(line.startswith("src/pkg/mod.py:") for line in found)
+
+
+def test_allowlist_keeps_a_definition_and_reports_a_stale_entry(hygiene, tmp_path):
+    plant(tmp_path, {})
+    allowed = {"pkg.mod.Kept.planted_property": "a test", "pkg.mod.gone": "a test"}
+    (stale,) = hygiene.unreferenced_definitions(tmp_path, allowed=allowed)
+    assert "pkg.mod.gone" in stale and "drop the entry" in stale
 
 
 def test_the_docs_references_resolve(docs_links, capsys):

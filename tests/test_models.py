@@ -192,7 +192,7 @@ class TestProfile:
         profile = models.profile_model(model, (1, 3, 16, 16))
         frozen_convs = [l for l in profile.layers if l.kind == "conv"]
         assert all(not l.trainable for l in frozen_convs)
-        assert profile.frozen_params > 0
+        assert profile.total_params > profile.trainable_params
 
     def test_summary_renders(self):
         model = models.vgg8(width_mult=0.0625, rng=np.random.default_rng(0))

@@ -114,12 +114,6 @@ class TestInit:
         bound = np.sqrt(2.0) * np.sqrt(3.0 / 64)
         assert np.abs(w).max() <= bound
 
-    def test_xavier_uniform_bound(self):
-        rng = np.random.default_rng(0)
-        w = init.xavier_uniform((32, 16), rng)
-        bound = np.sqrt(6.0 / 48)
-        assert np.abs(w).max() <= bound
-
     def test_unsupported_shape_raises(self):
         with pytest.raises(ValueError):
             init.kaiming_normal((3,), np.random.default_rng(0))

@@ -788,8 +788,17 @@ class TestPairTable:
 # -- grouped convolutions executed per layer -----------------------------
 
 from repro import nn
-from repro.cim import PulseWidthEncoding, cim_conv2d, reference_cim_conv2d
+from repro.cim import PulseWidthEncoding, reference_cim_conv2d
 from repro.runtime import EngineCache, RuntimeConfig, compile_model
+
+from .helpers import layer_pass
+
+
+def _layer_pass(x, weight, *, rng=None, encoding=None, **kwargs):
+    """``reference_cim_conv2d``'s signature over the layer pass a
+    compiled conv step runs, its engines programmed in a fresh cache."""
+    layer = layer_pass(weight, cache=EngineCache(), **kwargs)
+    return layer.execute(x, rng=rng, encoding=encoding)
 
 
 @st.composite
@@ -880,9 +889,9 @@ class TestGroupedLayerProperties:
                 rng=np.random.default_rng(3), **conv,
             )
             with mock.patch.object(reference_fast, "_BLOCK_BYTES", block_bytes):
-                out, stats = cim_conv2d(
+                out, stats = _layer_pass(
                     x, weight, config=MacroConfig(**macro), encoding=encoding,
-                    rng=np.random.default_rng(3), cache=EngineCache(), **conv,
+                    rng=np.random.default_rng(3), **conv,
                 )
             _assert_same_bytes(out, ref)
             assert stats == ref_stats
@@ -998,10 +1007,7 @@ class TestFeatureMapQuantization:
         def run(case):
             x, weight, conv, plant = case
             reached[plant] += 1
-            ours = _conv_outcome(
-                lambda *a, **k: cim_conv2d(*a, cache=EngineCache(), **k),
-                x, weight, **conv,
-            )
+            ours = _conv_outcome(_layer_pass, x, weight, **conv)
             ref = _conv_outcome(reference_cim_conv2d, x, weight, **conv)
             assert ours == ref
             if plant == "nan-unread":
@@ -1023,10 +1029,7 @@ class TestFeatureMapQuantization:
         for groups in (1, 2):
             conv = dict(stride=2, padding=0, groups=groups)
             w = np.ascontiguousarray(weight[:, : 4 // groups])
-            ours = _conv_outcome(
-                lambda *a, **k: cim_conv2d(*a, cache=EngineCache(), **k),
-                x, w, **conv,
-            )
+            ours = _conv_outcome(_layer_pass, x, w, **conv)
             assert ours == _conv_outcome(reference_cim_conv2d, x, w, **conv)
 
     @pytest.mark.parametrize("bits", [2, 4, 8, 12, 15, 16])
@@ -1054,9 +1057,6 @@ class TestFeatureMapQuantization:
                 continue
             conv = dict(stride=1, padding=1, groups=groups, activation_bits=bits)
             with mock.patch.object(TiledBitSerialKernel, "matmul", matmul):
-                ours = _conv_outcome(
-                    lambda *a, **k: cim_conv2d(*a, cache=EngineCache(), **k),
-                    x, w, **conv,
-                )
+                ours = _conv_outcome(_layer_pass, x, w, **conv)
             assert ours == _conv_outcome(reference_cim_conv2d, x, w, **conv)
         assert seen and all(np.iinfo(dtype).bits < 64 for dtype in seen)

@@ -183,4 +183,4 @@ class TestExport:
     def test_weight_bits_total(self):
         model = nn.Sequential(nn.Linear(4, 4, rng=np.random.default_rng(0)))
         layer = quantize_model_weights(model, bits=8)[0]
-        assert layer.weight_bits_total == 16 * 8
+        assert layer.codes.size * layer.bits == 16 * 8

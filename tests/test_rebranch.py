@@ -53,7 +53,9 @@ class TestReBranchConv2d:
 
     def test_compression_ratio_near_du(self):
         layer = ReBranchConv2d(_conv(16, 16), d=4, u=4, rng=np.random.default_rng(1))
-        assert layer.compression_ratio == pytest.approx(16.0, rel=0.1)
+        # Trunk weights per trainable branch weight: ~D*U (Fig. 11a).
+        ratio = layer.trunk.weight.size / layer.res_conv.weight.size
+        assert ratio == pytest.approx(16.0, rel=0.1)
 
     def test_stride_preserved(self):
         layer = ReBranchConv2d(_conv(8, 16, 3, stride=2), rng=np.random.default_rng(1))

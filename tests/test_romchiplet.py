@@ -12,6 +12,16 @@ from repro.arch import (
     partition_summary,
     reticle_escape_area_mm2,
 )
+from repro.arch.system import evaluate_all_systems
+
+
+def four_systems(profile, die_area_mm2=50.0):
+    """The Fig. 13 trio plus the section 4.3.3 ROM-chiplet assembly."""
+    reports = evaluate_all_systems(profile)
+    reports["rom-chiplet"] = RomChipletSystem(die_area_mm2=die_area_mm2).evaluate(
+        profile
+    )
+    return reports
 
 
 @pytest.fixture(scope="module")
@@ -114,9 +124,7 @@ class TestScalingStudy:
 
 class TestFourSystems:
     def test_four_reports(self, vgg_profile):
-        from repro.arch.romchiplet import evaluate_four_systems
-
-        reports = evaluate_four_systems(vgg_profile)
+        reports = four_systems(vgg_profile)
         assert set(reports) == {
             "yoloc",
             "sram-single-chip",
@@ -130,9 +138,7 @@ class TestFourSystems:
     def test_rom_chiplet_matches_yoloc_on_small_model(self, vgg_profile):
         """A model that fits one die: the assembly is a YOLoC chip plus
         packaging control overhead, at identical compute energy."""
-        from repro.arch.romchiplet import evaluate_four_systems
-
-        reports = evaluate_four_systems(vgg_profile, die_area_mm2=100.0)
+        reports = four_systems(vgg_profile, die_area_mm2=100.0)
         rom = reports["rom-chiplet"]
         yoloc = reports["yoloc"]
         assert rom.n_chips == 1

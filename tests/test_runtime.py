@@ -2,7 +2,7 @@
 
 The load-bearing guarantees:
 
-* the compiled path (and the functional shims over it) is **bitwise
+* the compiled path (a one-layer model included) is **bitwise
   identical** to the seed per-call reference path at a fixed RNG seed,
   for outputs and stats;
 * the engine cache shares programmed macros across calls and compiles
@@ -35,8 +35,6 @@ from repro.cim import (
     MacroConfig,
     MacroStats,
     PulseWidthEncoding,
-    cim_conv2d,
-    cim_linear,
     reference_cim_conv2d,
     reference_cim_linear,
 )
@@ -52,15 +50,15 @@ from repro.runtime import (
     TiledBitSerialKernel,
     compile_model,
     fold_batchnorm,
-    linear_engine,
     reference_forward,
     shard,
 )
 
 from repro.runtime.backends import available_backends, get_backend, reference_fast
-from repro.runtime.engine import ProgrammedConv, ProgrammedLinear
+from repro.runtime.cache import weight_fingerprint
+from repro.runtime.engine import ProgrammedConv, ProgrammedLinear, engine_key
 
-from .helpers import DEADLINE
+from .helpers import DEADLINE, compiled_layer
 
 RNG = np.random.default_rng(7)
 
@@ -879,14 +877,15 @@ class TestResidentPlanes:
 
 
 # ----------------------------------------------------------------------
-# Functional shims
+# One layer: a compiled one-layer model, or one engine, against the
+# per-call reference
 # ----------------------------------------------------------------------
 class TestFunctionalShims:
     def test_cim_linear_bitwise_vs_reference(self):
         x = RNG.normal(size=(6, 40))
         w = RNG.normal(size=(12, 40))
         y_ref, s_ref = reference_cim_linear(x, w)
-        y_new, s_new = cim_linear(x, w, cache=EngineCache())
+        y_new, s_new = compiled_layer(w, cache=EngineCache()).run(x)
         assert np.array_equal(y_ref, y_new)
         assert s_ref == s_new
 
@@ -894,7 +893,7 @@ class TestFunctionalShims:
         x = RNG.random((2, 3, 8, 8))
         w = RNG.normal(size=(5, 3, 3, 3))
         y_ref, s_ref = reference_cim_conv2d(x, w, stride=1, padding=1)
-        y_new, s_new = cim_conv2d(x, w, stride=1, padding=1, cache=EngineCache())
+        y_new, s_new = compiled_layer(w, padding=1, cache=EngineCache()).run(x)
         assert np.array_equal(y_ref, y_new)
         assert s_ref == s_new
 
@@ -935,11 +934,12 @@ class TestFunctionalShims:
         assert str(raised.value) == str(expected.value)
 
     def test_repeated_call_hits_cache(self):
+        """Compiling the same weights again reuses the programmed engine."""
         cache = EngineCache()
         x = RNG.normal(size=(4, 20))
         w = RNG.normal(size=(8, 20))
-        y1, _ = cim_linear(x, w, cache=cache)
-        y2, _ = cim_linear(x, w, cache=cache)
+        y1, _ = compiled_layer(w, cache=cache).run(x)
+        y2, _ = compiled_layer(w, cache=cache).run(x)
         assert cache.stats.misses == 1 and cache.stats.hits == 1
         assert np.array_equal(y1, y2)
 
@@ -947,16 +947,16 @@ class TestFunctionalShims:
         cache = EngineCache(capacity=0)
         x = RNG.normal(size=(4, 20))
         w = RNG.normal(size=(8, 20))
-        cim_linear(x, w, cache=cache)
-        cim_linear(x, w, cache=cache)
+        for _ in range(2):
+            compiled_layer(w, cache=cache).run(x)
         assert cache.stats.programmed == 2
 
     def test_changed_weights_program_new_engine(self):
         cache = EngineCache()
         x = RNG.normal(size=(4, 20))
         w = RNG.normal(size=(8, 20))
-        cim_linear(x, w, cache=cache)
-        cim_linear(x, w + 1.0, cache=cache)
+        compiled_layer(w, cache=cache).run(x)
+        compiled_layer(w + 1.0, cache=cache).run(x)
         assert cache.stats.misses == 2
 
     def test_noise_path_bitwise_with_same_rng(self):
@@ -964,8 +964,8 @@ class TestFunctionalShims:
         x = RNG.normal(size=(4, 20))
         w = RNG.normal(size=(8, 20))
         y_ref, _ = reference_cim_linear(x, w, config, rng=np.random.default_rng(3))
-        y_new, _ = cim_linear(
-            x, w, config, rng=np.random.default_rng(3), cache=EngineCache()
+        y_new, _ = compiled_layer(w, config, cache=EngineCache()).run(
+            x, rng=np.random.default_rng(3)
         )
         assert np.array_equal(y_ref, y_new)
 
@@ -977,7 +977,7 @@ class TestFunctionalShims:
         x[0, 0, 1, 1] = -0.5  # never sampled by kernel=1, stride=2
         w = RNG.normal(size=(2, 1, 1, 1))
         y_ref, s_ref = reference_cim_conv2d(x, w, stride=2, padding=0)
-        y_new, s_new = cim_conv2d(x, w, stride=2, padding=0, cache=EngineCache())
+        y_new, s_new = compiled_layer(w, stride=2, cache=EngineCache()).run(x)
         assert np.array_equal(y_ref, y_new)
         assert s_ref == s_new
 
@@ -989,19 +989,23 @@ class TestFunctionalShims:
         from repro.cim import ROM_1T
 
         cache = EngineCache()
-        x = RNG.random((4, 20))
+        # Signed, as a compiled model predicts its input: one engine per
+        # configuration, programmed at compile and run as it is.
+        x = RNG.normal(size=(4, 20))
         w = RNG.normal(size=(8, 20))
-        _, stats_a = cim_linear(x, w, MacroConfig(cell=ROM_1T), cache=cache)
+        _, stats_a = compiled_layer(w, MacroConfig(cell=ROM_1T), cache=cache).run(x)
         hot_cell = replace(ROM_1T, read_energy_fj=ROM_1T.read_energy_fj * 10)
-        _, stats_b = cim_linear(x, w, MacroConfig(cell=hot_cell), cache=cache)
+        _, stats_b = compiled_layer(w, MacroConfig(cell=hot_cell), cache=cache).run(x)
         assert cache.stats.misses == 2  # two engines, not one alias
         assert stats_b.bitline_energy_fj == pytest.approx(
             10 * stats_a.bitline_energy_fj
         )
 
     def test_unsigned_engine_rejects_negative_inputs(self):
-        engine = linear_engine(
-            RNG.normal(size=(8, 20)), signed_inputs=False, cache=EngineCache()
+        w = RNG.normal(size=(8, 20))
+        key = engine_key("fc", weight_fingerprint(w), MacroConfig(), 8, False)
+        engine = EngineCache().get_or_program(
+            key, lambda: ProgrammedLinear(w, signed_inputs=False)
         )
         with pytest.raises(ValueError, match="unsigned"):
             engine.execute(RNG.normal(size=(4, 20)))
@@ -1321,12 +1325,12 @@ class TestCompiledModel:
             assert kinds == {"conv", "linear"} or kinds == {"conv"}
             # Freshly built layers are trainable, so everything lands on SRAM.
             assert report.sram_weight_bits > 0
-            assert report.rom_fraction == 0.0
+            assert report.rom_weight_bits == 0
         elif variant == "frozen":
-            assert report.rom_fraction == 1.0
+            assert report.rom_weight_bits > 0 and report.sram_weight_bits == 0
         else:
             assert "rebranch" in kinds
-            assert 0.0 < report.rom_fraction < 1.0
+            assert report.rom_weight_bits > 0 and report.sram_weight_bits > 0
 
 
 # ----------------------------------------------------------------------

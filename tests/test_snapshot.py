@@ -49,8 +49,6 @@ from repro.runtime import (
     SnapshotVersionError,
     artifact_key,
     compile_model,
-    conv_engine,
-    linear_engine,
     load,
     reference_forward,
     save,
@@ -735,22 +733,18 @@ class TestGoldenFormat:
         """An engine's disk-tier file is named by its cache key: the key
         tuples of a linear and a conv engine must not move."""
         cache = EngineCache()
-        linear_engine(
-            np.arange(12.0).reshape(3, 4) / 10,
-            MacroConfig(cell=ROM_1T),
-            activation_bits=8,
-            signed_inputs=True,
-            layer_id="fc",
-            cache=cache,
+        fc = np.arange(12.0).reshape(3, 4) / 10
+        rom = MacroConfig(cell=ROM_1T)
+        cache.get_or_program(
+            engine_key("fc", cache_mod.weight_fingerprint(fc), rom, 8, True),
+            lambda: engine_mod.ProgrammedLinear(fc, rom, 8, True),
         )
-        conv_engine(
-            np.arange(54.0).reshape(2, 3, 3, 3) / 10,
-            stride=2,
-            padding=1,
-            activation_bits=4,
-            signed_inputs=False,
-            layer_id="stem::g0",
-            cache=cache,
+        stem = np.arange(54.0).reshape(2, 3, 3, 3) / 10
+        key = engine_key(
+            "stem::g0", cache_mod.weight_fingerprint(stem), MacroConfig(), 4, False, 2, 1
+        )
+        cache.get_or_program(
+            key, lambda: engine_mod.ProgrammedConv(stem, 2, 1, MacroConfig(), 4, False)
         )
         assert [store.engine_path(key).name for key in cache.keys()] == [
             "e4e96a96c48d2dd69b305b4c4966afbc7434c07e1bfd08bcd91bf0d151cc2c8e.rcma",
@@ -806,7 +800,7 @@ class TestRestorePath:
             hashed.append(weight.shape)
             return real(weight)
 
-        for module in (cache_mod, compiled_mod, engine_mod, snapshot_mod):
+        for module in (cache_mod, compiled_mod, snapshot_mod):
             monkeypatch.setattr(module, "weight_fingerprint", counting)
         cache = EngineCache(capacity=1024)
         loaded = load(store, key, cache=cache, verify=verify)
@@ -1129,7 +1123,8 @@ class TestRobustness:
             save(compiled, store, key=key)
             monkeypatch.undo()
             n_engines = old_cache.stats.programmed
-            assert n_engines == store.engine_count() > 0
+            written = [store.engine_path(k).exists() for k in old_cache.keys()]
+            assert n_engines == sum(written) > 0
 
             entry = ModelRegistry(cache=EngineCache()).register(
                 "m", linear_model(), store=store
@@ -1411,7 +1406,8 @@ class TestRobustness:
         warm = EngineCache(store=store)
         compile_model(model, RuntimeConfig(), cache=warm)
         assert warm.stats.programmed > 0
-        assert store.engine_count() == warm.stats.programmed
+        written = [store.engine_path(k).exists() for k in warm.keys()]
+        assert sum(written) == warm.stats.programmed
 
         # Second "process": every engine restores from disk.
         second = EngineCache(store=store)

@@ -39,16 +39,6 @@ class TestBarChart:
             viz.bar_chart([])
 
 
-class TestGroupedBarChart:
-    def test_groups_rendered(self):
-        text = viz.grouped_bar_chart({"m1": {"a": 1.0}, "m2": {"a": 2.0}})
-        assert "[m1]" in text and "[m2]" in text
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            viz.grouped_bar_chart({})
-
-
 class TestLinePlot:
     def test_renders_points(self):
         text = viz.line_plot([0, 1, 2], [0.0, 0.5, 1.0], height=5, width=20)
