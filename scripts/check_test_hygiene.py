@@ -45,8 +45,10 @@ way to do what the program does another way.  The scan matches names,
 not bindings, so a name some other definition shares is never reported
 (delete such a twin by hand).  A definition a test needs for isolation
 or synchronisation stays on :data:`ALLOWED`, with the test that needs
-it; so, until they go together, do four that their one test alone
-checks.  An entry that names no such definition is reported too.
+it; so, until they go together, do those that their tests alone check.
+An import statement or an ``__all__`` list binds a name without using
+it, so a definition only tests call through a re-export is reported.
+An entry that names no such definition is reported too.
 
 Usage: python scripts/check_test_hygiene.py
 """
@@ -257,9 +259,11 @@ USERS = ("src", "bench", "benchmarks", "examples", "scripts", "docs")
 USER_SUFFIXES = (".py", ".md")
 WORD = re.compile(r"[A-Za-z_]\w*")
 
-#: Definitions only tests use, each kept for the test named beside it:
-#: the first two for a test's isolation or synchronisation; the rest are
-#: checked by that test alone and go with it (ROADMAP item 2).
+#: Definitions only tests use, each kept for the test named beside it.
+#: The first block serves a test's isolation, synchronisation or
+#: inputs, or is built by name from ``bench/``; the rest are checked by
+#: their tests alone and go together with them, a few per change
+#: (ROADMAP item 2).
 ALLOWED = {
     "repro.runtime.backends.reference_fast._TableCache.cache_clear": (
         "tests/test_runtime.py and tests/test_properties.py empty the shared "
@@ -268,6 +272,24 @@ ALLOWED = {
     "repro.serve.scheduler.RequestQueue.wait_closed": (
         "tests/test_chaos.py synchronises the mid-recovery shutdown "
         "regression test on the queue closing"
+    ),
+    "repro.runtime.cache.set_default_cache": (
+        "tests/test_chaos.py::TestFailoverLadder and "
+        "tests/test_snapshot.py::TestRobustness swap in a private default "
+        "cache and restore the previous one"
+    ),
+    "repro.chaos.schedule.generate_schedule": (
+        "tests/test_chaos.py::TestZeroMagnitudeIdentity and "
+        "tests/test_properties.py::TestFaultScheduleProperties draw their "
+        "fault schedules from it"
+    ),
+    "repro.arch.system.evaluate_all_systems": (
+        "tests/test_arch.py::TestFig14Shape and tests/test_romchiplet.py "
+        "build the three Fig. 13 systems' reports through it"
+    ),
+    "repro.runtime.backends.popcount.PopcountBitSerialKernel": (
+        "bench/ledger/layers.py builds it by registry name; "
+        "tests/test_backends.py::TestPopcountBitwise"
     ),
     "repro.cim.bitline.BitlineModel.counts_to_voltage": (
         "tests/test_cim.py::TestBitline::test_voltage_monotone_decreasing"
@@ -281,6 +303,58 @@ ALLOWED = {
     "repro.nn.tensor.Tensor.detach": (
         "tests/test_tensor.py::TestBasics::test_detach_cuts_graph"
     ),
+    "repro.arch.packing.packing_latency_passes": (
+        "tests/test_technology_packing.py::TestPacking"
+    ),
+    "repro.arch.technology.cost_of_density": (
+        "tests/test_technology_packing.py::TestProcessNodes"
+    ),
+    "repro.arch.technology.standby_energy_j": (
+        "tests/test_technology_packing.py::TestStandbyPower"
+    ),
+    "repro.cim.encoding.default_encodings": (
+        "tests/test_encoding.py::TestValidation, TestTradeoffShape"
+    ),
+    "repro.eval.classification.top_k_accuracy": (
+        "tests/test_datasets_eval.py::TestClassificationMetrics"
+    ),
+    "repro.eval.classification.confusion_matrix": (
+        "tests/test_datasets_eval.py::TestClassificationMetrics"
+    ),
+    "repro.eval.detection.iou_matrix": (
+        "tests/test_datasets_eval.py::TestDetectionMetrics, "
+        "tests/test_properties.py::TestIouProperties"
+    ),
+    "repro.nn.functional.pad2d": "tests/test_functional.py::TestPadUpsample",
+    "repro.nn.functional.upsample_nearest2d": (
+        "tests/test_functional.py::TestPadUpsample"
+    ),
+    "repro.nn.functional.mse_loss": "tests/test_functional.py::TestSoftmaxLosses",
+    "repro.nn.layers.ModuleList": (
+        "tests/test_layers.py::TestModuleList, tests/test_module_kinds.py"
+    ),
+    "repro.nn.optim.RMSprop": "tests/test_nn_extensions.py::TestRMSprop",
+    "repro.nn.schedule.StepLR": "tests/test_schedule_serialization.py::TestStepLR",
+    "repro.nn.schedule.CosineLR": (
+        "tests/test_schedule_serialization.py::TestCosineLR"
+    ),
+    "repro.nn.schedule.WarmupLR": (
+        "tests/test_schedule_serialization.py::TestWarmupLR"
+    ),
+    "repro.nn.schedule.clip_grad_norm": (
+        "tests/test_schedule_serialization.py::TestClipGradNorm"
+    ),
+    "repro.nn.serialization.load_checkpoint": (
+        "tests/test_schedule_serialization.py::TestCheckpointing"
+    ),
+    "repro.quant.export.quantize_model_weights": "tests/test_quant.py::TestExport",
+    "repro.quant.extreme.fake_ternary": "tests/test_extreme_quant.py::TestSTE",
+    "repro.quant.extreme.fake_binary": "tests/test_extreme_quant.py::TestSTE",
+    "repro.quant.fake_quant.FakeQuantize": (
+        "tests/test_quant.py::TestFakeQuant, tests/test_module_kinds.py"
+    ),
+    "repro.quant.quantizer.quantize_symmetric": "tests/test_quant.py::TestQuantize",
+    "repro.quant.quantizer.quantization_mse": "tests/test_quant.py::TestQuantize",
 }
 
 
@@ -295,17 +369,43 @@ def _definitions(body, prefix=""):
                 yield from _definitions(node.body, f"{prefix}{node.name}.")
 
 
+#: A Markdown line that only imports (``>>> from repro.x import Y``).
+MD_IMPORT = re.compile(r"^\s*(?:>>>\s*)?(?:from\s+[\w.]+\s+)?import\s")
+
+
+def _binding_lines(path: Path, text: str) -> set:
+    """The lines of ``path`` that only bind or re-export a name: import
+    statements and the ``__all__`` list.  A name there is not a use."""
+    if path.suffix != ".py":
+        lines = text.splitlines()
+        return {i for i, line in enumerate(lines, start=1) if MD_IMPORT.match(line)}
+    skipped = set()
+    for node in ast.walk(ast.parse(text, filename=str(path))):
+        exports = isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and any(
+            _identifier(target) == "__all__"
+            for target in getattr(node, "targets", [getattr(node, "target", None)])
+        )
+        if exports or isinstance(node, (ast.Import, ast.ImportFrom)):
+            skipped.update(range(node.lineno, node.end_lineno + 1))
+    return skipped
+
+
 def unreferenced_definitions(root: Path = REPO_ROOT, allowed=ALLOWED) -> list:
     """Every definition under ``root/src`` whose name no file under
     ``root``'s :data:`USERS` mentions outside the definition itself (its
-    decorators included), less ``allowed`` — and every ``allowed`` entry
-    that names no such definition."""
+    decorators included), an import statement or an ``__all__`` list,
+    less ``allowed`` — and every ``allowed`` entry that names no such
+    definition."""
     uses = {}
     for tree in USERS:
         for path in sorted((root / tree).rglob("*")):
             if path.suffix not in USER_SUFFIXES or path == Path(__file__).resolve():
                 continue
-            for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            text = path.read_text()
+            skipped = _binding_lines(path, text)
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                if lineno in skipped:
+                    continue
                 for word in WORD.findall(line):
                     uses.setdefault(word, []).append((path, lineno))
     problems = []

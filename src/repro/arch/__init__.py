@@ -51,7 +51,6 @@ from repro.arch.pipeline import (
     serial_schedule,
     double_buffered_schedule,
     tasks_for_single_chip,
-    tasks_for_compiled,
     relief_summary,
 )
 from repro.arch.training import (
@@ -77,7 +76,6 @@ from repro.arch.system import (
     SramSingleChipSystem,
     SramChipletSystem,
     evaluate_all_systems,
-    evaluate_compiled,
 )
 
 __all__ = [
@@ -112,7 +110,6 @@ __all__ = [
     "SramSingleChipSystem",
     "SramChipletSystem",
     "evaluate_all_systems",
-    "evaluate_compiled",
     "MeshNocSpec",
     "NocTrafficReport",
     "map_layers_to_tiles",
@@ -126,7 +123,6 @@ __all__ = [
     "serial_schedule",
     "double_buffered_schedule",
     "tasks_for_single_chip",
-    "tasks_for_compiled",
     "relief_summary",
     "RomChipletSystem",
     "ChipletScalingPoint",

@@ -180,32 +180,6 @@ def tasks_for_single_chip(
     return tasks
 
 
-def tasks_for_compiled(
-    compiled,
-    input_shape,
-    chip_capacity_bits: float,
-    chip_gops: float,
-    dram: Optional[DramSpec] = None,
-    weight_bits: int = 8,
-    reload_factor: int = 1,
-) -> List[LayerTask]:
-    """Per-layer pipeline workloads for a compiled runtime model.
-
-    ``compiled`` is a :class:`~repro.runtime.CompiledModel`; its cached
-    analytic profile drives :func:`tasks_for_single_chip`, so schedule
-    studies run against the same programmed artifact the deployment
-    runtime executes.
-    """
-    return tasks_for_single_chip(
-        compiled.profile(input_shape),
-        chip_capacity_bits,
-        chip_gops,
-        dram=dram,
-        weight_bits=weight_bits,
-        reload_factor=reload_factor,
-    )
-
-
 def relief_summary(
     tasks: Sequence[LayerTask],
     dram: Optional[DramSpec] = None,

@@ -450,17 +450,3 @@ def evaluate_all_systems(
         "sram-single-chip": SramSingleChipSystem(**kwargs).evaluate(profile),
         "sram-chiplet": SramChipletSystem(**kwargs).evaluate(profile),
     }
-
-
-def evaluate_compiled(
-    compiled, input_shape, **kwargs
-) -> Dict[str, SystemReport]:
-    """Run the Fig. 13 configurations on a compiled runtime model.
-
-    ``compiled`` is a :class:`~repro.runtime.CompiledModel`; its cached
-    analytic profile (the folded module tree walked symbolically for
-    ``input_shape``) feeds the same area/latency/energy models as
-    :func:`evaluate_all_systems`, so the deployment path and the system
-    simulator consume one programmed artifact.
-    """
-    return evaluate_all_systems(compiled.profile(input_shape), **kwargs)

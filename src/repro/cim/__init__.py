@@ -25,7 +25,7 @@ from repro.cim.cells import (
     SRAM_CIM_LCC6T,
     all_cim_cells,
 )
-from repro.cim.adc import AdcSpec, SharedAdcBank
+from repro.cim.adc import AdcSpec
 from repro.cim.bitline import BitlineModel
 from repro.cim.macro import MacroConfig, CimMacro, MacroStats
 from repro.cim.designspace import (
@@ -70,7 +70,6 @@ __all__ = [
     "SRAM_CIM_LCC6T",
     "all_cim_cells",
     "AdcSpec",
-    "SharedAdcBank",
     "BitlineModel",
     "MacroConfig",
     "CimMacro",

@@ -61,18 +61,3 @@ class AdcSpec:
         codes, step = self.convert(counts, full_scale)
         return codes * step
 
-
-@dataclass
-class SharedAdcBank:
-    """A bank of ``n_adcs`` ADCs multiplexed over ``n_columns`` bit lines."""
-
-    adc: AdcSpec
-    n_adcs: int
-    n_columns: int
-
-    def __post_init__(self):
-        if self.n_columns % self.n_adcs != 0:
-            raise ValueError(
-                f"{self.n_columns} columns cannot be evenly shared by "
-                f"{self.n_adcs} ADCs"
-            )

@@ -70,6 +70,15 @@ class MacroConfig:
             return -(2 ** (self.weight_bits - 1)), 2 ** (self.weight_bits - 1) - 1
         return 0, 2**self.weight_bits - 1
 
+    @property
+    def codes_dtype(self) -> np.dtype:
+        """The storage width of a weight code: the narrowest integer type
+        holding :meth:`weight_range` — int8 for signed 8-bit weights,
+        uint8 for unsigned ones.  The one width every programmed engine
+        and every artifact holds codes in."""
+        low, high = self.weight_range()
+        return np.min_scalar_type(low if self.signed_weights else high)
+
     def input_range(self) -> Tuple[int, int]:
         if self.signed_inputs:
             return -(2 ** (self.input_bits - 1)), 2 ** (self.input_bits - 1) - 1
@@ -199,22 +208,23 @@ def _bit_planes(codes: np.ndarray, bits: int, signed: bool) -> Tuple[np.ndarray,
     ``(bits,) + codes.shape`` and values in {0, 1}, and ``weights`` the
     :func:`plane_weights` of the encoding.
     """
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = np.asarray(codes, dtype=np.int64)  # widened: codes may be narrow
     unsigned = codes & ((1 << bits) - 1)  # two's-complement reinterpretation
     planes = np.stack([(unsigned >> k) & 1 for k in range(bits)]).astype(np.float64)
     return planes, plane_weights(bits, signed)
 
 
 def checked_weight_codes(config: MacroConfig, weights: np.ndarray) -> np.ndarray:
-    """``weights`` as int64 codes, after the range scan programming owes
-    ``config``'s storage width (an empty matrix has nothing to scan)."""
+    """``weights`` narrowed to ``config``'s storage width
+    (:attr:`MacroConfig.codes_dtype`), after the range scan that makes
+    the narrowing exact (an empty matrix has nothing to scan)."""
     low, high = config.weight_range()
     if weights.size and (weights.min() < low or weights.max() > high):
         raise ValueError(
             f"weight codes outside [{low}, {high}] for "
             f"{config.weight_bits}-bit storage"
         )
-    return weights.astype(np.int64)
+    return weights.astype(config.codes_dtype)
 
 
 class CimMacro:
@@ -378,4 +388,5 @@ class CimMacro:
 
     def exact_matmul(self, x: np.ndarray) -> np.ndarray:
         """Ideal integer reference (no ADC/bit-line effects)."""
-        return self.weights.T @ np.asarray(x, dtype=np.int64)
+        weights = np.asarray(self.weights, dtype=np.int64)  # widened from storage
+        return weights.T @ np.asarray(x, dtype=np.int64)

@@ -62,7 +62,9 @@ class CimTiledMatmul:
     Parameters
     ----------
     weights:
-        Integer matrix (R, C) — rows are inputs, columns outputs.
+        Integer matrix (R, C) — rows are inputs, columns outputs; held
+        once, narrowed to ``config``'s storage width
+        (:attr:`~repro.cim.macro.MacroConfig.codes_dtype`).
     config:
         Subarray configuration shared by all tiles.
     """
@@ -83,9 +85,9 @@ class CimTiledMatmul:
 
     @classmethod
     def from_state(cls, weights: np.ndarray, config: MacroConfig) -> "CimTiledMatmul":
-        """The tiled engine over *trusted* ``(R, C)`` integer codes (a
-        snapshot restore, at the artifact's width): :meth:`__init__`
-        minus the scan."""
+        """The tiled engine over *trusted* ``(R, C)`` integer codes
+        already at the storage width (a snapshot restore):
+        :meth:`__init__` minus the scan."""
         engine = cls.__new__(cls)
         engine.config = config
         engine._adopt(weights, None)

@@ -20,7 +20,7 @@ the paper's "custom workflow simulator by PyTorch" would have used::
     opt.step()
 """
 
-from repro.nn.tensor import Tensor, no_grad, is_grad_enabled, tensor
+from repro.nn.tensor import Tensor, no_grad, tensor
 from repro.nn.functional import (
     relu,
     leaky_relu,
@@ -77,7 +77,6 @@ __all__ = [
     "tensor",
     "plan_serial",
     "no_grad",
-    "is_grad_enabled",
     "relu",
     "leaky_relu",
     "sigmoid",

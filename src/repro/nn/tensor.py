@@ -27,11 +27,6 @@ import numpy as np
 _GRAD_ENABLED = True
 
 
-def is_grad_enabled() -> bool:
-    """Return True when operations currently record the autograd graph."""
-    return _GRAD_ENABLED
-
-
 @contextlib.contextmanager
 def no_grad():
     """Context manager disabling graph recording (like ``torch.no_grad``)."""

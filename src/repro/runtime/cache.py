@@ -130,12 +130,12 @@ class EngineCache:
     retention entirely (every lookup is a miss that programs a fresh
     engine), which reproduces the seed library's per-call behaviour.
 
-    The bound is an entry count, not bytes.  A compiled 8-bit engine
-    holds about 28 bytes per weight once it has run (a 256 x 1152 ROM
-    engine: 8 for its int64 codes, 8 for the tiled engine's own int64
-    copy, 12.1 for the fused kernel's planes); a restored one keeps the
-    codes at their 1-byte stored width, 1 + 1 in place of 8 + 8, and the
-    reference path's float64 bit planes add 64 once it has read them.  So
+    The bound is an entry count, not bytes.  An 8-bit engine holds about
+    14.6 bytes per weight once it has run, the same after a compile and
+    after a load (tiny_yolo: 1 for its one codes array at the storage
+    width, 12.1 for the fused kernel's planes, 1.5 for its share of the
+    digit tables and row weights); the reference path's float64 bit
+    planes add 64 once it has read them.  So
     workloads that sweep many large distinct weight sets through one
     cache should size ``capacity`` (or use a dedicated cache)
     accordingly.

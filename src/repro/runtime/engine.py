@@ -73,9 +73,9 @@ class ProgrammedLinear:
             raise ValueError(f"weight must be 2-D (out, in), got {weight.shape}")
         w_spec = QuantSpec(bits=config.weight_bits, signed=True, per_channel_axis=0)
         w_codes, w_scale = quantize(weight, w_spec)
-        self._adopt(
-            config, activation_bits, signed_inputs, w_codes, w_scale, CimTiledMatmul
-        )
+        self._adopt(config, activation_bits, signed_inputs, w_scale)
+        # The one range scan, narrowing the codes to their storage width.
+        self.engine = CimTiledMatmul(w_codes.T, self.run_config)
 
     @classmethod
     def from_state(
@@ -87,32 +87,22 @@ class ProgrammedLinear:
         w_scale: np.ndarray,
     ) -> "ProgrammedLinear":
         """The engine over *trusted* programmed state (a snapshot
-        restore): integer ``(out, in)`` codes and per-channel scales are
-        adopted unscanned; everything else derives from the codes as it
-        does at programming time.
+        restore): integer ``(out, in)`` codes at the storage width and
+        per-channel scales are adopted unscanned; everything else
+        derives from the codes as it does at programming time.
         """
         linear = cls.__new__(cls)
-        linear._adopt(
-            config,
-            activation_bits,
-            signed_inputs,
-            w_codes,
-            w_scale,
-            CimTiledMatmul.from_state,
-        )
+        linear._adopt(config, activation_bits, signed_inputs, w_scale)
+        linear.engine = CimTiledMatmul.from_state(w_codes.T, linear.run_config)
         return linear
 
-    def _adopt(
-        self, config, activation_bits, signed_inputs, w_codes, w_scale, make_tiled
-    ) -> None:
-        """Bind the programmed state, derive the run configuration, and
-        adopt the codes as a tiled engine (``make_tiled``: with or
-        without the range scan)."""
+    def _adopt(self, config, activation_bits, signed_inputs, w_scale) -> None:
+        """Bind the programmed state but the codes, and derive the run
+        configuration the tiled engine holds them under."""
         self.config = config
         self.activation_bits = int(activation_bits)
         self.signed_inputs = bool(signed_inputs)
-        self.out_features, self.in_features = w_codes.shape
-        self.w_codes, self.w_scale = w_codes, w_scale
+        self.w_scale = w_scale
         # Snapshot the bit-line model — the only mutable piece of the
         # config (CellSpec and AdcSpec are frozen) — so later in-place
         # mutation of the caller's bit line cannot desynchronize the
@@ -125,8 +115,22 @@ class ProgrammedLinear:
             signed_inputs=self.signed_inputs,
             bitline=bitline,
         )
-        self.engine = make_tiled(w_codes.T, self.run_config)
         self._fast_kernel: Optional[TiledBitSerialKernel] = None
+
+    @property
+    def w_codes(self) -> np.ndarray:
+        """The programmed ``(out, in)`` codes: a view of the tiled
+        engine's ``(in, out)`` array, the one copy, at the storage width
+        (:attr:`MacroConfig.codes_dtype` of :attr:`run_config`)."""
+        return self.engine.weights.T
+
+    @property
+    def out_features(self) -> int:
+        return self.engine.shape[1]
+
+    @property
+    def in_features(self) -> int:
+        return self.engine.shape[0]
 
     @property
     def _kernel(self) -> Optional[TiledBitSerialKernel]:
@@ -524,8 +528,8 @@ def engine_from_state(
     over stored codes and scales, once they agree with the layer."""
     # Copied off the container mapping: a live engine keeps no page of
     # the artifact file mapped, so overwriting an artifact cannot crash
-    # a server restored from it.  The codes keep their stored width —
-    # every consumer widens what it reads, none needs 8 bytes a weight.
+    # a server restored from it.  The codes keep their stored width,
+    # which must be the one a compile narrows them to.
     codes = np.array(codes)
     scale = np.array(scale, dtype=np.float64)
     rows = (weight_shape[0], math.prod(weight_shape[1:]))
@@ -539,7 +543,11 @@ def engine_from_state(
         linear = ProgrammedLinear.from_state(
             config, activation_bits, signed_inputs, codes, scale
         )
-        if not geometry:
+        width = linear.run_config.codes_dtype
+        if codes.dtype != width:
+            problem = f"{codes.dtype} weight codes, expected {width}"
+        elif not geometry:
             return linear
-        return ProgrammedConv.from_state(linear, tuple(weight_shape), *geometry)
+        else:
+            return ProgrammedConv.from_state(linear, tuple(weight_shape), *geometry)
     raise SnapshotCorruptError(f"layer {layer_id!r} stores {problem}")

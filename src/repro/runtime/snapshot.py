@@ -451,21 +451,13 @@ def _restore_module(spec: Dict[str, Any], arrays) -> nn.Module:
 # ----------------------------------------------------------------------
 # Engine (de)serialization
 # ----------------------------------------------------------------------
-def _codes_dtype(weight_bits: int):
-    if weight_bits <= 8:
-        return np.int8
-    if weight_bits <= 16:
-        return np.int16
-    return np.int32
-
-
 def _write_state(
     engine, tag: str, layer_id: str, arrays: Dict[str, np.ndarray]
 ) -> Dict[str, Any]:
     """One programmed engine's entry, its codes and scales put in
     ``arrays``: all a restore cannot derive from the engine's layer."""
     linear = getattr(engine, "linear", engine)
-    arrays[f"{tag}_codes"] = linear.w_codes.astype(_codes_dtype(linear.config.weight_bits))
+    arrays[f"{tag}_codes"] = linear.w_codes  # already at the storage width
     arrays[f"{tag}_scale"] = np.asarray(linear.w_scale, dtype=np.float64)
     signed = bool(linear.signed_inputs)
     return {"tag": tag, "layer_id": layer_id, "signed_inputs": signed}

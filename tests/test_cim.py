@@ -14,7 +14,6 @@ from repro.cim import (
     CimMacro,
     CimTiledMatmul,
     MacroConfig,
-    SharedAdcBank,
     all_cim_cells,
     rom_macro_spec,
     sram_macro_spec,
@@ -84,10 +83,6 @@ class TestAdc:
         stats = macro_pass_stats(config, 128, 256 // config.weight_bits, 1, 0, 0.0)
         assert stats.adc_conversions == 256
         assert stats.cycles == 256 // 16
-
-    def test_shared_bank_uneven_rejected(self):
-        with pytest.raises(ValueError):
-            SharedAdcBank(AdcSpec(), n_adcs=10, n_columns=256)
 
     def test_readout_time_scales_with_columns(self):
         """Reading 16 bit lines through 16 shared ADCs takes one round,

@@ -262,6 +262,36 @@ def test_definition_only_tests_use_is_reported(hygiene, tmp_path, uses, reported
     assert all(line.startswith("src/pkg/mod.py:") for line in found)
 
 
+REEXPORT = {
+    "src/pkg/extra.py": "def exported():\n    return 1\n",
+    "src/pkg/__init__.py": (
+        "from pkg.extra import (\n    exported,\n)\n\n__all__ = [\n    \"exported\",\n]\n"
+    ),
+    "docs/extra.md": ">>> from pkg.extra import exported\n",
+    "tests/test_extra.py": "from pkg import exported\nassert exported() == 1\n",
+}
+
+
+@pytest.mark.parametrize(
+    "uses,reported",
+    [({}, True), ({"examples/run.py": "from pkg import exported\nexported()\n"}, False)],
+    ids=["re-export-only", "called"],
+)
+def test_definition_only_reexported_is_reported(hygiene, tmp_path, uses, reported):
+    """An import line or an ``__all__`` entry binds a name, it does not
+    use it: a definition that only tests call through a re-export is
+    reported like any other."""
+    plant(tmp_path, {**REEXPORT, **uses})
+    found = [
+        line
+        for line in hygiene.unreferenced_definitions(tmp_path, allowed={})
+        if "planted_property" not in line
+    ]
+    assert [line.split(": ")[1].split()[0] for line in found] == (
+        ["exported"] if reported else []
+    )
+
+
 def test_allowlist_keeps_a_definition_and_reports_a_stale_entry(hygiene, tmp_path):
     plant(tmp_path, {})
     allowed = {"pkg.mod.Kept.planted_property": "a test", "pkg.mod.gone": "a test"}

@@ -1060,3 +1060,61 @@ class TestFeatureMapQuantization:
                 ours = _conv_outcome(_layer_pass, x, w, **conv)
             assert ours == _conv_outcome(reference_cim_conv2d, x, w, **conv)
         assert seen and all(np.iinfo(dtype).bits < 64 for dtype in seen)
+
+
+# -- weight codes at their storage width ---------------------------------
+
+from repro.cim.encoding import PulseWidthEncoding
+
+
+class TestNarrowWeightCodes:
+    """Programmed codes are held at :attr:`MacroConfig.codes_dtype`, the
+    narrowest integer type of the weight range, and every consumer that
+    computes on them widens what it reads: each weight width from 2 to
+    16 bits, signed and unsigned, with codes at both ends of the range
+    planted among random ones, runs bitwise equal to the same codes
+    given as int64.  An unsigned 8-bit code of 255 narrowed into int8
+    wraps to -1, which bit planes reinterpret back but an integer
+    product does not."""
+
+    @pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+    @pytest.mark.parametrize("wb", range(2, 17))
+    def test_narrow_codes_match_int64_codes(self, wb, signed):
+        config = MacroConfig(
+            rows=8, phys_columns=2 * wb, weight_bits=wb, input_bits=4,
+            signed_weights=signed,
+        )
+        rng = np.random.default_rng(100 * wb + signed)
+        low, high = config.weight_range()
+        weights = rng.integers(low, high + 1, size=(11, 3))
+        weights[0, 0] = weights[9, 2] = low
+        weights[0, 1] = weights[10, 2] = high
+        x = rng.integers(0, 2**config.input_bits, size=(11, 3))
+        narrow = CimTiledMatmul(weights, config)
+        wide = CimTiledMatmul.from_state(weights.astype(np.int64), config)
+        assert TiledBitSerialKernel.supported(config)
+
+        def same(ours, theirs):
+            assert ours[0].tobytes() == theirs[0].tobytes()
+            assert ours[1] == theirs[1]
+
+        same(TiledBitSerialKernel(narrow).matmul(x), TiledBitSerialKernel(wide).matmul(x))
+        same(narrow.matmul(x), wide.matmul(x))
+        pulse = PulseWidthEncoding()
+        same(
+            narrow.matmul(x, encoding=pulse, rng=np.random.default_rng(1)),
+            wide.matmul(x, encoding=pulse, rng=np.random.default_rng(1)),
+        )
+        for tile in narrow.tiles:
+            rows = slice(tile.row_start, tile.row_stop)
+            cols = slice(tile.col_start, tile.col_stop)
+            exact = tile.macro.exact_matmul(x[rows])
+            assert exact.dtype == np.int64
+            np.testing.assert_array_equal(exact, weights[rows, cols].T @ x[rows])
+        macro = CimMacro(config, weights[:8, :2])
+        np.testing.assert_array_equal(
+            macro.exact_matmul(x[:8]), weights[:8, :2].T @ x[:8]
+        )
+        for codes in (narrow.weights, macro.weights):
+            assert codes.dtype == config.codes_dtype
+            assert codes.dtype.itemsize == (1 if wb <= 8 else 2)

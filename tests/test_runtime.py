@@ -17,6 +17,7 @@ import contextlib
 import functools
 import os
 import signal
+import subprocess
 import sys
 import threading
 import warnings
@@ -836,6 +837,29 @@ class TestExactnessBound:
         assert stats == ref_stats
 
 
+_ROM_SCALE_CHILD = """
+import numpy as np
+from repro import models
+from repro.runtime import EngineCache, RuntimeConfig, compile_model
+
+model = models.build_model("tiny_yolo", rng=np.random.default_rng(0), width_mult=1.0)
+compiled = compile_model(model, RuntimeConfig(fold_bn=True), cache=EngineCache())
+compiled.run(np.random.default_rng(1).random((1, 3, 128, 128)))
+codes = weights = 0
+for engine in compiled.programmed_engines().values():
+    linear = getattr(engine, "linear", engine)
+    base = linear.engine.weights
+    assert np.shares_memory(linear.w_codes, base)
+    codes += base.nbytes
+    weights += base.size
+# VmHWM is this process's own peak: ru_maxrss would carry over the
+# parent's high-water mark across the exec that started it.
+with open("/proc/self/status") as status:
+    (peak_kb,) = [line.split()[1] for line in status if line.startswith("VmHWM:")]
+print(codes / weights, int(peak_kb) / 1024)
+"""
+
+
 class TestResidentPlanes:
     """ROM-CiM keeps a whole network's weights resident, and so does the
     kernel: a float32 plane entry holds three weight bits (a 3 + 3 + 2
@@ -846,15 +870,45 @@ class TestResidentPlanes:
         "name,width", [("resnet8", 1.0), ("mobilenet", 1.0), ("tiny_yolo", 0.25)]
     )
     def test_planes_hold_three_weight_bits_per_entry(self, name, width):
+        """Three weight bits per float32 plane entry, and the codes beside
+        the planes held once, at one byte per weight: ``w_codes`` is a
+        view of the tiled engine's array."""
         model = models.build_model(name, rng=np.random.default_rng(0), width_mult=width)
         compiled = compile_model(model, RuntimeConfig(fold_bn=True), cache=EngineCache())
-        planes = weights = 0
+        planes = codes = weights = 0
         for engine in compiled.programmed_engines().values():
             linear = getattr(engine, "linear", engine)
             assert linear.engine.config.weight_bits == 8
+            assert np.shares_memory(linear.w_codes, linear.engine.weights)
             planes += sum(group.planes32.nbytes for group in linear._kernel._groups)
+            codes += linear.engine.weights.nbytes
             weights += linear.engine.weights.size
         assert planes / weights <= 12.2
+        assert codes / weights <= 1.0
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc/self/status"
+    )
+    def test_rom_scale_detector_stays_resident(self):
+        """The paper's deployment at ROM scale: tiny_yolo at full width
+        (15.8 M weights, BN folded) compiled and run on one 128 px image
+        in a fresh process holds 1 B of codes per weight and peaks at
+        most 500 MB (633 MB when the codes were held twice as int64)."""
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-c", _ROM_SCALE_CHILD],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        codes_per_weight, peak_mb = map(float, result.stdout.split())
+        assert codes_per_weight <= 1.0
+        assert peak_mb <= 500
 
     @pytest.mark.slow
     @pytest.mark.parametrize("signed", [False, True])
@@ -1431,25 +1485,6 @@ class TestConsumers:
         assert compiled.profile(shape).trainable_params > 0
         compiled.model.freeze()
         assert compiled.profile(shape).trainable_params == 0
-
-    def test_evaluate_compiled(self):
-        from repro.arch import evaluate_all_systems, evaluate_compiled
-
-        compiled = compile_model(tiny_chain(), RuntimeConfig(), cache=EngineCache())
-        reports = evaluate_compiled(compiled, (1, 3, 8, 8))
-        assert set(reports) == {"yoloc", "sram-single-chip", "sram-chiplet"}
-        direct = evaluate_all_systems(compiled.profile((1, 3, 8, 8)))
-        assert reports["yoloc"].macs == direct["yoloc"].macs
-
-    def test_tasks_for_compiled(self):
-        from repro.arch import tasks_for_compiled
-
-        compiled = compile_model(tiny_chain(), RuntimeConfig(), cache=EngineCache())
-        tasks = tasks_for_compiled(
-            compiled, (1, 3, 8, 8), chip_capacity_bits=1e6, chip_gops=100.0
-        )
-        assert len(tasks) == 2
-        assert all(task.compute_ns > 0 for task in tasks)
 
 
 # ----------------------------------------------------------------------

@@ -823,11 +823,33 @@ class TestRestorePath:
         assert cache.stats.programmed == 0
 
     def test_restored_codes_are_copied_at_their_stored_width(self, store):
+        """A compile and a restore build the same engine: one codes array
+        at the config's storage width, ``w_codes`` a view of the tiled
+        engine's, owned by the engine and not by the artifact mapping."""
         compiled = compile_model(conv_model(), RuntimeConfig(), cache=EngineCache())
         loaded = load(store, save(compiled, store), cache=EngineCache())
-        for engine in loaded.programmed_engines().values():
-            codes = getattr(engine, "linear", engine).w_codes
-            assert codes.dtype == np.int8 and codes.flags.owndata
+        for model in (compiled, loaded):
+            for engine in model.programmed_engines().values():
+                linear = getattr(engine, "linear", engine)
+                codes = linear.w_codes
+                assert codes.dtype == linear.run_config.codes_dtype == np.int8
+                assert np.shares_memory(codes, linear.engine.weights)
+                while isinstance(codes.base, np.ndarray):
+                    codes = codes.base
+                assert codes.base is None and codes.flags.owndata
+
+    def test_codes_stored_at_another_width_are_refused(self, store):
+        """A same-length dtype flip in the header (``|i1`` -> ``|b1``)
+        leaves the checksummed data intact; the restore must refuse the
+        bool codes rather than run them."""
+        compiled = compile_model(conv_model(), RuntimeConfig(), cache=EngineCache())
+        key = save(compiled, store)
+        path = store.model_path(key)
+        blob = path.read_bytes()
+        assert b'"|i1"' in blob
+        path.write_bytes(blob.replace(b'"|i1"', b'"|b1"'))
+        with pytest.raises(SnapshotCorruptError, match="bool weight codes, expected int8"):
+            load(store, key, cache=EngineCache())
 
     def test_freeze_after_compile_saves_the_placement_now(self, store):
         """Freeze after compile: the artifact holds only the variants
