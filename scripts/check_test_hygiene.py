@@ -41,14 +41,17 @@ method (dunders aside) whose name appears nowhere in :data:`USERS` —
 ``src/``, ``bench/``, ``benchmarks/``, ``examples/``, ``scripts/`` and
 ``docs/`` — outside its own definition.  A test alone does not keep a
 definition alive: what only ``tests/`` calls is either dead or a second
-way to do what the program does another way.  The scan matches names,
-not bindings, so a name some other definition shares is never reported
-(delete such a twin by hand).  A definition a test needs for isolation
-or synchronisation stays on :data:`ALLOWED`, with the test that needs
-it; so, until they go together, do those that their tests alone check.
-An import statement or an ``__all__`` list binds a name without using
-it, so a definition only tests call through a re-export is reported.
-An entry that names no such definition is reported too.
+way to do what the program does another way.  A mention inside a
+definition the scan reports is no use either, so a helper that only
+dead code calls is reported with it (the scan repeats until nothing new
+is reported).  The scan matches names, not bindings, so a name some
+other definition shares is never reported (delete such a twin by hand).
+A definition a test needs for isolation, synchronisation or inputs
+stays on :data:`ALLOWED`, with the test that needs it; what an entry
+mentions stays used.  An import statement or an ``__all__`` list binds
+a name without using it, so a definition only tests call through a
+re-export is reported.  An entry that names no such definition is
+reported too.
 
 Usage: python scripts/check_test_hygiene.py
 """
@@ -259,11 +262,10 @@ USERS = ("src", "bench", "benchmarks", "examples", "scripts", "docs")
 USER_SUFFIXES = (".py", ".md")
 WORD = re.compile(r"[A-Za-z_]\w*")
 
-#: Definitions only tests use, each kept for the test named beside it.
-#: The first block serves a test's isolation, synchronisation or
-#: inputs, or is built by name from ``bench/``; the rest are checked by
-#: their tests alone and go together with them, a few per change
-#: (ROADMAP item 2).
+#: Definitions only tests use, each kept for the test named beside it:
+#: it serves a test's isolation, synchronisation or inputs, or is built
+#: by name from ``bench/``.  A definition its tests alone check is not
+#: kept: it goes, with those tests.
 ALLOWED = {
     "repro.runtime.backends.reference_fast._TableCache.cache_clear": (
         "tests/test_runtime.py and tests/test_properties.py empty the shared "
@@ -291,70 +293,6 @@ ALLOWED = {
         "bench/ledger/layers.py builds it by registry name; "
         "tests/test_backends.py::TestPopcountBitwise"
     ),
-    "repro.cim.bitline.BitlineModel.counts_to_voltage": (
-        "tests/test_cim.py::TestBitline::test_voltage_monotone_decreasing"
-    ),
-    "repro.cim.bitline.BitlineModel.voltage_to_counts": (
-        "tests/test_cim.py::TestBitline::test_voltage_count_inverse"
-    ),
-    "repro.cim.variation.VariationModel.is_ideal": (
-        "tests/test_variation.py::TestVariationModel::test_ideal_detection"
-    ),
-    "repro.nn.tensor.Tensor.detach": (
-        "tests/test_tensor.py::TestBasics::test_detach_cuts_graph"
-    ),
-    "repro.arch.packing.packing_latency_passes": (
-        "tests/test_technology_packing.py::TestPacking"
-    ),
-    "repro.arch.technology.cost_of_density": (
-        "tests/test_technology_packing.py::TestProcessNodes"
-    ),
-    "repro.arch.technology.standby_energy_j": (
-        "tests/test_technology_packing.py::TestStandbyPower"
-    ),
-    "repro.cim.encoding.default_encodings": (
-        "tests/test_encoding.py::TestValidation, TestTradeoffShape"
-    ),
-    "repro.eval.classification.top_k_accuracy": (
-        "tests/test_datasets_eval.py::TestClassificationMetrics"
-    ),
-    "repro.eval.classification.confusion_matrix": (
-        "tests/test_datasets_eval.py::TestClassificationMetrics"
-    ),
-    "repro.eval.detection.iou_matrix": (
-        "tests/test_datasets_eval.py::TestDetectionMetrics, "
-        "tests/test_properties.py::TestIouProperties"
-    ),
-    "repro.nn.functional.pad2d": "tests/test_functional.py::TestPadUpsample",
-    "repro.nn.functional.upsample_nearest2d": (
-        "tests/test_functional.py::TestPadUpsample"
-    ),
-    "repro.nn.functional.mse_loss": "tests/test_functional.py::TestSoftmaxLosses",
-    "repro.nn.layers.ModuleList": (
-        "tests/test_layers.py::TestModuleList, tests/test_module_kinds.py"
-    ),
-    "repro.nn.optim.RMSprop": "tests/test_nn_extensions.py::TestRMSprop",
-    "repro.nn.schedule.StepLR": "tests/test_schedule_serialization.py::TestStepLR",
-    "repro.nn.schedule.CosineLR": (
-        "tests/test_schedule_serialization.py::TestCosineLR"
-    ),
-    "repro.nn.schedule.WarmupLR": (
-        "tests/test_schedule_serialization.py::TestWarmupLR"
-    ),
-    "repro.nn.schedule.clip_grad_norm": (
-        "tests/test_schedule_serialization.py::TestClipGradNorm"
-    ),
-    "repro.nn.serialization.load_checkpoint": (
-        "tests/test_schedule_serialization.py::TestCheckpointing"
-    ),
-    "repro.quant.export.quantize_model_weights": "tests/test_quant.py::TestExport",
-    "repro.quant.extreme.fake_ternary": "tests/test_extreme_quant.py::TestSTE",
-    "repro.quant.extreme.fake_binary": "tests/test_extreme_quant.py::TestSTE",
-    "repro.quant.fake_quant.FakeQuantize": (
-        "tests/test_quant.py::TestFakeQuant, tests/test_module_kinds.py"
-    ),
-    "repro.quant.quantizer.quantize_symmetric": "tests/test_quant.py::TestQuantize",
-    "repro.quant.quantizer.quantization_mse": "tests/test_quant.py::TestQuantize",
 }
 
 
@@ -393,9 +331,14 @@ def _binding_lines(path: Path, text: str) -> set:
 def unreferenced_definitions(root: Path = REPO_ROOT, allowed=ALLOWED) -> list:
     """Every definition under ``root/src`` whose name no file under
     ``root``'s :data:`USERS` mentions outside the definition itself (its
-    decorators included), an import statement or an ``__all__`` list,
-    less ``allowed`` — and every ``allowed`` entry that names no such
-    definition."""
+    decorators included), an import statement, an ``__all__`` list or a
+    definition this scan reports, less ``allowed`` — and every
+    ``allowed`` entry that names no such definition.
+
+    A mention inside a reported definition is no use, so the scan runs
+    to a fixed point: a helper whose only callers are dead is reported
+    with them.  ``allowed`` entries are never reported, so what they
+    mention stays used."""
     uses = {}
     for tree in USERS:
         for path in sorted((root / tree).rglob("*")):
@@ -408,32 +351,50 @@ def unreferenced_definitions(root: Path = REPO_ROOT, allowed=ALLOWED) -> list:
                     continue
                 for word in WORD.findall(line):
                     uses.setdefault(word, []).append((path, lineno))
-    problems = []
-    stale = set(allowed)
+    #: qualified name -> (path, qualname, name, lineno, first line, last line)
+    definitions = {}
     for path in sorted((root / "src").rglob("*.py")):
         module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
         tree = ast.parse(path.read_text(), filename=str(path))
         for qualname, name, node in _definitions(tree.body):
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            used = any(
-                where != path or not first <= lineno <= node.end_lineno
-                for where, lineno in uses.get(name, ())
+            definitions[f"{module}.{qualname}"] = (
+                path, qualname, name, node.lineno, first, node.end_lineno
             )
-            if used:
-                continue
-            if f"{module}.{qualname}" in allowed:
-                stale.discard(f"{module}.{qualname}")
-                continue
-            problems.append(
-                f"{path.relative_to(root)}:{node.lineno}: {qualname} is used "
-                f"nowhere outside tests/ — delete it (and any test that "
-                f"checks only it), or list it in ALLOWED with the test that "
-                f"needs it"
+    dead = {}
+
+    def used(definition) -> bool:
+        path, _, name, _, first, last = definition
+        return any(
+            (where != path or not first <= at <= last)
+            and not any(
+                where == span[0] and span[4] <= at <= span[5]
+                for span in dead.values()
             )
+            for where, at in uses.get(name, ())
+        )
+
+    while True:
+        found = {
+            key: definition
+            for key, definition in definitions.items()
+            if key not in dead and key not in allowed and not used(definition)
+        }
+        if not found:
+            break
+        dead.update(found)
+    problems = [
+        f"{path.relative_to(root)}:{lineno}: {qualname} is used nowhere "
+        f"outside tests/ — delete it (and any test that checks only it), or "
+        f"list it in ALLOWED with the test that needs it"
+        for key, (path, qualname, _, lineno, _, _) in definitions.items()
+        if key in dead
+    ]
     problems.extend(
         f"scripts/check_test_hygiene.py: ALLOWED names {name}, which is gone "
         f"or used outside tests/ — drop the entry"
-        for name in sorted(stale)
+        for name in sorted(allowed)
+        if name not in definitions or used(definitions[name])
     )
     return problems
 

@@ -24,7 +24,6 @@ from repro.arch.packing import (
     PackingResult,
     pack_naive,
     pack_first_fit,
-    packing_latency_passes,
     compare_packings,
 )
 from repro.arch.technology import (
@@ -33,9 +32,7 @@ from repro.arch.technology import (
     node_table,
     get_node,
     nodes_beaten_by_rom28,
-    cost_of_density,
     scaling_curve,
-    standby_energy_j,
     duty_cycle_energy_ratio,
 )
 from repro.arch.noc import (
@@ -91,16 +88,13 @@ __all__ = [
     "PackingResult",
     "pack_naive",
     "pack_first_fit",
-    "packing_latency_passes",
     "compare_packings",
     "ProcessNode",
     "PROCESS_NODES",
     "node_table",
     "get_node",
     "nodes_beaten_by_rom28",
-    "cost_of_density",
     "scaling_curve",
-    "standby_energy_j",
     "duty_cycle_energy_ratio",
     "SystemReport",
     "EnergyBreakdown",

@@ -179,11 +179,6 @@ def pack_first_fit(
     )
 
 
-def packing_latency_passes(result: PackingResult) -> int:
-    """Total serial macro passes of a mapping (lower = lower latency)."""
-    return result.total_passes
-
-
 def compare_packings(
     profile: ModelProfile, config: Optional[MacroConfig] = None
 ) -> dict:

@@ -15,10 +15,10 @@ cycles the energy gap widens far beyond the per-inference numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cim.cells import ROM_1T
-from repro.cim.spec import MacroSpec, rom_macro_spec, sram_macro_spec
+from repro.cim.spec import rom_macro_spec, sram_macro_spec
 
 
 @dataclass(frozen=True)
@@ -86,16 +86,6 @@ def nodes_beaten_by_rom28(include_macro_overhead: bool = False) -> List[int]:
     )
 
 
-def cost_of_density(target_mb_mm2: float) -> Optional[ProcessNode]:
-    """Cheapest node whose SRAM reaches ``target_mb_mm2`` (None if none)."""
-    candidates = [
-        node for node in PROCESS_NODES if node.sram_density_mb_mm2 >= target_mb_mm2
-    ]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda node: node.tapeout_cost_musd)
-
-
 def scaling_curve() -> Dict[int, Tuple[float, float]]:
     """node -> (normalized density, normalized tape-out cost), 130nm = 1."""
     base = get_node(130)
@@ -111,15 +101,6 @@ def scaling_curve() -> Dict[int, Tuple[float, float]]:
 # ----------------------------------------------------------------------
 # Standby power (the non-volatility claim)
 # ----------------------------------------------------------------------
-def standby_energy_j(
-    spec: MacroSpec, idle_seconds: float, n_macros: int = 1
-) -> float:
-    """Retention energy burned while the array holds weights but idles."""
-    if idle_seconds < 0:
-        raise ValueError("idle time cannot be negative")
-    return spec.standby_power_w * idle_seconds * n_macros
-
-
 def duty_cycle_energy_ratio(
     active_energy_j: float,
     inference_rate_hz: float,

@@ -41,7 +41,6 @@ from repro.cim.encoding import (
     BitSerialEncoding,
     UnaryPulseEncoding,
     PulseWidthEncoding,
-    default_encodings,
     encoding_by_name,
 )
 from repro.cim.spec import MacroSpec, rom_macro_spec, sram_macro_spec, TABLE1_PAPER
@@ -84,7 +83,6 @@ __all__ = [
     "BitSerialEncoding",
     "UnaryPulseEncoding",
     "PulseWidthEncoding",
-    "default_encodings",
     "encoding_by_name",
     "MacroSpec",
     "rom_macro_spec",

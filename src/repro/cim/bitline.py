@@ -2,10 +2,9 @@
 
 The macro pre-charges every bit line, then pulses word lines; each ON
 cell (input bit high AND stored '1') discharges the line a unit amount.
-The ADC senses the remnant voltage.  This module converts ON-cell
-counts to bit-line voltages and injects the analog non-idealities
-(thermal/mismatch noise, optional voltage saturation) that SPICE-level
-simulation would capture.
+The ADC senses the remnant voltage.  This module injects, in ON-cell
+count units, the analog non-idealities (thermal/mismatch noise,
+optional voltage saturation) that SPICE-level simulation would capture.
 """
 
 from __future__ import annotations
@@ -38,18 +37,6 @@ class BitlineModel:
             raise ValueError("max_rows must be positive")
         if self.noise_sigma_counts < 0:
             raise ValueError("noise sigma cannot be negative")
-
-    def counts_to_voltage(self, counts: np.ndarray) -> np.ndarray:
-        """Ideal remnant voltage for a given ON-cell count per column."""
-        frac = np.asarray(counts, dtype=np.float64) / self.max_rows
-        if self.saturation is not None:
-            frac = np.minimum(frac, self.saturation)
-        return self.v_precharge * (1.0 - frac)
-
-    def voltage_to_counts(self, voltage: np.ndarray) -> np.ndarray:
-        """Inverse mapping used by the sensing path."""
-        frac = 1.0 - np.asarray(voltage, dtype=np.float64) / self.v_precharge
-        return frac * self.max_rows
 
     def observe(self, counts: np.ndarray, rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """Counts as seen by the ADC: noise added, saturation applied."""

@@ -41,7 +41,7 @@ exactly the axes of the paper's "different speed-accuracy trade-off".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -283,15 +283,6 @@ def _integrating_stats(
         peripheral_energy_fj=cycles * cfg.peripheral_energy_fj_per_cycle,
         latency_ns=cycles * cfg.cycle_time_ns,
     )
-
-
-def default_encodings(jitter_sigma_slots: float = 0.25) -> List[ActivationEncoding]:
-    """The three encodings of the section 3.1 design space."""
-    return [
-        BitSerialEncoding(),
-        UnaryPulseEncoding(),
-        PulseWidthEncoding(jitter_sigma_slots=jitter_sigma_slots),
-    ]
 
 
 def encoding_by_name(name: str, **kwargs) -> ActivationEncoding:

@@ -43,14 +43,6 @@ class VariationModel:
         if min(self.cell_sigma, self.adc_offset_sigma, self.adc_gain_sigma) < 0:
             raise ValueError("variation sigmas cannot be negative")
 
-    @property
-    def is_ideal(self) -> bool:
-        return (
-            self.cell_sigma == 0
-            and self.adc_offset_sigma == 0
-            and self.adc_gain_sigma == 0
-        )
-
 
 def apply_adc_errors(
     counts: np.ndarray,

@@ -1,9 +1,8 @@
 """Evaluation metrics: classification accuracy and detection mAP."""
 
-from repro.eval.classification import accuracy, top_k_accuracy, confusion_matrix
+from repro.eval.classification import accuracy
 from repro.eval.detection import (
     iou,
-    iou_matrix,
     nms,
     average_precision,
     mean_average_precision,
@@ -11,10 +10,7 @@ from repro.eval.detection import (
 
 __all__ = [
     "accuracy",
-    "top_k_accuracy",
-    "confusion_matrix",
     "iou",
-    "iou_matrix",
     "nms",
     "average_precision",
     "mean_average_precision",

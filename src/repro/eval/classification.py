@@ -19,27 +19,3 @@ def accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
         raise ValueError("cannot compute accuracy of an empty batch")
     return float((predictions == targets).mean())
 
-
-def top_k_accuracy(logits: np.ndarray, targets: np.ndarray, k: int = 5) -> float:
-    """Fraction of samples whose target is within the top-k logits."""
-    logits = np.asarray(logits)
-    targets = np.asarray(targets)
-    if logits.ndim != 2:
-        raise ValueError("top-k accuracy requires a (N, C) logit matrix")
-    if k < 1 or k > logits.shape[1]:
-        raise ValueError(f"k must be in [1, {logits.shape[1]}], got {k}")
-    top = np.argsort(-logits, axis=1)[:, :k]
-    return float((top == targets[:, None]).any(axis=1).mean())
-
-
-def confusion_matrix(
-    predictions: np.ndarray, targets: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """(num_classes, num_classes) counts, rows = true class."""
-    predictions = np.asarray(predictions)
-    targets = np.asarray(targets)
-    if predictions.ndim == 2:
-        predictions = predictions.argmax(axis=1)
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (targets, predictions), 1)
-    return matrix

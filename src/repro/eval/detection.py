@@ -23,27 +23,6 @@ def iou(box_a: np.ndarray, box_b: np.ndarray) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) pairwise IoU, vectorized."""
-    boxes_a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
-    boxes_b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
-    x1 = np.maximum(boxes_a[:, None, 0], boxes_b[None, :, 0])
-    y1 = np.maximum(boxes_a[:, None, 1], boxes_b[None, :, 1])
-    x2 = np.minimum(boxes_a[:, None, 2], boxes_b[None, :, 2])
-    y2 = np.minimum(boxes_a[:, None, 3], boxes_b[None, :, 3])
-    inter = np.clip(x2 - x1, 0, None) * np.clip(y2 - y1, 0, None)
-    area_a = np.clip(boxes_a[:, 2] - boxes_a[:, 0], 0, None) * np.clip(
-        boxes_a[:, 3] - boxes_a[:, 1], 0, None
-    )
-    area_b = np.clip(boxes_b[:, 2] - boxes_b[:, 0], 0, None) * np.clip(
-        boxes_b[:, 3] - boxes_b[:, 1], 0, None
-    )
-    union = area_a[:, None] + area_b[None, :] - inter
-    with np.errstate(divide="ignore", invalid="ignore"):
-        result = np.where(union > 0, inter / union, 0.0)
-    return result
-
-
 def nms(detections: Sequence["Detection"], iou_threshold: float = 0.5) -> List["Detection"]:
     """Class-wise greedy non-maximum suppression, highest score first."""
     if not 0 <= iou_threshold <= 1:

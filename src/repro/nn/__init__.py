@@ -3,7 +3,9 @@
 This package replaces PyTorch (unavailable offline) for the YOLoC
 reproduction.  It provides a reverse-mode autograd tensor, the standard
 CNN building blocks (convolution, batch norm, pooling, activations),
-optimizers, and data loading utilities.
+the SGD and Adam optimizers, a weight EMA and data loading utilities.
+A trained model persists as a ``.rcma`` artifact
+(:mod:`repro.runtime.snapshot`), not through this package.
 
 The public surface mirrors the small subset of ``torch``/``torch.nn``
 the paper's "custom workflow simulator by PyTorch" would have used::
@@ -29,14 +31,11 @@ from repro.nn.functional import (
     softmax,
     log_softmax,
     cross_entropy,
-    mse_loss,
     binary_cross_entropy_with_logits,
     conv2d,
     max_pool2d,
     avg_pool2d,
     global_avg_pool2d,
-    pad2d,
-    upsample_nearest2d,
     dropout,
 )
 from repro.nn.layers import (
@@ -44,7 +43,6 @@ from repro.nn.layers import (
     Parameter,
     plan_serial,
     Sequential,
-    ModuleList,
     Conv2d,
     Linear,
     BatchNorm2d,
@@ -59,17 +57,9 @@ from repro.nn.layers import (
     Dropout,
     Identity,
 )
-from repro.nn.optim import Optimizer, SGD, Adam, RMSprop
+from repro.nn.optim import Optimizer, SGD, Adam
 from repro.nn.ema import ExponentialMovingAverage
-from repro.nn.schedule import (
-    LRScheduler,
-    StepLR,
-    CosineLR,
-    WarmupLR,
-    clip_grad_norm,
-)
 from repro.nn.data import Dataset, TensorDataset, DataLoader
-from repro.nn.serialization import save_checkpoint, load_checkpoint
 from repro.nn import init
 
 __all__ = [
@@ -84,19 +74,15 @@ __all__ = [
     "softmax",
     "log_softmax",
     "cross_entropy",
-    "mse_loss",
     "binary_cross_entropy_with_logits",
     "conv2d",
     "max_pool2d",
     "avg_pool2d",
     "global_avg_pool2d",
-    "pad2d",
-    "upsample_nearest2d",
     "dropout",
     "Module",
     "Parameter",
     "Sequential",
-    "ModuleList",
     "Conv2d",
     "Linear",
     "BatchNorm2d",
@@ -113,17 +99,9 @@ __all__ = [
     "Optimizer",
     "SGD",
     "Adam",
-    "RMSprop",
     "ExponentialMovingAverage",
-    "LRScheduler",
-    "StepLR",
-    "CosineLR",
-    "WarmupLR",
-    "clip_grad_norm",
     "Dataset",
     "TensorDataset",
     "DataLoader",
-    "save_checkpoint",
-    "load_checkpoint",
     "init",
 ]

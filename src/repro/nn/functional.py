@@ -241,35 +241,6 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
     return x.mean(axis=(2, 3), keepdims=True)
 
 
-def pad2d(x: Tensor, padding: IntPair, value: float = 0.0) -> Tensor:
-    """Zero-pad (or constant-pad) the two spatial dimensions."""
-    ph, pw = _pair(padding)
-    data = np.pad(
-        x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=value
-    )
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            h, w = x.shape[2], x.shape[3]
-            x._accumulate(grad[:, :, ph : ph + h, pw : pw + w])
-
-    return Tensor._make(data, (x,), backward, "pad2d")
-
-
-def upsample_nearest2d(x: Tensor, scale: int = 2) -> Tensor:
-    """Nearest-neighbour upsampling by an integer factor."""
-    data = x.data.repeat(scale, axis=2).repeat(scale, axis=3)
-
-    def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        n, c, h, w = x.shape
-        g = grad.reshape(n, c, h, scale, w, scale).sum(axis=(3, 5))
-        x._accumulate(g)
-
-    return Tensor._make(data, (x,), backward, "upsample_nearest2d")
-
-
 # ----------------------------------------------------------------------
 # Activations
 # ----------------------------------------------------------------------
@@ -385,13 +356,6 @@ def cross_entropy(
     return -(
         (1.0 - label_smoothing) * picked + label_smoothing * uniform
     ).mean()
-
-
-def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error."""
-    target_t = target if isinstance(target, Tensor) else Tensor(target)
-    diff = pred - target_t
-    return (diff * diff).mean()
 
 
 def binary_cross_entropy_with_logits(

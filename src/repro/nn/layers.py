@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -194,34 +194,6 @@ class Sequential(Module):
         for module in self._modules.values():
             x = module(x)
         return x
-
-
-class ModuleList(Module):
-    """List container whose entries are registered as sub-modules."""
-
-    def __init__(self, modules: Optional[Sequence[Module]] = None):
-        super().__init__()
-        self._length = 0
-        for module in modules or []:
-            self.append(module)
-
-    def append(self, module: Module) -> "ModuleList":
-        setattr(self, str(self._length), module)
-        object.__setattr__(self, "_length", self._length + 1)
-        return self
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, index: int) -> Module:
-        return self._modules[str(index % self._length)]
-
-    def __iter__(self) -> Iterator[Module]:
-        for i in range(self._length):
-            yield self._modules[str(i)]
-
-    def forward(self, *args, **kwargs):
-        raise RuntimeError("ModuleList is a container and cannot be called")
 
 
 class Identity(Module):

@@ -118,52 +118,3 @@ class Adam(Optimizer):
             v_hat = v / bias2
             param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-
-class RMSprop(Optimizer):
-    """RMSprop (Tieleman & Hinton): per-parameter adaptive step sizes."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Tensor],
-        lr: float = 1e-3,
-        alpha: float = 0.99,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-        momentum: float = 0.0,
-    ):
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-        if momentum < 0:
-            raise ValueError(f"momentum cannot be negative, got {momentum}")
-        self.lr = lr
-        self.alpha = alpha
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.momentum = momentum
-        self._sq: Dict[int, np.ndarray] = {}
-        self._buf: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for param in self.parameters:
-            if not param.requires_grad or param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            sq = self._sq.get(id(param))
-            if sq is None:
-                sq = np.zeros_like(param.data)
-            sq = self.alpha * sq + (1 - self.alpha) * grad**2
-            self._sq[id(param)] = sq
-            update = grad / (np.sqrt(sq) + self.eps)
-            if self.momentum:
-                buf = self._buf.get(id(param))
-                if buf is None:
-                    buf = np.zeros_like(param.data)
-                buf = self.momentum * buf + update
-                self._buf[id(param)] = buf
-                update = buf
-            param.data = param.data - self.lr * update

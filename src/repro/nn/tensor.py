@@ -116,10 +116,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut from the graph."""
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 

@@ -3,49 +3,40 @@
 The CiM macros compute on integer operands: YOLoC stores 8-bit weights
 in ROM/SRAM arrays and streams activations bit-serially (Fig. 5), and
 Option III (SPWD) decorates 8-bit ROM weights with a 2-bit SRAM branch.
-This package provides the symmetric/affine quantizers, the
-straight-through fake-quantization used during quantization-aware
-training, and the model-weight export path consumed by ``repro.cim``.
+This package provides the uniform quantizer (:func:`quantize` /
+:func:`dequantize` over a :class:`QuantSpec`), the straight-through
+:func:`fake_quant` that SPWD's 2-bit branch trains through, and the
+ternary / binary post-training schemes of the sub-8-bit study.  A
+deployed model's weights are quantized in one place, when
+``repro.runtime.compile`` programs them.
 """
 
 from repro.quant.quantizer import (
     QuantSpec,
     quantize,
     dequantize,
-    quantize_symmetric,
-    quantization_mse,
     int_range,
 )
-from repro.quant.fake_quant import fake_quant, FakeQuantize
+from repro.quant.fake_quant import fake_quant
 from repro.quant.extreme import (
     ternarize,
     binarize,
-    fake_ternary,
-    fake_binary,
     quantize_weights_,
     weight_quantization_error,
     mean_quantization_error,
     WEIGHT_SCHEMES,
 )
-from repro.quant.export import quantize_model_weights, QuantizedLayer
 
 __all__ = [
     "QuantSpec",
     "quantize",
     "dequantize",
-    "quantize_symmetric",
-    "quantization_mse",
     "int_range",
     "fake_quant",
-    "FakeQuantize",
     "ternarize",
     "binarize",
-    "fake_ternary",
-    "fake_binary",
     "quantize_weights_",
     "weight_quantization_error",
     "mean_quantization_error",
     "WEIGHT_SCHEMES",
-    "quantize_model_weights",
-    "QuantizedLayer",
 ]

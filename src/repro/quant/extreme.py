@@ -12,20 +12,18 @@ measure that claim instead of citing it:
 * :func:`binarize` — BinaryConnect/BNN: ``sign(w)`` scaled by
   ``mean|w|`` (the XNOR-Net L1 scale).
 
-Both come with straight-through fake-quant wrappers for training-aware
-use and a post-training sweep helper used by the related-work bench,
+Both feed a post-training sweep helper used by the related-work bench,
 where depthwise-separable models (MobileNet) degrade far more than
 plain CNNs — the "difficult on modern networks" half of the sentence.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro import nn
-from repro.nn.tensor import Tensor
 from repro.quant.quantizer import QuantSpec, dequantize, quantize
 
 #: TWN threshold factor (Li et al., eq. 6 approximation).
@@ -53,26 +51,6 @@ def binarize(values: np.ndarray) -> Tuple[np.ndarray, float]:
     codes = np.where(values >= 0, 1.0, -1.0)
     scale = float(np.abs(values).mean())
     return codes.astype(np.int64), scale if scale > 0 else 1.0
-
-
-def _ste(x: Tensor, data: np.ndarray, name: str) -> Tensor:
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad)
-
-    return Tensor._make(data, (x,), backward, name)
-
-
-def fake_ternary(x: Tensor) -> Tensor:
-    """TWN quantize-dequantize with a straight-through gradient."""
-    codes, scale = ternarize(x.data)
-    return _ste(x, codes.astype(np.float64) * scale, "fake_ternary")
-
-
-def fake_binary(x: Tensor) -> Tensor:
-    """BNN quantize-dequantize with a straight-through gradient."""
-    codes, scale = binarize(x.data)
-    return _ste(x, codes.astype(np.float64) * scale, "fake_binary")
 
 
 #: Scheme name -> (codes, scale) weight quantizer.

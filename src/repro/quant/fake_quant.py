@@ -11,7 +11,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro import nn
 from repro.nn.tensor import Tensor
 from repro.quant.quantizer import QuantSpec, dequantize, quantize
 
@@ -35,16 +34,3 @@ def fake_quant(x: Tensor, spec: Optional[QuantSpec] = None, bits: int = 8) -> Te
 
     return Tensor._make(data, (x,), backward, "fake_quant")
 
-
-class FakeQuantize(nn.Module):
-    """Module wrapper applying :func:`fake_quant` to its input."""
-
-    def __init__(self, bits: int = 8, per_channel_axis: Optional[int] = None):
-        super().__init__()
-        self.spec = QuantSpec(bits=bits, per_channel_axis=per_channel_axis)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return fake_quant(x, self.spec)
-
-    def extra_repr(self) -> str:
-        return f"bits={self.spec.bits}"

@@ -92,14 +92,3 @@ def dequantize(codes: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Map integer codes back to real values."""
     return codes.astype(np.float64) * scale
 
-
-def quantize_symmetric(values: np.ndarray, bits: int = 8) -> Tuple[np.ndarray, float]:
-    """Convenience per-tensor signed symmetric quantization."""
-    codes, scale = quantize(values, QuantSpec(bits=bits, signed=True))
-    return codes, float(scale)
-
-
-def quantization_mse(values: np.ndarray, spec: QuantSpec) -> float:
-    """Mean squared error introduced by quantizing ``values``."""
-    codes, scale = quantize(values, spec)
-    return float(((dequantize(codes, scale) - values) ** 2).mean())

@@ -529,11 +529,14 @@ def engine_from_state(
     # Copied off the container mapping: a live engine keeps no page of
     # the artifact file mapped, so overwriting an artifact cannot crash
     # a server restored from it.  The codes keep their stored width,
-    # which must be the one a compile narrows them to.
+    # which must be the one a compile narrows them to; the scales are
+    # float64, as the writer stores them.
     codes = np.array(codes)
-    scale = np.array(scale, dtype=np.float64)
+    scale = np.array(scale)
     rows = (weight_shape[0], math.prod(weight_shape[1:]))
-    if codes.ndim != 2:
+    if scale.dtype != np.float64:
+        problem = f"{scale.dtype} weight scales, expected float64"
+    elif codes.ndim != 2:
         problem = f"{codes.ndim}-D weight codes, expected (out, in)"
     elif scale.size != codes.shape[0]:
         problem = f"{scale.size} scales for {codes.shape[0]} output channels"

@@ -430,7 +430,14 @@ def _restore_module(spec: Dict[str, Any], arrays) -> nn.Module:
         raise SnapshotVersionError(f"unknown module kind {spec['kind']!r} in artifact")
 
     def array(meta):
-        return np.asarray(arrays[meta["array"]], dtype=np.float64)
+        # The writer stores every parameter and buffer as float64; any
+        # other dtype is a damaged header, never a value to cast.
+        stored = arrays[meta["array"]]
+        if stored.dtype != np.float64:
+            raise SnapshotCorruptError(
+                f"array {meta['array']!r} stores {stored.dtype}, expected float64"
+            )
+        return stored
 
     module = row.empty(**{name: decode(spec[name]) for name, _, decode in row.scalars})
     for name in row.params:

@@ -94,19 +94,6 @@ class TestAdc:
 
 
 class TestBitline:
-    def test_voltage_monotone_decreasing(self):
-        model = BitlineModel(max_rows=128)
-        v = model.counts_to_voltage(np.array([0, 64, 128]))
-        assert v[0] > v[1] > v[2]
-        assert v[0] == pytest.approx(model.v_precharge)
-
-    def test_voltage_count_inverse(self):
-        model = BitlineModel(max_rows=128)
-        counts = np.array([0.0, 13.0, 100.0])
-        np.testing.assert_allclose(
-            model.voltage_to_counts(model.counts_to_voltage(counts)), counts
-        )
-
     def test_noise_zero_is_deterministic(self):
         model = BitlineModel(noise_sigma_counts=0.0)
         counts = np.array([5.0, 10.0])

@@ -16,12 +16,9 @@ from repro.datasets import (
 from repro.eval import (
     accuracy,
     average_precision,
-    confusion_matrix,
     iou,
-    iou_matrix,
     mean_average_precision,
     nms,
-    top_k_accuracy,
 )
 from repro.models.yolo import Detection
 
@@ -167,18 +164,6 @@ class TestClassificationMetrics:
         with pytest.raises(ValueError):
             accuracy(np.array([0, 1]), np.array([0]))
 
-    def test_top_k(self):
-        logits = np.array([[0.5, 0.3, 0.2], [0.1, 0.2, 0.7]])
-        assert top_k_accuracy(logits, np.array([1, 0]), k=2) == pytest.approx(0.5)
-
-    def test_top_k_invalid(self):
-        with pytest.raises(ValueError):
-            top_k_accuracy(np.zeros((2, 3)), np.zeros(2, dtype=int), k=4)
-
-    def test_confusion_matrix(self):
-        matrix = confusion_matrix(np.array([0, 1, 1]), np.array([0, 1, 0]), 2)
-        np.testing.assert_array_equal(matrix, [[1, 1], [0, 1]])
-
 
 class TestDetectionMetrics:
     def test_iou_identical(self):
@@ -192,15 +177,6 @@ class TestDetectionMetrics:
         a = np.array([0.0, 0.0, 1.0, 1.0])
         b = np.array([0.5, 0.0, 1.5, 1.0])
         assert iou(a, b) == pytest.approx(1 / 3)
-
-    def test_iou_matrix_matches_scalar(self):
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(0, 0.5, size=(4, 2))
-        boxes = np.concatenate([pts, pts + rng.uniform(0.1, 0.5, size=(4, 2))], axis=1)
-        matrix = iou_matrix(boxes, boxes)
-        for i in range(4):
-            for j in range(4):
-                assert matrix[i, j] == pytest.approx(iou(boxes[i], boxes[j]))
 
     def _det(self, cls, score, x1, y1, x2, y2):
         return Detection(cls, score, x1, y1, x2, y2)

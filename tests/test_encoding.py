@@ -12,7 +12,6 @@ from repro.cim import (
     MacroConfig,
     PulseWidthEncoding,
     UnaryPulseEncoding,
-    default_encodings,
     encoding_by_name,
 )
 from repro.experiments import encoding_study
@@ -23,6 +22,13 @@ from repro.runtime.engine import ProgrammedLinear, engine_key
 from .helpers import compiled_layer
 
 RNG = np.random.default_rng(7)
+
+#: The three encodings of the section 3.1 design space.
+ENCODINGS = (
+    BitSerialEncoding(),
+    UnaryPulseEncoding(),
+    PulseWidthEncoding(jitter_sigma_slots=0.25),
+)
 
 
 def small_macro(input_bits=2, rows=4, cols=2, adc_bits=8, signed_inputs=False, **kw):
@@ -112,7 +118,7 @@ class TestValidation:
             encoding_by_name("pwm-2")
 
     def test_default_encodings_cover_design_space(self):
-        names = [e.name for e in default_encodings()]
+        names = [e.name for e in ENCODINGS]
         assert names == ["bit-serial", "unary-pulse", "pulse-width"]
 
 
@@ -173,7 +179,7 @@ class TestTradeoffShape:
         weights = RNG.integers(-128, 128, size=(32, 4))
         x = RNG.integers(0, 16, size=(32, 3))
         macro = CimMacro(config, weights, rng=np.random.default_rng(0))
-        for encoding in default_encodings():
+        for encoding in ENCODINGS:
             _, stats = encoding.matmul(macro, x)
             assert stats.macs == 32 * 4 * 3
 

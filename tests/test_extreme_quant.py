@@ -6,12 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import models, nn
-from repro.nn.tensor import Tensor
 from repro.quant import (
     WEIGHT_SCHEMES,
     binarize,
-    fake_binary,
-    fake_ternary,
     mean_quantization_error,
     quantize_weights_,
     ternarize,
@@ -96,25 +93,6 @@ class TestBinarize:
         # Ternary with the TWN heuristic threshold is not globally
         # optimal, so allow a small tolerance.
         assert t_err <= b_err + 0.25
-
-
-class TestSTE:
-    def test_fake_ternary_forward_matches_ternarize(self):
-        data = RNG.normal(size=(8, 8))
-        x = Tensor(data.copy(), requires_grad=True)
-        out = fake_ternary(x)
-        codes, scale = ternarize(data)
-        np.testing.assert_allclose(out.data, codes * scale)
-
-    def test_fake_ternary_gradient_is_identity(self):
-        x = Tensor(RNG.normal(size=(4, 4)), requires_grad=True)
-        fake_ternary(x).sum().backward()
-        np.testing.assert_allclose(x.grad, np.ones((4, 4)))
-
-    def test_fake_binary_gradient_is_identity(self):
-        x = Tensor(RNG.normal(size=(4, 4)), requires_grad=True)
-        fake_binary(x).sum().backward()
-        np.testing.assert_allclose(x.grad, np.ones((4, 4)))
 
 
 class TestModelQuantization:

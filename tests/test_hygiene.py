@@ -231,9 +231,9 @@ PLANTED = """
 
 def plant(root, uses):
     """A tree under ``root`` whose ``src/`` defines ``planted`` (used by
-    ``Kept.planted_property``), ``Kept`` (used by ``src/pkg/use.py``) and
-    ``Kept.planted_property`` (used by nothing), plus ``uses``: relative
-    path -> text."""
+    ``Kept.planted_property`` alone), ``Kept`` (used by
+    ``src/pkg/use.py``) and ``Kept.planted_property`` (used by nothing),
+    plus ``uses``: relative path -> text."""
     files = {"src/pkg/mod.py": textwrap.dedent(PLANTED), "src/pkg/use.py": "Kept\n"}
     for relative, text in {**files, **uses}.items():
         path = root / relative
@@ -244,8 +244,11 @@ def plant(root, uses):
 @pytest.mark.parametrize(
     "uses,reported",
     [
-        ({}, ["planted_property"]),
-        ({"tests/test_mod.py": "Kept().planted_property\n"}, ["planted_property"]),
+        ({}, ["planted", "Kept.planted_property"]),
+        (
+            {"tests/test_mod.py": "Kept().planted_property\n"},
+            ["planted", "Kept.planted_property"],
+        ),
         ({"bench/run.py": "value = Kept().planted_property\n"}, []),
         ({"docs/mod.md": "`Kept.planted_property` is one.\n"}, []),
     ],
@@ -253,13 +256,26 @@ def plant(root, uses):
 )
 def test_definition_only_tests_use_is_reported(hygiene, tmp_path, uses, reported):
     """``planted`` is used by ``Kept.planted_property``; the property is
-    used by nothing but ``uses``, and a use under tests/ does not count."""
+    used by nothing but ``uses``, and a use under tests/ does not count.
+    A dead property takes ``planted`` with it."""
     plant(tmp_path, uses)
     found = hygiene.unreferenced_definitions(tmp_path, allowed={})
-    assert [line.split(": ")[1].split()[0] for line in found] == [
-        f"Kept.{name}" for name in reported
-    ]
+    assert [line.split(": ")[1].split()[0] for line in found] == reported
     assert all(line.startswith("src/pkg/mod.py:") for line in found)
+
+
+CHAIN = {"src/pkg/chain.py": "def b():\n    return 1\n\n\ndef a():\n    return b()\n"}
+
+
+def test_callee_of_a_dead_caller_is_reported(hygiene, tmp_path):
+    """``a`` is used nowhere and is ``b``'s only caller, so both are dead."""
+    plant(tmp_path, CHAIN)
+    found = [
+        line.split(": ")[1].split()[0]
+        for line in hygiene.unreferenced_definitions(tmp_path, allowed={})
+        if line.startswith("src/pkg/chain.py:")
+    ]
+    assert found == ["b", "a"]
 
 
 REEXPORT = {
@@ -285,7 +301,7 @@ def test_definition_only_reexported_is_reported(hygiene, tmp_path, uses, reporte
     found = [
         line
         for line in hygiene.unreferenced_definitions(tmp_path, allowed={})
-        if "planted_property" not in line
+        if not line.startswith("src/pkg/mod.py:")
     ]
     assert [line.split(": ")[1].split()[0] for line in found] == (
         ["exported"] if reported else []

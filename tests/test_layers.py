@@ -103,22 +103,6 @@ class TestSequential:
         assert isinstance(seq[-1], nn.Tanh)
 
 
-class TestModuleList:
-    def test_append_and_iterate(self):
-        ml = nn.ModuleList([nn.ReLU()])
-        ml.append(nn.Tanh())
-        assert len(ml) == 2
-        assert [type(m).__name__ for m in ml] == ["ReLU", "Tanh"]
-
-    def test_parameters_discovered(self):
-        ml = nn.ModuleList([nn.Linear(3, 4, rng=np.random.default_rng(0))])
-        assert len(list(ml.parameters())) == 2
-
-    def test_call_raises(self):
-        with pytest.raises(RuntimeError):
-            nn.ModuleList()(None)
-
-
 class TestConv2d:
     def test_output_shape(self):
         conv = nn.Conv2d(3, 8, 3, stride=2, padding=1, rng=np.random.default_rng(0))

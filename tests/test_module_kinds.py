@@ -24,7 +24,6 @@ from repro import nn
 from repro.models.mobilenet import DepthwiseSeparable
 from repro.models.profile import profile_model
 from repro.models.resnet import BasicBlock
-from repro.quant.fake_quant import FakeQuantize
 from repro.rebranch.branch import ReBranchConv2d
 from repro.rebranch.options import SpwdConv2d
 from repro.runtime import (
@@ -167,8 +166,6 @@ REFUSED = {
         "forward fake-quantizes the decoration; a plan_forward would "
         "lower it at full precision and compute something else"
     ),
-    FakeQuantize: "training-time quantization; the macros quantize their inputs",
-    nn.ModuleList: "a container without a dataflow; calling it raises",
 }
 
 
@@ -222,8 +219,6 @@ class _Undeclared(nn.Module):
 UNDECLARED = {
     "undeclared_composite": _Undeclared,
     "spwd_conv": lambda rng: SpwdConv2d(nn.Conv2d(4, 4, 3, padding=1, rng=rng), rng=rng),
-    "fake_quantize": lambda rng: FakeQuantize(),
-    "module_list": lambda rng: nn.ModuleList([nn.Conv2d(4, 4, 1, rng=rng)]),
 }
 
 

@@ -1,4 +1,4 @@
-"""Tests for the nn substrate extensions: label smoothing, RMSprop, EMA."""
+"""Tests for the nn substrate extensions: label smoothing and EMA."""
 
 import numpy as np
 import pytest
@@ -59,56 +59,6 @@ class TestLabelSmoothing:
         loss = F.cross_entropy(logits, y, label_smoothing=smoothing)
         assert np.isfinite(loss.data)
         assert loss.data > 0
-
-
-class TestRMSprop:
-    def test_minimizes_quadratic(self):
-        w = nn.Parameter(np.array([5.0, -3.0]))
-        opt = nn.RMSprop([w], lr=0.1)
-        for _ in range(200):
-            opt.zero_grad()
-            loss = (w * w).sum()
-            loss.backward()
-            opt.step()
-        np.testing.assert_allclose(w.data, 0.0, atol=1e-2)
-
-    def test_momentum_variant_minimizes(self):
-        w = nn.Parameter(np.array([2.0]))
-        opt = nn.RMSprop([w], lr=0.05, momentum=0.9)
-        for _ in range(100):
-            opt.zero_grad()
-            (w * w).sum().backward()
-            opt.step()
-        assert abs(w.data[0]) < 0.2
-
-    def test_skips_frozen_parameters(self):
-        w = nn.Parameter(np.array([1.0]))
-        w.requires_grad = False
-        frozen_value = w.data.copy()
-        trainable = nn.Parameter(np.array([1.0]))
-        opt = nn.RMSprop([w, trainable], lr=0.1)
-        opt.zero_grad()
-        ((trainable * trainable).sum() + Tensor(np.array(0.0))).backward()
-        opt.step()
-        np.testing.assert_array_equal(w.data, frozen_value)
-
-    def test_invalid_hyperparameters(self):
-        w = nn.Parameter(np.array([1.0]))
-        with pytest.raises(ValueError, match="learning rate"):
-            nn.RMSprop([w], lr=0.0)
-        with pytest.raises(ValueError, match="alpha"):
-            nn.RMSprop([w], alpha=1.0)
-        with pytest.raises(ValueError, match="momentum"):
-            nn.RMSprop([w], momentum=-0.1)
-
-    def test_weight_decay_shrinks_weights(self):
-        w = nn.Parameter(np.array([1.0]))
-        opt = nn.RMSprop([w], lr=0.01, weight_decay=1.0)
-        for _ in range(50):
-            opt.zero_grad()
-            (w * Tensor(np.array([0.0]))).sum().backward()
-            opt.step()
-        assert abs(w.data[0]) < 1.0
 
 
 class TestEMA:

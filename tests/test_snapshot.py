@@ -851,6 +851,32 @@ class TestRestorePath:
         with pytest.raises(SnapshotCorruptError, match="bool weight codes, expected int8"):
             load(store, key, cache=EngineCache())
 
+    @pytest.mark.parametrize("verify", [False, True], ids=["load", "verify"])
+    @pytest.mark.parametrize(
+        "array", [rb"e\d+_scale", rb"p\d+"], ids=["engine-scale", "parameter"]
+    )
+    def test_float_arrays_stored_at_another_dtype_are_refused(
+        self, store, array, verify
+    ):
+        """The writer stores parameters, buffers and engine scales as
+        float64.  A same-length header flip to ``<i8`` reads their bytes
+        as huge integers; the checksum covers the data section, not the
+        header's array index, so even a verified restore must refuse the
+        array rather than cast it."""
+        compiled = compile_model(conv_model(), RuntimeConfig(), cache=EngineCache())
+        key = save(compiled, store)
+        path = store.model_path(key)
+        blob, flips = re.subn(
+            rb'("' + array + rb'": \{"dtype": )"<f8"',
+            rb'\1"<i8"',
+            path.read_bytes(),
+            count=1,
+        )
+        assert flips == 1
+        path.write_bytes(blob)
+        with pytest.raises(SnapshotCorruptError, match="int64.*expected float64"):
+            load(store, key, cache=EngineCache(), verify=verify)
+
     def test_freeze_after_compile_saves_the_placement_now(self, store):
         """Freeze after compile: the artifact holds only the variants
         programmed under ROM placement — both input signednesses of the

@@ -19,10 +19,6 @@ RNG = np.random.default_rng(23)
 
 
 class TestVariationModel:
-    def test_ideal_detection(self):
-        assert VariationModel().is_ideal
-        assert not VariationModel(cell_sigma=0.01).is_ideal
-
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigmas"):
             VariationModel(cell_sigma=-0.1)
