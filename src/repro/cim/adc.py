@@ -24,7 +24,6 @@ class AdcSpec:
 
     bits: int = 5
     energy_fj: float = 78.0
-    conversion_time_ns: float = 1.1
     area_um2: float = 360.0
 
     def __post_init__(self):

@@ -2,9 +2,10 @@
 
 The macro pre-charges every bit line, then pulses word lines; each ON
 cell (input bit high AND stored '1') discharges the line a unit amount.
-The ADC senses the remnant voltage.  This module injects, in ON-cell
-count units, the analog non-idealities (thermal/mismatch noise,
-optional voltage saturation) that SPICE-level simulation would capture.
+The ADC senses the remnant charge.  This module works in ON-cell count
+units throughout: it injects the analog non-idealities (thermal/mismatch
+noise, optional swing saturation) that SPICE-level simulation would
+capture, and the ADC digitizes the counts it returns.
 """
 
 from __future__ import annotations
@@ -17,18 +18,17 @@ import numpy as np
 
 @dataclass
 class BitlineModel:
-    """Charge-domain bit-line behaviour.
+    """Charge-domain bit-line behaviour, in ON-cell counts.
 
-    ``v_precharge`` is the initial voltage; each ON cell removes
-    ``v_precharge / max_rows`` (linear discharge — the design regime of
-    the paper, which keeps the swing inside the ADC's linear window).
+    Each ON cell discharges the line by one unit, linearly up to
+    ``max_rows`` units — the full swing (the design regime of the paper,
+    which keeps the swing inside the ADC's linear window).
     ``noise_sigma_counts`` is Gaussian noise expressed in ON-cell count
     units (0 disables it); ``saturation`` optionally clips the discharge
     at a fraction of full swing to model line non-linearity.
     """
 
     max_rows: int = 128
-    v_precharge: float = 0.9
     noise_sigma_counts: float = 0.0
     saturation: Optional[float] = None
 

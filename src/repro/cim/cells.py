@@ -17,11 +17,8 @@ class CellSpec:
     """Static properties of one memory/CiM bit cell."""
 
     name: str
-    transistors: int
     area_um2: float
     volatile: bool
-    #: True when the cell supports in-array multiply-accumulate.
-    computes: bool
     #: Energy to discharge the bitline through one ON cell, femtojoules.
     read_energy_fj: float
     #: Standby leakage power per cell, picowatts (0 for ROM: non-volatile
@@ -42,21 +39,18 @@ class CellSpec:
 #: or grounded ('0').  0.014 um^2/bit — denser than 5-7nm SRAM.
 ROM_1T = CellSpec(
     name="rom-1t",
-    transistors=1,
     area_um2=0.014,
     volatile=False,
-    computes=True,
     read_energy_fj=0.45,
     standby_leakage_pw=0.0,
 )
 
-#: Compact-rule 6T SRAM in the same 28nm process (16x the ROM cell).
+#: Compact-rule 6T SRAM in the same 28nm process (16x the ROM cell): a
+#: storage cell, with no in-array multiply-accumulate.
 SRAM_6T = CellSpec(
     name="sram-6t",
-    transistors=6,
     area_um2=0.014 * 16.0,
     volatile=True,
-    computes=False,
     read_energy_fj=0.55,
     standby_leakage_pw=1.2,
 )
@@ -64,10 +58,8 @@ SRAM_6T = CellSpec(
 #: The 6T SRAM-CiM cell of ISSCC'21 [3] (18.5x the ROM cell).
 SRAM_CIM_6T = CellSpec(
     name="sram-cim-6t",
-    transistors=6,
     area_um2=0.014 * 18.5,
     volatile=True,
-    computes=True,
     read_energy_fj=0.60,
     standby_leakage_pw=1.2,
 )
@@ -75,10 +67,8 @@ SRAM_CIM_6T = CellSpec(
 #: 8T read-decoupled CiM cell (Fig. 4c).
 SRAM_CIM_8T = CellSpec(
     name="sram-cim-8t",
-    transistors=8,
     area_um2=0.014 * 22.0,
     volatile=True,
-    computes=True,
     read_energy_fj=0.58,
     standby_leakage_pw=1.6,
 )
@@ -86,10 +76,8 @@ SRAM_CIM_8T = CellSpec(
 #: Twin-8T multibit CiM cell (Fig. 4d, JSSC'20 [19]).
 SRAM_CIM_TWIN8T = CellSpec(
     name="sram-cim-twin8t",
-    transistors=16,
     area_um2=0.014 * 25.9,
     volatile=True,
-    computes=True,
     read_energy_fj=0.62,
     standby_leakage_pw=3.0,
 )
@@ -97,10 +85,8 @@ SRAM_CIM_TWIN8T = CellSpec(
 #: 10T dot-product cell (Fig. 4e, CONV-SRAM [20]).
 SRAM_CIM_10T = CellSpec(
     name="sram-cim-10t",
-    transistors=10,
     area_um2=0.014 * 29.5,
     volatile=True,
-    computes=True,
     read_energy_fj=0.65,
     standby_leakage_pw=2.0,
 )
@@ -109,10 +95,8 @@ SRAM_CIM_10T = CellSpec(
 #: published CiM cell in the comparison, still 14.5x the ROM cell.
 SRAM_CIM_LCC6T = CellSpec(
     name="sram-cim-lcc6t",
-    transistors=6,
     area_um2=0.014 * 14.5,
     volatile=True,
-    computes=True,
     read_energy_fj=0.60,
     standby_leakage_pw=1.2,
 )

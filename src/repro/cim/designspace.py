@@ -22,7 +22,7 @@ error together with the analytic latency/energy/area of the corner; and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,27 +78,8 @@ def _group_config(config: MacroConfig, group_rows: int) -> MacroConfig:
     """The parent subarray seen through a ``group_rows``-row activation."""
     bitline = config.bitline
     if bitline is not None:
-        bitline = type(bitline)(
-            max_rows=group_rows,
-            v_precharge=bitline.v_precharge,
-            noise_sigma_counts=bitline.noise_sigma_counts,
-            saturation=bitline.saturation,
-        )
-    return MacroConfig(
-        rows=group_rows,
-        phys_columns=config.phys_columns,
-        n_adcs=config.n_adcs,
-        adc=config.adc,
-        cell=config.cell,
-        weight_bits=config.weight_bits,
-        input_bits=config.input_bits,
-        signed_weights=config.signed_weights,
-        signed_inputs=config.signed_inputs,
-        cycle_time_ns=config.cycle_time_ns,
-        wl_energy_fj=config.wl_energy_fj,
-        peripheral_energy_fj_per_cycle=config.peripheral_energy_fj_per_cycle,
-        bitline=bitline,
-    )
+        bitline = replace(bitline, max_rows=group_rows)
+    return replace(config, rows=group_rows, bitline=bitline)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -83,6 +84,41 @@ class MacroConfig:
         if self.signed_inputs:
             return -(2 ** (self.input_bits - 1)), 2 ** (self.input_bits - 1) - 1
         return 0, 2**self.input_bits - 1
+
+
+#: The fields of a :class:`MacroConfig` an engine computes with: what
+#: :func:`macro_pass_stats`, the bit-serial pass (reference macro and
+#: fast kernel alike), ``BitlineModel.observe`` and ``AdcSpec.convert``
+#: read.  The rest describe or price a macro — a cell's name, area and
+#: leakage, an ADC's area — or, as a cell's volatility, gate only
+#: :meth:`CimMacro.program`, which no engine calls: no output, stat or
+#: energy depends on them.
+ARITHMETIC_FIELDS = (
+    "rows",
+    "phys_columns",
+    "n_adcs",
+    "weight_bits",
+    "input_bits",
+    "signed_weights",
+    "signed_inputs",
+    "cycle_time_ns",
+    "wl_energy_fj",
+    "peripheral_energy_fj_per_cycle",
+    "adc.bits",
+    "adc.energy_fj",
+    "cell.read_energy_fj",
+    "bitline.max_rows",
+    "bitline.noise_sigma_counts",
+    "bitline.saturation",
+)
+
+_arithmetic_values = operator.attrgetter(*ARITHMETIC_FIELDS)
+
+
+def arithmetic_key(config: MacroConfig) -> Tuple:
+    """The values of :data:`ARITHMETIC_FIELDS` in ``config``: equal for
+    two configs exactly when an engine computes the same under either."""
+    return _arithmetic_values(config)
 
 
 @dataclass(frozen=True)

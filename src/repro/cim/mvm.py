@@ -216,20 +216,11 @@ def reference_cim_linear(
     w_spec = QuantSpec(bits=config.weight_bits, signed=True, per_channel_axis=0)
     w_codes, w_scale = quantize(np.asarray(weight), w_spec)
 
-    run_config = MacroConfig(
-        rows=config.rows,
-        phys_columns=config.phys_columns,
-        n_adcs=config.n_adcs,
-        adc=config.adc,
-        cell=config.cell,
-        weight_bits=config.weight_bits,
+    run_config = replace(
+        config,
         input_bits=activation_bits,
         signed_weights=True,
         signed_inputs=signed_inputs,
-        cycle_time_ns=config.cycle_time_ns,
-        wl_energy_fj=config.wl_energy_fj,
-        peripheral_energy_fj_per_cycle=config.peripheral_energy_fj_per_cycle,
-        bitline=config.bitline,
     )
     engine = CimTiledMatmul(w_codes.T, run_config, rng=rng)
     y_codes, stats = engine.matmul(x_codes.T, encoding=encoding)  # (out, N)

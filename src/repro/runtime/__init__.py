@@ -42,7 +42,6 @@ from repro.runtime.cache import (
     EngineCache,
     EngineKey,
     get_default_cache,
-    macro_config_key,
     resolve_cache,
     set_default_cache,
     weight_fingerprint,
@@ -125,7 +124,6 @@ __all__ = [
     "get_default_cache",
     "set_default_cache",
     "resolve_cache",
-    "macro_config_key",
     "weight_fingerprint",
     "DEFAULT_BACKEND",
     "KernelBackend",

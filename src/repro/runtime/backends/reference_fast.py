@@ -108,8 +108,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cim.adc import AdcSpec
 from repro.cim.bitline import BitlineModel
-from repro.cim.macro import MacroConfig, MacroStats, macro_pass_stats, plane_weights
+from repro.cim.macro import (
+    MacroConfig,
+    MacroStats,
+    arithmetic_key,
+    macro_pass_stats,
+    plane_weights,
+)
 from repro.cim.mvm import CimTiledMatmul
 from repro.runtime.backends.base import KernelBackend, register_backend
 
@@ -336,11 +343,14 @@ def _weight_bit_planes(codes: np.ndarray, weight_bits: int) -> np.ndarray:
 def _pair_table(config: MacroConfig, rows: int) -> Tuple[np.ndarray, float]:
     """The digit table of a ``rows``-row block, and the ADC step its
     codes are scaled by: one shared read-only array per distinct (rows,
-    circuit, weight encoding), built at program time."""
-    bitline = config.bitline  # noise-free, so observe() reads these two
+    circuit, weight encoding), built at program time.  Its key holds
+    what the table's arithmetic reads: ``AdcSpec.convert`` reads only
+    the resolution, and a noise-free ``observe`` the bit line's swing
+    and saturation."""
+    bitline = config.bitline
     return _shared_pair_table(
         rows,
-        config.adc,
+        config.adc.bits,
         bitline.max_rows,
         bitline.saturation,
         config.weight_bits,
@@ -392,7 +402,7 @@ class _TableCache:
 
 
 def _build_pair_table(
-    rows, adc, max_rows, saturation, weight_bits, signed_weights, dtype
+    rows, adc_bits, max_rows, saturation, weight_bits, signed_weights, dtype
 ):
     """``table[q * R**d + sum_j c_j * R**j] = sum_j w[d*q + j] * code(c_j)``
     over every digit ``c_j`` in ``[0, rows]`` of section ``q``'s weight
@@ -408,6 +418,7 @@ def _build_pair_table(
     """
     domain = np.arange(rows + 1, dtype=np.float64)
     bitline = BitlineModel(max_rows=max_rows, saturation=saturation)
+    adc = AdcSpec(bits=adc_bits)
     codes, step = adc.convert(bitline.observe(domain, None), float(rows))
     digits = _digits(rows, weight_bits)
     weights = plane_weights(weight_bits, signed_weights)
@@ -570,12 +581,16 @@ class TiledBitSerialKernel(KernelBackend):
                 "below 2**24; "
                 "use the reference CimTiledMatmul.matmul path instead"
             )
-        # Unsigned and signed inputs' configs: every group runs one of
-        # the two, which differ in input signedness alone.
+        # Unsigned and signed inputs' configs: every group computes as
+        # one of the two, which differ in input signedness alone.
         circuit = [replace(engine.config, signed_inputs=s) for s in (False, True)]
+        keys = [arithmetic_key(config) for config in circuit]
         for other in engines:
             config = other.config
-            if other.shape != engine.shape or config != circuit[config.signed_inputs]:
+            if (
+                other.shape != engine.shape
+                or arithmetic_key(config) != keys[config.signed_inputs]
+            ):
                 raise ValueError("a stacked pass needs one geometry and one circuit")
         blocks: dict = {}
         for r0, r1, c0, c1 in engine.tile_bounds():

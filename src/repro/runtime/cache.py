@@ -22,15 +22,10 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.obs import trace
 from repro.obs.log import get_logger
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.cim.macro import MacroConfig
 
 _log = get_logger("runtime.cache")
 
@@ -41,8 +36,12 @@ class EngineKey:
 
     ``layer_id`` scopes the engine to a layer (its plan name, with a
     ``::g<i>`` suffix per channel group of a grouped conv), ``weight_hash``
-    fingerprints the exact float weights, and ``config_key`` captures
-    every macro/quantization parameter that affects programming.
+    fingerprints the exact float weights, and ``config_key`` is the
+    layer kind, the :func:`~repro.cim.macro.arithmetic_key` of the
+    configuration the engine runs under — its macro config with the
+    activation width and input signedness it was programmed for — and a
+    conv's ``(stride, padding)``: two configs that differ only in fields
+    no arithmetic reads (a cell's area, say) share one engine.
     """
 
     layer_id: str
@@ -79,47 +78,6 @@ def weight_fingerprint(weight: np.ndarray) -> str:
     digest = hashlib.sha1(arr.tobytes())
     digest.update(repr(arr.shape).encode())
     return digest.hexdigest()
-
-
-def _bitline_key(bitline) -> Tuple:
-    if bitline is None:
-        return ()
-    return (
-        bitline.max_rows,
-        bitline.v_precharge,
-        bitline.noise_sigma_counts,
-        bitline.saturation,
-    )
-
-
-def macro_config_key(config: "MacroConfig") -> Tuple:
-    """Hashable identity of every programming-relevant config field."""
-    cell = config.cell
-    return (
-        config.rows,
-        config.phys_columns,
-        config.n_adcs,
-        (config.adc.bits, config.adc.energy_fj, config.adc.conversion_time_ns),
-        # The cell by value, not by name: frozen CellSpecs are commonly
-        # swept via dataclasses.replace, which keeps the name.
-        (
-            cell.name,
-            cell.transistors,
-            cell.area_um2,
-            cell.volatile,
-            cell.computes,
-            cell.read_energy_fj,
-            cell.standby_leakage_pw,
-        ),
-        config.weight_bits,
-        config.input_bits,
-        config.signed_weights,
-        config.signed_inputs,
-        config.cycle_time_ns,
-        config.wl_energy_fj,
-        config.peripheral_energy_fj_per_cycle,
-        _bitline_key(config.bitline),
-    )
 
 
 class EngineCache:

@@ -28,11 +28,11 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from repro.cim.encoding import ActivationEncoding
-from repro.cim.macro import MacroConfig, MacroStats
+from repro.cim.macro import MacroConfig, MacroStats, arithmetic_key
 from repro.cim.mvm import CimTiledMatmul, validate_groups
 from repro.nn import functional as F
 from repro.quant.quantizer import QuantSpec, quantize
-from repro.runtime.cache import EngineKey, macro_config_key
+from repro.runtime.cache import EngineKey
 from repro.runtime.backends.reference_fast import TiledBitSerialKernel
 from repro.runtime.errors import SnapshotCorruptError
 
@@ -41,6 +41,21 @@ _UNSIGNED_ENGINE_ERROR = (
     "input carries negative values; program a signed-input "
     "engine for this layer"
 )
+
+
+def run_config(
+    config: MacroConfig, activation_bits: int, signed_inputs: bool
+) -> MacroConfig:
+    """The configuration an engine programmed from ``config`` runs under:
+    signed weight codes against ``activation_bits``-wide inputs of the
+    given signedness — what the engine holds and what its key projects,
+    so fields the runtime overrides cannot tell two engines apart."""
+    return replace(
+        config,
+        input_bits=int(activation_bits),
+        signed_weights=True,
+        signed_inputs=bool(signed_inputs),
+    )
 
 
 class ProgrammedLinear:
@@ -103,18 +118,12 @@ class ProgrammedLinear:
         self.activation_bits = int(activation_bits)
         self.signed_inputs = bool(signed_inputs)
         self.w_scale = w_scale
+        self.run_config = run_config(config, activation_bits, signed_inputs)
         # Snapshot the bit-line model — the only mutable piece of the
         # config (CellSpec and AdcSpec are frozen) — so later in-place
         # mutation of the caller's bit line cannot desynchronize the
         # programmed kernel's LUT.
-        bitline = replace(config.bitline) if config.bitline is not None else None
-        self.run_config = replace(
-            config,
-            input_bits=self.activation_bits,
-            signed_weights=True,
-            signed_inputs=self.signed_inputs,
-            bitline=bitline,
-        )
+        self.run_config.bitline = replace(self.run_config.bitline)
         self._fast_kernel: Optional[TiledBitSerialKernel] = None
 
     @property
@@ -499,17 +508,15 @@ def engine_key(
     *geometry: int,
 ) -> EngineKey:
     """The cache key of one programmed engine: a linear one's, or a conv
-    one's when ``geometry`` is its ``(stride, padding)``."""
+    one's when ``geometry`` is its ``(stride, padding)``.  The circuit
+    enters as the :func:`~repro.cim.macro.arithmetic_key` of its
+    :func:`run_config`, which carries the activation width and input
+    signedness."""
+    circuit = arithmetic_key(run_config(config, activation_bits, signed_inputs))
     return EngineKey(
         layer_id=layer_id,
         weight_hash=fingerprint,
-        config_key=(
-            "conv" if geometry else "linear",
-            macro_config_key(config),
-            int(activation_bits),
-            bool(signed_inputs),
-            *map(int, geometry),
-        ),
+        config_key=("conv" if geometry else "linear", circuit, *map(int, geometry)),
     )
 
 

@@ -50,6 +50,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -576,7 +577,8 @@ class ArtifactStore:
     writable, because pages copy on write.  The header records a SHA-256
     of the data section; :meth:`verify` (and ``load(verify=True)``)
     checks it, the default fast path relies on the declared sizes only
-    (truncation and header damage are always detected).
+    (truncation, header damage and an array index that does not tile
+    the data section in writer order are always detected).
     """
 
     def __init__(self, root):
@@ -723,10 +725,30 @@ class ArtifactStore:
                 else np.empty(0, dtype=np.uint8)
             )
             arrays: Dict[str, np.ndarray] = {}
+            # The index must tile the data section as the writer lays it
+            # out — each array at the aligned end of the one before, its
+            # bytes exactly its shape's — or an edit the checksum cannot
+            # see (two swapped offsets) would hand out the wrong bytes.
+            end = 0
             for name, entry in header["arrays"].items():
                 start, nbytes = entry["offset"], entry["nbytes"]
-                view = blob[start : start + nbytes].view(entry["dtype"])
-                arrays[name] = view.reshape(tuple(entry["shape"]))
+                dtype, shape = np.dtype(entry["dtype"]), tuple(entry["shape"])
+                aligned = end + (-end) % _ALIGN
+                size = dtype.itemsize * math.prod(shape)
+                if start != aligned or nbytes != size or min(shape, default=0) < 0:
+                    raise SnapshotCorruptError(
+                        f"artifact {path.name} array {name!r} does not tile the "
+                        f"data section: {nbytes} bytes at offset {start}, where "
+                        f"the writer puts {dtype} {list(shape)} at {aligned}"
+                    )
+                view = blob[start : start + nbytes].view(dtype)
+                arrays[name] = view.reshape(shape)
+                end = start + nbytes
+            if end != header["data_size"]:
+                raise SnapshotCorruptError(
+                    f"artifact {path.name} arrays end at {end}, its data "
+                    f"section at {header['data_size']}"
+                )
         except (KeyError, TypeError, ValueError, OSError) as error:
             raise SnapshotCorruptError(
                 f"artifact {path.name} array index is malformed: "

@@ -1116,3 +1116,124 @@ class TestNarrowWeightCodes:
         for codes in (narrow.weights, macro.weights):
             assert codes.dtype == config.codes_dtype
             assert codes.dtype.itemsize == (1 if wb <= 8 else 2)
+
+
+# -- an engine is keyed by exactly what its arithmetic reads -------------
+
+import dataclasses
+
+from repro.cim import ROM_1T, SRAM_CIM_6T
+
+
+def _leaves(value, path=()):
+    """The dotted paths of every leaf field under a config dataclass,
+    enumerated by ``dataclasses.fields``: a new field is perturbed the
+    day it is declared."""
+    for field in dataclasses.fields(value):
+        child = getattr(value, field.name)
+        if dataclasses.is_dataclass(child):
+            yield from _leaves(child, path + (field.name,))
+        else:
+            yield path + (field.name,)
+
+
+def _perturbed(value, path):
+    """``value`` with the leaf at ``path`` moved far enough that any
+    arithmetic reading it must show it on :func:`_key_model`: a bool
+    flipped, an int cut to a 32nd, at least 2 (subarrays of 4 rows and
+    one 8-bit word, a bit line that saturates at 4 ON cells, 2-bit
+    weights and ADC codes), a float doubled plus one (a zero becomes
+    non-zero), an unset saturation set to 5 % of the swing, a name
+    suffixed."""
+    head, rest = path[0], path[1:]
+    old = getattr(value, head)
+    if rest:
+        new = _perturbed(old, rest)
+    elif isinstance(old, bool):
+        new = not old
+    elif isinstance(old, int):
+        new = max(2, old // 32)
+    elif isinstance(old, float):
+        new = 2.0 * old + 1.0
+    elif old is None:
+        new = 0.05
+    else:
+        new = old + "-x"
+    return dataclasses.replace(value, **{head: new})
+
+
+def _key_model(seed):
+    """A frozen conv on ROM and a trainable linear on SRAM: every
+    perturbation of either macro config reaches an engine.  Their 27
+    and 32 rows keep the digit tables small and, about a quarter of
+    the cells ON, pass 4 ON cells per bit line."""
+    rng = np.random.default_rng(seed)
+    model = nn.Sequential(
+        nn.Conv2d(3, 8, 3, padding=1, rng=rng),
+        nn.ReLU(),
+        nn.MaxPool2d(4),
+        nn.Flatten(),
+        nn.Linear(8 * 2 * 2, 5, rng=rng),
+    )
+    model[0].weight.requires_grad = False
+    return model
+
+
+def _keys_and_behaviour(config, seed, x):
+    """The engine keys a compile and one run of :func:`_key_model`
+    program, and what the run computes: output bytes and ``MacroStats``
+    (energy included)."""
+    cache = EngineCache(capacity=64)
+    compiled = compile_model(_key_model(seed), config, cache=cache)
+    out, stats = compiled.run(x, rng=np.random.default_rng(seed))
+    return set(cache.keys()), (out.tobytes(), stats)
+
+
+class TestEngineKeyProperties:
+    """Two macro configs give one engine key exactly when outputs,
+    ``MacroStats`` and energy are bitwise equal under them: every leaf
+    field of ``MacroConfig``, ``CellSpec``, ``AdcSpec`` and
+    ``BitlineModel``, perturbed on the ROM and on the SRAM config, moves
+    the key if and only if it moves what the model computes."""
+
+    #: Fields whose perturbation may change the key without changing
+    #: this model's behaviour, or the reverse, each with its reason.
+    #: There are none.
+    ALLOWED: dict = {}
+
+    def test_key_changes_exactly_when_behaviour_changes(self):
+        base = RuntimeConfig(
+            rom_config=MacroConfig(cell=ROM_1T),
+            sram_config=MacroConfig(cell=SRAM_CIM_6T),
+        )
+        leaves = [
+            (memory, path)
+            for memory in ("rom_config", "sram_config")
+            for path in _leaves(getattr(base, memory))
+        ]
+        assert {path[0] for _, path in leaves} == {
+            field.name for field in dataclasses.fields(MacroConfig)
+        }
+        reached = collections.Counter()
+
+        @given(seed=st.integers(0, 2**16), signed=st.booleans())
+        @settings(max_examples=6, deadline=None, derandomize=True)
+        def run(seed, signed):
+            x = np.random.default_rng(seed + 1).normal(size=(2, 3, 8, 8))
+            if not signed:
+                np.abs(x, out=x)
+            keys, behaviour = _keys_and_behaviour(base, seed, x)
+            for memory, path in leaves:
+                config = _perturbed(base, (memory,) + path)
+                moved_keys, moved = _keys_and_behaviour(config, seed, x)
+                key_changed, changed = moved_keys != keys, moved != behaviour
+                name = ".".join(path)
+                reached[key_changed] += 1
+                if name not in self.ALLOWED:
+                    assert key_changed == changed, (
+                        f"{memory}.{name}: key changed {key_changed}, "
+                        f"behaviour changed {changed}"
+                    )
+
+        run()
+        assert reached[True] and reached[False]

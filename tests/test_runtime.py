@@ -36,6 +36,7 @@ from repro.cim import (
     MacroConfig,
     MacroStats,
     PulseWidthEncoding,
+    ROM_1T,
     reference_cim_conv2d,
     reference_cim_linear,
 )
@@ -1174,6 +1175,33 @@ class TestCompiledModel:
         assert set(ours) == set(theirs)
         for name, engine in ours.items():
             assert engine is theirs[name]
+
+    def test_engines_shared_across_configs_stack_in_one_pass(self):
+        """Configs that differ only in cell area key the same engines:
+        B's compile adopts A's (signed) group engines, and a batch whose
+        first group is non-negative programs that group's unsigned
+        engine under B — one depthwise pass stacks engines of both
+        configs, bitwise equal to the reference under B."""
+        model = nn.Sequential(
+            nn.Conv2d(2, 2, 3, padding=1, groups=2, rng=np.random.default_rng(0))
+        ).freeze()
+        a = MacroConfig(cell=ROM_1T)
+        b = MacroConfig(cell=replace(ROM_1T, area_um2=2 * ROM_1T.area_um2))
+        cache = EngineCache(capacity=2)
+        compile_model(model, RuntimeConfig(rom_config=a), cache=cache)
+        compiled = compile_model(model, RuntimeConfig(rom_config=b), cache=cache)
+        assert (cache.stats.programmed, cache.stats.hits) == (2, 2)
+        x = np.random.default_rng(1).normal(size=(2, 2, 6, 6))
+        np.abs(x[:, 0], out=x[:, 0])
+        out, stats = compiled.run(x, rng=np.random.default_rng(2))
+        assert cache.stats.programmed == 3
+        stack = compiled._nodes[0].op._layer._stack
+        assert [e.linear.config.cell for e in stack.engines] == [b.cell, a.cell]
+        expected, expected_stats = reference_forward(
+            model, x, rom_config=b, rng=np.random.default_rng(2)
+        )
+        assert out.tobytes() == expected.tobytes()
+        assert stats == expected_stats
 
     def test_cache_eviction_does_not_reprogram_hot_path(self):
         """Slots hold strong engine references: LRU eviction in a tiny

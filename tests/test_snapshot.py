@@ -731,7 +731,9 @@ class TestGoldenFormat:
 
     def test_engine_tier_file_names_are_pinned(self, store):
         """An engine's disk-tier file is named by its cache key: the key
-        tuples of a linear and a conv engine must not move."""
+        tuples of a linear and a conv engine must not move (they last
+        moved when the key became the arithmetic projection of the run
+        config)."""
         cache = EngineCache()
         fc = np.arange(12.0).reshape(3, 4) / 10
         rom = MacroConfig(cell=ROM_1T)
@@ -747,8 +749,8 @@ class TestGoldenFormat:
             key, lambda: engine_mod.ProgrammedConv(stem, 2, 1, MacroConfig(), 4, False)
         )
         assert [store.engine_path(key).name for key in cache.keys()] == [
-            "e4e96a96c48d2dd69b305b4c4966afbc7434c07e1bfd08bcd91bf0d151cc2c8e.rcma",
-            "8bbe0b56480acdaa4624e500bf85a7794b860ef856cd6d50834f80871242e1fa.rcma",
+            "b5fb664e0e4943648e68b19b9b03e380420c4f7011445f9dd1dc98439c72aa81.rcma",
+            "2aaf32389f18a5733f7f499d20ad39fd5ead32d79b3fd3ad70dd1560be04b667.rcma",
         ]
 
 
@@ -1055,6 +1057,34 @@ class TestDerivedCodecs:
         with pytest.raises(TypeError):
             snapshot_mod.from_meta(CellSpec, meta)
 
+    def test_header_with_deleted_circuit_fields_loads(self, store):
+        """A v6 header written while ``BitlineModel.v_precharge``,
+        ``AdcSpec.conversion_time_ns`` and ``CellSpec.transistors`` /
+        ``computes`` existed restores today's dataclasses: the codec
+        reads the fields a class declares and ignores the rest, so
+        deleting a field needs no ``VERSION`` bump."""
+        config = RuntimeConfig(
+            rom_config=MacroConfig(cell=ROM_1T),
+            sram_config=MacroConfig(cell=SRAM_CIM_6T),
+        )
+        compiled = compile_model(conv_model(), config, cache=EngineCache())
+        key = save(compiled, store)
+        meta, arrays = store.read_model(key)
+        for memory, transistors in (("rom_config", 1), ("sram_config", 6)):
+            macro = meta["runtime_config"][memory]
+            macro["cell"].update(transistors=transistors, computes=True)
+            macro["adc"]["conversion_time_ns"] = 1.1
+            macro["bitline"]["v_precharge"] = 0.9
+        arrays = {name: np.array(value) for name, value in arrays.items()}
+        store._write(store.model_path(key), meta, arrays)
+        loaded = load(store, key, cache=EngineCache())
+        assert loaded.config == config
+        x = model_input("conv")
+        expected, expected_stats = compiled.run(x, rng=np.random.default_rng(1))
+        restored, restored_stats = loaded.run(x, rng=np.random.default_rng(1))
+        assert restored.tobytes() == expected.tobytes()
+        assert restored_stats == expected_stats
+
 
 # ----------------------------------------------------------------------
 # Cross-process identity
@@ -1323,6 +1353,34 @@ class TestRobustness:
         path.write_bytes(bytes(blob))
         with pytest.raises(SnapshotCorruptError):
             load(store, key)
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_swapped_array_offsets_are_typed(self, store, verify):
+        """Swapping the offsets of two conv biases is a same-length
+        header edit the data checksum does not cover: the index no
+        longer tiles the data section in writer order, so even an
+        unverified load refuses it instead of running on the other
+        layer's bias."""
+        rng = np.random.default_rng(0)
+        model = nn.Sequential(
+            nn.Conv2d(3, 4, 3, padding=1, rng=rng),
+            nn.ReLU(),
+            nn.Conv2d(4, 4, 3, padding=1, rng=rng),
+        )
+        key = save(compile_model(model, RuntimeConfig(), cache=EngineCache()), store)
+        path = store.model_path(key)
+        blob = path.read_bytes()
+        start = len(snapshot_mod.MAGIC) + 8
+        size = int.from_bytes(blob[start - 8 : start], "little")
+        header = json.loads(blob[start : start + size])
+        p1, p3 = header["arrays"]["p1"], header["arrays"]["p3"]
+        assert p1["nbytes"] == p3["nbytes"]
+        p1["offset"], p3["offset"] = p3["offset"], p1["offset"]
+        edited = json.dumps(header).encode()
+        assert len(edited) == size
+        path.write_bytes(blob[:start] + edited + blob[start + size :])
+        with pytest.raises(SnapshotCorruptError, match="'p1' does not tile the data"):
+            load(store, key, cache=EngineCache(), verify=verify)
 
     def test_data_corruption_fails_checksum_verify(self, store):
         _, key = self._saved(store)
