@@ -53,7 +53,7 @@ def noc() -> None:
     for name, shape in BENCHMARKS:
         profile = models.profile_model(models.build_model(name, rng=rng), shape)
         mapping = map_model(profile, "yoloc")
-        compute_pj = mapping.total_macs * rom_macro_spec().energy_per_op_fj / 1000.0
+        compute_pj = rom_macro_spec().mac_energy_pj(mapping.total_macs)
         report = map_layers_to_tiles(profile, spec)
         rows.append(
             (

@@ -285,10 +285,6 @@ ALLOWED = {
         "tests/test_properties.py::TestFaultScheduleProperties draw their "
         "fault schedules from it"
     ),
-    "repro.arch.system.evaluate_all_systems": (
-        "tests/test_arch.py::TestFig14Shape and tests/test_romchiplet.py "
-        "build the three Fig. 13 systems' reports through it"
-    ),
     "repro.runtime.backends.popcount.PopcountBitSerialKernel": (
         "bench/ledger/layers.py builds it by registry name; "
         "tests/test_backends.py::TestPopcountBitwise"

@@ -72,7 +72,6 @@ from repro.arch.system import (
     YolocSystem,
     SramSingleChipSystem,
     SramChipletSystem,
-    evaluate_all_systems,
 )
 
 __all__ = [
@@ -103,7 +102,6 @@ __all__ = [
     "YolocSystem",
     "SramSingleChipSystem",
     "SramChipletSystem",
-    "evaluate_all_systems",
     "MeshNocSpec",
     "NocTrafficReport",
     "map_layers_to_tiles",

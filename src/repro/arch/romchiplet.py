@@ -22,23 +22,12 @@ import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Sequence, Tuple
 
-from repro.arch.system import (
-    AreaBreakdown,
-    BaseSystem,
-    EnergyBreakdown,
-    INFERENCES_PER_BOOT,
-    ROM_MACRO_AREA_SPLIT,
-    SRAM_MACRO_AREA_SPLIT,
-    SramChipletSystem,
-    SystemReport,
-    YolocSystem,
-    _macro_area_breakdown,
-)
-from repro.arch.mapping import activation_traffic_bits, map_model
+from repro.arch.mapping import activation_traffic_bits
+from repro.arch.system import SramChipletSystem, YolocSystem
 from repro.models.profile import ModelProfile
 
 
-class RomChipletSystem(BaseSystem):
+class RomChipletSystem(YolocSystem):
     """YOLoC partitioned over multiple dies of at most ``die_area_mm2``.
 
     Each die carries its share of ROM-CiM trunk macros, the SRAM-CiM
@@ -47,7 +36,8 @@ class RomChipletSystem(BaseSystem):
     the chiplet link; ``boundary_activation_fraction`` is the share of
     total activation traffic that crosses (same convention as the
     SRAM-CiM chiplet baseline, scaled by how many cut points the
-    partition actually has).
+    partition actually has).  Everything else is :class:`YolocSystem`'s
+    cost model, which is this one on a single die.
     """
 
     name = "rom-chiplet"
@@ -60,108 +50,29 @@ class RomChipletSystem(BaseSystem):
         boundary_activation_fraction: float = 0.5,
         **kwargs,
     ):
-        super().__init__(**kwargs)
+        super().__init__(d=d, u=u, **kwargs)
         if die_area_mm2 <= 0:
             raise ValueError(f"die area must be positive, got {die_area_mm2}")
         if not 0 <= boundary_activation_fraction <= 1:
             raise ValueError("boundary fraction must be in [0, 1]")
         self.die_area_mm2 = die_area_mm2
-        self.d = d
-        self.u = u
         self.boundary_activation_fraction = boundary_activation_fraction
 
-    def _die_budget_mm2(self) -> float:
-        """Macro area one die can host next to its cache and control."""
-        ctrl_share = 0.05
-        budget = self.die_area_mm2 * (1 - ctrl_share) - self.cache.area_mm2
+    def _n_dies(self, macro_area_mm2: float) -> int:
+        budget = self._macro_budget_mm2(self.die_area_mm2)
         if budget <= 0:
             raise ValueError(
                 f"a {self.die_area_mm2} mm^2 die cannot fit the "
                 f"{self.cache.area_mm2:.1f} mm^2 cache"
             )
-        return budget
+        return max(1, math.ceil(macro_area_mm2 / budget))
 
-    def n_chips_for(self, profile: ModelProfile) -> int:
-        mapping = map_model(
-            profile, "yoloc", d=self.d, u=self.u, weight_bits=self.weight_bits
-        )
-        rom_macros = max(
-            1, math.ceil(mapping.rom_weight_bits / self.rom_spec.capacity_bits)
-        )
-        sram_macros = max(
-            1, math.ceil(mapping.sram_weight_bits / self.sram_spec.capacity_bits)
-        )
-        macro_area = (
-            rom_macros * self.rom_spec.area_mm2 + sram_macros * self.sram_spec.area_mm2
-        )
-        return max(1, math.ceil(macro_area / self._die_budget_mm2()))
-
-    def evaluate(self, profile: ModelProfile) -> SystemReport:
-        mapping = map_model(
-            profile, "yoloc", d=self.d, u=self.u, weight_bits=self.weight_bits
-        )
-        rom_macros = max(
-            1, math.ceil(mapping.rom_weight_bits / self.rom_spec.capacity_bits)
-        )
-        sram_macros = max(
-            1, math.ceil(mapping.sram_weight_bits / self.sram_spec.capacity_bits)
-        )
-        n_chips = self.n_chips_for(profile)
-
-        rom_parts = _macro_area_breakdown(
-            rom_macros, self.rom_spec, ROM_MACRO_AREA_SPLIT
-        )
-        sram_parts = _macro_area_breakdown(
-            sram_macros, self.sram_spec, SRAM_MACRO_AREA_SPLIT
-        )
-        macro_area = (
-            rom_macros * self.rom_spec.area_mm2 + sram_macros * self.sram_spec.area_mm2
-        )
-        ctrl_extra = 0.05 * (macro_area + n_chips * self.cache.area_mm2)
-        area = AreaBreakdown(
-            array_mm2=rom_parts["array"] + sram_parts["array"],
-            adc_mm2=rom_parts["adc"] + sram_parts["adc"],
-            rw_mm2=rom_parts["rw"] + sram_parts["rw"],
-            buffer_mm2=n_chips * self.cache.area_mm2,
-            ctrl_mm2=rom_parts["ctrl"] + sram_parts["ctrl"] + ctrl_extra,
-            rom_cim_mm2=rom_macros * self.rom_spec.area_mm2,
-            sram_cim_mm2=sram_macros * self.sram_spec.area_mm2,
-        )
-
+    def _crossing_bits(self, profile: ModelProfile, n_dies: int) -> float:
         act_bits = activation_traffic_bits(profile, self.activation_bits)
         # With k dies the network is cut k-1 times; normalize against the
         # SRAM-chiplet convention (flat fraction once more than one die).
-        cut_scale = (n_chips - 1) / n_chips if n_chips > 1 else 0.0
-        crossing = act_bits * self.boundary_activation_fraction * cut_scale
-
-        compute = self._compute_energy_pj(mapping.rom_macs, mapping.sram_macs)
-        boot_pj = (
-            self.dram.access_energy_pj(mapping.sram_weight_bits) / INFERENCES_PER_BOOT
-        )
-        energy = EnergyBreakdown(
-            cim_pj=compute["cim"],
-            peripheral_pj=compute["peripheral"],
-            buffer_pj=self._buffer_energy_pj(profile),
-            dram_pj=boot_pj,
-            interconnect_pj=self.link.transfer_energy_pj(crossing),
-        )
-
-        rom_gops = rom_macros * self.rom_spec.throughput_gops
-        sram_gops = sram_macros * self.sram_spec.throughput_gops
-        compute_latency = max(
-            mapping.rom_macs / rom_gops, mapping.sram_macs / sram_gops
-        )
-        link_latency = self.link.transfer_time_ns(crossing)
-        return SystemReport(
-            system=self.name,
-            area=area,
-            energy=energy,
-            latency_ns=compute_latency + link_latency,
-            macs=mapping.total_macs,
-            n_chips=n_chips,
-            interconnect_traffic_bits=int(crossing),
-            mapping=mapping,
-        )
+        cut_scale = (n_dies - 1) / n_dies if n_dies > 1 else 0.0
+        return act_bits * self.boundary_activation_fraction * cut_scale
 
 
 @dataclass

@@ -9,7 +9,7 @@ and its breakdown (Fig. 14c), latency, and energy efficiency (Fig. 14a).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.arch.chiplet import SIMBA_LINK, ChipletLinkSpec
@@ -31,15 +31,25 @@ ROM_MACRO_AREA_SPLIT = {"array": 0.50, "adc": 0.30, "ctrl": 0.20, "rw": 0.0}
 SRAM_MACRO_AREA_SPLIT = {"array": 0.35, "adc": 0.25, "ctrl": 0.15, "rw": 0.25}
 
 #: Share of macro compute energy on the analog CiM path (word lines,
-#: bit lines, ADC) vs digital peripherals (control, shift-and-add);
-#: derived from the Table I calibration in ``repro.cim.spec``.
+#: bit lines, ADC) vs digital peripherals (control, shift-and-add): the
+#: analog share of the ROM macro's Table I pass
+#: (``rom_macro_spec().pass_stats``), 0.6377, rounded.  The SRAM-CiM
+#: pass's share is 0.6475; both systems are charged the one constant.
 CIM_ENERGY_FRACTION = 0.64
+
+#: Share of a die's area spent on control beyond the macros' own.
+CTRL_AREA_SHARE = 0.05
 
 #: Energy to write one bit into an SRAM-CiM array during weight reload.
 SRAM_CIM_WRITE_PJ_PER_BIT = 0.05
 
 #: Power-on weight loads amortized across this many inferences.
 INFERENCES_PER_BOOT = 10_000
+
+
+def macros_for(bits: float, spec: MacroSpec) -> int:
+    """Macros of ``spec`` that hold ``bits`` weight bits (at least one)."""
+    return max(1, math.ceil(bits / spec.capacity_bits))
 
 
 @dataclass
@@ -175,26 +185,75 @@ class BaseSystem:
         self.weight_bits = weight_bits
 
     # -- shared cost helpers ----------------------------------------------
-    def _compute_energy_pj(self, rom_macs: int, sram_macs: int) -> Dict[str, float]:
-        rom_e = rom_macs * self.rom_spec.energy_per_op_fj / 1000.0
-        sram_e = sram_macs * self.sram_spec.energy_per_op_fj / 1000.0
-        total = rom_e + sram_e
-        return {
-            "cim": total * CIM_ENERGY_FRACTION,
-            "peripheral": total * (1.0 - CIM_ENERGY_FRACTION),
-        }
+    def _iso_area_mm2(self, profile: ModelProfile) -> float:
+        """Area of the YOLoC chip for ``profile`` built on this system's
+        specs, memories and widths (the paper's iso-area protocol)."""
+        yoloc = YolocSystem(
+            rom_spec=self.rom_spec,
+            sram_spec=self.sram_spec,
+            cache=self.cache,
+            dram=self.dram,
+            link=self.link,
+            activation_bits=self.activation_bits,
+            weight_bits=self.weight_bits,
+        )
+        return yoloc.evaluate(profile).area.total_mm2
 
-    def _buffer_energy_pj(self, profile: ModelProfile) -> float:
+    def _macro_budget_mm2(self, die_area_mm2: float) -> float:
+        """Macro area a die can host beside its cache and control."""
+        return die_area_mm2 * (1 - CTRL_AREA_SHARE) - self.cache.area_mm2
+
+    def _macros_in(self, die_area_mm2: float, spec: MacroSpec) -> int:
+        """Macros of ``spec`` that fit a die beside its cache and control."""
+        return max(1, int(self._macro_budget_mm2(die_area_mm2) // spec.area_mm2))
+
+    def _layout(
+        self, rom_macros: int, sram_macros: int, n_dies: int, ctrl_extra_mm2: float
+    ) -> AreaBreakdown:
+        """Area of ``n_dies`` dies holding the macros, a cache each, and
+        ``ctrl_extra_mm2`` of control beyond the macros' own."""
+        rom = _macro_area_breakdown(rom_macros, self.rom_spec, ROM_MACRO_AREA_SPLIT)
+        sram = _macro_area_breakdown(sram_macros, self.sram_spec, SRAM_MACRO_AREA_SPLIT)
+        return AreaBreakdown(
+            array_mm2=rom["array"] + sram["array"],
+            adc_mm2=rom["adc"] + sram["adc"],
+            rw_mm2=rom["rw"] + sram["rw"],
+            buffer_mm2=n_dies * self.cache.area_mm2,
+            ctrl_mm2=rom["ctrl"] + sram["ctrl"] + ctrl_extra_mm2,
+            rom_cim_mm2=rom_macros * self.rom_spec.area_mm2,
+            sram_cim_mm2=sram_macros * self.sram_spec.area_mm2,
+        )
+
+    def _energy(
+        self,
+        profile: ModelProfile,
+        rom_macs: int,
+        sram_macs: int,
+        dram_pj: float = 0.0,
+        interconnect_pj: float = 0.0,
+    ) -> EnergyBreakdown:
+        """Per-inference energy of the given MACs, the activation traffic
+        through the cache, and ``dram_pj`` / ``interconnect_pj``."""
+        compute = self.rom_spec.mac_energy_pj(rom_macs) + self.sram_spec.mac_energy_pj(
+            sram_macs
+        )
         traffic = activation_traffic_bits(profile, self.activation_bits)
-        # Each activation is written once and read once on average.
-        return self.cache.access_energy_pj(2 * traffic)
+        return EnergyBreakdown(
+            cim_pj=compute * CIM_ENERGY_FRACTION,
+            peripheral_pj=compute * (1.0 - CIM_ENERGY_FRACTION),
+            # Each activation is written once and read once on average.
+            buffer_pj=self.cache.access_energy_pj(2 * traffic),
+            dram_pj=dram_pj,
+            interconnect_pj=interconnect_pj,
+        )
 
     def evaluate(self, profile: ModelProfile) -> SystemReport:
         raise NotImplementedError
 
 
 class YolocSystem(BaseSystem):
-    """Fig. 13(a): ROM-CiM backbone + SRAM-CiM ReBranch and prediction."""
+    """Fig. 13(a): ROM-CiM backbone + SRAM-CiM ReBranch and prediction,
+    on one die."""
 
     name = "yoloc"
 
@@ -203,61 +262,54 @@ class YolocSystem(BaseSystem):
         self.d = d
         self.u = u
 
-    def mapping_for(self, profile: ModelProfile) -> WeightMapping:
-        return map_model(
-            profile, "yoloc", d=self.d, u=self.u, weight_bits=self.weight_bits
-        )
+    def _n_dies(self, macro_area_mm2: float) -> int:
+        """Dies the macros are cut across: one, on a monolithic chip."""
+        return 1
 
-    def macro_counts(self, mapping: WeightMapping) -> Dict[str, int]:
-        return {
-            "rom": max(1, math.ceil(mapping.rom_weight_bits / self.rom_spec.capacity_bits)),
-            "sram": max(
-                1, math.ceil(mapping.sram_weight_bits / self.sram_spec.capacity_bits)
-            ),
-        }
+    def _crossing_bits(self, profile: ModelProfile, n_dies: int) -> float:
+        """Activation bits crossing a die boundary per inference."""
+        return 0.0
 
     def evaluate(self, profile: ModelProfile) -> SystemReport:
-        mapping = self.mapping_for(profile)
-        counts = self.macro_counts(mapping)
-
-        rom_parts = _macro_area_breakdown(counts["rom"], self.rom_spec, ROM_MACRO_AREA_SPLIT)
-        sram_parts = _macro_area_breakdown(
-            counts["sram"], self.sram_spec, SRAM_MACRO_AREA_SPLIT
+        mapping = map_model(
+            profile, "yoloc", d=self.d, u=self.u, weight_bits=self.weight_bits
         )
-        macro_area = counts["rom"] * self.rom_spec.area_mm2 + counts[
-            "sram"
-        ] * self.sram_spec.area_mm2
-        ctrl_extra = 0.05 * (macro_area + self.cache.area_mm2)
-        area = AreaBreakdown(
-            array_mm2=rom_parts["array"] + sram_parts["array"],
-            adc_mm2=rom_parts["adc"] + sram_parts["adc"],
-            rw_mm2=rom_parts["rw"] + sram_parts["rw"],
-            buffer_mm2=self.cache.area_mm2,
-            ctrl_mm2=rom_parts["ctrl"] + sram_parts["ctrl"] + ctrl_extra,
-            rom_cim_mm2=counts["rom"] * self.rom_spec.area_mm2,
-            sram_cim_mm2=counts["sram"] * self.sram_spec.area_mm2,
+        rom_macros = macros_for(mapping.rom_weight_bits, self.rom_spec)
+        sram_macros = macros_for(mapping.sram_weight_bits, self.sram_spec)
+        macro_area = (
+            rom_macros * self.rom_spec.area_mm2 + sram_macros * self.sram_spec.area_mm2
+        )
+        n_dies = self._n_dies(macro_area)
+        area = self._layout(
+            rom_macros,
+            sram_macros,
+            n_dies,
+            CTRL_AREA_SHARE * (macro_area + n_dies * self.cache.area_mm2),
         )
 
-        compute = self._compute_energy_pj(mapping.rom_macs, mapping.sram_macs)
+        crossing = self._crossing_bits(profile, n_dies)
         boot_pj = (
             self.dram.access_energy_pj(mapping.sram_weight_bits) / INFERENCES_PER_BOOT
         )
-        energy = EnergyBreakdown(
-            cim_pj=compute["cim"],
-            peripheral_pj=compute["peripheral"],
-            buffer_pj=self._buffer_energy_pj(profile),
+        energy = self._energy(
+            profile,
+            mapping.rom_macs,
+            mapping.sram_macs,
             dram_pj=boot_pj,
+            interconnect_pj=self.link.transfer_energy_pj(crossing),
         )
 
-        rom_gops = counts["rom"] * self.rom_spec.throughput_gops
-        sram_gops = counts["sram"] * self.sram_spec.throughput_gops
-        latency = max(mapping.rom_macs / rom_gops, mapping.sram_macs / sram_gops)
+        rom_gops = rom_macros * self.rom_spec.throughput_gops
+        sram_gops = sram_macros * self.sram_spec.throughput_gops
+        compute_latency = max(mapping.rom_macs / rom_gops, mapping.sram_macs / sram_gops)
         return SystemReport(
             system=self.name,
             area=area,
             energy=energy,
-            latency_ns=latency,
+            latency_ns=compute_latency + self.link.transfer_time_ns(crossing),
             macs=mapping.total_macs,
+            n_chips=n_dies,
+            interconnect_traffic_bits=int(crossing),
             mapping=mapping,
         )
 
@@ -267,7 +319,7 @@ class YolocSystem(BaseSystem):
         trunk_bits = sum(
             p.layer.params * self.weight_bits for p in report.mapping.placements
         )
-        trunk_macros = max(1, math.ceil(trunk_bits / self.rom_spec.capacity_bits))
+        trunk_macros = macros_for(trunk_bits, self.rom_spec)
         trunk_latency = profile.total_macs / (
             trunk_macros * self.rom_spec.throughput_gops
         )
@@ -289,33 +341,15 @@ class SramSingleChipSystem(BaseSystem):
         Used by the Fig. 14 protocol: the shared chip is sized so the
         smallest benchmark (VGG-8) fits entirely on chip.
         """
-        n_macros = math.ceil(capacity_bits / self.sram_spec.capacity_bits)
-        macro_area = n_macros * self.sram_spec.area_mm2
-        return (macro_area + self.cache.area_mm2) / 0.95
-
-    def _resolve_chip_area(self, profile: ModelProfile) -> float:
-        if self.chip_area_mm2 is not None:
-            return self.chip_area_mm2
-        # Iso-area with the YOLoC chip for the same model (the paper's
-        # comparison protocol).
-        yoloc = YolocSystem(
-            rom_spec=self.rom_spec,
-            sram_spec=self.sram_spec,
-            cache=self.cache,
-            dram=self.dram,
-            link=self.link,
-            activation_bits=self.activation_bits,
-            weight_bits=self.weight_bits,
-        )
-        return yoloc.evaluate(profile).area.total_mm2
+        macro_area = macros_for(capacity_bits, self.sram_spec) * self.sram_spec.area_mm2
+        return (macro_area + self.cache.area_mm2) / (1 - CTRL_AREA_SHARE)
 
     def evaluate(self, profile: ModelProfile) -> SystemReport:
-        chip_area = self._resolve_chip_area(profile)
+        chip_area = self.chip_area_mm2
+        if chip_area is None:
+            chip_area = self._iso_area_mm2(profile)
         mapping = map_model(profile, "all_sram", weight_bits=self.weight_bits)
-
-        ctrl_share = 0.05
-        usable = chip_area * (1 - ctrl_share) - self.cache.area_mm2
-        n_macros = max(1, int(usable // self.sram_spec.area_mm2))
+        n_macros = self._macros_in(chip_area, self.sram_spec)
         capacity_bits = n_macros * self.sram_spec.capacity_bits
 
         total_bits = mapping.total_weight_bits
@@ -325,28 +359,10 @@ class SramSingleChipSystem(BaseSystem):
             profile, self.cache.capacity_bits, self.activation_bits
         )
         traffic = missing * reload_factor
-        fits = missing == 0
 
-        sram_parts = _macro_area_breakdown(
-            n_macros, self.sram_spec, SRAM_MACRO_AREA_SPLIT
-        )
-        area = AreaBreakdown(
-            array_mm2=sram_parts["array"],
-            adc_mm2=sram_parts["adc"],
-            rw_mm2=sram_parts["rw"],
-            buffer_mm2=self.cache.area_mm2,
-            ctrl_mm2=sram_parts["ctrl"] + chip_area * ctrl_share,
-            sram_cim_mm2=n_macros * self.sram_spec.area_mm2,
-        )
-
-        compute = self._compute_energy_pj(0, mapping.total_macs)
+        area = self._layout(0, n_macros, 1, chip_area * CTRL_AREA_SHARE)
         dram_pj = self.dram.access_energy_pj(traffic) + traffic * SRAM_CIM_WRITE_PJ_PER_BIT
-        energy = EnergyBreakdown(
-            cim_pj=compute["cim"],
-            peripheral_pj=compute["peripheral"],
-            buffer_pj=self._buffer_energy_pj(profile),
-            dram_pj=dram_pj,
-        )
+        energy = self._energy(profile, 0, mapping.total_macs, dram_pj=dram_pj)
 
         compute_latency = mapping.total_macs / (
             n_macros * self.sram_spec.throughput_gops
@@ -359,7 +375,7 @@ class SramSingleChipSystem(BaseSystem):
             latency_ns=max(compute_latency, dram_latency),
             macs=mapping.total_macs,
             dram_traffic_bits=int(traffic),
-            fits_on_chip=fits,
+            fits_on_chip=missing == 0,
             mapping=mapping,
         )
 
@@ -383,45 +399,25 @@ class SramChipletSystem(BaseSystem):
 
     def evaluate(self, profile: ModelProfile) -> SystemReport:
         mapping = map_model(profile, "all_sram", weight_bits=self.weight_bits)
-
-        if self.chiplet_area_mm2 is not None:
-            chiplet_area = self.chiplet_area_mm2
-        else:
-            chiplet_area = SramSingleChipSystem(
-                rom_spec=self.rom_spec,
-                sram_spec=self.sram_spec,
-                cache=self.cache,
-                dram=self.dram,
-                link=self.link,
-            )._resolve_chip_area(profile)
-
-        ctrl_share = 0.05
-        usable = chiplet_area * (1 - ctrl_share) - self.cache.area_mm2
-        macros_per_chip = max(1, int(usable // self.sram_spec.area_mm2))
+        chiplet_area = self.chiplet_area_mm2
+        if chiplet_area is None:
+            chiplet_area = self._iso_area_mm2(profile)
+        macros_per_chip = self._macros_in(chiplet_area, self.sram_spec)
         capacity_per_chip = macros_per_chip * self.sram_spec.capacity_bits
         n_chips = max(1, math.ceil(mapping.total_weight_bits / capacity_per_chip))
 
-        sram_parts = _macro_area_breakdown(
-            n_chips * macros_per_chip, self.sram_spec, SRAM_MACRO_AREA_SPLIT
-        )
-        area = AreaBreakdown(
-            array_mm2=sram_parts["array"],
-            adc_mm2=sram_parts["adc"],
-            rw_mm2=sram_parts["rw"],
-            buffer_mm2=n_chips * self.cache.area_mm2,
-            ctrl_mm2=sram_parts["ctrl"] + n_chips * chiplet_area * ctrl_share,
-            sram_cim_mm2=n_chips * macros_per_chip * self.sram_spec.area_mm2,
+        area = self._layout(
+            0, n_chips * macros_per_chip, n_chips, n_chips * chiplet_area * CTRL_AREA_SHARE
         )
 
         act_bits = activation_traffic_bits(profile, self.activation_bits)
         crossing = (
             act_bits * self.boundary_activation_fraction if n_chips > 1 else 0.0
         )
-        compute = self._compute_energy_pj(0, mapping.total_macs)
-        energy = EnergyBreakdown(
-            cim_pj=compute["cim"],
-            peripheral_pj=compute["peripheral"],
-            buffer_pj=self._buffer_energy_pj(profile),
+        energy = self._energy(
+            profile,
+            0,
+            mapping.total_macs,
             interconnect_pj=self.link.transfer_energy_pj(crossing),
         )
 
@@ -439,14 +435,3 @@ class SramChipletSystem(BaseSystem):
             interconnect_traffic_bits=int(crossing),
             mapping=mapping,
         )
-
-
-def evaluate_all_systems(
-    profile: ModelProfile, **kwargs
-) -> Dict[str, SystemReport]:
-    """Run the three Fig. 13 configurations on one model profile."""
-    return {
-        "yoloc": YolocSystem(**kwargs).evaluate(profile),
-        "sram-single-chip": SramSingleChipSystem(**kwargs).evaluate(profile),
-        "sram-chiplet": SramChipletSystem(**kwargs).evaluate(profile),
-    }

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.arch.system import macros_for
 from repro.cim.cells import ROM_1T
 from repro.cim.spec import rom_macro_spec, sram_macro_spec
 
@@ -121,12 +122,9 @@ def duty_cycle_energy_ratio(
         raise ValueError("inference rate cannot be negative")
     rom = rom_macro_spec()
     sram = sram_macro_spec()
-    n_rom = max(1, weight_bits // rom.capacity_bits)
-    n_sram = max(1, weight_bits // sram.capacity_bits)
-
     compute_per_s = active_energy_j * inference_rate_hz * duty_cycle
-    rom_total = compute_per_s + rom.standby_power_w * n_rom
-    sram_total = compute_per_s + sram.standby_power_w * n_sram
+    rom_total = compute_per_s + rom.standby_power_w * macros_for(weight_bits, rom)
+    sram_total = compute_per_s + sram.standby_power_w * macros_for(weight_bits, sram)
     return {
         "rom_j_per_s": rom_total,
         "sram_j_per_s": sram_total,

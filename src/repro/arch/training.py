@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.arch.mapping import WeightMapping, activation_traffic_bits, map_model
+from repro.arch.mapping import activation_traffic_bits, map_model
 from repro.arch.memory import DramSpec, SramBufferModel
 from repro.arch.system import SRAM_CIM_WRITE_PJ_PER_BIT
 from repro.cim.spec import MacroSpec, rom_macro_spec, sram_macro_spec
@@ -97,10 +97,9 @@ class TrainingCostModel:
             self.dram = DramSpec()
 
     def _mac_energy_pj(self, rom_macs: float, sram_macs: float) -> float:
-        return (
-            rom_macs * self.rom_spec.energy_per_op_fj
-            + sram_macs * self.sram_spec.energy_per_op_fj
-        ) / 1000.0
+        return self.rom_spec.mac_energy_pj(rom_macs) + self.sram_spec.mac_energy_pj(
+            sram_macs
+        )
 
     def step_cost(
         self,

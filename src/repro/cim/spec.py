@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.cim.cells import ROM_1T, SRAM_CIM_6T
-from repro.cim.macro import MacroConfig
+from repro.cim.macro import MacroConfig, MacroStats, macro_pass_stats
 
 #: Table I as printed in the paper, for paper-vs-measured reporting.
 TABLE1_PAPER: Dict[str, float] = {
@@ -61,6 +61,8 @@ class MacroSpec:
             raise ValueError("array efficiency must be in (0, 1]")
         if self.capacity_bits < self.config.capacity_bits:
             raise ValueError("macro capacity below a single subarray")
+        if self.config.n_adcs < self.config.weight_bits:
+            raise ValueError("the ADC bank resolves less than one weight per cycle")
 
     # -- geometry --------------------------------------------------------
     @property
@@ -79,15 +81,33 @@ class MacroSpec:
     def density_mb_mm2(self) -> float:
         return self.capacity_bits / 1e6 / self.area_mm2
 
+    # -- one Table I pass ------------------------------------------------
+    @property
+    def pass_stats(self) -> MacroStats:
+        """One inference pass, through :func:`macro_pass_stats`: one
+        vector over all ``rows`` rows and the ``n_adcs`` physical columns
+        the ADC bank resolves at once, at Table I's activities — each
+        input bit drives ~50% of the word lines, and a selected cell is
+        ON with probability 0.25 (random input and weight bits)."""
+        cfg = self.config
+        return macro_pass_stats(
+            cfg,
+            rows_used=cfg.rows,
+            cols_used=cfg.n_adcs // cfg.weight_bits,
+            n_vectors=1,
+            row_activations=cfg.rows * cfg.input_bits * 0.5,
+            counts_total=cfg.n_adcs * cfg.input_bits * (cfg.rows * 0.25),
+        )
+
     # -- throughput ------------------------------------------------------
     @property
     def ops_per_inference(self) -> int:
         """MACs resolved per inference pass (Table I 'operation number')."""
-        return self.config.rows * self.config.n_adcs // self.config.weight_bits
+        return self.pass_stats.macs
 
     @property
     def inference_time_ns(self) -> float:
-        return self.config.input_bits * self.config.cycle_time_ns
+        return self.pass_stats.latency_ns
 
     @property
     def throughput_gops(self) -> float:
@@ -100,25 +120,16 @@ class MacroSpec:
     # -- energy ----------------------------------------------------------
     @property
     def energy_per_inference_pj(self) -> float:
-        """Energy of one inference pass, from the circuit constants.
-
-        Conversions: ``n_adcs`` per cycle for ``input_bits`` cycles.
-        Word lines: all rows driven each cycle with ~50% input-bit
-        activity.  Bit lines: the 16 selected columns discharge with an
-        average ON-cell probability of 0.25 (random input/weight bits).
-        """
-        cfg = self.config
-        cycles = cfg.input_bits
-        conversions = cfg.n_adcs * cycles
-        adc = conversions * cfg.adc.energy_fj
-        wl = cfg.rows * cycles * 0.5 * cfg.wl_energy_fj
-        bitline = cfg.n_adcs * cycles * (cfg.rows * 0.25) * cfg.cell.read_energy_fj
-        peripheral = cycles * cfg.peripheral_energy_fj_per_cycle
-        return (adc + wl + bitline + peripheral) / 1000.0
+        """Energy of one inference pass (:attr:`pass_stats`)."""
+        return self.pass_stats.total_energy_fj / 1000.0
 
     @property
     def energy_per_op_fj(self) -> float:
         return self.energy_per_inference_pj * 1000.0 / self.ops_per_inference
+
+    def mac_energy_pj(self, macs: float) -> float:
+        """Compute energy of ``macs`` MACs at this macro's per-op cost."""
+        return macs * self.energy_per_op_fj / 1000.0
 
     @property
     def tops_per_watt(self) -> float:

@@ -37,7 +37,7 @@ from repro.experiments.detection import (
     sample_task,
     train_detector,
 )
-from repro.rebranch import apply_rebranch
+from repro.rebranch import MemoryFootprint, apply_rebranch
 from repro.rebranch.options import apply_deep_conv
 
 DETECTION_METHODS = ("sram_cim", "tiny_yolo", "deep_conv", "yoloc")
@@ -127,15 +127,13 @@ def _full_size_areas(d: int, u: int) -> List[AreaRow]:
     )
 
     def row(method: str, rom_bits: int, sram_bits: int) -> AreaRow:
-        rom_area = rom_bits / 1e6 / rom.density_mb_mm2
-        sram_area = sram_bits / 1e6 / sram.density_mb_mm2
-        cim = rom_area + sram_area
+        footprint = MemoryFootprint(rom_bits, sram_bits, rom, sram)
         return AreaRow(
             method=method,
-            rom_cim_cm2=rom_area / 100,
-            sram_cim_cm2=sram_area / 100,
+            rom_cim_cm2=footprint.rom_area_mm2 / 100,
+            sram_cim_cm2=footprint.sram_area_mm2 / 100,
             cache_cm2=cache.area_mm2 / 100,
-            peripheral_cm2=0.10 * (cim + cache.area_mm2) / 100,
+            peripheral_cm2=0.10 * (footprint.total_area_mm2 + cache.area_mm2) / 100,
         )
 
     all_sram_yolo = map_model(yolo_profile, "all_sram")

@@ -9,7 +9,6 @@ ping-pong execution hides — and that it hides none of the energy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -19,7 +18,7 @@ from repro import models
 from repro.arch.memory import DramSpec
 from repro.arch.pipeline import relief_summary, tasks_for_single_chip
 from repro.arch.mapping import weight_reload_factor
-from repro.arch.system import SramSingleChipSystem
+from repro.arch.system import SramSingleChipSystem, macros_for
 from repro.cim.spec import sram_macro_spec
 from repro.experiments.common import format_table
 from repro.experiments.fig14 import BENCHMARKS
@@ -55,7 +54,6 @@ def run(config: Optional[PipelineStudyConfig] = None) -> PipelineStudyResult:
     config = config if config is not None else PipelineStudyConfig()
     rng = np.random.default_rng(config.seed)
     dram = DramSpec()
-    spec = sram_macro_spec()
 
     profiles = {}
     for name, shape in config.benchmarks:
@@ -63,11 +61,10 @@ def run(config: Optional[PipelineStudyConfig] = None) -> PipelineStudyResult:
         profiles[name] = models.profile_model(model, shape)
 
     smallest_bits = min(p.total_params * 8 for p in profiles.values())
-    chip_area = SramSingleChipSystem().area_for_capacity(
-        int(smallest_bits * config.fit_margin)
-    )
-    usable = chip_area * 0.95 - SramSingleChipSystem().cache.area_mm2
-    n_macros = max(1, int(usable // spec.area_mm2))
+    chip = SramSingleChipSystem()
+    spec = chip.sram_spec
+    chip_area = chip.area_for_capacity(int(smallest_bits * config.fit_margin))
+    n_macros = chip._macros_in(chip_area, spec)
     capacity_bits = n_macros * spec.capacity_bits
     chip_gops = n_macros * spec.throughput_gops
 
@@ -75,9 +72,7 @@ def run(config: Optional[PipelineStudyConfig] = None) -> PipelineStudyResult:
         chip_capacity_bits=capacity_bits, chip_gops=chip_gops
     )
     for name, profile in profiles.items():
-        reload_factor = weight_reload_factor(
-            profile, SramSingleChipSystem().cache.capacity_bits
-        )
+        reload_factor = weight_reload_factor(profile, chip.cache.capacity_bits)
         tasks = tasks_for_single_chip(
             profile,
             capacity_bits,
@@ -108,9 +103,8 @@ def slowdown_sensitivity(
     spec = sram_macro_spec()
     # A deliberately small chip so the model is reload-dominated.
     capacity_bits = int(profile.total_params * 8 * 0.25)
-    n_macros = max(1, math.ceil(capacity_bits / spec.capacity_bits))
     tasks = tasks_for_single_chip(
-        profile, capacity_bits, n_macros * spec.throughput_gops
+        profile, capacity_bits, macros_for(capacity_bits, spec) * spec.throughput_gops
     )
     rows = []
     for slowdown in slowdowns:

@@ -16,12 +16,21 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
+from repro.arch import SramChipletSystem, SramSingleChipSystem, YolocSystem
 from repro.nn.tensor import Tensor
 
 #: Shared upper bound for every blocking wait in the serving tests.
 #: Generous on purpose: reaching it means the event never fired (a real
 #: bug), not that a loaded CI runner was slow.
 DEADLINE = 30.0
+
+
+def fig13_reports(profile) -> Dict:
+    """The three Fig. 13 systems' reports on ``profile``, keyed by system
+    name, each at its defaults (the SRAM chips sized iso-area with the
+    YOLoC chip)."""
+    systems = (YolocSystem(), SramSingleChipSystem(), SramChipletSystem())
+    return {system.name: system.evaluate(profile) for system in systems}
 
 
 def next_batch_or_fail(queue, timeout: float = DEADLINE):

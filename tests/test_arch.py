@@ -13,7 +13,6 @@ from repro.arch import (
     SramChipletSystem,
     SramSingleChipSystem,
     YolocSystem,
-    evaluate_all_systems,
     map_model,
 )
 from repro.arch.mapping import (
@@ -21,6 +20,8 @@ from repro.arch.mapping import (
     max_activation_bits,
     weight_reload_factor,
 )
+
+from .helpers import fig13_reports
 
 
 @pytest.fixture(scope="module")
@@ -190,9 +191,7 @@ class TestSramSingleChip:
     def test_area_for_capacity_round_trip(self):
         system = SramSingleChipSystem()
         area = system.area_for_capacity(50_000_000)
-        report_system = SramSingleChipSystem(chip_area_mm2=area)
-        usable = area * 0.95 - report_system.cache.area_mm2
-        macros = int(usable // system.sram_spec.area_mm2)
+        macros = system._macros_in(area, system.sram_spec)
         assert macros * system.sram_spec.capacity_bits >= 50_000_000 * 0.95
 
 
@@ -220,12 +219,27 @@ class TestChipletSystem:
         with pytest.raises(ValueError):
             SramChipletSystem(boundary_activation_fraction=1.5)
 
+    def test_default_chiplet_is_sized_at_its_own_widths(self):
+        """The default chiplet is the YOLoC chip at the system's own
+        weight width, not at the 8-bit default."""
+        model = models.build_model("resnet18", rng=np.random.default_rng(0))
+        profile = models.profile_model(model, models.INPUT_SHAPES["resnet18"])
+        yoloc_area = YolocSystem(weight_bits=4).evaluate(profile).area.total_mm2
+        default = SramChipletSystem(weight_bits=4).evaluate(profile)
+        explicit = SramChipletSystem(
+            weight_bits=4, chiplet_area_mm2=yoloc_area
+        ).evaluate(profile)
+        assert default.n_chips == explicit.n_chips
+        assert default.area == explicit.area
+        assert default.energy == explicit.energy
+        assert default.latency_ns == explicit.latency_ns
+
 
 class TestFig14Shape:
     """The headline system-level claims, asserted as orderings."""
 
     def test_yoloc_beats_single_chip_on_large_models(self, yolo_profile):
-        reports = evaluate_all_systems(yolo_profile)
+        reports = fig13_reports(yolo_profile)
         improvement = (
             reports["sram-single-chip"].energy.total_pj
             / reports["yoloc"].energy.total_pj
@@ -233,14 +247,14 @@ class TestFig14Shape:
         assert improvement > 4
 
     def test_yoloc_matches_chiplet_energy(self, yolo_profile):
-        reports = evaluate_all_systems(yolo_profile)
+        reports = fig13_reports(yolo_profile)
         ratio = (
             reports["sram-chiplet"].energy.total_pj / reports["yoloc"].energy.total_pj
         )
         assert 0.9 < ratio < 1.5
 
     def test_yoloc_saves_area_vs_chiplet(self, yolo_profile):
-        reports = evaluate_all_systems(yolo_profile)
+        reports = fig13_reports(yolo_profile)
         saving = (
             reports["sram-chiplet"].area.total_mm2 / reports["yoloc"].area.total_mm2
         )

@@ -104,6 +104,6 @@ class TestSystemMonotonicity:
     def test_rom_chiplet_count_monotone_in_die_area(self, die_area):
         model = models.build_model("vgg8", rng=np.random.default_rng(0))
         profile = models.profile_model(model, (1, 3, 32, 32))
-        smaller = RomChipletSystem(die_area_mm2=die_area).n_chips_for(profile)
-        larger = RomChipletSystem(die_area_mm2=2 * die_area).n_chips_for(profile)
+        smaller = RomChipletSystem(die_area_mm2=die_area).evaluate(profile).n_chips
+        larger = RomChipletSystem(die_area_mm2=2 * die_area).evaluate(profile).n_chips
         assert larger <= smaller

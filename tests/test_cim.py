@@ -402,3 +402,12 @@ class TestMacroSpec:
 
         with pytest.raises(ValueError):
             MacroSpec(name="x", capacity_bits=1000)
+
+    def test_bank_narrower_than_a_weight_rejected(self):
+        """A Table I pass resolves ``n_adcs // weight_bits`` whole weights
+        per cycle; a bank narrower than one weight would price an empty
+        pass."""
+        from repro.cim.spec import MacroSpec
+
+        with pytest.raises(ValueError, match="ADC bank"):
+            MacroSpec(name="x", config=MacroConfig(weight_bits=32))

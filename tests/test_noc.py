@@ -138,7 +138,7 @@ class TestTrafficMapping:
         from repro.cim.spec import rom_macro_spec
 
         mapping = map_model(vgg_profile, "yoloc")
-        compute_pj = mapping.total_macs * rom_macro_spec().energy_per_op_fj / 1000.0
+        compute_pj = rom_macro_spec().mac_energy_pj(mapping.total_macs)
         share = noc_share_of_compute(vgg_profile, compute_pj)
         assert 0 < share < 0.10
 

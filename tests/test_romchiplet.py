@@ -8,16 +8,18 @@ from repro.arch import (
     RETICLE_LIMIT_MM2,
     RomChipletSystem,
     SramChipletSystem,
+    YolocSystem,
     chiplet_scaling,
     partition_summary,
     reticle_escape_area_mm2,
 )
-from repro.arch.system import evaluate_all_systems
+
+from .helpers import fig13_reports
 
 
 def four_systems(profile, die_area_mm2=50.0):
     """The Fig. 13 trio plus the section 4.3.3 ROM-chiplet assembly."""
-    reports = evaluate_all_systems(profile)
+    reports = fig13_reports(profile)
     reports["rom-chiplet"] = RomChipletSystem(die_area_mm2=die_area_mm2).evaluate(
         profile
     )
@@ -68,8 +70,8 @@ class TestRomChipletSystem:
         assert report.energy.dram_pj < 0.05 * report.energy.total_pj
 
     def test_bigger_dies_mean_fewer_chips(self, yolo_profile):
-        small = RomChipletSystem(die_area_mm2=20.0).n_chips_for(yolo_profile)
-        large = RomChipletSystem(die_area_mm2=80.0).n_chips_for(yolo_profile)
+        small = RomChipletSystem(die_area_mm2=20.0).evaluate(yolo_profile).n_chips
+        large = RomChipletSystem(die_area_mm2=80.0).evaluate(yolo_profile).n_chips
         assert large < small
 
     def test_invalid_die_area(self):
@@ -84,6 +86,15 @@ class TestRomChipletSystem:
     def test_invalid_boundary_fraction(self):
         with pytest.raises(ValueError, match="boundary"):
             RomChipletSystem(boundary_activation_fraction=1.5)
+
+    def test_one_die_is_the_yoloc_chip(self, vgg_profile):
+        """On one die the assembly is the YOLoC chip, bit for bit."""
+        rom = RomChipletSystem(die_area_mm2=100.0).evaluate(vgg_profile)
+        yoloc = YolocSystem().evaluate(vgg_profile)
+        assert rom.n_chips == 1
+        assert rom.area == yoloc.area
+        assert rom.energy == yoloc.energy
+        assert rom.latency_ns == yoloc.latency_ns
 
     def test_report_identity(self, vgg_profile):
         report = RomChipletSystem().evaluate(vgg_profile)

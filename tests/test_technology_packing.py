@@ -69,6 +69,13 @@ class TestStandbyPower:
         assert idle["rom_advantage"] > busy["rom_advantage"]
         assert busy["rom_advantage"] >= 1.0
 
+    def test_leakage_counts_every_macro_a_model_fills(self):
+        """One bit past a macro's capacity fills a second macro, which
+        leaks too."""
+        sram = sram_macro_spec()
+        entry = tech.duty_cycle_energy_ratio(0.0, 0.0, sram.capacity_bits + 1)
+        assert entry["sram_j_per_s"] == 2 * sram.standby_power_w
+
     def test_duty_cycle_validation(self):
         with pytest.raises(ValueError):
             tech.duty_cycle_energy_ratio(1e-3, 30.0, 1_000_000, duty_cycle=0.0)
