@@ -59,12 +59,7 @@ class RomChipletSystem(YolocSystem):
         self.boundary_activation_fraction = boundary_activation_fraction
 
     def _n_dies(self, macro_area_mm2: float) -> int:
-        budget = self._macro_budget_mm2(self.die_area_mm2)
-        if budget <= 0:
-            raise ValueError(
-                f"a {self.die_area_mm2} mm^2 die cannot fit the "
-                f"{self.cache.area_mm2:.1f} mm^2 cache"
-            )
+        budget = self._macro_budget_mm2(self.die_area_mm2, self.rom_spec)
         return max(1, math.ceil(macro_area_mm2 / budget))
 
     def _crossing_bits(self, profile: ModelProfile, n_dies: int) -> float:

@@ -199,13 +199,22 @@ class BaseSystem:
         )
         return yoloc.evaluate(profile).area.total_mm2
 
-    def _macro_budget_mm2(self, die_area_mm2: float) -> float:
-        """Macro area a die can host beside its cache and control."""
-        return die_area_mm2 * (1 - CTRL_AREA_SHARE) - self.cache.area_mm2
+    def _macro_budget_mm2(self, die_area_mm2: float, spec: MacroSpec) -> float:
+        """Macro area a die can host beside its cache and control — the
+        one die-budget check of every system: a die with no room there
+        for one ``spec`` macro is refused, not clamped to one."""
+        budget = die_area_mm2 * (1 - CTRL_AREA_SHARE) - self.cache.area_mm2
+        if budget < spec.area_mm2:
+            raise ValueError(
+                f"a {die_area_mm2} mm^2 die cannot fit one {spec.area_mm2:.2f} "
+                f"mm^2 macro beside its {self.cache.area_mm2:.1f} mm^2 cache "
+                f"and {CTRL_AREA_SHARE:.0%} control share"
+            )
+        return budget
 
     def _macros_in(self, die_area_mm2: float, spec: MacroSpec) -> int:
         """Macros of ``spec`` that fit a die beside its cache and control."""
-        return max(1, int(self._macro_budget_mm2(die_area_mm2) // spec.area_mm2))
+        return int(self._macro_budget_mm2(die_area_mm2, spec) // spec.area_mm2)
 
     def _layout(
         self, rom_macros: int, sram_macros: int, n_dies: int, ctrl_extra_mm2: float

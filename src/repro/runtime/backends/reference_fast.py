@@ -585,13 +585,17 @@ class TiledBitSerialKernel(KernelBackend):
         # one of the two, which differ in input signedness alone.
         circuit = [replace(engine.config, signed_inputs=s) for s in (False, True)]
         keys = [arithmetic_key(config) for config in circuit]
+        # Engines of one placement and signedness share one run config,
+        # so each distinct config object is projected once.
+        checked = {id(engine.config)}
         for other in engines:
             config = other.config
-            if (
-                other.shape != engine.shape
-                or arithmetic_key(config) != keys[config.signed_inputs]
+            if other.shape != engine.shape or (
+                id(config) not in checked
+                and arithmetic_key(config) != keys[config.signed_inputs]
             ):
                 raise ValueError("a stacked pass needs one geometry and one circuit")
+            checked.add(id(config))
         blocks: dict = {}
         for r0, r1, c0, c1 in engine.tile_bounds():
             blocks.setdefault((r0, r1), []).append((c0, c1))

@@ -19,8 +19,8 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from repro.obs.log import get_logger
 _log = get_logger("runtime.cache")
 
 
-@dataclass(frozen=True)
-class EngineKey:
+class EngineKey(NamedTuple):
     """Identity of one programmed engine.
 
     ``layer_id`` scopes the engine to a layer (its plan name, with a
@@ -41,7 +40,9 @@ class EngineKey:
     configuration the engine runs under — its macro config with the
     activation width and input signedness it was programmed for — and a
     conv's ``(stride, padding)``: two configs that differ only in fields
-    no arithmetic reads (a cell's area, say) share one engine.
+    no arithmetic reads (a cell's area, say) share one engine.  A named
+    tuple: built, hashed and compared in C, once per engine a compile
+    programs or a load seeds.
     """
 
     layer_id: str
@@ -115,7 +116,7 @@ class EngineCache:
         self.stats = CacheStats()
         self._entries: "OrderedDict[EngineKey, Any]" = OrderedDict()
         # Provenance of each resident engine: "programmed", "disk"
-        # (restored from the disk tier) or "snapshot" (seeded by put()).
+        # (restored from the disk tier) or "snapshot" (seeded by seed()).
         self._tiers: Dict[EngineKey, str] = {}
         self._lock = threading.RLock()
 
@@ -169,8 +170,8 @@ class EngineCache:
         return self._retain(key, engine, "programmed")
 
     def _retain(self, key: EngineKey, engine: Any, tier: str) -> Any:
-        """Make ``engine`` resident under ``key`` (the one place entries
-        are inserted and evicted); returns the engine serving the key."""
+        """Make ``engine`` resident under ``key`` unless an engine already
+        is; returns the engine serving the key."""
         with self._lock:
             if self.capacity > 0:
                 existing = self._entries.get(key)
@@ -178,13 +179,22 @@ class EngineCache:
                     # A concurrent session landed it first; share that one.
                     self._entries.move_to_end(key)
                     return existing
-                self._entries[key] = engine
-                self._tiers[key] = tier
-                while len(self._entries) > self.capacity:
-                    evicted, _ = self._entries.popitem(last=False)
-                    self._tiers.pop(evicted, None)
-                    self.stats.evictions += 1
+                self._insert(key, engine, tier)
         return engine
+
+    def _insert(self, key: EngineKey, engine: Any, tier: str) -> None:
+        """Make ``engine`` the most recently used entry under ``key``,
+        evicting the least recently used beyond ``capacity``: the one
+        place entries are inserted and evicted (lock held, capacity
+        positive)."""
+        entries = self._entries
+        entries[key] = engine
+        entries.move_to_end(key)
+        self._tiers[key] = tier
+        while len(entries) > self.capacity:
+            evicted, _ = entries.popitem(last=False)
+            self._tiers.pop(evicted, None)
+            self.stats.evictions += 1
 
     def tier_of(self, key: EngineKey) -> Optional[str]:
         """Provenance of the resident engine for ``key`` —
@@ -224,12 +234,15 @@ class EngineCache:
         except Exception:
             pass
 
-    def put(self, key: EngineKey, engine: Any) -> None:
-        """Seed ``key`` with an externally restored engine (snapshot load)."""
+    def seed(self, entries: Iterable[Tuple[EngineKey, Any]]) -> None:
+        """Seed each ``(key, engine)`` of ``entries`` with an externally
+        restored engine (a snapshot load's, one layer at a time), in
+        order, under one acquisition of the lock."""
         with self._lock:
-            # A restored engine replaces whatever is resident.
-            self._entries.pop(key, None)
-            self._retain(key, engine, "snapshot")
+            if self.capacity > 0:
+                for key, engine in entries:
+                    # A restored engine replaces whatever is resident.
+                    self._insert(key, engine, "snapshot")
 
     def clear(self) -> None:
         with self._lock:

@@ -59,15 +59,19 @@ from repro.obs.log import get_logger
 from repro.cim.encoding import ActivationEncoding
 from repro.cim.macro import MacroConfig, MacroStats
 from repro.rebranch.branch import ReBranchConv2d
-from repro.runtime.cache import EngineCache, resolve_cache, weight_fingerprint
-from repro.runtime.engine import (
-    GroupedConv,
-    ProgrammedConv,
-    ProgrammedLinear,
-    engine_from_state,
-    engine_key,
+from repro.runtime.cache import (
+    EngineCache,
+    EngineKey,
+    resolve_cache,
+    weight_fingerprint,
 )
-from repro.runtime.errors import CompileError, SnapshotStaleError
+from repro.runtime.engine import (
+    EngineCircuit,
+    GroupedConv,
+    engines_from_state,
+    program_engine,
+)
+from repro.runtime.errors import CompileError, SnapshotCorruptError, SnapshotStaleError
 from repro.runtime.programming import (
     DeployedLayerInfo,
     DeploymentReport,
@@ -228,131 +232,92 @@ class _StoredLayer(NamedTuple):
     verify: bool
 
 
+#: A placement's ``(unsigned, signed)`` input circuits, indexed by the
+#: input signedness.
+_Circuits = Tuple[EngineCircuit, EngineCircuit]
+
+
 class _EngineSlot:
     """One weight layer's handle into the engine cache.
 
-    Holds a live reference to the layer's weights (``weight_fn``) and
-    macro config (``config_fn`` — the seed path re-decided ROM vs SRAM
-    from ``requires_grad`` on every forward, so freezing a layer after
+    Holds a live reference to the layer's weights (``module``, and the
+    ``rows`` of its weight a channel group owns) and placement
+    (``circuits_fn`` — the seed path re-decided ROM vs SRAM from
+    ``requires_grad`` on every forward, so freezing a layer after
     compilation moves it to ROM here too) plus the fingerprint taken at
     programming time; engines for each input signedness are fetched
     through the cache on demand, so two compiled models over the same
     weights share programmed tiles.  A grouped convolution programs one
     slot per group (layer id ``<name>::g<i>``) under its one plan node.
-    Handed ``stored`` state (a snapshot restore), the slot adopts it
-    instead of programming (:meth:`_adopt`).
+    A compile programs the slot (:meth:`program`); a snapshot restore
+    seeds it with stored engines instead (:meth:`_PlanBuilder._adopt`).
     """
 
     def __init__(
         self,
         layer_id: str,
-        kind: str,  # "conv" | "linear"
-        weight_fn: Callable[[], np.ndarray],
-        config_fn: Callable[[], MacroConfig],
-        activation_bits: int,
+        module: nn.Module,
+        rows: Optional[Tuple[int, int]],
+        circuits_fn: Callable[[], _Circuits],
         cache: EngineCache,
         predicted_signed: bool,
-        stride: int = 0,
-        padding: int = 0,
-        stored: Optional[_StoredLayer] = None,
+        geometry: Tuple[int, ...] = (),
     ):
         self.layer_id = layer_id
-        self.kind = kind
-        self.weight_fn = weight_fn
-        self.config_fn = config_fn
-        self.activation_bits = activation_bits
+        self.module = module
+        self.rows = rows
+        self.circuits_fn = circuits_fn
         self.cache = cache
         self.predicted_signed = bool(predicted_signed)
-        self.stride = stride
-        self.padding = padding
-        #: What a conv engine's key and state add to a linear one's.
-        self.geometry = (stride, padding) if kind == "conv" else ()
-        # Strong per-slot references: the LRU cache shares engines across
-        # models, but eviction there must never force this compiled
-        # model to reprogram its own layers on the hot path.
-        self._engines: Dict[Any, Any] = {}
-        if stored is not None:
-            self._adopt(stored)
-            return
-        self.fingerprint = weight_fingerprint(weight_fn())
-        # Compile-once: program the predicted variant eagerly.
+        #: What a conv engine's key and state add to a linear one's —
+        #: its ``(stride, padding)``; empty for a linear layer.
+        self.geometry = geometry
+        self.fingerprint: Optional[str] = None
+        # Strong per-slot references, one per circuit: the LRU cache
+        # shares engines across models, but eviction there must never
+        # force this compiled model to reprogram its own layers on the
+        # hot path.
+        self._engines: Dict[EngineCircuit, Any] = {}
+
+    def weight(self) -> np.ndarray:
+        """The live float weights this slot programs: the module's, or
+        the ``rows`` (output channels) of its channel group."""
+        weight = self.module.weight.data
+        return weight if self.rows is None else weight[self.rows[0] : self.rows[1]]
+
+    def program(self) -> None:
+        """Compile-once: fingerprint the weights and program the
+        predicted variant eagerly."""
+        self.fingerprint = weight_fingerprint(self.weight())
         self.engine_for(self.predicted_signed)
 
-    def _key(self, signed: bool, config: MacroConfig):
-        return engine_key(
-            self.layer_id,
-            self.fingerprint,
-            config,
-            self.activation_bits,
-            signed,
-            *self.geometry,
-        )
-
-    def _adopt(self, stored: _StoredLayer) -> None:
-        """Seed this slot and the cache (tier ``"snapshot"``) with engines
-        over the stored codes, built under the layer's placement now:
-        what compiling holds, with nothing quantized.  The stored
-        fingerprint is trusted unless ``stored.verify``."""
-        self.fingerprint = stored.fingerprint
-        if stored.verify:
-            self.fingerprint = weight_fingerprint(self.weight_fn())
-        if (
-            self.fingerprint != stored.fingerprint
-            or self.predicted_signed not in stored.variants
-        ):
-            raise SnapshotStaleError(
-                f"artifact holds no state programmed from layer "
-                f"{self.layer_id!r}'s weights"
-            )
-        config, shape = self.config_fn(), self.weight_fn().shape
-        for signed, (codes, scale) in stored.variants.items():
-            engine = engine_from_state(
-                self.layer_id,
-                shape,
-                codes,
-                scale,
-                config,
-                self.activation_bits,
-                signed,
-                *self.geometry,
-            )
-            self._engines[(signed, id(config))] = engine
-            self.cache.put(self._key(signed, config), engine)
+    def _key(self, circuit: EngineCircuit):
+        return circuit.engine_key(self.layer_id, self.fingerprint, *self.geometry)
 
     def engine_for(self, signed: bool):
-        signed = bool(signed)
-        config = self.config_fn()
-        key = (signed, id(config))
-        engine = self._engines.get(key)
-        if engine is not None:
-            return engine
-        engine = self._program(signed, config)
-        self._engines[key] = engine
-        return engine
-
-    def _program(self, signed: bool, config: MacroConfig):
-        weight, bits = self.weight_fn(), self.activation_bits
-        if self.kind == "conv":
+        circuit = self.circuits_fn()[bool(signed)]
+        engine = self._engines.get(circuit)
+        if engine is None:
             program = functools.partial(
-                ProgrammedConv, weight, *self.geometry, config, bits, signed
+                program_engine, self.weight(), circuit, *self.geometry
             )
-        else:
-            program = functools.partial(ProgrammedLinear, weight, config, bits, signed)
-        return self.cache.get_or_program(self._key(signed, config), program)
+            engine = self.cache.get_or_program(self._key(circuit), program)
+            self._engines[circuit] = engine
+        return engine
 
     def cache_tier(self) -> str:
         """Provenance of this slot's predicted engine in the shared
         cache — ``"programmed"`` / ``"disk"`` / ``"snapshot"`` — or
         ``"evicted"`` when the LRU dropped it (the slot's own strong
         reference keeps the engine alive regardless)."""
-        config = self.config_fn()
-        if (self.predicted_signed, id(config)) not in self._engines:
+        circuit = self.circuits_fn()[self.predicted_signed]
+        if circuit not in self._engines:
             return "evicted"
-        return self.cache.tier_of(self._key(self.predicted_signed, config)) or "evicted"
+        return self.cache.tier_of(self._key(circuit)) or "evicted"
 
     def refresh(self) -> bool:
         """Re-fingerprint the live weights; True when they changed."""
-        fingerprint = weight_fingerprint(self.weight_fn())
+        fingerprint = weight_fingerprint(self.weight())
         changed = fingerprint != self.fingerprint
         if changed:
             self.fingerprint = fingerprint
@@ -382,8 +347,7 @@ class _ConvStep:
         self._layer = GroupedConv(
             (module.out_channels, module.in_channels // module.groups, kh, kw),
             module.groups,
-            slots[0].stride,
-            slots[0].padding,
+            *slots[0].geometry,
             self._engine_for,
         )
 
@@ -474,7 +438,11 @@ class _PlanBuilder:
     """Walk the module tree once, building the plan DAG, the engine
     slots and the placement report (one row per weight layer, appended
     as it is lowered).  ``stored`` (layer id -> :class:`_StoredLayer`)
-    makes every slot adopt a snapshot's programmed state."""
+    makes every layer adopt a snapshot's programmed state.
+
+    Each placement's circuits — one per input signedness — are derived
+    here, once: every engine this plan programs or restores under a
+    placement holds its one :class:`~repro.runtime.engine.EngineCircuit`."""
 
     def __init__(
         self,
@@ -484,8 +452,20 @@ class _PlanBuilder:
     ):
         self.config = config
         self.configs = {"rom": config.resolved_rom(), "sram": config.resolved_sram()}
+        # One pair per config object: one config serving both memories
+        # is one placement, so freezing a layer keeps its engines.
+        derived: Dict[int, _Circuits] = {}
+        for macro in self.configs.values():
+            if id(macro) not in derived:
+                derived[id(macro)] = tuple(
+                    EngineCircuit(macro, config.activation_bits, signed)
+                    for signed in (False, True)
+                )
+        self.circuits = {
+            memory: derived[id(macro)] for memory, macro in self.configs.items()
+        }
         self.cache = cache
-        self.stored = stored if stored is not None else {}
+        self.stored = stored
         self.nodes: List[_PlanNode] = []
         self.slots: List[_EngineSlot] = []
         self.report = DeploymentReport()
@@ -522,57 +502,110 @@ class _PlanBuilder:
             DeployedLayerInfo(name, kind, "+".join(bits), sum(bits.values()))
         )
 
-    def _place(self, name: str, kind: str, module) -> Callable[[], MacroConfig]:
+    def _place(self, name: str, kind: str, module) -> Callable[[], _Circuits]:
         """Place a plain conv or linear: record its row as placed now and
         return the live choice, evaluated at execution time like the
         seed path, so freezing or unfreezing the layer after compilation
         moves it between macros."""
         self._record(name, kind, {_memory(module): module.weight.size})
-        return lambda: self.configs[_memory(module)]
+        return lambda: self.circuits[_memory(module)]
 
-    def _slot(
+    def _slots(
         self,
-        layer_id: str,
-        kind: str,
-        weight_fn: Callable[[], np.ndarray],
-        config_fn: Callable[[], MacroConfig],
+        name: str,
+        module: nn.Module,
+        circuits_fn: Callable[[], _Circuits],
         signed: bool,
-        *geometry: int,
-    ) -> _EngineSlot:
-        slot = _EngineSlot(
-            layer_id,
-            kind,
-            weight_fn,
-            config_fn,
-            self.config.activation_bits,
-            self.cache,
-            signed,
-            *geometry,
-            stored=self.stored.get(layer_id),
-        )
-        self.slots.append(slot)
-        return slot
+        geometry: Tuple[int, ...] = (),
+        groups: int = 1,
+    ) -> List[_EngineSlot]:
+        """The slots of one layer's channel groups — layer ids
+        ``<name>::g<i>``, or the bare name for one group — programmed,
+        or on a restore adopted together."""
+        if groups == 1:
+            layers = [(name, None)]
+        else:
+            size = module.weight.shape[0] // groups
+            layers = [
+                (f"{name}::g{g}", (g * size, (g + 1) * size)) for g in range(groups)
+            ]
+        slots = [
+            _EngineSlot(
+                layer_id, module, rows, circuits_fn, self.cache, signed, geometry
+            )
+            for layer_id, rows in layers
+        ]
+        self.slots.extend(slots)
+        if self.stored is None:
+            for slot in slots:
+                slot.program()
+        else:
+            self._adopt(slots)
+        return slots
 
-    def _conv(self, name: str, conv: nn.Conv2d, config_fn, x: PlanHandle) -> PlanHandle:
+    def _adopt(self, slots: List[_EngineSlot]) -> None:
+        """Seed one layer's group slots and the cache (tier
+        ``"snapshot"``) with engines over the stored codes, built under
+        the layer's placement now: what compiling holds, with nothing
+        quantized.  The stored fingerprints are trusted unless
+        ``verify``; each signedness' codes are copied off the artifact
+        once for the whole layer, and the cache is seeded in one go."""
+        variants_of = []
+        for slot in slots:
+            stored = self.stored.get(slot.layer_id)
+            if stored is None:
+                raise SnapshotCorruptError(
+                    f"artifact stores programmed state for other weight layers "
+                    f"than its module tree has: none for layer {slot.layer_id!r}"
+                )
+            slot.fingerprint = stored.fingerprint
+            if stored.verify:
+                slot.fingerprint = weight_fingerprint(slot.weight())
+            if (
+                slot.fingerprint != stored.fingerprint
+                or slot.predicted_signed not in stored.variants
+            ):
+                raise SnapshotStaleError(
+                    f"artifact holds no state programmed from layer "
+                    f"{slot.layer_id!r}'s weights"
+                )
+            variants_of.append(stored.variants)
+        first = slots[0]
+        circuits, geometry = first.circuits_fn(), first.geometry
+        shape = first.weight().shape
+        # Per signedness: group index -> engine, the held groups' codes
+        # copied off the artifact together.
+        engines: List[Dict[int, Any]] = [{}, {}]
+        for signed, circuit in enumerate(circuits):
+            held = [g for g, variants in enumerate(variants_of) if signed in variants]
+            if held:
+                built = engines_from_state(
+                    [slots[g].layer_id for g in held],
+                    shape,
+                    [variants_of[g][signed] for g in held],
+                    circuit,
+                    *geometry,
+                )
+                engines[signed] = dict(zip(held, built))
+        # Slot and cache entries in the artifact's order, so a re-save
+        # writes the same bytes.
+        config_keys = [circuit.config_key(*geometry) for circuit in circuits]
+        seeded = []
+        for g, (slot, variants) in enumerate(zip(slots, variants_of)):
+            for signed in variants:
+                engine = slot._engines[circuits[signed]] = engines[signed][g]
+                key = EngineKey(slot.layer_id, slot.fingerprint, config_keys[signed])
+                seeded.append((key, engine))
+        self.cache.seed(seeded)
+
+    def _conv(self, name: str, conv: nn.Conv2d, circuits_fn, x: PlanHandle) -> PlanHandle:
         """One conv step over one engine slot per channel group — layer
         ids ``<name>::g<i>``, or the bare name for a plain convolution."""
         sh, sw = conv.stride
         ph, pw = conv.padding
         if sh != sw or ph != pw:
             raise ValueError("deployment supports square stride/padding only")
-        ocg = conv.out_channels // conv.groups
-        slots = [
-            self._slot(
-                f"{name}::g{g}" if conv.groups > 1 else name,
-                "conv",
-                lambda g=g: conv.weight.data[g * ocg : (g + 1) * ocg],
-                config_fn,
-                x.signed,
-                sh,
-                ph,
-            )
-            for g in range(conv.groups)
-        ]
+        slots = self._slots(name, conv, circuits_fn, x.signed, (sh, ph), conv.groups)
         return self._leaf(_ConvStep(name, slots, conv), name, x, True)
 
     # -- lowering -------------------------------------------------------
@@ -593,8 +626,8 @@ class _PlanBuilder:
                 "rebranch",
                 {"rom": rom_weights, "sram": module.res_conv.weight.size},
             )
-            rom = lambda: self.configs["rom"]  # noqa: E731
-            sram = lambda: self.configs["sram"]  # noqa: E731
+            rom = lambda: self.circuits["rom"]  # noqa: E731
+            sram = lambda: self.circuits["sram"]  # noqa: E731
             trunk = self._conv(f"{name}.trunk", module.trunk, rom, x)
             branch = self._conv(f"{name}.compress", module.compress, rom, x)
             branch = self._conv(f"{name}.res_conv", module.res_conv, sram, branch)
@@ -608,12 +641,8 @@ class _PlanBuilder:
             return self._conv(name, module, self._place(name, "conv", module), x)
 
         if isinstance(module, nn.Linear):
-            slot = self._slot(
-                name,
-                "linear",
-                lambda: module.weight.data,
-                self._place(name, "linear", module),
-                x.signed,
+            (slot,) = self._slots(
+                name, module, self._place(name, "linear", module), x.signed
             )
             return self._leaf(_LinearStep(slot, module), name, x, True)
 
@@ -903,6 +932,10 @@ def _compile_plan(
         builder = _PlanBuilder(config, cache, stored)
         with trace.maybe_span("build_plan", "compile"):
             output = builder.build(model, "", PlanHandle(INPUT, True))
+        # Adopted: the engines own copies of the stored codes, so the
+        # builder, which the placement closures keep alive, drops its
+        # per-group map of them.
+        builder.stored = None
         if compile_span is not None:
             compile_span.set("nodes", len(builder.nodes))
             compile_span.set("weight_layers", len(builder.slots))

@@ -12,11 +12,15 @@ draws) when it does not.  A convolution is programmed as one
 :class:`ProgrammedConv` per channel group (one for a plain conv) and
 executed per layer by :class:`GroupedConv`.
 
-:func:`engine_key` is the one cache key of a programmed engine —
-``(layer id, weight fingerprint, config)`` — under which a compiled
-plan's slots program and share engines across runs, sessions and models
-through an :class:`~repro.runtime.cache.EngineCache`;
-:func:`engine_from_state` is the snapshot restore's, over stored codes.
+An :class:`EngineCircuit` is what every engine programmed under one
+placement and input signedness shares: its run configuration and that
+configuration's arithmetic key, derived once per compile or load.
+:meth:`EngineCircuit.engine_key` is the one cache key of a programmed
+engine — ``(layer id, weight fingerprint, config)`` — under which a
+compiled plan's slots program and share engines across runs, sessions
+and models through an :class:`~repro.runtime.cache.EngineCache`;
+:func:`engines_from_state` is the snapshot restore's, over one layer's
+stored codes.
 """
 
 from __future__ import annotations
@@ -43,19 +47,45 @@ _UNSIGNED_ENGINE_ERROR = (
 )
 
 
-def run_config(
-    config: MacroConfig, activation_bits: int, signed_inputs: bool
-) -> MacroConfig:
-    """The configuration an engine programmed from ``config`` runs under:
-    signed weight codes against ``activation_bits``-wide inputs of the
-    given signedness — what the engine holds and what its key projects,
-    so fields the runtime overrides cannot tell two engines apart."""
-    return replace(
-        config,
-        input_bits=int(activation_bits),
-        signed_weights=True,
-        signed_inputs=bool(signed_inputs),
-    )
+class EngineCircuit:
+    """The circuit engines programmed from ``config`` for
+    ``activation_bits``-wide inputs of one signedness run under, derived
+    once: the run config — signed weight codes against inputs of that
+    width and signedness, so fields the runtime overrides cannot tell
+    two engines apart — and its :func:`~repro.cim.macro.arithmetic_key`.
+    A compiled plan derives one per placement and input signedness, and
+    every engine programmed or restored under them holds that one object
+    (compared by identity)."""
+
+    __slots__ = ("config", "activation_bits", "signed_inputs", "run_config", "key")
+
+    def __init__(self, config: MacroConfig, activation_bits: int, signed_inputs: bool):
+        self.config = config
+        self.activation_bits = int(activation_bits)
+        self.signed_inputs = bool(signed_inputs)
+        # The bit-line model is snapshotted — the only mutable piece of
+        # the config (CellSpec and AdcSpec are frozen) — so later in-place
+        # mutation of the caller's bit line cannot desynchronize the
+        # programmed kernels' tables or keys.
+        self.run_config = replace(
+            config,
+            input_bits=self.activation_bits,
+            signed_weights=True,
+            signed_inputs=self.signed_inputs,
+            bitline=replace(config.bitline),
+        )
+        self.key = arithmetic_key(self.run_config)
+
+    def config_key(self, *geometry: int) -> Tuple:
+        """An :class:`EngineKey`'s ``config_key`` under this circuit: a
+        linear engine's, or a conv one's when ``geometry`` is its
+        ``(stride, padding)``."""
+        return ("conv" if geometry else "linear", self.key, *map(int, geometry))
+
+    def engine_key(self, layer_id: str, fingerprint: str, *geometry: int) -> EngineKey:
+        """The cache key of layer ``layer_id``'s engine programmed from
+        weights with ``fingerprint`` under this circuit."""
+        return EngineKey(layer_id, fingerprint, self.config_key(*geometry))
 
 
 class ProgrammedLinear:
@@ -83,23 +113,31 @@ class ProgrammedLinear:
         signed_inputs: bool = False,
     ):
         config = config if config is not None else MacroConfig()
+        self._program(weight, EngineCircuit(config, activation_bits, signed_inputs))
+
+    @classmethod
+    def program(cls, weight: np.ndarray, circuit: EngineCircuit) -> "ProgrammedLinear":
+        """``weight`` programmed under an already derived ``circuit`` (a
+        compiled plan's placement): the constructor minus the derivation."""
+        linear = cls.__new__(cls)
+        linear._program(weight, circuit)
+        return linear
+
+    def _program(self, weight: np.ndarray, circuit: EngineCircuit) -> None:
         weight = np.asarray(weight, dtype=np.float64)
         if weight.ndim != 2:
             raise ValueError(f"weight must be 2-D (out, in), got {weight.shape}")
-        w_spec = QuantSpec(bits=config.weight_bits, signed=True, per_channel_axis=0)
+        w_spec = QuantSpec(
+            bits=circuit.config.weight_bits, signed=True, per_channel_axis=0
+        )
         w_codes, w_scale = quantize(weight, w_spec)
-        self._adopt(config, activation_bits, signed_inputs, w_scale)
+        self._adopt(circuit, w_scale)
         # The one range scan, narrowing the codes to their storage width.
-        self.engine = CimTiledMatmul(w_codes.T, self.run_config)
+        self.engine = CimTiledMatmul(w_codes.T, circuit.run_config)
 
     @classmethod
     def from_state(
-        cls,
-        config: MacroConfig,
-        activation_bits: int,
-        signed_inputs: bool,
-        w_codes: np.ndarray,
-        w_scale: np.ndarray,
+        cls, circuit: EngineCircuit, w_codes: np.ndarray, w_scale: np.ndarray
     ) -> "ProgrammedLinear":
         """The engine over *trusted* programmed state (a snapshot
         restore): integer ``(out, in)`` codes at the storage width and
@@ -107,24 +145,34 @@ class ProgrammedLinear:
         derives from the codes as it does at programming time.
         """
         linear = cls.__new__(cls)
-        linear._adopt(config, activation_bits, signed_inputs, w_scale)
-        linear.engine = CimTiledMatmul.from_state(w_codes.T, linear.run_config)
+        linear._adopt(circuit, w_scale)
+        linear.engine = CimTiledMatmul.from_state(w_codes.T, circuit.run_config)
         return linear
 
-    def _adopt(self, config, activation_bits, signed_inputs, w_scale) -> None:
-        """Bind the programmed state but the codes, and derive the run
-        configuration the tiled engine holds them under."""
-        self.config = config
-        self.activation_bits = int(activation_bits)
-        self.signed_inputs = bool(signed_inputs)
+    def _adopt(self, circuit: EngineCircuit, w_scale: np.ndarray) -> None:
+        """Bind the programmed state but the codes."""
+        self.circuit = circuit
         self.w_scale = w_scale
-        self.run_config = run_config(config, activation_bits, signed_inputs)
-        # Snapshot the bit-line model — the only mutable piece of the
-        # config (CellSpec and AdcSpec are frozen) — so later in-place
-        # mutation of the caller's bit line cannot desynchronize the
-        # programmed kernel's LUT.
-        self.run_config.bitline = replace(self.run_config.bitline)
         self._fast_kernel: Optional[TiledBitSerialKernel] = None
+
+    @property
+    def config(self) -> MacroConfig:
+        """The macro configuration the engine was programmed from."""
+        return self.circuit.config
+
+    @property
+    def activation_bits(self) -> int:
+        return self.circuit.activation_bits
+
+    @property
+    def signed_inputs(self) -> bool:
+        return self.circuit.signed_inputs
+
+    @property
+    def run_config(self) -> MacroConfig:
+        """The configuration the tiled engine runs under, shared by every
+        engine of its :attr:`circuit`."""
+        return self.circuit.run_config
 
     @property
     def w_codes(self) -> np.ndarray:
@@ -250,16 +298,10 @@ class ProgrammedConv:
         activation_bits: int = 8,
         signed_inputs: bool = False,
     ):
-        weight = np.asarray(weight, dtype=np.float64)
-        if weight.ndim != 4:
-            raise ValueError(f"weight must be 4-D (O, C, kh, kw), got {weight.shape}")
-        linear = ProgrammedLinear(
-            weight.reshape(weight.shape[0], -1),
-            config,
-            activation_bits,
-            signed_inputs,
-        )
-        self._bind(linear, weight.shape, stride, padding)
+        config = config if config is not None else MacroConfig()
+        circuit = EngineCircuit(config, activation_bits, signed_inputs)
+        linear = _program_conv(weight, circuit)
+        self._bind(linear, np.shape(weight), stride, padding)
 
     @classmethod
     def from_state(
@@ -499,6 +541,24 @@ class GroupedConv:
         return out.reshape(n, oc, out_h, out_w), total
 
 
+def _program_conv(weight: np.ndarray, circuit: EngineCircuit) -> ProgrammedLinear:
+    """The im2col engine of a conv ``weight``."""
+    weight = np.asarray(weight, dtype=np.float64)
+    if weight.ndim != 4:
+        raise ValueError(f"weight must be 4-D (O, C, kh, kw), got {weight.shape}")
+    return ProgrammedLinear.program(weight.reshape(weight.shape[0], -1), circuit)
+
+
+def program_engine(weight: np.ndarray, circuit: EngineCircuit, *geometry: int):
+    """The engine of float ``weight`` programmed under ``circuit``: a
+    linear one, or a conv one when ``geometry`` is its ``(stride,
+    padding)``."""
+    if not geometry:
+        return ProgrammedLinear.program(weight, circuit)
+    linear = _program_conv(weight, circuit)
+    return ProgrammedConv.from_state(linear, np.shape(weight), *geometry)
+
+
 def engine_key(
     layer_id: str,
     fingerprint: str,
@@ -508,56 +568,58 @@ def engine_key(
     *geometry: int,
 ) -> EngineKey:
     """The cache key of one programmed engine: a linear one's, or a conv
-    one's when ``geometry`` is its ``(stride, padding)``.  The circuit
-    enters as the :func:`~repro.cim.macro.arithmetic_key` of its
-    :func:`run_config`, which carries the activation width and input
-    signedness."""
-    circuit = arithmetic_key(run_config(config, activation_bits, signed_inputs))
-    return EngineKey(
-        layer_id=layer_id,
-        weight_hash=fingerprint,
-        config_key=("conv" if geometry else "linear", circuit, *map(int, geometry)),
-    )
+    one's when ``geometry`` is its ``(stride, padding)`` — the
+    :meth:`EngineCircuit.engine_key` of the circuit ``config`` derives
+    for that activation width and input signedness."""
+    circuit = EngineCircuit(config, activation_bits, signed_inputs)
+    return circuit.engine_key(layer_id, fingerprint, *geometry)
 
 
-def engine_from_state(
-    layer_id: str,
+def engines_from_state(
+    layer_ids: List[str],
     weight_shape: Tuple[int, ...],
-    codes: np.ndarray,
-    scale: np.ndarray,
-    config: MacroConfig,
-    activation_bits: int,
-    signed_inputs: bool,
+    states: List[Tuple[np.ndarray, np.ndarray]],
+    circuit: EngineCircuit,
     *geometry: int,
-):
-    """The engine of layer ``layer_id`` — linear over ``(out, in)``
-    weights, or conv when ``geometry`` is its ``(stride, padding)`` —
-    over stored codes and scales, once they agree with the layer."""
-    # Copied off the container mapping: a live engine keeps no page of
-    # the artifact file mapped, so overwriting an artifact cannot crash
-    # a server restored from it.  The codes keep their stored width,
-    # which must be the one a compile narrows them to; the scales are
-    # float64, as the writer stores them.
-    codes = np.array(codes)
-    scale = np.array(scale)
+) -> list:
+    """The engines of one layer's groups ``layer_ids`` — linear over
+    ``(out, in)`` weights, or conv when ``geometry`` is its ``(stride,
+    padding)``; ``weight_shape`` is one group's — over their stored
+    ``(codes, scale)`` under ``circuit``, once every group's agree with
+    the layer: a :class:`SnapshotCorruptError` names the first group
+    that does not."""
     rows = (weight_shape[0], math.prod(weight_shape[1:]))
-    if scale.dtype != np.float64:
-        problem = f"{scale.dtype} weight scales, expected float64"
-    elif codes.ndim != 2:
-        problem = f"{codes.ndim}-D weight codes, expected (out, in)"
-    elif scale.size != codes.shape[0]:
-        problem = f"{scale.size} scales for {codes.shape[0]} output channels"
-    elif codes.shape != rows or len(weight_shape) != (4 if geometry else 2):
-        problem = f"{codes.shape} weight codes for weights {tuple(weight_shape)}"
-    else:
-        linear = ProgrammedLinear.from_state(
-            config, activation_bits, signed_inputs, codes, scale
-        )
-        width = linear.run_config.codes_dtype
-        if codes.dtype != width:
+    width = circuit.run_config.codes_dtype
+    scale_shape = states[0][1].shape
+    for layer_id, (codes, scale) in zip(layer_ids, states):
+        # The codes keep their stored width, which must be the one a
+        # compile narrows them to; the scales are float64, as the
+        # writer stores them.
+        if scale.dtype != np.float64:
+            problem = f"{scale.dtype} weight scales, expected float64"
+        elif codes.ndim != 2:
+            problem = f"{codes.ndim}-D weight codes, expected (out, in)"
+        elif scale.size != codes.shape[0]:
+            problem = f"{scale.size} scales for {codes.shape[0]} output channels"
+        elif scale.shape != scale_shape:
+            problem = f"weight scales of shape {scale.shape}, expected {scale_shape}"
+        elif codes.shape != rows or len(weight_shape) != (4 if geometry else 2):
+            problem = f"{codes.shape} weight codes for weights {tuple(weight_shape)}"
+        elif codes.dtype != width:
             problem = f"{codes.dtype} weight codes, expected {width}"
-        elif not geometry:
-            return linear
         else:
-            return ProgrammedConv.from_state(linear, tuple(weight_shape), *geometry)
-    raise SnapshotCorruptError(f"layer {layer_id!r} stores {problem}")
+            continue
+        raise SnapshotCorruptError(f"layer {layer_id!r} stores {problem}")
+    # Copied off the container mapping, one array per layer: a live
+    # engine keeps no page of the artifact file mapped, so overwriting
+    # an artifact cannot crash a server restored from it.
+    codes = np.stack([codes for codes, _ in states])
+    scales = np.stack([scale for _, scale in states])
+    linears = [
+        ProgrammedLinear.from_state(circuit, group_codes, group_scale)
+        for group_codes, group_scale in zip(codes, scales)
+    ]
+    if not geometry:
+        return linears
+    shape = tuple(weight_shape)
+    return [ProgrammedConv.from_state(linear, shape, *geometry) for linear in linears]

@@ -269,7 +269,7 @@ def plan_shards(
         macs = 0.0
         for i in block:
             for slot in _node_slots(nodes[i]):
-                bits += float(slot.weight_fn().size * slot.config_fn().weight_bits)
+                bits += float(slot.weight().size * slot.circuits_fn()[0].config.weight_bits)
             macs += macs_by_layer.get(nodes[i].name, 0.0)
         block_bits.append(bits)
         block_macs.append(macs)

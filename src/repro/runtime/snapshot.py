@@ -91,7 +91,7 @@ from repro.runtime.cache import (
 )
 from repro.runtime.compiled import CompiledModel, RuntimeConfig
 from repro.runtime.compiled import _compile_plan, _StoredLayer
-from repro.runtime.engine import ProgrammedConv, engine_from_state
+from repro.runtime.engine import EngineCircuit, ProgrammedConv, engines_from_state
 from repro.runtime.errors import (
     SnapshotCorruptError,
     SnapshotError,
@@ -725,24 +725,31 @@ class ArtifactStore:
                 else np.empty(0, dtype=np.uint8)
             )
             arrays: Dict[str, np.ndarray] = {}
+            # Parsed once per dtype string: (dtype, item size).
+            dtypes: Dict[str, Tuple[np.dtype, int]] = {}
             # The index must tile the data section as the writer lays it
             # out — each array at the aligned end of the one before, its
             # bytes exactly its shape's — or an edit the checksum cannot
             # see (two swapped offsets) would hand out the wrong bytes.
             end = 0
             for name, entry in header["arrays"].items():
-                start, nbytes = entry["offset"], entry["nbytes"]
-                dtype, shape = np.dtype(entry["dtype"]), tuple(entry["shape"])
+                start, nbytes, shape = entry["offset"], entry["nbytes"], entry["shape"]
+                code = entry["dtype"]
+                parsed = dtypes.get(code)
+                if parsed is None:
+                    dtype = np.dtype(code)
+                    parsed = dtypes[code] = (dtype, dtype.itemsize)
+                dtype, itemsize = parsed
                 aligned = end + (-end) % _ALIGN
-                size = dtype.itemsize * math.prod(shape)
+                size = itemsize * math.prod(shape)
                 if start != aligned or nbytes != size or min(shape, default=0) < 0:
                     raise SnapshotCorruptError(
                         f"artifact {path.name} array {name!r} does not tile the "
                         f"data section: {nbytes} bytes at offset {start}, where "
                         f"the writer puts {dtype} {list(shape)} at {aligned}"
                     )
-                view = blob[start : start + nbytes].view(dtype)
-                arrays[name] = view.reshape(shape)
+                # One constructor call: a view of the mapping.
+                arrays[name] = np.ndarray(shape, dtype, blob, start)
                 end = start + nbytes
             if end != header["data_size"]:
                 raise SnapshotCorruptError(
@@ -822,15 +829,19 @@ class ArtifactStore:
                 f"{meta.get('weight_hash')!r}, requested {key.weight_hash!r}"
             )
         entry = meta["engine"]
-        return engine_from_state(
-            entry["layer_id"],
-            meta["weight_shape"],
-            *_stored_arrays(entry, arrays),
+        circuit = EngineCircuit(
             from_meta(MacroConfig, meta["config"]),
             meta["activation_bits"],
             entry["signed_inputs"],
+        )
+        (engine,) = engines_from_state(
+            [entry["layer_id"]],
+            meta["weight_shape"],
+            [_stored_arrays(entry, arrays)],
+            circuit,
             *meta["geometry"],
         )
+        return engine
 
 
 # ----------------------------------------------------------------------
@@ -879,7 +890,7 @@ def save(
     engines_meta: List[Dict[str, Any]] = []
     fingerprints: Dict[str, str] = {}
     for slot in base._slots:
-        live = weight_fingerprint(slot.weight_fn())
+        live = weight_fingerprint(slot.weight())
         if live != slot.fingerprint:
             raise SnapshotStaleError(
                 f"layer {slot.layer_id!r} weights changed since programming; "
@@ -890,9 +901,9 @@ def save(
         # one a restore derives — the predicted one included even if the
         # slot never ran (engine_for is a no-op when already programmed).
         slot.engine_for(slot.predicted_signed)
-        placed = id(slot.config_fn())
-        for (_, config_id), engine in slot._engines.items():
-            if config_id == placed:
+        placed = slot.circuits_fn()
+        for circuit, engine in slot._engines.items():
+            if circuit in placed:
                 engines_meta.append(
                     _write_state(engine, f"e{len(engines_meta)}", slot.layer_id, arrays)
                 )

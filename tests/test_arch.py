@@ -20,6 +20,7 @@ from repro.arch.mapping import (
     max_activation_bits,
     weight_reload_factor,
 )
+from repro.arch.romchiplet import RomChipletSystem
 
 from .helpers import fig13_reports
 
@@ -233,6 +234,24 @@ class TestChipletSystem:
         assert default.area == explicit.area
         assert default.energy == explicit.energy
         assert default.latency_ns == explicit.latency_ns
+
+
+class TestDieBudget:
+    """One die-budget check for every system: a die with no room for
+    one macro beside its cache and control share is refused."""
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            SramSingleChipSystem(chip_area_mm2=4.0),
+            SramChipletSystem(chiplet_area_mm2=4.0),
+            RomChipletSystem(die_area_mm2=4.0),
+        ],
+        ids=lambda system: system.name,
+    )
+    def test_a_die_without_room_for_a_macro_is_refused(self, vgg_profile, system):
+        with pytest.raises(ValueError, match=r"a 4\.0 mm\^2 die cannot fit one"):
+            system.evaluate(vgg_profile)
 
 
 class TestFig14Shape:

@@ -772,15 +772,15 @@ class TestEngineKeys:
         held = {id(compiled.cache.get(key)): key for key in compiled.cache.keys()}
         assert len(held) == len(compiled.cache.keys())
         for slot in compiled._slots:
-            config = slot.config_fn()
-            engine = slot._engines[(slot.predicted_signed, id(config))]
+            circuit = slot.circuits_fn()[slot.predicted_signed]
+            engine = slot._engines[circuit]
             key = engine_key(
                 slot.layer_id,
                 slot.fingerprint,
-                config,
-                slot.activation_bits,
+                circuit.config,
+                circuit.activation_bits,
                 slot.predicted_signed,
-                *((slot.stride, slot.padding) if slot.kind == "conv" else ()),
+                *slot.geometry,
             )
             assert held[id(engine)] == key
             assert slot.cache_tier() == ("programmed" if leg == "compiled" else "snapshot")
@@ -953,6 +953,191 @@ class TestRestorePath:
         assert entries and all(
             list(entry) == ["tag", "layer_id", "signed_inputs"] for entry in entries
         )
+
+
+def rewrite_artifact(store, key, edit):
+    """Rewrite the artifact under ``key`` after ``edit(meta, arrays)``
+    (a well-formed container whose checksum covers the edited data)."""
+    meta, arrays = store.read_model(key)
+    arrays = {name: np.array(value) for name, value in arrays.items()}
+    edit(meta, arrays)
+    store._write(store.model_path(key), meta, arrays)
+
+
+def depthwise_model(seed=0):
+    """A plain conv, a four-group depthwise conv (layer ids ``2::g0`` ..
+    ``2::g3``) and a linear head."""
+    rng = np.random.default_rng(seed)
+    return nn.Sequential(
+        nn.Conv2d(3, 4, 3, padding=1, rng=rng),
+        nn.ReLU(),
+        nn.Conv2d(4, 4, 3, padding=1, groups=4, rng=rng),
+        nn.ReLU(),
+        nn.GlobalAvgPool2d(),
+        nn.Flatten(),
+        nn.Linear(4, 3, rng=rng),
+    )
+
+
+class TestGroupedRestore:
+    """A load adopts a grouped layer's groups together — one copy of
+    their codes off the mapping, one cache seeding — and still refuses
+    any one group's damaged state with the typed error naming it."""
+
+    GROUP = "2::g1"
+
+    def _saved(self, store):
+        compiled = compile_model(depthwise_model(), RuntimeConfig(), cache=EngineCache())
+        return compiled, save(compiled, store)
+
+    def _tag(self, meta):
+        (entry,) = [e for e in meta["engines"] if e["layer_id"] == self.GROUP]
+        return entry["tag"]
+
+    def test_restored_groups_are_views_of_one_owned_copy(self, store):
+        compiled, key = self._saved(store)
+        loaded = load(store, key, cache=EngineCache())
+        assert {slot.cache_tier() for slot in loaded._slots} == {"snapshot"}
+        owners = set()
+        for slot in loaded._slots:
+            if "::g" not in slot.layer_id:
+                continue
+            codes = slot.engine_for(slot.predicted_signed).linear.w_codes
+            while isinstance(codes.base, np.ndarray):
+                codes = codes.base
+            assert codes.base is None and codes.flags.owndata
+            owners.add(id(codes))
+        assert len(owners) == 1  # four groups, one array
+        x = model_input("conv")
+        expected, expected_stats = compiled.run(x)
+        restored, restored_stats = loaded.run(x)
+        assert restored.tobytes() == expected.tobytes()
+        assert restored_stats == expected_stats
+
+    #: One group's stored state damaged: codes at another width, codes
+    #: one input column short, scales reinterpreted as ``<i8``.
+    _EDITS = {
+        "width": (
+            lambda arrays, tag: arrays.update(
+                {f"{tag}_codes": arrays[f"{tag}_codes"].astype(np.int16)}
+            ),
+            "int16 weight codes, expected int8",
+        ),
+        "shape": (
+            lambda arrays, tag: arrays.update(
+                {f"{tag}_codes": arrays[f"{tag}_codes"][:, :-1]}
+            ),
+            "weight codes for weights",
+        ),
+        "scale-dtype": (
+            lambda arrays, tag: arrays.update(
+                {f"{tag}_scale": arrays[f"{tag}_scale"].view(np.int64)}
+            ),
+            "int64 weight scales, expected float64",
+        ),
+    }
+
+    @pytest.mark.parametrize("verify", [False, True], ids=["load", "verify"])
+    @pytest.mark.parametrize("edit", sorted(_EDITS))
+    def test_one_damaged_group_is_typed(self, store, edit, verify):
+        _, key = self._saved(store)
+        change, problem = self._EDITS[edit]
+        rewrite_artifact(
+            store, key, lambda meta, arrays: change(arrays, self._tag(meta))
+        )
+        with pytest.raises(SnapshotCorruptError, match=f"'{self.GROUP}' stores .*{problem}"):
+            load(store, key, cache=EngineCache(), verify=verify)
+
+    @pytest.mark.parametrize("verify", [False, True], ids=["load", "verify"])
+    def test_one_dropped_group_entry_is_stale(self, store, verify):
+        """As for a plain layer (``test_layer_without_an_entry_is_stale``),
+        an artifact holding no state for one group is stale for it."""
+        _, key = self._saved(store)
+
+        def edit(meta, arrays):
+            meta["engines"] = [e for e in meta["engines"] if e["layer_id"] != self.GROUP]
+
+        rewrite_artifact(store, key, edit)
+        with pytest.raises(SnapshotStaleError, match=f"'{self.GROUP}'"):
+            load(store, key, cache=EngineCache(), verify=verify)
+
+    def test_one_changed_group_weight_is_stale_under_verify(self, store):
+        _, key = self._saved(store)
+
+        def edit(meta, arrays):
+            grouped = meta["module_tree"]["children"][2][1]
+            arrays[grouped["weight"]["array"]][1] += 1.0
+
+        rewrite_artifact(store, key, edit)
+        load(store, key, cache=EngineCache())  # trusted fingerprints
+        with pytest.raises(SnapshotStaleError, match=f"'{self.GROUP}'"):
+            load(store, key, cache=EngineCache(), verify=True)
+
+
+class TestOneRunConfigPerPlacement:
+    """A compile or a load derives each placement's run config once:
+    every engine under one placement and input signedness holds the same
+    object, snapshotted from the caller's config at compile time."""
+
+    @staticmethod
+    def _run_configs(deployed):
+        """``(cell, signed) -> {id(run_config)}`` over every engine."""
+        held = collections.defaultdict(set)
+        for slot in deployed._slots:
+            for engine in slot._engines.values():
+                linear = getattr(engine, "linear", engine)
+                held[linear.config.cell.name, linear.signed_inputs].add(
+                    id(linear.run_config)
+                )
+        return held
+
+    def test_engines_of_one_placement_share_one_run_config(self, store):
+        model = depthwise_model()
+        model[0].weight.requires_grad = False  # ROM; the rest on SRAM
+        x = model_input("conv")
+        compiled, again = (
+            compile_model(model, RuntimeConfig(), cache=EngineCache()) for _ in "ab"
+        )
+        for deployed in (compiled, again):
+            deployed.run(np.abs(x))  # the first layer's unsigned variant too
+        loaded = load(store, save(compiled, store), cache=EngineCache())
+        seen = set()
+        for deployed in (compiled, again, loaded):
+            held = self._run_configs(deployed)
+            assert set(held) >= {
+                (ROM_1T.name, True),
+                (ROM_1T.name, False),
+                (SRAM_CIM_6T.name, False),
+            }
+            assert all(len(ids) == 1 for ids in held.values())
+            ids = set().union(*held.values())
+            assert not ids & seen  # no two deployments share one
+            seen |= ids
+
+    def test_mutating_the_callers_bitline_changes_no_programmed_engine(self):
+        """The bit line is mutated after compile but before the first run
+        builds any kernel: outputs, stats and keys are a pristine
+        compile's."""
+
+        def configs():
+            return RuntimeConfig(
+                rom_config=MacroConfig(cell=ROM_1T, bitline=BitlineModel()),
+                sram_config=MacroConfig(cell=SRAM_CIM_6T, bitline=BitlineModel()),
+            )
+
+        x = model_input("mobilenet")
+        pristine = compile_model(mobilenet_model(), configs(), cache=EngineCache(1024))
+        expected, expected_stats = pristine.run(x, rng=np.random.default_rng(0))
+        config = configs()
+        compiled = compile_model(mobilenet_model(), config, cache=EngineCache(1024))
+        for macro in (config.rom_config, config.sram_config):
+            macro.bitline.saturation = 2.0
+            macro.bitline.max_rows = 8
+        out, stats = compiled.run(x, rng=np.random.default_rng(0))
+        assert out.tobytes() == expected.tobytes()
+        assert stats == expected_stats
+        assert compiled.cache.keys() == pristine.cache.keys()
+        assert {slot.cache_tier() for slot in compiled._slots} == {"programmed"}
 
 
 class TestCliArtifactFailures:
@@ -1228,10 +1413,7 @@ class TestRobustness:
     # restore checks it explicitly (format 4 only noticed through the
     # packed planes' bit count).
     def _rewrite(self, store, key, edit):
-        meta, arrays = store.read_model(key)
-        arrays = {name: np.array(value) for name, value in arrays.items()}
-        edit(meta, arrays)
-        store._write(store.model_path(key), meta, arrays)
+        rewrite_artifact(store, key, edit)
 
     def test_engine_codes_not_2d_are_typed(self, store):
         _, key = self._saved(store)
