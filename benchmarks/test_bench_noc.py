@@ -9,9 +9,12 @@ compute energy under a serpentine layer-to-tile floorplan.
 import numpy as np
 
 from repro import models
-from repro.arch import MeshNocSpec, map_layers_to_tiles, noc_share_of_compute
-from repro.arch.mapping import map_model
-from repro.cim.spec import rom_macro_spec
+from repro.arch import (
+    MeshNocSpec,
+    YolocSystem,
+    map_layers_to_tiles,
+    noc_share_of_compute,
+)
 from repro.experiments.common import format_table
 from repro.experiments.fig14 import BENCHMARKS
 
@@ -21,8 +24,7 @@ def _shares():
     rows = []
     for name, shape in BENCHMARKS:
         profile = models.profile_model(models.build_model(name, rng=rng), shape)
-        mapping = map_model(profile, "yoloc")
-        compute_pj = rom_macro_spec().mac_energy_pj(mapping.total_macs)
+        compute_pj = YolocSystem().evaluate(profile).energy.compute_pj
         report = map_layers_to_tiles(profile, MeshNocSpec(rows=4, cols=4))
         rows.append(
             (

@@ -18,10 +18,13 @@ Run:  python examples/reliability.py
 import numpy as np
 
 from repro import models
-from repro.arch import MeshNocSpec, map_layers_to_tiles, noc_share_of_compute
-from repro.arch.mapping import map_model
+from repro.arch import (
+    MeshNocSpec,
+    YolocSystem,
+    map_layers_to_tiles,
+    noc_share_of_compute,
+)
 from repro.cim import tolerable_cell_sigma, variation_sweep
-from repro.cim.spec import rom_macro_spec
 from repro.experiments.common import format_table
 from repro.experiments.fig14 import BENCHMARKS
 
@@ -52,8 +55,7 @@ def noc() -> None:
     rows = []
     for name, shape in BENCHMARKS:
         profile = models.profile_model(models.build_model(name, rng=rng), shape)
-        mapping = map_model(profile, "yoloc")
-        compute_pj = rom_macro_spec().mac_energy_pj(mapping.total_macs)
+        compute_pj = YolocSystem().evaluate(profile).energy.compute_pj
         report = map_layers_to_tiles(profile, spec)
         rows.append(
             (

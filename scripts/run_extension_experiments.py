@@ -17,13 +17,12 @@ from repro import models
 from repro.arch import (
     MeshNocSpec,
     TrainingCostModel,
+    YolocSystem,
     chiplet_scaling,
     map_layers_to_tiles,
     noc_share_of_compute,
 )
-from repro.arch.mapping import map_model
 from repro.cim import DesignSpaceConfig, explore, tolerable_cell_sigma, variation_sweep
-from repro.cim.spec import rom_macro_spec
 from repro.experiments import (
     cim_accuracy,
     encoding_study,
@@ -135,8 +134,7 @@ def main() -> None:
     spec = MeshNocSpec(rows=4, cols=4)
     for name, shape in BENCHMARKS:
         profile = models.profile_model(models.build_model(name, rng=rng), shape)
-        mapping = map_model(profile, "yoloc")
-        compute_pj = rom_macro_spec().mac_energy_pj(mapping.total_macs)
+        compute_pj = YolocSystem().evaluate(profile).energy.compute_pj
         report = map_layers_to_tiles(profile, spec)
         log(
             f"  {name:9s} traffic={report.total_bits / 1e6:.1f}Mb "

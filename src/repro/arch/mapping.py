@@ -11,9 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.models.profile import LayerProfile, ModelProfile
+
+
+#: One weight matrix a placement programs: ``(memory, rows, cols,
+#: vectors)`` — ``memory`` is ``"rom"`` or ``"sram"``, and ``vectors``
+#: input vectors pass through it per inference.
+Matrix = Tuple[str, int, int, int]
 
 
 @dataclass
@@ -25,11 +31,8 @@ class LayerPlacement:
     rom_bits: int
     #: Weight bits in SRAM-CiM (res-conv or fully-trainable layer).
     sram_bits: int
-    #: MACs executed on ROM arrays per inference.
-    rom_macs: int
-    #: MACs executed on SRAM arrays per inference.
-    sram_macs: int
-    has_branch: bool
+    #: The matrices the layer programs, in execution order.
+    matrices: List[Matrix]
 
 
 @dataclass
@@ -39,6 +42,11 @@ class WeightMapping:
     placements: List[LayerPlacement] = field(default_factory=list)
     weight_bits: int = 8
     activation_bits: int = 8
+
+    @property
+    def matrices(self) -> List[Matrix]:
+        """Every placement's matrices, in layer order."""
+        return [m for p in self.placements for m in p.matrices]
 
     @property
     def rom_weight_bits(self) -> int:
@@ -52,13 +60,18 @@ class WeightMapping:
     def total_weight_bits(self) -> int:
         return self.rom_weight_bits + self.sram_weight_bits
 
+    def _macs(self, memory: str) -> int:
+        return sum(r * c * v for mem, r, c, v in self.matrices if mem == memory)
+
     @property
     def rom_macs(self) -> int:
-        return sum(p.rom_macs for p in self.placements)
+        """MACs executed on ROM arrays per inference."""
+        return self._macs("rom")
 
     @property
     def sram_macs(self) -> int:
-        return sum(p.sram_macs for p in self.placements)
+        """MACs executed on SRAM arrays per inference."""
+        return self._macs("sram")
 
     @property
     def total_macs(self) -> int:
@@ -71,37 +84,35 @@ class WeightMapping:
         return self.sram_weight_bits / total if total else 0.0
 
 
-def _branch_costs(
-    layer: LayerProfile, d: int, u: int
-) -> Tuple[int, int, int, int]:
-    """ReBranch costs for one trunk conv (Fig. 7).
+def _positions(shape: Tuple[int, ...]) -> int:
+    """Vectors per inference of a layer reading or writing ``shape``:
+    one per sample and pixel."""
+    return shape[0] * math.prod(shape[2:])
 
-    Returns ``(rom_extra_params, sram_params, rom_extra_macs, sram_macs)``
-    where the ROM extras are the point-wise compress (N -> N/D) and
-    decompress (M/U -> M) layers and the SRAM part is the res-conv
-    (N/D -> M/U with the trunk's kernel).
-    """
-    rows, cols = layer.matrix_shape  # (Cin*kh*kw, Cout)
-    out_positions = layer.out_shape[2] * layer.out_shape[3]
+
+def _layer_matrices(layer: LayerProfile, memory: str) -> List[Matrix]:
+    """The layer's own weights: one matrix per channel group."""
+    rows, cols = layer.matrix_shape
+    vectors = _positions(layer.out_shape)
+    return [(memory, rows, cols // layer.groups, vectors)] * layer.groups
+
+
+def _branch_matrices(layer: LayerProfile, d: int, u: int) -> List[Matrix]:
+    """The ReBranch matrices beside one trunk conv (Fig. 7): the ROM
+    point-wise compress (N -> N/D) at the input's pixels, the SRAM
+    res-conv (N/D -> M/U with the trunk's kernel) and the ROM
+    point-wise decompress (M/U -> M) at the output's."""
+    rows, out_c = layer.matrix_shape  # (Cin/G*kh*kw, Cout)
     in_c = layer.in_shape[1]
-    out_c = cols
-    kernel_sq = rows // in_c  # kh*kw
-
+    kernel_sq = rows * layer.groups // in_c  # kh*kw
     c_over_d = max(1, in_c // d)
     m_over_u = max(1, out_c // u)
-    in_positions = layer.in_shape[2] * layer.in_shape[3]
-
-    compress_params = in_c * c_over_d
-    decompress_params = m_over_u * out_c
-    resconv_params = c_over_d * m_over_u * kernel_sq
-
-    compress_macs = in_positions * compress_params
-    decompress_macs = out_positions * decompress_params
-    resconv_macs = out_positions * resconv_params
-
-    rom_extra_params = compress_params + decompress_params
-    rom_extra_macs = compress_macs + decompress_macs
-    return rom_extra_params, resconv_params, rom_extra_macs, resconv_macs
+    out_positions = _positions(layer.out_shape)
+    return [
+        ("rom", in_c, c_over_d, _positions(layer.in_shape)),
+        ("sram", c_over_d * kernel_sq, m_over_u, out_positions),
+        ("rom", m_over_u, out_c, out_positions),
+    ]
 
 
 def map_model(
@@ -141,29 +152,20 @@ def map_model(
     mapping = WeightMapping(weight_bits=weight_bits, activation_bits=activation_bits)
     for index, layer in enumerate(weight_layers):
         bits = layer.params * weight_bits
-        is_tail = index >= tail_start
-        if mode == "all_sram" or is_tail:
-            mapping.placements.append(
-                LayerPlacement(layer, 0, bits, 0, layer.macs, has_branch=False)
-            )
-            continue
-        if mode == "all_rom" or layer.kind != "conv":
+        if mode == "all_sram" or index >= tail_start:
+            placement = LayerPlacement(layer, 0, bits, _layer_matrices(layer, "sram"))
+        elif mode == "all_rom" or layer.kind != "conv":
             # Linear mid-layers (VGG hidden FC) are frozen without branch.
-            mapping.placements.append(
-                LayerPlacement(layer, bits, 0, layer.macs, 0, has_branch=False)
+            placement = LayerPlacement(layer, bits, 0, _layer_matrices(layer, "rom"))
+        else:
+            branch = _branch_matrices(layer, d, u)
+            held = {"rom": bits, "sram": 0}
+            for memory, rows, cols, _ in branch:
+                held[memory] += rows * cols * weight_bits
+            placement = LayerPlacement(
+                layer, held["rom"], held["sram"], _layer_matrices(layer, "rom") + branch
             )
-            continue
-        rom_extra_p, sram_p, rom_extra_m, sram_m = _branch_costs(layer, d, u)
-        mapping.placements.append(
-            LayerPlacement(
-                layer,
-                rom_bits=bits + rom_extra_p * weight_bits,
-                sram_bits=sram_p * weight_bits,
-                rom_macs=layer.macs + rom_extra_m,
-                sram_macs=sram_m,
-                has_branch=True,
-            )
-        )
+        mapping.placements.append(placement)
     return mapping
 
 

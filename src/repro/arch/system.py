@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.arch.chiplet import SIMBA_LINK, ChipletLinkSpec
 from repro.arch.mapping import (
@@ -48,8 +48,8 @@ INFERENCES_PER_BOOT = 10_000
 
 
 def macros_for(bits: float, spec: MacroSpec) -> int:
-    """Macros of ``spec`` that hold ``bits`` weight bits (at least one)."""
-    return max(1, math.ceil(bits / spec.capacity_bits))
+    """Macros of ``spec`` that hold ``bits`` weight bits."""
+    return math.ceil(bits / spec.capacity_bits)
 
 
 @dataclass
@@ -61,6 +61,11 @@ class EnergyBreakdown:
     buffer_pj: float = 0.0
     dram_pj: float = 0.0
     interconnect_pj: float = 0.0
+
+    @property
+    def compute_pj(self) -> float:
+        """What the macro passes cost: analog path plus peripherals."""
+        return self.cim_pj + self.peripheral_pj
 
     @property
     def total_pj(self) -> float:
@@ -279,12 +284,14 @@ class YolocSystem(BaseSystem):
         """Activation bits crossing a die boundary per inference."""
         return 0.0
 
-    def evaluate(self, profile: ModelProfile) -> SystemReport:
-        mapping = map_model(
-            profile, "yoloc", d=self.d, u=self.u, weight_bits=self.weight_bits
-        )
-        rom_macros = macros_for(mapping.rom_weight_bits, self.rom_spec)
-        sram_macros = macros_for(mapping.sram_weight_bits, self.sram_spec)
+    def die_layout(
+        self, rom_bits: float, sram_bits: float
+    ) -> Tuple[AreaBreakdown, int]:
+        """Area of the dies holding ``rom_bits`` in ROM-CiM and
+        ``sram_bits`` in SRAM-CiM macros, a cache each and the control
+        share, and how many dies that is."""
+        rom_macros = macros_for(rom_bits, self.rom_spec)
+        sram_macros = macros_for(sram_bits, self.sram_spec)
         macro_area = (
             rom_macros * self.rom_spec.area_mm2 + sram_macros * self.sram_spec.area_mm2
         )
@@ -294,6 +301,15 @@ class YolocSystem(BaseSystem):
             sram_macros,
             n_dies,
             CTRL_AREA_SHARE * (macro_area + n_dies * self.cache.area_mm2),
+        )
+        return area, n_dies
+
+    def evaluate(self, profile: ModelProfile) -> SystemReport:
+        mapping = map_model(
+            profile, "yoloc", d=self.d, u=self.u, weight_bits=self.weight_bits
+        )
+        area, n_dies = self.die_layout(
+            mapping.rom_weight_bits, mapping.sram_weight_bits
         )
 
         crossing = self._crossing_bits(profile, n_dies)
@@ -308,9 +324,13 @@ class YolocSystem(BaseSystem):
             interconnect_pj=self.link.transfer_energy_pj(crossing),
         )
 
+        rom_macros = macros_for(mapping.rom_weight_bits, self.rom_spec)
+        sram_macros = macros_for(mapping.sram_weight_bits, self.sram_spec)
         rom_gops = rom_macros * self.rom_spec.throughput_gops
         sram_gops = sram_macros * self.sram_spec.throughput_gops
-        compute_latency = max(mapping.rom_macs / rom_gops, mapping.sram_macs / sram_gops)
+        # A model whose one weight layer is its SRAM tail has no ROM macro.
+        rom_latency = mapping.rom_macs / rom_gops if rom_macros else 0.0
+        compute_latency = max(rom_latency, mapping.sram_macs / sram_gops)
         return SystemReport(
             system=self.name,
             area=area,

@@ -194,9 +194,9 @@ def macro_pass_stats(
     """Cycle/energy accounting of one bit-serial macro pass.
 
     The single source of the accounting formulas: the reference
-    :meth:`CimMacro.matmul`, the runtime's fast kernels and the Table I
-    pass the system model prices (``MacroSpec.pass_stats``) all build
-    their stats through this function, so they cannot drift apart.
+    :meth:`CimMacro.matmul`, the runtime's fast kernels and the analytic
+    tile passes of ``MacroSpec.matrix_stats`` (Table I's among them) all
+    build their stats through this function, so they cannot drift apart.
     ``counts_total`` is the total ON-cell count over the pass.
 
     The two data-dependent arguments, ``row_activations`` (int) and

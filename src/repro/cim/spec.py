@@ -20,8 +20,8 @@ The derivation follows the paper's accounting:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Tuple
 
 from repro.cim.cells import ROM_1T, SRAM_CIM_6T
 from repro.cim.macro import MacroConfig, MacroStats, macro_pass_stats
@@ -42,6 +42,22 @@ TABLE1_PAPER: Dict[str, float] = {
     "energy_efficiency_tops_w": 11.5,
     "standby_power_w": 0.0,
 }
+
+#: Table I's activities: each input bit drives half the word lines, and
+#: a selected cell is ON with probability 1/4 (random input and weight
+#: bits).
+WL_ACTIVITY = 0.5
+ON_FRACTION = 0.25
+
+
+def _spans(extent: int, tile: int) -> List[Tuple[int, int]]:
+    """``(span, count)`` of the tiles cutting ``extent`` at ``tile``: the
+    full tiles, then the remainder."""
+    full, rest = divmod(extent, tile)
+    spans = [(tile, full)] if full else []
+    if rest:
+        spans.append((rest, 1))
+    return spans
 
 
 @dataclass
@@ -81,23 +97,46 @@ class MacroSpec:
     def density_mb_mm2(self) -> float:
         return self.capacity_bits / 1e6 / self.area_mm2
 
-    # -- one Table I pass ------------------------------------------------
+    # -- pricing ---------------------------------------------------------
+    def matrix_stats(self, rows: int, cols: int, vectors: int) -> MacroStats:
+        """``vectors`` input vectors through a ``rows x cols`` weight
+        matrix, tiled at ``config.rows x config.logical_columns`` as the
+        runtime tiles it, each tile pass priced by
+        :func:`macro_pass_stats` at Table I's activities
+        (:data:`WL_ACTIVITY`, :data:`ON_FRACTION`).
+
+        Latency follows :class:`MacroStats`: the matrix's tiles run side
+        by side, so it is the slowest tile's.
+        """
+        cfg = self.config
+        total = MacroStats()
+        latency = 0.0
+        for r, row_tiles in _spans(rows, cfg.rows):
+            for c, col_tiles in _spans(cols, cfg.logical_columns):
+                tiles = row_tiles * col_tiles
+                # Every count is linear in the vectors: equal tiles price
+                # as one pass over all their vectors.
+                n = tiles * vectors
+                selected = r * cfg.input_bits * n  # (row, input bit) pairs
+                stats = macro_pass_stats(
+                    cfg,
+                    rows_used=r,
+                    cols_used=c,
+                    n_vectors=n,
+                    row_activations=selected * WL_ACTIVITY,
+                    counts_total=c * cfg.weight_bits * selected * ON_FRACTION,
+                )
+                total += stats
+                latency = max(latency, stats.latency_ns / tiles)
+        return replace(total, latency_ns=latency)
+
     @property
     def pass_stats(self) -> MacroStats:
-        """One inference pass, through :func:`macro_pass_stats`: one
-        vector over all ``rows`` rows and the ``n_adcs`` physical columns
-        the ADC bank resolves at once, at Table I's activities — each
-        input bit drives ~50% of the word lines, and a selected cell is
-        ON with probability 0.25 (random input and weight bits)."""
+        """One Table I inference pass: one vector over all ``rows`` rows
+        and the ``n_adcs`` physical columns the ADC bank resolves at
+        once."""
         cfg = self.config
-        return macro_pass_stats(
-            cfg,
-            rows_used=cfg.rows,
-            cols_used=cfg.n_adcs // cfg.weight_bits,
-            n_vectors=1,
-            row_activations=cfg.rows * cfg.input_bits * 0.5,
-            counts_total=cfg.n_adcs * cfg.input_bits * (cfg.rows * 0.25),
-        )
+        return self.matrix_stats(cfg.rows, cfg.n_adcs // cfg.weight_bits, 1)
 
     # -- throughput ------------------------------------------------------
     @property

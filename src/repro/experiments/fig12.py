@@ -25,9 +25,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro import models, viz
-from repro.arch.mapping import map_model
-from repro.arch.memory import SramBufferModel
-from repro.cim.spec import rom_macro_spec, sram_macro_spec
+from repro.arch.mapping import WeightMapping, map_model
+from repro.arch.system import YolocSystem
 from repro.datasets.detection import detection_suite
 from repro.experiments.common import format_table
 from repro.experiments.detection import (
@@ -37,7 +36,7 @@ from repro.experiments.detection import (
     sample_task,
     train_detector,
 )
-from repro.rebranch import MemoryFootprint, apply_rebranch
+from repro.rebranch import apply_rebranch
 from repro.rebranch.options import apply_deep_conv
 
 DETECTION_METHODS = ("sram_cim", "tiny_yolo", "deep_conv", "yoloc")
@@ -113,11 +112,10 @@ class Fig12Result:
         return {row.method: row.total_cm2 for row in self.areas}
 
 
-def _full_size_areas(d: int, u: int) -> List[AreaRow]:
-    """The area half of Fig. 12 from the full-size profiles."""
-    rom = rom_macro_spec()
-    sram = sram_macro_spec()
-    cache = SramBufferModel()
+def area_rows(d: int, u: int) -> List[AreaRow]:
+    """The area half of Fig. 12 from the full-size profiles: each
+    method's weights on one YOLoC die (:meth:`YolocSystem.die_layout`)."""
+    chip = YolocSystem(d=d, u=u)
     rng = np.random.default_rng(0)
     yolo_profile = models.profile_model(
         models.yolo_v2(rng=rng), models.INPUT_SHAPES["yolo"]
@@ -126,25 +124,22 @@ def _full_size_areas(d: int, u: int) -> List[AreaRow]:
         models.tiny_yolo(rng=rng), models.INPUT_SHAPES["tiny_yolo"]
     )
 
-    def row(method: str, rom_bits: int, sram_bits: int) -> AreaRow:
-        footprint = MemoryFootprint(rom_bits, sram_bits, rom, sram)
+    def row(method: str, mapping: WeightMapping) -> AreaRow:
+        area, _ = chip.die_layout(mapping.rom_weight_bits, mapping.sram_weight_bits)
+        macros_and_cache = area.rom_cim_mm2 + area.sram_cim_mm2 + area.buffer_mm2
         return AreaRow(
             method=method,
-            rom_cim_cm2=footprint.rom_area_mm2 / 100,
-            sram_cim_cm2=footprint.sram_area_mm2 / 100,
-            cache_cm2=cache.area_mm2 / 100,
-            peripheral_cm2=0.10 * (footprint.total_area_mm2 + cache.area_mm2) / 100,
+            rom_cim_cm2=area.rom_cim_mm2 / 100,
+            sram_cim_cm2=area.sram_cim_mm2 / 100,
+            cache_cm2=area.buffer_mm2 / 100,
+            peripheral_cm2=(area.total_mm2 - macros_and_cache) / 100,
         )
 
-    all_sram_yolo = map_model(yolo_profile, "all_sram")
-    all_sram_tiny = map_model(tiny_profile, "all_sram")
-    deep_conv = map_model(yolo_profile, "all_rom", trainable_tail_layers=2)
-    yoloc = map_model(yolo_profile, "yoloc", d=d, u=u)
     return [
-        row("sram_cim", 0, all_sram_yolo.total_weight_bits),
-        row("tiny_yolo", 0, all_sram_tiny.total_weight_bits),
-        row("deep_conv", deep_conv.rom_weight_bits, deep_conv.sram_weight_bits),
-        row("yoloc", yoloc.rom_weight_bits, yoloc.sram_weight_bits),
+        row("sram_cim", map_model(yolo_profile, "all_sram")),
+        row("tiny_yolo", map_model(tiny_profile, "all_sram")),
+        row("deep_conv", map_model(yolo_profile, "all_rom", trainable_tail_layers=2)),
+        row("yoloc", map_model(yolo_profile, "yoloc", d=chip.d, u=chip.u)),
     ]
 
 
@@ -152,7 +147,7 @@ def run(config: Optional[Fig12Config] = None) -> Fig12Result:
     config = config if config is not None else fast_config()
     suite = detection_suite(seed=config.seed, image_size=config.image_size)
     result = Fig12Result()
-    result.areas = _full_size_areas(config.d, config.u)
+    result.areas = area_rows(config.d, config.u)
 
     source = suite["source"]
     (src_imgs, src_boxes, src_labels), (src_t_imgs, src_t_boxes, src_t_labels) = (

@@ -37,8 +37,11 @@ class LayerProfile:
     out_shape: Shape
     trainable: bool = True
     #: Weight shape for CiM mapping, (rows, cols) of the unrolled matrix:
-    #: conv -> (Cin*kh*kw, Cout); linear -> (in, out); else None.
+    #: conv -> (Cin/groups*kh*kw, Cout); linear -> (in, out); else None.
     matrix_shape: Optional[Tuple[int, int]] = None
+    #: Channel groups of a conv: ``groups`` matrices of ``(rows,
+    #: cols / groups)`` each.
+    groups: int = 1
 
     @property
     def output_activations(self) -> int:
@@ -148,6 +151,7 @@ def _profile_module(
                 out_shape=out_shape,
                 trainable=_is_trainable(module),
                 matrix_shape=(c_per_group * kh * kw, oc),
+                groups=groups,
             )
         )
         return out_shape

@@ -21,6 +21,10 @@ from repro.arch.mapping import (
     weight_reload_factor,
 )
 from repro.arch.romchiplet import RomChipletSystem
+from repro.cim.macro import MacroStats
+from repro.cim.spec import sram_macro_spec
+from repro.experiments import fig12
+from repro.runtime import EngineCache, RuntimeConfig, compile_model, fold_batchnorm
 
 from .helpers import fig13_reports
 
@@ -254,6 +258,17 @@ class TestDieBudget:
             system.evaluate(vgg_profile)
 
 
+class TestFig12Areas:
+    def test_each_row_is_a_yoloc_die(self, yolo_profile):
+        """Fig. 12's rows lay out dies as the systems do: the YOLoC row
+        is the YOLoC chip, and the all-SRAM rows hold no ROM macro."""
+        rows = {row.method: row for row in fig12.area_rows(4, 4)}
+        chip = YolocSystem().evaluate(yolo_profile).area
+        assert rows["yoloc"].total_cm2 == pytest.approx(chip.total_cm2, rel=1e-12)
+        assert rows["yoloc"].rom_cim_cm2 == chip.rom_cim_mm2 / 100
+        assert rows["sram_cim"].rom_cim_cm2 == rows["tiny_yolo"].rom_cim_cm2 == 0
+
+
 class TestFig14Shape:
     """The headline system-level claims, asserted as orderings."""
 
@@ -278,3 +293,62 @@ class TestFig14Shape:
             reports["sram-chiplet"].area.total_mm2 / reports["yoloc"].area.total_mm2
         )
         assert saving > 5
+
+
+class TestPricedPassesAreTheChips:
+    """``MacroSpec.matrix_stats`` over a profile's matrices counts the
+    passes a compiled model runs: the same tiles at the same geometry,
+    so every count that does not read the data is the run's."""
+
+    #: (model, pixels) at full width.
+    CASES = [("resnet8", 32), ("mobilenet", 32), ("tiny_yolo", 128)]
+
+    @pytest.fixture(scope="class", params=CASES, ids=[name for name, _ in CASES])
+    def case(self, request):
+        name, px = request.param
+        model = models.build_model(name, rng=np.random.default_rng(0))
+        model.eval()
+        fold_batchnorm(model)
+        return compile_model(model, RuntimeConfig(), cache=EngineCache()), px
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_profile_prices_the_run(self, case, batch):
+        compiled, px = case
+        x = np.random.default_rng(1).normal(size=(batch, 3, px, px))
+        _, run = compiled.run(x)
+
+        spec = sram_macro_spec()
+        mapping = map_model(models.profile_model(compiled, x.shape), "all_sram")
+        priced = MacroStats()
+        for _, rows, cols, vectors in mapping.matrices:
+            priced += spec.matrix_stats(rows, cols, vectors)
+        assert (priced.cycles, priced.adc_conversions, priced.macs) == (
+            run.cycles,
+            run.adc_conversions,
+            run.macs,
+        )
+        assert priced.adc_energy_fj == pytest.approx(run.adc_energy_fj, rel=1e-12)
+        assert priced.peripheral_energy_fj == pytest.approx(
+            run.peripheral_energy_fj, rel=1e-12
+        )
+
+    def test_grouped_conv_is_one_matrix_per_group(self):
+        model = models.build_model("mobilenet", rng=np.random.default_rng(0))
+        profile = models.profile_model(model, (1, 3, 32, 32))
+        layer = next(l for l in profile.weight_layers() if l.groups > 1)
+        (placement,) = [
+            p for p in map_model(profile, "all_sram").placements if p.layer is layer
+        ]
+        rows, cols = layer.matrix_shape
+        positions = layer.out_shape[2] * layer.out_shape[3]
+        assert placement.matrices == [
+            ("sram", rows, cols // layer.groups, positions)
+        ] * layer.groups
+        assert sum(r * c * v for _, r, c, v in placement.matrices) == layer.macs
+        # Branched, the depthwise trunk's res-conv keeps its 3x3 kernel.
+        (branched,) = [
+            p for p in map_model(profile, "yoloc").placements if p.layer is layer
+        ]
+        compress, res_conv, _ = branched.matrices[layer.groups :]
+        assert res_conv[:2] == ("sram", compress[2] * 9)
+        assert branched.sram_bits == res_conv[1] * res_conv[2] * 8

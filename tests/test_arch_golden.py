@@ -105,7 +105,7 @@ def _table1() -> Dict[str, object]:
 
 def _fig12() -> Dict[str, object]:
     numbers: Dict[str, object] = {}
-    for row in fig12._full_size_areas(4, 4):
+    for row in fig12.area_rows(4, 4):
         for key in ("rom_cim_cm2", "sram_cim_cm2", "cache_cm2", "peripheral_cm2"):
             numbers[f"{row.method}.{key}"] = getattr(row, key)
     return numbers

@@ -226,24 +226,24 @@ PREPARE = {"plain": _plain, "rebranch": _rebranch, "folded_rebranch": _folded_re
 #: sha256 prefix of every profile row (all fields) and the output shape,
 #: per (zoo model, form) at the model's paper-scale ``INPUT_SHAPES``.
 PROFILE_DIGESTS = {
-    ("mobilenet", "plain"): "c7827da25ae10a51",
-    ("mobilenet", "rebranch"): "4e68b9bfa1922295",
-    ("mobilenet", "folded_rebranch"): "571719416f1d0538",
-    ("resnet18", "plain"): "7b8fea99d6491bc4",
-    ("resnet18", "rebranch"): "9ea11c982176f2ba",
-    ("resnet18", "folded_rebranch"): "79a30a100ff0797d",
-    ("resnet8", "plain"): "807e049c426fbd0f",
-    ("resnet8", "rebranch"): "b7bbb9cd4c384eed",
-    ("resnet8", "folded_rebranch"): "ce33fa7a64947d7e",
-    ("tiny_yolo", "plain"): "2d6c33dfdce49cc8",
-    ("tiny_yolo", "rebranch"): "576bfa012efd3908",
-    ("tiny_yolo", "folded_rebranch"): "29b4445183bbf2bf",
-    ("vgg8", "plain"): "8c0810e96794ba1e",
-    ("vgg8", "rebranch"): "abfc195de43c1b44",
-    ("vgg8", "folded_rebranch"): "518f96254b2e3ed3",
-    ("yolo", "plain"): "e14ffb9d50426070",
-    ("yolo", "rebranch"): "c12bc81dc0c22f69",
-    ("yolo", "folded_rebranch"): "1e15098aa6dfeff0",
+    ("mobilenet", "plain"): "1511094f69a41bd7",
+    ("mobilenet", "rebranch"): "1c84f738ede941a5",
+    ("mobilenet", "folded_rebranch"): "92590080c7647ed5",
+    ("resnet18", "plain"): "03cc770bb2d86116",
+    ("resnet18", "rebranch"): "0fe5c2935ee15555",
+    ("resnet18", "folded_rebranch"): "db2fb70f4aa28e4d",
+    ("resnet8", "plain"): "e79dfb36bb3e8598",
+    ("resnet8", "rebranch"): "0fba9d555b406fb9",
+    ("resnet8", "folded_rebranch"): "678cc0e20a1efd6d",
+    ("tiny_yolo", "plain"): "438bbcd2b2a439c8",
+    ("tiny_yolo", "rebranch"): "079a33981915a13e",
+    ("tiny_yolo", "folded_rebranch"): "4c79dbf0b050f2bc",
+    ("vgg8", "plain"): "c3465ef4a7293239",
+    ("vgg8", "rebranch"): "06e73208a01046fc",
+    ("vgg8", "folded_rebranch"): "d93ec888efd85bb1",
+    ("yolo", "plain"): "02f99e63952596ca",
+    ("yolo", "rebranch"): "9e45377ea931fde2",
+    ("yolo", "folded_rebranch"): "edfe9cee27e3658e",
 }
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro import models
 from repro.arch import (
     MeshNocSpec,
+    YolocSystem,
     map_layers_to_tiles,
     noc_share_of_compute,
 )
@@ -134,11 +135,7 @@ class TestTrafficMapping:
 
     def test_share_of_compute_small(self, vgg_profile):
         """The Fig. 9 simplification: NoC is a few percent of compute."""
-        from repro.arch.mapping import map_model
-        from repro.cim.spec import rom_macro_spec
-
-        mapping = map_model(vgg_profile, "yoloc")
-        compute_pj = rom_macro_spec().mac_energy_pj(mapping.total_macs)
+        compute_pj = YolocSystem().evaluate(vgg_profile).energy.compute_pj
         share = noc_share_of_compute(vgg_profile, compute_pj)
         assert 0 < share < 0.10
 
