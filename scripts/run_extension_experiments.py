@@ -2,34 +2,88 @@
 """Regenerate the extension-study numbers at full budget.
 
 Writes ``results/extension_results.txt`` — the extension studies at
-full budget.  (The numbered
-paper figures regenerate via ``run_full_experiments.py``.)
+full budget, each section the ``repro`` command's own report or the
+study's ``format_report``.  (The numbered paper figures regenerate via
+``run_full_experiments.py``.)
 
 Run:  python scripts/run_extension_experiments.py
 """
 
+import contextlib
+import io
 import pathlib
 import time
 
 import numpy as np
 
-from repro import models
+from repro import cli, models
 from repro.arch import (
     MeshNocSpec,
-    TrainingCostModel,
     YolocSystem,
-    chiplet_scaling,
     map_layers_to_tiles,
     noc_share_of_compute,
 )
-from repro.cim import DesignSpaceConfig, explore, tolerable_cell_sigma, variation_sweep
-from repro.experiments import (
-    cim_accuracy,
-    encoding_study,
-    pipeline_study,
-    related_work_quant,
-)
+from repro.experiments import cim_accuracy, encoding_study
+from repro.experiments.common import format_table
 from repro.experiments.fig14 import BENCHMARKS
+
+
+def cli_report(*argv: str) -> str:
+    """What ``repro <argv>`` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(list(argv))
+    return out.getvalue().rstrip("\n")
+
+
+def noc_report() -> str:
+    """Fig. 9's mesh NoC transport against each benchmark's compute."""
+    spec = MeshNocSpec(rows=4, cols=4)
+    rng = np.random.default_rng(0)
+    rows = []
+    for name, shape in BENCHMARKS:
+        profile = models.profile_model(models.build_model(name, rng=rng), shape)
+        compute_pj = YolocSystem().evaluate(profile).energy.compute_pj
+        report = map_layers_to_tiles(profile, spec)
+        rows.append(
+            (
+                name,
+                report.total_bits / 1e6,
+                report.total_energy_pj / 1e6,
+                100 * noc_share_of_compute(profile, compute_pj),
+            )
+        )
+    return format_table(rows, ["model", "traffic_Mb", "noc_uJ", "share_pct"])
+
+
+def encoding_report() -> str:
+    """The encoding trade-off table, then its pulse-width jitter sweep."""
+    return "\n\n".join(
+        [
+            cli_report("encoding", "--full"),
+            encoding_study.format_jitter(encoding_study.jitter_sweep()),
+        ]
+    )
+
+
+def cim_accuracy_report() -> str:
+    return cim_accuracy.format_report(cim_accuracy.run(cim_accuracy.full_config()))
+
+
+#: ``(title, report)`` of every section, in report order: a ``repro``
+#: command line, or a function returning the report.
+SECTIONS = (
+    ("Ext-1: activation encodings (sec. 3.1)", encoding_report),
+    ("Ext-2: ADC count vs activated rows (sec. 4.3.1)", ("designspace",)),
+    ("Ext-3: ROM-CiM chiplets (sec. 4.3.3)", ("chiplets", "--model", "yolo")),
+    ("Ext-4: ping-pong reload (sec. 4.3.3)", ("pingpong", "--full")),
+    ("Ext-5: on-chip training (sec. 3.3)", ("training",)),
+    ("Ext-6: device variation (sec. 2)", ("variation",)),
+    ("Ext-7: automated D/U search (sec. 3.2)", ("dusearch", "--full")),
+    ("Ext-8: sub-8-bit quantization (sec. 2.3)", ("subbit", "--full")),
+    ("Ext-9: NoC transport (Fig. 9)", noc_report),
+    ("Ext-10: end-to-end CiM accuracy", cim_accuracy_report),
+)
 
 
 def main() -> None:
@@ -43,113 +97,12 @@ def main() -> None:
         print(text, flush=True)
         lines.append(text)
 
-    def header(title: str) -> None:
+    for title, report in SECTIONS:
         log("")
         log("=" * 70)
         log(f"{title}  [t={time.time() - started:.0f}s]")
         log("=" * 70)
-
-    header("Ext-1: activation encodings (sec. 3.1)")
-    enc = encoding_study.run(encoding_study.full_config())
-    for row in enc.rows():
-        log(
-            f"  {row[0]:11s} {row[1]}b cycles={row[2]:3d} conv/col={row[3]} "
-            f"err={row[4]:.3f} fJ/mac={row[5]:.1f} ns/vec={row[6]:.1f}"
-        )
-    for r in encoding_study.jitter_sweep():
-        log(f"  jitter sigma={r['jitter_sigma_slots']:.2f} err={r['rel_error']:.4f}")
-
-    header("Ext-2: ADC count vs activated rows (sec. 4.3.1)")
-    grid = explore(DesignSpaceConfig())
-    for p in grid.points:
-        log(
-            f"  adcs={p.n_adcs:2d} rows={p.activated_rows:3d} err={p.rel_error:.3f} "
-            f"ns={p.latency_ns:.1f} adc_mm2={p.adc_area_mm2 * 1e3:.2f}e-3"
-        )
-    log(f"  pareto frontier: {len(grid.frontier())}/{len(grid.points)}")
-
-    header("Ext-3: ROM-CiM chiplets (sec. 4.3.3)")
-    yolo = models.profile_model(
-        models.build_model("yolo", rng=np.random.default_rng(0)), (1, 3, 416, 416)
-    )
-    for p in chiplet_scaling(yolo, model_name="yolo").points:
-        log(
-            f"  die={p.die_area_mm2:.0f}mm2 rom={p.rom_chips} sram={p.sram_chips} "
-            f"rom_cm2={p.rom_area_cm2:.2f} sram_cm2={p.sram_area_cm2:.2f} "
-            f"E_ratio={p.energy_ratio:.2f}"
-        )
-
-    header("Ext-4: ping-pong reload (sec. 4.3.3)")
-    for row in pipeline_study.run(pipeline_study.full_config()).rows:
-        log(
-            f"  {row['model']:9s} resident={row['resident_fraction']:.2f} "
-            f"relief={row['latency_relief']:.3f} "
-            f"dram_uJ={row['serial_dram_pj'] / 1e6:.0f} (both schedules)"
-        )
-
-    header("Ext-5: on-chip training (sec. 3.3)")
-    cost_model = TrainingCostModel()
-    rng = np.random.default_rng(0)
-    for name, shape in BENCHMARKS:
-        profile = models.profile_model(models.build_model(name, rng=rng), shape)
-        s = cost_model.summary(profile)
-        log(
-            f"  {name:9s} full={s['full_step_uj']:.0f}uJ "
-            f"rebranch={s['rebranch_step_uj']:.0f}uJ saving={s['energy_saving']:.1f}x "
-            f"trainableX={s['trainable_reduction']:.1f}"
-        )
-
-    header("Ext-6: device variation (sec. 2)")
-    for v, r in variation_sweep():
-        log(
-            f"  cell={v.cell_sigma:.2f} offset={v.adc_offset_sigma:.1f} "
-            f"mean={r.mean:.3f} p95={r.p95:.3f}"
-        )
-    log(f"  tolerable cell sigma @5% budget: {tolerable_cell_sigma(0.05):.2f}")
-
-    header("Ext-7: automated D/U search (sec. 3.2)")
-    from repro.experiments import du_search
-
-    search = du_search.run(du_search.full_config())
-    for e in search.evaluations:
-        log(
-            f"  D{e.candidate.d}-U{e.candidate.u} acc={e.accuracy:.3f} "
-            f"sram_mm2={e.sram_area_mm2:.3f} trainable={e.trainable_params}"
-        )
-    log(
-        f"  selected: D={search.selected.candidate.d} "
-        f"U={search.selected.candidate.u} (floor {search.accuracy_floor:.3f})"
-    )
-
-    header("Ext-8: sub-8-bit quantization (sec. 2.3)")
-    quant = related_work_quant.run(related_work_quant.full_config())
-    log(f"  baselines: {quant.baselines}")
-    for row in quant.rows():
-        log(
-            f"  {row[0]:9s} {row[1]:8s} acc={row[2]:.3f} drop={row[3]:+.3f} "
-            f"w_err={row[4]:.3f}"
-        )
-
-    header("Ext-9: NoC transport (Fig. 9)")
-    spec = MeshNocSpec(rows=4, cols=4)
-    for name, shape in BENCHMARKS:
-        profile = models.profile_model(models.build_model(name, rng=rng), shape)
-        compute_pj = YolocSystem().evaluate(profile).energy.compute_pj
-        report = map_layers_to_tiles(profile, spec)
-        log(
-            f"  {name:9s} traffic={report.total_bits / 1e6:.1f}Mb "
-            f"noc={report.total_energy_pj / 1e6:.2f}uJ "
-            f"share={noc_share_of_compute(profile, compute_pj):.4f}"
-        )
-
-    header("Ext-10: end-to-end CiM accuracy")
-    acc = cim_accuracy.run(cim_accuracy.full_config())
-    log(f"  float accuracy: {acc.float_accuracy:.3f}")
-    for row in acc.rows():
-        log(
-            f"  adc={row[0]}b {row[1]:11s} noise={row[2]:.1f} "
-            f"acc={row[3]:.3f} fJ/mac={row[4]:.1f}"
-        )
+        log(report() if callable(report) else cli_report(*report))
 
     log("")
     log(f"total wall time: {time.time() - started:.0f}s")

@@ -1,27 +1,38 @@
 #!/usr/bin/env python
 """Regenerate every paper table/figure at full budget.
 
-Writes a machine-readable summary to ``results/full_results.txt`` —
-the full-budget counterpart of the fast configs the tests exercise.
+Writes the reports to ``results/full_results.txt`` — the full-budget
+counterpart of the fast configs the tests exercise.  Each section is
+the ``repro`` command's own report; the extension studies regenerate
+via ``run_extension_experiments.py``.
 
 Run:  python scripts/run_full_experiments.py
 """
 
-import json
+import contextlib
+import io
 import pathlib
 import time
 
-from repro.experiments import (
-    cim_accuracy,
-    encoding_study,
-    fig6b,
-    fig10,
-    fig11,
-    fig12,
-    fig14,
-    pipeline_study,
-    table1,
+from repro import cli
+
+#: ``(title, repro command line)`` of every section, in report order.
+SECTIONS = (
+    ("Table I", ("table1",)),
+    ("Fig. 14 (system comparison)", ("fig14",)),
+    ("Fig. 6(b) ATL sweep", ("fig6b", "--full")),
+    ("Fig. 10 generalization", ("fig10", "--full")),
+    ("Fig. 11 D/U sweeps", ("fig11", "--full")),
+    ("Fig. 12 detection", ("fig12", "--full")),
 )
+
+
+def cli_report(*argv: str) -> str:
+    """What ``repro <argv>`` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(list(argv))
+    return out.getvalue().rstrip("\n")
 
 
 def main() -> None:
@@ -35,109 +46,12 @@ def main() -> None:
         print(text, flush=True)
         lines.append(text)
 
-    log("=" * 70)
-    log("Table I")
-    log("=" * 70)
-    t1 = table1.run()
-    log(table1.format_report(t1))
-
-    log("")
-    log("=" * 70)
-    log("Fig. 14 (system comparison)")
-    log("=" * 70)
-    r14 = fig14.run(fig14.full_config())
-    log(fig14.format_report(r14))
-    log("YOLoC (yolo) area breakdown: " + json.dumps(
-        {k: round(v, 3) for k, v in r14.yoloc_area_breakdown("yolo").items()}
-    ))
-    for model in ("vgg8", "resnet18", "tiny_yolo", "yolo"):
-        log(f"energy breakdown {model}: " + json.dumps(
-            {k: round(v, 3) for k, v in r14.energy_breakdown(model).items()}
-        ))
-
-    log("")
-    log("=" * 70)
-    log(f"Fig. 6(b) ATL sweep  [t={time.time() - started:.0f}s]")
-    log("=" * 70)
-    r6 = fig6b.run(fig6b.full_config())
-    log(f"source accuracy: {r6.source_accuracy:.3f}")
-    for p in r6.points:
-        log(f"  frozen={p.n_frozen_convs:2d} acc={p.accuracy:.3f} trainable={p.trainable_params}")
-
-    log("")
-    log("=" * 70)
-    log(f"Fig. 10 generalization  [t={time.time() - started:.0f}s]")
-    log("=" * 70)
-    r10 = fig10.run(fig10.full_config())
-    log("source accuracy: " + json.dumps(
-        {k: round(v, 3) for k, v in r10.source_accuracy.items()}
-    ))
-    for row in r10.rows:
-        log(
-            f"  {row.model:9s} {row.target:7s} {row.method:9s} "
-            f"acc={row.accuracy:.3f} norm_area={row.normalized_area:.3f} "
-            f"trainable={row.trainable_params}"
-        )
-
-    log("")
-    log("=" * 70)
-    log(f"Fig. 11 D/U sweeps  [t={time.time() - started:.0f}s]")
-    log("=" * 70)
-    r11 = fig11.run(fig11.full_config())
-    for p in r11.ratio_points:
-        log(f"  ratio {p.model:9s} D{p.d}xU{p.u:2d} (D*U={p.du:2d}) acc={p.accuracy:.3f} "
-            f"norm_area={p.normalized_area:.3f}")
-    for p in r11.split_points:
-        log(f"  split {p.model:9s} D{p.d:2d}-U{p.u:2d} acc={p.accuracy:.3f}")
-
-    log("")
-    log("=" * 70)
-    log(f"Fig. 12 detection  [t={time.time() - started:.0f}s]")
-    log("=" * 70)
-    r12 = fig12.run(fig12.full_config())
-    log("source mAP: " + json.dumps({k: round(v, 3) for k, v in r12.source_map.items()}))
-    for row in r12.rows:
-        log(f"  {row.method:10s} {row.target:10s} mAP={row.map50:.3f} "
-            f"trainable={row.trainable_params}")
-    for area in r12.areas:
-        log(f"  area {area.method:10s} total={area.total_cm2:.2f} cm^2 "
-            f"(rom={area.rom_cim_cm2:.2f}, sram={area.sram_cim_cm2:.2f})")
-
-    log("")
-    log("=" * 70)
-    log(f"Extension: activation encodings (sec. 3.1)  [t={time.time() - started:.0f}s]")
-    log("=" * 70)
-    enc = encoding_study.run(encoding_study.full_config())
-    for row in enc.rows():
-        log(
-            f"  {row[0]:11s} {row[1]}b cycles={row[2]:3d} conv/col={row[3]} "
-            f"err={row[4]:.3f} fJ/mac={row[5]:.1f} ns/vec={row[6]:.1f}"
-        )
-
-    log("")
-    log("=" * 70)
-    log(f"Extension: end-to-end CiM accuracy  [t={time.time() - started:.0f}s]")
-    log("=" * 70)
-    acc = cim_accuracy.run(cim_accuracy.full_config())
-    log(f"  float accuracy: {acc.float_accuracy:.3f}")
-    for row in acc.rows():
-        log(
-            f"  adc={row[0]}b {row[1]:11s} noise={row[2]:.1f} "
-            f"acc={row[3]:.3f} fJ/mac={row[4]:.1f}"
-        )
-
-    log("")
-    log("=" * 70)
-    log(f"Extension: ping-pong reload (sec. 4.3.3)  [t={time.time() - started:.0f}s]")
-    log("=" * 70)
-    pp = pipeline_study.run(pipeline_study.full_config())
-    for row in pp.rows:
-        log(
-            f"  {row['model']:9s} resident={row['resident_fraction']:.2f} "
-            f"serial={row['serial_ns'] / 1e6:.2f}ms "
-            f"pingpong={row['pingpong_ns'] / 1e6:.2f}ms "
-            f"relief={row['latency_relief']:.3f}"
-        )
+    for title, argv in SECTIONS:
+        log("")
+        log("=" * 70)
+        log(f"{title}  [t={time.time() - started:.0f}s]")
+        log("=" * 70)
+        log(cli_report(*argv))
 
     log("")
     log(f"total wall time: {time.time() - started:.0f}s")

@@ -37,7 +37,8 @@ SRAM_MACRO_AREA_SPLIT = {"array": 0.35, "adc": 0.25, "ctrl": 0.15, "rw": 0.25}
 #: pass's share is 0.6475; both systems are charged the one constant.
 CIM_ENERGY_FRACTION = 0.64
 
-#: Share of a die's area spent on control beyond the macros' own.
+#: Control area of a die beyond the macros' own, as a share of what the
+#: die holds (its macros and its cache), added on top of them.
 CTRL_AREA_SHARE = 0.05
 
 #: Energy to write one bit into an SRAM-CiM array during weight reload.
@@ -206,9 +207,10 @@ class BaseSystem:
 
     def _macro_budget_mm2(self, die_area_mm2: float, spec: MacroSpec) -> float:
         """Macro area a die can host beside its cache and control — the
-        one die-budget check of every system: a die with no room there
-        for one ``spec`` macro is refused, not clamped to one."""
-        budget = die_area_mm2 * (1 - CTRL_AREA_SHARE) - self.cache.area_mm2
+        inverse of :meth:`_layout`, and the one die-budget check of every
+        system: a die with no room there for one ``spec`` macro is
+        refused, not clamped to one."""
+        budget = die_area_mm2 / (1 + CTRL_AREA_SHARE) - self.cache.area_mm2
         if budget < spec.area_mm2:
             raise ValueError(
                 f"a {die_area_mm2} mm^2 die cannot fit one {spec.area_mm2:.2f} "
@@ -218,24 +220,33 @@ class BaseSystem:
         return budget
 
     def _macros_in(self, die_area_mm2: float, spec: MacroSpec) -> int:
-        """Macros of ``spec`` that fit a die beside its cache and control."""
-        return int(self._macro_budget_mm2(die_area_mm2, spec) // spec.area_mm2)
+        """Macros of ``spec`` that fit a die beside its cache and control.
 
-    def _layout(
-        self, rom_macros: int, sram_macros: int, n_dies: int, ctrl_extra_mm2: float
-    ) -> AreaBreakdown:
-        """Area of ``n_dies`` dies holding the macros, a cache each, and
-        ``ctrl_extra_mm2`` of control beyond the macros' own."""
+        A die :meth:`_layout` sized for ``n`` macros holds ``n``: the
+        slack absorbs the rounding of the layout's sum and its inverse.
+        """
+        budget = self._macro_budget_mm2(die_area_mm2, spec)
+        return math.floor(budget / spec.area_mm2 + 1e-9)
+
+    def _layout(self, rom_macros: int, sram_macros: int, n_dies: int) -> AreaBreakdown:
+        """Area of ``n_dies`` dies holding the macros and a cache each,
+        plus :data:`CTRL_AREA_SHARE` of that for control — the one die
+        convention, which :meth:`_macro_budget_mm2` inverts."""
         rom = _macro_area_breakdown(rom_macros, self.rom_spec, ROM_MACRO_AREA_SPLIT)
         sram = _macro_area_breakdown(sram_macros, self.sram_spec, SRAM_MACRO_AREA_SPLIT)
+        rom_mm2 = rom_macros * self.rom_spec.area_mm2
+        sram_mm2 = sram_macros * self.sram_spec.area_mm2
+        buffer_mm2 = n_dies * self.cache.area_mm2
         return AreaBreakdown(
             array_mm2=rom["array"] + sram["array"],
             adc_mm2=rom["adc"] + sram["adc"],
             rw_mm2=rom["rw"] + sram["rw"],
-            buffer_mm2=n_dies * self.cache.area_mm2,
-            ctrl_mm2=rom["ctrl"] + sram["ctrl"] + ctrl_extra_mm2,
-            rom_cim_mm2=rom_macros * self.rom_spec.area_mm2,
-            sram_cim_mm2=sram_macros * self.sram_spec.area_mm2,
+            buffer_mm2=buffer_mm2,
+            ctrl_mm2=rom["ctrl"]
+            + sram["ctrl"]
+            + CTRL_AREA_SHARE * (rom_mm2 + sram_mm2 + buffer_mm2),
+            rom_cim_mm2=rom_mm2,
+            sram_cim_mm2=sram_mm2,
         )
 
     def _energy(
@@ -296,13 +307,7 @@ class YolocSystem(BaseSystem):
             rom_macros * self.rom_spec.area_mm2 + sram_macros * self.sram_spec.area_mm2
         )
         n_dies = self._n_dies(macro_area)
-        area = self._layout(
-            rom_macros,
-            sram_macros,
-            n_dies,
-            CTRL_AREA_SHARE * (macro_area + n_dies * self.cache.area_mm2),
-        )
-        return area, n_dies
+        return self._layout(rom_macros, sram_macros, n_dies), n_dies
 
     def evaluate(self, profile: ModelProfile) -> SystemReport:
         mapping = map_model(
@@ -370,8 +375,7 @@ class SramSingleChipSystem(BaseSystem):
         Used by the Fig. 14 protocol: the shared chip is sized so the
         smallest benchmark (VGG-8) fits entirely on chip.
         """
-        macro_area = macros_for(capacity_bits, self.sram_spec) * self.sram_spec.area_mm2
-        return (macro_area + self.cache.area_mm2) / (1 - CTRL_AREA_SHARE)
+        return self._layout(0, macros_for(capacity_bits, self.sram_spec), 1).total_mm2
 
     def evaluate(self, profile: ModelProfile) -> SystemReport:
         chip_area = self.chip_area_mm2
@@ -389,7 +393,7 @@ class SramSingleChipSystem(BaseSystem):
         )
         traffic = missing * reload_factor
 
-        area = self._layout(0, n_macros, 1, chip_area * CTRL_AREA_SHARE)
+        area = self._layout(0, n_macros, 1)
         dram_pj = self.dram.access_energy_pj(traffic) + traffic * SRAM_CIM_WRITE_PJ_PER_BIT
         energy = self._energy(profile, 0, mapping.total_macs, dram_pj=dram_pj)
 
@@ -435,9 +439,7 @@ class SramChipletSystem(BaseSystem):
         capacity_per_chip = macros_per_chip * self.sram_spec.capacity_bits
         n_chips = max(1, math.ceil(mapping.total_weight_bits / capacity_per_chip))
 
-        area = self._layout(
-            0, n_chips * macros_per_chip, n_chips, n_chips * chiplet_area * CTRL_AREA_SHARE
-        )
+        area = self._layout(0, n_chips * macros_per_chip, n_chips)
 
         act_bits = activation_traffic_bits(profile, self.activation_bits)
         crossing = (

@@ -6,8 +6,9 @@ Two halves:
   :meth:`Degradation.apply` makes a degraded *copy* of an engine's run
   configuration (the bit-line comparator noise of
   :meth:`repro.cim.bitline.BitlineModel.observe` raised in quadrature,
-  the ADC wrapped in the count-domain offset/gain error model of
-  :func:`repro.cim.variation.apply_adc_errors`), and
+  the ADC wrapped in :class:`repro.cim.variation.DriftedAdc`, the
+  count-domain offset/gain error model a variation die converts
+  through), and
   :meth:`repro.runtime.engine.ProgrammedLinear.execute` runs the
   **existing** reference macro path over a per-call view of its tiles
   bound to that copy.  The exact LUT kernel is noise-free by
@@ -44,8 +45,7 @@ from repro.chaos.schedule import (
     FaultEvent,
     FaultSchedule,
 )
-from repro.cim.adc import AdcSpec
-from repro.cim.variation import apply_adc_errors
+from repro.cim.variation import DriftedAdc
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ class Degradation:
 
     def apply(self, run_config: Any) -> Any:
         """A degraded copy of ``run_config`` (which is left untouched):
-        the ADC becomes a :class:`_DriftedAdc` and the bit-line noise
-        sigma is raised in quadrature."""
+        the ADC becomes a :class:`~repro.cim.variation.DriftedAdc` and
+        the bit-line noise sigma is raised in quadrature."""
         bitline = run_config.bitline
         if self.noise_sigma_counts > 0.0:
             bitline = replace(
@@ -84,40 +84,9 @@ class Degradation:
             )
         return replace(
             run_config,
-            adc=_DriftedAdc(run_config.adc, self.adc_offset, self.adc_gain),
+            adc=DriftedAdc(run_config.adc, self.adc_offset, self.adc_gain),
             bitline=bitline,
         )
-
-
-class _DriftedAdc:
-    """An ADC spec whose conversions see a count offset and gain error.
-
-    Wraps the engine's real :class:`~repro.cim.adc.AdcSpec`; every
-    attribute (resolution, energy, area) delegates to it, and only the
-    conversion differs: the observed counts are passed through
-    :func:`repro.cim.variation.apply_adc_errors` first — the same
-    gain → offset → rail-clip pipeline the static variation study uses.
-    """
-
-    def __init__(self, adc: Any, offset: float, gain: float):
-        self._adc = adc
-        self._offset = offset
-        self._gain = gain
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._adc, name)
-
-    def convert(self, counts: np.ndarray, max_counts: float) -> Tuple[np.ndarray, float]:
-        counts = apply_adc_errors(
-            counts,
-            gain=self._gain,
-            offset=self._offset,
-            max_counts=float(max_counts),
-        )
-        return self._adc.convert(counts, max_counts)
-
-    #: ``codes * step`` on top of :meth:`convert` — the one definition.
-    quantize_counts = AdcSpec.quantize_counts
 
 
 class ChaosController:

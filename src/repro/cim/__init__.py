@@ -7,6 +7,13 @@ counterparts (Fig. 4) at two levels:
   products through the bitline charge-sharing + shared-ADC path,
   reproducing the arithmetic *including 5-bit ADC quantization error*,
   so network accuracy can be evaluated under CiM non-idealities.
+  :meth:`CimMacro.matmul` is the one analog pass: a static variation
+  die (:func:`perturbed_matmul`) is a view of the macro over its
+  mismatched planes converting through
+  :class:`~repro.cim.variation.DriftedAdc` (the ADC error model the
+  chaos runtime's drift uses too), the pulse encodings sense through
+  the macro's own :class:`BitlineModel`, and the studies score their
+  products with :func:`relative_error`.
 * **Analytic** — :class:`MacroSpec` derives the Table I envelope
   (density, GOPS, GOPS/mm^2, TOPS/W) consumed by the system simulator.
 
@@ -27,7 +34,7 @@ from repro.cim.cells import (
 )
 from repro.cim.adc import AdcSpec
 from repro.cim.bitline import BitlineModel
-from repro.cim.macro import MacroConfig, CimMacro, MacroStats
+from repro.cim.macro import MacroConfig, CimMacro, MacroStats, relative_error
 from repro.cim.designspace import (
     DesignPoint,
     DesignSpaceConfig,
@@ -73,6 +80,7 @@ __all__ = [
     "MacroConfig",
     "CimMacro",
     "MacroStats",
+    "relative_error",
     "DesignPoint",
     "DesignSpaceConfig",
     "DesignSpaceResult",

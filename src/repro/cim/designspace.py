@@ -27,7 +27,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cim.macro import CimMacro, MacroConfig, MacroStats
+from repro.cim.macro import CimMacro, MacroConfig, MacroStats, relative_error
 
 
 def partial_activation_matmul(
@@ -171,19 +171,15 @@ def explore(config: Optional[DesignSpaceConfig] = None) -> DesignSpaceResult:
             macro_config, weights, rng=np.random.default_rng(config.seed + 1)
         )
         exact = macro.exact_matmul(x)
-        scale = float(np.abs(exact).mean())
         for w in config.activated_rows:
             approx, stats = partial_activation_matmul(macro, x, w)
-            rel_error = (
-                float(np.abs(approx - exact).mean() / scale) if scale else 0.0
-            )
             latency = stats.latency_ns / config.n_vectors
             macs_per_vector = stats.macs / config.n_vectors
             result.points.append(
                 DesignPoint(
                     n_adcs=n_adcs,
                     activated_rows=min(w, config.rows),
-                    rel_error=rel_error,
+                    rel_error=relative_error(approx, exact),
                     latency_ns=latency,
                     energy_per_mac_fj=stats.energy_per_mac_fj,
                     adc_area_mm2=n_adcs * macro_config.adc.area_um2 * 1e-6,

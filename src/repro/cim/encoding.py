@@ -40,7 +40,7 @@ exactly the axes of the paper's "different speed-accuracy trade-off".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -238,14 +238,14 @@ def _integrating_matmul(
     # uses — quantize in the product domain with the scaled full scale.
     counts = np.einsum("rn,krc->kcn", drive, macro._weight_planes, optimize=True)
     full_scale = float(macro.rows_used * slots)
-    sigma = cfg.bitline.noise_sigma_counts * noise_growth * slots
-    observed = counts
-    if sigma > 0:
-        observed = observed + rng.normal(0.0, sigma, counts.shape)
-    observed = np.clip(observed, 0.0, full_scale)
-    if cfg.bitline.saturation is not None:
-        observed = np.minimum(observed, cfg.bitline.saturation * full_scale)
-    codes, step = cfg.adc.convert(observed, full_scale)
+    # The macro's own bit line at that full scale, its noise grown by
+    # the encoding and expressed in slot units.
+    line = replace(
+        cfg.bitline,
+        max_rows=full_scale,
+        noise_sigma_counts=cfg.bitline.noise_sigma_counts * noise_growth * slots,
+    )
+    codes, step = cfg.adc.convert(line.observe(counts, rng), full_scale)
     result = step * np.einsum("k,kcn->cn", macro._plane_weights, codes, optimize=True)
 
     stats = _integrating_stats(macro, x, counts, integration_cycles, slots)

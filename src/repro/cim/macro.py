@@ -193,11 +193,17 @@ def macro_pass_stats(
 ) -> MacroStats:
     """Cycle/energy accounting of one bit-serial macro pass.
 
-    The single source of the accounting formulas: the reference
+    The accounting of every bit-serial pass: the reference
     :meth:`CimMacro.matmul`, the runtime's fast kernels and the analytic
     tile passes of ``MacroSpec.matrix_stats`` (Table I's among them) all
     build their stats through this function, so they cannot drift apart.
-    ``counts_total`` is the total ON-cell count over the pass.
+    ``counts_total`` is the total ON-cell count over the pass.  The
+    pulse encodings' integrate-then-read pass is priced apart, by
+    ``repro.cim.encoding._integrating_stats``: it reads each column once
+    after ``integration_cycles`` word-line cycles, and its word-line
+    energy is of ``pulse_units / slots`` while the ``row_activations``
+    it reports is the rounded pulse count, so it is no call of this
+    function.
 
     The two data-dependent arguments, ``row_activations`` (int) and
     ``counts_total`` (float), may also be same-shape arrays — one entry
@@ -304,14 +310,18 @@ class CimMacro:
         macro._programmed = True
         return macro
 
-    def with_config(self, config: MacroConfig) -> "CimMacro":
+    def with_config(
+        self, config: MacroConfig, planes: Optional[np.ndarray] = None
+    ) -> "CimMacro":
         """A view of this macro sensing through ``config``'s circuit:
         same codes and bit planes (materialized once, on this macro),
         different bit-line / ADC parameters.  ``config`` must keep the
-        geometry and bit widths."""
+        geometry and bit widths.  ``planes`` replaces the weight planes
+        the view senses (a die's mismatched cells,
+        :func:`repro.cim.variation.perturbed_matmul`)."""
         view = copy.copy(self)
         view.config = config
-        view._planes = self._weight_planes
+        view._planes = self._weight_planes if planes is None else planes
         return view
 
     def _store(self, weights: np.ndarray) -> None:
@@ -427,3 +437,11 @@ class CimMacro:
         """Ideal integer reference (no ADC/bit-line effects)."""
         weights = np.asarray(self.weights, dtype=np.int64)  # widened from storage
         return weights.T @ np.asarray(x, dtype=np.int64)
+
+
+def relative_error(approx: np.ndarray, exact: np.ndarray) -> float:
+    """The studies' error score of an analog product: mean absolute
+    error over the mean magnitude of ``exact`` (0 when ``exact`` is all
+    zero)."""
+    scale = float(np.abs(exact).mean())
+    return float(np.abs(approx - exact).mean() / scale) if scale else 0.0

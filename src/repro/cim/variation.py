@@ -20,12 +20,13 @@ experiment a silicon team runs across dies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cim.macro import CimMacro, MacroConfig
+from repro.cim.adc import AdcSpec
+from repro.cim.macro import CimMacro, MacroConfig, relative_error
 
 
 @dataclass(frozen=True)
@@ -53,15 +54,47 @@ def apply_adc_errors(
 ) -> np.ndarray:
     """Apply ADC gain/offset errors at the count level, then rail-clip.
 
-    The canonical count-domain error model shared by the static
-    Monte-Carlo (:func:`perturbed_matmul`) and the live ADC-drift path
-    of the chaos runtime: counts are scaled by ``gain``, shifted by
-    ``offset``, and clipped to the physical rail ``[0, max_counts]``
-    before quantization — a discharge count can never be negative nor
-    exceed the rows participating in the pass.
+    The count-domain error model of :class:`DriftedAdc`: counts are
+    scaled by ``gain``, shifted by ``offset``, and clipped to the
+    physical rail ``[0, max_counts]`` before quantization — a discharge
+    count can never be negative nor exceed the rows participating in
+    the pass.
     """
     counts = counts * gain + offset
     return np.clip(counts, 0.0, max_counts)
+
+
+class DriftedAdc:
+    """An ADC spec whose conversions see a count offset and gain error.
+
+    Wraps a real :class:`~repro.cim.adc.AdcSpec`; every attribute
+    (resolution, energy, area) delegates to it, and only the conversion
+    differs: the observed counts pass through :func:`apply_adc_errors`
+    first.  ``offset`` and ``gain`` are scalars (the chaos runtime's live
+    drift, :meth:`repro.chaos.inject.Degradation.apply`) or per-column
+    arrays broadcasting against the counts (a die of
+    :func:`perturbed_matmul`).
+    """
+
+    def __init__(self, adc: AdcSpec, offset, gain):
+        self._adc = adc
+        self._offset = offset
+        self._gain = gain
+
+    def __getattr__(self, name: str):
+        return getattr(self._adc, name)
+
+    def convert(self, counts: np.ndarray, max_counts: float) -> Tuple[np.ndarray, float]:
+        counts = apply_adc_errors(
+            counts,
+            gain=self._gain,
+            offset=self._offset,
+            max_counts=float(max_counts),
+        )
+        return self._adc.convert(counts, max_counts)
+
+    #: ``codes * step`` on top of :meth:`convert` — the one definition.
+    quantize_counts = AdcSpec.quantize_counts
 
 
 def perturbed_matmul(
@@ -74,48 +107,27 @@ def perturbed_matmul(
 
     The mismatch factors are sampled once and applied to every cycle —
     exactly how a fabricated die behaves, unlike the per-observation
-    noise of :class:`~repro.cim.bitline.BitlineModel`.
+    noise of :class:`~repro.cim.bitline.BitlineModel`.  The die is a
+    view of ``macro`` (:meth:`CimMacro.with_config`) over the perturbed
+    weight planes, converting through a :class:`DriftedAdc`; its
+    :meth:`CimMacro.matmul` is the pass, bit line included.
     """
     rng = rng if rng is not None else np.random.default_rng()
-    cfg = macro.config
-    x = np.asarray(x)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
-    if x.shape[0] != macro.rows_used:
-        raise ValueError(
-            f"input has {x.shape[0]} rows, macro is programmed with "
-            f"{macro.rows_used}"
-        )
-
-    from repro.cim.macro import _bit_planes
-
-    in_planes, in_weights = _bit_planes(x, cfg.input_bits, cfg.signed_inputs)
-
-    weight_planes = macro._weight_planes  # (wb, rows, cols)
+    planes = macro._weight_planes  # (wb, rows, cols)
     if variation.cell_sigma > 0:
-        cell_factor = 1.0 + rng.normal(0.0, variation.cell_sigma, weight_planes.shape)
-        weight_planes = weight_planes * cell_factor
-
-    counts = np.einsum("jrn,krc->jkcn", in_planes, weight_planes, optimize=True)
-
+        planes = planes * (1.0 + rng.normal(0.0, variation.cell_sigma, planes.shape))
+    columns = (macro.cols_used, 1)
     gain = 1.0
     if variation.adc_gain_sigma > 0:
-        gain = 1.0 + rng.normal(
-            0.0, variation.adc_gain_sigma, (counts.shape[2], 1)
-        )
+        gain = 1.0 + rng.normal(0.0, variation.adc_gain_sigma, columns)
     offset = 0.0
     if variation.adc_offset_sigma > 0:
-        offset = rng.normal(0.0, variation.adc_offset_sigma, (counts.shape[2], 1))
-    counts = apply_adc_errors(
-        counts, gain=gain, offset=offset, max_counts=float(macro.rows_used)
+        offset = rng.normal(0.0, variation.adc_offset_sigma, columns)
+    cfg = macro.config
+    die = macro.with_config(
+        replace(cfg, adc=DriftedAdc(cfg.adc, offset, gain)), planes=planes
     )
-
-    codes, step = cfg.adc.convert(counts, float(macro.rows_used))
-    result = step * np.einsum(
-        "j,k,jkcn->cn", in_weights, macro._plane_weights, codes, optimize=True
-    )
-    return result[:, 0] if squeeze else result
+    return die.matmul(x, rng=rng)[0]
 
 
 @dataclass
@@ -166,15 +178,13 @@ def monte_carlo(
     x = rng.integers(0, 2**config.input_bits, size=(config.rows, n_vectors))
     macro = CimMacro(config, weights, rng=np.random.default_rng(seed + 1))
     exact = macro.exact_matmul(x)
-    scale = float(np.abs(exact).mean())
 
     result = MonteCarloResult(variation=variation)
     for trial in range(n_trials):
         approx = perturbed_matmul(
             macro, x, variation, rng=np.random.default_rng(seed + 100 + trial)
         )
-        error = float(np.abs(approx - exact).mean() / scale) if scale else 0.0
-        result.rel_errors.append(error)
+        result.rel_errors.append(relative_error(approx, exact))
     return result
 
 

@@ -4,9 +4,13 @@ Every runner exposes ``run(config) -> result`` returning plain dicts /
 dataclasses that print the same rows or series the paper reports, plus a
 ``fast_config()`` (seconds, used by tests and CI benchmarks), a
 ``full_config()`` (minutes, the paper-scale budget used by
-``scripts/run_full_experiments.py``) and a ``format_report(result)``
-— the one place the study's column headers are written, which the CLI,
-the benchmark report tests and the examples all print through.
+``scripts/run_full_experiments.py`` for the paper's figures and
+``scripts/run_extension_experiments.py`` for the extension studies)
+and a ``format_report(result)`` — the one place the study's column
+headers are written, which the CLI, both scripts, the benchmark report
+tests and the examples all print through.  The circuit-level studies
+score an analog product against the exact one with
+:func:`repro.cim.relative_error`.
 
 =============  ====================================================
 module         reproduces

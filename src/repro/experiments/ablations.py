@@ -28,7 +28,13 @@ import numpy as np
 from repro import models
 from repro.arch.packing import compare_packings
 from repro.arch.technology import duty_cycle_energy_ratio
-from repro.cim import AdcSpec, BitlineModel, CimTiledMatmul, MacroConfig
+from repro.cim import (
+    AdcSpec,
+    BitlineModel,
+    CimTiledMatmul,
+    MacroConfig,
+    relative_error,
+)
 from repro.datasets import classification_suite
 from repro.experiments.common import (
     clone_with_new_head,
@@ -60,9 +66,7 @@ def adc_resolution_sweep(
         rows.append(
             {
                 "adc_bits": bits,
-                "rel_error": float(
-                    np.abs(approx - exact).mean() / np.abs(exact).mean()
-                ),
+                "rel_error": relative_error(approx, exact),
                 "energy_per_mac_fj": stats.energy_per_mac_fj,
             }
         )
@@ -89,9 +93,7 @@ def bitline_noise_sweep(
         rows.append(
             {
                 "noise_sigma": sigma,
-                "rel_error": float(
-                    np.abs(approx - exact).mean() / np.abs(exact).mean()
-                ),
+                "rel_error": relative_error(approx, exact),
             }
         )
     return rows

@@ -29,6 +29,7 @@ from repro.cim import (
 )
 from repro.datasets import classification_suite
 from repro.eval.classification import accuracy
+from repro.experiments.common import format_table
 from repro.rebranch import TrainConfig, TransferTrainer
 from repro.runtime import EngineCache, RuntimeConfig, compile_model
 
@@ -177,3 +178,15 @@ def run(config: Optional[CimAccuracyConfig] = None) -> CimAccuracyResult:
                     )
                 )
     return result
+
+
+def format_report(result: CimAccuracyResult) -> str:
+    return "\n".join(
+        [
+            f"float accuracy: {result.float_accuracy:.3f}",
+            format_table(
+                result.rows(),
+                ["adc_bits", "encoding", "noise", "accuracy", "fJ_per_mac"],
+            ),
+        ]
+    )

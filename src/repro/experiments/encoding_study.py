@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cim import AdcSpec, BitlineModel, CimMacro, MacroConfig
+from repro.cim import AdcSpec, BitlineModel, CimMacro, MacroConfig, relative_error
 from repro.cim.encoding import (
     ActivationEncoding,
     BitSerialEncoding,
@@ -119,16 +119,13 @@ def _measure(
     macro = CimMacro(macro_config, weights, rng=np.random.default_rng(config.seed + 1))
 
     approx, stats = encoding.matmul(macro, x)
-    exact = macro.exact_matmul(x)
-    scale = float(np.abs(exact).mean())
-    rel_error = float(np.abs(approx - exact).mean() / scale) if scale else 0.0
     total = stats.total_energy_fj
     return EncodingPoint(
         encoding=encoding.name,
         input_bits=input_bits,
         wl_cycles=encoding.wl_cycles(input_bits),
         conversions_per_column=encoding.conversions_per_column(input_bits),
-        rel_error=rel_error,
+        rel_error=relative_error(approx, macro.exact_matmul(x)),
         energy_per_mac_fj=stats.energy_per_mac_fj,
         adc_energy_share=stats.adc_energy_fj / total if total else 0.0,
         latency_ns=stats.latency_ns / config.n_vectors,

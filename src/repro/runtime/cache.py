@@ -5,7 +5,7 @@ and every later inference streams activations through the same macros.
 The software analogue is this cache: programming an engine (weight
 quantization + bit-plane decomposition + tile placement) happens once
 per distinct ``(layer id, weight fingerprint, configuration)`` key
-(:func:`repro.runtime.engine.engine_key`), and repeated or concurrent
+(:meth:`repro.runtime.engine.EngineCircuit.engine_key`), and repeated or concurrent
 compiles that deploy the same weights share the programmed engines
 instead of rebuilding them per model.
 

@@ -91,9 +91,10 @@ class EngineCircuit:
 class ProgrammedLinear:
     """``y = x @ weight.T`` with the weights programmed into CiM tiles.
 
-    Programming (this constructor) quantizes the float weights with the
-    same per-channel spec the reference path uses and builds the tiled
-    engine once.  :meth:`execute` is the per-batch hot path.
+    Programming (:meth:`program`, through :func:`program_engine`)
+    quantizes the float weights with the same per-channel spec the
+    reference path uses and builds the tiled engine once.
+    :meth:`execute` is the per-batch hot path.
 
     ``signed_inputs`` is fixed at programming time: the macro's input
     bit-plane weights (two's complement MSB) are part of the programmed
@@ -105,25 +106,9 @@ class ProgrammedLinear:
     other one runs the reference macro path.
     """
 
-    def __init__(
-        self,
-        weight: np.ndarray,
-        config: Optional[MacroConfig] = None,
-        activation_bits: int = 8,
-        signed_inputs: bool = False,
-    ):
-        config = config if config is not None else MacroConfig()
-        self._program(weight, EngineCircuit(config, activation_bits, signed_inputs))
-
     @classmethod
     def program(cls, weight: np.ndarray, circuit: EngineCircuit) -> "ProgrammedLinear":
-        """``weight`` programmed under an already derived ``circuit`` (a
-        compiled plan's placement): the constructor minus the derivation."""
-        linear = cls.__new__(cls)
-        linear._program(weight, circuit)
-        return linear
-
-    def _program(self, weight: np.ndarray, circuit: EngineCircuit) -> None:
+        """Float ``(out, in)`` ``weight`` programmed under ``circuit``."""
         weight = np.asarray(weight, dtype=np.float64)
         if weight.ndim != 2:
             raise ValueError(f"weight must be 2-D (out, in), got {weight.shape}")
@@ -131,9 +116,11 @@ class ProgrammedLinear:
             bits=circuit.config.weight_bits, signed=True, per_channel_axis=0
         )
         w_codes, w_scale = quantize(weight, w_spec)
-        self._adopt(circuit, w_scale)
+        linear = cls.__new__(cls)
+        linear._adopt(circuit, w_scale)
         # The one range scan, narrowing the codes to their storage width.
-        self.engine = CimTiledMatmul(w_codes.T, circuit.run_config)
+        linear.engine = CimTiledMatmul(w_codes.T, circuit.run_config)
+        return linear
 
     @classmethod
     def from_state(
@@ -287,21 +274,8 @@ def conv_patches(
 
 
 class ProgrammedConv:
-    """A convolution programmed as an im2col :class:`ProgrammedLinear`."""
-
-    def __init__(
-        self,
-        weight: np.ndarray,
-        stride: int = 1,
-        padding: int = 0,
-        config: Optional[MacroConfig] = None,
-        activation_bits: int = 8,
-        signed_inputs: bool = False,
-    ):
-        config = config if config is not None else MacroConfig()
-        circuit = EngineCircuit(config, activation_bits, signed_inputs)
-        linear = _program_conv(weight, circuit)
-        self._bind(linear, np.shape(weight), stride, padding)
+    """A convolution programmed as an im2col :class:`ProgrammedLinear`
+    (:func:`program_engine` with a ``(stride, padding)`` geometry)."""
 
     @classmethod
     def from_state(
@@ -313,14 +287,11 @@ class ProgrammedConv:
     ) -> "ProgrammedConv":
         """The convolution over an already-programmed im2col engine."""
         conv = cls.__new__(cls)
-        conv._bind(linear, weight_shape, stride, padding)
+        conv.out_channels, conv.in_channels, conv.kh, conv.kw = weight_shape
+        conv.stride = int(stride)
+        conv.padding = int(padding)
+        conv.linear = linear
         return conv
-
-    def _bind(self, linear, weight_shape, stride, padding) -> None:
-        self.out_channels, self.in_channels, self.kh, self.kw = weight_shape
-        self.stride = int(stride)
-        self.padding = int(padding)
-        self.linear = linear
 
     @property
     def n_subarrays(self) -> int:
@@ -557,22 +528,6 @@ def program_engine(weight: np.ndarray, circuit: EngineCircuit, *geometry: int):
         return ProgrammedLinear.program(weight, circuit)
     linear = _program_conv(weight, circuit)
     return ProgrammedConv.from_state(linear, np.shape(weight), *geometry)
-
-
-def engine_key(
-    layer_id: str,
-    fingerprint: str,
-    config: MacroConfig,
-    activation_bits: int,
-    signed_inputs: bool,
-    *geometry: int,
-) -> EngineKey:
-    """The cache key of one programmed engine: a linear one's, or a conv
-    one's when ``geometry`` is its ``(stride, padding)`` — the
-    :meth:`EngineCircuit.engine_key` of the circuit ``config`` derives
-    for that activation width and input signedness."""
-    circuit = EngineCircuit(config, activation_bits, signed_inputs)
-    return circuit.engine_key(layer_id, fingerprint, *geometry)
 
 
 def engines_from_state(

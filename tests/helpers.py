@@ -257,7 +257,7 @@ def layer_pass(
     batch."""
     from repro.cim import MacroConfig
     from repro.runtime.cache import weight_fingerprint
-    from repro.runtime.engine import GroupedConv, ProgrammedConv, engine_key
+    from repro.runtime.engine import EngineCircuit, GroupedConv, program_engine
 
     config = config if config is not None else MacroConfig()
     weight = np.asarray(weight, dtype=np.float64)
@@ -266,15 +266,12 @@ def layer_pass(
     def engine_for(g: int, batch_signed: bool):
         group = weight[g * ocg : (g + 1) * ocg]
         is_signed = batch_signed if signed is None else signed
-        key = engine_key(
-            f"conv::g{g}", weight_fingerprint(group), config, activation_bits,
-            is_signed, stride, padding,
+        circuit = EngineCircuit(config, activation_bits, is_signed)
+        key = circuit.engine_key(
+            f"conv::g{g}", weight_fingerprint(group), stride, padding
         )
         return cache.get_or_program(
-            key,
-            lambda: ProgrammedConv(
-                group, stride, padding, config, activation_bits, is_signed
-            ),
+            key, lambda: program_engine(group, circuit, stride, padding)
         )
 
     return GroupedConv(weight.shape, groups, stride, padding, engine_for)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import models
+from repro import models, nn
 from repro.arch import (
     CACHE_BITS_DEFAULT,
     ChipletLinkSpec,
@@ -21,6 +21,7 @@ from repro.arch.mapping import (
     weight_reload_factor,
 )
 from repro.arch.romchiplet import RomChipletSystem
+from repro.arch.system import macros_for
 from repro.cim.macro import MacroStats
 from repro.cim.spec import sram_macro_spec
 from repro.experiments import fig12
@@ -198,6 +199,28 @@ class TestSramSingleChip:
         area = system.area_for_capacity(50_000_000)
         macros = system._macros_in(area, system.sram_spec)
         assert macros * system.sram_spec.capacity_bits >= 50_000_000 * 0.95
+
+    @pytest.mark.parametrize("bits", [1, 1_000_000, 50_000_000, 300_000_000])
+    def test_a_die_sized_for_n_macros_holds_n(self, bits):
+        system = SramSingleChipSystem()
+        area = system.area_for_capacity(bits)
+        assert system._macros_in(area, system.sram_spec) == macros_for(
+            bits, system.sram_spec
+        )
+
+    def test_iso_area_die_fits_the_yoloc_dies_sram_macros(self):
+        # One weight layer: the YOLoC die holds one SRAM macro, no ROM.
+        model = nn.Sequential(nn.Linear(16, 8, rng=np.random.default_rng(0)))
+        profile = models.profile_model(model, (1, 16))
+        yoloc = YolocSystem().evaluate(profile)
+        assert (yoloc.area.rom_cim_mm2, yoloc.area.sram_cim_mm2) == (
+            0.0,
+            sram_macro_spec().area_mm2,
+        )
+        for system in (SramSingleChipSystem(), SramChipletSystem()):
+            report = system.evaluate(profile)
+            assert report.area.sram_cim_mm2 == yoloc.area.sram_cim_mm2
+            assert report.area.total_mm2 == pytest.approx(yoloc.area.total_mm2)
 
 
 class TestChipletSystem:

@@ -45,7 +45,7 @@ from repro.runtime.backends import (
     get_backend,
     register_backend,
 )
-from repro.runtime.engine import ProgrammedLinear
+from repro.runtime.engine import EngineCircuit, program_engine
 from repro.runtime.snapshot import ArtifactStore, save
 
 RNG = np.random.default_rng(11)
@@ -99,7 +99,7 @@ class TestPopcountBitwise:
     def test_matches_reference_fast(self, signed, n):
         rng = np.random.default_rng(3)
         weight = rng.normal(size=(48, 200))  # multi-tile rows and cols
-        linear = ProgrammedLinear(weight, signed_inputs=signed)
+        linear = program_engine(weight, EngineCircuit(MacroConfig(), 8, signed))
         x = rng.normal(size=(n, 200))
         x = x if signed else np.abs(x)
         out_b, stats_b = linear.execute(x)
@@ -139,7 +139,8 @@ class TestAutotuner:
         the full input range its outputs and ``MacroStats`` are the
         reference kernel's bit for bit."""
         weight = np.random.default_rng(rows + cols).normal(size=(cols, rows))
-        engine = ProgrammedLinear(weight, signed_inputs=signed).engine
+        circuit = EngineCircuit(MacroConfig(), 8, signed)
+        engine = program_engine(weight, circuit).engine
         low, high = engine.config.input_range()
         x = np.random.default_rng([rows, cols, probe_n]).integers(
             low, high + 1, size=(rows, probe_n)
@@ -213,12 +214,14 @@ class TestOneStatsFormula:
 # ----------------------------------------------------------------------
 class TestEngineThreading:
     def test_default_engine_unchanged(self):
-        engine = ProgrammedLinear(RNG.normal(size=(16, 64)))
+        circuit = EngineCircuit(MacroConfig(), 8, False)
+        engine = program_engine(RNG.normal(size=(16, 64)), circuit)
         assert type(engine._kernel) is TiledBitSerialKernel
         assert type(engine._kernel).backend_name == DEFAULT_BACKEND
         # ... and the reference macro path where the fast kernel is not exact.
         noisy = MacroConfig(bitline=BitlineModel(noise_sigma_counts=1.0))
-        assert ProgrammedLinear(RNG.normal(size=(8, 16)), config=noisy)._kernel is None
+        noisy_circuit = EngineCircuit(noisy, 8, False)
+        assert program_engine(RNG.normal(size=(8, 16)), noisy_circuit)._kernel is None
 
     def test_runtime_config_fields_are_pinned(self):
         # An option cannot come back unnoticed.

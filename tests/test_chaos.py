@@ -47,11 +47,11 @@ from repro.chaos import (
     SHARD_DEATH,
     generate_schedule,
 )
-from repro.chaos import inject as chaos_inject
 from repro.chaos import stream as chaos_stream
 from repro.chaos.schedule import ScheduleError
 from repro.cim import AdcSpec, BitlineModel, CimMacro, CimTiledMatmul, MacroConfig
 from repro.cim.macro import _bit_planes
+from repro.cim import variation as cim_variation
 from repro.cim.variation import apply_adc_errors
 from repro.models import mobilenet, resnet8
 from repro.runtime import (
@@ -71,7 +71,7 @@ from repro.runtime import (
     stream_rng,
 )
 from repro.runtime import snapshot as rt_snapshot
-from repro.runtime.engine import ProgrammedLinear
+from repro.runtime.engine import EngineCircuit, program_engine
 from repro.serve import (
     BatchPolicy,
     InferenceServer,
@@ -616,7 +616,9 @@ class TestDriftReachesTheAdc:
 
     def test_degraded_engine_equals_the_reference_macro_path(self):
         rng = np.random.default_rng(1)
-        linear = ProgrammedLinear(rng.normal(size=(48, 200)))  # 2 x 2 tiles
+        linear = program_engine(  # 2 x 2 tiles
+            rng.normal(size=(48, 200)), EngineCircuit(MacroConfig(), 8, False)
+        )
         assert linear._kernel is not None  # clean runs take the fast kernel
         codes = rng.integers(0, 256, size=(200, 7))
         reference = CimTiledMatmul(
@@ -671,7 +673,7 @@ class TestDegradeIsPerRunState:
         compiled, engine, x = rig
         baseline_out, baseline_stats = self.clean(engine, x)
         adc, bitline = engine.run_config.adc, engine.run_config.bitline
-        real = chaos_inject.apply_adc_errors
+        real = cim_variation.apply_adc_errors
         inside = []
 
         def spy(counts, **kwargs):
@@ -680,7 +682,7 @@ class TestDegradeIsPerRunState:
                 inside.append(self.clean(engine, x))
             return real(counts, **kwargs)
 
-        monkeypatch.setattr(chaos_inject, "apply_adc_errors", spy)
+        monkeypatch.setattr(cim_variation, "apply_adc_errors", spy)
         degraded_out, _ = self.degraded(compiled, x)
         during, (out, stats) = inside
         assert not np.array_equal(degraded_out, baseline_out)
@@ -692,7 +694,7 @@ class TestDegradeIsPerRunState:
     def test_concurrent_clean_thread_is_its_baseline(self, rig, monkeypatch):
         compiled, engine, x = rig
         baseline_out, baseline_stats = self.clean(engine, x)
-        real = chaos_inject.apply_adc_errors
+        real = cim_variation.apply_adc_errors
         mid_matmul, clean_done = threading.Event(), threading.Event()
         results = {}
 
@@ -713,7 +715,7 @@ class TestDegradeIsPerRunState:
         def degraded_worker():
             results["degraded"] = self.degraded(compiled, x)
 
-        monkeypatch.setattr(chaos_inject, "apply_adc_errors", spy)
+        monkeypatch.setattr(cim_variation, "apply_adc_errors", spy)
         threads = [
             threading.Thread(target=degraded_worker, daemon=True),
             threading.Thread(target=clean_worker, daemon=True),

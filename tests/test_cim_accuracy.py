@@ -83,3 +83,11 @@ class TestExperiment:
     def test_missing_point_raises(self, result):
         with pytest.raises(KeyError):
             result.at(3, "bit-serial")
+
+    def test_report_lists_every_point(self, result):
+        lines = cim_accuracy.format_report(result).splitlines()
+        assert lines[0] == f"float accuracy: {result.float_accuracy:.3f}"
+        assert lines[1].split() == [
+            "adc_bits", "encoding", "noise", "accuracy", "fJ_per_mac"
+        ]
+        assert len(lines) == 3 + len(result.points)

@@ -17,7 +17,7 @@ from repro.cim import (
 from repro.experiments import encoding_study
 from repro.runtime import EngineCache
 from repro.runtime.cache import weight_fingerprint
-from repro.runtime.engine import ProgrammedLinear, engine_key
+from repro.runtime.engine import EngineCircuit, program_engine
 
 from .helpers import compiled_layer
 
@@ -304,9 +304,8 @@ class TestTiledEncodingIntegration:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 32))  # signed activations
         w = rng.normal(size=(4, 32))
-        key = engine_key("fc", weight_fingerprint(w), MacroConfig(), 8, True)
-        engine = EngineCache().get_or_program(
-            key, lambda: ProgrammedLinear(w, signed_inputs=True)
-        )
+        circuit = EngineCircuit(MacroConfig(), 8, True)
+        key = circuit.engine_key("fc", weight_fingerprint(w))
+        engine = EngineCache().get_or_program(key, lambda: program_engine(w, circuit))
         with pytest.raises(ValueError, match="unsigned"):
             engine.execute(x, encoding=UnaryPulseEncoding())

@@ -58,7 +58,7 @@ from repro.runtime import (
 
 from repro.runtime.backends import available_backends, get_backend, reference_fast
 from repro.runtime.cache import weight_fingerprint
-from repro.runtime.engine import ProgrammedConv, ProgrammedLinear, engine_key
+from repro.runtime.engine import EngineCircuit, program_engine
 
 from .helpers import DEADLINE, compiled_layer
 
@@ -813,7 +813,7 @@ class TestExactnessBound:
             TiledBitSerialKernel(CimTiledMatmul(np.zeros((3, 2), dtype=int), config))
         rng = np.random.default_rng(3)
         weight, x = rng.normal(size=(4, 12)), np.abs(rng.normal(size=(2, 12)))
-        linear = ProgrammedLinear(weight, config)
+        linear = program_engine(weight, EngineCircuit(config, 8, False))
         assert linear._kernel is None
         out, stats = linear.execute(x)
         ref, ref_stats = reference_cim_linear(x, weight, config)
@@ -830,7 +830,7 @@ class TestExactnessBound:
         # ... and an engine then takes the reference macro path.
         rng = np.random.default_rng(3)
         weight, x = rng.normal(size=(4, 12)), np.abs(rng.normal(size=(2, 12)))
-        linear = ProgrammedLinear(weight, config, activation_bits=24)
+        linear = program_engine(weight, EngineCircuit(config, 24, False))
         assert linear._kernel is None
         out, stats = linear.execute(x)
         ref, ref_stats = reference_cim_linear(x, weight, config, activation_bits=24)
@@ -969,7 +969,9 @@ class TestFunctionalShims:
         x = rng.normal(size=(2, 3, 7, 7))
         x = x if signed else np.abs(x)
         w = rng.normal(size=(5, 3, 3, 3))
-        engine = ProgrammedConv(w, config=config, signed_inputs=signed, **conv)
+        engine = program_engine(
+            w, EngineCircuit(config, 8, signed), conv["stride"], conv["padding"]
+        )
         y_ref, s_ref = reference_cim_conv2d(
             x, w, config=config, rng=np.random.default_rng(3), **conv
         )
@@ -981,11 +983,12 @@ class TestFunctionalShims:
     def test_unsigned_programmed_conv_rejects_negative_inputs(self):
         w = RNG.normal(size=(4, 2, 3, 3))
         x = RNG.normal(size=(1, 2, 5, 5))
-        linear = ProgrammedLinear(w.reshape(4, -1), signed_inputs=False)
+        unsigned = EngineCircuit(MacroConfig(), 8, False)
+        linear = program_engine(w.reshape(4, -1), unsigned)
         with pytest.raises(ValueError) as expected:
             linear.execute(-np.ones((1, 18)))
         with pytest.raises(ValueError) as raised:
-            ProgrammedConv(w, padding=1, signed_inputs=False).execute(x)
+            program_engine(w, unsigned, 1, 1).execute(x)
         assert str(raised.value) == str(expected.value)
 
     def test_repeated_call_hits_cache(self):
@@ -1058,10 +1061,9 @@ class TestFunctionalShims:
 
     def test_unsigned_engine_rejects_negative_inputs(self):
         w = RNG.normal(size=(8, 20))
-        key = engine_key("fc", weight_fingerprint(w), MacroConfig(), 8, False)
-        engine = EngineCache().get_or_program(
-            key, lambda: ProgrammedLinear(w, signed_inputs=False)
-        )
+        circuit = EngineCircuit(MacroConfig(), 8, False)
+        key = circuit.engine_key("fc", weight_fingerprint(w))
+        engine = EngineCache().get_or_program(key, lambda: program_engine(w, circuit))
         with pytest.raises(ValueError, match="unsigned"):
             engine.execute(RNG.normal(size=(4, 20)))
 

@@ -59,7 +59,7 @@ from repro.runtime import cache as cache_mod
 from repro.runtime import compiled as compiled_mod
 from repro.runtime import engine as engine_mod
 from repro.runtime import snapshot as snapshot_mod
-from repro.runtime.engine import engine_key
+from repro.runtime.engine import EngineCircuit
 from repro.runtime.backends import reference_fast
 from repro.runtime.backends.reference_fast import TiledBitSerialKernel
 from repro.runtime.sharded import ShardSegment
@@ -737,16 +737,18 @@ class TestGoldenFormat:
         cache = EngineCache()
         fc = np.arange(12.0).reshape(3, 4) / 10
         rom = MacroConfig(cell=ROM_1T)
+        fc_circuit = EngineCircuit(rom, 8, True)
         cache.get_or_program(
-            engine_key("fc", cache_mod.weight_fingerprint(fc), rom, 8, True),
-            lambda: engine_mod.ProgrammedLinear(fc, rom, 8, True),
+            fc_circuit.engine_key("fc", cache_mod.weight_fingerprint(fc)),
+            lambda: engine_mod.program_engine(fc, fc_circuit),
         )
         stem = np.arange(54.0).reshape(2, 3, 3, 3) / 10
-        key = engine_key(
-            "stem::g0", cache_mod.weight_fingerprint(stem), MacroConfig(), 4, False, 2, 1
+        stem_circuit = EngineCircuit(MacroConfig(), 4, False)
+        key = stem_circuit.engine_key(
+            "stem::g0", cache_mod.weight_fingerprint(stem), 2, 1
         )
         cache.get_or_program(
-            key, lambda: engine_mod.ProgrammedConv(stem, 2, 1, MacroConfig(), 4, False)
+            key, lambda: engine_mod.program_engine(stem, stem_circuit, 2, 1)
         )
         assert [store.engine_path(key).name for key in cache.keys()] == [
             "b5fb664e0e4943648e68b19b9b03e380420c4f7011445f9dd1dc98439c72aa81.rcma",
@@ -774,14 +776,9 @@ class TestEngineKeys:
         for slot in compiled._slots:
             circuit = slot.circuits_fn()[slot.predicted_signed]
             engine = slot._engines[circuit]
-            key = engine_key(
-                slot.layer_id,
-                slot.fingerprint,
-                circuit.config,
-                circuit.activation_bits,
-                slot.predicted_signed,
-                *slot.geometry,
-            )
+            key = EngineCircuit(
+                circuit.config, circuit.activation_bits, slot.predicted_signed
+            ).engine_key(slot.layer_id, slot.fingerprint, *slot.geometry)
             assert held[id(engine)] == key
             assert slot.cache_tier() == ("programmed" if leg == "compiled" else "snapshot")
 

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cim import (
+    BitlineModel,
     CimMacro,
     MacroConfig,
     MonteCarloResult,
     VariationModel,
     monte_carlo,
     perturbed_matmul,
+    relative_error,
     tolerable_cell_sigma,
     variation_sweep,
 )
@@ -35,7 +37,16 @@ class TestPerturbedMatmul:
         x = RNG.integers(0, 256, size=(128, 3))
         out = perturbed_matmul(macro, x, VariationModel(), rng=np.random.default_rng(0))
         plain, _ = macro.matmul(x)
-        np.testing.assert_allclose(out, plain)
+        assert out.tobytes() == plain.tobytes()
+
+    def test_ideal_die_senses_through_the_macros_bit_line(self):
+        macro = self._macro(bitline=BitlineModel(saturation=0.3))
+        x = RNG.integers(0, 256, size=(128, 3))
+        out = perturbed_matmul(macro, x, VariationModel(), rng=np.random.default_rng(0))
+        plain, _ = macro.matmul(x)
+        assert out.tobytes() == plain.tobytes()
+        linear = macro.with_config(MacroConfig()).matmul(x)[0]
+        assert not np.array_equal(out, linear)  # the line does saturate
 
     def test_cell_mismatch_changes_result(self):
         macro = self._macro()
@@ -64,6 +75,15 @@ class TestPerturbedMatmul:
         x = RNG.integers(0, 256, size=128)
         out = perturbed_matmul(macro, x, VariationModel(cell_sigma=0.05))
         assert out.shape == (8,)
+
+
+class TestRelativeError:
+    def test_mean_abs_error_over_mean_magnitude(self):
+        exact = np.array([[4, -4], [2, 6]])
+        assert relative_error(exact + np.array([[1, 0], [0, -1]]), exact) == 0.125
+
+    def test_all_zero_exact_scores_zero(self):
+        assert relative_error(np.ones((2, 3)), np.zeros((2, 3))) == 0.0
 
 
 class TestMonteCarlo:
