@@ -1,12 +1,12 @@
 """Benchmark-suite configuration.
 
-Each ``test_bench_*`` module regenerates one table or figure of the
-paper (the index is in ``src/repro/experiments/__init__.py``).  The
-pytest-benchmark fixture
-times the regeneration; the assertions check the reproduced *shape*
-(orderings and factor magnitudes), and the printed reports show the
-actual rows — run with ``pytest benchmarks/ --benchmark-only -s`` to see
-them.
+Each ``test_bench_*`` module checks one extension study or runtime
+contract (the index is in ``src/repro/experiments/__init__.py``); a
+test that times a real call does it through the pytest-benchmark
+fixture.  The paper's tables and figures, and which of their claims a
+run reproduces, print with ``repro <study>`` (``repro table1``,
+``repro fig14``, ``repro fig10 --full`` …); their claims are asserted
+once, in ``tests/test_experiments.py``.
 """
 
 import dataclasses

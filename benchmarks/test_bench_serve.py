@@ -187,8 +187,7 @@ def test_bench_serve_runs(benchmark):
     assert all(r.ok for r in results)
 
 
-def test_bench_serve_report(benchmark, result):
-    benchmark(lambda: None)
+def test_bench_serve_report(result):
     print()
     print(format_table(result.rows(), ["regime", "ms", "req_per_s", "vs_direct"]))
     print(f"batch-size histogram: {dict(sorted(result.batch_size_hist.items()))}")
@@ -198,9 +197,8 @@ def test_bench_serve_report(benchmark, result):
     )
 
 
-def test_bench_serve_bitwise_identical(benchmark, result):
+def test_bench_serve_bitwise_identical(result):
     """Executed batches replay bitwise through the reference oracle."""
-    benchmark(lambda: None)
     assert result.bitwise_identical, "server batch outputs diverged from reference"
     assert result.results_match_batches, "per-request slices diverged from batches"
     assert sum(result.batch_size_hist.values()) >= N_REQUESTS / MAX_BATCH
@@ -208,7 +206,7 @@ def test_bench_serve_bitwise_identical(benchmark, result):
     assert max(result.batch_size_hist) > 1, "no coalescing happened"
 
 
-def test_bench_serve_dynamic_batching_speedup(benchmark, result):
+def test_bench_serve_dynamic_batching_speedup(result):
     """Dynamic batching executes N queued requests in far fewer batches.
 
     The ">= 3x over batch=1 serving" bar compared two host makespans
@@ -218,7 +216,6 @@ def test_bench_serve_dynamic_batching_speedup(benchmark, result):
     full, so one worker drains it in ``ceil(N / max_batch_size)``
     batches — strictly fewer than N, none above the budget.
     """
-    benchmark(lambda: None)
     assert result.batch1_batches == N_REQUESTS
     hist = result.batch_size_hist
     assert sum(size * count for size, count in hist.items()) == N_REQUESTS

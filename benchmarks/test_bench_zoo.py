@@ -109,8 +109,7 @@ def result():
     return ZooServingResult()
 
 
-def test_bench_zoo_report(benchmark, result):
-    benchmark(lambda: None)
+def test_bench_zoo_report(result):
     print()
     print(
         f"resnet8 ({result.compiled.n_weight_layers} weight layers, "
@@ -129,15 +128,14 @@ def test_bench_zoo_report(benchmark, result):
     )
 
 
-def test_bench_zoo_bitwise_identical(benchmark, result):
-    benchmark(lambda: None)
+def test_bench_zoo_bitwise_identical(result):
     assert result.per_call_bitwise, "per-call outputs diverged from reference"
     assert result.coalesced_bitwise, (
         "coalesced batch diverged from the oracle over the coalesced inputs"
     )
 
 
-def test_bench_zoo_serving_speedup(benchmark, result, steady_state_counts):
+def test_bench_zoo_serving_speedup(result, steady_state_counts):
     """Coalesced zoo serving composes compile-once and batching.
 
     The ">= 5x over the seed per-call path" bar compared host wall
@@ -146,7 +144,6 @@ def test_bench_zoo_serving_speedup(benchmark, result, steady_state_counts):
     execute every layer once, where the seed path quantises every
     layer's weights and activations once per request.
     """
-    benchmark(lambda: None)
     assert result.coalesced_bitwise
     per_call = [result.requests[i : i + 1] for i in range(N_REQUESTS)]
     tallies = steady_state_counts(
@@ -158,10 +155,9 @@ def test_bench_zoo_serving_speedup(benchmark, result, steady_state_counts):
     assert tallies["seed"] == {"weights": per_request, "activations": per_request}
 
 
-def test_bench_zoo_per_call_amortization(benchmark, result, steady_state_counts):
+def test_bench_zoo_per_call_amortization(result, steady_state_counts):
     """Per-call compiled serving: programming amortizes away — one
     ``run`` per request still programs nothing and quantises no weight."""
-    benchmark(lambda: None)
     assert result.per_call_bitwise
     per_call = [result.requests[i : i + 1] for i in range(N_REQUESTS)]
     tallies = steady_state_counts(result.compiled, result.model, per_call, [])
@@ -169,7 +165,7 @@ def test_bench_zoo_per_call_amortization(benchmark, result, steady_state_counts)
     assert tallies["compiled"] == {"weights": 0, "activations": per_request}
 
 
-def test_bench_zoo_grouped_layers_execute_once(benchmark, monkeypatch):
+def test_bench_zoo_grouped_layers_execute_once(monkeypatch):
     """A depthwise layer is one pass, not one trip per group.
 
     mobilenet programs 1385 engines — 1376 of them the per-group engines
@@ -184,7 +180,6 @@ def test_bench_zoo_grouped_layers_execute_once(benchmark, monkeypatch):
     from repro.nn import functional as F
     from repro.runtime.backends import TiledBitSerialKernel
 
-    benchmark(lambda: None)
     model = models.build_model("mobilenet", rng=np.random.default_rng(0))
     model.eval()
     compiled = compile_model(model, RuntimeConfig(fold_bn=True), cache=EngineCache(4096))

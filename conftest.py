@@ -6,11 +6,12 @@ import pytest
 @pytest.fixture(scope="session")
 def fast_result():
     """``fast_result(figN)`` is ``figN.run(figN.fast_config())``, trained
-    once per session however many suites assert on it.
+    once per session however many claims are checked against it.
 
-    The paper-figure experiments are the slowest fixtures of tier-1 and
-    ``tests/test_experiments.py`` and ``benchmarks/test_bench_fig*.py``
-    check the same runs.  Results are shared: treat them as read-only.
+    The paper-figure experiments are the slowest fixtures of tier-1;
+    ``tests/test_experiments.py::test_paper_claim`` checks every claim a
+    figure declares against one run.  Results are shared: treat them as
+    read-only.
     """
     results = {}
 

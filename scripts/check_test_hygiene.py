@@ -26,6 +26,11 @@ A sleep may opt out with a trailing ``# hygiene: allow-sleep`` comment
 and a reason; none exist today, and adding one should be rare enough to
 argue in review.
 
+It also rejects a pytest-benchmark round over a no-op callable
+(``benchmark(lambda: None)``): it times nothing, asserts nothing and
+costs a second of calibration per test.  A test that times nothing
+takes no ``benchmark`` fixture.
+
 It also scans ``src/`` for reliance on numpy's private interfaces — an
 import of ``numpy._core`` / ``numpy.core._*`` (or any other underscored
 numpy module), ``np._<name>`` attribute access, or the ``einsum_call=``
@@ -179,6 +184,21 @@ def check_wall_ratio_asserts(path: Path, source: str) -> list:
                 f"shared runner; assert the counts the ratio rests on"
             )
     return problems
+
+
+def check_noop_benchmarks(path: Path, source: str) -> list:
+    """Every ``benchmark(lambda: <constant>)`` (or ``benchmark.pedantic``
+    of one) in ``source``."""
+    return [
+        f"{path.relative_to(REPO_ROOT)}:{node.lineno}: pytest-benchmark round "
+        f"over a no-op callable — it times nothing; drop the benchmark fixture"
+        for node in ast.walk(ast.parse(source, filename=str(path)))
+        if isinstance(node, ast.Call)
+        and _identifier(node.func) in ("benchmark", "pedantic")
+        and node.args
+        and isinstance(node.args[0], ast.Lambda)
+        and isinstance(node.args[0].body, ast.Constant)
+    ]
 
 
 #: ``numpy._core``, ``numpy.core._multiarray_umath``, ``numpy.lib._impl`` …
@@ -408,7 +428,11 @@ def check_file(path: Path) -> list:
                 f"in a test suite — synchronize on an event "
                 f"(tests/helpers.py DEADLINE idioms) instead"
             )
-    return problems + check_wall_ratio_asserts(path, source)
+    return (
+        problems
+        + check_wall_ratio_asserts(path, source)
+        + check_noop_benchmarks(path, source)
+    )
 
 
 def main() -> int:
@@ -430,7 +454,8 @@ def main() -> int:
         return 1
     print(
         f"checked {checked} test files: no wall-clock sleeps, "
-        f"no host-wall ratio asserts; no private numpy interface, no "
+        f"no host-wall ratio asserts, no no-op benchmark rounds; no "
+        f"private numpy interface, no "
         f"unguarded numpy-2 name and no definition only tests use under src/"
     )
     return 0

@@ -12,6 +12,12 @@ tests and the examples all print through.  The circuit-level studies
 score an analog product against the exact one with
 :func:`repro.cim.relative_error`.
 
+The paper's studies (the first table below) also declare their claims
+once, as ``CLAIMS`` (:class:`~repro.experiments.common.Claim`: a name,
+the paper's statement, a measure and a predicate), and
+``claims(result)`` checks them against a run.  ``format_report`` ends in that claims table, and
+``tests/test_experiments.py`` asserts every claim on the fast runs.
+
 =============  ====================================================
 module         reproduces
 =============  ====================================================

@@ -129,6 +129,60 @@ def format_metrics(rows) -> str:
     return format_table(rows, ["metric", "value"])
 
 
+# -- the paper's claims, declared once per study -------------------
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One shape the paper states, as data: ``measure(result)`` reads
+    what a study's run measured, ``holds(measured)`` says whether that
+    reproduces the ``paper`` statement."""
+
+    name: str
+    paper: str
+    measure: Callable[[object], object]
+    holds: Callable[[object], bool]
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A :class:`Claim` checked against one run."""
+
+    name: str
+    paper: str
+    measured: object
+    holds: bool
+
+
+def check_claims(claims: Sequence[Claim], result) -> List[Verdict]:
+    """Every claim of ``claims`` checked against ``result``, in order."""
+    verdicts = []
+    for claim in claims:
+        measured = claim.measure(result)
+        verdicts.append(
+            Verdict(claim.name, claim.paper, measured, bool(claim.holds(measured)))
+        )
+    return verdicts
+
+
+def _show(value) -> str:
+    if isinstance(value, dict):
+        return ", ".join(f"{key} {_show(item)}" for key, item in value.items())
+    if isinstance(value, (list, tuple)):
+        return " / ".join(map(_show, value))
+    return f"{value:.3g}" if isinstance(value, float) else str(value)
+
+
+def format_claims(verdicts: Sequence[Verdict]) -> str:
+    """The claims table that ends a paper study's report, set off by a
+    blank line."""
+    rows = [
+        (v.name, v.paper, _show(v.measured), "yes" if v.holds else "NO")
+        for v in verdicts
+    ]
+    return "\n\n" + format_table(rows, ["claim", "paper", "measured", "holds"])
+
+
 # -- shared by the runtime studies (runtime / shard / chaos) -----
 
 

@@ -20,8 +20,11 @@ import numpy as np
 
 from repro.datasets import classification_suite
 from repro.experiments.common import (
+    Claim,
     PretrainedBundle,
+    check_claims,
     clone_with_new_head,
+    format_claims,
     format_table,
     pretrain_classifier,
     transfer_and_evaluate,
@@ -171,9 +174,55 @@ def run(config: Optional[Fig10Config] = None) -> Fig10Result:
     return result
 
 
+def _reference_accuracies(result: Fig10Result) -> Dict[str, float]:
+    """Method -> accuracy at the paper's reference point: VGG-8 moved to
+    the near target (CIFAR-100 -> CIFAR-10)."""
+    return result.accuracy_table()["vgg8"]["near"]
+
+
+CLAIMS = (
+    Claim(
+        "source_model_learned",
+        "the source-pretrained VGG-8 learned its task (> 0.7)",
+        lambda r: r.source_accuracy["vgg8"],
+        lambda accuracy: accuracy > 0.7,
+    ),
+    Claim(
+        "rebranch_beats_all_rom",
+        "VGG-8 C100->C10: ReBranch 90.2 % > All-ROM 87.3 %",
+        _reference_accuracies,
+        lambda t: t["rebranch"] > t["all_rom"],
+    ),
+    Claim(
+        "rebranch_closes_half_the_gap",
+        "ReBranch ~= All-SRAM 90.9 %: >= half the All-ROM gap closed",
+        _reference_accuracies,
+        lambda t: t["rebranch"] >= t["all_rom"] + 0.5 * (t["all_sram"] - t["all_rom"]),
+    ),
+    Claim(
+        "rebranch_area_saving",
+        "ReBranch area 0.11-0.29x of All-SRAM (< 0.35x)",
+        lambda r: r.area_table()["vgg8"],
+        lambda areas: areas["rebranch"] < 0.35 * areas["all_sram"],
+    ),
+    Claim(
+        "all_rom_smallest_area",
+        "All-ROM has the smallest area, below ReBranch",
+        lambda r: r.area_table()["vgg8"],
+        lambda areas: areas["all_rom"] == min(areas.values())
+        and areas["all_rom"] < areas["rebranch"],
+    ),
+)
+
+
+def claims(result):
+    return check_claims(CLAIMS, result)
+
+
 def format_report(result: Fig10Result) -> str:
     rows = [
         (r.model, r.target, r.method, r.accuracy, r.normalized_area)
         for r in result.rows
     ]
-    return format_table(rows, ["model", "target", "method", "accuracy", "norm_area"])
+    table = format_table(rows, ["model", "target", "method", "accuracy", "norm_area"])
+    return table + format_claims(claims(result))

@@ -16,7 +16,10 @@ import numpy as np
 
 from repro.datasets import classification_suite
 from repro.experiments.common import (
+    Claim,
+    check_claims,
     clone_with_new_head,
+    format_claims,
     format_table,
     pretrain_classifier,
     transfer_and_evaluate,
@@ -141,6 +144,70 @@ def run(config: Optional[Fig11Config] = None) -> Fig11Result:
     return result
 
 
+def _by_model(points: List[SweepPoint]) -> Dict[str, List[SweepPoint]]:
+    grouped: Dict[str, List[SweepPoint]] = {}
+    for point in points:
+        grouped.setdefault(point.model, []).append(point)
+    return grouped
+
+
+def _along_du(attr: str):
+    """Per model, ``attr`` of the ratio sweep in increasing D*U order."""
+    return lambda result: {
+        model: [getattr(p, attr) for p in sorted(points, key=lambda p: p.du)]
+        for model, points in _by_model(result.ratio_points).items()
+    }
+
+
+def _falling(series: Dict[str, list]) -> bool:
+    return bool(series) and all(
+        len(values) > 1 and all(a > b for a, b in zip(values, values[1:]))
+        for values in series.values()
+    )
+
+
+def _balanced_vs_best(result: Fig11Result) -> Dict[str, tuple]:
+    """Per model: the D=U=4 split's accuracy (None if not run), the best's."""
+    measured = {}
+    for model, points in _by_model(result.split_points).items():
+        accuracies = {(p.d, p.u): p.accuracy for p in points}
+        measured[model] = (accuracies.get((4, 4)), max(accuracies.values()))
+    return measured
+
+
+CLAIMS = (
+    Claim(
+        "area_shrinks_with_compression",
+        "normalized area falls as D*U grows",
+        _along_du("normalized_area"),
+        _falling,
+    ),
+    Claim(
+        "trainable_params_shrink_with_compression",
+        "trainable weights fall as D*U grows",
+        _along_du("trainable_params"),
+        _falling,
+    ),
+    Claim(
+        "balanced_split_competitive",
+        "D=U=4 is the best split at D*U = 16 (D4-U4 / best, within 0.15)",
+        _balanced_vs_best,
+        lambda m: bool(m)
+        and all(a is not None and a >= best - 0.15 for a, best in m.values()),
+    ),
+    Claim(
+        "all_points_above_chance",
+        "every sweep point well above 8-class chance (> 0.18)",
+        lambda r: min(p.accuracy for p in r.ratio_points + r.split_points),
+        lambda worst: worst > 0.18,
+    ),
+)
+
+
+def claims(result):
+    return check_claims(CLAIMS, result)
+
+
 def format_report(result: Fig11Result) -> str:
     rows = [
         ("ratio", f"D{p.d}xU{p.u}", p.accuracy, p.normalized_area)
@@ -149,4 +216,5 @@ def format_report(result: Fig11Result) -> str:
         ("split", f"D{p.d}-U{p.u}", p.accuracy, p.normalized_area)
         for p in result.split_points
     ]
-    return format_table(rows, ["sweep", "point", "accuracy", "norm_area"])
+    table = format_table(rows, ["sweep", "point", "accuracy", "norm_area"])
+    return table + format_claims(claims(result))

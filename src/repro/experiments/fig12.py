@@ -28,7 +28,7 @@ from repro import models, viz
 from repro.arch.mapping import WeightMapping, map_model
 from repro.arch.system import YolocSystem
 from repro.datasets.detection import detection_suite
-from repro.experiments.common import format_table
+from repro.experiments.common import Claim, check_claims, format_claims, format_table
 from repro.experiments.detection import (
     DetectionTrainConfig,
     build_scaled_detector,
@@ -231,6 +231,64 @@ def run(config: Optional[Fig12Config] = None) -> Fig12Result:
     return result
 
 
+def _area_vs_yoloc(method: str):
+    return lambda r: r.area_by_method()[method] / r.area_by_method()["yoloc"]
+
+
+def _voc_map(result: Fig12Result) -> Dict[str, float]:
+    return result.map_table()["voc"]
+
+
+CLAIMS = (
+    Claim(
+        "yoloc_area_vs_sram_cim",
+        "SRAM-CiM YOLO needs 9.7x YOLoC's area (> 5x)",
+        _area_vs_yoloc("sram_cim"),
+        lambda ratio: ratio > 5,
+    ),
+    Claim(
+        "yoloc_area_vs_tiny_yolo",
+        "SRAM-CiM Tiny-YOLO needs 2.4x YOLoC's area (> 1.5x)",
+        _area_vs_yoloc("tiny_yolo"),
+        lambda ratio: ratio > 1.5,
+    ),
+    Claim(
+        "yoloc_smallest_area",
+        "YOLoC has the smallest chip of the four methods (cm^2)",
+        lambda r: r.area_by_method(),
+        lambda areas: areas["yoloc"] == min(areas.values()),
+    ),
+    Claim(
+        "source_detector_learned",
+        "the source-pretrained YOLO detector learned (mAP > 0.05)",
+        lambda r: r.source_map["yolo"],
+        lambda map50: map50 > 0.05,
+    ),
+    Claim(
+        "all_methods_compared",
+        "VOC: SRAM-CiM, Tiny-YOLO, DeepConv and YOLoC all migrated",
+        lambda r: list(_voc_map(r)),
+        lambda methods: set(methods) == set(DETECTION_METHODS),
+    ),
+    Claim(
+        "yoloc_map_beats_tiny_yolo",
+        "VOC mAP: YOLoC 81.4 >= Tiny-YOLO 70.7",
+        _voc_map,
+        lambda t: t["yoloc"] >= t["tiny_yolo"],
+    ),
+    Claim(
+        "yoloc_map_near_sram_cim",
+        "VOC mAP: YOLoC 81.4 ~= SRAM-CiM 81.2 (within 0.25)",
+        _voc_map,
+        lambda t: t["yoloc"] >= t["sram_cim"] - 0.25,
+    ),
+)
+
+
+def claims(result):
+    return check_claims(CLAIMS, result)
+
+
 def format_report(result: Fig12Result) -> str:
     rows = [(r.method, r.target, r.map50) for r in result.rows]
     return "\n".join(
@@ -242,4 +300,4 @@ def format_report(result: Fig12Result) -> str:
                 title="chip area to hold all weights (cm^2)",
             ),
         ]
-    )
+    ) + format_claims(claims(result))

@@ -16,6 +16,7 @@ detectors at 416x416.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -28,6 +29,7 @@ from repro.arch.system import (
     SystemReport,
     YolocSystem,
 )
+from repro.experiments.common import Claim, check_claims, format_claims
 
 #: (model, input shape) pairs of the paper's benchmark set.
 BENCHMARKS: Tuple[Tuple[str, Tuple[int, int, int, int]], ...] = tuple(
@@ -86,17 +88,17 @@ class Fig14Result:
     def improvements(self) -> Dict[str, float]:
         return {c.model: c.improvement_vs_single for c in self.comparisons}
 
-    def yoloc_area_breakdown(self, model: str) -> Dict[str, float]:
+    def comparison(self, model: str) -> ModelComparison:
         for comparison in self.comparisons:
             if comparison.model == model:
-                return comparison.yoloc.area.fractions()
+                return comparison
         raise KeyError(model)
 
+    def yoloc_area_breakdown(self, model: str) -> Dict[str, float]:
+        return self.comparison(model).yoloc.area.fractions()
+
     def energy_breakdown(self, model: str) -> Dict[str, float]:
-        for comparison in self.comparisons:
-            if comparison.model == model:
-                return comparison.single_chip.energy.fractions()
-        raise KeyError(model)
+        return self.comparison(model).single_chip.energy.fractions()
 
 
 def run(config: Optional[Fig14Config] = None) -> Fig14Result:
@@ -126,6 +128,78 @@ def run(config: Optional[Fig14Config] = None) -> Fig14Result:
     return result
 
 
+#: The benchmarks in the paper's order of improvement (= of model size),
+#: and those of them that overflow the shared chip into DRAM.
+_BY_PAPER_IMPROVEMENT = sorted(PAPER_IMPROVEMENTS, key=PAPER_IMPROVEMENTS.get)
+_DRAM_BOUND = [m for m in _BY_PAPER_IMPROVEMENT if PAPER_IMPROVEMENTS[m] > 1.0]
+
+
+def _paper_ratios(models, separator):
+    return separator.join(f"{PAPER_IMPROVEMENTS[m]}x" for m in models)
+
+
+CLAIMS = (
+    Claim(
+        "vgg8_parity",
+        "VGG-8 fits on chip: 1x (0.7-1.3x)",
+        lambda r: r.improvements()["vgg8"],
+        lambda x: 0.7 < x < 1.3,
+    ),
+    Claim(
+        "dram_bound_models_win",
+        f"{' / '.join(_DRAM_BOUND)}: {_paper_ratios(_DRAM_BOUND, ' / ')} (each > 4x)",
+        lambda r: [r.improvements()[m] for m in _DRAM_BOUND],
+        lambda xs: all(x > 4 for x in xs),
+    ),
+    Claim(
+        "improvement_grows_with_model_size",
+        _paper_ratios(_BY_PAPER_IMPROVEMENT, " < "),
+        lambda r: [r.improvements()[m] for m in _BY_PAPER_IMPROVEMENT],
+        lambda xs: all(a < b for a, b in zip(xs, xs[1:])),
+    ),
+    Claim(
+        "chiplet_energy_parity",
+        "YOLO: ~2 % better than SRAM-CiM chiplets (0.9-1.3x)",
+        lambda r: r.comparison("yolo").improvement_vs_chiplet,
+        lambda x: 0.9 < x < 1.3,
+    ),
+    Claim(
+        "chiplet_area_saving",
+        "YOLO: ~10x less area than 10 chiplets (> 7x, >= 5 chips)",
+        lambda r: {
+            "saving": r.comparison("yolo").area_saving_vs_chiplet,
+            "chips": r.comparison("yolo").chiplet.n_chips,
+        },
+        lambda m: m["saving"] > 7 and m["chips"] >= 5,
+    ),
+    Claim(
+        "latency_overhead_below_8pct",
+        "branch latency overhead < 8 % on every model",
+        lambda r: r.latency_overheads,
+        lambda overheads: all(0 <= o < 0.08 for o in overheads.values()),
+    ),
+    Claim(
+        "dram_share_grows_with_model_size",
+        "DRAM energy share: VGG-8 none, ResNet-18 < YOLO, YOLO > 50 %",
+        lambda r: {m: r.energy_breakdown(m)["dram"] for m in ("vgg8", "resnet18", "yolo")},
+        lambda d: d["vgg8"] == 0.0 and d["resnet18"] < d["yolo"] and d["yolo"] > 0.5,
+    ),
+    Claim(
+        "yolo_area_breakdown",
+        "YOLoC area: array 37 % (largest), ADC 21 % (> 10 %), R/W 20 % (< array)",
+        lambda r: r.yoloc_area_breakdown("yolo"),
+        lambda f: math.isclose(sum(f.values()), 1.0)
+        and f["array"] == max(f.values())
+        and f["adc"] > 0.1
+        and 0 < f["rw"] < f["array"],
+    ),
+)
+
+
+def claims(result):
+    return check_claims(CLAIMS, result)
+
+
 def format_report(result: Fig14Result) -> str:
     lines = [
         f"Shared SRAM-CiM chip area: {result.chip_area_mm2:.0f} mm^2",
@@ -142,4 +216,4 @@ def format_report(result: Fig14Result) -> str:
             f"{c.area_saving_vs_chiplet:>6.1f}x"
             f"{result.latency_overheads[c.model] * 100:>7.1f}%"
         )
-    return "\n".join(lines)
+    return "\n".join(lines) + format_claims(claims(result))

@@ -17,7 +17,10 @@ import numpy as np
 from repro import viz
 from repro.datasets import classification_suite
 from repro.experiments.common import (
+    Claim,
+    check_claims,
     clone_with_new_head,
+    format_claims,
     pretrain_classifier,
     transfer_and_evaluate,
 )
@@ -117,10 +120,36 @@ def run(config: Optional[Fig6bConfig] = None) -> Fig6bResult:
     return result
 
 
+CLAIMS = (
+    Claim(
+        "source_model_learned",
+        "the source-pretrained model learned its task (> 0.7)",
+        lambda r: r.source_accuracy,
+        lambda accuracy: accuracy > 0.7,
+    ),
+    Claim(
+        "freezing_all_hurts",
+        "classifier-only transfer does not beat training every layer",
+        lambda r: r.accuracies(),
+        lambda accs: accs[-1] < accs[0] + 1e-9,
+    ),
+    Claim(
+        "trainable_params_decay",
+        "each frozen conv leaves fewer weights trainable",
+        lambda r: [p.trainable_params for p in r.points],
+        lambda params: params == sorted(params, reverse=True) and params[-1] < params[0],
+    ),
+)
+
+
+def claims(result):
+    return check_claims(CLAIMS, result)
+
+
 def format_report(result: Fig6bResult) -> str:
     return viz.line_plot(
         [p.n_frozen_convs for p in result.points],
         [p.accuracy for p in result.points],
         title="ATL: accuracy vs frozen conv layers",
         y_label="accuracy",
-    )
+    ) + format_claims(claims(result))

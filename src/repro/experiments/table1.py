@@ -7,11 +7,13 @@ the paper's printed value, plus the Fig. 2/4 cell density comparison
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.cim.cells import ROM_1T, SRAM_6T, SRAM_CIM_6T, all_cim_cells
 from repro.cim.spec import TABLE1_PAPER, rom_macro_spec, sram_macro_spec
+from repro.experiments.common import Claim, check_claims, format_claims
 
 
 @dataclass
@@ -54,6 +56,35 @@ def run() -> Table1Result:
     return result
 
 
+CLAIMS = (
+    Claim(
+        "rows_within_2pct",
+        "every non-zero Table I row as printed, within 2 %",
+        lambda r: r.max_relative_error(),
+        lambda worst: worst < 0.02,
+    ),
+    Claim(
+        "cell_area_vs_rom_1t",
+        "vs the ROM 1T cell: 6T SRAM 16x, SRAM-CiM 6T 18.5x the area",
+        lambda r: {name: ratio for name, _, ratio in r.cell_comparison[:3]},
+        lambda m: list(m) == ["rom-1t", "sram-6t", "sram-cim-6t"]
+        and m["rom-1t"] == 1.0
+        and math.isclose(m["sram-6t"], 16.0)
+        and math.isclose(m["sram-cim-6t"], 18.5),
+    ),
+    Claim(
+        "macro_density_19x",
+        "ROM-CiM macro ~19x denser than SRAM-CiM (17-21x)",
+        lambda r: r.sram_density_ratio,
+        lambda ratio: 17 < ratio < 21,
+    ),
+)
+
+
+def claims(result):
+    return check_claims(CLAIMS, result)
+
+
 def format_report(result: Table1Result) -> str:
     lines = ["Table I: ROM-CiM macro specification (paper vs model)", "-" * 60]
     for key, (paper, model) in result.rows.items():
@@ -63,4 +94,4 @@ def format_report(result: Table1Result) -> str:
     for name, area, ratio in result.cell_comparison:
         lines.append(f"  {name:18s} {area:.3f} um^2  ({ratio:.1f}x)")
     lines.append(f"ROM vs SRAM-CiM macro density ratio: {result.sram_density_ratio:.1f}x")
-    return "\n".join(lines)
+    return "\n".join(lines) + format_claims(claims(result))

@@ -1,8 +1,8 @@
 """``scripts/check_test_hygiene.py`` holds on this tree, and rejects what
-it says it rejects (the retired host-wall bars and the retired einsum
-capture, spelled as they were, and a definition only tests use); the
-docs' doctests run here too, so a contract page cannot break while
-tier-1 stays green."""
+it says it rejects (the retired host-wall bars, no-op benchmark rounds
+and the retired einsum capture, spelled as they were, and a definition
+only tests use); the docs' doctests run here too, so a contract page
+cannot break while tier-1 stays green."""
 
 import doctest
 import importlib.util
@@ -132,6 +132,23 @@ def test_host_wall_assert_is_rejected(hygiene, name):
 @pytest.mark.parametrize("name", sorted(ACCEPTED))
 def test_deterministic_assert_is_accepted(hygiene, name):
     assert problems(hygiene, ACCEPTED[name]) == []
+
+
+NOOP_BENCHMARKS = {
+    "noop_round": ("benchmark(lambda: None)", 1),
+    "noop_pedantic": ("benchmark.pedantic(lambda: 0, rounds=1)", 1),
+    "timed_call": ("benchmark(macro.matmul, x)", 0),
+    "timed_lambda": ("benchmark(lambda: run(config))", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOOP_BENCHMARKS))
+def test_noop_benchmark_round_is_rejected(hygiene, name):
+    call, rejected = NOOP_BENCHMARKS[name]
+    source = f"def test_bench(benchmark, result):\n    {call}\n    assert result\n"
+    path = hygiene.REPO_ROOT / "benchmarks" / "sample.py"
+    found = hygiene.check_noop_benchmarks(path, source)
+    assert len(found) == rejected and all("benchmarks/sample.py:2" in f for f in found)
 
 
 PRIVATE_NUMPY = {
