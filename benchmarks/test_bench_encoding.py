@@ -9,16 +9,11 @@ from repro.experiments import encoding_study
 
 
 def test_bench_encoding_design_space(benchmark):
+    """Times the fast study; its claims are
+    ``encoding_study.CLAIMS``, asserted by ``tests/test_experiments.py``."""
     result = benchmark(encoding_study.run, encoding_study.fast_config())
     print()
     print(encoding_study.format_report(result))
-    keys = result.by_key()
-    # Speed: pulse-width < bit-serial < unary at 8-bit activations.
-    assert keys[("pulse-width", 8)].latency_ns < keys[("bit-serial", 8)].latency_ns
-    assert keys[("bit-serial", 8)].latency_ns < keys[("unary-pulse", 8)].latency_ns
-    # ADC frugality: one conversion per column for both pulse encodings.
-    assert keys[("unary-pulse", 8)].conversions_per_column == 1
-    assert keys[("pulse-width", 8)].conversions_per_column == 1
 
 
 def test_bench_pulse_width_jitter(benchmark):

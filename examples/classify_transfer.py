@@ -62,8 +62,8 @@ def main() -> None:
     )
 
     print("\nFig. 10(b) normalized memory area (All-SRAM = 1.0):")
-    for model, areas in result.area_table().items():
-        print(f"  {model}: ", {k: round(v, 3) for k, v in areas.items()})
+    for cell, areas in result.cell_table("normalized_area").items():
+        print(f"  {cell}: ", {k: round(v, 3) for k, v in areas.items()})
 
 
 if __name__ == "__main__":

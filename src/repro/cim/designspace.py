@@ -44,15 +44,7 @@ def partial_activation_matmul(
     """
     if activated_rows < 1:
         raise ValueError(f"activated_rows must be >= 1, got {activated_rows}")
-    x = np.asarray(x)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
-    if x.shape[0] != macro.rows_used:
-        raise ValueError(
-            f"input has {x.shape[0]} rows, macro is programmed with "
-            f"{macro.rows_used}"
-        )
+    x, squeeze = macro._checked_input(x)
     activated_rows = min(activated_rows, macro.rows_used)
 
     total: Optional[np.ndarray] = None

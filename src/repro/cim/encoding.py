@@ -45,32 +45,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.cim.macro import CimMacro, MacroStats
-
-
-def _validate_unsigned_input(macro: CimMacro, x: np.ndarray) -> np.ndarray:
-    """Pulse encodings carry amplitude in pulse count/width: unsigned only."""
-    if macro.config.signed_inputs:
-        raise ValueError(
-            "pulse encodings represent amplitude as a pulse count/width and "
-            "cannot drive negative inputs; use unsigned activations (post-ReLU) "
-            "or the bit-serial encoding"
-        )
-    x = np.asarray(x)
-    low, high = macro.config.input_range()
-    if x.min() < low or x.max() > high:
-        raise ValueError(
-            f"input codes outside [{low}, {high}] for "
-            f"{macro.config.input_bits}-bit input"
-        )
-    return x
-
-
-def _as_columns(x: np.ndarray) -> Tuple[np.ndarray, bool]:
-    x = np.asarray(x)
-    if x.ndim == 1:
-        return x[:, None], True
-    return x, False
+from repro.cim.macro import CimMacro, MacroStats, macro_pass_stats
 
 
 class ActivationEncoding:
@@ -92,21 +67,31 @@ class ActivationEncoding:
         """
         raise NotImplementedError
 
+    def pass_structure(self, input_bits: int) -> Tuple[int, int]:
+        """``(reads, integration_cycles)`` of one activation vector: ADC
+        conversions per physical column, and the word-line cycles the bit
+        lines integrate before the read (0 when every read overlaps its
+        own word-line cycle).  The one statement of the encoding's pass
+        that its cycle counts and :func:`macro_pass_stats` read."""
+        raise NotImplementedError
+
     def wl_cycles(self, input_bits: int) -> int:
         """Word-line cycles needed to stream one activation vector."""
-        raise NotImplementedError
+        reads, integration_cycles = self.pass_structure(input_bits)
+        return integration_cycles or reads
 
     def conversions_per_column(self, input_bits: int) -> int:
         """ADC conversions per physical column per activation vector."""
-        raise NotImplementedError
+        return self.pass_structure(input_bits)[0]
 
 
 class BitSerialEncoding(ActivationEncoding):
     """Binary bit-serial streaming with digital shift-and-add.
 
     Table I's operating point: ``input_bits`` cycles, one conversion per
-    column per cycle.  Delegates to :meth:`CimMacro.matmul`, which
-    implements exactly this scheme.
+    column per cycle — the pass :func:`macro_pass_stats` prices by
+    default.  Delegates to :meth:`CimMacro.matmul`, which implements
+    exactly this scheme.
     """
 
     name = "bit-serial"
@@ -119,11 +104,8 @@ class BitSerialEncoding(ActivationEncoding):
     ) -> Tuple[np.ndarray, MacroStats]:
         return macro.matmul(x, rng=rng)
 
-    def wl_cycles(self, input_bits: int) -> int:
-        return input_bits
-
-    def conversions_per_column(self, input_bits: int) -> int:
-        return input_bits
+    def pass_structure(self, input_bits: int) -> Tuple[int, int]:
+        return input_bits, 0
 
 
 @dataclass
@@ -132,11 +114,8 @@ class UnaryPulseEncoding(ActivationEncoding):
 
     name: str = "unary-pulse"
 
-    def wl_cycles(self, input_bits: int) -> int:
-        return 2**input_bits - 1
-
-    def conversions_per_column(self, input_bits: int) -> int:
-        return 1
+    def pass_structure(self, input_bits: int) -> Tuple[int, int]:
+        return 1, 2**input_bits - 1
 
     def matmul(
         self,
@@ -144,16 +123,7 @@ class UnaryPulseEncoding(ActivationEncoding):
         x: np.ndarray,
         rng: Optional[np.random.Generator] = None,
     ) -> Tuple[np.ndarray, MacroStats]:
-        return _integrating_matmul(
-            macro,
-            x,
-            integration_cycles=self.wl_cycles(macro.config.input_bits),
-            # Independent per-cycle thermal noise accumulates as sqrt(cycles).
-            noise_growth=float(np.sqrt(self.wl_cycles(macro.config.input_bits))),
-            drive_jitter_slots=0.0,
-            encoding_name=self.name,
-            rng=rng,
-        )
+        return _integrating_matmul(self, macro, x, 0.0, rng)
 
 
 @dataclass
@@ -171,14 +141,15 @@ class PulseWidthEncoding(ActivationEncoding):
     name: str = "pulse-width"
 
     def __post_init__(self):
+        if not np.isfinite(self.jitter_sigma_slots):
+            raise ValueError(
+                f"jitter sigma must be finite, got {self.jitter_sigma_slots}"
+            )
         if self.jitter_sigma_slots < 0:
             raise ValueError("jitter sigma cannot be negative")
 
-    def wl_cycles(self, input_bits: int) -> int:
-        return 1
-
-    def conversions_per_column(self, input_bits: int) -> int:
-        return 1
+    def pass_structure(self, input_bits: int) -> Tuple[int, int]:
+        return 1, 1
 
     def matmul(
         self,
@@ -186,24 +157,14 @@ class PulseWidthEncoding(ActivationEncoding):
         x: np.ndarray,
         rng: Optional[np.random.Generator] = None,
     ) -> Tuple[np.ndarray, MacroStats]:
-        return _integrating_matmul(
-            macro,
-            x,
-            integration_cycles=1,
-            noise_growth=1.0,
-            drive_jitter_slots=self.jitter_sigma_slots,
-            encoding_name=self.name,
-            rng=rng,
-        )
+        return _integrating_matmul(self, macro, x, self.jitter_sigma_slots, rng)
 
 
 def _integrating_matmul(
+    encoding: ActivationEncoding,
     macro: CimMacro,
     x: np.ndarray,
-    integration_cycles: int,
-    noise_growth: float,
     drive_jitter_slots: float,
-    encoding_name: str,
     rng: Optional[np.random.Generator] = None,
 ) -> Tuple[np.ndarray, MacroStats]:
     """Shared analog path for the charge-integrating encodings.
@@ -211,18 +172,20 @@ def _integrating_matmul(
     Both pulse encodings release, per ON cell, a charge proportional to
     the activation amplitude in ``[0, 2**b - 1]`` slot units, and read
     each column once.  They differ only in how long the integration
-    takes (``integration_cycles``), how conversion-referred noise scales
-    (``noise_growth``), and whether the drive itself jitters
+    takes (the encoding's :meth:`~ActivationEncoding.pass_structure`;
+    independent per-cycle thermal noise accumulates as the square root
+    of those cycles) and whether the drive itself jitters
     (``drive_jitter_slots``).
     """
     cfg = macro.config
-    x = _validate_unsigned_input(macro, x)
-    x, squeeze = _as_columns(x)
-    if x.shape[0] != macro.rows_used:
+    if cfg.signed_inputs:
         raise ValueError(
-            f"input has {x.shape[0]} rows, macro is programmed with "
-            f"{macro.rows_used}"
+            "pulse encodings represent amplitude as a pulse count/width and "
+            "cannot drive negative inputs; use unsigned activations (post-ReLU) "
+            "or the bit-serial encoding"
         )
+    x, squeeze = macro._checked_input(x)
+    reads, integration_cycles = encoding.pass_structure(cfg.input_bits)
     slots = 2**cfg.input_bits - 1
     rng = rng if rng is not None else macro._rng
 
@@ -239,7 +202,8 @@ def _integrating_matmul(
     counts = np.einsum("rn,krc->kcn", drive, macro._weight_planes, optimize=True)
     full_scale = float(macro.rows_used * slots)
     # The macro's own bit line at that full scale, its noise grown by
-    # the encoding and expressed in slot units.
+    # the integration and expressed in slot units.
+    noise_growth = float(np.sqrt(integration_cycles))
     line = replace(
         cfg.bitline,
         max_rows=full_scale,
@@ -248,41 +212,20 @@ def _integrating_matmul(
     codes, step = cfg.adc.convert(line.observe(counts, rng), full_scale)
     result = step * np.einsum("k,kcn->cn", macro._plane_weights, codes, optimize=True)
 
-    stats = _integrating_stats(macro, x, counts, integration_cycles, slots)
-    return (result[:, 0] if squeeze else result), stats
-
-
-def _integrating_stats(
-    macro: CimMacro,
-    x: np.ndarray,
-    counts: np.ndarray,
-    integration_cycles: int,
-    slots: int,
-) -> MacroStats:
-    """Cycle and energy accounting for one integrate-then-read pass."""
-    cfg = macro.config
-    n_vectors = x.shape[1]
-    phys_cols = macro.cols_used * cfg.weight_bits
-    readout_rounds = -(-phys_cols // cfg.n_adcs)
-    cycles = (integration_cycles + readout_rounds) * n_vectors
-    conversions = phys_cols * n_vectors
-    # Word-line activity: each unit of amplitude is one pulse (unary) or
-    # one slot of ON-time (pulse width) — the same charge either way.
-    pulse_units = float(x.sum())
-    # Charge released on the bit lines, in unit-discharge equivalents
-    # after the 1/slots scaling.
-    unit_discharges = float(counts.sum()) / slots
-    return MacroStats(
-        cycles=cycles,
-        adc_conversions=conversions,
-        row_activations=int(round(pulse_units)),
-        macs=macro.rows_used * macro.cols_used * n_vectors,
-        wl_energy_fj=pulse_units / slots * cfg.wl_energy_fj,
-        bitline_energy_fj=unit_discharges * cfg.cell.read_energy_fj,
-        adc_energy_fj=conversions * cfg.adc.energy_fj,
-        peripheral_energy_fj=cycles * cfg.peripheral_energy_fj_per_cycle,
-        latency_ns=cycles * cfg.cycle_time_ns,
+    # Each unit of amplitude is one pulse (unary) or one slot of ON-time
+    # (pulse width) — the same charge either way, 1/slots of a
+    # bit-serial activation's after the unit-discharge scaling.
+    stats = macro_pass_stats(
+        cfg,
+        macro.rows_used,
+        macro.cols_used,
+        x.shape[1],
+        row_activations=float(x.sum()) / slots,
+        counts_total=float(counts.sum()) / slots,
+        reads=reads,
+        integration_cycles=integration_cycles,
     )
+    return (result[:, 0] if squeeze else result), stats
 
 
 def encoding_by_name(name: str, **kwargs) -> ActivationEncoding:

@@ -130,6 +130,11 @@ class MacroStats:
     holder — the served requests of one batch hold one share object per
     distinct sample count.
 
+    ``row_activations`` has one unit in every encoding: a row driven for
+    one bit-serial cycle is 1, a pulse slot of a ``b``-bit pulse encoding
+    ``1 / (2**b - 1)`` (the unit discharge's charge-domain scaling), and
+    ``wl_energy_fj`` is it times :attr:`MacroConfig.wl_energy_fj`.
+
     The ``link_*`` fields account inter-chiplet serial-link traffic when
     a model is sharded across chiplets (``repro.runtime.sharded``): bits
     moved, transfer energy, and transfer latency per
@@ -141,7 +146,7 @@ class MacroStats:
 
     cycles: int = 0
     adc_conversions: int = 0
-    row_activations: int = 0
+    row_activations: float = 0
     macs: int = 0
     wl_energy_fj: float = 0.0
     bitline_energy_fj: float = 0.0
@@ -188,34 +193,37 @@ def macro_pass_stats(
     rows_used: int,
     cols_used: int,
     n_vectors: int,
-    row_activations: int,
+    row_activations: float,
     counts_total: float,
+    reads: Optional[int] = None,
+    integration_cycles: int = 0,
 ) -> MacroStats:
-    """Cycle/energy accounting of one bit-serial macro pass.
+    """Cycle/energy accounting of one macro pass.
 
-    The accounting of every bit-serial pass: the reference
-    :meth:`CimMacro.matmul`, the runtime's fast kernels and the analytic
-    tile passes of ``MacroSpec.matrix_stats`` (Table I's among them) all
-    build their stats through this function, so they cannot drift apart.
-    ``counts_total`` is the total ON-cell count over the pass.  The
-    pulse encodings' integrate-then-read pass is priced apart, by
-    ``repro.cim.encoding._integrating_stats``: it reads each column once
-    after ``integration_cycles`` word-line cycles, and its word-line
-    energy is of ``pulse_units / slots`` while the ``row_activations``
-    it reports is the rounded pulse count, so it is no call of this
-    function.
+    The accounting of every pass: the reference :meth:`CimMacro.matmul`,
+    the runtime's fast kernels, the analytic tile passes of
+    ``MacroSpec.matrix_stats`` (Table I's among them) and the pulse
+    encodings all build their stats through this function, so they
+    cannot drift apart.  A pass reads each physical column ``reads``
+    times per vector after ``integration_cycles`` word-line cycles
+    (:meth:`repro.cim.encoding.ActivationEncoding.pass_structure`); the
+    default is the bit-serial pass, one read per input bit, each
+    overlapping its own word-line cycle.  ``row_activations`` is in the
+    unit of :class:`MacroStats`, ``counts_total`` in ON-cell discharges.
 
-    The two data-dependent arguments, ``row_activations`` (int) and
-    ``counts_total`` (float), may also be same-shape arrays — one entry
+    The two data-dependent arguments, ``row_activations`` and
+    ``counts_total``, may also be same-shape arrays — one entry
     per same-geometry macro, as the runtime's bit-serial pass passes
     them for a grouped layer's groups — in which case the three fields
     derived from them are arrays holding exactly the per-macro scalar
     results.
     """
+    if reads is None:
+        reads = config.input_bits
     phys_cols = cols_used * config.weight_bits
-    rounds_per_bit = -(-phys_cols // config.n_adcs)
-    cycles = config.input_bits * rounds_per_bit * n_vectors
-    conversions = config.input_bits * phys_cols * n_vectors
+    rounds_per_read = -(-phys_cols // config.n_adcs)
+    cycles = (integration_cycles + reads * rounds_per_read) * n_vectors
+    conversions = reads * phys_cols * n_vectors
     return MacroStats(
         cycles=cycles,
         adc_conversions=conversions,
@@ -384,22 +392,7 @@ class CimMacro:
         session RNG to engines programmed long before execution.
         """
         rng = rng if rng is not None else self._rng
-        x = np.asarray(x)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[:, None]
-        if x.shape[0] != self.rows_used:
-            raise ValueError(
-                f"input has {x.shape[0]} rows, macro is programmed with "
-                f"{self.rows_used}"
-            )
-        low, high = self.config.input_range()
-        if x.min() < low or x.max() > high:
-            raise ValueError(
-                f"input codes outside [{low}, {high}] for "
-                f"{self.config.input_bits}-bit serial input"
-            )
-
+        x, squeeze = self._checked_input(x)
         in_planes, in_weights = _bit_planes(
             x, self.config.input_bits, self.config.signed_inputs
         )  # (ib, rows, n)
@@ -418,13 +411,7 @@ class CimMacro:
             "j,k,jkcn->cn", in_weights, self._plane_weights, codes, optimize=True
         )
 
-        stats = self._stats_for(x, in_planes, counts)
-        return (result[:, 0] if squeeze else result), stats
-
-    def _stats_for(
-        self, x: np.ndarray, in_planes: np.ndarray, counts: np.ndarray
-    ) -> MacroStats:
-        return macro_pass_stats(
+        stats = macro_pass_stats(
             self.config,
             self.rows_used,
             self.cols_used,
@@ -432,6 +419,27 @@ class CimMacro:
             row_activations=int(in_planes.sum()),
             counts_total=float(counts.sum()),
         )
+        return (result[:, 0] if squeeze else result), stats
+
+    def _checked_input(self, x: np.ndarray) -> Tuple[np.ndarray, bool]:
+        """``x`` as ``(rows_used, n_vectors)`` codes in the config's input
+        range (a vector becomes one column), and whether it was a vector."""
+        x = np.asarray(x)
+        squeeze = x.ndim == 1
+        if squeeze:
+            x = x[:, None]
+        if x.shape[0] != self.rows_used:
+            raise ValueError(
+                f"input has {x.shape[0]} rows, macro is programmed with "
+                f"{self.rows_used}"
+            )
+        low, high = self.config.input_range()
+        if x.min() < low or x.max() > high:
+            raise ValueError(
+                f"input codes outside [{low}, {high}] for "
+                f"{self.config.input_bits}-bit input"
+            )
+        return x, squeeze
 
     def exact_matmul(self, x: np.ndarray) -> np.ndarray:
         """Ideal integer reference (no ADC/bit-line effects)."""

@@ -154,6 +154,13 @@ class Verdict:
     holds: bool
 
 
+def on_every_cell(holds: Callable[[object], bool]) -> Callable[[Dict], bool]:
+    """A claim predicate over a ``cell -> measured`` dict (a figure's
+    migrations, targets or models): it holds when ``holds`` does on
+    every cell, and there is one."""
+    return lambda cells: bool(cells) and all(holds(c) for c in cells.values())
+
+
 def check_claims(claims: Sequence[Claim], result) -> List[Verdict]:
     """Every claim of ``claims`` checked against ``result``, in order."""
     verdicts = []
@@ -167,7 +174,10 @@ def check_claims(claims: Sequence[Claim], result) -> List[Verdict]:
 
 def _show(value) -> str:
     if isinstance(value, dict):
-        return ", ".join(f"{key} {_show(item)}" for key, item in value.items())
+        return ", ".join(
+            f"{key} ({_show(item)})" if isinstance(item, dict) else f"{key} {_show(item)}"
+            for key, item in value.items()
+        )
     if isinstance(value, (list, tuple)):
         return " / ".join(map(_show, value))
     return f"{value:.3g}" if isinstance(value, float) else str(value)

@@ -5,7 +5,8 @@ across input precisions and noise conditions, and reports the axes the
 paper's "different speed-accuracy trade-off" sentence refers to:
 word-line cycles, ADC conversions, energy per MAC, and MVM error.
 
-The expected shape:
+The expected shape (:data:`CLAIMS` states its speed order and the
+pulse encodings' conversion and ADC-share savings):
 
 * bit-serial is the cycle-count sweet spot at 8-bit inputs (Table I's
   operating point);
@@ -30,7 +31,13 @@ from repro.cim.encoding import (
     PulseWidthEncoding,
     UnaryPulseEncoding,
 )
-from repro.experiments.common import format_table
+from repro.experiments.common import (
+    Claim,
+    check_claims,
+    format_claims,
+    format_table,
+    on_every_cell,
+)
 
 
 @dataclass
@@ -172,6 +179,46 @@ def format_jitter(rows: List[Dict[str, float]]) -> str:
     )
 
 
+_NAMES = ("bit-serial", "unary-pulse", "pulse-width")
+
+
+def _per_width(attr: str):
+    """Input width -> ``attr`` of bit-serial / unary pulses / pulse width."""
+    return lambda result: {
+        f"{bits}b": [getattr(result.by_key()[name, bits], attr) for name in _NAMES]
+        for bits in dict.fromkeys(p.input_bits for p in result.points)
+    }
+
+
+CLAIMS = (
+    Claim(
+        "speed_order_at_8_bits",
+        "8-bit inputs: pulse width < bit-serial < unary pulses (ns per vector)",
+        lambda r: [
+            r.by_key()[name, 8].latency_ns
+            for name in ("pulse-width", "bit-serial", "unary-pulse")
+        ],
+        lambda ns: ns[0] < ns[1] < ns[2],
+    ),
+    Claim(
+        "pulse_encodings_one_conversion",
+        "unary pulses and pulse width read each column once (conv/col per width)",
+        _per_width("conversions_per_column"),
+        on_every_cell(lambda conversions: conversions[1:] == [1, 1]),
+    ),
+    Claim(
+        "pulse_encodings_cut_adc_share",
+        "the pulse encodings' ADC energy share is below bit-serial's, per width",
+        _per_width("adc_energy_share"),
+        on_every_cell(lambda shares: max(shares[1:]) < shares[0]),
+    ),
+)
+
+
+def claims(result: EncodingStudyResult):
+    return check_claims(CLAIMS, result)
+
+
 def format_report(result: EncodingStudyResult) -> str:
     return format_table(
         result.rows(),
@@ -184,4 +231,4 @@ def format_report(result: EncodingStudyResult) -> str:
             "fJ_per_mac",
             "ns_per_vec",
         ],
-    )
+    ) + format_claims(claims(result))

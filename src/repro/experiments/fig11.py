@@ -21,6 +21,7 @@ from repro.experiments.common import (
     clone_with_new_head,
     format_claims,
     format_table,
+    on_every_cell,
     pretrain_classifier,
     transfer_and_evaluate,
 )
@@ -159,11 +160,9 @@ def _along_du(attr: str):
     }
 
 
-def _falling(series: Dict[str, list]) -> bool:
-    return bool(series) and all(
-        len(values) > 1 and all(a > b for a, b in zip(values, values[1:]))
-        for values in series.values()
-    )
+_falling = on_every_cell(
+    lambda values: len(values) > 1 and all(a > b for a, b in zip(values, values[1:]))
+)
 
 
 def _balanced_vs_best(result: Fig11Result) -> Dict[str, tuple]:

@@ -742,7 +742,7 @@ class TiledBitSerialKernel(KernelBackend):
                 g = int(np.argmax(bad))
                 raise ValueError(
                     f"input codes outside [{low[g]}, {high[g]}] for "
-                    f"{self.engine.config.input_bits}-bit serial input"
+                    f"{self.engine.config.input_bits}-bit input"
                 )
         # Mask in the codes' own width, through its unsigned twin:
         # integers wrap, so the low bits are the two's-complement code.

@@ -11,10 +11,10 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import fig6b, fig10, fig11, fig12, fig14, table1
+from repro.experiments import encoding_study, fig6b, fig10, fig11, fig12, fig14, table1
 from repro.experiments.common import format_table
 
-STUDIES = (table1, fig14, fig6b, fig10, fig11, fig12)
+STUDIES = (table1, fig14, encoding_study, fig6b, fig10, fig11, fig12)
 TRAINED = (fig6b, fig10, fig11, fig12)
 
 
@@ -76,6 +76,62 @@ class TestFig14:
         name = "improvement_grows_with_model_size"
         assert verdict(fig14, result, name).holds
         assert not verdict(fig14, swapped, name).holds
+
+
+@pytest.mark.slow
+class TestFig10:
+    def test_one_losing_cell_fails_the_claims(self, fast_result):
+        """A copy of the fast run with one more (model, target) cell, in
+        which ReBranch loses to All-ROM on accuracy and area: every
+        per-cell claim judges that cell too."""
+        result = fast_result(fig10)
+        cell = {r.method: r for r in result.rows}
+        worse = {
+            "all_sram": dict(accuracy=0.9, normalized_area=1.0),
+            "all_rom": dict(accuracy=0.8, normalized_area=2.0),
+            "rebranch": dict(accuracy=0.7, normalized_area=1.0),
+        }
+        extended = dataclasses.replace(
+            result,
+            rows=result.rows
+            + [
+                dataclasses.replace(cell[method], target="far", **values)
+                for method, values in worse.items()
+            ],
+        )
+        for name in (
+            "rebranch_beats_all_rom",
+            "rebranch_closes_half_the_gap",
+            "rebranch_area_saving",
+            "all_rom_smallest_area",
+        ):
+            assert verdict(fig10, result, name).holds, name
+            assert not verdict(fig10, extended, name).holds, name
+
+
+@pytest.mark.slow
+class TestFig12:
+    def test_one_losing_target_fails_the_claims(self, fast_result):
+        """A copy of the fast run with one more target, on which YOLoC
+        trails Tiny-YOLO and SRAM-CiM and DeepConv did not run."""
+        result = fast_result(fig12)
+        maps = {"sram_cim": 0.6, "tiny_yolo": 0.5, "yoloc": 0.3}
+        extended = dataclasses.replace(
+            result,
+            rows=result.rows
+            + [
+                dataclasses.replace(r, target="traffic", map50=maps[r.method])
+                for r in result.rows
+                if r.method in maps
+            ],
+        )
+        for name in (
+            "all_methods_compared",
+            "yoloc_map_beats_tiny_yolo",
+            "yoloc_map_near_sram_cim",
+        ):
+            assert verdict(fig12, result, name).holds, name
+            assert not verdict(fig12, extended, name).holds, name
 
 
 class TestCommon:

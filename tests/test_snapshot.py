@@ -1422,6 +1422,20 @@ class TestRobustness:
         with pytest.raises(SnapshotCorruptError, match="3-D weight codes"):
             load(store, key, cache=EngineCache())
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_stored_jitter_is_typed(self, store, sigma):
+        """A pulse-width sigma of NaN or inf in the stored run config is
+        refused at decode, inside the header's typed-error wrapper."""
+        config = RuntimeConfig(encoding=PulseWidthEncoding(jitter_sigma_slots=0.5))
+        key = save(compile_model(MODELS["linear"](), config, cache=EngineCache()), store)
+
+        def edit(meta, arrays):
+            meta["runtime_config"]["encoding"]["jitter_sigma_slots"] = sigma
+
+        self._rewrite(store, key, edit)
+        with pytest.raises(SnapshotCorruptError, match="jitter sigma must be finite"):
+            load(store, key, cache=EngineCache())
+
     def test_engine_scale_length_mismatch_is_typed(self, store):
         _, key = self._saved(store)
 
