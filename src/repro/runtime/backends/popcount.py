@@ -26,7 +26,7 @@ shift-and-add, the same stats.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -80,8 +80,9 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
     weight bit and input bit — then combined over each section's weight
     bits into the indices the float32 GEMM emits.
     Validation, the shift-and-add and the stats are the base class's
-    pass.  A popcount kernel is one engine's, a one-group pass; a
-    grouped layer's stack contracts by the float32 GEMM.
+    pass, and so is a lossless row block's GEMM of codes: it packs and
+    counts nothing.  A popcount kernel is one engine's, a one-group
+    pass; a grouped layer's stack contracts by the float32 GEMM.
     """
 
     backend_name = "popcount"
@@ -92,10 +93,15 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
         #: Per row block: the packed planes ``(W, d * K)`` — every
         #: section's lowest bits in the base class's stacked ``(tile,
         #: section, column)`` order, then its next bits, up to its ``d``-th
-        #: — and each stacked row's table-section offset ``(K,)``.
-        self._packed_planes: List[np.ndarray] = []
-        self._sections: List[np.ndarray] = []
+        #: — and each stacked row's table-section offset ``(K,)``; ``None``
+        #: for a lossless block, which contracts no counts.
+        self._packed_planes: List[Optional[np.ndarray]] = []
+        self._sections: List[Optional[np.ndarray]] = []
         for group in self._groups:
+            if group.lossless:
+                self._packed_planes.append(None)
+                self._sections.append(None)
+                continue
             r0, r1 = group.row_start, group.row_stop
             digits, sections = group.digits, group.section_ones.size
             bits = _weight_bit_planes(engine.weights[None, r0:r1], wb)[0]
@@ -136,8 +142,9 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
         flat = _serial_planes(unsigned, ib).reshape(unsigned.shape[0], -1)
         return flat, np.bitwise_count(codes).sum(axis=-1, dtype=np.float64)
 
-    def _contract(self, flat: np.ndarray, b: int, v0: int, v1: int) -> np.ndarray:
+    def _contract(self, operand, b: int, v0: int, v1: int) -> np.ndarray:
         """The base class's digit-table indices, from packed words."""
+        flat = operand[0]
         group, planes = self._groups[b], self._packed_planes[b]
         ib = self.engine.config.input_bits
         rows_used = group.row_stop - group.row_start

@@ -11,7 +11,7 @@ bound — for a deployed network the ADC chain alone dominates inference
 wall-clock.
 
 The kernels here compute the *bitwise-identical* result, restructured
-around four observations:
+around five observations:
 
 1. ON-cell counts are exact small integers (at most the activated row
    count), so the count contraction can run as a float32 GEMM with zero
@@ -73,6 +73,19 @@ around four observations:
    the cut moves no bit.  No whole-batch intermediate exists beyond
    the codes' bytes, and a programmed kernel holds no per-call-shape
    state.
+5. A row block whose bit lines and ADC read every count in ``[0,
+   rows]`` unchanged, at step 1 (:func:`_lossless`: the arithmetic its
+   digit table would hold is the identity — at most ``levels - 1`` rows
+   on a line that does not clip them), computes no more than the
+   integer product of its weight codes and input codes: the shift-and-
+   add of observation 3 recombines exact counts.  Such a block — a stem
+   conv's 27 rows, a depthwise group's 9, a narrow branch layer's — holds
+   its codes ``(G, columns, rows)`` in the accumulator dtype and adds
+   one batched GEMM of the signed input codes into ``out``, at its place
+   in the ascending row-block order
+   (:meth:`_TileGroup.add_products`): no planes, operand, table or fold.
+   Every partial sum is an integer below :func:`_code_sum_bound`, so the
+   bits are the table path's.
 
 One further exact shortcut: the total ON-cell count needed for energy
 accounting factorizes over rows (both factors are exact integers).
@@ -266,15 +279,18 @@ def _code_bytes(
 ) -> Tuple[List[np.ndarray], np.ndarray]:
     """The bytes of unsigned ``input_bits``-wide codes ``(..., rows, n)``,
     lowest first, each ``uint8`` of the codes' shape, and the codes'
-    per-row ON-bit totals ``(..., rows)`` — exact integers whichever way
-    they are counted."""
+    per-row ON-bit totals ``(..., rows)`` in float64 — exact integers
+    whichever way they are counted, here in int32 while it holds
+    ``input_bits`` per vector (numpy's integer reductions outrun its
+    float64 ones several times)."""
     chunks, row_ones = [], 0
+    total = np.int32 if input_bits * unsigned.shape[-1] < 1 << 31 else np.int64
     for low in range(0, input_bits, 8):
         # Integer casts wrap: the low byte of the shifted code.
         byte = (unsigned >> low if low else unsigned).astype(np.uint8)
-        row_ones = row_ones + _byte_ones(byte).sum(axis=-1, dtype=np.float64)
+        row_ones = row_ones + _byte_ones(byte).sum(axis=-1, dtype=total)
         chunks.append(byte)
-    return chunks, row_ones
+    return chunks, np.asarray(row_ones, dtype=np.float64)
 
 
 def _bit_operand(
@@ -338,6 +354,31 @@ def _weight_bit_planes(codes: np.ndarray, weight_bits: int) -> np.ndarray:
     planes = unsigned >> np.arange(weight_bits, dtype=word)[:, None, None]
     planes &= 1
     return planes
+
+
+def _read_counts(
+    rows: int, adc_bits: int, max_rows: int, saturation: Optional[float]
+) -> Tuple[np.ndarray, float]:
+    """The ADC codes a ``rows``-row block's noise-free bit line reads for
+    every count in ``[0, rows]``, and the step they are scaled by: the
+    exact reference arithmetic (``BitlineModel.observe`` then
+    ``AdcSpec.convert`` at full scale ``rows``), from what it reads of
+    the circuit."""
+    domain = np.arange(rows + 1, dtype=np.float64)
+    bitline = BitlineModel(max_rows=max_rows, saturation=saturation)
+    return AdcSpec(bits=adc_bits).convert(bitline.observe(domain, None), float(rows))
+
+
+def _lossless(config: MacroConfig, rows: int) -> bool:
+    """Whether a ``rows``-row block's bit lines and ADC read every count
+    unchanged, at step 1 — the arithmetic its digit table would be built
+    from (:func:`_read_counts`) is the identity — so its whole bit-serial
+    pass is the integer product of its weight codes and input codes."""
+    bitline = config.bitline
+    codes, step = _read_counts(
+        rows, config.adc.bits, bitline.max_rows, bitline.saturation
+    )
+    return step == 1.0 and np.array_equal(codes, np.arange(rows + 1))
 
 
 def _pair_table(config: MacroConfig, rows: int) -> Tuple[np.ndarray, float]:
@@ -412,14 +453,11 @@ def _build_pair_table(
     holds ``R**k`` entries.
 
     ``code`` is the bit-line observation + ADC conversion of an integer
-    count with the exact reference arithmetic.  Every entry is an
-    integer below :func:`_code_sum_bound`, summed in float64 and exact
-    in the table's ``dtype``.
+    count with the exact reference arithmetic (:func:`_read_counts`).
+    Every entry is an integer below :func:`_code_sum_bound`, summed in
+    float64 and exact in the table's ``dtype``.
     """
-    domain = np.arange(rows + 1, dtype=np.float64)
-    bitline = BitlineModel(max_rows=max_rows, saturation=saturation)
-    adc = AdcSpec(bits=adc_bits)
-    codes, step = adc.convert(bitline.observe(domain, None), float(rows))
+    codes, step = _read_counts(rows, adc_bits, max_rows, saturation)
     digits = _digits(rows, weight_bits)
     weights = plane_weights(weight_bits, signed_weights)
     table = np.empty(_table_size(rows, weight_bits, digits), dtype=dtype)
@@ -453,6 +491,11 @@ class _TileGroup:
     one row per group.  ``radix`` and ``digits`` are the block's own
     ``R = rows + 1`` and weight bits per plane entry (:func:`_digits`).
 
+    A ``lossless`` block (:func:`_lossless`) builds none of the planes,
+    table or fold: it holds ``codes``, its weight codes ``(G, columns,
+    rows)`` in the accumulator dtype, and adds one batched GEMM of the
+    input codes (:meth:`add_products`).
+
     Everything here is derived from ``codes`` — the row block's ``(G,
     rows, columns)`` slice of the groups' integer weight codes, the one
     programmed state — in one vectorised pass over every group, whether
@@ -471,28 +514,10 @@ class _TileGroup:
         self.row_start = row_start
         self.row_stop = row_stop
         self.columns = columns
+        self.input_weights = input_weights
         groups, rows = codes.shape[0], row_stop - row_start
         wb = config.weight_bits
-        radix, digits = rows + 1, _digits(rows, wb)
-        self.radix, self.digits = radix, digits
-        sections = _sections(wb, digits)
-        widths = [sections * (c1 - c0) for c0, c1 in columns]
-        self.offsets = np.cumsum([0] + widths).tolist()
-        # Stacked planes: tile after tile, each ``(section, column)``
-        # major over the block's rows — ``sum_j b[d*q + j] * R**j`` (a
-        # short top section has no higher digits) — then a last column
-        # with the section's table offset, which the operand's ones row
-        # carries through the GEMM.
         bits = _weight_bit_planes(codes, wb)
-        offsets = np.arange(sections, dtype=np.float32)[:, None] * radix**digits
-        self.planes32 = np.empty((groups, self.offsets[-1], rows + 1), dtype=np.float32)
-        for (c0, c1), k0, k1 in zip(columns, self.offsets, self.offsets[1:]):
-            tile = self.planes32[:, k0:k1].reshape(groups, sections, c1 - c0, rows + 1)
-            tile[..., :rows] = bits[:, 0::digits, c0:c1]
-            for j in range(1, digits):
-                digit = bits[:, j::digits, c0:c1]
-                tile[:, : digit.shape[1], :, :rows] += digit * np.float32(radix**j)
-            tile[..., rows] = offsets
         # Each tile's programmed ON cells per row, then a row of ones:
         # one product with a group's per-row input ON bits gives every
         # tile's ON-cell total and the block's activated rows — exact
@@ -507,9 +532,43 @@ class _TileGroup:
             dtype=np.float64,
             out=self.row_weights[:, :-1],
         )
+        self.lossless = _lossless(config, rows)
+        if self.lossless:
+            acc = _accumulator_dtype(config)
+            self.codes = codes.swapaxes(-1, -2).astype(acc, order="C")
+            return
+        radix, digits = rows + 1, _digits(rows, wb)
+        self.radix, self.digits = radix, digits
+        sections = _sections(wb, digits)
+        widths = [sections * (c1 - c0) for c0, c1 in columns]
+        self.offsets = np.cumsum([0] + widths).tolist()
+        # Stacked planes: tile after tile, each ``(section, column)``
+        # major over the block's rows — ``sum_j b[d*q + j] * R**j`` (a
+        # short top section has no higher digits) — then a last column
+        # with the section's table offset, which the operand's ones row
+        # carries through the GEMM.
+        offsets = np.arange(sections, dtype=np.float32)[:, None] * radix**digits
+        self.planes32 = np.empty((groups, self.offsets[-1], rows + 1), dtype=np.float32)
+        for (c0, c1), k0, k1 in zip(columns, self.offsets, self.offsets[1:]):
+            tile = self.planes32[:, k0:k1].reshape(groups, sections, c1 - c0, rows + 1)
+            tile[..., :rows] = bits[:, 0::digits, c0:c1]
+            for j in range(1, digits):
+                digit = bits[:, j::digits, c0:c1]
+                tile[:, : digit.shape[1], :, :rows] += digit * np.float32(radix**j)
+            tile[..., rows] = offsets
         self.pair_table, self.step = _pair_table(config, rows)
         self.section_ones = np.ones(sections, dtype=self.pair_table.dtype)
-        self.input_weights = input_weights
+
+    def add_products(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Add a lossless row block's partial sums for integer input codes
+        ``x`` ``(G, rows, vectors)`` into float64 ``out`` ``(G, columns,
+        vectors)``: one batched GEMM of the weight codes and the input
+        codes, signedness in the codes' own values.  Every bit line reads
+        its count and the step is 1, so the bit-serial shift-and-add over
+        ADC codes is this product; every partial sum is an integer below
+        :func:`_code_sum_bound`, exact in the accumulator dtype in any
+        order, and ``out`` sees the same one addition per element."""
+        out += np.matmul(self.codes, x.astype(self.codes.dtype))
 
     def shift_add(self, indices: np.ndarray, out: np.ndarray) -> None:
         """Digitize digit-table ``indices`` ``(G, stacked rows, vectors *
@@ -628,12 +687,15 @@ class TiledBitSerialKernel(KernelBackend):
 
     def _count_vector_indices(self) -> int:
         """Table indices one input vector costs the pass: every
-        group's stacked rows times the input bits, over the row blocks —
-        the measure :data:`_SPLIT_INDICES` is set in."""
+        group's stacked rows times the input bits, over the row blocks
+        that read a table — the measure :data:`_SPLIT_INDICES` is set
+        in.  A pass of lossless blocks alone gathers none and never
+        splits."""
         ib = self.engine.config.input_bits
         return sum(
             group.planes32.shape[0] * group.planes32.shape[1] * ib
             for group in self._groups
+            if not group.lossless
         )
 
     @staticmethod
@@ -660,30 +722,40 @@ class TiledBitSerialKernel(KernelBackend):
         # Every buffer below is allocated per call: programmed kernels
         # are shared across threads.  The unsigned codes die with the
         # split into bytes, before the block loop's peak.
-        expanded, row_ones = self._expand(self._serial_codes(x))
-        groups, n = row_ones.shape[0], x.shape[-1] if x.ndim > 1 else 1
+        codes, unsigned = self._serial_codes(x)
+        expanded, row_ones = self._expand(unsigned)
+        del unsigned
+        operand = (expanded, codes)
+        groups, _, n = codes.shape
         out = np.zeros((groups, self.engine.shape[1], n))
         if n * self._vector_indices >= _SPLIT_INDICES and min(_WORKERS, n) > 1:
-            self._split(expanded, out, min(_WORKERS, n))
+            self._split(operand, out, min(_WORKERS, n))
         else:
-            self._back_half(expanded, out, 0, n)
+            self._back_half(operand, out, 0, n)
         if x.ndim < 3:
             out = out[0, :, 0] if x.ndim == 1 else out[0]
         return out, self._pass_stats(row_ones, n)
 
-    def _back_half(self, expanded, out: np.ndarray, v0: int, v1: int) -> None:
+    def _back_half(self, operand, out: np.ndarray, v0: int, v1: int) -> None:
         """Operand -> count GEMM -> table gather -> shift-and-add for
-        ``expanded`` (what :meth:`_expand` returned) and vectors ``v0``
-        to ``v1``, into ``out[..., v0:v1]``: the row blocks in ascending
-        order, each in equal cache-sized blocks of vectors (the budget
-        covers the stacked planes of every group)."""
+        ``operand`` — what :meth:`_expand` returned and the checked codes
+        ``(G, rows, n)`` — and vectors ``v0`` to ``v1``, into ``out[...,
+        v0:v1]``: the row blocks in ascending order, each in equal
+        cache-sized blocks of vectors (the budget covers the stacked
+        planes of every group), a lossless block in one GEMM of its
+        codes (:meth:`_TileGroup.add_products`)."""
         groups, ib = out.shape[0], self.engine.config.input_bits
+        codes = operand[1]
         for b, group in enumerate(self._groups):
+            if group.lossless:
+                x = codes[:, group.row_start : group.row_stop, v0:v1]
+                group.add_products(x, out[:, :, v0:v1])
+                continue
             width = _block_vectors(groups * group.planes32.shape[1], ib)
             for w0, w1 in _vector_blocks(v0, v1, width):
-                group.shift_add(self._contract(expanded, b, w0, w1), out[:, :, w0:w1])
+                group.shift_add(self._contract(operand, b, w0, w1), out[:, :, w0:w1])
 
-    def _split(self, expanded, out: np.ndarray, chunks: int) -> None:
+    def _split(self, operand, out: np.ndarray, chunks: int) -> None:
         """:meth:`_back_half` over ``chunks`` contiguous ranges of the
         vector axis: the calling thread runs the first, the pool the
         rest — and once done with its own, the caller takes back and
@@ -696,13 +768,13 @@ class TiledBitSerialKernel(KernelBackend):
         first, *rest = zip(edges, edges[1:])
         pool = _executor()
         futures = [
-            pool.submit(self._back_half, expanded, out, *chunk) for chunk in rest
+            pool.submit(self._back_half, operand, out, *chunk) for chunk in rest
         ]
         try:
-            self._back_half(expanded, out, *first)
+            self._back_half(operand, out, *first)
             for future, chunk in zip(futures, rest):
                 if future.cancel():
-                    self._back_half(expanded, out, *chunk)
+                    self._back_half(operand, out, *chunk)
         finally:
             # Whatever raised: once this returns, no chunk still writes.
             started = [future for future in futures if not future.cancel()]
@@ -710,14 +782,14 @@ class TiledBitSerialKernel(KernelBackend):
         for future in started:
             future.result()  # a pool thread's error, raised here
 
-    def _serial_codes(self, x: np.ndarray) -> np.ndarray:
-        """Validate one integer-code batch: ``(G, rows, n)`` two's-
-        complement reinterpretations of the codes as unsigned
-        ``input_bits``-wide integers, in the unsigned type of the codes'
-        own width — int16 codes of 8-bit activations stay two bytes a
-        code — or, for unsigned or too narrow codes, of the narrowest
-        signed type that holds them and ``input_bits``.  The range check
-        runs on the codes as given."""
+    def _serial_codes(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Validate one integer-code batch: the codes ``(G, rows, n)`` in
+        a signed integer type, and their two's-complement
+        reinterpretations as unsigned ``input_bits``-wide integers, in
+        the unsigned type of the codes' own width — int16 codes of 8-bit
+        activations stay two bytes a code — or, for unsigned or too
+        narrow codes, of the narrowest signed type that holds them and
+        ``input_bits``.  The range check runs on the codes as given."""
         codes = x if x.ndim == 3 else x[None, :, None] if x.ndim == 1 else x[None]
         groups, rows, _ = codes.shape
         if rows != self.engine.shape[0]:
@@ -753,7 +825,8 @@ class TiledBitSerialKernel(KernelBackend):
             width = np.result_type(codes.dtype, self._code_width)
             codes = codes.astype(width if width in _UNSIGNED else np.int64)
             unsigned = _UNSIGNED[codes.dtype]
-        return codes.view(unsigned) & ((1 << self.engine.config.input_bits) - 1)
+        mask = (1 << self.engine.config.input_bits) - 1
+        return codes, codes.view(unsigned) & mask
 
     def _expand(self, codes: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
         """What the count contraction reads of unsigned codes ``(G, rows,
@@ -761,17 +834,16 @@ class TiledBitSerialKernel(KernelBackend):
         rows)``."""
         return _code_bytes(codes, self.engine.config.input_bits)
 
-    def _contract(
-        self, code_bytes: List[np.ndarray], b: int, v0: int, v1: int
-    ) -> np.ndarray:
+    def _contract(self, operand, b: int, v0: int, v1: int) -> np.ndarray:
         """Digit-table indices ``(G, stacked rows, vectors * input bits)``
-        of row block ``b`` for vectors ``v0`` to ``v1``: the block's
+        of row block ``b`` for vectors ``v0`` to ``v1`` of ``operand``
+        (the codes' bytes, :meth:`_expand`, and the codes): the block's
         operand, built in place, then one batched float32 GEMM for every
         column tile of the block and every group, its result C-contiguous
         ``(g, q, c, n, j)``."""
         group = self._groups[b]
         operand = _bit_operand(
-            code_bytes, self._bit_values, group.row_start, group.row_stop, v0, v1
+            operand[0], self._bit_values, group.row_start, group.row_stop, v0, v1
         )
         return np.matmul(group.planes32, operand)
 

@@ -362,11 +362,13 @@ class TestVectorBlockProperties:
         engine, x, (ref, ref_stats) = _engine_and_batch(case)
         config = engine.config
         kernel = TiledBitSerialKernel(engine)
-        stacked = kernel._groups[0].planes32.shape[-2]
-        ib = config.input_bits
-        budget = stacked * ib * 8 * step
-        with mock.patch.object(reference_fast, "_BLOCK_BYTES", budget):
-            assert reference_fast._block_vectors(stacked, ib) == step
+        tables = _table_groups(kernel)
+        with mock.patch.object(
+            reference_fast, "_BLOCK_BYTES", _block_budget(kernel, step)
+        ):
+            if tables:
+                stacked = max(group.planes32.shape[-2] for group in tables)
+                assert reference_fast._block_vectors(stacked, config.input_bits) == step
             for _ in range(2):  # a call leaves no state behind
                 out, stats = kernel.matmul(x)
                 assert out.tobytes() == ref.tobytes()
@@ -450,6 +452,12 @@ DIGIT_CASES = {
 }
 
 
+def _table_groups(kernel):
+    """The kernel's row blocks that read a digit table: every block but
+    the lossless ones, which add one GEMM of codes."""
+    return [group for group in kernel._groups if not group.lossless]
+
+
 def _probe_digits(kernel, reached):
     """Decode every table index the kernel's row blocks are handed — by
     section offset ``q * R**d``, then ``d`` base-``R`` digits, lowest
@@ -496,14 +504,17 @@ def _probe_digits(kernel, reached):
 
         group.shift_add = shift_add
 
-    for group in kernel._groups:
+    for group in _table_groups(kernel):
         spy(group)
 
 
 def _block_budget(kernel, step):
-    """``_BLOCK_BYTES`` at which the tallest row block runs ``step``
-    vectors per block."""
-    stacked = max(group.planes32.shape[-2] for group in kernel._groups)
+    """``_BLOCK_BYTES`` at which the tallest row block that reads a table
+    runs ``step`` vectors per block; with none, the default."""
+    tables = _table_groups(kernel)
+    if not tables:
+        return reference_fast._BLOCK_BYTES
+    stacked = max(group.planes32.shape[-2] for group in tables)
     return stacked * kernel.engine.config.input_bits * 8 * step
 
 
@@ -522,7 +533,7 @@ def _float_table_mutant(engine):
     """The kernel with the digit table swapped for the reconstructed
     float counts ``codes * step`` it replaced (and ``step`` folded in)."""
     kernel = TiledBitSerialKernel(engine)
-    for group in kernel._groups:
+    for group in _table_groups(kernel):
         group.pair_table = group.pair_table.astype(np.float64) * group.step
         group.section_ones = group.section_ones.astype(np.float64)
         group.input_weights = group.input_weights.astype(np.float64)
@@ -538,7 +549,7 @@ def _short_radix_mutant(engine):
     index intact; the section offsets stay."""
     kernel = TiledBitSerialKernel(engine)
     wb = engine.config.weight_bits
-    for group in kernel._groups:
+    for group in _table_groups(kernel):
         radix, d = group.radix, group.digits
         mutant = np.zeros_like(group.pair_table)
         for low in range(0, wb, d):
@@ -569,7 +580,7 @@ def _unsigned_fold_mutant(engine):
     code's plane weights: the MSB weighs ``+2**(ib - 1)``."""
     kernel = TiledBitSerialKernel(engine)
     unsigned = plane_weights(engine.config.input_bits, False)
-    for group in kernel._groups:
+    for group in _table_groups(kernel):
         group.input_weights = unsigned.astype(group.input_weights.dtype)
     return kernel
 

@@ -319,13 +319,19 @@ class TestKernels:
 # ----------------------------------------------------------------------
 # Vector-axis blocking: every block boundary against the true oracle
 # ----------------------------------------------------------------------
-def _blocked_engine(signed, adc_bits, row_blocks=2):
+def _blocked_engine(signed, adc_bits, row_blocks=2, saturation=None):
     """``row_blocks`` row blocks (128 rows each, the last 72) x two
     column tiles (32 + a ragged 8).  Two is the smallest grid with a
     multi-tile stacked slab, a shorter last row block (its own LUT) and a
     ragged last column tile; from three on, the order the row blocks'
-    partials are added in shows in the bits (under a lossy ADC)."""
-    config = MacroConfig(signed_inputs=signed, adc=AdcSpec(bits=adc_bits))
+    partials are added in shows in the bits (under a lossy ADC).  An
+    8-bit ADC reads every count of a 128-row block exactly — lossless
+    blocks, one GEMM of codes — unless ``saturation`` clips the line."""
+    config = MacroConfig(
+        signed_inputs=signed,
+        adc=AdcSpec(bits=adc_bits),
+        bitline=BitlineModel(saturation=saturation),
+    )
     rows = 128 * (row_blocks - 1) + 72
     weights = np.random.default_rng(21).integers(-128, 128, size=(rows, 40))
     engine = CimTiledMatmul(weights, config)
@@ -334,9 +340,14 @@ def _blocked_engine(signed, adc_bits, row_blocks=2):
 
 
 def _block_of(kernel):
-    group = kernel._groups[0]
+    """Vectors per block of the kernel's first row block that reads a
+    digit table; a pass of lossless blocks alone has no vector blocks,
+    and any width — 7 here — places batches and chunk edges for it."""
+    tables = [group for group in kernel._groups if not group.lossless]
+    if not tables:
+        return 7
     return reference_fast._block_vectors(
-        group.planes32.shape[0] * group.planes32.shape[-2],
+        tables[0].planes32.shape[0] * tables[0].planes32.shape[-2],
         kernel.engine.config.input_bits,
     )
 
@@ -442,11 +453,22 @@ def _two_callers(kernel, widths):
 
 class TestVectorBlocks:
     @pytest.mark.parametrize("signed", [False, True])
-    @pytest.mark.parametrize("adc_bits", [5, 8])  # lossy / identity transfer
+    # Lossy / identity transfer: lossless blocks, one GEMM of codes each.
+    @pytest.mark.parametrize("adc_bits", [5, 8])
     def test_block_boundaries_bitwise_vs_tiled_reference(self, signed, adc_bits):
         engine = _blocked_engine(signed, adc_bits, row_blocks=3)
         kernel = TiledBitSerialKernel(engine)
+        assert [group.lossless for group in kernel._groups] == [adc_bits == 8] * 3
         _assert_split_matches_tile_walk(kernel, [engine], seed=adc_bits + signed)
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_block_boundaries_through_clipped_identity_tables(self, signed):
+        """Identity transfer up to a line clipped at 64 counts: every
+        block reads its digit table, cut as the lossy blocks are."""
+        engine = _blocked_engine(signed, 8, row_blocks=3, saturation=0.5)
+        kernel = TiledBitSerialKernel(engine)
+        assert [group.lossless for group in kernel._groups] == [False] * 3
+        _assert_split_matches_tile_walk(kernel, [engine], seed=8 + signed)
 
     def test_reversed_row_blocks_fail_the_boundary_check(self):
         """The check above has teeth: chunks that add their row blocks'
@@ -552,6 +574,166 @@ class TestVectorBlocks:
         _two_callers(kernel, (2 * block + 3, 5))
         with _split(3):
             assert len(_two_callers(kernel, (2 * block + 3, block + 1))) == 2
+
+
+class TestLosslessBlocks:
+    """A row block whose bit lines and ADC read every count ``0..rows``
+    unchanged, at step 1, runs as one batched GEMM of its weight codes
+    and the input codes; every other block reads its digit table.  Each
+    backend stays bitwise the tile walk, outputs and ``MacroStats``."""
+
+    @staticmethod
+    def engine(rows, adc_bits=5, signed=False, seed=0, cols=40, **bitline):
+        config = MacroConfig(
+            signed_inputs=signed,
+            adc=AdcSpec(bits=adc_bits),
+            bitline=BitlineModel(**bitline),
+        )
+        rng = np.random.default_rng(seed)
+        return CimTiledMatmul(rng.integers(-128, 128, size=(rows, cols)), config)
+
+    @staticmethod
+    def batch(engine, n, seed):
+        """Full-range codes, the extremes in the first and last vectors."""
+        low, high = engine.config.input_range()
+        rng = np.random.default_rng(seed)
+        x = rng.integers(low, high + 1, size=(engine.shape[0], n))
+        x[:, 0], x[:, -1] = low, high
+        return x
+
+    def stack(self, rows, signs):
+        """One engine per input signedness in ``signs``, each its own
+        weights: a grouped layer's stack."""
+        return [
+            self.engine(rows, 5, signed, seed=g) for g, signed in enumerate(signs)
+        ]
+
+    def assert_every_backend_matches(self, engine, lossless):
+        """Every registered backend over ``engine`` reads its row blocks
+        losslessly as ``lossless`` says, and matches the tile walk on a
+        one-vector code, a batch and the batch again."""
+        x = self.batch(engine, 37, seed=engine.shape[0])
+        walks = [(x[:, 0], engine.matmul(x[:, 0])), (x, engine.matmul(x))]
+        for name in available_backends():
+            kernel = get_backend(name)(engine)
+            assert [group.lossless for group in kernel._groups] == lossless, name
+            for codes, (ref, ref_stats) in walks + walks[1:]:
+                out, stats = kernel.matmul(codes)
+                assert out.tobytes() == ref.tobytes(), name
+                assert stats == ref_stats, name
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("adc_bits", [3, 5])
+    def test_levels_minus_one_rows_are_lossless_levels_rows_are_not(
+        self, adc_bits, signed
+    ):
+        levels = 1 << adc_bits
+        self.assert_every_backend_matches(
+            self.engine(levels - 1, adc_bits, signed), [True]
+        )
+        self.assert_every_backend_matches(
+            self.engine(levels, adc_bits, signed), [False]
+        )
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_lossy_tall_block_then_lossless_short_block(self, signed):
+        """128 + 27 rows under a 5-bit ADC: a digit table, then one GEMM
+        of codes, added in ascending row-block order."""
+        self.assert_every_backend_matches(self.engine(155, 5, signed), [False, True])
+
+    @pytest.mark.parametrize(
+        "bitline,lossless",
+        [
+            (dict(saturation=0.5), True),  # clips at 64 counts: never reached
+            (dict(saturation=0.1), False),  # clips at 12.8 counts
+            (dict(max_rows=16), False),  # a swing of 16 counts under 27 rows
+        ],
+    )
+    def test_a_clipping_line_reads_through_the_table(self, bitline, lossless):
+        """Lossless is what the bit line and ADC compute, not a row count:
+        27 rows read whole under a saturation the counts never reach, and
+        through the table under one they do, or a shorter swing."""
+        engine = self.engine(27, 5, True, **bitline)
+        self.assert_every_backend_matches(engine, [lossless])
+
+    def test_mixed_signedness_stack(self):
+        """A grouped stack of unsigned, signed and unsigned groups over a
+        lossy then a lossless block: the codes carry each group's
+        signedness into the GEMM."""
+        engines = self.stack(155, (False, True, False))
+        kernel = TiledBitSerialKernel(*engines)
+        assert [group.lossless for group in kernel._groups] == [False, True]
+        codes = [self.batch(engine, 19, seed=s) for s, engine in enumerate(engines)]
+        walks = [engine.matmul(x) for engine, x in zip(engines, codes)]
+        out, stats = kernel.matmul(np.stack(codes))
+        assert out.tobytes() == np.stack([ref for ref, _ in walks]).tobytes()
+        assert stats == sum((ref_stats for _, ref_stats in walks), MacroStats())
+
+    @pytest.mark.parametrize("rows", [31, 155])  # lossless / lossy then lossless
+    @pytest.mark.parametrize("kind", ["one", "stack", "popcount"])
+    def test_cut_and_forced_split_match_the_tile_walk(self, kind, rows):
+        """Around every block boundary, inline and cut into 2 and 3 chunks
+        — a pass of lossless blocks alone splits only when forced."""
+        if kind == "stack":
+            engines = self.stack(rows, (True, False, True))
+            kernel = TiledBitSerialKernel(*engines)
+        else:
+            engines = [self.engine(rows, 5, True)]
+            if kind == "popcount" and not get_backend("popcount").supported(
+                engines[0].config
+            ):
+                pytest.skip("popcount needs np.bitwise_count")
+            name = "popcount" if kind == "popcount" else "reference-fast"
+            kernel = get_backend(name)(engines[0])
+        _assert_split_matches_tile_walk(kernel, engines, seed=rows)
+
+    def test_lossless_pass_builds_no_table_operand_or_split(self, monkeypatch):
+        """A lossless block holds its ``(G, columns, rows)`` codes in the
+        accumulator dtype and no planes; programming it builds no digit
+        table, and running it builds no bit operand, gathers no table and
+        never hands a chunk to the pool, whatever the split threshold."""
+        engines = self.stack(27, (False, True))
+        monkeypatch.setattr(
+            reference_fast, "_pair_table", lambda *args: pytest.fail("table built")
+        )
+        kernel = TiledBitSerialKernel(*engines)
+        (group,) = kernel._groups
+        assert group.lossless and not hasattr(group, "planes32")
+        assert group.codes.dtype == np.float32 and group.codes.shape == (2, 40, 27)
+        assert group.codes.tobytes() == np.stack(
+            [engine.weights.T for engine in engines]
+        ).astype(np.float32).tobytes()
+        assert kernel._vector_indices == 0
+        monkeypatch.setattr(
+            reference_fast, "_bit_operand", lambda *args: pytest.fail("operand built")
+        )
+        monkeypatch.setattr(
+            TiledBitSerialKernel, "_split", lambda *args: pytest.fail("split")
+        )
+        monkeypatch.setattr(reference_fast, "_WORKERS", 2)
+        monkeypatch.setattr(reference_fast, "_SPLIT_INDICES", 1)
+        x = np.stack([self.batch(engine, 64, seed=1) for engine in engines])
+        out, _ = kernel.matmul(x)
+        ref = np.stack([engine.matmul(codes)[0] for engine, codes in zip(engines, x)])
+        assert out.tobytes() == ref.tobytes()
+
+    def test_a_lossy_block_sent_lossless_fails_the_check(self, monkeypatch):
+        """The checks above have teeth: a kernel that takes a 32-row block
+        under a 5-bit ADC (step 32/31) for lossless differs from the tile
+        walk."""
+        real = reference_fast._lossless
+
+        def lossless(config, rows):
+            return rows == 32 or real(config, rows)
+
+        monkeypatch.setattr(reference_fast, "_lossless", lossless)
+        engine = self.engine(32, 5, True)
+        x = self.batch(engine, 37, seed=32)
+        ref, _ = engine.matmul(x)
+        for name in available_backends():
+            kernel = get_backend(name)(engine)
+            assert kernel._groups[0].lossless, name
+            assert kernel.matmul(x)[0].tobytes() != ref.tobytes(), name
 
 
 class TestSplitPool:
@@ -750,29 +932,51 @@ class TestExactnessBound:
         ],
     )
     def test_accumulator_dtype_is_a_function_of_the_bound(self, bits, dtype):
-        config = self.config(*bits)
+        # Three rows on a line that clips at two counts: a digit table.
+        config = self.config(*bits, bitline=BitlineModel(max_rows=2))
         assert TiledBitSerialKernel.supported(config)
         kernel = TiledBitSerialKernel(CimTiledMatmul(np.zeros((3, 2), dtype=int), config))
         (group,) = kernel._groups
+        assert not group.lossless
         assert group.pair_table.dtype == dtype
         assert group.input_weights.dtype == dtype
         assert group.section_ones.dtype == dtype
 
+    @pytest.mark.parametrize(
+        "bits,dtype",
+        [((8, 8, 5), np.float32), ((8, 8, 9), np.float64), ((24, 24, 4), np.float64)],
+    )
+    def test_lossless_codes_take_the_accumulator_dtype(self, bits, dtype):
+        """Three rows every ADC here reads whole: a lossless block holds
+        its codes in the same dtype a table would take."""
+        config = self.config(*bits)
+        kernel = TiledBitSerialKernel(CimTiledMatmul(np.zeros((3, 2), dtype=int), config))
+        (group,) = kernel._groups
+        assert group.lossless
+        assert group.codes.dtype == group.input_weights.dtype == dtype
+
     @pytest.mark.parametrize("signed", [False, True])
     def test_wide_codes_run_in_float64_bitwise(self, signed):
-        config = self.config(16, 16, 12, signed_inputs=signed)
-        rng = np.random.default_rng(16 + signed)
-        # Full-range codes over 2 x 2 tiles (128 + 72 rows, 16 + 4 columns).
-        weights = rng.integers(-(2**15), 2**15, size=(200, 20))
-        engine = CimTiledMatmul(weights, config)
-        assert len(engine.tiles) == 4
-        low, high = config.input_range()
-        x = rng.integers(low, high + 1, size=(200, 9))
-        ref, ref_stats = engine.matmul(x)
-        for name in available_backends():
-            out, stats = get_backend(name)(engine).matmul(x)
-            assert out.tobytes() == ref.tobytes(), name
-            assert stats == ref_stats, name
+        # Lossless blocks under a 12-bit ADC, then digit tables under a
+        # line that clips at 64 counts.
+        for saturation in (None, 0.5):
+            bitline = BitlineModel(saturation=saturation)
+            config = self.config(16, 16, 12, signed_inputs=signed, bitline=bitline)
+            rng = np.random.default_rng(16 + signed)
+            # Full-range codes over 2 x 2 tiles (128 + 72 rows, 16 + 4 columns).
+            weights = rng.integers(-(2**15), 2**15, size=(200, 20))
+            engine = CimTiledMatmul(weights, config)
+            assert len(engine.tiles) == 4
+            kernel = TiledBitSerialKernel(engine)
+            lossless = [group.lossless for group in kernel._groups]
+            assert lossless == [saturation is None] * 2
+            low, high = config.input_range()
+            x = rng.integers(low, high + 1, size=(200, 9))
+            ref, ref_stats = engine.matmul(x)
+            for name in available_backends():
+                out, stats = get_backend(name)(engine).matmul(x)
+                assert out.tobytes() == ref.tobytes(), name
+                assert stats == ref_stats, name
 
     def test_pair_table_indices_reach_the_last_float32_integer(self):
         """The supported side of ``Q * R**2 <= 2**24``: at 8-bit weights
@@ -871,8 +1075,9 @@ class TestResidentPlanes:
         "name,width", [("resnet8", 1.0), ("mobilenet", 1.0), ("tiny_yolo", 0.25)]
     )
     def test_planes_hold_three_weight_bits_per_entry(self, name, width):
-        """Three weight bits per float32 plane entry, and the codes beside
-        the planes held once, at one byte per weight: ``w_codes`` is a
+        """Three weight bits per float32 plane entry — or, in a lossless
+        row block, one float32 code per weight (4 B) — and the codes
+        beside them held once, at one byte per weight: ``w_codes`` is a
         view of the tiled engine's array."""
         model = models.build_model(name, rng=np.random.default_rng(0), width_mult=width)
         compiled = compile_model(model, RuntimeConfig(fold_bn=True), cache=EngineCache())
@@ -881,7 +1086,10 @@ class TestResidentPlanes:
             linear = getattr(engine, "linear", engine)
             assert linear.engine.config.weight_bits == 8
             assert np.shares_memory(linear.w_codes, linear.engine.weights)
-            planes += sum(group.planes32.nbytes for group in linear._kernel._groups)
+            planes += sum(
+                group.codes.nbytes if group.lossless else group.planes32.nbytes
+                for group in linear._kernel._groups
+            )
             codes += linear.engine.weights.nbytes
             weights += linear.engine.weights.size
         assert planes / weights <= 12.2
