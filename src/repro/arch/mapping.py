@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from repro.models.profile import LayerProfile, ModelProfile
+from repro.rebranch.branch import branch_widths
 
 
 #: One weight matrix a placement programs: ``(memory, rows, cols,
@@ -105,8 +106,7 @@ def _branch_matrices(layer: LayerProfile, d: int, u: int) -> List[Matrix]:
     rows, out_c = layer.matrix_shape  # (Cin/G*kh*kw, Cout)
     in_c = layer.in_shape[1]
     kernel_sq = rows * layer.groups // in_c  # kh*kw
-    c_over_d = max(1, in_c // d)
-    m_over_u = max(1, out_c // u)
+    c_over_d, m_over_u = branch_widths(in_c, out_c, d, u)
     out_positions = _positions(layer.out_shape)
     return [
         ("rom", in_c, c_over_d, _positions(layer.in_shape)),

@@ -19,7 +19,7 @@ certain extent" with only 1/(D*U) of the parameters trainable.
 from __future__ import annotations
 
 import operator
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +32,12 @@ def _fixed_projection(
     """Variance-preserving random point-wise projection (frozen in ROM)."""
     weight = rng.normal(0.0, 1.0 / np.sqrt(in_channels), size=(out_channels, in_channels))
     return weight.reshape(out_channels, in_channels, 1, 1)
+
+
+def branch_widths(in_channels: int, out_channels: int, d: int, u: int) -> Tuple[int, int]:
+    """The branch's compressed and decompressed widths: ``N / D`` and
+    ``M / U`` channels, at least one each."""
+    return max(1, in_channels // d), max(1, out_channels // u)
 
 
 class ReBranchConv2d(nn.Module):
@@ -51,8 +57,7 @@ class ReBranchConv2d(nn.Module):
 
         in_channels = trunk.in_channels
         out_channels = trunk.out_channels
-        compressed = max(1, in_channels // d)
-        decompressed = max(1, out_channels // u)
+        compressed, decompressed = branch_widths(in_channels, out_channels, d, u)
 
         self.d = d
         self.u = u
@@ -95,9 +100,10 @@ class ReBranchConv2d(nn.Module):
 
     def plan_forward(self, builder, x):
         """The trunk, and compress -> res_conv -> decompress, joined by
-        an add.  The analytic profile walks this; the compiler and the
-        reference walker lower a ReBranch themselves, because its Fig. 9
-        placement is fixed."""
+        an add.  The compiler, the reference walker and the analytic
+        profile all walk this, placing each conv by its own freeze flag
+        (Fig. 9: the frozen trunk and projections on ROM, the trainable
+        res-conv on SRAM)."""
         out = builder.child(self.trunk, "trunk", x)
         branch = builder.child(self.compress, "compress", x)
         branch = builder.child(self.res_conv, "res_conv", branch)

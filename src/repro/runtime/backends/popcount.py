@@ -128,18 +128,28 @@ class PopcountBitSerialKernel(TiledBitSerialKernel):
                 )
                 * group.radix**digits
             )
+        #: Rows up to the last row block that reads a table: the input
+        #: bit planes a call builds (none when every block is lossless).
+        self._table_rows = max(
+            (group.row_stop for group in self._groups if not group.lossless),
+            default=0,
+        )
 
     @staticmethod
     def supported(config: MacroConfig) -> bool:
         return _HAS_BITWISE_COUNT and TiledBitSerialKernel.supported(config)
 
-    def _expand(self, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Input bit planes as 0/1 bytes ``(rows, n * ib)``, ``(vector,
-        input bit)`` column order, and the per-row ON-bit totals ``(1,
-        rows)`` — exact integers in any summation order."""
+    def _expand(self, codes: np.ndarray) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """Input bit planes as 0/1 bytes ``(table rows, n * ib)``,
+        ``(vector, input bit)`` column order — ``None`` when no row block
+        reads a table — and the per-row ON-bit totals ``(1, rows)``, exact
+        integers in any summation order."""
         (unsigned,) = codes
-        ib = self.engine.config.input_bits
-        flat = _serial_planes(unsigned, ib).reshape(unsigned.shape[0], -1)
+        rows = self._table_rows
+        flat = None
+        if rows:
+            ib = self.engine.config.input_bits
+            flat = _serial_planes(unsigned[:rows], ib).reshape(rows, -1)
         return flat, np.bitwise_count(codes).sum(axis=-1, dtype=np.float64)
 
     def _contract(self, operand, b: int, v0: int, v1: int) -> np.ndarray:

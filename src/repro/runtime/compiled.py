@@ -58,7 +58,6 @@ from repro.obs import trace
 from repro.obs.log import get_logger
 from repro.cim.encoding import ActivationEncoding
 from repro.cim.macro import MacroConfig, MacroStats
-from repro.rebranch.branch import ReBranchConv2d
 from repro.runtime.cache import (
     EngineCache,
     EngineKey,
@@ -429,8 +428,9 @@ class GraphBuilder:
 
 
 def _memory(module) -> str:
-    """Fig. 9 placement of a plain conv or linear: trainable -> SRAM,
-    frozen -> ROM."""
+    """Fig. 9 placement of a conv or linear: trainable -> SRAM, frozen
+    -> ROM (a ReBranch's frozen trunk and projections on ROM, its
+    trainable res-conv on SRAM)."""
     return "sram" if module.weight.requires_grad else "rom"
 
 
@@ -489,25 +489,19 @@ class _PlanBuilder:
         index = self._append(op, (x.index,), name)
         return PlanHandle(index, signed)
 
-    def _record(self, name: str, kind: str, weights: Dict[str, int]) -> None:
-        """Append one weight layer's report row; ``weights`` counts its
-        weights per memory, each charged that memory's weight width."""
-        bits = {
-            memory: count * self.configs[memory].weight_bits
-            for memory, count in weights.items()
-        }
-        self.report.rom_weight_bits += bits.get("rom", 0)
-        self.report.sram_weight_bits += bits.get("sram", 0)
-        self.report.layers.append(
-            DeployedLayerInfo(name, kind, "+".join(bits), sum(bits.values()))
-        )
-
     def _place(self, name: str, kind: str, module) -> Callable[[], _Circuits]:
-        """Place a plain conv or linear: record its row as placed now and
-        return the live choice, evaluated at execution time like the
-        seed path, so freezing or unfreezing the layer after compilation
-        moves it between macros."""
-        self._record(name, kind, {_memory(module): module.weight.size})
+        """Place a conv or linear: append its report row as placed now,
+        its weights charged that memory's weight width, and return the
+        live choice, evaluated at execution time like the seed path, so
+        freezing or unfreezing the layer after compilation moves it
+        between macros."""
+        memory = _memory(module)
+        bits = module.weight.size * self.configs[memory].weight_bits
+        if memory == "rom":
+            self.report.rom_weight_bits += bits
+        else:
+            self.report.sram_weight_bits += bits
+        self.report.layers.append(DeployedLayerInfo(name, kind, memory, bits))
         return lambda: self.circuits[_memory(module)]
 
     def _slots(
@@ -611,32 +605,6 @@ class _PlanBuilder:
     # -- lowering -------------------------------------------------------
     def build(self, module: nn.Module, name: str, x: PlanHandle) -> PlanHandle:
         """Lower ``module`` applied to ``x``; returns the output handle."""
-        if isinstance(module, ReBranchConv2d):
-            # Fixed Fig. 9 placement: trunk + projections on ROM macros,
-            # res-conv on SRAM, regardless of requires_grad — one report
-            # row, lowered as the explicit diamond: x fans out to trunk
-            # and compress, the branch chain rejoins the trunk at an add
-            # node.
-            rom_weights = sum(
-                conv.weight.size
-                for conv in (module.trunk, module.compress, module.decompress)
-            )
-            self._record(
-                name,
-                "rebranch",
-                {"rom": rom_weights, "sram": module.res_conv.weight.size},
-            )
-            rom = lambda: self.circuits["rom"]  # noqa: E731
-            sram = lambda: self.circuits["sram"]  # noqa: E731
-            trunk = self._conv(f"{name}.trunk", module.trunk, rom, x)
-            branch = self._conv(f"{name}.compress", module.compress, rom, x)
-            branch = self._conv(f"{name}.res_conv", module.res_conv, sram, branch)
-            branch = self._conv(f"{name}.decompress", module.decompress, rom, branch)
-            index = self._append(
-                _AddStep(f"{name}.add"), (trunk.index, branch.index), f"{name}.add"
-            )
-            return PlanHandle(index, True)
-
         if isinstance(module, nn.Conv2d):
             return self._conv(name, module, self._place(name, "conv", module), x)
 

@@ -12,8 +12,8 @@ Everything in this module happens once per model, at *programming* time
   (YOLoC Fig. 9) the plan builder in :mod:`repro.runtime.compiled`
   appends one :class:`DeployedLayerInfo` row to per weight layer as it
   lowers it: frozen convolutions/linears on ROM macros, trainable ones
-  on SRAM macros, a ReBranch's trunk + projections on ROM with its
-  res-conv on SRAM.
+  on SRAM macros.  A ReBranch is four such rows — its frozen trunk and
+  projections on ROM, its trainable res-conv on SRAM.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ class DeployedLayerInfo:
     """Placement record of one weight layer."""
 
     name: str
-    kind: str  # "conv" | "linear" | "rebranch"
-    memory: str  # "rom" | "sram" | "rom+sram"
+    kind: str  # "conv" | "linear"
+    memory: str  # "rom" | "sram"
     weight_bits: int
 
 

@@ -30,7 +30,6 @@ from repro.cim.cells import ROM_1T, SRAM_CIM_6T
 from repro.cim.encoding import ActivationEncoding
 from repro.cim.macro import MacroConfig, MacroStats
 from repro.cim.mvm import reference_cim_conv2d, reference_cim_linear
-from repro.rebranch.branch import ReBranchConv2d
 from repro.runtime.errors import InvalidBatchError, UnsupportedModuleError
 
 
@@ -93,21 +92,14 @@ class _ReferenceRunner:
         return out
 
     def run(self, module: nn.Module, x: np.ndarray, name: str = "") -> np.ndarray:
-        if isinstance(module, ReBranchConv2d):
-            trunk = self._conv(x, module.trunk, self.rom_config)
-            branch = self._conv(x, module.compress, self.rom_config)
-            branch = self._conv(branch, module.res_conv, self.sram_config)
-            branch = self._conv(branch, module.decompress, self.rom_config)
-            return trunk + branch
-        if isinstance(module, nn.Conv2d):
+        if isinstance(module, (nn.Conv2d, nn.Linear)):
+            # Fig. 9 placement, repeated here rather than shared with the
+            # compiler: trainable -> SRAM, frozen -> ROM.
             config = (
                 self.sram_config if module.weight.requires_grad else self.rom_config
             )
-            return self._conv(x, module, config)
-        if isinstance(module, nn.Linear):
-            config = (
-                self.sram_config if module.weight.requires_grad else self.rom_config
-            )
+            if isinstance(module, nn.Conv2d):
+                return self._conv(x, module, config)
             out, stats = reference_cim_linear(
                 x,
                 module.weight.data,
@@ -170,7 +162,6 @@ def pure_op(module: nn.Module):
 
 #: Rank of the batch a leaf kind consumes; a kind not listed takes any.
 _LEAF_RANK = {
-    ReBranchConv2d: 4,
     nn.Conv2d: 4,
     nn.MaxPool2d: 4,
     nn.AvgPool2d: 4,

@@ -23,8 +23,9 @@ from repro.arch.mapping import (
 from repro.arch.romchiplet import RomChipletSystem
 from repro.arch.system import macros_for
 from repro.cim.macro import MacroStats
-from repro.cim.spec import sram_macro_spec
+from repro.cim.spec import rom_macro_spec, sram_macro_spec
 from repro.experiments import fig12
+from repro.rebranch import convert_to_rebranch
 from repro.runtime import EngineCache, RuntimeConfig, compile_model, fold_batchnorm
 
 from .helpers import fig13_reports
@@ -334,6 +335,19 @@ class TestPricedPassesAreTheChips:
         fold_batchnorm(model)
         return compile_model(model, RuntimeConfig(), cache=EngineCache()), px
 
+    @staticmethod
+    def assert_prices(priced, run):
+        """Counts equal, ADC and peripheral energy to rounding."""
+        assert (priced.cycles, priced.adc_conversions, priced.macs) == (
+            run.cycles,
+            run.adc_conversions,
+            run.macs,
+        )
+        assert priced.adc_energy_fj == pytest.approx(run.adc_energy_fj, rel=1e-12)
+        assert priced.peripheral_energy_fj == pytest.approx(
+            run.peripheral_energy_fj, rel=1e-12
+        )
+
     @pytest.mark.parametrize("batch", [1, 2])
     def test_profile_prices_the_run(self, case, batch):
         compiled, px = case
@@ -345,15 +359,32 @@ class TestPricedPassesAreTheChips:
         priced = MacroStats()
         for _, rows, cols, vectors in mapping.matrices:
             priced += spec.matrix_stats(rows, cols, vectors)
-        assert (priced.cycles, priced.adc_conversions, priced.macs) == (
-            run.cycles,
-            run.adc_conversions,
-            run.macs,
-        )
-        assert priced.adc_energy_fj == pytest.approx(run.adc_energy_fj, rel=1e-12)
-        assert priced.peripheral_energy_fj == pytest.approx(
-            run.peripheral_energy_fj, rel=1e-12
-        )
+        self.assert_prices(priced, run)
+
+    def test_rebranch_profile_prices_the_run(self):
+        """A ReBranch chip: each weight row of the profile priced on the
+        macro its placement picks — ROM when frozen, SRAM when trainable."""
+        model = models.build_model("resnet8", rng=np.random.default_rng(0))
+        model.eval()
+        fold_batchnorm(model)
+        assert convert_to_rebranch(model, d=4, u=4, rng=np.random.default_rng(0)) > 0
+        compiled = compile_model(model, RuntimeConfig(), cache=EngineCache())
+        x = np.random.default_rng(1).normal(size=(2, 3, 32, 32))
+        _, run = compiled.run(x)
+
+        specs = {False: rom_macro_spec(), True: sram_macro_spec()}
+        profile = models.profile_model(compiled, x.shape)
+        priced = MacroStats()
+        memories = set()
+        for layer in profile.weight_layers():
+            spec = specs[layer.trainable]
+            memories.add(spec.name)
+            rows, cols = layer.matrix_shape
+            vectors = layer.out_shape[0] * int(np.prod(layer.out_shape[2:]))
+            for _ in range(layer.groups):
+                priced += spec.matrix_stats(rows, cols // layer.groups, vectors)
+        assert memories == {"rom-cim", "sram-cim"}
+        self.assert_prices(priced, run)
 
     def test_grouped_conv_is_one_matrix_per_group(self):
         model = models.build_model("mobilenet", rng=np.random.default_rng(0))

@@ -37,6 +37,7 @@ from repro.cim import (
     MacroStats,
     PulseWidthEncoding,
     ROM_1T,
+    SRAM_CIM_6T,
     reference_cim_conv2d,
     reference_cim_linear,
 )
@@ -106,20 +107,11 @@ def in_rebranch(model, name):
 
 def legacy_placement(model, rom_bits, sram_bits):
     """The placement report as a walk of ``named_modules`` records it
-    (YOLoC Fig. 9): a ReBranch is one ROM + SRAM row, any other conv or
-    linear one row on SRAM when trainable, on ROM when frozen."""
+    (YOLoC Fig. 9): every conv or linear — a ReBranch's four convs
+    included — one row, on SRAM when trainable, on ROM when frozen."""
     report = DeploymentReport()
     for name, module in model.named_modules():
-        if isinstance(module, ReBranchConv2d):
-            rom = sum(
-                conv.weight.size
-                for conv in (module.trunk, module.compress, module.decompress)
-            ) * rom_bits
-            sram = module.res_conv.weight.size * sram_bits
-            report.rom_weight_bits += rom
-            report.sram_weight_bits += sram
-            report.layers.append(DeployedLayerInfo(name, "rebranch", "rom+sram", rom + sram))
-        elif isinstance(module, (nn.Conv2d, nn.Linear)) and not in_rebranch(model, name):
+        if isinstance(module, (nn.Conv2d, nn.Linear)):
             kind = "conv" if isinstance(module, nn.Conv2d) else "linear"
             trainable = module.weight.requires_grad
             bits = module.weight.size * (sram_bits if trainable else rom_bits)
@@ -135,18 +127,8 @@ def legacy_placement(model, rom_bits, sram_bits):
 
 def plan_weight_layers(compiled):
     """Weight-layer names in plan order, one per weight plan node (a
-    grouped conv's per-group slots share one); a ReBranch's four
-    convolutions count as the ReBranch."""
-    names = []
-    for node in compiled._nodes:
-        if not getattr(node.op, "slots", ()):
-            continue
-        name = node.name
-        if in_rebranch(compiled.model, name):
-            name = name.rsplit(".", 1)[0]
-        if name not in names:
-            names.append(name)
-    return names
+    grouped conv's per-group slots share one)."""
+    return [node.name for node in compiled._nodes if getattr(node.op, "slots", ())]
 
 
 # ----------------------------------------------------------------------
@@ -1561,6 +1543,30 @@ class TestCompiledModel:
         # ROM cells discharge less energy than SRAM-CiM cells.
         assert rom_stats.bitline_energy_fj < sram_stats.bitline_energy_fj
 
+    def test_rebranch_parts_move_with_their_freeze_flags(self):
+        """A ReBranch's convs are placed by the one rule, live: a trunk
+        unfrozen and a res-conv frozen after compile run on SRAM and ROM
+        macros, bitwise the reference walker."""
+        model = placement_model("resnet8", "rebranch")
+        compiled = compile_model(model, RuntimeConfig(), cache=EngineCache())
+        name, branch = next(
+            (n, m) for n, m in model.named_modules() if isinstance(m, ReBranchConv2d)
+        )
+        branch.trunk.unfreeze()
+        branch.res_conv.freeze()
+        x = np.random.default_rng(1).normal(size=(2, 3, 16, 16))
+        out, stats = compiled.run(x, rng=np.random.default_rng(2))
+        slots = {slot.layer_id: slot for slot in compiled._slots}
+        for part, cell in (("trunk", SRAM_CIM_6T), ("res_conv", ROM_1T)):
+            slot = slots[f"{name}.{part}"]
+            engine = slot.engine_for(slot.predicted_signed)
+            assert getattr(engine, "linear", engine).config.cell == cell, part
+        expected, expected_stats = reference_forward(
+            model, x, rng=np.random.default_rng(2)
+        )
+        assert out.tobytes() == expected.tobytes()
+        assert stats == expected_stats
+
     def test_ensure_fresh_tracks_inplace_weight_updates(self):
         model = tiny_chain()
         x = tiny_input()
@@ -1596,13 +1602,14 @@ class TestCompiledModel:
         )
         modules = dict(model.named_modules())
         rebranches = [n for n, m in modules.items() if isinstance(m, ReBranchConv2d)]
-        assert [
-            row.name for row in report.layers if row.memory == "rom+sram"
-        ] == rebranches
-        assert all(
-            (row.kind == "rebranch") == (row.memory == "rom+sram")
-            for row in report.layers
-        )
+        # Fig. 9: a ReBranch's frozen trunk and projections on ROM, its
+        # trainable res-conv on SRAM, one row each.
+        memory = {row.name: row.memory for row in report.layers}
+        for n in rebranches:
+            assert [
+                memory[f"{n}.{part}"]
+                for part in ("trunk", "compress", "res_conv", "decompress")
+            ] == ["rom", "rom", "sram", "rom"]
         grouped = [
             n
             for n, m in modules.items()
@@ -1621,7 +1628,7 @@ class TestCompiledModel:
         elif variant == "frozen":
             assert report.rom_weight_bits > 0 and report.sram_weight_bits == 0
         else:
-            assert "rebranch" in kinds
+            assert rebranches
             assert report.rom_weight_bits > 0 and report.sram_weight_bits > 0
 
 
